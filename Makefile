@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check bench gobench audit fuzz elastic replication batched readstorm noisy
+.PHONY: all build test vet race check bench benchcheck gobench audit fuzz elastic replication batched readstorm noisy
 
 all: check
 
@@ -29,6 +29,11 @@ check: build vet race
 # `go run ./cmd/lunule-bench -tickbench -tickbench-out BENCH_pr10.json`.
 bench:
 	$(GO) run ./cmd/lunule-bench -tickbench -tickbench-baseline BENCH_pr10.json
+
+# benchcheck vets and tests the benchmark harness. benchmark/ has its
+# own go.mod, so the root `./...` patterns above skip it.
+benchcheck:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # elastic runs the audited autoscaler suite: the diurnal-wave experiment
 # (elastic vs static fleets) plus an audited scale-up/drain-down smoke of

@@ -70,7 +70,7 @@ func main() {
 		mdPath   = flag.String("md", "", "write a markdown report to this file instead of stdout tables")
 
 		tickbench    = flag.Bool("tickbench", false, "run the tick-loop micro-benchmark matrix instead of the experiments")
-		tbOut        = flag.String("tickbench-out", "", "write the tickbench JSON report to this file (the BENCH_pr3.json format)")
+		tbOut        = flag.String("tickbench-out", "", "write the tickbench JSON report to this file (the BENCH_pr10.json format)")
 		tbBaseline   = flag.String("tickbench-baseline", "", "diff tickbench results against this checked-in JSON baseline")
 		tbTicks      = flag.Int64("tickbench-ticks", 300, "measured ticks per tickbench case (after a 100-tick warmup)")
 		tbWorkers    = flag.String("tickbench-workers", "1,2,4,8",

@@ -90,6 +90,11 @@ func TestBadFlagsFail(t *testing.T) {
 	if code := run([]string{"-replication", "2", "-replication-promote", "0"}, &stdout, &stderr); code == 0 {
 		t.Fatal("invalid replication policy must fail")
 	}
+	stderr.Reset()
+	if code := run([]string{"-workers", "-1"}, &stdout, &stderr); code == 0 ||
+		!strings.Contains(stderr.String(), "workers") {
+		t.Fatalf("-workers -1 must fail naming the flag, got exit %d: %s", code, stderr.String())
+	}
 }
 
 // TestReplicatedRunWithPathCrash smoke-tests the replication flags

@@ -94,14 +94,11 @@ type Config struct {
 	// Workers is the worker count for the phased tick engine: how many
 	// goroutines execute the routing and serve subphases of each tick
 	// (see engine.go). 0 or 1 runs the engine inline on the calling
-	// goroutine. The simulated run is byte-identical at every worker
-	// count — parallelism changes wall-clock time only — which the
-	// differential tests prove the same way the resolve-cache ones do.
+	// goroutine; a negative count is rejected. The simulated run is
+	// byte-identical at every worker count — parallelism changes
+	// wall-clock time only — which the differential tests prove the same
+	// way the resolve-cache ones do.
 	Workers int
-	// DisableParallelEngine forces Workers to 1, mirroring
-	// DisableResolveCache as an escape hatch: the engine algorithm is
-	// identical either way, only the goroutine fan-out is suppressed.
-	DisableParallelEngine bool
 	// Audit optionally attaches a state auditor that validates
 	// cross-module invariants at every epoch close (or every tick; see
 	// audit.Options.EveryTick). Like the Bus, nil disables auditing at
@@ -314,6 +311,9 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if cfg.Workload == nil {
 		return nil, errors.New("cluster: config requires a workload")
+	}
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("cluster: workers must be >= 0, got %d", cfg.Workers)
 	}
 	tree := namespace.NewTree()
 	part := namespace.NewPartition(tree, 0)
@@ -680,18 +680,42 @@ func (c *Cluster) CrashPathOwner(path string) int {
 	if err != nil {
 		return -1
 	}
-	var entry namespace.Entry
-	if e, ok := c.part.EntryAt(namespace.FragKey{Dir: in.Ino, Frag: namespace.WholeFrag}); ok {
-		entry = e
-	} else if c.resolver != nil {
-		entry = c.resolver.Entry(in)
-	} else {
-		entry = c.part.GoverningEntry(in)
+	entry, ok := c.part.EntryAt(namespace.FragKey{Dir: in.Ino, Frag: namespace.WholeFrag})
+	if !ok {
+		entry = c.governing(c.resolver, in)
 	}
 	if c.CrashMDS(int(entry.Auth)) {
 		return int(entry.Auth)
 	}
 	return -1
+}
+
+// governing returns the entry governing the inode, through the given
+// version-cached resolver or — when the resolve cache is disabled and
+// res is nil — by a full ancestor walk.
+func (c *Cluster) governing(res *namespace.Resolver, in *namespace.Inode) namespace.Entry {
+	if res != nil {
+		return res.Entry(in)
+	}
+	return c.part.GoverningEntry(in)
+}
+
+// resolveOp returns the entry governing one op: the governing entry of
+// its target, or, for a create of a not-yet-existing name, the entry
+// that will govern the child once adopted, so the create is routed to
+// the rank that owns its future home. Promised (unadopted) inodes never
+// reach the resolver: within a round they are visible only through the
+// owning lane's lookaside map. res is the caller's resolver: a cohort's
+// own in the parallel plan phase, the cluster's in serial sections.
+func (c *Cluster) resolveOp(res *namespace.Resolver, op workload.Op) namespace.Entry {
+	target := op.Target
+	if op.Kind == workload.OpCreate {
+		target = op.Parent.Child(op.Name)
+		if target == nil {
+			return c.part.GoverningChildEntry(op.Parent, namespace.HashName(op.Name))
+		}
+	}
+	return c.governing(res, target)
 }
 
 // ScheduleCrashPath arranges for the rank authoritative for path to

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/balancer"
@@ -44,11 +45,21 @@ func newTestCluster(t testing.TB, cfg Config) *Cluster {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{Workload: smallZipf()}); err == nil {
-		t.Fatal("missing balancer must error")
-	}
-	if _, err := New(Config{Balancer: core.NewDefault()}); err == nil {
-		t.Fatal("missing workload must error")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string // substring of the error
+	}{
+		{"nil balancer", Config{Workload: smallZipf()}, "balancer"},
+		{"nil workload", Config{Balancer: core.NewDefault()}, "workload"},
+		{"zero batching", Config{Balancer: core.NewDefault(), Workload: smallZipf(),
+			Batching: &BatchingConfig{}}, "batching"},
+		{"negative workers", Config{Balancer: core.NewDefault(), Workload: smallZipf(),
+			Workers: -1}, "workers"},
+	} {
+		if _, err := New(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: New returned %v, want an error naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -7,66 +7,58 @@ import (
 	"repro/internal/namespace"
 	"repro/internal/obs"
 	"repro/internal/rng"
-	"repro/internal/tenant"
 	"repro/internal/workload"
 )
 
-// This file implements the phased tick engine: the client-serve part
-// of Cluster.Step, restructured so that client cohorts and MDS ranks
-// can execute on a worker pool while producing byte-identical output
-// at every worker count (including one — the serial engine is this
-// same code run inline; see runParallel).
+// This file implements the tick engine: the client-serve part of
+// Cluster.Step, structured so that client cohorts and MDS ranks can
+// execute on a worker pool while producing byte-identical output at
+// every worker count (including one — the serial engine is this same
+// code run inline; see runParallel).
 //
-// A tick's serve phase runs in planning phases, each of which executes
-// as a sequence of rounds:
+// There is ONE tick loop, serveTick, for both client contracts:
 //
-//	plan (parallel over cohorts)
-//	    Each active client routes its whole remaining tick: the queued
-//	    ops ahead of it (drawn from the stream into the client's
-//	    pending queue) are split into "runs" — maximal batches of
-//	    consecutive ops resolving to the same authoritative rank —
-//	    bounded by the client's credit. Planning stops early at ops
-//	    whose outcome gates the stream (a data-path op, a create from
-//	    a tree-reading stream); such clients re-plan in the next phase.
-//	admit (serial, tick shuffle order)
-//	    Each rank's per-tick budget is arbitrated across the planned
-//	    runs in one pass over the clients in the tick's shuffled order
-//	    (cohort order from the cluster stream, member order from the
-//	    cohort stream): a client reserves budget for its runs in
-//	    sequence until a rank's pool runs dry, where it is cut — it
-//	    will serve the admitted prefix and stall, exactly as the old
-//	    serial loop stalled a client mid-credit on a saturated rank.
-//	    Arbitrating the full tick in client order, rather than letting
-//	    each round drain budget before the next exists, is what keeps
-//	    budget contention fair: a client whose saturated-rank ops sit
-//	    behind a rank switch competes in shuffle order, not at
-//	    round-two priority (which would starve it for as long as the
-//	    rank stays saturated).
-//	round r: serve (parallel over ranks)
-//	    Each rank lane serves the runs scheduled to it this round —
-//	    every uncut client's r-th planned run — in tick shuffle order.
-//	    Everything a lane touches is owned by it: the clients in its
-//	    runs (a client's r-th run targets exactly one rank), its own
-//	    server state, and its lane-local buffers. Cross-rank effects —
-//	    relay budget charges, stall notes, created inodes, first-visit
-//	    marks, backoff events, global counters — are buffered in the
-//	    lane.
-//	round r: barrier (serial, ascending rank order)
-//	    Buffered effects are applied: created inodes are adopted into
-//	    the tree (this assigns inode numbers, so the order is part of
-//	    the determinism contract), relay charges and stalls land on
-//	    their servers, events flush to the bus, data-path debtors pay
-//	    the OSD pool, and counters merge.
+//	gate (serial, client ID order)
+//	    done / not started / backing off / data debt, then credit.
+//	shuffle (cohort order from the cluster stream, member order from
+//	    each cohort's own stream)
+//	repeat:
+//	  plan (parallel over cohorts)         — strategy
+//	  admit (serial, tick shuffle order)   — strategy
+//	      Arbitrates each rank's per-tick budget pool (and, with QoS,
+//	      the tenant token buckets) and schedules every admitted unit —
+//	      "n queued ops of client c at rank r, admitted prefix adm,
+//	      round k" — into its rank's list. A client's k-th unit is its
+//	      round k, so within a round a client is touched by one lane.
+//	  for each round:
+//	      serve (parallel over ranks): serveRank walks its list for
+//	          the round and applies each unit              — strategy
+//	          Everything a lane touches is owned by it: its server, the
+//	          clients of its units, its lane-local buffers. Cross-rank
+//	          effects — relay charges, stall notes, created inodes,
+//	          first-visit marks, events, counters — are buffered.
+//	      barrier (serial, ascending rank order): applyLane lands them;
+//	          created inodes are adopted here, so the order assigns
+//	          inode numbers and is part of the determinism contract.
+//	  while the strategy re-plans (sync only)
+//	merge + sweep (serial): latency and tenant shards, job completion.
 //
-// Rounds repeat until no client has a next planned run; phases repeat
-// while any client cleanly finished its plan with credit to spare.
-// Relay admission uses the round-start budget snapshot rather than
-// live cross-rank reads; the snapshot-admitted charges are applied at
-// the barrier, flooring each budget at zero. (The old serial path had
-// a latent bug here: a chain relaying through the authoritative rank
-// could drain the auth's budget between its HasBudget check and Serve,
-// completing the op without serving it. Snapshot admission makes that
-// window impossible.)
+// The strategies differ only in plan, admit and the per-unit apply:
+// sync (this file) routes each client's credit into runs of same-rank
+// ops, reserves budget per op, serves op by op and re-plans clients
+// that stopped at a stream-gating op; write-back (wb.go) flushes
+// buffered runs into rank journals, reserves budget per commit group
+// and applies a batch at a time. Everything else — op resolution, the
+// relay walk, stalls and backoff, op completion, data debt, the
+// bucket-then-pool grant — has one definition below.
+//
+// Arbitrating the full tick in client order at admit, rather than
+// letting each round drain budget before the next exists, is what keeps
+// budget contention fair: a client whose saturated-rank ops sit behind
+// a rank switch competes in shuffle order, not at round-two priority.
+// Relay admission uses the round-start budget snapshot rather than live
+// cross-rank reads; the snapshot-admitted charges are applied at the
+// barrier, flooring each budget at zero.
 //
 // RNG partitioning: the cluster stream (c.rand) is consumed only in
 // serial sections (the per-tick cohort-order shuffle, epoch-close
@@ -82,39 +74,46 @@ const (
 	engineMaxCohorts = 16
 )
 
-// execStatus is the outcome of one op attempt.
+// execStatus is how the service of one unit ended.
 type execStatus int
 
 const (
-	// execOK: the op was served (or completed as a raced create).
+	// execOK: the admitted prefix was served and the unit was admitted
+	// whole.
 	execOK execStatus = iota
-	// execStall: a saturated or frozen target; retry next tick.
+	// execStall: a saturated or frozen target, or the admission cut;
+	// the client stalls and retries next tick.
 	execStall
 	// execStallDown: the authoritative or a relaying rank is down;
 	// retry with backoff and account the attempt as stalled-on-down.
 	execStallDown
+	// execDebt: the last op served moves data; the client blocks until
+	// its debt is paid.
+	execDebt
 )
 
-// run is one client's batch of same-rank ops: n queued ops with
-// resolved entries at entBuf[ent:ent+n] in the owning cohort. adm is
-// the admitted prefix — the ops the budget arbitration reserved space
-// for; serving stalls at the first op past it.
-type run struct {
+// unit is what admission schedules and a rank lane serves: n queued
+// ops of one client bound for one rank, of which the budget
+// arbitration admitted the prefix adm, in the client's round-th turn
+// of the phase. A sync unit is a planned run (resolved entries at
+// entBuf[ent:ent+n] of the owning cohort); a write-back unit is a
+// journaled batch.
+type unit struct {
 	client int32
+	rank   int32
 	n      int32
 	adm    int32
+	round  int32
 	ent    int32
-	rank   int32
+	batch  *mds.Batch
 }
 
-// plan is one client's routed tick: count consecutive runs starting at
-// the owning cohort's runs[start]. cut is the index of the first run
-// the budget arbitration truncated (count when none was).
+// plan is one client's routed tick in the sync strategy: count
+// consecutive runs starting at the owning cohort's runs[start].
 type plan struct {
 	client int32
 	start  int32
 	count  int32
-	cut    int32
 }
 
 // cohort is a fixed block of clients that routes together. Everything
@@ -128,11 +127,9 @@ type cohort struct {
 	active   []int32 // clients still planning this phase (order preserved)
 	nextAct  []int32 // scratch for the next phase's active list
 
-	runs    []run
-	plans   []plan
-	entBuf  []namespace.Entry
-	byRank  [][]int32 // per rank: indices into runs, this round
-	touched []int32   // ranks with scheduled runs this round
+	runs   []unit
+	plans  []plan
+	entBuf []namespace.Entry
 }
 
 // createKey identifies a promised create within a rank lane.
@@ -153,14 +150,14 @@ type rankLane struct {
 	tnServed []int64
 	tlat     []metrics.LatencyShard
 	events   []obs.Event
-	fwdOut []int32 // per rank: relay charges buffered this round
-	fwdTch []int32 // ranks with nonzero fwdOut, in first-charge order
-	stalls []int64 // per rank: stall notes buffered this round
-	stallT []int32
-	fwdN   int64 // cluster-level forward count delta
-	downN  int64 // stalled-on-down delta
-	racedN int64 // raced-create delta
-	leaseN int64 // ops served under a read lease this round
+	fwdOut   []int32 // per rank: relay charges buffered this round
+	fwdTch   []int32 // ranks with nonzero fwdOut, in first-charge order
+	stalls   []int64 // per rank: stall notes buffered this round
+	stallT   []int32
+	fwdN     int64 // cluster-level forward count delta
+	downN    int64 // stalled-on-down delta
+	racedN   int64 // raced-create delta
+	leaseN   int64 // ops served under a read lease this round
 	// revokes buffers write-invalidated leased keys; the barrier applies
 	// them (revokeLease) in ascending rank order.
 	revokes []namespace.FragKey
@@ -172,17 +169,18 @@ type rankLane struct {
 	arena   namespace.InodeArena
 
 	// batchCommits counts group-commit applications this round
-	// (write-back mode only; always zero in the sync engine).
+	// (write-back only).
 	batchCommits int64
 }
 
-// engine holds the phased tick engine's amortized state.
+// engine holds the tick engine's amortized state.
 type engine struct {
 	c       *Cluster
 	workers int
 
 	cohorts     []*cohort
 	cohortOrder []int // shuffled per tick; lane processing order
+	cohortOf    []int // client -> owning cohort index
 
 	// Per-client tick state, indexed by client ID. blocked is written
 	// from parallel rank lanes, but each index is written only by the
@@ -191,12 +189,20 @@ type engine struct {
 	participated []bool
 	blocked      []bool
 
-	lanes       []*rankLane
-	avail       []int32 // per rank: unreserved serve budget this tick
+	lanes []*rankLane
+	// admitLane buffers the effects of the serial admit phase (stall
+	// notes, backoff and flush events) so admission shares the lanes'
+	// stall helpers; it is applied once, right after admit.
+	admitLane rankLane
+	avail     []int32 // per rank: unreserved serve budget this tick
+
+	// The phase's schedule, rebuilt by admit: each rank's admitted
+	// units in admission order, the round being served, and the ranks
+	// with work in it.
+	byRank      [][]unit
+	round       int32
 	budgetSnap  []int32
 	activeRanks []int
-	rankMark    []uint64
-	roundSeq    uint64
 
 	// The current tick/epoch plus the three fan-out closures, bound
 	// once at construction: handing runParallel a fresh closure every
@@ -207,10 +213,10 @@ type engine struct {
 	planFn      func(int)
 	serveFn     func(int)
 
-	// wb is the write-back batching state (wb.go), non-nil only when
+	// wb is the write-back strategy's state (wb.go), non-nil only when
 	// Config.Batching selects a real batching regime. The degenerate
-	// {BatchSize:1, FlushEvery:1} configuration leaves it nil so the
-	// sync path runs verbatim.
+	// {BatchSize:1, FlushEvery:1} configuration leaves it nil: that
+	// client contract IS the sync strategy.
 	wb *wbState
 }
 
@@ -219,17 +225,15 @@ type engine struct {
 // membership is a pure function of the client count, never of the
 // worker count — worker-count invariance starts here.
 func newEngine(c *Cluster, src *rng.Source) *engine {
+	n := len(c.clients)
 	e := &engine{
 		c:            c,
 		workers:      c.cfg.Workers,
-		credit:       make([]int64, len(c.clients)),
-		participated: make([]bool, len(c.clients)),
-		blocked:      make([]bool, len(c.clients)),
+		cohortOf:     make([]int, n),
+		credit:       make([]int64, n),
+		participated: make([]bool, n),
+		blocked:      make([]bool, n),
 	}
-	if c.cfg.DisableParallelEngine || e.workers < 1 {
-		e.workers = 1
-	}
-	n := len(c.clients)
 	numCohorts := (n + engineCohortSize - 1) / engineCohortSize
 	if numCohorts > engineMaxCohorts {
 		numCohorts = engineMaxCohorts
@@ -243,6 +247,7 @@ func newEngine(c *Cluster, src *rng.Source) *engine {
 		lo, hi := k*n/numCohorts, (k+1)*n/numCohorts
 		for i := lo; i < hi; i++ {
 			co.members = append(co.members, int32(i))
+			e.cohortOf[i] = k
 		}
 		e.cohorts = append(e.cohorts, co)
 		e.cohortOrder = append(e.cohortOrder, k)
@@ -252,6 +257,7 @@ func newEngine(c *Cluster, src *rng.Source) *engine {
 	e.serveFn = func(j int) { e.serveRank(e.activeRanks[j], e.tick, e.epoch) }
 	if bc := c.cfg.Batching; bc != nil && (bc.BatchSize > 1 || bc.FlushEvery > 1) {
 		e.wb = newWBState(e, bc)
+		e.planFn = func(k int) { e.wbPlanCohort(k, e.tick) }
 	}
 	return e
 }
@@ -265,32 +271,18 @@ func (e *engine) ensure() {
 			rank:  namespace.MDSID(len(e.lanes)),
 			aside: make(map[createKey]*namespace.Inode),
 		})
+		e.byRank = append(e.byRank, nil)
 	}
 	if cap(e.budgetSnap) < nr {
 		e.budgetSnap = make([]int32, nr)
 		e.avail = make([]int32, nr)
-		e.rankMark = make([]uint64, nr)
 		e.activeRanks = make([]int, 0, nr)
 	}
 	e.budgetSnap = e.budgetSnap[:nr]
 	e.avail = e.avail[:nr]
-	e.rankMark = e.rankMark[:nr]
 	for _, lane := range e.lanes {
 		for len(lane.fwdOut) < nr {
 			lane.fwdOut = append(lane.fwdOut, 0)
-		}
-	}
-	for _, co := range e.cohorts {
-		for len(co.byRank) < nr {
-			co.byRank = append(co.byRank, nil)
-		}
-	}
-	if e.wb != nil {
-		for len(e.wb.byRank) < nr {
-			e.wb.byRank = append(e.wb.byRank, nil)
-		}
-		for len(e.wb.rankRounds) < nr {
-			e.wb.rankRounds = append(e.wb.rankRounds, 0)
 		}
 	}
 	if tn := e.c.tn; tn != nil {
@@ -304,21 +296,15 @@ func (e *engine) ensure() {
 	}
 }
 
-// serveTick runs the serve phase of one tick: gating and credit
-// accrual, the routing/serve rounds, latency merge, and job-completion
-// sweep. It replaces the old serial perm-ordered client loop.
+// serveTick runs the serve phase of one tick — the one loop both
+// strategies run through (see the file comment).
 func (e *engine) serveTick(tick, epoch int64) {
-	if e.wb != nil {
-		e.serveTickWB(tick, epoch)
-		return
-	}
 	c := e.c
 	e.ensure()
 	e.tick, e.epoch = tick, epoch
 
-	// Pre-phase (serial, client ID order): gating exactly as the old
-	// per-client step — done/not-started, retry backoff, data debt —
-	// then credit accrual for everyone who participates.
+	// Gate (serial, client ID order): done/not-started, retry backoff,
+	// data debt — then credit accrual for everyone who participates.
 	anyActive := false
 	for i, cl := range c.clients {
 		e.participated[i] = false
@@ -341,6 +327,11 @@ func (e *engine) serveTick(tick, epoch int64) {
 			e.credit[i] = int64(n)
 			anyActive = true
 		}
+		if e.wb != nil && cl.PendingOps() > 0 {
+			// Buffered or journaled ops exist: flush-age triggers and
+			// batch application must run even with no fresh credit.
+			anyActive = true
+		}
 	}
 
 	if anyActive {
@@ -361,17 +352,19 @@ func (e *engine) serveTick(tick, epoch int64) {
 
 		for {
 			runParallel(e.workers, len(e.cohorts), e.planFn)
-			if !e.admit() {
-				break
-			}
-			for r := 0; e.scheduleRound(r); r++ {
+			e.admit(tick)
+			for e.round = 0; e.scheduleRound(); e.round++ {
 				for i, s := range c.servers {
 					e.budgetSnap[i] = int32(s.RemainingBudget())
 				}
 				runParallel(e.workers, len(e.activeRanks), e.serveFn)
-				e.applyBarrier(tick)
+				for _, r := range e.activeRanks {
+					e.applyLane(e.lanes[r], tick)
+				}
 			}
-			if !e.rebuildActive() {
+			// Write-back never re-plans within a tick: credit is spent
+			// at draw and a batch's outcome gates nothing.
+			if e.wb != nil || !e.rebuildActive() {
 				break
 			}
 		}
@@ -396,6 +389,70 @@ func (e *engine) serveTick(tick, epoch int64) {
 			}
 		}
 	}
+}
+
+// admit rebuilds the phase's schedule through the strategy's admission
+// — which appends every admitted unit to its rank's list — and lands
+// what the serial phase buffered.
+func (e *engine) admit(tick int64) {
+	for i := range e.byRank {
+		e.byRank[i] = e.byRank[i][:0]
+	}
+	if e.wb != nil {
+		e.wbAdmit(tick)
+	} else {
+		e.admitRuns()
+	}
+	e.applyLane(&e.admitLane, tick)
+}
+
+// scheduleRound collects, in ascending order (the barrier's order
+// contract), the ranks holding a unit of the current round whose client
+// is still unblocked. It returns false when the round is empty: the
+// phase is over.
+func (e *engine) scheduleRound() bool {
+	e.activeRanks = e.activeRanks[:0]
+	for rank, units := range e.byRank {
+		for i := range units {
+			if units[i].round == e.round && !e.blocked[units[i].client] {
+				e.activeRanks = append(e.activeRanks, rank)
+				break
+			}
+		}
+	}
+	return len(e.activeRanks) > 0
+}
+
+// admitOps draws want ops of the client first from its tenant's token
+// bucket (QoS on) and then from the rank's budget pool, whose unit
+// covers per ops (1 in sync, a commit group in write-back). It returns
+// the bucket grant and the admitted count. The part of the grant the
+// pool cannot cover is handed back — a pool stall is not a quota spend
+// — and recorded as SLO debt: the tenant had quota but the cluster had
+// no capacity. Noting the bucket's denial (grant < want) is the
+// caller's. With uncontended buckets grant == want, so an idle QoS
+// attachment is byte-identical to no attachment.
+func (e *engine) admitOps(cl *client.Client, rank, want, per int32) (grant, adm int32) {
+	tn := e.c.tn
+	grant = want
+	if tn != nil {
+		grant = int32(tn.Take(cl.Tenant, int(want)))
+	}
+	units := (grant + per - 1) / per
+	if a := e.avail[rank]; a < units {
+		units = a
+	}
+	if adm = units * per; adm > grant {
+		adm = grant
+	}
+	e.avail[rank] -= units
+	if tn != nil {
+		tn.Refund(cl.Tenant, int(grant-adm))
+		tn.NoteStalled(cl.Tenant, int(grant-adm))
+		tn.NoteAdmitted(cl.Tenant, int(adm))
+		e.c.tnAdmittedTick += int64(adm)
+	}
+	return grant, adm
 }
 
 // mergeTenantShards folds every lane's per-tenant served counts and
@@ -441,27 +498,6 @@ func (co *cohort) beginTick(e *engine) {
 	co.active = append(co.active, co.shuffled...)
 }
 
-// resolve returns the entry governing one op: the (cached) governing
-// entry of its target, or, for a create of a not-yet-existing name,
-// the entry that will govern the child once adopted
-// (GoverningChildEntry), so the create is routed to the rank that owns
-// its future home. Promised (unadopted) inodes never reach the
-// resolver: within a round they are visible only through the owning
-// lane's lookaside map.
-func (co *cohort) resolve(e *engine, op workload.Op) namespace.Entry {
-	target := op.Target
-	if op.Kind == workload.OpCreate {
-		target = op.Parent.Child(op.Name)
-		if target == nil {
-			return e.c.part.GoverningChildEntry(op.Parent, namespace.HashName(op.Name))
-		}
-	}
-	if co.res != nil {
-		return co.res.Entry(target)
-	}
-	return e.c.part.GoverningEntry(target)
-}
-
 // endsRun reports whether op must be the last of its run: a data-path
 // op blocks the client on its debt, and a create from a tree-reading
 // stream must be adopted before the stream may draw again (the next
@@ -491,7 +527,7 @@ func (co *cohort) plan(e *engine, tick int64) {
 			if !ok {
 				break // stream exhausted with an empty queue
 			}
-			ent := co.resolve(e, op)
+			ent := e.c.resolveOp(co.res, op)
 			rank := int32(ent.Auth)
 			if lt := e.c.lt; lt != nil && lt.Len() != 0 && !op.Kind.IsWrite() {
 				// A read on a leased subtree may serve at a lease holder
@@ -502,8 +538,8 @@ func (co *cohort) plan(e *engine, tick int64) {
 				}
 			}
 			if nRuns == 0 || co.runs[start+nRuns-1].rank != rank {
-				co.runs = append(co.runs, run{
-					client: ci, rank: rank, ent: int32(len(co.entBuf)),
+				co.runs = append(co.runs, unit{
+					client: ci, rank: rank, round: nRuns, ent: int32(len(co.entBuf)),
 				})
 				nRuns++
 			}
@@ -519,135 +555,43 @@ func (co *cohort) plan(e *engine, tick int64) {
 	}
 }
 
-// admit arbitrates each rank's per-tick serve budget across the
-// planned runs, walking the clients in the tick's shuffled order and
-// each client's runs in sequence. A client whose run does not fully
-// fit is cut there: the run keeps its admitted prefix and the client's
-// later runs are dropped (it will stall at the cut, as the serial loop
-// stalled a client mid-credit on a saturated rank). Returns false when
-// no cohort planned anything.
-func (e *engine) admit() bool {
-	planned := false
-	tn := e.c.tn
+// admitRuns is the sync strategy's admission: it arbitrates each rank's
+// per-tick serve budget across the planned runs, walking the clients in
+// the tick's shuffled order and each client's runs in sequence, and
+// schedules them. A client whose run does not fully fit is cut there:
+// the run keeps its admitted prefix and the client's later runs are
+// dropped (it will stall at the cut). With tenant QoS on a run is
+// charged to its owner's token bucket BEFORE the rank pool, so an
+// over-quota tenant is throttled at admission no matter how much rank
+// budget is free; a bucket throttle cuts the plan like a pool shortfall
+// but leaves the pool to the other tenants.
+func (e *engine) admitRuns() {
 	for _, k := range e.cohortOrder {
 		co := e.cohorts[k]
-		for pi := range co.plans {
-			p := &co.plans[pi]
-			p.cut = p.count
-			planned = true
-			for j := int32(0); j < p.count; j++ {
-				r := &co.runs[p.start+j]
-				if !e.c.servers[r.rank].Up() {
+		for _, p := range co.plans {
+			cl := e.c.clients[p.client]
+			for _, u := range co.runs[p.start : p.start+p.count] {
+				if !e.c.servers[u.rank].Up() {
 					// A down rank has no budget to arbitrate: the run is
 					// admitted whole so its first op takes the stall-down
-					// path (backoff, stalled-on-down accounting), exactly
-					// as the serial loop checked Up before HasBudget. The
+					// path (backoff, stalled-on-down accounting). The
 					// client blocks there, so later runs reserve nothing.
-					r.adm = r.n
-					p.cut = j
+					u.adm = u.n
+					e.byRank[u.rank] = append(e.byRank[u.rank], u)
 					break
 				}
-				if tn != nil {
-					if e.admitTenantRun(tn, p, r, j) {
-						break
-					}
-					continue
+				grant, adm := e.admitOps(cl, u.rank, u.n, 1)
+				if grant < u.n {
+					e.c.tn.NoteThrottled(cl.Tenant, int(u.n-grant))
 				}
-				if a := e.avail[r.rank]; a < r.n {
-					r.adm = a
-					e.avail[r.rank] = 0
-					p.cut = j
+				u.adm = adm
+				e.byRank[u.rank] = append(e.byRank[u.rank], u)
+				if adm < u.n {
 					break
 				}
-				r.adm = r.n
-				e.avail[r.rank] -= r.n
 			}
 		}
 	}
-	return planned
-}
-
-// admitTenantRun arbitrates one planned run with tenant QoS on: the
-// run is charged to its owner's token bucket BEFORE the rank pool, so
-// an over-quota tenant is throttled at admission no matter how much
-// rank budget is free. Reports whether the plan was cut at this run
-// (bucket throttle or pool shortfall).
-//
-// With uncontended buckets (grant always == r.n) the arithmetic below
-// reduces exactly to the QoS-off branch — adm == a zeroes the pool on
-// a shortfall, full grants drain it by r.n — which is what keeps an
-// idle QoS attachment byte-identical to no attachment.
-func (e *engine) admitTenantRun(tn *tenant.Manager, p *plan, r *run, j int32) bool {
-	t := e.c.clients[r.client].Tenant
-	grant := int32(tn.Take(t, int(r.n)))
-	adm := grant
-	if a := e.avail[r.rank]; a < adm {
-		// The pool cannot cover the bucket grant: hand the uncovered
-		// tokens back (a pool stall is not a quota spend) and record
-		// the shortfall as SLO debt — the tenant had quota but the
-		// cluster had no capacity.
-		tn.Refund(t, int(adm-a))
-		tn.NoteStalled(t, int(adm-a))
-		adm = a
-	}
-	e.avail[r.rank] -= adm
-	r.adm = adm
-	tn.NoteAdmitted(t, int(adm))
-	e.c.tnAdmittedTick += int64(adm)
-	if grant < r.n {
-		// Bucket throttle: the quota denied the run's tail. The rank
-		// pool is NOT zeroed — other tenants may still draw from it —
-		// and the client takes the ordinary admission-cut stall at the
-		// granted prefix.
-		tn.NoteThrottled(t, int(r.n-grant))
-		p.cut = j
-		return true
-	}
-	if adm < r.n {
-		p.cut = j
-		return true
-	}
-	return false
-}
-
-// scheduleRound buckets every surviving client's r-th planned run into
-// its cohort's per-rank lists and collects the union of target ranks
-// in ascending order. It returns false when the round is empty (the
-// phase is over).
-func (e *engine) scheduleRound(r int) bool {
-	e.roundSeq++
-	any := false
-	rr := int32(r)
-	for _, co := range e.cohorts {
-		for _, t := range co.touched {
-			co.byRank[t] = co.byRank[t][:0]
-		}
-		co.touched = co.touched[:0]
-		for pi := range co.plans {
-			p := &co.plans[pi]
-			if rr >= p.count || rr > p.cut || e.blocked[p.client] {
-				continue
-			}
-			ri := p.start + rr
-			rank := co.runs[ri].rank
-			if len(co.byRank[rank]) == 0 {
-				co.touched = append(co.touched, rank)
-			}
-			co.byRank[rank] = append(co.byRank[rank], ri)
-			e.rankMark[rank] = e.roundSeq
-			any = true
-		}
-	}
-	if !any {
-		return false
-	}
-	e.activeRanks = e.activeRanks[:0]
-	for rank := range e.rankMark {
-		if e.rankMark[rank] == e.roundSeq {
-			e.activeRanks = append(e.activeRanks, rank)
-		}
-	}
-	return true
 }
 
 // leaseRank picks the rank that serves a read on a leased subtree: the
@@ -708,92 +652,149 @@ func (e *engine) rebuildActive() bool {
 	return any
 }
 
-// serveRank executes one rank lane for the round: it serves the runs
-// routed to this rank, in tick cohort order and intra-cohort routed
-// order, buffering every cross-rank effect in the lane.
+// serveRank executes one rank lane for the round: it applies the units
+// scheduled to this rank for the round, in admission order, buffering
+// every cross-rank effect in the lane, and parks each client whose unit
+// did not end cleanly. Each client has at most one unit per round, so a
+// lane is the sole writer of every client it touches.
 func (e *engine) serveRank(rank int, tick, epoch int64) {
 	c := e.c
 	lane := e.lanes[rank]
 	auth := c.servers[rank]
-	for _, k := range e.cohortOrder {
-		co := e.cohorts[k]
-		runs := co.byRank[rank]
-		if len(runs) == 0 {
-			continue
+	units := e.byRank[rank]
+	for i := range units {
+		u := &units[i]
+		if u.round != e.round || e.blocked[u.client] {
+			continue // an earlier unit of this client stalled this tick
 		}
-		for _, ri := range runs {
-			r := co.runs[ri]
-			cl := c.clients[r.client]
-			ents := co.entBuf[r.ent : r.ent+r.n]
-			served, blocked := int32(0), false
-			for served < r.adm {
-				op, _ := cl.PeekOp(0, tick)
-				st, downRank := e.execOp(lane, auth, cl, op, ents[served], epoch)
-				if st == execStallDown {
-					lane.downN++
-					cl.RetainBackoff(tick, downRank)
-					if c.bus.Enabled(obs.EvBackoffEnter) {
-						f := obs.AcquireF()
-						f["client"], f["backoff"], f["retry_at"] = cl.ID, cl.Backoff(), tick+cl.Backoff()
-						lane.events = append(lane.events, obs.Event{Tick: tick, Type: obs.EvBackoffEnter, Fields: f})
-					}
-					blocked = true
-					break
-				}
-				if st == execStall {
-					cl.Retain()
-					blocked = true
-					break
-				}
-				if cl.Backoff() > 0 && c.bus.Enabled(obs.EvBackoffExit) {
-					// The op that was backing off finally served: the
-					// client leaves the backoff regime.
-					f := obs.AcquireF()
-					f["client"], f["reason"] = cl.ID, "served"
-					lane.events = append(lane.events, obs.Event{Tick: tick, Type: obs.EvBackoffExit, Fields: f})
-				}
-				lat := cl.CompleteOp(tick)
-				lane.lat.Add(lat)
-				if lane.tnServed != nil {
-					lane.tnServed[cl.Tenant]++
-					lane.tlat[cl.Tenant].Add(lat)
-					auth.AddTenantHeat(ents[served].Key, cl.Tenant, 1)
-				}
-				served++
-				e.credit[r.client]--
-				if c.cfg.DataPath && op.DataSize > 0 {
-					// The data transfer blocks the client until paid; the
-					// debt is paid (OSD pool access is serial) at the
-					// barrier, which re-activates the client on success.
-					cl.AddDebt(op.DataSize)
-					lane.debtors = append(lane.debtors, r.client)
-					blocked = true
-					break
-				}
-			}
-			if !blocked && served < r.n {
-				// The admission cut: the rank's tick budget was reserved
-				// ahead of this op. Stall here exactly as the old loop
-				// stalled a client mid-credit on a saturated rank.
-				lane.noteStall(lane.rank)
-				cl.Retain()
-				blocked = true
-			}
-			if blocked {
-				e.blocked[r.client] = true
-			}
+		cl := c.clients[u.client]
+		var st execStatus
+		var at namespace.MDSID
+		if u.batch != nil {
+			st, at = e.applyBatch(lane, auth, cl, u, tick, epoch)
+		} else {
+			st, at = e.applyRun(lane, auth, cl, u, tick, epoch)
+		}
+		switch st {
+		case execStallDown:
+			e.stallDown(lane, cl, at, tick)
+		case execStall:
+			e.stall(lane, cl, at)
+		case execDebt:
+			// The data transfer blocks the client until paid; the debt
+			// is paid (OSD pool access is serial) at the barrier, which
+			// re-activates the client on success.
+			e.blocked[u.client] = true
 		}
 	}
 }
 
-// execOp attempts one op against its authoritative rank, mirroring the
-// old serial execute() but with every cross-rank write buffered:
-// relay-budget admission reads the round-start snapshot and the
-// charges land at the barrier; creates produce promised inodes adopted
-// at the barrier.
+// stall parks the client for the rest of the tick after an attempt that
+// could not be served, noting the stall against the rank that refused
+// it (the authority, a relay hop, or — at the admission cut — the rank
+// whose tick budget was reserved ahead of the op).
+func (e *engine) stall(lane *rankLane, cl *client.Client, at namespace.MDSID) {
+	lane.noteStall(at)
+	cl.Retain()
+	e.blocked[cl.ID] = true
+}
+
+// stallDown is stall against a down rank: the attempt is accounted as
+// stalled-on-down and the client enters capped-exponential backoff.
+func (e *engine) stallDown(lane *rankLane, cl *client.Client, at namespace.MDSID, tick int64) {
+	lane.noteStall(at)
+	lane.downN++
+	cl.RetainBackoff(tick, at)
+	if e.c.bus.Enabled(obs.EvBackoffEnter) {
+		f := obs.AcquireF()
+		f["client"], f["backoff"], f["retry_at"] = cl.ID, cl.Backoff(), tick+cl.Backoff()
+		lane.events = append(lane.events, obs.Event{Tick: tick, Type: obs.EvBackoffEnter, Fields: f})
+	}
+	e.blocked[cl.ID] = true
+}
+
+// complete retires the client's head op, which the lane just served:
+// the backoff-exit event if the op had been backing off, the latency
+// and tenant shards, and the debt of an op that moves data — in which
+// case it reports true and the unit ends with execDebt.
+func (e *engine) complete(lane *rankLane, cl *client.Client, data, tick int64) bool {
+	c := e.c
+	if cl.Backoff() > 0 && c.bus.Enabled(obs.EvBackoffExit) {
+		f := obs.AcquireF()
+		f["client"], f["reason"] = cl.ID, "served"
+		lane.events = append(lane.events, obs.Event{Tick: tick, Type: obs.EvBackoffExit, Fields: f})
+	}
+	lat := cl.CompleteOp(tick)
+	lane.lat.Add(lat)
+	if lane.tnServed != nil {
+		lane.tnServed[cl.Tenant]++
+		lane.tlat[cl.Tenant].Add(lat)
+	}
+	if !c.cfg.DataPath || data <= 0 {
+		return false
+	}
+	cl.AddDebt(data)
+	lane.debtors = append(lane.debtors, int32(cl.ID))
+	return true
+}
+
+// relay walks a request that missed the client's authority cache along
+// the authority chain to target. Admission is against the round-start
+// budget snapshot; the forward charges are buffered and applied in rank
+// order at the barrier. A down or saturated hop refuses the request.
+func (e *engine) relay(lane *rankLane, target *namespace.Inode) (execStatus, namespace.MDSID) {
+	c := e.c
+	chain, _ := c.part.ResolveChainInto(lane.chain, target)
+	lane.chain = chain[:0]
+	hops := chain[:len(chain)-1]
+	for _, h := range hops {
+		if !c.servers[h].Up() {
+			return execStallDown, h
+		}
+		if e.budgetSnap[h] <= 0 {
+			return execStall, h
+		}
+	}
+	for _, h := range hops {
+		if lane.fwdOut[h] == 0 {
+			lane.fwdTch = append(lane.fwdTch, int32(h))
+		}
+		lane.fwdOut[h]++
+	}
+	lane.fwdN += int64(len(hops))
+	return execOK, 0
+}
+
+// applyRun is the sync strategy's per-unit apply: it attempts the run's
+// admitted ops one by one, each against its own resolved entry.
+func (e *engine) applyRun(lane *rankLane, auth *mds.Server, cl *client.Client,
+	u *unit, tick, epoch int64) (execStatus, namespace.MDSID) {
+	ents := e.cohorts[e.cohortOf[u.client]].entBuf[u.ent : u.ent+u.n]
+	for _, ent := range ents[:u.adm] {
+		op, _ := cl.PeekOp(0, tick)
+		if st, at := e.execOp(lane, auth, cl, op, ent, epoch); st != execOK {
+			return st, at
+		}
+		if lane.tnServed != nil {
+			auth.AddTenantHeat(ent.Key, cl.Tenant, 1)
+		}
+		e.credit[u.client]--
+		if e.complete(lane, cl, op.DataSize, tick) {
+			return execDebt, 0
+		}
+	}
+	if u.adm < u.n {
+		return execStall, lane.rank // the admission cut
+	}
+	return execOK, 0
+}
+
+// execOp attempts one op against its authoritative rank with every
+// cross-rank write buffered: relay-budget admission reads the
+// round-start snapshot and the charges land at the barrier; creates
+// produce promised inodes adopted at the barrier.
 func (e *engine) execOp(lane *rankLane, auth *mds.Server, cl *client.Client,
 	op workload.Op, entry namespace.Entry, epoch int64) (execStatus, namespace.MDSID) {
-	c := e.c
 	target := op.Target
 	if op.Kind == workload.OpCreate {
 		target = op.Parent.Child(op.Name)
@@ -819,16 +820,10 @@ func (e *engine) execOp(lane *rankLane, auth *mds.Server, cl *client.Client,
 		}
 	}
 	if !auth.Up() {
-		lane.noteStall(lane.rank)
 		return execStallDown, lane.rank
 	}
-	if c.migrator.IsFrozen(entry.Key) {
-		lane.noteStall(lane.rank)
-		return execStall, 0
-	}
-	if !auth.HasBudget() {
-		lane.noteStall(lane.rank)
-		return execStall, 0
+	if e.c.migrator.IsFrozen(entry.Key) || !auth.HasBudget() {
+		return execStall, lane.rank
 	}
 	write := op.Kind.IsWrite()
 	if lane.rank != entry.Auth {
@@ -840,38 +835,16 @@ func (e *engine) execOp(lane *rankLane, auth *mds.Server, cl *client.Client,
 		lane.leaseN++
 		return execOK, 0
 	}
-	cached, ok := cl.CacheLookup(entry.Key)
-	if ok && cached == entry.Auth {
-		e.serve(lane, auth, entry, target, epoch, write)
-		e.noteWrite(lane, entry.Key, write)
-		return execOK, 0
-	}
-	// Cache miss or stale mapping: the request relays along the
-	// authority chain. Relay admission is against the round-start
-	// budget snapshot; the charges are buffered and applied in rank
-	// order at the barrier.
-	chain, _ := c.part.ResolveChainInto(lane.chain, target)
-	lane.chain = chain[:0]
-	for _, h := range chain[:len(chain)-1] {
-		if !c.servers[h].Up() {
-			lane.noteStall(h)
-			return execStallDown, h
+	if cached, ok := cl.CacheLookup(entry.Key); !ok || cached != entry.Auth {
+		// Cache miss or stale mapping: the request relays along the
+		// authority chain.
+		if st, at := e.relay(lane, target); st != execOK {
+			return st, at
 		}
-		if e.budgetSnap[h] <= 0 {
-			lane.noteStall(h)
-			return execStall, 0
-		}
+		cl.CacheStore(entry.Key, entry.Auth)
 	}
-	for _, h := range chain[:len(chain)-1] {
-		if lane.fwdOut[h] == 0 {
-			lane.fwdTch = append(lane.fwdTch, int32(h))
-		}
-		lane.fwdOut[h]++
-	}
-	lane.fwdN += int64(len(chain) - 1)
 	e.serve(lane, auth, entry, target, epoch, write)
 	e.noteWrite(lane, entry.Key, write)
-	cl.CacheStore(entry.Key, entry.Auth)
 	return execOK, 0
 }
 
@@ -910,68 +883,64 @@ func (lane *rankLane) noteStall(r namespace.MDSID) {
 	lane.stalls[r]++
 }
 
-// applyBarrier applies every lane's buffered effects in ascending rank
-// order and pays data-path debtors (unblocking a debtor whose debt
-// cleared, so it can re-plan in the next phase).
-func (e *engine) applyBarrier(tick int64) {
+// applyLane lands one lane's buffered effects. The round barrier calls
+// it for the round's lanes in ascending rank order; it also pays the
+// lane's data-path debtors, unblocking one whose debt cleared so it can
+// re-plan in the next phase.
+func (e *engine) applyLane(lane *rankLane, tick int64) {
 	c := e.c
-	for _, r := range e.activeRanks {
-		lane := e.lanes[r]
-		if e.wb != nil {
-			// Write-back lanes promise creates probe-free; duplicate
-			// (parent, name) slots are decided here, in rank order.
-			for _, in := range lane.creates {
-				if _, ok := c.tree.AdoptOrExisting(in); !ok {
-					lane.racedN++
-				}
-			}
-		} else {
-			for _, in := range lane.creates {
-				c.tree.Adopt(in)
-			}
+	for _, in := range lane.creates {
+		if _, ok := c.tree.AdoptOrExisting(in); ok {
+			continue
 		}
-		lane.creates = lane.creates[:0]
-		if len(lane.aside) > 0 {
-			clear(lane.aside)
+		if e.wb == nil {
+			// Sync lanes dedup their promises per (parent, name); only a
+			// probe-free write-back promise may lose its slot.
+			panic("cluster: duplicate create reached the sync barrier")
 		}
-		for _, in := range lane.visits {
-			in.MarkVisited()
-		}
-		lane.visits = lane.visits[:0]
-		for _, h := range lane.fwdTch {
-			c.servers[h].AddForwardCharges(int(lane.fwdOut[h]))
-			lane.fwdOut[h] = 0
-		}
-		lane.fwdTch = lane.fwdTch[:0]
-		for _, h := range lane.stallT {
-			c.servers[h].AddStalls(lane.stalls[h])
-			lane.stalls[h] = 0
-		}
-		lane.stallT = lane.stallT[:0]
-		c.forwards += lane.fwdN
-		c.stalledDown += lane.downN
-		c.racedCreates += lane.racedN
-		c.leaseServes += lane.leaseN
-		lane.fwdN, lane.downN, lane.racedN, lane.leaseN = 0, 0, 0, 0
-		for _, k := range lane.revokes {
-			c.revokeLease(k, "write")
-		}
-		lane.revokes = lane.revokes[:0]
-		if lane.batchCommits != 0 {
-			c.rec.AddBatchCommits(lane.batchCommits)
-			lane.batchCommits = 0
-		}
-		for _, ev := range lane.events {
-			c.bus.EmitPooled(ev)
-		}
-		lane.events = lane.events[:0]
-		for _, ci := range lane.debtors {
-			cl := c.clients[ci]
-			cl.PayDebt(c.osds.Consume(cl.Debt()))
-			if cl.Debt() == 0 && e.credit[ci] > 0 {
-				e.blocked[ci] = false
-			}
-		}
-		lane.debtors = lane.debtors[:0]
+		lane.racedN++
 	}
+	lane.creates = lane.creates[:0]
+	if len(lane.aside) > 0 {
+		clear(lane.aside)
+	}
+	for _, in := range lane.visits {
+		in.MarkVisited()
+	}
+	lane.visits = lane.visits[:0]
+	for _, h := range lane.fwdTch {
+		c.servers[h].AddForwardCharges(int(lane.fwdOut[h]))
+		lane.fwdOut[h] = 0
+	}
+	lane.fwdTch = lane.fwdTch[:0]
+	for _, h := range lane.stallT {
+		c.servers[h].AddStalls(lane.stalls[h])
+		lane.stalls[h] = 0
+	}
+	lane.stallT = lane.stallT[:0]
+	c.forwards += lane.fwdN
+	c.stalledDown += lane.downN
+	c.racedCreates += lane.racedN
+	c.leaseServes += lane.leaseN
+	lane.fwdN, lane.downN, lane.racedN, lane.leaseN = 0, 0, 0, 0
+	for _, k := range lane.revokes {
+		c.revokeLease(k, "write")
+	}
+	lane.revokes = lane.revokes[:0]
+	if lane.batchCommits != 0 {
+		c.rec.AddBatchCommits(lane.batchCommits)
+		lane.batchCommits = 0
+	}
+	for _, ev := range lane.events {
+		c.bus.EmitPooled(ev)
+	}
+	lane.events = lane.events[:0]
+	for _, ci := range lane.debtors {
+		cl := c.clients[ci]
+		cl.PayDebt(c.osds.Consume(cl.Debt()))
+		if cl.Debt() == 0 && e.credit[ci] > 0 {
+			e.blocked[ci] = false
+		}
+	}
+	lane.debtors = lane.debtors[:0]
 }

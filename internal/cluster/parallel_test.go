@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"repro/internal/audit"
@@ -22,14 +24,13 @@ var engineWorkerCounts = []int{1, 2, 8}
 // returns the run's complete externally visible output: per-tick CSV,
 // per-epoch CSV, and the JSONL event trace. The scenario mutates the
 // config (schedules, replication) before the cluster is built.
-func runEngineDiff(t *testing.T, workers int, disable bool, scenario func(*Config) func(*Cluster)) []byte {
+func runEngineDiff(t *testing.T, workers int, scenario func(*Config) func(*Cluster)) []byte {
 	t.Helper()
 	var tr bytes.Buffer
 	sink := obs.NewJSONL(&tr)
 	cfg := Config{
-		Workers:               workers,
-		DisableParallelEngine: disable,
-		Bus:                   obs.NewBus(sink),
+		Workers: workers,
+		Bus:     obs.NewBus(sink),
 	}
 	after := scenario(&cfg)
 	c := newTestCluster(t, cfg)
@@ -72,16 +73,18 @@ func diffEngineOutputs(t *testing.T, name string, want, got []byte) {
 		name, i, want[lo:min(i+80, len(want))], got[lo:min(i+80, len(got))])
 }
 
-// engineScenarios are the three stress configurations of the
-// parallel-engine differential: failover (crashes, orphan takeover,
-// recoveries), elastic (a rank joining mid-run and another draining
-// out), and replication (warm standbys promoted over a crash). Each
-// returns an optional post-construction hook.
+// engineScenarios are the stress configurations of the engine
+// differential. Each returns an optional post-construction hook. digest
+// is the SHA-256 of the serial run's runEngineDiff bytes, recorded at
+// the commit before write-back became a strategy of the one tick loop:
+// it pins the engine's output across commits, not only across worker
+// counts. A change that means to alter model output re-records it.
 var engineScenarios = []struct {
 	name     string
+	digest   string
 	scenario func(*Config) func(*Cluster)
 }{
-	{"failover", func(cfg *Config) func(*Cluster) {
+	{"failover", "908013f381dc15b8039eb1f6d8f781f8b38c529b52c7e83fbe28e44ddd360464", func(cfg *Config) func(*Cluster) {
 		var sched fault.Schedule
 		sched.Crash(40, 0).Recover(110, 0).Crash(160, 3).Recover(230, 3)
 		cfg.MDS = 16
@@ -92,7 +95,7 @@ var engineScenarios = []struct {
 		cfg.Workload = failoverZipf()
 		return nil
 	}},
-	{"elastic", func(cfg *Config) func(*Cluster) {
+	{"elastic", "d09af96f0f1eff6d21e16922386cda8fd873fad27561a8b4efc7ec8c328a8537", func(cfg *Config) func(*Cluster) {
 		cfg.MDS = 4
 		cfg.Clients = 16
 		cfg.Seed = 11
@@ -103,7 +106,7 @@ var engineScenarios = []struct {
 			c.events.Schedule(120, func() { c.StartDrain(1) })
 		}
 	}},
-	{"replication", func(cfg *Config) func(*Cluster) {
+	{"replication", "daf22b42bff1f2755a625be16af913de7131404e604002b6a3f8fc7fe0e60d46", func(cfg *Config) func(*Cluster) {
 		var sched fault.Schedule
 		sched.Crash(60, 1).Recover(140, 1)
 		cfg.MDS = 4
@@ -115,7 +118,7 @@ var engineScenarios = []struct {
 		cfg.Replication = replica.MustManager(replica.DefaultPolicy())
 		return nil
 	}},
-	{"batched", func(cfg *Config) func(*Cluster) {
+	{"batched", "e55c340d2d673c81c5c3869d8575731995b28e2920004d30056d6ebc477a142a", func(cfg *Config) func(*Cluster) {
 		// Write-back mode with a mid-run crash: flush/admit ordering,
 		// batch serve rounds, and the crash-requeue sweep all have to
 		// reproduce byte-identically at every worker count.
@@ -130,7 +133,7 @@ var engineScenarios = []struct {
 		cfg.Batching = &BatchingConfig{BatchSize: 8, FlushEvery: 4}
 		return nil
 	}},
-	{"leases", func(cfg *Config) func(*Cluster) {
+	{"leases", "91d73cc92b8fb20297dc53558d4ffb2631690d315788f6c7103bc6d7799a09b6", func(cfg *Config) func(*Cluster) {
 		// Lease-served read storm with writes mixed in and a holder-rank
 		// crash mid-run: lease routing, the client-sticky holder spread,
 		// write revokes at the serve barriers, carve heat seeding, and
@@ -155,7 +158,7 @@ var engineScenarios = []struct {
 		cfg.Replication = replica.MustManager(pol)
 		return nil
 	}},
-	{"tenants", func(cfg *Config) func(*Cluster) {
+	{"tenants", "8e99465160a8ee91c2f55cd0f2285d175c15363f254c1be9ffad24d58268d10b", func(cfg *Config) func(*Cluster) {
 		// Skewed multi-tenant mix under contended token buckets with a
 		// mid-run crash: the serial bucket-admission phase, per-tenant
 		// lane accounting, throttle events, and the per-tenant heat and
@@ -175,21 +178,62 @@ var engineScenarios = []struct {
 		cfg.Tenancy = tenant.MustManager(pol)
 		return nil
 	}},
+	{"wb-tenants-data", "06a47484b9dc0f361ae918edf6753bb4b2f42ce7901d2484081067508fc67298", func(cfg *Config) func(*Cluster) {
+		// Write-back under contended token buckets, a starved data path,
+		// rank pools well short of demand and a crash of the rank that
+		// starts with the whole namespace: walks the shared
+		// gate (debt, backoff), the bucket grant/refund arithmetic, the
+		// debt path and the crash-requeue sweep together. Capacity is
+		// the lowest round number at which the run finishes (see
+		// DESIGN.md, known limitations of write-back admission).
+		var sched fault.Schedule
+		sched.Crash(50, 0).Recover(120, 0)
+		cfg.MDS = 4
+		cfg.Clients = 16
+		cfg.Seed = 11
+		cfg.Capacity = 60
+		cfg.RecoveryTicks = 12
+		cfg.Faults = &sched
+		cfg.Workload = workload.NewTenants(workload.TenantsConfig{Tenants: 4, Skew: 1},
+			func(t, clients, off int) workload.Generator {
+				dir := fmt.Sprintf("/t%d", t)
+				switch t % 3 {
+				case 0:
+					return workload.NewZipf(workload.ZipfConfig{Dir: dir, ClientOffset: off, FilesPerClient: 100, OpsPerClient: 300})
+				case 1:
+					return workload.NewMD(workload.MDConfig{Dir: dir, ClientOffset: off, CreatesPerClient: 3000, DirsPerClient: 2, StatEvery: 16})
+				default:
+					return workload.NewReadStorm(workload.ReadStormConfig{Dir: dir + "/storm", ClientOffset: off, Files: 300, OpsPerClient: 3000, WriteEvery: 50})
+				}
+			})
+		pol := tenant.DefaultPolicy()
+		pol.Rate, pol.Burst = 200, 400
+		cfg.Tenancy = tenant.MustManager(pol)
+		cfg.Batching = &BatchingConfig{BatchSize: 8, FlushEvery: 4}
+		cfg.DataPath = true
+		cfg.OSDs = 1
+		cfg.OSDBandwidth = 48 << 10
+		return nil
+	}},
 }
 
 // TestParallelEngineDifferential is the correctness contract of the
 // phased tick engine: the same seeded run must produce byte-identical
-// CSVs and event traces at every worker count, and with the engine's
-// escape hatch (DisableParallelEngine) thrown. Any scheduling leak —
-// RNG consumption, merge ordering, budget arbitration, inode-number
-// assignment — shows up here as a diverging trace.
+// CSVs and event traces at every worker count, and the serial baseline
+// (Workers: 0) must still hash to the digest recorded for it. Any
+// scheduling leak — RNG consumption, merge ordering, budget
+// arbitration, inode-number assignment — shows up here as a diverging
+// trace; any change of model output as a diverging digest.
 func TestParallelEngineDifferential(t *testing.T) {
 	for _, sc := range engineScenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			base := runEngineDiff(t, 0, true, sc.scenario)
+			base := runEngineDiff(t, 0, sc.scenario)
+			if got := fmt.Sprintf("%x", sha256.Sum256(base)); got != sc.digest {
+				t.Errorf("serial output digest %s, recorded %s: model output changed", got, sc.digest)
+			}
 			for _, w := range engineWorkerCounts {
-				got := runEngineDiff(t, w, false, sc.scenario)
+				got := runEngineDiff(t, w, sc.scenario)
 				diffEngineOutputs(t, sc.name+"/workers="+string(rune('0'+w)), base, got)
 			}
 		})

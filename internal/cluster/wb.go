@@ -8,19 +8,19 @@ import (
 	"repro/internal/workload"
 )
 
-// This file implements the write-back tick engine: the batched
-// counterpart of serveTick (engine.go), active when Config.Batching
-// selects a real batching regime (BatchSize > 1 or FlushEvery > 1).
-// The degenerate {1,1} configuration deliberately leaves the write-back
-// state nil so the cluster runs the synchronous control flow verbatim —
-// byte-identity with the sync path is by construction, and the
-// differential test guards it against drift.
+// This file is the write-back strategy of the tick engine (engine.go):
+// its plan, admit and per-unit apply, active when Config.Batching
+// selects a real batching regime (BatchSize > 1 or FlushEvery > 1). The
+// tick loop, the round scheduler, serveRank and every stall, relay,
+// completion and grant helper are the engine's; the degenerate {1,1}
+// configuration leaves the write-back state nil and is the sync
+// strategy, which the differential test guards.
 //
 // The mode changes the client contract: instead of attempting each op
 // synchronously, a client buffers drawn ops locally and flushes them in
-// per-destination batches. A tick runs:
+// per-destination batches.
 //
-//	plan (parallel over cohorts)
+//	plan (wbPlanCohort)
 //	    Each participating client draws up to its credit of new ops
 //	    into its pending queue (credit is consumed at draw time), then
 //	    splits the locally buffered suffix into runs at governing-entry
@@ -29,27 +29,26 @@ import (
 //	    the stream is exhausted (tail flush). Only a flushable PREFIX
 //	    flushes — queue order is the dependency order (a create
 //	    precedes every op that depends on it in its client's stream),
-//	    so a held-back run holds back everything behind it.
-//	admit (serial, tick shuffle order, then ID order for clients whose
+//	    so a held-back run holds back everything behind it. Plans never
+//	    consult the lease table: with batching on, leases are granted
+//	    and revoked but no op is lease-served.
+//	admit (wbAdmit: tick shuffle order, then ID order for clients whose
 //	    only work is outstanding journaled batches)
 //	    Flushable runs become Batches pushed into their rank's
 //	    group-commit journal (mds.Journal); the ops stay in the client
 //	    queue, counted by the client's in-flight prefix. Then each
-//	    client's outstanding batches are admitted FIFO against the
-//	    per-rank budget pools at group granularity: a batch of n ops
-//	    costs ceil(n/BatchSize) budget units — the group-commit
-//	    amortization. Retained batches (journaled in an earlier tick)
-//	    re-resolve their governing entry through their first op and
-//	    follow migrated authority to the new rank's journal.
-//	serve rounds (parallel over ranks, barrier between rounds)
-//	    Round r serves every unblocked client's r-th admitted batch.
+//	    client's outstanding batches are admitted FIFO at group
+//	    granularity: a batch of n ops costs ceil(n/BatchSize) budget
+//	    units — the group-commit amortization. Retained batches
+//	    (journaled in an earlier tick) re-resolve their governing entry
+//	    through their first op and follow migrated authority to the new
+//	    rank's journal. The client's k-th admitted batch is its round k.
+//	apply (applyBatch)
 //	    The lane does the client-cache / forward-chain work once per
 //	    batch, charges budget once per group, and fast-applies the
 //	    ops: per-op trace recording, latency, and create
 //	    materialization (these are inherently per-op), with heat
-//	    charged per parent-directory run in one weighted walk. The
-//	    shared applyBarrier adopts creates and lands cross-rank
-//	    effects exactly as in the sync engine.
+//	    charged per parent-directory run in one weighted walk.
 //
 // Visibility and crash rules: ops never leave the client queue until
 // applied, so issued == done + pending holds unchanged; the in-flight
@@ -69,7 +68,7 @@ type wbRun struct {
 	ent   namespace.Entry
 }
 
-// wbState is the engine's write-back mode state (nil in sync and
+// wbState is the write-back strategy's state (nil in sync and
 // degenerate modes).
 type wbState struct {
 	batchSize  int
@@ -86,22 +85,12 @@ type wbState struct {
 	planned []bool
 	gated   []bool
 
-	runs     [][]wbRun // per cohort: flushable runs planned this tick
-	cohortOf []int     // client -> owning cohort index
-
-	byRank     [][]*mds.Batch // per rank: batches admitted this tick
-	touched    []int32        // ranks with admitted batches this tick
-	rankRounds []int32        // per rank: max admitted round + 1
-	maxRound   int
-	round      int
-
-	planFn  func(int)
-	serveFn func(int)
+	runs [][]wbRun // per cohort: flushable runs planned this tick
 }
 
 func newWBState(e *engine, bc *BatchingConfig) *wbState {
 	n := len(e.c.clients)
-	w := &wbState{
+	return &wbState{
 		batchSize:  bc.BatchSize,
 		flushEvery: bc.FlushEvery,
 		queues:     make([][]*mds.Batch, n),
@@ -110,93 +99,6 @@ func newWBState(e *engine, bc *BatchingConfig) *wbState {
 		planned:    make([]bool, n),
 		gated:      make([]bool, n),
 		runs:       make([][]wbRun, len(e.cohorts)),
-		cohortOf:   make([]int, n),
-	}
-	for k, co := range e.cohorts {
-		for _, ci := range co.members {
-			w.cohortOf[ci] = k
-		}
-	}
-	w.planFn = func(k int) { e.wbPlanCohort(k, e.tick) }
-	w.serveFn = func(j int) { e.wbServeRank(e.activeRanks[j], e.tick, e.epoch) }
-	return w
-}
-
-// serveTickWB is the write-back serve phase: one flush/admit pass and
-// its serve rounds per tick. Pre-phase gating, latency merge, and the
-// completion sweep mirror serveTick exactly.
-func (e *engine) serveTickWB(tick, epoch int64) {
-	c := e.c
-	w := e.wb
-	e.ensure()
-	e.tick, e.epoch = tick, epoch
-
-	anyActive := false
-	for i, cl := range c.clients {
-		e.participated[i] = false
-		e.credit[i] = 0
-		if cl.Done() || tick < cl.StartTick() {
-			continue
-		}
-		if !cl.RetryReady(tick) {
-			continue // backing off after failures against a down rank
-		}
-		if cl.Debt() > 0 {
-			cl.PayDebt(c.osds.Consume(cl.Debt()))
-			if cl.Debt() > 0 {
-				continue // still blocked on the data path
-			}
-		}
-		n := cl.AccrueCredit()
-		e.participated[i] = true
-		if n > 0 && !cl.Idle() {
-			e.credit[i] = int64(n)
-			anyActive = true
-		}
-		if cl.PendingOps() > 0 {
-			// Buffered or journaled ops exist: flush-age triggers and
-			// batch application must run even with no fresh credit.
-			anyActive = true
-		}
-	}
-
-	if anyActive {
-		c.rand.ShuffleInts(e.cohortOrder)
-		runParallel(e.workers, len(e.cohorts), e.beginTickFn)
-		for i := range e.blocked {
-			e.blocked[i] = false
-		}
-		for i, s := range c.servers {
-			e.avail[i] = int32(s.RemainingBudget())
-		}
-
-		runParallel(e.workers, len(e.cohorts), w.planFn)
-		e.wbAdmit(tick)
-		for r := 0; r < w.maxRound; r++ {
-			w.round = r
-			e.wbScheduleRound(r)
-			for i, s := range c.servers {
-				e.budgetSnap[i] = int32(s.RemainingBudget())
-			}
-			runParallel(e.workers, len(e.activeRanks), w.serveFn)
-			e.applyBarrier(tick)
-		}
-	}
-
-	for _, lane := range e.lanes {
-		if lane.lat.Dirty() {
-			c.rec.MergeLatencyShard(&lane.lat)
-		}
-	}
-	e.mergeTenantShards()
-	for i, cl := range c.clients {
-		if e.participated[i] && cl.MaybeFinish(tick) {
-			c.doneN++
-			c.rec.AddJCT(tick)
-			if c.tn != nil {
-				c.rec.AddTenantJCT(cl.Tenant, tick)
-			}
-		}
 	}
 }
 
@@ -277,7 +179,7 @@ func (e *engine) wbPlanClient(co *cohort, runs []wbRun, ci int32, tick int64) []
 			rin = op.Parent
 		}
 		if rin != memoIn {
-			memoIn, memoEnt = rin, co.resolve(e, op)
+			memoIn, memoEnt = rin, e.c.resolveOp(co.res, op)
 		}
 		ent := memoEnt
 		n := 1
@@ -289,7 +191,7 @@ func (e *engine) wbPlanClient(co *cohort, runs []wbRun, ci int32, tick int64) []
 				rin2 = op2.Parent
 			}
 			if rin2 != memoIn {
-				memoIn, memoEnt = rin2, co.resolve(e, op2)
+				memoIn, memoEnt = rin2, e.c.resolveOp(co.res, op2)
 				if memoEnt.Key != ent.Key || memoEnt.Auth != ent.Auth {
 					break // entry switch: the run ends here
 				}
@@ -317,18 +219,9 @@ func (e *engine) wbPlanClient(co *cohort, runs []wbRun, ci int32, tick int64) []
 // batches retained from earlier ticks.
 func (e *engine) wbAdmit(tick int64) {
 	w := e.wb
-	w.maxRound = 0
-	for i := range w.rankRounds {
-		w.rankRounds[i] = 0
-	}
-	for _, t := range w.touched {
-		w.byRank[t] = w.byRank[t][:0]
-	}
-	w.touched = w.touched[:0]
 	for _, k := range e.cohortOrder {
-		co := e.cohorts[k]
-		for _, ci := range co.shuffled {
-			e.wbAdmitClient(k, ci, tick)
+		for _, ci := range e.cohorts[k].shuffled {
+			e.wbAdmitClient(ci, tick)
 		}
 	}
 	for ci := range e.c.clients {
@@ -338,7 +231,7 @@ func (e *engine) wbAdmit(tick int64) {
 		if len(w.queues[ci]) == 0 && w.flCount[ci] == 0 {
 			continue
 		}
-		e.wbAdmitClient(w.cohortOf[ci], int32(ci), tick)
+		e.wbAdmitClient(int32(ci), tick)
 	}
 }
 
@@ -347,9 +240,10 @@ func (e *engine) wbAdmit(tick int64) {
 // budget pools. A batch that cannot be (fully) admitted blocks every
 // later batch of the same client — per-client FIFO is the ordering
 // contract application correctness rests on.
-func (e *engine) wbAdmitClient(k int, ci int32, tick int64) {
+func (e *engine) wbAdmitClient(ci int32, tick int64) {
 	c := e.c
 	w := e.wb
+	lane := &e.admitLane
 	cl := c.clients[ci]
 	q := w.queues[ci]
 	// Pop batches fully applied in earlier ticks.
@@ -366,18 +260,17 @@ func (e *engine) wbAdmitClient(k int, ci int32, tick int64) {
 	}
 	// Journal the freshly flushable runs.
 	if fn := w.flCount[ci]; fn > 0 {
-		for _, fr := range w.runs[k][w.flStart[ci] : w.flStart[ci]+fn] {
+		for _, fr := range w.runs[e.cohortOf[ci]][w.flStart[ci] : w.flStart[ci]+fn] {
 			rank := fr.ent.Auth
 			if !c.servers[rank].Up() {
 				// The sync path would attempt the op against the down
 				// rank and back off; the flush does the same, with the
 				// ops staying buffered client-side.
-				e.wbStallDown(cl, rank, tick)
+				e.stallDown(lane, cl, rank, tick)
 				break
 			}
 			b := &mds.Batch{
-				Client: int(ci), Rank: rank, N: int(fr.n),
-				Round: -1, Since: fr.since, Ent: fr.ent,
+				Client: int(ci), Rank: rank, N: int(fr.n), Since: fr.since, Ent: fr.ent,
 			}
 			c.servers[rank].Journal().Push(b)
 			q = append(q, b)
@@ -387,7 +280,7 @@ func (e *engine) wbAdmitClient(k int, ci int32, tick int64) {
 				f := obs.AcquireF()
 				f["client"], f["rank"], f["n"] = cl.ID, int(rank), int(fr.n)
 				f["age"], f["depth"] = tick-fr.since, c.servers[rank].Journal().Depth()
-				c.bus.EmitPooled(obs.Event{Tick: tick, Type: obs.EvBatchFlush, Fields: f})
+				lane.events = append(lane.events, obs.Event{Tick: tick, Type: obs.EvBatchFlush, Fields: f})
 			}
 		}
 	}
@@ -397,7 +290,7 @@ func (e *engine) wbAdmitClient(k int, ci int32, tick int64) {
 	}
 	// Admission over the FIFO at group granularity.
 	off := 0
-	round := 0
+	round := int32(0)
 	// Tokens this client charged for batches admitted this tick. When a
 	// later batch blocks the client, the serve phase skips those earlier
 	// batches too (a client's batches apply in order), so their tokens
@@ -415,12 +308,12 @@ func (e *engine) wbAdmitClient(k int, ci int32, tick int64) {
 		if !ok {
 			break // cannot happen: journaled ops are queued
 		}
-		ent := e.wbResolveOp(op)
+		ent := c.resolveOp(c.resolver, op)
 		if !c.servers[ent.Auth].Up() {
 			// Authority sits on a down rank (orphan window): the batch
 			// stays in its current live journal and the client backs
 			// off, as a sync attempt against the dead rank would.
-			e.wbStallDown(cl, ent.Auth, tick)
+			e.stallDown(lane, cl, ent.Auth, tick)
 			refundBlocked()
 			break
 		}
@@ -428,167 +321,57 @@ func (e *engine) wbAdmitClient(k int, ci int32, tick int64) {
 			mds.MoveBatch(c.servers[b.Rank].Journal(), c.servers[ent.Auth].Journal(), b)
 		}
 		b.Ent = ent
-		auth := c.servers[b.Rank]
 		if c.migrator.IsFrozen(ent.Key) {
-			auth.AddStalls(1)
-			cl.Retain()
-			e.blocked[ci] = true
+			e.stall(lane, cl, b.Rank)
 			refundBlocked()
 			break
 		}
-		// With tenant QoS on, the batch draws from its tenant's token
-		// bucket before the rank pool (the sync engine's admit order).
-		// Uncontended buckets grant everything, so the arithmetic below
-		// collapses to the QoS-off form byte for byte.
-		want := b.N
-		grant := want
-		if tn := c.tn; tn != nil {
-			grant = tn.Take(cl.Tenant, want)
-			if grant <= 0 {
-				// Bucket dry: this batch is retained — the write-back
-				// throttle. With earlier batches already holding quota,
-				// stop admitting and let them serve; only a client with
-				// nothing admitted takes the admission-cut stall.
-				tn.NoteThrottled(cl.Tenant, want)
+		// The batch draws from its tenant's bucket, then from the rank
+		// pool at one unit per commit group.
+		want := int32(b.N)
+		grant, adm := e.admitOps(cl, int32(b.Rank), want, int32(w.batchSize))
+		if adm == 0 {
+			// Nothing admitted: the batch is retained in the journal —
+			// the sync admission-cut stall, at batch granularity.
+			if grant == 0 {
+				// Bucket dry — the write-back throttle. With earlier
+				// batches already holding quota, stop admitting and let
+				// them serve; only a client with nothing admitted stalls.
+				c.tn.NoteThrottled(cl.Tenant, int(want))
 				if round > 0 {
 					break
 				}
-				auth.AddStalls(1)
-				cl.Retain()
-				e.blocked[ci] = true
-				break
 			}
-		}
-		groups := (grant + w.batchSize - 1) / w.batchSize
-		g := int(e.avail[b.Rank])
-		if g > groups {
-			g = groups
-		}
-		if g <= 0 {
-			// Budget pool dry: the batch is retained in the journal —
-			// the sync admission-cut stall, at batch granularity. With
-			// quota in hand this is a pool stall, not a quota spend.
-			if tn := c.tn; tn != nil {
-				tn.Refund(cl.Tenant, grant)
-				tn.NoteStalled(cl.Tenant, grant)
-			}
-			auth.AddStalls(1)
-			cl.Retain()
-			e.blocked[ci] = true
+			e.stall(lane, cl, b.Rank)
 			refundBlocked()
 			break
 		}
-		adm := g * w.batchSize
-		if adm > grant {
-			adm = grant
+		if grant < want {
+			c.tn.NoteThrottled(cl.Tenant, int(want-grant))
 		}
-		if tn := c.tn; tn != nil {
-			if adm < grant {
-				// Pool-capped below the bucket grant (adm < grant implies
-				// g < groups): refund the uncovered tokens as SLO debt.
-				tn.Refund(cl.Tenant, grant-adm)
-				tn.NoteStalled(cl.Tenant, grant-adm)
-			}
-			tn.NoteAdmitted(cl.Tenant, adm)
-			c.tnAdmittedTick += int64(adm)
-			tickAdm += adm
-			if grant < want {
-				tn.NoteThrottled(cl.Tenant, want-grant)
-			}
-		}
-		e.avail[b.Rank] -= int32(g)
-		b.Adm = adm
-		b.Round = round
-		if len(w.byRank[b.Rank]) == 0 {
-			w.touched = append(w.touched, int32(b.Rank))
-		}
-		w.byRank[b.Rank] = append(w.byRank[b.Rank], b)
-		if round+1 > w.maxRound {
-			w.maxRound = round + 1
-		}
-		if int32(round+1) > w.rankRounds[b.Rank] {
-			w.rankRounds[b.Rank] = int32(round + 1)
-		}
+		tickAdm += int(adm)
+		e.byRank[b.Rank] = append(e.byRank[b.Rank],
+			unit{client: ci, rank: int32(b.Rank), n: want, adm: adm, round: round, batch: b})
 		round++
-		if adm < b.N {
+		if adm < want {
 			break // partial admission: serve the prefix, stall there
 		}
 		off += b.N
 	}
 }
 
-// wbStallDown applies the serial form of the engine's stall-down path:
-// stall accounting on the down rank, capped-exponential client backoff,
-// and the backoff-enter event.
-func (e *engine) wbStallDown(cl *client.Client, rank namespace.MDSID, tick int64) {
-	c := e.c
-	c.servers[rank].AddStalls(1)
-	c.stalledDown++
-	cl.RetainBackoff(tick, rank)
-	if c.bus.Enabled(obs.EvBackoffEnter) {
-		f := obs.AcquireF()
-		f["client"], f["backoff"], f["retry_at"] = cl.ID, cl.Backoff(), tick+cl.Backoff()
-		c.bus.EmitPooled(obs.Event{Tick: tick, Type: obs.EvBackoffEnter, Fields: f})
-	}
-	e.blocked[cl.ID] = true
-}
-
-// wbResolveOp resolves one op's governing entry from the serial admit
-// phase (the cluster-level resolver; cohort resolvers belong to the
-// parallel plan phase).
-func (e *engine) wbResolveOp(op workload.Op) namespace.Entry {
-	target := op.Target
-	if op.Kind == workload.OpCreate {
-		target = op.Parent.Child(op.Name)
-		if target == nil {
-			return e.c.part.GoverningChildEntry(op.Parent, namespace.HashName(op.Name))
-		}
-	}
-	if e.c.resolver != nil {
-		return e.c.resolver.Entry(target)
-	}
-	return e.c.part.GoverningEntry(target)
-}
-
-// wbScheduleRound collects the ranks with a batch admitted at round r,
-// in ascending rank order (the applyBarrier order contract).
-func (e *engine) wbScheduleRound(r int) {
-	e.activeRanks = e.activeRanks[:0]
-	for rank, mr := range e.wb.rankRounds {
-		if int(mr) > r {
-			e.activeRanks = append(e.activeRanks, rank)
-		}
-	}
-}
-
-// wbServeRank serves the rank's admitted batches for the current round,
-// in admission order. Each client has at most one batch per round, so a
-// lane is the sole writer of every client it touches this round.
-func (e *engine) wbServeRank(rank int, tick, epoch int64) {
+// applyBatch is the write-back strategy's per-unit apply: it applies
+// the admitted prefix of one batch — budget per commit group,
+// client-cache/forwarding work once per batch, trace and latency per
+// op, heat per parent-directory run. An unapplied remainder stays
+// journaled for the next tick.
+func (e *engine) applyBatch(lane *rankLane, auth *mds.Server, cl *client.Client,
+	u *unit, tick, epoch int64) (execStatus, namespace.MDSID) {
 	c := e.c
 	w := e.wb
-	lane := e.lanes[rank]
-	auth := c.servers[rank]
-	for _, b := range w.byRank[rank] {
-		if b.Round != w.round || b.Dead {
-			continue
-		}
-		if e.blocked[b.Client] {
-			continue // an earlier batch of this client stalled this tick
-		}
-		e.wbServeBatch(lane, auth, c.clients[b.Client], b, tick, epoch)
-	}
-}
-
-// wbServeBatch applies the admitted prefix of one batch: budget per
-// commit group, client-cache/forwarding work once per batch, trace and
-// latency per op, heat per parent-directory run. An unapplied remainder
-// stays journaled for the next tick.
-func (e *engine) wbServeBatch(lane *rankLane, auth *mds.Server, cl *client.Client,
-	b *mds.Batch, tick, epoch int64) {
-	c := e.c
-	w := e.wb
+	b := u.batch
 	entry := b.Ent
+	adm := int(u.adm)
 	applied, served, groups := 0, 0, 0
 	groupLeft := 0
 	headDone := false
@@ -596,16 +379,14 @@ func (e *engine) wbServeBatch(lane *rankLane, auth *mds.Server, cl *client.Clien
 	runN := 0
 	freshN := int64(0)
 	wrote := false
-	status := execOK
-	var downRank namespace.MDSID
+	status, at := execOK, namespace.MDSID(0)
 	coll := auth.Collector()
-	for applied < b.Adm {
+	for applied < adm {
 		if groupLeft == 0 {
 			if !auth.ConsumeGroupBudget() {
 				// Cross-lane forward charges floored the budget under
 				// the admission reservation; the remainder is retained.
-				lane.noteStall(lane.rank)
-				status = execStall
+				status, at = execStall, lane.rank
 				break
 			}
 			groups++
@@ -633,26 +414,8 @@ func (e *engine) wbServeBatch(lane *rankLane, auth *mds.Server, cl *client.Clien
 			if !headDone {
 				// Once per batch: the client-cache / forwarding work
 				// the group commit amortizes across the whole run.
-				cached, ok := cl.CacheLookup(entry.Key)
-				if !ok || cached != entry.Auth {
-					chain, _ := c.part.ResolveChainInto(lane.chain, target)
-					lane.chain = chain[:0]
-					hopFail := false
-					for _, h := range chain[:len(chain)-1] {
-						if !c.servers[h].Up() {
-							lane.noteStall(h)
-							status, downRank = execStallDown, h
-							hopFail = true
-							break
-						}
-						if e.budgetSnap[h] <= 0 {
-							lane.noteStall(h)
-							status = execStall
-							hopFail = true
-							break
-						}
-					}
-					if hopFail {
+				if cached, ok := cl.CacheLookup(entry.Key); !ok || cached != entry.Auth {
+					if status, at = e.relay(lane, target); status != execOK {
 						if fresh {
 							// The op is retained, so un-promise its
 							// create: re-serving it must not find a
@@ -661,13 +424,6 @@ func (e *engine) wbServeBatch(lane *rankLane, auth *mds.Server, cl *client.Clien
 						}
 						break
 					}
-					for _, h := range chain[:len(chain)-1] {
-						if lane.fwdOut[h] == 0 {
-							lane.fwdTch = append(lane.fwdTch, int32(h))
-						}
-						lane.fwdOut[h]++
-					}
-					lane.fwdN += int64(len(chain) - 1)
 					cl.CacheStore(entry.Key, entry.Auth)
 				}
 				headDone = true
@@ -703,22 +459,9 @@ func (e *engine) wbServeBatch(lane *rankLane, auth *mds.Server, cl *client.Clien
 			}
 			served++
 		}
-		if cl.Backoff() > 0 && c.bus.Enabled(obs.EvBackoffExit) {
-			f := obs.AcquireF()
-			f["client"], f["reason"] = cl.ID, "served"
-			lane.events = append(lane.events, obs.Event{Tick: tick, Type: obs.EvBackoffExit, Fields: f})
-		}
-		lat := cl.CompleteOp(tick)
-		lane.lat.Add(lat)
-		if lane.tnServed != nil {
-			lane.tnServed[cl.Tenant]++
-			lane.tlat[cl.Tenant].Add(lat)
-		}
 		applied++
-		if c.cfg.DataPath && op.DataSize > 0 {
-			cl.AddDebt(op.DataSize)
-			lane.debtors = append(lane.debtors, int32(cl.ID))
-			e.blocked[cl.ID] = true
+		if e.complete(lane, cl, op.DataSize, tick) {
+			status = execDebt
 			break
 		}
 	}
@@ -747,26 +490,14 @@ func (e *engine) wbServeBatch(lane *rankLane, auth *mds.Server, cl *client.Clien
 			lane.events = append(lane.events, obs.Event{Tick: tick, Type: obs.EvBatchCommit, Fields: f})
 		}
 	}
-	switch {
-	case status == execStallDown:
-		lane.downN++
-		cl.RetainBackoff(tick, downRank)
-		if c.bus.Enabled(obs.EvBackoffEnter) {
-			f := obs.AcquireF()
-			f["client"], f["backoff"], f["retry_at"] = cl.ID, cl.Backoff(), tick+cl.Backoff()
-			lane.events = append(lane.events, obs.Event{Tick: tick, Type: obs.EvBackoffEnter, Fields: f})
-		}
-		e.blocked[cl.ID] = true
-	case status == execStall:
-		cl.Retain()
-		e.blocked[cl.ID] = true
-	case applied == b.Adm && b.Adm < b.N:
-		// Admission cut: the budget pool ran dry mid-batch; stall like
-		// the sync engine stalled a client mid-credit.
-		lane.noteStall(lane.rank)
-		cl.Retain()
-		e.blocked[cl.ID] = true
+	if status == execOK && adm < b.N {
+		// The admission cut: the budget pool ran dry mid-batch. b.N is
+		// what the commit above left, so the stall is noted only while
+		// the admitted prefix is shorter than the remainder (a known
+		// quirk, kept for byte-identity; see DESIGN.md).
+		return execStall, lane.rank
 	}
+	return status, at
 }
 
 // wbCrashRank drops the crashed rank's unapplied journal: every live

@@ -35,11 +35,11 @@ func TestWriteBackDegenerateMatchesSync(t *testing.T) {
 		cfg.Batching = &BatchingConfig{BatchSize: 1, FlushEvery: 1}
 		return after
 	}
-	base := runEngineDiff(t, 0, true, sync)
-	got := runEngineDiff(t, 0, true, degen)
+	base := runEngineDiff(t, 0, sync)
+	got := runEngineDiff(t, 0, degen)
 	diffEngineOutputs(t, "degenerate/serial", base, got)
 	for _, w := range engineWorkerCounts {
-		got := runEngineDiff(t, w, false, degen)
+		got := runEngineDiff(t, w, degen)
 		diffEngineOutputs(t, "degenerate/workers="+string(rune('0'+w)), base, got)
 	}
 }

@@ -14,8 +14,6 @@ type Batch struct {
 	Client int             // owning client ID
 	Rank   namespace.MDSID // rank whose journal currently holds the batch
 	N      int             // unapplied ops remaining in the batch
-	Adm    int             // ops admitted for service this tick
-	Round  int             // per-client serve round this tick (-1 = not admitted)
 	Since  int64           // draw tick of the batch's oldest op (flush-age clock)
 	Ent    namespace.Entry // governing entry of the batch's first op
 	Dead   bool            // fully applied or dropped; compacted lazily

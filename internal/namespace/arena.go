@@ -8,7 +8,7 @@ import "strings"
 // mutates shared parent state, so creation is split in two: a lane
 // calls NewFile to get a fully usable file inode that is not yet in
 // the tree (Ino 0, unlinked), serves ops against it, and the engine
-// adopts it into the tree at the next serial barrier via Tree.Adopt.
+// adopts it into the tree at the next serial barrier (Tree.AdoptOrExisting).
 // Each lane owns one arena, so slab carving needs no locking; like the
 // tree's own slab, chunked allocation amortizes to ~one allocation per
 // inodeSlabSize creates on the steady-state path.
@@ -21,8 +21,8 @@ type InodeArena struct {
 // must guarantee (parent, name) is not already linked and not promised
 // by another lane; name validity is checked here exactly as the tree's
 // own create path does. The inode supports everything the serve path
-// needs (Parent chain, NameHash, heat tracking); it must be passed to
-// Tree.Adopt before the namespace is read again.
+// needs (Parent chain, NameHash, heat tracking); it must be adopted
+// before the namespace is read again.
 func (a *InodeArena) NewFile(parent *Inode, name string, size int64) (*Inode, error) {
 	if parent == nil || !parent.IsDir {
 		return nil, ErrNotDir
@@ -47,35 +47,27 @@ func (a *InodeArena) NewFile(parent *Inode, name string, size int64) (*Inode, er
 }
 
 // Adopt links a promised inode (from InodeArena.NewFile) into the
-// tree: it assigns the next inode number and splices it under its
-// parent, bumping ancestor subtree counters, exactly as a direct
-// Create would have. Adoption order defines inode-number order, so the
-// engine adopts in sorted rank order at barriers to stay
-// deterministic. It panics if the slot is already taken — the engine's
-// per-(parent,name) dedup must make that impossible.
+// tree and panics if it cannot: the inode is already linked, or its
+// (parent, name) slot is taken. It is AdoptOrExisting for callers whose
+// own dedup must make a duplicate impossible.
 func (t *Tree) Adopt(in *Inode) {
-	parent := in.Parent
-	if in.Ino != 0 || parent.children[in.Name] != nil {
-		panic("namespace: Adopt of a linked or duplicate inode")
+	if in.Ino != 0 {
+		panic("namespace: Adopt of a linked inode")
 	}
-	in.Ino = t.nextIn
-	t.nextIn++
-	parent.children[in.Name] = in
-	parent.order = append(parent.order, in)
-	t.byIno = append(t.byIno, in)
-	for a := parent; a != nil; a = a.Parent {
-		a.subInodes++
-		a.subFiles += in.subFiles
+	if _, ok := t.AdoptOrExisting(in); !ok {
+		panic("namespace: Adopt of a duplicate inode")
 	}
 }
 
-// AdoptOrExisting is Adopt for the write-back engine's probe-free
-// create path: the serving lane promises an inode without a
-// pre-adoption duplicate check, and the race is decided here, at the
-// serial barrier, in deterministic rank order. When the (parent, name)
-// slot is already linked — by an earlier tick, or an earlier create in
-// the same barrier — the promised inode is discarded and the existing
-// one returned with adopted=false.
+// AdoptOrExisting links a promised inode into the tree: it assigns the
+// next inode number and splices it under its parent, bumping ancestor
+// subtree counters, exactly as a direct Create would have. Adoption
+// order defines inode-number order, so the engine adopts in sorted rank
+// order at barriers to stay deterministic. A write-back lane promises
+// without a pre-adoption duplicate check, so the race is decided here:
+// when the (parent, name) slot is already linked — by an earlier tick,
+// or an earlier create in the same barrier — the promised inode is
+// discarded and the existing one returned with adopted=false.
 func (t *Tree) AdoptOrExisting(in *Inode) (linked *Inode, adopted bool) {
 	parent := in.Parent
 	if ex := parent.children[in.Name]; ex != nil {

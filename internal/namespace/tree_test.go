@@ -309,3 +309,34 @@ func TestHotFutureEpochQuery(t *testing.T) {
 		t.Fatal("future epoch cannot have been accessed")
 	}
 }
+
+// TestAdoptDuplicate pins the one linking body behind both adoption
+// entry points: the first promise of a (parent, name) slot links and
+// counts, a second is discarded in favour of the linked inode by
+// AdoptOrExisting and is a panic for Adopt.
+func TestAdoptDuplicate(t *testing.T) {
+	tr := buildSmallTree(t)
+	a, _ := tr.Lookup("/a")
+	var arena InodeArena
+	promise := func() *Inode {
+		in, err := arena.NewFile(a, "new", 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	first := promise()
+	tr.Adopt(first)
+	if first.Ino == 0 || a.Child("new") != first || tr.NumInodes() != 8 || tr.Get(first.Ino) != first {
+		t.Fatalf("Adopt did not link: ino=%d inodes=%d", first.Ino, tr.NumInodes())
+	}
+	if got, ok := tr.AdoptOrExisting(promise()); ok || got != first || tr.NumInodes() != 8 {
+		t.Fatalf("duplicate adopted: got=%p first=%p ok=%v inodes=%d", got, first, ok, tr.NumInodes())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Adopt of a duplicate must panic")
+		}
+	}()
+	tr.Adopt(promise())
+}
