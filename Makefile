@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check bench benchcheck gobench audit fuzz elastic replication batched readstorm noisy
+.PHONY: all build test vet fmtcheck race check bench benchcheck gobench audit fuzz elastic replication batched readstorm noisy
 
 all: check
 
@@ -13,12 +13,16 @@ test:
 vet:
 	$(GO) vet ./...
 
+# fmtcheck fails if any file is not gofmt-formatted.
+fmtcheck:
+	test -z "$$(gofmt -l .)"
+
 race:
 	$(GO) test -race ./...
 
-# check is the full gate: compile, vet, and the test suite under the
-# race detector.
-check: build vet race
+# check is the full gate: compile, vet, formatting, and the test suite
+# under the race detector.
+check: build vet fmtcheck race
 
 # bench runs the tick-loop benchmark matrix — the serial cells plus the
 # parallel-engine workers axis (1,2,4,8 by default, see
@@ -26,9 +30,9 @@ check: build vet race
 # ns/tick and ops/sec ratios are informational (host-dependent), but the
 # run fails if any case's allocs/tick regresses by more than 10%.
 # Regenerate the baseline after an intentional change with
-# `go run ./cmd/lunule-bench -tickbench -tickbench-out BENCH_pr10.json`.
+# `go run ./cmd/lunule-bench -tickbench -tickbench-out BENCH_tickbench.json`.
 bench:
-	$(GO) run ./cmd/lunule-bench -tickbench -tickbench-baseline BENCH_pr10.json
+	$(GO) run ./cmd/lunule-bench -tickbench -tickbench-baseline BENCH_tickbench.json
 
 # benchcheck vets and tests the benchmark harness. benchmark/ has its
 # own go.mod, so the root `./...` patterns above skip it.

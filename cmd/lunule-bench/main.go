@@ -69,11 +69,11 @@ func main() {
 		jsonPath = flag.String("json", "", "also write machine-readable results to this file")
 		mdPath   = flag.String("md", "", "write a markdown report to this file instead of stdout tables")
 
-		tickbench    = flag.Bool("tickbench", false, "run the tick-loop micro-benchmark matrix instead of the experiments")
-		tbOut        = flag.String("tickbench-out", "", "write the tickbench JSON report to this file (the BENCH_pr10.json format)")
-		tbBaseline   = flag.String("tickbench-baseline", "", "diff tickbench results against this checked-in JSON baseline")
-		tbTicks      = flag.Int64("tickbench-ticks", 300, "measured ticks per tickbench case (after a 100-tick warmup)")
-		tbWorkers    = flag.String("tickbench-workers", "1,2,4,8",
+		tickbench  = flag.Bool("tickbench", false, "run the tick-loop micro-benchmark matrix instead of the experiments")
+		tbOut      = flag.String("tickbench-out", "", "write the tickbench JSON report to this file (the BENCH_tickbench.json format)")
+		tbBaseline = flag.String("tickbench-baseline", "", "diff tickbench results against this checked-in JSON baseline")
+		tbTicks    = flag.Int64("tickbench-ticks", 300, "measured ticks per tickbench case (after a 100-tick warmup)")
+		tbWorkers  = flag.String("tickbench-workers", "1,2,4,8",
 			"comma-separated worker counts for the parallel-engine tickbench cells")
 		tbBatch = flag.String("tickbench-batch", "8,32",
 			"comma-separated batch sizes for the write-back tickbench cells")

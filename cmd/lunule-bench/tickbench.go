@@ -32,7 +32,7 @@ type tickCase struct {
 }
 
 // tickReport is the checked-in machine-readable baseline format
-// (BENCH_pr10.json).
+// (BENCH_tickbench.json).
 type tickReport struct {
 	Go    string     `json:"go"`
 	Ticks int64      `json:"ticks_per_case"`

@@ -53,9 +53,9 @@ type Client struct {
 	// of re-attempting every tick while the target is down (silent
 	// spinning), the client waits backoff ticks, doubling up to
 	// MaxBackoffTicks per consecutive failure, and resets on success.
-	backoff     int64            // current backoff interval, 0 = none
-	retryAt     int64            // earliest tick the pending op may be re-attempted
-	retries     int64            // failed attempts that entered backoff
+	backoff     int64           // current backoff interval, 0 = none
+	retryAt     int64           // earliest tick the pending op may be re-attempted
+	retries     int64           // failed attempts that entered backoff
 	backoffRank namespace.MDSID // rank whose failure drove the backoff (-1 = none)
 
 	cache authCache

@@ -700,22 +700,40 @@ func (c *Cluster) governing(res *namespace.Resolver, in *namespace.Inode) namesp
 	return c.part.GoverningEntry(in)
 }
 
-// resolveOp returns the entry governing one op: the governing entry of
-// its target, or, for a create of a not-yet-existing name, the entry
-// that will govern the child once adopted, so the create is routed to
-// the rank that owns its future home. Promised (unadopted) inodes never
-// reach the resolver: within a round they are visible only through the
-// owning lane's lookaside map. res is the caller's resolver: a cohort's
-// own in the parallel plan phase, the cluster's in serial sections.
-func (c *Cluster) resolveOp(res *namespace.Resolver, op workload.Op) namespace.Entry {
-	target := op.Target
+// routed is one op's resolution: the entry governing it and the inode
+// it acts on. For a create the target is the probe of (Parent, Name)
+// under hash = HashName(Name) — nil when the name does not exist yet.
+type routed struct {
+	ent    namespace.Entry
+	target *namespace.Inode
+	hash   uint32
+}
+
+// resolveOp resolves one op: the governing entry of its target, or, for
+// a create of a not-yet-existing name, the entry that will govern the
+// child once adopted, so the create is routed to the rank that owns its
+// future home. This is the one place a create's directory is probed by
+// name; the serve path is handed the result. Promised (unadopted)
+// inodes never reach the resolver: within a round they are visible only
+// through the owning lane's lookaside map. res is the caller's
+// resolver: a cohort's own in the parallel plan phase, the cluster's in
+// serial sections.
+func (c *Cluster) resolveOp(res *namespace.Resolver, op workload.Op) routed {
+	r := routed{target: op.Target}
 	if op.Kind == workload.OpCreate {
-		target = op.Parent.Child(op.Name)
-		if target == nil {
-			return c.part.GoverningChildEntry(op.Parent, namespace.HashName(op.Name))
+		r.hash = namespace.HashName(op.Name)
+		r.target = op.Parent.ChildHashed(op.Name, r.hash)
+		if r.target == nil {
+			if res != nil {
+				r.ent = res.ChildEntry(op.Parent, r.hash)
+			} else {
+				r.ent = c.part.GoverningChildEntry(op.Parent, r.hash)
+			}
+			return r
 		}
 	}
-	return c.governing(res, target)
+	r.ent = c.governing(res, r.target)
+	return r
 }
 
 // ScheduleCrashPath arranges for the rank authoritative for path to

@@ -68,7 +68,7 @@ import (
 
 // engineCohortSize is the target number of clients per cohort; the
 // cohort count is clamped to engineMaxCohorts because each cohort
-// carries its own authority-resolver cache (O(maxIno) slots).
+// carries its own authority-resolver memo (one slot per directory).
 const (
 	engineCohortSize = 8
 	engineMaxCohorts = 16
@@ -95,8 +95,8 @@ const (
 // unit is what admission schedules and a rank lane serves: n queued
 // ops of one client bound for one rank, of which the budget
 // arbitration admitted the prefix adm, in the client's round-th turn
-// of the phase. A sync unit is a planned run (resolved entries at
-// entBuf[ent:ent+n] of the owning cohort); a write-back unit is a
+// of the phase. A sync unit is a planned run (resolved ops at
+// routes[ent:ent+n] of the owning cohort); a write-back unit is a
 // journaled batch.
 type unit struct {
 	client int32
@@ -129,13 +129,15 @@ type cohort struct {
 
 	runs   []unit
 	plans  []plan
-	entBuf []namespace.Entry
+	routes []routed // the plan's resolved ops, handed to the serve phase
 }
 
-// createKey identifies a promised create within a rank lane.
-type createKey struct {
+// asideKey files a promised create within a rank lane under its parent
+// and name hash. Equal names share a key; so can unequal ones (the hash
+// is 32 bits), so a hit is confirmed by name — see rankLane.promise.
+type asideKey struct {
 	parent namespace.Ino
-	name   string
+	hash   uint32
 }
 
 // rankLane is one rank's serve-phase shard: lane-local buffers for
@@ -165,7 +167,7 @@ type rankLane struct {
 	creates []*namespace.Inode
 	visits  []*namespace.Inode
 	chain   []namespace.MDSID
-	aside   map[createKey]*namespace.Inode
+	aside   map[asideKey]*namespace.Inode
 	arena   namespace.InodeArena
 
 	// batchCommits counts group-commit applications this round
@@ -203,6 +205,11 @@ type engine struct {
 	round       int32
 	budgetSnap  []int32
 	activeRanks []int
+
+	// planIno is Tree.MaxIno() when the current phase was planned. The
+	// tree links inodes only at serial barriers, so while it stands a
+	// plan-time "name absent" is still exact.
+	planIno namespace.Ino
 
 	// The current tick/epoch plus the three fan-out closures, bound
 	// once at construction: handing runParallel a fresh closure every
@@ -269,7 +276,7 @@ func (e *engine) ensure() {
 	for len(e.lanes) < nr {
 		e.lanes = append(e.lanes, &rankLane{
 			rank:  namespace.MDSID(len(e.lanes)),
-			aside: make(map[createKey]*namespace.Inode),
+			aside: make(map[asideKey]*namespace.Inode),
 		})
 		e.byRank = append(e.byRank, nil)
 	}
@@ -351,6 +358,7 @@ func (e *engine) serveTick(tick, epoch int64) {
 		}
 
 		for {
+			e.planIno = c.tree.MaxIno()
 			runParallel(e.workers, len(e.cohorts), e.planFn)
 			e.admit(tick)
 			for e.round = 0; e.scheduleRound(); e.round++ {
@@ -516,7 +524,7 @@ func (e *engine) endsRun(cl *client.Client, op workload.Op) bool {
 func (co *cohort) plan(e *engine, tick int64) {
 	co.runs = co.runs[:0]
 	co.plans = co.plans[:0]
-	co.entBuf = co.entBuf[:0]
+	co.routes = co.routes[:0]
 	for _, ci := range co.active {
 		cl := e.c.clients[ci]
 		credit := e.credit[ci]
@@ -527,7 +535,8 @@ func (co *cohort) plan(e *engine, tick int64) {
 			if !ok {
 				break // stream exhausted with an empty queue
 			}
-			ent := e.c.resolveOp(co.res, op)
+			r := e.c.resolveOp(co.res, op)
+			ent := r.ent
 			rank := int32(ent.Auth)
 			if lt := e.c.lt; lt != nil && lt.Len() != 0 && !op.Kind.IsWrite() {
 				// A read on a leased subtree may serve at a lease holder
@@ -539,11 +548,11 @@ func (co *cohort) plan(e *engine, tick int64) {
 			}
 			if nRuns == 0 || co.runs[start+nRuns-1].rank != rank {
 				co.runs = append(co.runs, unit{
-					client: ci, rank: rank, round: nRuns, ent: int32(len(co.entBuf)),
+					client: ci, rank: rank, round: nRuns, ent: int32(len(co.routes)),
 				})
 				nRuns++
 			}
-			co.entBuf = append(co.entBuf, ent)
+			co.routes = append(co.routes, r)
 			co.runs[start+nRuns-1].n++
 			if e.endsRun(cl, op) {
 				break
@@ -766,17 +775,18 @@ func (e *engine) relay(lane *rankLane, target *namespace.Inode) (execStatus, nam
 }
 
 // applyRun is the sync strategy's per-unit apply: it attempts the run's
-// admitted ops one by one, each against its own resolved entry.
+// admitted ops one by one, each against its own plan-time resolution.
 func (e *engine) applyRun(lane *rankLane, auth *mds.Server, cl *client.Client,
 	u *unit, tick, epoch int64) (execStatus, namespace.MDSID) {
-	ents := e.cohorts[e.cohortOf[u.client]].entBuf[u.ent : u.ent+u.n]
-	for _, ent := range ents[:u.adm] {
+	routes := e.cohorts[e.cohortOf[u.client]].routes[u.ent : u.ent+u.adm]
+	for i := range routes {
+		r := &routes[i]
 		op, _ := cl.PeekOp(0, tick)
-		if st, at := e.execOp(lane, auth, cl, op, ent, epoch); st != execOK {
+		if st, at := e.execOp(lane, auth, cl, op, r, epoch); st != execOK {
 			return st, at
 		}
 		if lane.tnServed != nil {
-			auth.AddTenantHeat(ent.Key, cl.Tenant, 1)
+			auth.AddTenantHeat(r.ent.Key, cl.Tenant, 1)
 		}
 		e.credit[u.client]--
 		if e.complete(lane, cl, op.DataSize, tick) {
@@ -792,30 +802,25 @@ func (e *engine) applyRun(lane *rankLane, auth *mds.Server, cl *client.Client,
 // execOp attempts one op against its authoritative rank with every
 // cross-rank write buffered: relay-budget admission reads the
 // round-start snapshot and the charges land at the barrier; creates
-// produce promised inodes adopted at the barrier.
+// produce promised inodes adopted at the barrier. r is the op's
+// plan-time resolution; the plan's probe of a create's name is reused.
 func (e *engine) execOp(lane *rankLane, auth *mds.Server, cl *client.Client,
-	op workload.Op, entry namespace.Entry, epoch int64) (execStatus, namespace.MDSID) {
-	target := op.Target
-	if op.Kind == workload.OpCreate {
-		target = op.Parent.Child(op.Name)
+	op workload.Op, r *routed, epoch int64) (execStatus, namespace.MDSID) {
+	entry, target := r.ent, r.target
+	if op.Kind == workload.OpCreate && target == nil {
+		if e.c.tree.MaxIno() != e.planIno {
+			// A barrier since the plan adopted something: the name may
+			// have been linked by an earlier round, so probe again.
+			target = op.Parent.ChildHashed(op.Name, r.hash)
+		}
 		if target == nil {
-			key := createKey{parent: op.Parent.Ino, name: op.Name}
-			if p := lane.aside[key]; p != nil {
-				// Another client already promised this name this round:
-				// the create acts on the (about-to-exist) inode.
-				target = p
-			} else {
-				in, err := lane.arena.NewFile(op.Parent, op.Name, op.Size)
-				if err != nil {
-					// Invalid name: treat as served. No MDS serves the
-					// op, so count it for the auditor's ops-conservation
-					// reconciliation.
-					lane.racedN++
-					return execOK, 0
-				}
-				lane.aside[key] = in
-				lane.creates = append(lane.creates, in)
-				target = in
+			var err error
+			if target, err = lane.promise(op, r.hash); err != nil {
+				// Invalid name: treat as served. No MDS serves the op,
+				// so count it for the auditor's ops-conservation
+				// reconciliation.
+				lane.racedN++
+				return execOK, 0
 			}
 		}
 	}
@@ -846,6 +851,36 @@ func (e *engine) execOp(lane *rankLane, auth *mds.Server, cl *client.Client,
 	e.serve(lane, auth, entry, target, epoch, write)
 	e.noteWrite(lane, entry.Key, write)
 	return execOK, 0
+}
+
+// promise returns the inode this lane promised for the create this
+// round, making the promise if it is the first: a name another client
+// already promised acts on that (about-to-exist) inode. The lookaside
+// is keyed by name hash, so a hit under a different name is a 32-bit
+// collision; the round's promises are then scanned instead — slow,
+// never wrong.
+func (lane *rankLane) promise(op workload.Op, hash uint32) (*namespace.Inode, error) {
+	key := asideKey{op.Parent.Ino, hash}
+	first := lane.aside[key]
+	if first != nil {
+		if first.Name == op.Name {
+			return first, nil
+		}
+		for _, in := range lane.creates {
+			if in.Parent == op.Parent && in.Name == op.Name {
+				return in, nil
+			}
+		}
+	}
+	in, err := lane.arena.NewFileHashed(op.Parent, op.Name, hash, op.Size)
+	if err != nil {
+		return nil, err
+	}
+	if first == nil {
+		lane.aside[key] = in
+	}
+	lane.creates = append(lane.creates, in)
+	return in, nil
 }
 
 // serve records one access on the serving rank (the authority, or a

@@ -215,7 +215,17 @@ var engineScenarios = []struct {
 		cfg.OSDBandwidth = 48 << 10
 		return nil
 	}},
+	// Every created name created twice (see dupCreates): a create served
+	// after its name was adopted, two promises of one name in one lane
+	// and round, and a name-hash collision between promises.
+	{"dup-creates", "162e573a50004fc77f7a99c423f8aa533165c79dcb6b92f02fab2b4303bd66b4", dupCreateScenario(nil)},
+	{"wb-dup-creates", "456b4b51ff3265f41b9f2bceca5242d81bc5910b4ff33faa39c1dc1f6e76235b", dupCreateScenario(&BatchingConfig{BatchSize: 8, FlushEvery: 2})},
 }
+
+// dupCreateWBRaced is the raced-create count of the wb-dup-creates
+// scenario: write-back promises are probe-free, so a duplicate loses
+// its slot at the adoption barrier and is counted there.
+const dupCreateWBRaced = 604
 
 // TestParallelEngineDifferential is the correctness contract of the
 // phased tick engine: the same seeded run must produce byte-identical

@@ -179,7 +179,7 @@ func (e *engine) wbPlanClient(co *cohort, runs []wbRun, ci int32, tick int64) []
 			rin = op.Parent
 		}
 		if rin != memoIn {
-			memoIn, memoEnt = rin, e.c.resolveOp(co.res, op)
+			memoIn, memoEnt = rin, e.c.resolveOp(co.res, op).ent
 		}
 		ent := memoEnt
 		n := 1
@@ -191,7 +191,7 @@ func (e *engine) wbPlanClient(co *cohort, runs []wbRun, ci int32, tick int64) []
 				rin2 = op2.Parent
 			}
 			if rin2 != memoIn {
-				memoIn, memoEnt = rin2, e.c.resolveOp(co.res, op2)
+				memoIn, memoEnt = rin2, e.c.resolveOp(co.res, op2).ent
 				if memoEnt.Key != ent.Key || memoEnt.Auth != ent.Auth {
 					break // entry switch: the run ends here
 				}
@@ -308,7 +308,7 @@ func (e *engine) wbAdmitClient(ci int32, tick int64) {
 		if !ok {
 			break // cannot happen: journaled ops are queued
 		}
-		ent := c.resolveOp(c.resolver, op)
+		ent := c.resolveOp(c.resolver, op).ent
 		if !c.servers[ent.Auth].Up() {
 			// Authority sits on a down rank (orphan window): the batch
 			// stays in its current live journal and the client backs

@@ -24,6 +24,13 @@ type InodeArena struct {
 // needs (Parent chain, NameHash, heat tracking); it must be adopted
 // before the namespace is read again.
 func (a *InodeArena) NewFile(parent *Inode, name string, size int64) (*Inode, error) {
+	return a.NewFileHashed(parent, name, HashName(name), size)
+}
+
+// NewFileHashed is NewFile for a caller that already holds
+// HashName(name) — the engine's plan phase computed it to route the
+// create — so a create hashes its name once.
+func (a *InodeArena) NewFileHashed(parent *Inode, name string, hash uint32, size int64) (*Inode, error) {
 	if parent == nil || !parent.IsDir {
 		return nil, ErrNotDir
 	}
@@ -41,7 +48,7 @@ func (a *InodeArena) NewFile(parent *Inode, name string, size int64) (*Inode, er
 		Size:      size,
 		subInodes: 1,
 		subFiles:  1,
-		nameHash:  HashName(name),
+		nameHash:  hash,
 	}
 	return in, nil
 }
@@ -70,13 +77,11 @@ func (t *Tree) Adopt(in *Inode) {
 // discarded and the existing one returned with adopted=false.
 func (t *Tree) AdoptOrExisting(in *Inode) (linked *Inode, adopted bool) {
 	parent := in.Parent
-	if ex := parent.children[in.Name]; ex != nil {
+	if ex := parent.link(in); ex != nil {
 		return ex, false
 	}
 	in.Ino = t.nextIn
 	t.nextIn++
-	parent.children[in.Name] = in
-	parent.order = append(parent.order, in)
 	t.byIno = append(t.byIno, in)
 	for a := parent; a != nil; a = a.Parent {
 		a.subInodes++

@@ -1,6 +1,9 @@
 package namespace
 
 import (
+	"fmt"
+	"hash/fnv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -112,5 +115,26 @@ func TestFragSplitBalancesHashes(t *testing.T) {
 	frac := float64(left) / n
 	if frac < 0.45 || frac > 0.55 {
 		t.Fatalf("left half got %v of names, want ~0.5", frac)
+	}
+}
+
+// TestHashNameMatchesFNV pins the inlined hash bit for bit against the
+// library it replaced — hash/fnv's FNV-1a through fmix32. Fragment
+// membership, Dir-Hash pinning and every recorded run digest depend on
+// these bits.
+func TestHashNameMatchesFNV(t *testing.T) {
+	ref := func(name string) uint32 {
+		h := fnv.New32a()
+		h.Write([]byte(name))
+		return fmix32(h.Sum32())
+	}
+	names := []string{"", "a", "/", "\x00", "\xff\xfe", "ünïcødé", "目录/文件", "c007.f0000123", strings.Repeat("long", 300)}
+	for i := 0; i < 4000; i++ {
+		names = append(names, fileName("f", i), fmt.Sprintf("c%03d.f%07d", i%64, i*7919))
+	}
+	for _, n := range names {
+		if got, want := HashName(n), ref(n); got != want {
+			t.Fatalf("HashName(%q) = %#x, hash/fnv+fmix32 gives %#x", n, got, want)
+		}
 	}
 }

@@ -89,7 +89,12 @@ func (p *Partition) RootEntry() Entry {
 
 // lookupEntry returns the entry rooted at (dir, frag-containing-h), if any.
 func (p *Partition) lookupEntry(dir Ino, h uint32) (Entry, bool) {
-	es := p.entries[dir]
+	return findFrag(p.entries[dir], h)
+}
+
+// findFrag returns the one of a directory's entries whose fragment
+// contains h, if any.
+func findFrag(es []Entry, h uint32) (Entry, bool) {
 	if len(es) == 0 {
 		return Entry{}, false
 	}

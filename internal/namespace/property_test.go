@@ -229,3 +229,100 @@ func TestVisitedCountsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestResolverMatchesGoverningEntry is the per-directory memo's
+// contract: through any interleaving of Carve / SplitEntry /
+// MergeWithSibling / Absorb / SetAuth and file and directory creates —
+// all after the resolver was made — Resolver.Entry(in) equals
+// Partition.GoverningEntry(in) for every inode, including files in
+// split directories, children of a split root and directories newer
+// than the resolver; ChildEntry agrees with GoverningChildEntry for
+// names not yet created; and the memo never holds more slots than the
+// tree has directories.
+func TestResolverMatchesGoverningEntry(t *testing.T) {
+	f := func(shape, ops []uint8) bool {
+		tr := buildRandomNamespace(shape)
+		p := NewPartition(tr, 0)
+		r := NewResolver(p)
+		var arena InodeArena
+		var dirs []*Inode
+		tr.Walk(func(in *Inode) bool {
+			if in.IsDir {
+				dirs = append(dirs, in)
+			}
+			return true
+		})
+		agree := func() bool {
+			ok := true
+			tr.Walk(func(in *Inode) bool {
+				ok = r.Entry(in) == p.GoverningEntry(in)
+				if ok && in.IsDir {
+					for _, h := range []uint32{0, 0x7fffffff, 0x80000000, HashName(in.Name + "x")} {
+						ok = ok && r.ChildEntry(in, h) == p.GoverningChildEntry(in, h)
+					}
+				}
+				return ok
+			})
+			return ok && len(r.slots) <= len(dirs)+1
+		}
+		if !agree() {
+			return false
+		}
+		for i, op := range ops {
+			d := dirs[int(op)%len(dirs)] // dirs[0] is the root
+			es := p.EntriesAt(d.Ino)
+			auth := MDSID(i % 5)
+			switch op % 8 {
+			case 0:
+				if len(es) == 0 {
+					p.SetAuth(p.Carve(d).Key, auth)
+				}
+			case 1:
+				if len(es) > 0 {
+					if l, _, ok := p.SplitEntry(es[i%len(es)].Key); ok {
+						p.SetAuth(l.Key, auth)
+					}
+				}
+			case 2:
+				if len(es) > 0 {
+					p.MergeWithSibling(es[i%len(es)].Key)
+				}
+			case 3:
+				if len(es) > 1 || len(es) == 1 && d != tr.Root() {
+					p.Absorb(es[i%len(es)].Key) // may leave a gap in a split directory
+				}
+			case 4:
+				if len(es) > 0 {
+					p.SetAuth(es[i%len(es)].Key, auth)
+				}
+			case 5:
+				if _, err := tr.Create(d, fileName("new", i), 1); err != nil {
+					return false
+				}
+			case 6:
+				in, err := arena.NewFile(d, fileName("adopted", i), 1)
+				if err != nil {
+					return false
+				}
+				// A promised inode resolves before it is adopted.
+				if r.Entry(in) != p.GoverningEntry(in) {
+					return false
+				}
+				tr.Adopt(in)
+			case 7:
+				sub, err := tr.Mkdir(d, fileName("dir", i))
+				if err != nil {
+					return false
+				}
+				dirs = append(dirs, sub)
+			}
+			if !agree() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}

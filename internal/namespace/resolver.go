@@ -1,18 +1,23 @@
 package namespace
 
-// Resolver memoizes governing-entry resolution per inode. GoverningEntry
-// walks the ancestor chain on every call — O(depth) map lookups — but the
-// partition mutates rarely (a version bump per SetAuth/Carve/Split/
-// Absorb/Merge) while the serve path resolves authority on every op.
-// Caching the result per inode and invalidating on Partition.Version()
-// makes resolution O(1) amortized.
+// Resolver memoizes governing-entry resolution per directory.
+// GoverningEntry walks the ancestor chain on every call — O(depth) map
+// lookups — but the partition mutates rarely (a version bump per
+// SetAuth/Carve/Split/Absorb/Merge) while the serve path resolves
+// authority on every op. GoverningEntry(in) is by construction
+// GoverningChildEntry(in.Parent, in.NameHash()): a function of the
+// parent directory, and of the name hash only where that directory is
+// split into fragments. So the memo holds one slot per directory — not
+// per inode — and a file created after the slot was filled resolves
+// through it without growing anything.
 //
 // Invalidation rule: any partition mutation bumps Version(); the resolver
 // compares the partition version against the version it last observed and,
 // on mismatch, advances a generation counter that logically empties the
 // whole cache in O(1) (slots are stamped with the generation that filled
-// them, so stale slots simply miss). Inode numbers are dense and never
-// reused, so the cache is a flat slice indexed by Ino.
+// them, so stale slots simply miss). Directories are numbered densely at
+// Mkdir (Inode.dirNum), so the cache is a flat slice indexed by that
+// number however directory and file inode numbers interleave.
 type Resolver struct {
 	p     *Partition
 	ver   uint64 // partition version the current generation matches
@@ -20,13 +25,21 @@ type Resolver struct {
 	slots []resolverSlot
 }
 
+// resolverSlot is what governs one directory's children.
 type resolverSlot struct {
-	gen   uint64
+	gen uint64
+	// entry governs every child no fragment entry covers: the
+	// directory's whole-fragment entry where it is a subtree root,
+	// otherwise the entry governing the directory itself.
 	entry Entry
+	// frags is the directory's fragment entries when it is split. It
+	// aliases the partition's own sorted slice, which only changes under
+	// a version bump — that is, under a generation this slot misses.
+	frags []Entry
 }
 
 // NewResolver creates a resolver over the partition. The cache starts
-// empty; it grows to the highest inode number resolved.
+// empty; it grows to the tree's directory count.
 func NewResolver(p *Partition) *Resolver {
 	return &Resolver{p: p, ver: p.Version(), gen: 1}
 }
@@ -34,32 +47,55 @@ func NewResolver(p *Partition) *Resolver {
 // Entry returns the partition entry governing the inode, equal to
 // p.GoverningEntry(in) at the partition's current version. Amortized
 // O(1): a version check, a slice index, and (on miss) one ancestor walk
-// whose result is cached until the next partition mutation.
+// through the memo whose result is cached, for every child of the
+// inode's directory, until the next partition mutation.
 func (r *Resolver) Entry(in *Inode) Entry {
-	if v := r.p.Version(); v != r.ver {
+	if in.Parent == nil {
+		return r.p.RootEntry()
+	}
+	return r.ChildEntry(in.Parent, in.nameHash)
+}
+
+// ChildEntry returns the entry that governs — or, for a name not yet
+// created, would govern — the child of dir with the given name hash,
+// equal to p.GoverningChildEntry(dir, nameHash).
+func (r *Resolver) ChildEntry(dir *Inode, nameHash uint32) Entry {
+	if r.p.version == r.ver && int(dir.dirNum) < len(r.slots) {
+		// The steady state: a filled slot of an unsplit directory.
+		if s := &r.slots[dir.dirNum]; s.gen == r.gen && len(s.frags) == 0 {
+			return s.entry
+		}
+	}
+	return r.childEntrySlow(dir, nameHash)
+}
+
+func (r *Resolver) childEntrySlow(dir *Inode, nameHash uint32) Entry {
+	if v := r.p.version; v != r.ver {
 		r.ver = v
 		r.gen++
 	}
-	idx := int(in.Ino)
-	if idx < len(r.slots) {
-		if s := &r.slots[idx]; s.gen == r.gen {
-			return s.entry
-		}
-	} else {
-		r.grow(idx)
+	n := int(dir.dirNum)
+	if n >= len(r.slots) {
+		// Directories made since the last growth; numDirs covers them all.
+		r.slots = append(r.slots, make([]resolverSlot, int(r.p.tree.numDirs)-len(r.slots))...)
 	}
-	e := r.p.GoverningEntry(in)
-	r.slots[idx] = resolverSlot{gen: r.gen, entry: e}
-	return e
+	if r.slots[n].gen != r.gen {
+		s := resolverSlot{gen: r.gen}
+		if es := r.p.entries[dir.Ino]; len(es) == 1 && es[0].Key.Frag.IsWhole() {
+			s.entry = es[0]
+		} else {
+			s.entry, s.frags = r.Entry(dir), es
+		}
+		r.slots[n] = s
+	}
+	s := &r.slots[n]
+	if e, ok := findFrag(s.frags, nameHash); ok {
+		return e
+	}
+	return s.entry
 }
 
 // AuthOf returns the MDS authoritative for the inode (cached).
 func (r *Resolver) AuthOf(in *Inode) MDSID {
 	return r.Entry(in).Auth
-}
-
-func (r *Resolver) grow(idx int) {
-	for len(r.slots) <= idx {
-		r.slots = append(r.slots, resolverSlot{})
-	}
 }

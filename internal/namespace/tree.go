@@ -34,8 +34,8 @@ type Inode struct {
 	IsDir  bool
 	Size   int64 // file size in bytes; 0 for directories
 
-	children map[string]*Inode
-	order    []*Inode // insertion-ordered children for deterministic walks
+	index *dirIndex // finds a child by name; nil until the first child
+	order []*Inode  // insertion-ordered children for deterministic walks
 
 	// subInodes is the number of inodes in the subtree rooted here,
 	// including this inode itself. Maintained incrementally on create
@@ -47,8 +47,14 @@ type Inode struct {
 	// estimates: directory inodes are containers, not scan targets.
 	subFiles int
 
-	// nameHash caches HashName(Name) for fragment membership tests.
+	// nameHash caches HashName(Name): fragment membership and the
+	// parent's name index both key on it.
 	nameHash uint32
+
+	// dirNum numbers the directories of a tree densely in creation order
+	// (the root is 0; meaningless on files). The Resolver indexes its
+	// per-directory memo by it.
+	dirNum uint32
 
 	// Hot is the runtime access-history annotation.
 	Hot Hot
@@ -105,10 +111,7 @@ func (in *Inode) NumChildren() int { return len(in.order) }
 
 // Child returns the named child, or nil.
 func (in *Inode) Child(name string) *Inode {
-	if in.children == nil {
-		return nil
-	}
-	return in.children[name]
+	return in.ChildHashed(name, HashName(name))
 }
 
 // Children returns the direct children in insertion order. The returned
@@ -181,21 +184,21 @@ const inodeSlabSize = 1024
 // A removed inode's slab slot is not recycled — acceptable for a
 // simulator where removes are rare and runs are bounded.
 type Tree struct {
-	root   *Inode
-	byIno  []*Inode // indexed by Ino; nil for removed inodes
-	nextIn Ino
-	slab   []Inode // current slab chunk; alloc() carves from the front
+	root    *Inode
+	byIno   []*Inode // indexed by Ino; nil for removed inodes
+	nextIn  Ino
+	numDirs uint32  // directories ever created; the next Inode.dirNum
+	slab    []Inode // current slab chunk; alloc() carves from the front
 }
 
 // NewTree creates a namespace containing only the root directory.
 func NewTree() *Tree {
-	t := &Tree{nextIn: RootIno + 1}
+	t := &Tree{nextIn: RootIno + 1, numDirs: 1}
 	root := t.alloc()
 	*root = Inode{
 		Ino:       RootIno,
 		Name:      "",
 		IsDir:     true,
-		children:  make(map[string]*Inode),
 		subInodes: 1,
 		nameHash:  HashName(""),
 	}
@@ -242,32 +245,26 @@ func (t *Tree) attach(parent *Inode, name string, isDir bool, size int64) (*Inod
 	if name == "" || strings.ContainsRune(name, '/') {
 		return nil, ErrBadName
 	}
-	if parent.children[name] != nil {
+	hash := HashName(name)
+	if parent.ChildHashed(name, hash) != nil {
 		return nil, ErrExists
 	}
 	in := t.alloc()
 	*in = Inode{
-		Ino:       t.nextIn,
 		Name:      name,
 		Parent:    parent,
 		IsDir:     isDir,
 		Size:      size,
 		subInodes: 1,
-		nameHash:  HashName(name),
+		nameHash:  hash,
 	}
 	if isDir {
-		in.children = make(map[string]*Inode)
+		in.dirNum = t.numDirs
+		t.numDirs++
 	} else {
 		in.subFiles = 1
 	}
-	t.nextIn++
-	parent.children[name] = in
-	parent.order = append(parent.order, in)
-	t.byIno = append(t.byIno, in)
-	for a := parent; a != nil; a = a.Parent {
-		a.subInodes++
-		a.subFiles += in.subFiles
-	}
+	t.AdoptOrExisting(in)
 	return in, nil
 }
 
@@ -326,13 +323,13 @@ func (t *Tree) Remove(in *Inode) error {
 		return ErrNotEmpty
 	}
 	p := in.Parent
-	delete(p.children, in.Name)
 	for i, c := range p.order {
 		if c == in {
 			p.order = append(p.order[:i], p.order[i+1:]...)
 			break
 		}
 	}
+	p.reindex() // every later sibling's position moved
 	t.byIno[in.Ino] = nil
 	for a := p; a != nil; a = a.Parent {
 		a.subInodes--

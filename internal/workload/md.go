@@ -91,11 +91,16 @@ func (g *MD) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([]Client
 	return jitterSpecs(streams, 0, 0, src.Fork(1)), nil
 }
 
+// nameChunk is how many create names one allocation holds.
+const nameChunk = 64
+
 func newCreates(dirs []*namespace.Inode, client, n, statEvery int) Stream {
 	// One op per refill: reuse a single-element batch (seqStream copies
-	// ops out by value) and build names with one allocation each — the
-	// string the tree stores — instead of a Sprintf per op. The names
-	// are byte-identical to fmt.Sprintf("c%03d.f%07d", client, i).
+	// ops out by value). Names are built nameChunk at a time into one
+	// buffer, converted to a string once and handed out as substrings —
+	// one allocation per 64 creates for the strings the tree stores,
+	// instead of a Sprintf (or even a conversion) per op. The names are
+	// byte-identical to fmt.Sprintf("c%03d.f%07d", client, i).
 	// Creates fill the directories sequentially (n/len(dirs) files
 	// each, remainder in the last); every statEvery creates a getattr
 	// on the working directory is interleaved.
@@ -110,7 +115,11 @@ func newCreates(dirs []*namespace.Inode, client, n, statEvery int) Stream {
 	sinceStat := 0
 	buf := make([]Op, 1)
 	prefix := fmt.Sprintf("c%03d.f", client)
-	scratch := make([]byte, 0, len(prefix)+8)
+	var (
+		scratch []byte
+		chunk   string             // names i-i%nameChunk onward, concatenated
+		ends    [nameChunk + 1]int // name k of the chunk is chunk[ends[k]:ends[k+1]]
+	)
 	return &seqStream{fill: func() []Op {
 		if i >= n {
 			return nil
@@ -124,11 +133,19 @@ func newCreates(dirs []*namespace.Inode, client, n, statEvery int) Stream {
 			buf[0] = Op{Kind: OpGetattr, Target: dirs[d]}
 			return buf
 		}
-		scratch = appendPadded(append(scratch[:0], prefix...), i, 7)
+		k := i % nameChunk
+		if k == 0 {
+			scratch = scratch[:0]
+			for j := 0; j < nameChunk && i+j < n; j++ {
+				scratch = appendPadded(append(scratch, prefix...), i+j, 7)
+				ends[j+1] = len(scratch)
+			}
+			chunk = string(scratch)
+		}
 		buf[0] = Op{
 			Kind:   OpCreate,
 			Parent: dirs[d],
-			Name:   string(scratch),
+			Name:   chunk[ends[k]:ends[k+1]],
 		}
 		i++
 		sinceStat++
