@@ -11,40 +11,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/experiment"
 )
-
-// parseWorkersAxis turns an axis flag ("1,2,4,8" worker counts or
-// "8,32" batch sizes) into a sorted, deduplicated list of positive
-// integers.
-func parseWorkersAxis(s string) ([]int, error) {
-	seen := map[int]bool{}
-	var axis []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		w, err := strconv.Atoi(part)
-		if err != nil || w < 1 {
-			return nil, fmt.Errorf("bad axis entry %q: want positive integers", part)
-		}
-		if !seen[w] {
-			seen[w] = true
-			axis = append(axis, w)
-		}
-	}
-	sort.Ints(axis)
-	if len(axis) == 0 {
-		axis = []int{1}
-	}
-	return axis, nil
-}
 
 // jsonResult is the machine-readable form of one experiment.
 type jsonResult struct {
@@ -68,37 +39,8 @@ func main() {
 		auditOn  = flag.Bool("audit", false, "attach the state auditor to every run; any invariant violation fails the experiment")
 		jsonPath = flag.String("json", "", "also write machine-readable results to this file")
 		mdPath   = flag.String("md", "", "write a markdown report to this file instead of stdout tables")
-
-		tickbench  = flag.Bool("tickbench", false, "run the tick-loop micro-benchmark matrix instead of the experiments")
-		tbOut      = flag.String("tickbench-out", "", "write the tickbench JSON report to this file (the BENCH_tickbench.json format)")
-		tbBaseline = flag.String("tickbench-baseline", "", "diff tickbench results against this checked-in JSON baseline")
-		tbTicks    = flag.Int64("tickbench-ticks", 300, "measured ticks per tickbench case (after a 100-tick warmup)")
-		tbWorkers  = flag.String("tickbench-workers", "1,2,4,8",
-			"comma-separated worker counts for the parallel-engine tickbench cells")
-		tbBatch = flag.String("tickbench-batch", "8,32",
-			"comma-separated batch sizes for the write-back tickbench cells")
-		tbMaxRegress = flag.Float64("tickbench-max-alloc-regress", 0.10,
-			"fail when any case's allocs/tick exceeds the baseline by more than this fraction (negative disables)")
 	)
 	flag.Parse()
-
-	if *tickbench {
-		workersAxis, err := parseWorkersAxis(*tbWorkers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			os.Exit(1)
-		}
-		batchAxis, err := parseWorkersAxis(*tbBatch)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			os.Exit(1)
-		}
-		if err := runTickBench(os.Stdout, *tbTicks, workersAxis, batchAxis, *tbOut, *tbBaseline, *tbMaxRegress); err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	titles := experiment.Titles()
 	if *list {

@@ -18,6 +18,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -105,7 +106,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	name := canonical(*wl)
+	// The experiment constructors panic on a name or scale they do not
+	// know; flags are outside input, so they are checked here first.
+	name, balName := canonical(*wl), canonicalBalancer(*bal)
+	if err := known("workload", name, experiment.WorkloadNames, "Mixed", "ReadStorm"); err != nil {
+		return fail(err)
+	}
+	if err := known("balancer", balName, experiment.BalancerNames, "Dir-Hash"); err != nil {
+		return fail(err)
+	}
+	if !(*scale > 0) {
+		return fail(fmt.Errorf("-scale must be > 0, got %v", *scale))
+	}
 	var gen workload.Generator
 	nClients := *clients
 	if *traceFile != "" {
@@ -277,7 +289,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		DataPath:      *data,
 		Seed:          *seed,
 		Workers:       *workers,
-		Balancer:      experiment.MakeBalancer(canonicalBalancer(*bal)),
+		Balancer:      experiment.MakeBalancer(balName),
 		Workload:      gen,
 		RecoveryTicks: *recoveryT,
 		Faults:        faults,
@@ -495,6 +507,15 @@ func writeCSV(path string, emit func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
+}
+
+// known returns an error naming the flag unless v is one of the names.
+func known(flagName, v string, names []string, more ...string) error {
+	all := append(append([]string(nil), names...), more...)
+	if slices.Contains(all, v) {
+		return nil
+	}
+	return fmt.Errorf("unknown -%s %q (want one of %s)", flagName, v, strings.Join(all, ", "))
 }
 
 func canonical(w string) string {

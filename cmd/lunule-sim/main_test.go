@@ -90,10 +90,28 @@ func TestBadFlagsFail(t *testing.T) {
 	if code := run([]string{"-replication", "2", "-replication-promote", "0"}, &stdout, &stderr); code == 0 {
 		t.Fatal("invalid replication policy must fail")
 	}
-	stderr.Reset()
-	if code := run([]string{"-workers", "-1"}, &stdout, &stderr); code == 0 ||
-		!strings.Contains(stderr.String(), "workers") {
-		t.Fatalf("-workers -1 must fail naming the flag, got exit %d: %s", code, stderr.String())
+	// Values that used to panic inside a constructor, or run and print a
+	// silently wrong table: each must exit 1 with an error naming it.
+	for _, tc := range []struct {
+		args []string
+		want string // substring of the error line
+	}{
+		{[]string{"-workers", "-1"}, "workers"},
+		{[]string{"-mds", "-1"}, "MDS"},
+		{[]string{"-clients", "-3"}, "clients"},
+		{[]string{"-capacity", "-5"}, "capacity"},
+		{[]string{"-rate", "-1"}, "rate"},
+		{[]string{"-scale", "-1"}, "scale"},
+		{[]string{"-workload", "nope"}, "nope"},
+		{[]string{"-balancer", "nope"}, "nope"},
+		{[]string{"-replication", "2", "-recoveryticks", "1"}, "PromoteTicks"},
+	} {
+		stderr.Reset()
+		if code := run(tc.args, &stdout, &stderr); code != 1 ||
+			!strings.HasPrefix(stderr.String(), "error: ") || !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%v: exit %d, want 1 with an error naming %q; stderr: %s",
+				tc.args, code, tc.want, stderr.String())
+		}
 	}
 }
 

@@ -224,12 +224,16 @@ func (a *Auditor) checkTenants(s State) {
 // were already confined to Active ranks). Invalidation
 // ("lease/invalidate"): a subtree whose leases were write-revoked this
 // tick holds zero live leases — the epoch-close grant pass must not
-// have re-granted them in the same tick.
+// have re-granted them in the same tick. Count ("lease/count"): the
+// manager's running live-lease count, which the engine consults before
+// routing any read, equals the leases its groups actually hold.
 func (a *Auditor) checkLeases(s State) {
 	if s.Replicas == nil || s.Replicas.Policy().LeaseTicks <= 0 {
 		return
 	}
+	live := 0
 	s.Replicas.ForEachGroup(func(g *replica.Group) {
+		live += len(g.Leases)
 		for _, l := range g.Leases {
 			if l.Expires <= s.Tick {
 				a.failf(s.Tick, "lease/term",
@@ -261,8 +265,12 @@ func (a *Auditor) checkLeases(s State) {
 			}
 		}
 	})
+	if n := s.Replicas.LiveLeases(); n != live {
+		a.failf(s.Tick, "lease/count",
+			"manager counts %d live leases, its groups hold %d", n, live)
+	}
 	for _, k := range s.LeaseWriteRevoked {
-		if n := len(s.Replicas.LeaseHolders(k)); n > 0 {
+		if n := len(s.Replicas.Leases(k)); n > 0 {
 			a.failf(s.Tick, "lease/invalidate",
 				"write-invalidated subtree %v/%s still holds %d live leases",
 				k.Dir, k.Frag, n)

@@ -259,6 +259,21 @@ func TestAuditorLeaseHolderDrainingViolation(t *testing.T) {
 	}
 }
 
+func TestAuditorLeaseCountViolation(t *testing.T) {
+	state, mgr, key := leaseFixture(t)
+	if granted := mgr.GrantLeases(key, state.Tick+20); len(granted) == 0 {
+		t.Fatal("no leases granted on a synced group")
+	}
+	// Leases dropped behind the manager's back: its running count — the
+	// engine's "any lease live?" gate — no longer matches the groups.
+	g := mgr.GroupOf(key)
+	g.Leases = g.Leases[:0]
+	a := New(Options{})
+	if a.Check(state) == 0 || checksNamed(a, "lease/count") == 0 {
+		t.Fatalf("drifted live-lease count not flagged: %v", a.Violations())
+	}
+}
+
 // tenantFixture builds a clean 2-tenant state mid-tick: tenant 0 was
 // bucket-admitted 6 ops and served 6, tenant 1 admitted 3 and served 2.
 func tenantFixture(t *testing.T) (State, *tenant.Manager) {

@@ -106,17 +106,6 @@ func Loads(v View) []float64 {
 	return out
 }
 
-// LiveRanks returns the ranks that are currently up, in rank order.
-func LiveRanks(v View) []namespace.MDSID {
-	out := make([]namespace.MDSID, 0, v.NumMDS())
-	for i := 0; i < v.NumMDS(); i++ {
-		if id := namespace.MDSID(i); v.Up(id) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // ImportableRanks returns the ranks that may receive subtrees (up and
 // not draining), in rank order. This is the participant set balancers
 // plan over: a draining rank's remaining load is the drain pump's

@@ -277,9 +277,6 @@ func (c *Client) BufferedOps() int64 { return c.PendingOps() - c.inflight }
 // conservation law the state auditor checks.
 func (c *Client) Issued() int64 { return c.issued }
 
-// HasPending reports whether the client holds issued-but-unserved ops.
-func (c *Client) HasPending() bool { return c.head < len(c.pending) }
-
 // PendingOps returns how many issued-but-unserved ops the client holds.
 func (c *Client) PendingOps() int64 { return int64(len(c.pending) - c.head) }
 

@@ -1,0 +1,117 @@
+//go:build !race
+
+// Steady-state allocation contract of the tick loop. Allocation counts
+// are meaningless under the race detector (the runtime inserts its
+// own), so this file is excluded from `make race` / `make check`; the
+// plain `go test ./...` of tier-1 and the CI "Alloc" step run it.
+
+package cluster
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/elastic"
+	"repro/internal/replica"
+	"repro/internal/tenant"
+	"repro/internal/workload"
+)
+
+// steadyOps is an op budget no cell can drain in 200 ticks, so every
+// measured tick runs at steady state, never on a finished cluster.
+const steadyOps = 1 << 30
+
+// TestSteadyTickAllocs holds allocations per steady-state Step under a
+// ceiling for each way the tick loop can be configured: 100 warm-up
+// ticks, then 100 measured, at 4 ranks / 64 clients / one worker. Each
+// ceiling is ceil(1.25 x the value measured when the cell was added,
+// noted beside it), so the test fails when a per-op allocation slips
+// back into plan, admit, serve or the barrier (one per op is thousands
+// per tick), not on a per-epoch map growth.
+func TestSteadyTickAllocs(t *testing.T) {
+	zipf := func() workload.Generator {
+		return workload.NewZipf(workload.ZipfConfig{FilesPerClient: 500, OpsPerClient: steadyOps})
+	}
+	mdtest := func() workload.Generator {
+		return workload.NewMD(workload.MDConfig{CreatesPerClient: steadyOps, DirsPerClient: 4, StatEvery: 64})
+	}
+	for _, tc := range []struct {
+		name    string
+		ceiling float64 // ceil(1.25 x measured)
+		cfg     func() Config
+	}{
+		{"zipf", 11 /* 8.8 */, func() Config { return Config{Workload: zipf()} }},
+		{"shareddir", 152 /* 120.9 */, func() Config {
+			return Config{Workload: workload.NewMDShared(workload.MDSharedConfig{CreatesPerClient: steadyOps})}
+		}},
+		{"mdtest", 172 /* 137.0 */, func() Config { return Config{Workload: mdtest()} }},
+		{"mdtest-b32", 315 /* 251.6 */, func() Config {
+			return Config{Workload: mdtest(), Batching: &BatchingConfig{BatchSize: 32, FlushEvery: 4}}
+		}},
+		{"zipf-elastic-idle", 15 /* 11.9 */, func() Config {
+			// Wide bounds: the cell prices the per-epoch observation, not
+			// a scale-up or a drain.
+			pol := elastic.DefaultPolicy()
+			pol.MinRanks, pol.MaxRanks = 4, 8
+			return Config{Workload: zipf(), Elastic: elastic.MustController(pol)}
+		}},
+		{"zipf-r2", 11 /* 8.8 */, func() Config {
+			return Config{Workload: zipf(), Replication: replica.MustManager(replica.DefaultPolicy())}
+		}},
+		{"readstorm-r3-leases", 12 /* 9.3 */, func() Config {
+			return Config{
+				Workload:    workload.NewReadStorm(workload.ReadStormConfig{Files: 2000, OpsPerClient: steadyOps}),
+				Replication: leaseManager(3, 40, 0.75),
+			}
+		}},
+		{"tenants-contended", 118 /* 93.8 */, func() Config {
+			// Buckets tight enough that the big tenants throttle every
+			// tick: the admission path actually taken, not the fast path.
+			pol := tenant.DefaultPolicy()
+			pol.Rate, pol.Burst = 1500, 3000
+			gen := workload.NewTenants(workload.TenantsConfig{Tenants: 4, Skew: 1},
+				func(tn, clients, off int) workload.Generator {
+					dir := fmt.Sprintf("/tenant%02d", tn)
+					switch tn % 3 {
+					case 0:
+						return workload.NewZipf(workload.ZipfConfig{Dir: dir + "/zipf", ClientOffset: off,
+							FilesPerClient: 500, OpsPerClient: steadyOps})
+					case 1:
+						return workload.NewMD(workload.MDConfig{Dir: dir + "/md", ClientOffset: off,
+							CreatesPerClient: steadyOps})
+					default:
+						return workload.NewReadStorm(workload.ReadStormConfig{Dir: dir + "/storm", ClientOffset: off,
+							WriteEvery: 50, OpsPerClient: steadyOps})
+					}
+				})
+			return Config{Workload: gen, Tenancy: tenant.MustManager(pol)}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg()
+			cfg.MDS, cfg.Clients, cfg.Workers, cfg.Seed = 4, 64, 1, 42
+			cfg.Balancer = core.NewDefault()
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Run(100)
+			const ticks = 100
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			c.Run(ticks)
+			runtime.ReadMemStats(&after)
+			if c.Done() {
+				t.Fatal("cluster drained: the cell did not measure steady state")
+			}
+			got := float64(after.Mallocs-before.Mallocs) / ticks
+			t.Logf("%.1f allocs/tick (ceiling %.0f)", got, tc.ceiling)
+			if got > tc.ceiling {
+				t.Errorf("%.1f allocs per steady-state tick, ceiling %.0f", got, tc.ceiling)
+			}
+		})
+	}
+}

@@ -24,9 +24,29 @@ import (
 	"repro/internal/osd"
 	"repro/internal/replica"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/tenant"
 	"repro/internal/workload"
+)
+
+// Fixed model parameters. No command, experiment or benchmark workload
+// ever varied them, so they are constants of the model, not knobs.
+const (
+	// migrationRate is how many inodes an exporter ships per tick.
+	migrationRate = 2000
+	// maxActiveExports bounds concurrent exports per exporter.
+	maxActiveExports = 2
+	// queueTTLTicks expires queued (unstarted) export tasks.
+	queueTTLTicks = 20
+	// exportLatencyTicks is the fixed two-phase-commit floor cost of one
+	// export, regardless of subtree size.
+	exportLatencyTicks = 4
+	// heatDecay is the per-epoch popularity decay (CephFS-style). Slow:
+	// the accumulated popularity counter the paper criticizes — heat
+	// keeps ranking already-scanned (dead) subtrees above the live scan
+	// front for minutes.
+	heatDecay = 0.97
+	// historyWindows is the trace collector depth (cutting windows).
+	historyWindows = 6
 )
 
 // Config describes one simulated deployment.
@@ -43,19 +63,6 @@ type Config struct {
 	PerMDSCapacity []int
 	// EpochTicks is the balancing epoch length (paper default: 10 s).
 	EpochTicks int
-	// MigrationRate is how many inodes an exporter ships per tick.
-	MigrationRate int
-	// MaxActiveExports bounds concurrent exports per exporter.
-	MaxActiveExports int
-	// QueueTTLTicks expires queued (unstarted) export tasks.
-	QueueTTLTicks int64
-	// ExportLatencyTicks is the fixed two-phase-commit floor cost of
-	// one export, regardless of subtree size.
-	ExportLatencyTicks int64
-	// HeatDecay is the per-epoch popularity decay (CephFS-style).
-	HeatDecay float64
-	// HistoryWindows is the trace collector depth (cutting windows).
-	HistoryWindows int
 	// Clients is the number of workload clients.
 	Clients int
 	// ClientRate is the base ops per tick per client.
@@ -162,27 +169,6 @@ func (c *Config) defaults() {
 	if c.EpochTicks == 0 {
 		c.EpochTicks = 10
 	}
-	if c.MigrationRate == 0 {
-		c.MigrationRate = 2000
-	}
-	if c.MaxActiveExports == 0 {
-		c.MaxActiveExports = 2
-	}
-	if c.QueueTTLTicks == 0 {
-		c.QueueTTLTicks = 20
-	}
-	if c.ExportLatencyTicks == 0 {
-		c.ExportLatencyTicks = 4
-	}
-	if c.HeatDecay == 0 {
-		// Slow decay: the accumulated popularity counter the paper
-		// criticizes — heat keeps ranking already-scanned (dead)
-		// subtrees above the live scan front for minutes.
-		c.HeatDecay = 0.97
-	}
-	if c.HistoryWindows == 0 {
-		c.HistoryWindows = 6
-	}
 	if c.Clients == 0 {
 		c.Clients = 40
 	}
@@ -198,6 +184,41 @@ func (c *Config) defaults() {
 	if c.RecoveryTicks < 1 {
 		c.RecoveryTicks = 20
 	}
+}
+
+// validate rejects, after defaults, every configuration the simulator
+// cannot run as asked: the one place bad input becomes an error instead
+// of a panic further in or a silently wrong run.
+func (c *Config) validate() error {
+	switch {
+	case c.Balancer == nil:
+		return errors.New("cluster: config requires a balancer")
+	case c.Workload == nil:
+		return errors.New("cluster: config requires a workload")
+	case c.MDS < 1:
+		return fmt.Errorf("cluster: MDS must be >= 1, got %d", c.MDS)
+	case c.Capacity < 1:
+		return fmt.Errorf("cluster: capacity must be >= 1, got %d", c.Capacity)
+	case c.EpochTicks < 1:
+		return fmt.Errorf("cluster: epoch ticks must be >= 1, got %d", c.EpochTicks)
+	case c.Clients < 1:
+		return fmt.Errorf("cluster: clients must be >= 1, got %d", c.Clients)
+	case !(c.ClientRate > 0):
+		return fmt.Errorf("cluster: client rate must be > 0, got %v", c.ClientRate)
+	case c.OSDs < 1 || c.OSDBandwidth < 1:
+		return fmt.Errorf("cluster: data path needs OSDs >= 1 and bandwidth >= 1, got %d and %d",
+			c.OSDs, c.OSDBandwidth)
+	case c.Workers < 0:
+		return fmt.Errorf("cluster: workers must be >= 0, got %d", c.Workers)
+	case c.Batching != nil && (c.Batching.BatchSize < 1 || c.Batching.FlushEvery < 1):
+		return errors.New("cluster: batching requires BatchSize >= 1 and FlushEvery >= 1")
+	case c.Replication != nil && c.Replication.Policy().PromoteTicks >= c.RecoveryTicks:
+		// The cold takeover would fire first and clear the outage, so the
+		// warm promotion pass would never find anything to promote.
+		return fmt.Errorf("cluster: replication PromoteTicks %d must be below RecoveryTicks %d",
+			c.Replication.Policy().PromoteTicks, c.RecoveryTicks)
+	}
+	return nil
 }
 
 // Cluster is one live simulation.
@@ -216,13 +237,12 @@ type Cluster struct {
 	rec      *metrics.Recorder
 	bus      *obs.Bus
 
-	tick     int64
-	forwards int64
-	doneN    int
-	// racedCreates counts create ops completed without an MDS serve
-	// because the name raced into existence; the auditor's ops-
-	// conservation check needs it to reconcile client and server totals.
-	racedCreates int64
+	tick  int64
+	doneN int
+	// opCounters are the run's cumulative op-path counts; the rank lanes
+	// accumulate a round's deltas in their own copy and add them here at
+	// the barrier.
+	opCounters
 
 	auditor *audit.Auditor
 	// orphanFn is the Orphaned closure handed to every audit pass,
@@ -239,17 +259,10 @@ type Cluster struct {
 	perMDSBuf []int
 	liveLoads []float64
 
-	// Fault state: which ranks are crashed-and-unreassigned, when each
-	// currently-down rank crashed, each down rank's last load reading
-	// from before the crash (the takeover's load-share basis — by
-	// takeover time the dead rank has recorded only zero-load epochs),
-	// and the cumulative fault counters the recorder samples each tick.
-	orphaned        map[namespace.MDSID]bool
-	crashTick       map[namespace.MDSID]int64
-	crashLoad       map[namespace.MDSID]float64
-	stalledDown     int64
+	// Fault state: one record per crashed-and-unreassigned rank, and the
+	// cumulative orphaned rank-ticks the recorder samples each tick.
+	outages         map[namespace.MDSID]outage
 	recoveryTickSum int64
-	capacityClamps  int64
 
 	// Elastic state: the controller (nil = fixed-size cluster), the
 	// in-flight drains keyed by rank, the static-pin registry (PinPath
@@ -283,37 +296,55 @@ type Cluster struct {
 	tnAdmittedTick int64
 	tnServedTick   []int64
 
-	// Lease state (lease.go): the routing table the engine's plan phase
-	// consults (nil = leases off), the manager lease-version it was last
-	// rebuilt at, the cumulative lease-served op counter, and the keys
-	// write-invalidated during the current tick (reset each Step; the
-	// auditor checks they hold zero live leases at tick end).
-	lt                *namespace.LeaseTable
-	ltVersion         uint64
-	leaseServes       int64
+	// leaseWriteRevoked lists the keys write-invalidated during the
+	// current tick (lease.go; reset each Step). The grant pass skips
+	// them and the auditor checks they hold zero live leases at tick end.
 	leaseWriteRevoked []namespace.FragKey
 
-	// events holds scheduled cluster mutations (MDS additions,
-	// capacity changes, crashes, recoveries), fired at the top of their
-	// tick in submission order.
-	events sim.Queue
+	// events holds scheduled cluster mutations, fired at the top of
+	// their tick in submission order (events.go).
+	events eventQueue
+}
+
+// opCounters are the op-path counts a rank lane accumulates per round
+// and the cluster keeps per run.
+type opCounters struct {
+	// forwards counts relay hops charged to non-authoritative ranks.
+	forwards int64
+	// stalledDown counts attempts refused because a rank was down.
+	stalledDown int64
+	// racedCreates counts create ops completed without an MDS serve
+	// because the name raced into existence; the auditor's ops-
+	// conservation check needs it to reconcile client and server totals.
+	racedCreates int64
+	// leaseServes counts reads served by a non-authoritative lease holder.
+	leaseServes int64
+}
+
+// add folds d into c and zeroes d.
+func (c *opCounters) add(d *opCounters) {
+	c.forwards += d.forwards
+	c.stalledDown += d.stalledDown
+	c.racedCreates += d.racedCreates
+	c.leaseServes += d.leaseServes
+	*d = opCounters{}
+}
+
+// outage describes one crashed rank whose subtrees are still orphaned:
+// when it crashed, and its last load reading from before the crash (the
+// takeover's load-share basis — by takeover time the dead rank has
+// recorded only zero-load epochs).
+type outage struct {
+	crashedAt int64
+	load      float64
 }
 
 // New builds a cluster per cfg, including the workload's namespace and
 // client streams.
 func New(cfg Config) (*Cluster, error) {
 	cfg.defaults()
-	if cfg.Balancer == nil {
-		return nil, errors.New("cluster: config requires a balancer")
-	}
-	if bc := cfg.Batching; bc != nil && (bc.BatchSize < 1 || bc.FlushEvery < 1) {
-		return nil, errors.New("cluster: batching requires BatchSize >= 1 and FlushEvery >= 1")
-	}
-	if cfg.Workload == nil {
-		return nil, errors.New("cluster: config requires a workload")
-	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("cluster: workers must be >= 0, got %d", cfg.Workers)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	tree := namespace.NewTree()
 	part := namespace.NewPartition(tree, 0)
@@ -325,23 +356,21 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	cl := &Cluster{
-		cfg:       cfg,
-		tree:      tree,
-		part:      part,
-		osds:      osd.NewPool(cfg.OSDs, cfg.OSDBandwidth),
-		ledger:    msg.NewLedger(cfg.MDS),
-		rand:      src.Fork(2),
-		rec:       metrics.NewRecorder(cfg.MDS),
-		bus:       cfg.Bus,
-		orphaned:  make(map[namespace.MDSID]bool),
-		crashTick: make(map[namespace.MDSID]int64),
-		crashLoad: make(map[namespace.MDSID]float64),
-		auditor:   cfg.Audit,
-		elastic:   cfg.Elastic,
-		draining:  make(map[namespace.MDSID]*drainState),
-		pins:      make(map[namespace.FragKey]int),
+		cfg:      cfg,
+		tree:     tree,
+		part:     part,
+		osds:     osd.NewPool(cfg.OSDs, cfg.OSDBandwidth),
+		ledger:   msg.NewLedger(cfg.MDS),
+		rand:     src.Fork(2),
+		rec:      metrics.NewRecorder(cfg.MDS),
+		bus:      cfg.Bus,
+		outages:  make(map[namespace.MDSID]outage),
+		auditor:  cfg.Audit,
+		elastic:  cfg.Elastic,
+		draining: make(map[namespace.MDSID]*drainState),
+		pins:     make(map[namespace.FragKey]int),
 	}
-	cl.orphanFn = func(id namespace.MDSID) bool { return cl.orphaned[id] }
+	cl.orphanFn = func(id namespace.MDSID) bool { _, ok := cl.outages[id]; return ok }
 	if !cfg.DisableResolveCache {
 		cl.resolver = namespace.NewResolver(part)
 	}
@@ -351,10 +380,10 @@ func New(cfg Config) (*Cluster, error) {
 			capacity = cfg.PerMDSCapacity[i]
 		}
 		cl.servers = append(cl.servers,
-			mds.NewServer(namespace.MDSID(i), capacity, cfg.HistoryWindows, cfg.HeatDecay))
+			mds.NewServer(namespace.MDSID(i), capacity, historyWindows, heatDecay))
 	}
-	cl.migrator = mds.NewMigrator(part, cfg.MigrationRate, cfg.MaxActiveExports, cfg.QueueTTLTicks)
-	cl.migrator.MinTicks = cfg.ExportLatencyTicks
+	cl.migrator = mds.NewMigrator(part, migrationRate, maxActiveExports, queueTTLTicks)
+	cl.migrator.MinTicks = exportLatencyTicks
 	cl.migrator.Bus = cfg.Bus
 	if bc, ok := cfg.Balancer.(obs.BusCarrier); ok {
 		bc.SetBus(cfg.Bus)
@@ -367,15 +396,11 @@ func New(cfg Config) (*Cluster, error) {
 	// A migration endpoint is valid only when it names a live rank; the
 	// migrator re-checks this at activation, so tasks planned before a
 	// crash never ship a subtree to (or from) a dead server.
-	cl.migrator.ValidRank = func(r namespace.MDSID) bool {
-		return int(r) < len(cl.servers) && cl.servers[r].Up()
-	}
+	cl.migrator.ValidRank = cl.up
 	// The importer side is gated harder: a draining rank is a legal
 	// exporter (it is being emptied) but must never receive a subtree,
 	// so tasks planned before its drain started drop at activation.
-	cl.migrator.ValidImporter = func(r namespace.MDSID) bool {
-		return cl.importable(r)
-	}
+	cl.migrator.ValidImporter = cl.importable
 	for i, sp := range specs {
 		cl.clients = append(cl.clients, client.New(i, sp, cfg.ClientRate))
 	}
@@ -398,9 +423,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Replication != nil {
 		cl.rep = cfg.Replication
 		cl.initReplication()
-		if cl.leasesEnabled() {
-			cl.lt = namespace.NewLeaseTable()
-		}
 	}
 	if cfg.Faults != nil {
 		cl.ApplyFaults(*cfg.Faults)
@@ -458,7 +480,7 @@ func (c *Cluster) Done() bool { return c.doneN == len(c.clients) }
 // ScheduleAddMDS arranges for n more MDSs to join at the given tick
 // (the Figure 12(a) expansion experiment).
 func (c *Cluster) ScheduleAddMDS(tick int64, n int) {
-	c.events.Schedule(tick, func() {
+	c.events.schedule(tick, func() {
 		for i := 0; i < n; i++ {
 			c.AddMDS()
 		}
@@ -506,21 +528,14 @@ func (c *Cluster) PinnedRank(key namespace.FragKey) (int, bool) {
 // ScheduleCapacity arranges for the given rank's capacity to change at
 // the given tick (degradation/failure injection: a slow disk, a noisy
 // neighbour, a partial failure). Non-positive capacities are clamped to
-// 1 by the server; the clamp is counted so fault scripts with typo'd
-// values surface in CapacityClamps instead of silently degrading.
+// 1 by the server.
 func (c *Cluster) ScheduleCapacity(tick int64, rank, capacity int) {
-	c.events.Schedule(tick, func() {
+	c.events.schedule(tick, func() {
 		if rank >= 0 && rank < len(c.servers) {
-			if _, clamped := c.servers[rank].SetCapacity(capacity); clamped {
-				c.capacityClamps++
-			}
+			c.servers[rank].SetCapacity(capacity)
 		}
 	})
 }
-
-// CapacityClamps returns how many scheduled capacity changes were
-// clamped up from a non-positive value.
-func (c *Cluster) CapacityClamps() int64 { return c.capacityClamps }
 
 // CrashMDS takes the given rank down immediately: it stops serving, its
 // queued and in-flight exports abort (authority rolled to the surviving
@@ -533,20 +548,14 @@ func (c *Cluster) CrashMDS(rank int) bool {
 	if rank < 0 || rank >= len(c.servers) || !c.servers[rank].Up() {
 		return false
 	}
-	live := 0
-	for _, s := range c.servers {
-		if s.Up() {
-			live++
-		}
-	}
+	live := len(c.ranksWhere((*mds.Server).Up))
 	if live <= 1 {
 		return false
 	}
 	id := namespace.MDSID(rank)
-	// Stamp the load reading before Crash: by takeover time the down
-	// rank has recorded only zero-load epochs, so this pre-crash value
-	// is the takeover's only usable load-share basis.
-	c.crashLoad[id] = c.servers[rank].CurrentLoad()
+	crashedAt := c.tick
+	// The load is read before Crash: see outage.
+	c.outages[id] = outage{crashedAt: crashedAt, load: c.servers[rank].CurrentLoad()}
 	c.servers[rank].Crash()
 	// A crash mid-drain cancels the drain: AbortRank below rolls the
 	// in-flight exports' authority to their importers, and everything
@@ -561,10 +570,7 @@ func (c *Cluster) CrashMDS(rank int) bool {
 		// client-side, exactly once (wb.go).
 		c.engine.wbCrashRank(id, c.tick)
 	}
-	c.orphaned[id] = true
-	crashedAt := c.tick
-	c.crashTick[id] = crashedAt
-	c.events.Schedule(crashedAt+int64(c.cfg.RecoveryTicks), func() {
+	c.events.schedule(crashedAt+int64(c.cfg.RecoveryTicks), func() {
 		c.reassignOrphans(id, crashedAt)
 	})
 	if c.rep != nil {
@@ -572,14 +578,8 @@ func (c *Cluster) CrashMDS(rank int) bool {
 		// standby set, and schedule the warm promotion pass well inside
 		// the cold window. Whatever it still leads then moves to synced
 		// standbys; the rest waits for the cold takeover above.
-		before := c.rep.LeasesRevoked()
-		c.rep.DropRank(id)
-		if n := c.rep.LeasesRevoked() - before; n > 0 && c.bus.Enabled(obs.EvLeaseRevoke) {
-			f := obs.AcquireF()
-			f["rank"], f["n"], f["reason"] = rank, n, "crash"
-			c.bus.EmitPooled(obs.Event{Tick: crashedAt, Type: obs.EvLeaseRevoke, Fields: f})
-		}
-		c.events.Schedule(crashedAt+int64(c.rep.Policy().PromoteTicks), func() {
+		c.dropRankReplicas(id, "crash")
+		c.events.schedule(crashedAt+int64(c.rep.Policy().PromoteTicks), func() {
 			c.promoteReplicas(id, crashedAt)
 		})
 	}
@@ -595,19 +595,16 @@ func (c *Cluster) CrashMDS(rank int) bool {
 // returns its rank, or -1 when fewer than two ranks are live (crashing
 // the last survivor would leave nobody to take over).
 func (c *Cluster) CrashHottest() int {
-	best, bestLoad, bestOps, liveN := -1, -1.0, int64(-1), 0
-	for i, s := range c.servers {
-		if !s.Up() {
-			continue
-		}
-		liveN++
-		load, ops := s.CurrentLoad(), s.OpsTotal()
+	live := c.ranksWhere((*mds.Server).Up)
+	if len(live) < 2 {
+		return -1
+	}
+	best, bestLoad, bestOps := -1, -1.0, int64(-1)
+	for _, i := range live {
+		load, ops := c.servers[i].CurrentLoad(), c.servers[i].OpsTotal()
 		if load > bestLoad || (load == bestLoad && ops > bestOps) {
 			best, bestLoad, bestOps = i, load, ops
 		}
-	}
-	if liveN < 2 || best < 0 {
-		return -1
 	}
 	c.CrashMDS(best)
 	return best
@@ -633,9 +630,7 @@ func (c *Cluster) RecoverMDS(rank int) bool {
 	}
 	id := namespace.MDSID(rank)
 	c.servers[rank].Rejoin()
-	delete(c.orphaned, id)
-	delete(c.crashTick, id)
-	delete(c.crashLoad, id)
+	delete(c.outages, id)
 	for _, cl := range c.clients {
 		if cl.Backoff() > 0 && cl.BackoffRank() == id {
 			cl.ClearBackoff()
@@ -650,22 +645,6 @@ func (c *Cluster) RecoverMDS(rank int) bool {
 		c.bus.Emit(obs.Event{Tick: c.tick, Type: obs.EvRecover, Fields: obs.F{"rank": rank}})
 	}
 	return true
-}
-
-// ScheduleCrash arranges for the given rank to crash at the tick.
-func (c *Cluster) ScheduleCrash(tick int64, rank int) {
-	c.events.Schedule(tick, func() { c.CrashMDS(rank) })
-}
-
-// ScheduleCrashHottest arranges for the hottest live rank to crash at
-// the tick (the adversarial failure of the failover experiment).
-func (c *Cluster) ScheduleCrashHottest(tick int64) {
-	c.events.Schedule(tick, func() { c.CrashHottest() })
-}
-
-// ScheduleRecover arranges for the given rank to rejoin at the tick.
-func (c *Cluster) ScheduleRecover(tick int64, rank int) {
-	c.events.Schedule(tick, func() { c.RecoverMDS(rank) })
 }
 
 // CrashPathOwner crashes whichever rank is currently authoritative for
@@ -736,75 +715,58 @@ func (c *Cluster) resolveOp(res *namespace.Resolver, op workload.Op) routed {
 	return r
 }
 
-// ScheduleCrashPath arranges for the rank authoritative for path to
-// crash at the tick (partition-scoped fault injection).
-func (c *Cluster) ScheduleCrashPath(tick int64, path string) {
-	c.events.Schedule(tick, func() { c.CrashPathOwner(path) })
-}
-
-// ApplyFaults schedules every event of the fault schedule.
+// ApplyFaults schedules every event of the fault schedule: a crash of
+// a rank, of the hottest live rank at the tick (the adversarial failure
+// of the failover experiment), or of whichever rank governs a path at
+// the tick (partition-scoped), and rank recoveries.
 func (c *Cluster) ApplyFaults(s fault.Schedule) {
 	for _, ev := range s.Events {
 		switch {
 		case ev.Kind == fault.Crash && ev.Path != "":
-			c.ScheduleCrashPath(ev.Tick, ev.Path)
+			c.events.schedule(ev.Tick, func() { c.CrashPathOwner(ev.Path) })
 		case ev.Kind == fault.Crash && ev.Rank == fault.HottestRank:
-			c.ScheduleCrashHottest(ev.Tick)
+			c.events.schedule(ev.Tick, func() { c.CrashHottest() })
 		case ev.Kind == fault.Crash:
-			c.ScheduleCrash(ev.Tick, ev.Rank)
+			c.events.schedule(ev.Tick, func() { c.CrashMDS(ev.Rank) })
 		case ev.Kind == fault.Recover:
-			c.ScheduleRecover(ev.Tick, ev.Rank)
+			c.events.schedule(ev.Tick, func() { c.RecoverMDS(ev.Rank) })
 		}
 	}
 }
+
+// ranksWhere returns, in rank order, the ranks whose server satisfies
+// pred — the one walk behind every rank-set accessor and count.
+func (c *Cluster) ranksWhere(pred func(*mds.Server) bool) []int {
+	var out []int
+	for i, s := range c.servers {
+		if pred(s) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// isActive is the predicate of a rank that serves and may import: up
+// and not being emptied.
+func isActive(s *mds.Server) bool { return s.State() == mds.RankActive }
 
 // DownRanks returns the currently-crashed ranks in rank order. A
 // decommissioned rank is not down — it left the cluster on purpose and
 // is never a takeover source or recovery target — so it is excluded
 // (see DecommissionedRanks).
 func (c *Cluster) DownRanks() []int {
-	var out []int
-	for i, s := range c.servers {
-		if s.State() == mds.RankDown {
-			out = append(out, i)
-		}
-	}
-	return out
+	return c.ranksWhere(func(s *mds.Server) bool { return s.State() == mds.RankDown })
 }
 
 // DrainingRanks returns the ranks currently mid-drain in rank order.
-func (c *Cluster) DrainingRanks() []int {
-	var out []int
-	for i, s := range c.servers {
-		if s.Draining() {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+func (c *Cluster) DrainingRanks() []int { return c.ranksWhere((*mds.Server).Draining) }
 
 // DecommissionedRanks returns the retired ranks in rank order.
-func (c *Cluster) DecommissionedRanks() []int {
-	var out []int
-	for i, s := range c.servers {
-		if s.Decommissioned() {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+func (c *Cluster) DecommissionedRanks() []int { return c.ranksWhere((*mds.Server).Decommissioned) }
 
 // ServingRanks counts ranks currently serving requests (active or
 // draining).
-func (c *Cluster) ServingRanks() int {
-	n := 0
-	for _, s := range c.servers {
-		if s.Up() {
-			n++
-		}
-	}
-	return n
-}
+func (c *Cluster) ServingRanks() int { return len(c.ranksWhere((*mds.Server).Up)) }
 
 // drainState tracks one in-flight graceful drain.
 type drainState struct {
@@ -812,13 +774,67 @@ type drainState struct {
 	startEntries int
 }
 
+// up reports whether the rank exists and is serving (active or
+// draining): a legal migration endpoint on the exporting side.
+func (c *Cluster) up(r namespace.MDSID) bool {
+	return int(r) < len(c.servers) && c.servers[r].Up()
+}
+
 // importable reports whether the rank is a legal import target: in
 // range, serving, and not being emptied. This is the predicate behind
 // both the balancer view's Importable and the migrator's ValidImporter
 // activation gate.
 func (c *Cluster) importable(r namespace.MDSID) bool {
-	return r >= 0 && int(r) < len(c.servers) &&
-		c.servers[r].Up() && !c.servers[r].Draining()
+	return r >= 0 && int(r) < len(c.servers) && isActive(c.servers[r])
+}
+
+// liveOutage returns the outage a failover pass scheduled at crashedAt
+// acts on. ok is false for a stale invocation: the rank rejoined, or
+// crashed again later and a newer pass owns the failover.
+func (c *Cluster) liveOutage(dead namespace.MDSID, crashedAt int64) (o outage, ok bool) {
+	o, ok = c.outages[dead]
+	return o, ok && o.crashedAt == crashedAt
+}
+
+// spread hands out subtrees to the target with the least projected
+// load, one share at a time, so neither a takeover nor a drain dumps a
+// whole rank on one idle survivor.
+type spread struct {
+	ids []namespace.MDSID
+	eff []float64
+}
+
+// newSpread starts a spread over the ranks at their current loads.
+func (c *Cluster) newSpread(ranks []int) spread {
+	sp := spread{ids: make([]namespace.MDSID, len(ranks)), eff: make([]float64, len(ranks))}
+	for k, r := range ranks {
+		sp.ids[k], sp.eff[k] = namespace.MDSID(r), c.servers[r].CurrentLoad()
+	}
+	return sp
+}
+
+// charge adds planned load to a target (no-op for a rank outside the
+// spread).
+func (sp *spread) charge(id namespace.MDSID, load float64) {
+	for k, r := range sp.ids {
+		if r == id {
+			sp.eff[k] += load
+			return
+		}
+	}
+}
+
+// next returns the least-loaded target (lowest rank on ties) and
+// charges it share.
+func (sp *spread) next(share float64) namespace.MDSID {
+	best := 0
+	for k := 1; k < len(sp.eff); k++ {
+		if sp.eff[k] < sp.eff[best] {
+			best = k
+		}
+	}
+	sp.eff[best] += share
+	return sp.ids[best]
 }
 
 // reassignOrphans executes the failover takeover for a rank that
@@ -829,62 +845,40 @@ func (c *Cluster) importable(r namespace.MDSID) bool {
 // or crashed again later — are no-ops; if no survivor is live the
 // takeover retries every tick until one is.
 func (c *Cluster) reassignOrphans(dead namespace.MDSID, crashedAt int64) {
-	if !c.orphaned[dead] || c.crashTick[dead] != crashedAt {
-		return // rejoined, or a newer crash owns the takeover
-	}
-	if c.servers[dead].Up() {
-		delete(c.orphaned, dead)
+	o, ok := c.liveOutage(dead, crashedAt)
+	if !ok {
 		return
 	}
 	entries := c.part.EntriesOf(dead)
 	if len(entries) == 0 {
-		delete(c.orphaned, dead)
+		delete(c.outages, dead)
 		return
-	}
-	type survivor struct {
-		id  namespace.MDSID
-		eff float64
 	}
 	// Survivors are preferably active ranks; a draining rank only takes
 	// orphans when nobody else is up (the drain pump then re-exports
 	// them, so they still end on an active rank).
-	var live []survivor
-	for i, s := range c.servers {
-		if s.Up() && !s.Draining() {
-			live = append(live, survivor{namespace.MDSID(i), s.CurrentLoad()})
-		}
+	live := c.ranksWhere(isActive)
+	if len(live) == 0 {
+		live = c.ranksWhere((*mds.Server).Up)
 	}
 	if len(live) == 0 {
-		for i, s := range c.servers {
-			if s.Up() {
-				live = append(live, survivor{namespace.MDSID(i), s.CurrentLoad()})
-			}
-		}
-	}
-	if len(live) == 0 {
-		c.events.Schedule(c.tick+1, func() { c.reassignOrphans(dead, crashedAt) })
+		c.events.schedule(c.tick+1, func() { c.reassignOrphans(dead, crashedAt) })
 		return
 	}
-	// The dead rank's last load reading from before the crash, spread
-	// evenly across its entries, approximates what each takeover adds
-	// to a survivor. Reading CurrentLoad() here instead would see only
-	// the zero-load epochs recorded while the rank was down
-	// (RecoveryTicks exceeds an epoch), collapsing the load-weighted
-	// spread to uniform shares of 1 — the exact "one idle survivor
-	// swallows the whole dead rank" failure this spread exists to avoid.
-	share := c.crashLoad[dead] / float64(len(entries))
+	// The dead rank's pre-crash load, spread evenly across its entries,
+	// approximates what each takeover adds to a survivor. Reading
+	// CurrentLoad() here instead would see only the zero-load epochs
+	// recorded while the rank was down (RecoveryTicks exceeds an epoch),
+	// collapsing the load-weighted spread to uniform shares of 1 — the
+	// exact "one idle survivor swallows the whole dead rank" failure
+	// this spread exists to avoid.
+	share := o.load / float64(len(entries))
 	if share <= 0 {
 		share = 1
 	}
+	sp := c.newSpread(live)
 	for _, e := range entries {
-		best := 0
-		for i := 1; i < len(live); i++ {
-			if live[i].eff < live[best].eff {
-				best = i
-			}
-		}
-		c.part.SetAuth(e.Key, live[best].id)
-		live[best].eff += share
+		c.part.SetAuth(e.Key, sp.next(share))
 	}
 	c.rec.AddRecovery(metrics.RecoveryEvent{
 		Rank:         int(dead),
@@ -899,15 +893,13 @@ func (c *Cluster) reassignOrphans(dead namespace.MDSID, crashedAt int64) {
 			"survivors": len(live),
 		}})
 	}
-	delete(c.orphaned, dead)
-	delete(c.crashTick, dead)
-	delete(c.crashLoad, dead)
+	delete(c.outages, dead)
 }
 
 // AddMDS immediately grows the cluster by one server and returns it.
 func (c *Cluster) AddMDS() *mds.Server {
 	id := namespace.MDSID(len(c.servers))
-	s := mds.NewServer(id, c.cfg.Capacity, c.cfg.HistoryWindows, c.cfg.HeatDecay)
+	s := mds.NewServer(id, c.cfg.Capacity, historyWindows, heatDecay)
 	if c.tn != nil {
 		s.EnableTenants(c.tn.N())
 	}
@@ -941,13 +933,7 @@ func (c *Cluster) StartDrain(rank int) bool {
 	if inboundActive {
 		return false
 	}
-	active := 0
-	for _, s := range c.servers {
-		if s.Up() && !s.Draining() {
-			active++
-		}
-	}
-	if active <= 1 {
+	if len(c.ranksWhere(isActive)) <= 1 {
 		return false
 	}
 	if !c.servers[rank].StartDrain() {
@@ -967,13 +953,7 @@ func (c *Cluster) StartDrain(rank int) bool {
 		// A draining rank is leaving: its standby copies retire with it
 		// (read leases included) and the re-replicator restores R on
 		// ranks that stay.
-		before := c.rep.LeasesRevoked()
-		c.rep.DropRank(id)
-		if n := c.rep.LeasesRevoked() - before; n > 0 && c.bus.Enabled(obs.EvLeaseRevoke) {
-			f := obs.AcquireF()
-			f["rank"], f["n"], f["reason"] = rank, n, "drain"
-			c.bus.EmitPooled(obs.Event{Tick: c.tick, Type: obs.EvLeaseRevoke, Fields: f})
-		}
+		c.dropRankReplicas(id, "drain")
 	}
 	if c.bus.Enabled(obs.EvDrainStart) {
 		c.bus.Emit(obs.Event{Tick: c.tick, Type: obs.EvDrainStart,
@@ -1030,25 +1010,12 @@ func (c *Cluster) pumpDrains(tick int64) {
 			}
 			continue
 		}
-		var tgt []namespace.MDSID
-		var eff []float64
-		for j := range c.servers {
-			if jid := namespace.MDSID(j); c.importable(jid) {
-				tgt = append(tgt, jid)
-				eff = append(eff, c.servers[j].CurrentLoad())
-			}
-		}
-		if len(tgt) == 0 {
+		targets := c.ranksWhere(isActive)
+		if len(targets) == 0 {
 			continue // no import target this tick; retry next tick
 		}
-		project := func(t *mds.ExportTask) {
-			for k, r := range tgt {
-				if r == t.To {
-					eff[k] += t.PlannedLoad
-					break
-				}
-			}
-		}
+		sp := c.newSpread(targets)
+		project := func(t *mds.ExportTask) { sp.charge(t.To, t.PlannedLoad) }
 		c.migrator.ForEachQueued(project)
 		c.migrator.ForEachActive(project)
 		pending := c.migrator.PendingFor(id)
@@ -1060,14 +1027,7 @@ func (c *Cluster) pumpDrains(tick int64) {
 			if pending[e.Key] || c.migrator.IsFrozen(e.Key) {
 				continue
 			}
-			best := 0
-			for k := 1; k < len(tgt); k++ {
-				if eff[k] < eff[best] {
-					best = k
-				}
-			}
-			c.migrator.SubmitDrain(e.Key, id, tgt[best], share, tick)
-			eff[best] += share
+			c.migrator.SubmitDrain(e.Key, id, sp.next(share), share, tick)
 		}
 	}
 }
@@ -1095,18 +1055,10 @@ func (c *Cluster) finishDrain(id namespace.MDSID, ds *drainState, tick int64) {
 // fresh ranks are import targets in the same epoch's rebalance.
 func (c *Cluster) elasticStep(tick, epoch int64, ifv float64) {
 	var load float64
-	active, drainingN := 0, 0
-	for _, s := range c.servers {
-		if !s.Up() {
-			continue
-		}
-		load += s.CurrentLoad()
-		if s.Draining() {
-			drainingN++
-		} else {
-			active++
-		}
+	for _, i := range c.ranksWhere((*mds.Server).Up) {
+		load += c.servers[i].CurrentLoad()
 	}
+	active, drainingN := len(c.ranksWhere(isActive)), len(c.DrainingRanks())
 	snap := elastic.Snapshot{
 		Epoch:         epoch,
 		ActiveRanks:   active,
@@ -1158,13 +1110,7 @@ func (c *Cluster) SettleDrains(maxTicks int64) int64 {
 	minRanks := c.elastic.Policy().MinRanks
 	limit := c.tick + maxTicks
 	for c.tick < limit {
-		active := 0
-		for _, s := range c.servers {
-			if s.Up() && !s.Draining() {
-				active++
-			}
-		}
-		if len(c.draining) == 0 && active <= minRanks {
+		if len(c.draining) == 0 && len(c.ranksWhere(isActive)) <= minRanks {
 			break
 		}
 		c.Step()
@@ -1188,7 +1134,7 @@ func (c *Cluster) Step() {
 	tick := c.tick
 	epoch := tick / int64(c.cfg.EpochTicks)
 
-	c.events.RunDue(tick)
+	c.events.runDue(tick)
 
 	for _, s := range c.servers {
 		s.BeginTick()
@@ -1206,14 +1152,7 @@ func (c *Cluster) Step() {
 		c.osds.BeginTick()
 	}
 	c.migrator.Tick(tick)
-	if c.lt != nil {
-		// New tick, new write-invalidation window; then sync the routing
-		// table before any planning — the events above may have crashed
-		// or drained a lease holder, and a read run must never be routed
-		// to a rank whose lease just died with it.
-		c.leaseWriteRevoked = c.leaseWriteRevoked[:0]
-		c.syncLeaseTable()
-	}
+	c.leaseWriteRevoked = c.leaseWriteRevoked[:0] // new tick, new write-invalidation window
 	if len(c.draining) != 0 {
 		// Drains in flight: keep the bulk export fed. The guard keeps
 		// the fixed-size (and between-drains) tick loop allocation-free.
@@ -1243,7 +1182,7 @@ func (c *Cluster) Step() {
 		perMDS[i] = s.OpsThisTick()
 	}
 	c.rec.SampleTick(tick, perMDS, c.migrator.MigratedInodes(), c.forwards)
-	c.recoveryTickSum += int64(len(c.orphaned))
+	c.recoveryTickSum += int64(len(c.outages))
 	c.rec.SampleFaults(tick, c.stalledDown, c.migrator.AbortedTasks(), c.recoveryTickSum)
 
 	if (tick+1)%int64(c.cfg.EpochTicks) == 0 {
@@ -1322,11 +1261,11 @@ func (c *Cluster) endEpoch(tick, epoch int64) {
 	if c.elastic != nil {
 		c.elasticStep(tick, epoch, res.IF)
 	}
-	if c.lt != nil {
+	if c.leasesEnabled() {
 		// Carve hot read-dominated directories before the rebalance, so
 		// migration planning sees the carved entries; lease grants
-		// themselves run every tick in pumpLeases.
-		c.leaseStep(tick)
+		// themselves run every tick in pumpReplication.
+		c.leaseStep()
 	}
 	c.cfg.Balancer.Rebalance(&view{c: c, epoch: epoch})
 }
@@ -1358,16 +1297,14 @@ func (v *view) Epoch() int64                          { return v.epoch }
 func (v *view) EpochTicks() int                       { return v.c.cfg.EpochTicks }
 func (v *view) NumMDS() int                           { return len(v.c.servers) }
 func (v *view) Server(id namespace.MDSID) *mds.Server { return v.c.servers[id] }
-func (v *view) Up(id namespace.MDSID) bool {
-	return int(id) < len(v.c.servers) && v.c.servers[id].Up()
-}
-func (v *view) Importable(id namespace.MDSID) bool { return v.c.importable(id) }
-func (v *view) Partition() *namespace.Partition    { return v.c.part }
-func (v *view) Migrator() *mds.Migrator            { return v.c.migrator }
-func (v *view) Capacity() float64                  { return float64(v.c.cfg.Capacity) }
-func (v *view) HeatDecay() float64                 { return v.c.cfg.HeatDecay }
-func (v *view) Rand() *rng.Source                  { return v.c.rand }
-func (v *view) Ledger() *msg.Ledger                { return v.c.ledger }
+func (v *view) Up(id namespace.MDSID) bool            { return v.c.up(id) }
+func (v *view) Importable(id namespace.MDSID) bool    { return v.c.importable(id) }
+func (v *view) Partition() *namespace.Partition       { return v.c.part }
+func (v *view) Migrator() *mds.Migrator               { return v.c.migrator }
+func (v *view) Capacity() float64                     { return float64(v.c.cfg.Capacity) }
+func (v *view) HeatDecay() float64                    { return heatDecay }
+func (v *view) Rand() *rng.Source                     { return v.c.rand }
+func (v *view) Ledger() *msg.Ledger                   { return v.c.ledger }
 
 // ReadLeased implements balancer.LeaseView: a subtree currently served
 // under read leases — or one that qualifies and is waiting for its
@@ -1380,18 +1317,18 @@ func (v *view) Ledger() *msg.Ledger                { return v.c.ledger }
 // exactly as before.
 func (v *view) ReadLeased(key namespace.FragKey) bool {
 	c := v.c
-	if c.lt == nil {
+	if !c.leasesEnabled() {
 		return false
 	}
-	if c.lt.Has(key) {
+	if c.leased(key) {
 		return true
 	}
 	e, ok := c.part.EntryAt(key)
 	if !ok {
 		return false
 	}
-	hot := leaseHotFrac * float64(c.cfg.Capacity) * float64(c.cfg.EpochTicks)
-	return c.leaseQualifies(e, hot, c.rep.Policy().ReplicateReadFrac)
+	_, ok = c.leaseQualifies(e)
+	return ok
 }
 
 // TenantThrottled implements balancer.TenantView: a subtree whose heat

@@ -7,6 +7,7 @@ import (
 	"repro/internal/balancer"
 	"repro/internal/core"
 	"repro/internal/namespace"
+	"repro/internal/replica"
 	"repro/internal/workload"
 )
 
@@ -47,17 +48,27 @@ func newTestCluster(t testing.TB, cfg Config) *Cluster {
 func TestConfigValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		cfg  Config
-		want string // substring of the error
+		bad  func(*Config) // breaks one thing in an otherwise valid config
+		want string        // substring of the error
 	}{
-		{"nil balancer", Config{Workload: smallZipf()}, "balancer"},
-		{"nil workload", Config{Balancer: core.NewDefault()}, "workload"},
-		{"zero batching", Config{Balancer: core.NewDefault(), Workload: smallZipf(),
-			Batching: &BatchingConfig{}}, "batching"},
-		{"negative workers", Config{Balancer: core.NewDefault(), Workload: smallZipf(),
-			Workers: -1}, "workers"},
+		{"nil balancer", func(c *Config) { c.Balancer = nil }, "balancer"},
+		{"nil workload", func(c *Config) { c.Workload = nil }, "workload"},
+		{"zero batching", func(c *Config) { c.Batching = &BatchingConfig{} }, "batching"},
+		{"negative workers", func(c *Config) { c.Workers = -1 }, "workers"},
+		{"negative MDS", func(c *Config) { c.MDS = -1 }, "MDS"},
+		{"negative capacity", func(c *Config) { c.Capacity = -5 }, "capacity"},
+		{"negative epoch", func(c *Config) { c.EpochTicks = -1 }, "epoch"},
+		{"negative clients", func(c *Config) { c.Clients = -3 }, "clients"},
+		{"negative rate", func(c *Config) { c.ClientRate = -1 }, "rate"},
+		{"negative OSDs", func(c *Config) { c.OSDs = -1 }, "OSDs"},
+		{"promotion after takeover", func(c *Config) {
+			c.RecoveryTicks = 2
+			c.Replication = replica.MustManager(replica.DefaultPolicy())
+		}, "PromoteTicks"},
 	} {
-		if _, err := New(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+		cfg := Config{Balancer: core.NewDefault(), Workload: smallZipf()}
+		tc.bad(&cfg)
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: New returned %v, want an error naming %q", tc.name, err, tc.want)
 		}
 	}
@@ -269,7 +280,8 @@ func TestMessageLedgerPopulated(t *testing.T) {
 func TestFrozenSubtreeStallsNotLoses(t *testing.T) {
 	// Force a migration of a hot subtree and verify ops are stalled
 	// (clients retry) rather than dropped: total served still matches.
-	c := newTestCluster(t, Config{Workload: smallZipf(), Clients: 8, MigrationRate: 50})
+	c := newTestCluster(t, Config{Workload: smallZipf(), Clients: 8})
+	c.Migrator().RatePerTick = 50
 	c.RunUntilDone(20000)
 	if !c.Done() {
 		t.Fatal("run did not finish")

@@ -6,6 +6,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/namespace"
 	"repro/internal/obs"
+	"repro/internal/replica"
 	"repro/internal/rng"
 	"repro/internal/workload"
 )
@@ -156,10 +157,7 @@ type rankLane struct {
 	fwdTch   []int32 // ranks with nonzero fwdOut, in first-charge order
 	stalls   []int64 // per rank: stall notes buffered this round
 	stallT   []int32
-	fwdN     int64 // cluster-level forward count delta
-	downN    int64 // stalled-on-down delta
-	racedN   int64 // raced-create delta
-	leaseN   int64 // ops served under a read lease this round
+	n        opCounters // this round's deltas, added to the cluster's at the barrier
 	// revokes buffers write-invalidated leased keys; the barrier applies
 	// them (revokeLease) in ascending rank order.
 	revokes []namespace.FragKey
@@ -538,12 +536,12 @@ func (co *cohort) plan(e *engine, tick int64) {
 			r := e.c.resolveOp(co.res, op)
 			ent := r.ent
 			rank := int32(ent.Auth)
-			if lt := e.c.lt; lt != nil && lt.Len() != 0 && !op.Kind.IsWrite() {
+			if rep := e.c.rep; rep != nil && rep.LiveLeases() != 0 && !op.Kind.IsWrite() {
 				// A read on a leased subtree may serve at a lease holder
 				// instead of the authority; the run then targets the
 				// holder's rank and budget.
-				if holders := lt.Holders(ent.Key); len(holders) != 0 && op.Target != nil {
-					rank = e.leaseRank(ent, holders, op.Target.Ino)
+				if leases := rep.Leases(ent.Key); len(leases) != 0 && op.Target != nil {
+					rank = e.leaseRank(ent, leases, op.Target.Ino)
 				}
 			}
 			if nRuns == 0 || co.runs[start+nRuns-1].rank != rank {
@@ -616,9 +614,9 @@ func (e *engine) admitRuns() {
 // looked idle at epoch close absorbs the entire next epoch's stream
 // and the roles flip every epoch. The uniform spread is stable, keeps
 // every candidate under demand/n, and is a pure function of (entry,
-// holders, inode) — no shared mutable reads — so it is identical at
+// leases, inode) — no shared mutable reads — so it is identical at
 // every worker count.
-func (e *engine) leaseRank(ent namespace.Entry, holders []namespace.MDSID, ino namespace.Ino) int32 {
+func (e *engine) leaseRank(ent namespace.Entry, leases []replica.Lease, ino namespace.Ino) int32 {
 	c := e.c
 	var cands [8]namespace.MDSID
 	n := 0
@@ -629,9 +627,9 @@ func (e *engine) leaseRank(ent namespace.Entry, holders []namespace.MDSID, ino n
 		}
 	}
 	add(ent.Auth)
-	for _, h := range holders {
-		if h != ent.Auth {
-			add(h)
+	for _, l := range leases {
+		if l.Rank != ent.Auth {
+			add(l.Rank)
 		}
 	}
 	if n == 0 {
@@ -712,7 +710,7 @@ func (e *engine) stall(lane *rankLane, cl *client.Client, at namespace.MDSID) {
 // stalled-on-down and the client enters capped-exponential backoff.
 func (e *engine) stallDown(lane *rankLane, cl *client.Client, at namespace.MDSID, tick int64) {
 	lane.noteStall(at)
-	lane.downN++
+	lane.n.stalledDown++
 	cl.RetainBackoff(tick, at)
 	if e.c.bus.Enabled(obs.EvBackoffEnter) {
 		f := obs.AcquireF()
@@ -770,7 +768,7 @@ func (e *engine) relay(lane *rankLane, target *namespace.Inode) (execStatus, nam
 		}
 		lane.fwdOut[h]++
 	}
-	lane.fwdN += int64(len(hops))
+	lane.n.forwards += int64(len(hops))
 	return execOK, 0
 }
 
@@ -819,7 +817,7 @@ func (e *engine) execOp(lane *rankLane, auth *mds.Server, cl *client.Client,
 				// Invalid name: treat as served. No MDS serves the op,
 				// so count it for the auditor's ops-conservation
 				// reconciliation.
-				lane.racedN++
+				lane.n.racedCreates++
 				return execOK, 0
 			}
 		}
@@ -837,7 +835,7 @@ func (e *engine) execOp(lane *rankLane, auth *mds.Server, cl *client.Client,
 		// replica — no client-cache or relay work (the client holds the
 		// lease grant; reads resolve to the holder directly).
 		e.serve(lane, auth, entry, target, epoch, false)
-		lane.leaseN++
+		lane.n.leaseServes++
 		return execOK, 0
 	}
 	if cached, ok := cl.CacheLookup(entry.Key); !ok || cached != entry.Auth {
@@ -900,7 +898,7 @@ func (e *engine) serve(lane *rankLane, auth *mds.Server, entry namespace.Entry,
 // leased subtree; the barrier applies it. Reads and unleased subtrees
 // cost one branch.
 func (e *engine) noteWrite(lane *rankLane, key namespace.FragKey, write bool) {
-	if write && e.c.lt != nil && e.c.lt.Has(key) {
+	if write && e.c.leased(key) {
 		lane.revokes = append(lane.revokes, key)
 	}
 }
@@ -933,7 +931,7 @@ func (e *engine) applyLane(lane *rankLane, tick int64) {
 			// probe-free write-back promise may lose its slot.
 			panic("cluster: duplicate create reached the sync barrier")
 		}
-		lane.racedN++
+		lane.n.racedCreates++
 	}
 	lane.creates = lane.creates[:0]
 	if len(lane.aside) > 0 {
@@ -953,13 +951,9 @@ func (e *engine) applyLane(lane *rankLane, tick int64) {
 		lane.stalls[h] = 0
 	}
 	lane.stallT = lane.stallT[:0]
-	c.forwards += lane.fwdN
-	c.stalledDown += lane.downN
-	c.racedCreates += lane.racedN
-	c.leaseServes += lane.leaseN
-	lane.fwdN, lane.downN, lane.racedN, lane.leaseN = 0, 0, 0, 0
+	c.opCounters.add(&lane.n)
 	for _, k := range lane.revokes {
-		c.revokeLease(k, "write")
+		c.revokeLease(k)
 	}
 	lane.revokes = lane.revokes[:0]
 	if lane.batchCommits != 0 {

@@ -1,4 +1,4 @@
-package sim
+package cluster
 
 import (
 	"testing"
@@ -6,39 +6,35 @@ import (
 )
 
 func TestQueueOrdering(t *testing.T) {
-	var q Queue
+	var q eventQueue
 	var fired []int
-	q.Schedule(5, func() { fired = append(fired, 5) })
-	q.Schedule(1, func() { fired = append(fired, 1) })
-	q.Schedule(3, func() { fired = append(fired, 3) })
-	q.RunDue(4)
+	q.schedule(5, func() { fired = append(fired, 5) })
+	q.schedule(1, func() { fired = append(fired, 1) })
+	q.schedule(3, func() { fired = append(fired, 3) })
+	q.runDue(4)
 	if len(fired) != 2 || fired[0] != 1 || fired[1] != 3 {
 		t.Fatalf("fired = %v", fired)
 	}
-	if q.Len() != 1 {
-		t.Fatalf("pending = %d", q.Len())
+	if q.h.Len() != 1 || q.h[0].tick != 5 {
+		t.Fatalf("pending = %d, want the tick-5 event", q.h.Len())
 	}
-	next, ok := q.NextTick()
-	if !ok || next != 5 {
-		t.Fatalf("next = %d/%v", next, ok)
-	}
-	q.RunDue(5)
+	q.runDue(5)
 	if len(fired) != 3 || fired[2] != 5 {
 		t.Fatalf("fired = %v", fired)
 	}
-	if _, ok := q.NextTick(); ok {
+	if q.h.Len() != 0 {
 		t.Fatal("queue should be drained")
 	}
 }
 
 func TestQueueSameTickFIFO(t *testing.T) {
-	var q Queue
+	var q eventQueue
 	var fired []int
 	for i := 0; i < 10; i++ {
 		i := i
-		q.Schedule(7, func() { fired = append(fired, i) })
+		q.schedule(7, func() { fired = append(fired, i) })
 	}
-	q.RunDue(7)
+	q.runDue(7)
 	for i, v := range fired {
 		if v != i {
 			t.Fatalf("same-tick events out of submission order: %v", fired)
@@ -47,18 +43,18 @@ func TestQueueSameTickFIFO(t *testing.T) {
 }
 
 func TestQueueScheduleDuringRun(t *testing.T) {
-	var q Queue
+	var q eventQueue
 	var fired []string
-	q.Schedule(1, func() {
+	q.schedule(1, func() {
 		fired = append(fired, "a")
-		q.Schedule(1, func() { fired = append(fired, "b") }) // same tick, during run
-		q.Schedule(9, func() { fired = append(fired, "late") })
+		q.schedule(1, func() { fired = append(fired, "b") }) // same tick, during run
+		q.schedule(9, func() { fired = append(fired, "late") })
 	})
-	q.RunDue(1)
+	q.runDue(1)
 	if len(fired) != 2 || fired[1] != "b" {
 		t.Fatalf("fired = %v", fired)
 	}
-	q.RunDue(9)
+	q.runDue(9)
 	if len(fired) != 3 || fired[2] != "late" {
 		t.Fatalf("fired = %v", fired)
 	}
@@ -66,13 +62,13 @@ func TestQueueScheduleDuringRun(t *testing.T) {
 
 func TestQueueOrderProperty(t *testing.T) {
 	f := func(ticks []uint8) bool {
-		var q Queue
+		var q eventQueue
 		var fired []int64
 		for _, tk := range ticks {
 			tk := int64(tk)
-			q.Schedule(tk, func() { fired = append(fired, tk) })
+			q.schedule(tk, func() { fired = append(fired, tk) })
 		}
-		q.RunDue(1 << 30)
+		q.runDue(1 << 30)
 		if len(fired) != len(ticks) {
 			return false
 		}

@@ -3,28 +3,30 @@
 // shared-directory read storm is served by up to R ranks instead of
 // queueing on the one authoritative server. The replica manager owns
 // lease truth (grant/revoke/expiry, always on synced standbys only);
-// this file is the control loop around it — the epoch-close grant and
-// carve passes, the routing-table sync, and the write/migration/crash
-// invalidation plumbing. Everything is guarded by c.lt != nil, so a
-// cluster without leases (LeaseTicks 0, the default) pays nothing.
+// this file is the control loop around it — the per-tick grant pass, the
+// epoch-close carve pass, and the write/migration/crash invalidation
+// plumbing — and everyone who routes or invalidates reads the manager's
+// lease set directly. A cluster without leases (LeaseTicks 0, the
+// default) never has a live lease and pays one comparison per read.
 //
-// Determinism: grants and carves run in the serial epoch close over the
+// Determinism: grants and carves run in serial sections over the
 // partition's sorted entry snapshot; write revokes are buffered in rank
 // lanes during the parallel serve rounds and applied at the serial
-// barriers in ascending rank order; the routing table is rebuilt only
-// in serial sections. The lease path is therefore byte-identical at
-// every worker count, which the differential tests prove.
+// barriers in ascending rank order. The lease set therefore changes
+// only in serial sections — the parallel plan and serve phases only
+// read it — and the lease path is byte-identical at every worker count,
+// which the differential tests prove.
 package cluster
 
 import (
+	"repro/internal/mds"
 	"repro/internal/namespace"
 	"repro/internal/obs"
-	"repro/internal/replica"
 )
 
 const (
 	// leaseHotFrac is the grant threshold: a subtree qualifies for read
-	// leases when its epoch heat exceeds this fraction of one rank's
+	// leases when its epoch heat reaches this fraction of one rank's
 	// epoch capacity — i.e. it alone keeps a server half-busy, so
 	// spreading its reads across standbys buys real headroom.
 	leaseHotFrac = 0.5
@@ -42,53 +44,51 @@ func (c *Cluster) leasesEnabled() bool {
 	return c.rep != nil && c.rep.Policy().LeaseTicks > 0
 }
 
-// syncLeaseTable rebuilds the routing table from the manager's lease
-// state when lease membership has changed. Serial sections only.
-func (c *Cluster) syncLeaseTable() {
-	if c.lt == nil {
-		return
-	}
-	v := c.rep.LeaseVersion()
-	if v == c.ltVersion {
-		return
-	}
-	c.lt.Clear()
-	c.rep.ForEachGroup(func(g *replica.Group) {
-		if len(g.Leases) == 0 {
-			return
-		}
-		holders := make([]namespace.MDSID, len(g.Leases))
-		for i, l := range g.Leases {
-			holders[i] = l.Rank
-		}
-		c.lt.Set(g.Key, holders)
-	})
-	c.ltVersion = v
+// leased reports whether the subtree holds a live read lease.
+func (c *Cluster) leased(key namespace.FragKey) bool {
+	return c.rep != nil && c.rep.LiveLeases() != 0 && len(c.rep.Leases(key)) != 0
 }
 
 // revokeLease drops every lease on the subtree — the write-invalidation
-// path, applied at the serial apply barriers (reason "write") in
-// ascending rank order. Idempotent: a key already revoked this round is
-// a no-op, so duplicate buffered revokes are harmless.
-func (c *Cluster) revokeLease(key namespace.FragKey, reason string) {
-	if c.lt == nil || !c.lt.Has(key) {
+// path, applied at the serial apply barriers in ascending rank order.
+// Idempotent: a key already revoked this round is a no-op, so duplicate
+// buffered revokes are harmless.
+func (c *Cluster) revokeLease(key namespace.FragKey) {
+	if !c.leased(key) {
 		return
 	}
 	n := c.rep.RevokeLeases(key)
-	c.lt.Remove(key)
-	c.ltVersion = c.rep.LeaseVersion()
-	if reason == "write" {
-		// The auditor checks that a write-invalidated subtree holds zero
-		// live leases at tick end; the grant pass also skips these keys
-		// this epoch (the write has not shipped to the standbys yet).
-		c.leaseWriteRevoked = append(c.leaseWriteRevoked, key)
-	}
-	if n > 0 && c.bus.Enabled(obs.EvLeaseRevoke) {
+	// The auditor checks that a write-invalidated subtree holds zero
+	// live leases at tick end; the grant pass also skips these keys
+	// this tick (the write has not shipped to the standbys yet).
+	c.leaseWriteRevoked = append(c.leaseWriteRevoked, key)
+	if c.bus.Enabled(obs.EvLeaseRevoke) {
 		f := obs.AcquireF()
 		f["dir"], f["frag"] = key.Dir, key.Frag.String()
+		f["n"], f["reason"] = n, "write"
+		c.bus.EmitPooled(obs.Event{Tick: c.tick, Type: obs.EvLeaseRevoke, Fields: f})
+	}
+}
+
+// noteRevoked reports n leases that died with a rank (crash, drain) or
+// with an authority move (migrate; rank < 0, no rank field).
+func (c *Cluster) noteRevoked(rank int, n int64, reason string) {
+	if n > 0 && c.bus.Enabled(obs.EvLeaseRevoke) {
+		f := obs.AcquireF()
+		if rank >= 0 {
+			f["rank"] = rank
+		}
 		f["n"], f["reason"] = n, reason
 		c.bus.EmitPooled(obs.Event{Tick: c.tick, Type: obs.EvLeaseRevoke, Fields: f})
 	}
+}
+
+// dropRankReplicas retires a crashed or draining rank's replica state:
+// it leaves every standby set, and the read leases it held die with it.
+func (c *Cluster) dropRankReplicas(id namespace.MDSID, reason string) {
+	before := c.rep.LeasesRevoked()
+	c.rep.DropRank(id)
+	c.noteRevoked(int(id), c.rep.LeasesRevoked()-before, reason)
 }
 
 // writeRevokedThisTick reports whether the key's leases were write-
@@ -104,15 +104,15 @@ func (c *Cluster) writeRevokedThisTick(key namespace.FragKey) bool {
 	return false
 }
 
-// subtreeHeatRW sums a subtree key's (total, read) heat across its
-// primary and current lease holders. Lease-served reads land on the
+// heatAcross sums a (total, read) heat reading across the entry's
+// primary and its current lease holders. Lease-served reads land on the
 // holders' counters, so reading the primary alone would watch a leased
 // subtree "cool down" and let its leases lapse every term.
-func (c *Cluster) subtreeHeatRW(e namespace.Entry) (total, read float64) {
-	total, read = c.servers[e.Auth].KeyHeatRW(e.Key)
-	for _, h := range c.lt.Holders(e.Key) {
-		if int(h) < len(c.servers) && h != e.Auth {
-			t, r := c.servers[h].KeyHeatRW(e.Key)
+func (c *Cluster) heatAcross(e namespace.Entry, heat func(*mds.Server) (total, read float64)) (total, read float64) {
+	total, read = heat(c.servers[e.Auth])
+	for _, l := range c.rep.Leases(e.Key) {
+		if h := l.Rank; int(h) < len(c.servers) && h != e.Auth {
+			t, r := heat(c.servers[h])
 			total += t
 			read += r
 		}
@@ -120,32 +120,38 @@ func (c *Cluster) subtreeHeatRW(e namespace.Entry) (total, read float64) {
 	return total, read
 }
 
-// dirHeatRW sums a directory's (total, read) heat the same way, over
-// the servers that may have served it under the governing entry.
+// subtreeHeatRW is the subtree key's heat across primary and holders.
+func (c *Cluster) subtreeHeatRW(e namespace.Entry) (total, read float64) {
+	return c.heatAcross(e, func(s *mds.Server) (float64, float64) { return s.KeyHeatRW(e.Key) })
+}
+
+// dirHeatRW is a directory's heat across the servers that may have
+// served it under the governing entry.
 func (c *Cluster) dirHeatRW(e namespace.Entry, ino namespace.Ino) (total, read float64) {
-	total, read = c.servers[e.Auth].DirHeatRW(ino)
-	for _, h := range c.lt.Holders(e.Key) {
-		if int(h) < len(c.servers) && h != e.Auth {
-			t, r := c.servers[h].DirHeatRW(ino)
-			total += t
-			read += r
-		}
-	}
-	return total, read
+	return c.heatAcross(e, func(s *mds.Server) (float64, float64) { return s.DirHeatRW(ino) })
+}
+
+// leaseWorthy is the bar a (total, read) heat reading must clear for
+// read leases: hot (see leaseHotFrac) and read-dominated (the policy's
+// migrate-vs-replicate threshold).
+func (c *Cluster) leaseWorthy(total, read float64) bool {
+	hot := leaseHotFrac * float64(c.cfg.Capacity) * float64(c.cfg.EpochTicks)
+	return total >= hot && read >= c.rep.Policy().ReplicateReadFrac*total
 }
 
 // leaseQualifies reports whether a subtree entry currently qualifies
 // for read leases: live authority, not mid-migration, not write-
-// invalidated this tick, hot enough, and read-dominated enough.
-func (c *Cluster) leaseQualifies(e namespace.Entry, hot, minFrac float64) bool {
-	if int(e.Auth) >= len(c.servers) || !c.servers[e.Auth].Up() {
-		return false
-	}
-	if c.migrator.IsFrozen(e.Key) || c.writeRevokedThisTick(e.Key) {
-		return false
+// invalidated this tick, and lease-worthy heat. It returns the read
+// fraction the entry qualified with.
+func (c *Cluster) leaseQualifies(e namespace.Entry) (readFrac float64, ok bool) {
+	if !c.up(e.Auth) || c.migrator.IsFrozen(e.Key) || c.writeRevokedThisTick(e.Key) {
+		return 0, false
 	}
 	total, read := c.subtreeHeatRW(e)
-	return total >= hot && read >= minFrac*total
+	if !c.leaseWorthy(total, read) {
+		return 0, false
+	}
+	return read / total, true
 }
 
 // leaseGrants grants (or refreshes) read leases on every qualifying
@@ -156,23 +162,21 @@ func (c *Cluster) leaseQualifies(e namespace.Entry, hot, minFrac float64) bool {
 // Refreshes are silent in the manager, so the steady state costs one
 // Expires bump per holder per tick and emits nothing.
 func (c *Cluster) leaseGrants(tick int64) {
-	pol := c.rep.Policy()
-	hot := leaseHotFrac * float64(c.cfg.Capacity) * float64(c.cfg.EpochTicks)
-	minFrac := pol.ReplicateReadFrac
+	until := tick + c.rep.Policy().LeaseTicks
 	for _, e := range c.part.Entries() {
-		if !c.leaseQualifies(e, hot, minFrac) {
+		readFrac, ok := c.leaseQualifies(e)
+		if !ok {
 			continue
 		}
-		granted := c.rep.GrantLeases(e.Key, tick+pol.LeaseTicks)
+		granted := c.rep.GrantLeases(e.Key, until)
 		if len(granted) > 0 && c.bus.Enabled(obs.EvLeaseGrant) {
 			ranks := make([]int, len(granted))
 			for i, r := range granted {
 				ranks[i] = int(r)
 			}
-			total, read := c.subtreeHeatRW(e)
 			f := obs.AcquireF()
 			f["dir"], f["frag"] = e.Key.Dir, e.Key.Frag.String()
-			f["ranks"], f["until"], f["read_frac"] = ranks, tick+pol.LeaseTicks, read/total
+			f["ranks"], f["until"], f["read_frac"] = ranks, until, readFrac
 			c.bus.EmitPooled(obs.Event{Tick: tick, Type: obs.EvLeaseGrant, Fields: f})
 		}
 	}
@@ -184,10 +188,7 @@ func (c *Cluster) leaseGrants(tick int64) {
 // and the per-tick grant pass can lease exactly the storm's directory
 // instead of a whole rank's subtree. It runs before the balancer's
 // Rebalance so migration planning sees the carved entries.
-func (c *Cluster) leaseStep(tick int64) {
-	pol := c.rep.Policy()
-	hot := leaseHotFrac * float64(c.cfg.Capacity) * float64(c.cfg.EpochTicks)
-	minFrac := pol.ReplicateReadFrac
+func (c *Cluster) leaseStep() {
 	carves := leaseCarvesPerEpoch
 	// Entries() is a fresh sorted snapshot, so carving inside the loop
 	// is safe; entries carved this pass get groups at this tick's
@@ -196,10 +197,10 @@ func (c *Cluster) leaseStep(tick int64) {
 		if carves == 0 {
 			break
 		}
-		if !c.leaseQualifies(e, hot, minFrac) {
+		if _, ok := c.leaseQualifies(e); !ok {
 			continue
 		}
-		if c.leaseCarve(e, hot, minFrac) {
+		if c.leaseCarve(e) {
 			carves--
 		}
 	}
@@ -213,7 +214,7 @@ func (c *Cluster) leaseStep(tick int64) {
 // converges the lease onto the storm's actual directory. Directories
 // that are already subtree roots are never descended into (their own
 // entries qualify on their own), matching Partition.Carve's contract.
-func (c *Cluster) leaseCarve(e namespace.Entry, hot, minFrac float64) bool {
+func (c *Cluster) leaseCarve(e namespace.Entry) bool {
 	cur := c.tree.Get(e.Key.Dir)
 	if cur == nil {
 		return false
@@ -228,7 +229,7 @@ func (c *Cluster) leaseCarve(e namespace.Entry, hot, minFrac float64) bool {
 				continue
 			}
 			total, read := c.dirHeatRW(e, ch.Ino)
-			if total < hot || read < minFrac*total {
+			if !c.leaseWorthy(total, read) {
 				continue
 			}
 			if next == nil || total > nextHeat {
@@ -255,23 +256,6 @@ func (c *Cluster) leaseCarve(e namespace.Entry, hot, minFrac float64) bool {
 	return true
 }
 
-// pumpLeases runs inside pumpReplication after the journal pump: expire
-// leases whose term ended this tick, grant (or refresh) leases on the
-// subtrees that qualify now, then refresh the routing table if anything
-// — expiry, grants, reconcile rebases, drops — changed lease membership
-// this tick.
-func (c *Cluster) pumpLeases(tick int64) {
-	if c.lt == nil {
-		return
-	}
-	c.rep.ExpireLeases(tick)
-	c.leaseGrants(tick)
-	c.syncLeaseTable()
-}
-
 // LeaseServes returns how many ops were served under a read lease by a
 // non-authoritative holder rank.
 func (c *Cluster) LeaseServes() int64 { return c.leaseServes }
-
-// LeaseTable returns the live routing table (nil when leases are off).
-func (c *Cluster) LeaseTable() *namespace.LeaseTable { return c.lt }

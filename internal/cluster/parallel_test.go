@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"regexp"
 	"testing"
 
 	"repro/internal/audit"
 	"repro/internal/fault"
+	"repro/internal/namespace"
 	"repro/internal/obs"
 	"repro/internal/replica"
 	"repro/internal/tenant"
@@ -76,8 +78,9 @@ func diffEngineOutputs(t *testing.T, name string, want, got []byte) {
 // engineScenarios are the stress configurations of the engine
 // differential. Each returns an optional post-construction hook. digest
 // is the SHA-256 of the serial run's runEngineDiff bytes, recorded at
-// the commit before write-back became a strategy of the one tick loop:
-// it pins the engine's output across commits, not only across worker
+// the commit before write-back became a strategy of the one tick loop
+// (rows added since: at the parent of the commit that added them): it
+// pins the engine's output across commits, not only across worker
 // counts. A change that means to alter model output re-records it.
 var engineScenarios = []struct {
 	name     string
@@ -103,7 +106,7 @@ var engineScenarios = []struct {
 		cfg.Workload = failoverZipf()
 		return func(c *Cluster) {
 			c.ScheduleAddMDS(55, 1)
-			c.events.Schedule(120, func() { c.StartDrain(1) })
+			c.events.schedule(120, func() { c.StartDrain(1) })
 		}
 	}},
 	{"replication", "daf22b42bff1f2755a625be16af913de7131404e604002b6a3f8fc7fe0e60d46", func(cfg *Config) func(*Cluster) {
@@ -158,6 +161,7 @@ var engineScenarios = []struct {
 		cfg.Replication = replica.MustManager(pol)
 		return nil
 	}},
+	{"leases-drain", "daa869cd708ce8305b0d280edbe9cb7ec518db340032e30202d26a2b3466ea75", leasesDrainScenario},
 	{"tenants", "8e99465160a8ee91c2f55cd0f2285d175c15363f254c1be9ffad24d58268d10b", func(cfg *Config) func(*Cluster) {
 		// Skewed multi-tenant mix under contended token buckets with a
 		// mid-run crash: the serial bucket-admission phase, per-tenant
@@ -220,6 +224,86 @@ var engineScenarios = []struct {
 	// and round, and a name-hash collision between promises.
 	{"dup-creates", "162e573a50004fc77f7a99c423f8aa533165c79dcb6b92f02fab2b4303bd66b4", dupCreateScenario(nil)},
 	{"wb-dup-creates", "456b4b51ff3265f41b9f2bceca5242d81bc5910b4ff33faa39c1dc1f6e76235b", dupCreateScenario(&BatchingConfig{BatchSize: 8, FlushEvery: 2})},
+}
+
+// leasesDrainScenario walks every way a live lease dies, each of which
+// the next plan phase must already see in the manager's lease set: a
+// graceful drain of a current holder, an export of a leased subtree
+// (submitted the way a balancer submits one; the reconcile after the
+// authority move revokes), a crash of another holder, and the storm's
+// own writes. Victims are
+// picked from the manager's live leases when the event fires, so the
+// scenario keeps hitting holders if the model's placement shifts.
+func leasesDrainScenario(cfg *Config) func(*Cluster) {
+	cfg.MDS = 6
+	cfg.Clients = 16
+	cfg.Seed = 11
+	cfg.RecoveryTicks = 12
+	cfg.Workload = workload.NewReadStorm(workload.ReadStormConfig{
+		Files:        300,
+		OpsPerClient: 20000,
+		WriteEvery:   40,
+	})
+	pol := replica.DefaultPolicy()
+	pol.R = 3
+	pol.LeaseTicks = 30
+	pol.ReplicateReadFrac = 0.6
+	cfg.Replication = replica.MustManager(pol)
+	return func(c *Cluster) {
+		// leased returns the first group holding a live lease.
+		leased := func() (g *replica.Group) {
+			c.rep.ForEachGroup(func(x *replica.Group) {
+				if g == nil && len(x.Leases) > 0 {
+					g = x
+				}
+			})
+			return g
+		}
+		// whenLeased runs fn at the first tick >= tick with a live lease.
+		var whenLeased func(tick int64, fn func(*replica.Group))
+		whenLeased = func(tick int64, fn func(*replica.Group)) {
+			c.events.schedule(tick, func() {
+				if g := leased(); g != nil {
+					fn(g)
+					return
+				}
+				whenLeased(c.tick+1, fn)
+			})
+		}
+		whenLeased(40, func(g *replica.Group) { c.StartDrain(int(g.Leases[0].Rank)) })
+		whenLeased(62, func(g *replica.Group) {
+			for r := range c.servers {
+				if to := namespace.MDSID(r); to != g.Primary && c.importable(to) {
+					c.migrator.Submit(g.Key, g.Primary, to, 1, c.tick)
+					return
+				}
+			}
+		})
+		whenLeased(90, func(g *replica.Group) { c.CrashMDS(int(g.Leases[0].Rank)) })
+	}
+}
+
+// TestLeasesDrainCoversEveryRevoke checks the leases-drain scenario does
+// what its digest is recorded for: leases die by drain, crash, migration
+// and write, and holders serve reads in between.
+func TestLeasesDrainCoversEveryRevoke(t *testing.T) {
+	var c *Cluster
+	out := runEngineDiff(t, 0, func(cfg *Config) func(*Cluster) {
+		after := leasesDrainScenario(cfg)
+		return func(built *Cluster) {
+			c = built
+			after(built)
+		}
+	})
+	for _, reason := range []string{"drain", "crash", "migrate", "write"} {
+		ev := regexp.MustCompile(`"type":"lease_revoke"[^\n]*"reason":"` + reason + `"`)
+		if !ev.Match(out) {
+			t.Errorf("no lease revoked by %s", reason)
+		}
+	}
+	if c.LeaseServes() == 0 {
+		t.Error("no ops served by lease holders")
+	}
 }
 
 // dupCreateWBRaced is the raced-create count of the wb-dup-creates

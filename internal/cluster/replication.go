@@ -28,9 +28,7 @@ func (c *Cluster) initReplication() {
 		Stats: func(id namespace.MDSID, key namespace.FragKey) (int64, float64) {
 			return c.servers[id].KeyStats(key)
 		},
-		Inodes: func(key namespace.FragKey) int {
-			return c.part.GovernedInodes(key)
-		},
+		Inodes: c.part.GovernedInodes,
 		OnResync: func(key namespace.FragKey, rank namespace.MDSID, inodes int) {
 			if c.bus.Enabled(obs.EvRereplicate) {
 				f := obs.AcquireF()
@@ -55,30 +53,21 @@ func (c *Cluster) loadOf(id namespace.MDSID) float64 {
 // snapshot.
 func (c *Cluster) pumpReplication(tick int64) {
 	if v := c.part.Version(); v != c.repVersion {
-		before := int64(0)
-		if c.lt != nil {
-			before = c.rep.LeasesRevoked()
-		}
+		before := c.rep.LeasesRevoked()
 		c.rep.Reconcile(c.part.Entries(), c.importable)
 		c.repVersion = v
-		if c.lt != nil {
-			// A reconcile after an authority move rebases the group and
-			// clears its leases (the new primary's standbys must re-earn
-			// them); surface those as migrate-revokes.
-			if n := c.rep.LeasesRevoked() - before; n > 0 && c.bus.Enabled(obs.EvLeaseRevoke) {
-				f := obs.AcquireF()
-				f["n"], f["reason"] = n, "migrate"
-				c.bus.EmitPooled(obs.Event{Tick: tick, Type: obs.EvLeaseRevoke, Fields: f})
-			}
-		}
+		// A reconcile after an authority move rebases the group and
+		// clears its leases (the new primary's standbys must re-earn
+		// them); surface those as migrate-revokes.
+		c.noteRevoked(-1, c.rep.LeasesRevoked()-before, "migrate")
 	}
 	c.repEnv.Ranks = len(c.servers)
 	c.rep.Pump(tick, c.repEnv)
-	c.pumpLeases(tick)
-	if v := c.part.Version(); v != c.repVersion {
-		// The pump itself never moves authority, but keep the stamp
-		// honest if that ever changes.
-		c.repVersion = v
+	if c.leasesEnabled() {
+		// After the journal pump: expire leases whose term ended this
+		// tick, then grant (or refresh) on the subtrees that qualify now.
+		c.rep.ExpireLeases(tick)
+		c.leaseGrants(tick)
 	}
 	if (tick+1)%int64(c.cfg.EpochTicks) == 0 && c.bus.Enabled(obs.EvJournalLag) {
 		f := obs.AcquireF()
@@ -96,10 +85,7 @@ func (c *Cluster) pumpReplication(tick int64) {
 // cold takeover. Stale invocations — the rank rejoined, or crashed
 // again later — are no-ops, mirroring reassignOrphans.
 func (c *Cluster) promoteReplicas(dead namespace.MDSID, crashedAt int64) {
-	if !c.orphaned[dead] || c.crashTick[dead] != crashedAt {
-		return // rejoined, or a newer crash owns the failover
-	}
-	if c.servers[dead].Up() {
+	if _, ok := c.liveOutage(dead, crashedAt); !ok {
 		return
 	}
 	entries := c.part.EntriesOf(dead)
@@ -135,9 +121,7 @@ func (c *Cluster) promoteReplicas(dead namespace.MDSID, crashedAt int64) {
 		// Everything promoted warm: nothing is orphaned anymore, so stop
 		// the outage clock now. The scheduled cold takeover no-ops via
 		// its crash-tick guard.
-		delete(c.orphaned, dead)
-		delete(c.crashTick, dead)
-		delete(c.crashLoad, dead)
+		delete(c.outages, dead)
 	}
 }
 

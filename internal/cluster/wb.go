@@ -30,7 +30,7 @@ import (
 //	    flushes — queue order is the dependency order (a create
 //	    precedes every op that depends on it in its client's stream),
 //	    so a held-back run holds back everything behind it. Plans never
-//	    consult the lease table: with batching on, leases are granted
+//	    read the lease set: with batching on, leases are granted
 //	    and revoked but no op is lease-served.
 //	admit (wbAdmit: tick shuffle order, then ID order for clients whose
 //	    only work is outstanding journaled batches)
@@ -403,7 +403,7 @@ func (e *engine) applyBatch(lane *rankLane, auth *mds.Server, cl *client.Client,
 			// losing promise completes as a raced create next serve.
 			in, err := lane.arena.NewFile(op.Parent, op.Name, op.Size)
 			if err != nil {
-				lane.racedN++
+				lane.n.racedCreates++
 				raced = true
 			} else {
 				lane.creates = append(lane.creates, in)
@@ -475,7 +475,7 @@ func (e *engine) applyBatch(lane *rankLane, auth *mds.Server, cl *client.Client,
 			auth.AddTenantHeat(entry.Key, cl.Tenant, served)
 		}
 	}
-	if wrote && c.lt != nil && c.lt.Has(entry.Key) {
+	if wrote && c.leased(entry.Key) {
 		// The batch mutated a leased subtree: its read leases die at the
 		// barrier (one revoke per batch is enough — revocation is
 		// idempotent per key per tick).

@@ -22,9 +22,6 @@ func TestServerCrashRejoinLifecycle(t *testing.T) {
 	if s.Serve(e, files[1], 0) {
 		t.Fatal("crashed server must not serve residual budget")
 	}
-	if s.ConsumeForward() {
-		t.Fatal("crashed server must not forward")
-	}
 	s.BeginTick()
 	if s.HasBudget() {
 		t.Fatal("down server must get no budget at BeginTick")

@@ -290,24 +290,6 @@ func (t *heatTable) dominantTenant(key namespace.FragKey) int {
 	return best
 }
 
-// tenantHeat returns the key's decayed heat attributed to tenant tn
-// (0 when the key carries no tenant split).
-func (t *heatTable) tenantHeat(key namespace.FragKey, tn int) float64 {
-	c := t.byKeyT[key]
-	if c == nil || tn < 0 || tn >= len(c.vals) {
-		return 0
-	}
-	p, ok := t.powAt(t.epoch - c.epoch)
-	if !ok {
-		return 0
-	}
-	v := c.vals[tn] * p
-	if v < heatFloor {
-		return 0
-	}
-	return v
-}
-
 // dirChain caches the ancestor heat cells an access to a child of one
 // parent directory must bump: the cells for parent, grandparent, ...,
 // up to and including the subtree root stop. Repeated accesses under

@@ -50,14 +50,18 @@ func TestServerBudget(t *testing.T) {
 func TestServerForwardChargesBudget(t *testing.T) {
 	s := NewServer(0, 2, 4, 0.5)
 	s.BeginTick()
-	if !s.ConsumeForward() || !s.ConsumeForward() {
-		t.Fatal("forwards within budget must succeed")
+	s.AddForwardCharges(1)
+	if s.RemainingBudget() != 1 {
+		t.Fatalf("budget after one forward = %d, want 1", s.RemainingBudget())
 	}
-	if s.ConsumeForward() {
-		t.Fatal("forward beyond budget must fail")
+	// A barrier batch admitted against the round-start snapshot is
+	// charged whole; the budget floors at zero.
+	s.AddForwardCharges(3)
+	if s.HasBudget() || s.RemainingBudget() != 0 {
+		t.Fatalf("budget after over-charge = %d, want 0", s.RemainingBudget())
 	}
-	if s.Forwards() != 2 {
-		t.Fatalf("forwards = %d", s.Forwards())
+	if s.Forwards() != 4 {
+		t.Fatalf("forwards = %d, want 4", s.Forwards())
 	}
 }
 

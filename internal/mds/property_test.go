@@ -107,7 +107,7 @@ func TestServerAccountingProperty(t *testing.T) {
 				if s.Serve(e, in, int64(tick/10)) {
 					served++
 				} else {
-					s.NoteStall()
+					s.AddStalls(1)
 				}
 			}
 			if s.OpsThisTick() > 10 {

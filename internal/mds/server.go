@@ -234,8 +234,8 @@ func (s *Server) RemainingBudget() int { return s.budget }
 
 // AddForwardCharges applies n relay charges buffered by the parallel
 // engine at a phase barrier: the rank that resolved a chain through
-// this server charges it here instead of calling ConsumeForward from
-// another goroutine. Admission was decided against the round-start
+// this server charges it here instead of writing this server's budget
+// from another goroutine. Admission was decided against the round-start
 // budget snapshot, so the whole batch is charged, flooring the budget
 // at zero (a relay hop never owes work into the next tick).
 func (s *Server) AddForwardCharges(n int) {
@@ -250,20 +250,8 @@ func (s *Server) AddForwardCharges(n int) {
 }
 
 // AddStalls applies n stall notes buffered by the parallel engine at a
-// phase barrier (the barrier-batched form of NoteStall).
+// phase barrier: requests that could not be served this tick.
 func (s *Server) AddStalls(n int64) { s.stallsTotal += n }
-
-// ConsumeForward charges one forwarding unit (a request relayed through
-// this server on its way to the authoritative MDS). It returns false
-// without charging when the server is saturated.
-func (s *Server) ConsumeForward() bool {
-	if s.budget <= 0 {
-		return false
-	}
-	s.budget--
-	s.fwdTotal++
-	return true
-}
 
 // Serve processes one metadata access to in, governed by subtree entry
 // e, during the given epoch. It returns false without side effects when
@@ -297,9 +285,6 @@ func (s *Server) ServeDeferVisit(e namespace.Entry, in *namespace.Inode, epoch i
 	s.addHeat(e.Key, in, write)
 	return true, firstVisit
 }
-
-// NoteStall records a request that could not be served this tick.
-func (s *Server) NoteStall() { s.stallsTotal++ }
 
 // Journal returns the rank's group-commit journal of write-back
 // batches. It is empty unless the cluster runs clients in write-back
@@ -444,19 +429,10 @@ func (s *Server) KeyStats(key namespace.FragKey) (ops int64, heat float64) {
 // SeedHeat installs warm popularity for a subtree entry — the applied
 // journal prefix a promoted standby carries — so the balancer sees the
 // promoted subtree's history instead of a cold zero. Non-positive
-// seeds are ignored.
-func (s *Server) SeedHeat(key namespace.FragKey, heat float64) {
-	if heat <= 0 {
-		return
-	}
-	c := s.heat.keyCell(key)
-	c.val = s.heat.value(c) + heat
-	// Fold the read component's pending decay under the new stamp. The
-	// seed itself lands in the write side: a promoted subtree re-earns
-	// its read-dominance from live traffic before leases re-form.
-	c.rval = s.heat.readValue(c)
-	c.epoch = s.heat.epoch
-}
+// seeds are ignored. The seed lands in the write side (read component
+// 0): a promoted subtree re-earns its read-dominance from live traffic
+// before leases re-form.
+func (s *Server) SeedHeat(key namespace.FragKey, heat float64) { s.SeedHeatRW(key, heat, 0) }
 
 // SeedHeatRW installs warm popularity with an explicit read component.
 // The lease controller's carve pass uses it to transfer a directory's
@@ -557,11 +533,6 @@ func (s *Server) DominantTenant(key namespace.FragKey) int {
 		return -1
 	}
 	return s.heat.dominantTenant(key)
-}
-
-// TenantHeat returns the key's decayed heat attributed to tenant t.
-func (s *Server) TenantHeat(key namespace.FragKey, t int) float64 {
-	return s.heat.tenantHeat(key, t)
 }
 
 // LoadHistory returns the per-epoch load series (ops/sec). The returned

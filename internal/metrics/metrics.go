@@ -305,14 +305,6 @@ func (r *Recorder) MergeTenantLatencyShard(t int, s *LatencyShard) {
 	s.maxIdx, s.n, s.sum = 0, 0, 0
 }
 
-// TenantOps returns how many ops tenant t completed.
-func (r *Recorder) TenantOps(t int) int64 {
-	if t < 0 || t >= len(r.tenantLat) {
-		return 0
-	}
-	return r.tenantLat[t].n
-}
-
 // TenantMeanLatency returns tenant t's average op latency in ticks.
 func (r *Recorder) TenantMeanLatency(t int) float64 {
 	if t < 0 || t >= len(r.tenantLat) || r.tenantLat[t].n == 0 {

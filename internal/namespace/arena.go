@@ -21,7 +21,7 @@ type InodeArena struct {
 // must guarantee (parent, name) is not already linked and not promised
 // by another lane; name validity is checked here exactly as the tree's
 // own create path does. The inode supports everything the serve path
-// needs (Parent chain, NameHash, heat tracking); it must be adopted
+// needs (Parent chain, name hash, heat tracking); it must be adopted
 // before the namespace is read again.
 func (a *InodeArena) NewFile(parent *Inode, name string, size int64) (*Inode, error) {
 	return a.NewFileHashed(parent, name, HashName(name), size)

@@ -53,14 +53,14 @@ func BenchmarkResolverEntry(b *testing.B) {
 	}
 }
 
-// BenchmarkResolveChain allocates a fresh chain per call (the pre-PR3
-// relay-path behaviour).
+// BenchmarkResolveChain allocates a fresh chain per call (a nil
+// buffer: the pre-PR3 relay-path behaviour).
 func BenchmarkResolveChain(b *testing.B) {
 	_, p, leaf := benchPartition(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = p.ResolveChain(leaf)
+		_, _ = p.ResolveChainInto(nil, leaf)
 	}
 }
 

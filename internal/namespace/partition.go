@@ -163,55 +163,17 @@ func (p *Partition) AuthOf(in *Inode) MDSID {
 	return p.GoverningEntry(in).Auth
 }
 
-// ResolveWithHops returns the governing entry of the inode together
-// with the number of inter-MDS forwards a path traversal from the root
-// would incur: one forward for every authority change along the chain
-// of subtree roots from the root entry down to the governing entry.
-// Fine-grained static partitions (Dir-Hash) fragment the chain and
-// inflate this count, which is what Figure 14 measures.
-func (p *Partition) ResolveWithHops(in *Inode) (Entry, int) {
-	// Collect the authorities of every subtree boundary from the inode
-	// up to the root, then count adjacent changes top-down.
-	var auths []MDSID
-	var governing Entry
-	found := false
-	for cur := in; cur.Parent != nil; cur = cur.Parent {
-		if e, ok := p.lookupEntry(cur.Parent.Ino, cur.nameHash); ok {
-			auths = append(auths, e.Auth)
-			if !found {
-				governing = e
-				found = true
-			}
-		}
-	}
-	root := p.RootEntry()
-	auths = append(auths, root.Auth)
-	if !found {
-		governing = root
-	}
-	hops := 0
-	for i := len(auths) - 1; i > 0; i-- {
-		if auths[i] != auths[i-1] {
-			hops++
-		}
-	}
-	return governing, hops
-}
-
-// ResolveChain returns the sequence of authorities a path traversal
-// from the root to the inode visits (adjacent duplicates collapsed,
-// ordered root-first) together with the governing entry. The request is
-// served by the last element; every earlier element relays (forwards)
-// it.
-func (p *Partition) ResolveChain(in *Inode) ([]MDSID, Entry) {
-	return p.ResolveChainInto(nil, in)
-}
-
-// ResolveChainInto is ResolveChain with the authorities written into
-// buf (grown as needed). Once buf has reached the chain depth the call
-// performs no allocations, which is what the per-op serve path needs.
-// The returned slice aliases buf and is only valid until the next call
-// with the same buffer.
+// ResolveChainInto returns the sequence of authorities a path
+// traversal from the root to the inode visits (adjacent duplicates
+// collapsed, ordered root-first) together with the governing entry. The
+// request is served by the last element; every earlier element relays
+// (forwards) it — one forward for every authority change along the
+// chain of subtree roots, which fine-grained static partitions
+// (Dir-Hash) inflate and Figure 14 measures. The authorities are
+// written into buf (grown as needed; nil allocates). Once buf has
+// reached the chain depth the call performs no allocations, which is
+// what the per-op serve path needs. The returned slice aliases buf and
+// is only valid until the next call with the same buffer.
 func (p *Partition) ResolveChainInto(buf []MDSID, in *Inode) ([]MDSID, Entry) {
 	auths := buf[:0]
 	var governing Entry

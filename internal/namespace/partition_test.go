@@ -212,29 +212,35 @@ func TestAbsorb(t *testing.T) {
 	}
 }
 
-func TestResolveWithHops(t *testing.T) {
+// TestResolveChainHops: a path traversal forwards once per authority
+// change along the chain of subtree roots (len(chain)-1 hops).
+func TestResolveChainHops(t *testing.T) {
 	tr, p := buildPartitionFixture(t)
 	b, _ := tr.Lookup("/b")
 	sub, _ := tr.Lookup("/b/sub")
 	g, _ := tr.Lookup("/b/sub/g00000")
 
+	hopsTo := func(in *Inode) (Entry, int) {
+		chain, e := p.ResolveChainInto(nil, in)
+		return e, len(chain) - 1
+	}
 	// Single subtree: no forwards.
-	if _, hops := p.ResolveWithHops(g); hops != 0 {
+	if _, hops := hopsTo(g); hops != 0 {
 		t.Fatalf("hops = %d, want 0", hops)
 	}
 	// /b on MDS 1: one auth change root->b.
 	p.SetAuth(p.Carve(b).Key, 1)
-	if _, hops := p.ResolveWithHops(g); hops != 1 {
+	if _, hops := hopsTo(g); hops != 1 {
 		t.Fatalf("hops = %d, want 1", hops)
 	}
 	// /b/sub on MDS 2: two changes (0->1->2).
 	p.SetAuth(p.Carve(sub).Key, 2)
-	if e, hops := p.ResolveWithHops(g); hops != 2 || e.Auth != 2 {
+	if e, hops := hopsTo(g); hops != 2 || e.Auth != 2 {
 		t.Fatalf("hops = %d auth = %d, want 2/2", hops, e.Auth)
 	}
 	// Same-auth nesting collapses: /b/sub back to MDS 1 -> one change.
 	p.SetAuth(FragKey{Dir: sub.Ino, Frag: WholeFrag}, 1)
-	if _, hops := p.ResolveWithHops(g); hops != 1 {
+	if _, hops := hopsTo(g); hops != 1 {
 		t.Fatalf("hops after same-auth nesting = %d, want 1", hops)
 	}
 }

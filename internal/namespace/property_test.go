@@ -65,14 +65,14 @@ func applyRandomPartition(tr *Tree, ops []uint8, nMDS int) *Partition {
 
 // TestResolveChainConsistency: for every inode and any partition shape,
 // the chain's last element is the governing authority, the chain has no
-// adjacent duplicates, and its length-1 equals ResolveWithHops' count.
+// adjacent duplicates, and its entry is the governing entry.
 func TestResolveChainConsistency(t *testing.T) {
 	f := func(shape, ops []uint8) bool {
 		tr := buildRandomNamespace(shape)
 		p := applyRandomPartition(tr, ops, 5)
 		ok := true
 		tr.Walk(func(in *Inode) bool {
-			chain, entry := p.ResolveChain(in)
+			chain, entry := p.ResolveChainInto(nil, in)
 			if len(chain) == 0 {
 				ok = false
 				return false
@@ -91,8 +91,7 @@ func TestResolveChainConsistency(t *testing.T) {
 					return false
 				}
 			}
-			e2, hops := p.ResolveWithHops(in)
-			if e2 != entry || hops != len(chain)-1 {
+			if p.GoverningEntry(in) != entry {
 				ok = false
 				return false
 			}

@@ -5,7 +5,7 @@ package namespace
 // lookups — but the partition mutates rarely (a version bump per
 // SetAuth/Carve/Split/Absorb/Merge) while the serve path resolves
 // authority on every op. GoverningEntry(in) is by construction
-// GoverningChildEntry(in.Parent, in.NameHash()): a function of the
+// GoverningChildEntry(in.Parent, HashName(in.Name)): a function of the
 // parent directory, and of the name hash only where that directory is
 // split into fragments. So the memo holds one slot per directory — not
 // per inode — and a file created after the slot was filled resolves

@@ -103,9 +103,6 @@ func (in *Inode) SubtreeFiles() int { return in.subFiles }
 // SubtreeInodes returns the number of inodes at and below this inode.
 func (in *Inode) SubtreeInodes() int { return in.subInodes }
 
-// NameHash returns the cached fragment hash of the inode's name.
-func (in *Inode) NameHash() uint32 { return in.nameHash }
-
 // NumChildren returns the number of direct children (0 for files).
 func (in *Inode) NumChildren() int { return len(in.order) }
 

@@ -295,10 +295,9 @@ type Manager struct {
 	leasesGranted int64
 	leasesRevoked int64
 	leasesExpired int64
-	// leaseVersion bumps on every change to lease MEMBERSHIP (not mere
-	// expiry refreshes) so the cluster can cheaply mirror the holder set
-	// into its routing table.
-	leaseVersion uint64
+	// liveLeases is the lease count across every group, kept current at
+	// each grant and drop: the engine asks it once per planned read.
+	liveLeases int
 }
 
 // NewManager builds a manager; the policy must validate.
@@ -419,8 +418,9 @@ func (m *Manager) Reconcile(entries []namespace.Entry, retain func(namespace.MDS
 		for _, k := range m.order {
 			keep[k] = true
 		}
-		for k := range m.groups {
+		for k, g := range m.groups {
 			if !keep[k] {
+				m.liveLeases -= len(g.Leases)
 				delete(m.groups, k)
 			}
 		}
@@ -582,7 +582,7 @@ func (m *Manager) clearLeases(g *Group) int {
 	}
 	g.Leases = g.Leases[:0]
 	m.leasesRevoked += int64(n)
-	m.leaseVersion++
+	m.liveLeases -= n
 	return n
 }
 
@@ -601,7 +601,7 @@ func (m *Manager) pruneLeases(g *Group) {
 		if !held {
 			g.Leases = append(g.Leases[:i], g.Leases[i+1:]...)
 			m.leasesRevoked++
-			m.leaseVersion++
+			m.liveLeases--
 			continue
 		}
 		i++
@@ -631,7 +631,7 @@ func (m *Manager) GrantLeases(key namespace.FragKey, expires int64) []namespace.
 		g.insertLease(Lease{Rank: sb.Rank, Expires: expires})
 		granted = append(granted, sb.Rank)
 		m.leasesGranted++
-		m.leaseVersion++
+		m.liveLeases++
 	}
 	sort.Slice(granted, func(i, j int) bool { return granted[i] < granted[j] })
 	return granted
@@ -657,7 +657,7 @@ func (m *Manager) ExpireLeases(tick int64) int {
 			if g.Leases[i].Expires <= tick {
 				g.Leases = append(g.Leases[:i], g.Leases[i+1:]...)
 				m.leasesExpired++
-				m.leaseVersion++
+				m.liveLeases--
 				n++
 				continue
 			}
@@ -667,32 +667,19 @@ func (m *Manager) ExpireLeases(tick int64) int {
 	return n
 }
 
-// LeaseHolders returns the ranks holding live leases on the subtree, in
-// rank order. Shared storage is not exposed: the result is a copy.
-func (m *Manager) LeaseHolders(key namespace.FragKey) []namespace.MDSID {
-	g := m.groups[key]
-	if g == nil || len(g.Leases) == 0 {
-		return nil
+// Leases returns the live leases on the subtree, in holder-rank order.
+// Shared storage, valid until the next grant, revoke or expiry: the
+// engine routes reads off it in the parallel plan phase, and the lease
+// set changes only in serial sections. Callers must not modify it.
+func (m *Manager) Leases(key namespace.FragKey) []Lease {
+	if g := m.groups[key]; g != nil {
+		return g.Leases
 	}
-	out := make([]namespace.MDSID, len(g.Leases))
-	for i, l := range g.Leases {
-		out[i] = l.Rank
-	}
-	return out
+	return nil
 }
 
-// LiveLeases counts the live leases across every group.
-func (m *Manager) LiveLeases() int {
-	n := 0
-	for _, k := range m.order {
-		n += len(m.groups[k].Leases)
-	}
-	return n
-}
-
-// LeaseVersion bumps on every change to lease membership; the cluster
-// uses it to know when to rebuild its lease routing table.
-func (m *Manager) LeaseVersion() uint64 { return m.leaseVersion }
+// LiveLeases returns the live lease count across every group.
+func (m *Manager) LiveLeases() int { return m.liveLeases }
 
 // LeasesGranted returns how many leases have ever been granted.
 func (m *Manager) LeasesGranted() int64 { return m.leasesGranted }
