@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmtcheck race check benchcheck gobench audit fuzz elastic replication batched readstorm noisy
+.PHONY: all build test vet fmtcheck race check benchcheck loc gobench audit fuzz elastic replication batched readstorm noisy
 
 all: check
 
@@ -31,6 +31,15 @@ check: build vet fmtcheck race
 # own go.mod, so the root `./...` patterns above skip it.
 benchcheck:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# loc prints the code size the simplicity PRs report: non-blank,
+# non-comment, non-test Go lines per package under internal/, their
+# total, and the package count.
+loc:
+	@total=0; pkgs=0; for d in internal/*/; do \
+		n=$$(ls $$d*.go | grep -v _test.go | xargs cat | grep -cv '^[[:space:]]*\(//.*\)\?$$'); \
+		printf '%-22s %5d\n' $${d%/} $$n; total=$$((total+n)); pkgs=$$((pkgs+1)); \
+	done; printf '%-22s %5d  (%d packages)\n' internal/ $$total $$pkgs
 
 # elastic runs the audited autoscaler suite: the diurnal-wave experiment
 # (elastic vs static fleets) plus an audited scale-up/drain-down smoke of

@@ -3,7 +3,8 @@
 // their own when/how-much/where policies into the metadata service.
 // This example implements a tiny "water-filling" policy (move load from
 // the fullest to the emptiest MDS whenever the gap exceeds 25%) and
-// runs it against Lunule on the MDtest create workload.
+// runs it against two Mantle-style policies (balancer.NewMantle) and
+// Lunule on the MDtest create workload.
 //
 //	go run ./examples/custombalancer
 package main
@@ -15,7 +16,6 @@ import (
 	"repro/internal/balancer"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/mantle"
 	"repro/internal/namespace"
 	"repro/internal/workload"
 )
@@ -54,9 +54,11 @@ func (waterFill) Rebalance(v balancer.View) {
 func main() {
 	for _, bal := range []balancer.Balancer{
 		waterFill{},
-		mantle.NewBalancer(mantle.SpreadEven(0.1)),
-		mantle.NewBalancer(mantle.GreedySpill()),
-		core.NewDefault(),
+		balancer.NewMantle(balancer.SpreadEven(0.1)),
+		balancer.NewMantle(balancer.GreedySpill()),
+		// The paper's Lunule; the zero Config is Lunule-Light, and the
+		// other three fields are the ablation switches.
+		core.New(core.Config{WorkloadAware: true}),
 	} {
 		c, err := cluster.New(cluster.Config{
 			Clients:  40,
@@ -74,5 +76,5 @@ func main() {
 			rec.JCTQuantile(0.5), rec.JCTQuantile(0.99), rec.MigratedTotal())
 	}
 	fmt.Println("\nany type with Name() and Rebalance(balancer.View) can drive the cluster;")
-	fmt.Println("the mantle package wraps Mantle-style when/howMuch/where policies into one")
+	fmt.Println("balancer.NewMantle wraps a Mantle-style when/howMuch/where policy into one")
 }

@@ -1,16 +1,15 @@
 // Package balancer defines the load-balancer interface the simulated
-// MDS cluster drives once per epoch, plus the three baseline policies
-// the paper evaluates against: the CephFS built-in balancer (Vanilla),
-// the GreedySpill policy from GIGA+/Mantle, and the static Dir-Hash
-// pinning scheme. The paper's own balancer (Lunule) lives in
-// internal/core and implements the same interface.
+// MDS cluster drives once per epoch, the candidate enumeration every
+// policy selects subtrees from, and the baselines the paper evaluates
+// against: the CephFS built-in balancer (Vanilla), the Mantle policy
+// framework with the GreedySpill policy the paper runs through it, and
+// the static Dir-Hash pinning scheme. The paper's own balancer (Lunule)
+// lives in internal/core and implements the same interface.
 package balancer
 
 import (
 	"repro/internal/mds"
-	"repro/internal/msg"
 	"repro/internal/namespace"
-	"repro/internal/rng"
 )
 
 // View is the cluster state a balancer sees at an epoch boundary. Load
@@ -42,40 +41,15 @@ type View interface {
 	// Capacity is the theoretical maximum IOPS of a single MDS (the
 	// paper's C).
 	Capacity() float64
-	// HeatDecay is the per-epoch popularity decay factor in (0, 1].
-	HeatDecay() float64
-	// Rand is a deterministic per-run random source for tie-breaking.
-	Rand() *rng.Source
-	// Ledger accounts control-plane message traffic.
-	Ledger() *msg.Ledger
-}
-
-// LeaseView is the optional migrate-vs-replicate extension of View: a
-// view that also knows which subtrees are served (or about to be
-// served) under read leases. A leased subtree's read storm is already
-// spread across its replica holders, so migrating it would revoke the
-// leases and re-concentrate the load on the new authority — candidate
-// enumeration skips such entries. Views without lease state (or with
-// leases disabled) simply don't implement this, and enumeration is
-// unchanged.
-type LeaseView interface {
-	// ReadLeased reports whether the subtree entry holds live read
-	// leases, or qualifies for them and is waiting on standby syncs.
-	ReadLeased(key namespace.FragKey) bool
-}
-
-// TenantView is the optional fairness extension of View: a view that
-// also knows which subtrees are hot because of a tenant the admission
-// buckets are already throttling. Migrating such a subtree would
-// spread a noisy neighbour's over-quota load across more ranks — and
-// drag everything co-located with it — instead of containing it where
-// admission control caps it, so candidate enumeration skips these
-// entries. Views without tenant state simply don't implement this, and
-// enumeration is unchanged.
-type TenantView interface {
-	// TenantThrottled reports whether the subtree entry's heat is
-	// dominated by a tenant whose token bucket throttled last epoch.
-	TenantThrottled(key namespace.FragKey) bool
+	// Held reports whether the subtree entry is pinned where it is by a
+	// mechanism other than migration, so candidate enumeration and
+	// partition housekeeping leave it alone: it is served (or about to
+	// be served) under read leases — its read storm is already spread
+	// over its replica holders, and moving it would revoke them — or its
+	// heat is dominated by a tenant the admission buckets throttled
+	// last epoch, which moving it would spread over more ranks instead
+	// of containing. Always false with leases and tenancy off.
+	Held(key namespace.FragKey) bool
 }
 
 // Balancer decides, once per epoch, whether and what to migrate.
@@ -84,17 +58,6 @@ type Balancer interface {
 	Name() string
 	// Rebalance inspects the view and submits export tasks.
 	Rebalance(v View)
-}
-
-// HeatPerIOPS converts a load amount in ops/sec into popularity (heat)
-// units: heat accumulates one unit per op and decays once per epoch, so
-// a steady load L contributes about L*epochTicks/(1-decay) heat.
-func HeatPerIOPS(v View) float64 {
-	d := v.HeatDecay()
-	if d >= 1 {
-		d = 0.99
-	}
-	return float64(v.EpochTicks()) / (1 - d)
 }
 
 // Loads returns the per-MDS loads (ops/sec) of the last epoch.
@@ -140,15 +103,6 @@ func SmoothedLoads(v View, k int) []float64 {
 			sum += l
 		}
 		out[i] = sum / float64(n)
-	}
-	return out
-}
-
-// LoadHistories returns each MDS's per-epoch load history.
-func LoadHistories(v View) [][]float64 {
-	out := make([][]float64, v.NumMDS())
-	for i := range out {
-		out[i] = v.Server(namespace.MDSID(i)).LoadHistory()
 	}
 	return out
 }

@@ -67,13 +67,8 @@ func TestLoadsAndSmoothedLoads(t *testing.T) {
 func TestEnumerateRefinesHotRoot(t *testing.T) {
 	v, dirs := buildView(t, 3, 6, 10)
 	heatUp(v, dirs, 2)
-	s := v.Servers[0]
-	lf := LoadFuncs{
-		OfKey: func(k namespace.FragKey) float64 { return s.HeatOfKey(k) },
-		OfDir: func(d *namespace.Inode) float64 { return s.HeatOfDir(d.Ino) },
-	}
 	// Low refine threshold: expect leaf dirs as candidates.
-	cands := Enumerate(v, 0, lf, 1, 64)
+	cands := Enumerate(v, 0, heatRanking(v.Servers[0], 1), 64)
 	if len(cands) != 6 {
 		t.Fatalf("candidates = %d, want the 6 leaf dirs", len(cands))
 	}
@@ -83,7 +78,7 @@ func TestEnumerateRefinesHotRoot(t *testing.T) {
 		}
 	}
 	// High threshold: the single /data dir stays whole.
-	coarse := Enumerate(v, 0, lf, 1e18, 64)
+	coarse := Enumerate(v, 0, heatRanking(v.Servers[0], 1e18), 64)
 	if len(coarse) != 1 || coarse[0].RootDir() != dirs[0].Parent.Ino {
 		t.Fatalf("coarse candidates = %v", coarse)
 	}
@@ -97,12 +92,7 @@ func TestEnumerateSkipsPendingAndForeign(t *testing.T) {
 	v.Part.SetAuth(e0.Key, 1)
 	e1 := v.Part.Carve(dirs[1])
 	v.Mig.Submit(e1.Key, 0, 2, 1, 0)
-	s := v.Servers[0]
-	lf := LoadFuncs{
-		OfKey: func(k namespace.FragKey) float64 { return s.HeatOfKey(k) },
-		OfDir: func(d *namespace.Inode) float64 { return s.HeatOfDir(d.Ino) },
-	}
-	cands := Enumerate(v, 0, lf, 1, 64)
+	cands := Enumerate(v, 0, heatRanking(v.Servers[0], 1), 64)
 	for _, c := range cands {
 		if c.RootDir() == dirs[0].Ino {
 			t.Fatal("enumerated a subtree owned by another MDS")
@@ -175,6 +165,35 @@ func TestHeatSelectFraction(t *testing.T) {
 	}
 }
 
+// TestHeatSelectSkipsHeldSubtrees: heat-ranked selection leaves an
+// entry the view holds in place (leased, or hot from a throttled
+// tenant) where it is — however hot — and still offers the rest of the
+// exporter's namespace.
+func TestHeatSelectSkipsHeldSubtrees(t *testing.T) {
+	v, dirs := buildView(t, 3, 6, 10)
+	held := v.Part.Carve(dirs[0]).Key
+	for e := 0; e < 2; e++ {
+		for _, f := range dirs[0].Children() {
+			v.ServeN(f, 50, int64(e)) // far hotter than its siblings
+		}
+	}
+	heatUp(v, dirs, 2)
+	if picked := HeatSelect(v, 0, 0.5, 64); len(picked) == 0 || picked[0].RootDir() != dirs[0].Ino {
+		t.Fatalf("unheld, the hottest subtree must be the first pick: %v", picked)
+	}
+
+	v.HeldKeys = map[namespace.FragKey]bool{held: true}
+	picked := HeatSelect(v, 0, 0.5, 64)
+	if len(picked) == 0 {
+		t.Fatal("the root's other children must still be offered")
+	}
+	for _, c := range picked {
+		if c.RootDir() == dirs[0].Ino {
+			t.Fatal("picked the held subtree")
+		}
+	}
+}
+
 func TestVanillaExportsWhenSkewed(t *testing.T) {
 	v, dirs := buildView(t, 3, 6, 10)
 	heatUp(v, dirs, 2) // all load on MDS 0
@@ -182,10 +201,6 @@ func TestVanillaExportsWhenSkewed(t *testing.T) {
 	b.Rebalance(v)
 	if v.Mig.QueuedTasks()+v.Mig.ActiveTasks() == 0 {
 		t.Fatal("vanilla did not react to a fully skewed cluster")
-	}
-	// Heartbeats were exchanged N-to-N.
-	if v.Ledg.TotalBytes() == 0 {
-		t.Fatal("no heartbeat traffic accounted")
 	}
 }
 
@@ -286,13 +301,5 @@ func TestDirHashPinsNewDirsLater(t *testing.T) {
 	b.Rebalance(v)
 	if len(v.Part.EntriesAt(newDir.Ino)) != 1 {
 		t.Fatal("late directory was not pinned on the next epoch")
-	}
-}
-
-func TestHeatPerIOPS(t *testing.T) {
-	v, _ := buildView(t, 2, 1, 1)
-	// decay 0.9, epoch 10 ticks -> 10/(0.1) = 100 (floating slack).
-	if got := HeatPerIOPS(v); got < 99.9 || got > 100.1 {
-		t.Fatalf("HeatPerIOPS = %v, want ~100", got)
 	}
 }

@@ -1,8 +1,10 @@
 package balancer
 
 import (
+	"math"
 	"sort"
 
+	"repro/internal/mds"
 	"repro/internal/namespace"
 )
 
@@ -29,103 +31,103 @@ func (c Candidate) RootDir() namespace.Ino {
 	return c.Dir.Ino
 }
 
-// LoadFuncs supplies the policy-specific load estimators used during
-// candidate enumeration.
-type LoadFuncs struct {
+// Ranking is what differs between the policies' candidate
+// enumerations: how a subtree's load is estimated (accumulated heat for
+// the CephFS policy, the migration index for Lunule) and when a heavy
+// candidate is broken into its child directories.
+type Ranking struct {
 	// OfKey estimates the load of an existing subtree entry.
 	OfKey func(namespace.FragKey) float64
 	// OfDir estimates the load of the subtree rooted at a directory.
 	OfDir func(*namespace.Inode) float64
+	// RefineAbove is the load above which a candidate that has child
+	// directories is replaced by them, so hotspots are broken into
+	// movable pieces.
+	RefineAbove float64
+	// Concentration is the share of such a candidate's load its child
+	// directories must capture together for it to be refined; a region
+	// whose load is more diffuse than that is kept whole (Lunule
+	// fragment-splits it instead). Zero refines regardless.
+	Concentration float64
 }
 
-// Enumerate lists the migration candidates an exporter can offer:
-// its subtree entries, adaptively refined into child directories while
-// a candidate's load exceeds refineAbove (so hotspots are broken into
-// movable pieces) and the candidate count stays below limit. Subtrees
-// that are frozen by in-flight migrations or already planned for export
-// are skipped. The root entry is always refined, never offered whole.
-func Enumerate(v View, exporter namespace.MDSID, lf LoadFuncs, refineAbove float64, limit int) []Candidate {
+// Enumerate lists the migration candidates an exporter can offer,
+// heaviest first: its subtree entries, the heaviest refinable one
+// replaced by its child directories (see Ranking) until none is left
+// or the candidate count reaches limit. Entries in transit
+// (mds.Migrator.InTransit) or held in place (View.Held) are skipped.
+// The root entry is always expanded into its children, never offered
+// whole.
+func Enumerate(v View, exporter namespace.MDSID, r Ranking, limit int) []Candidate {
 	part := v.Partition()
-	skip := v.Migrator().PendingFor(exporter)
 	tree := part.Tree()
 
-	// enumCand decorates a candidate with its memoized refinable
-	// children. Enumerate never mutates the partition or the tree, so a
-	// candidate's child set is fixed for the whole call; without the
-	// memo every pick iteration re-scans the children of every
-	// unrefinable heavy candidate — O(picks × candidates × children).
-	type enumCand struct {
-		Candidate
-		kids      []*namespace.Inode
-		kidsKnown bool
-	}
-	var cands []enumCand
-	add := func(c Candidate) { cands = append(cands, enumCand{Candidate: c}) }
-
-	// childDirs lists the sub-directories inside a candidate that are
-	// not already subtree roots of their own.
-	childDirs := func(dir *namespace.Inode, frag namespace.Frag) []*namespace.Inode {
-		var out []*namespace.Inode
+	// childDirs lists, with their loads, the sub-directories of a
+	// region that are not already subtree roots of their own.
+	childDirs := func(dir *namespace.Inode, frag namespace.Frag) []Candidate {
+		var out []Candidate
 		for _, ch := range dir.ChildrenInFrag(frag) {
 			if ch.IsDir && len(part.EntriesAt(ch.Ino)) == 0 {
-				out = append(out, ch)
+				out = append(out, Candidate{Dir: ch, Load: r.OfDir(ch)})
 			}
 		}
 		return out
 	}
 
-	// Subtrees served under read leases are handled by replication, not
-	// migration (see LeaseView); they are skipped like frozen entries.
-	lv, _ := v.(LeaseView)
+	// enumCand decorates a candidate with its memoized children.
+	// Enumerate never mutates the partition or the tree, so a
+	// candidate's child set and the children's loads are fixed for the
+	// whole call; without the memo every pick iteration re-scans the
+	// children of every unrefinable heavy candidate — O(picks ×
+	// candidates × children).
+	type enumCand struct {
+		Candidate
+		kids      []Candidate
+		kidLoad   float64
+		kidsKnown bool
+	}
+	var cands []enumCand
+	add := func(cs ...Candidate) {
+		for _, c := range cs {
+			cands = append(cands, enumCand{Candidate: c})
+		}
+	}
 
 	rootKey := namespace.FragKey{Dir: namespace.RootIno, Frag: namespace.WholeFrag}
 	for _, e := range part.EntriesOf(exporter) {
-		if skip[e.Key] || v.Migrator().IsFrozen(e.Key) {
-			continue
-		}
-		if lv != nil && lv.ReadLeased(e.Key) {
+		if v.Migrator().InTransit(e.Key, exporter) || v.Held(e.Key) {
 			continue
 		}
 		if e.Key == rootKey {
-			// Never move the root subtree whole; offer its children.
-			for _, ch := range childDirs(tree.Root(), namespace.WholeFrag) {
-				add(Candidate{Dir: ch, Load: lf.OfDir(ch)})
-			}
+			add(childDirs(tree.Root(), namespace.WholeFrag)...)
 			continue
 		}
-		add(Candidate{Key: e.Key, IsEntry: true, Load: lf.OfKey(e.Key)})
+		add(Candidate{Key: e.Key, IsEntry: true, Load: r.OfKey(e.Key)})
 	}
 
-	// kidsOf resolves a candidate's refinable children once and caches
-	// them for the rest of the call.
-	kidsOf := func(c *enumCand) []*namespace.Inode {
+	refinable := func(c *enumCand) bool {
+		if c.Load <= r.RefineAbove {
+			return false
+		}
 		if !c.kidsKnown {
 			c.kidsKnown = true
-			var dir *namespace.Inode
-			frag := namespace.WholeFrag
+			dir, frag := c.Dir, namespace.WholeFrag
 			if c.IsEntry {
-				dir = tree.Get(c.Key.Dir)
-				frag = c.Key.Frag
-			} else {
-				dir = c.Dir
+				dir, frag = tree.Get(c.Key.Dir), c.Key.Frag
 			}
 			if dir != nil {
 				c.kids = childDirs(dir, frag)
 			}
+			for _, k := range c.kids {
+				c.kidLoad += k.Load
+			}
 		}
-		return c.kids
+		return len(c.kids) > 0 && c.kidLoad >= r.Concentration*c.Load
 	}
-
-	// Adaptive refinement: break the heaviest refinable candidate into
-	// its child directories until everything is small enough.
 	for len(cands) < limit {
 		best := -1
 		for i := range cands {
-			c := &cands[i]
-			if c.Load <= refineAbove || len(kidsOf(c)) == 0 {
-				continue
-			}
-			if best == -1 || c.Load > cands[best].Load {
+			if refinable(&cands[i]) && (best == -1 || cands[i].Load > cands[best].Load) {
 				best = i
 			}
 		}
@@ -134,9 +136,7 @@ func Enumerate(v View, exporter namespace.MDSID, lf LoadFuncs, refineAbove float
 		}
 		kids := cands[best].kids
 		cands = append(cands[:best], cands[best+1:]...)
-		for _, ch := range kids {
-			add(Candidate{Dir: ch, Load: lf.OfDir(ch)})
-		}
+		add(kids...)
 	}
 
 	out := make([]Candidate, len(cands))
@@ -171,6 +171,16 @@ func SubmitCandidate(v View, c Candidate, exporter, importer namespace.MDSID) bo
 	return true
 }
 
+// heatRanking ranks subtrees by the heat the exporter accumulated on
+// them, refining anything hotter than refineAbove.
+func heatRanking(s *mds.Server, refineAbove float64) Ranking {
+	return Ranking{
+		OfKey:       s.HeatOfKey,
+		OfDir:       func(d *namespace.Inode) float64 { return s.HeatOfDir(d.Ino) },
+		RefineAbove: refineAbove,
+	}
+}
+
 // HeatSelect picks the candidates whose accumulated heat covers the
 // given fraction of the exporter's total candidate heat, hottest first.
 // Expressing the target as a fraction of the exporter's own heat keeps
@@ -184,15 +194,10 @@ func HeatSelect(v View, exporter namespace.MDSID, fraction float64, limit int) [
 	if fraction > 1 {
 		fraction = 1
 	}
-	s := v.Server(exporter)
-	lf := LoadFuncs{
-		OfKey: func(k namespace.FragKey) float64 { return s.HeatOfKey(k) },
-		OfDir: func(d *namespace.Inode) float64 { return s.HeatOfDir(d.Ino) },
-	}
 	// First pass: coarse candidates to size the exporter's total heat.
-	coarse := Enumerate(v, exporter, lf, 1e300, limit)
+	r := heatRanking(v.Server(exporter), math.Inf(1))
 	total := 0.0
-	for _, c := range coarse {
+	for _, c := range Enumerate(v, exporter, r, limit) {
 		total += c.Load
 	}
 	target := fraction * total
@@ -201,7 +206,8 @@ func HeatSelect(v View, exporter namespace.MDSID, fraction float64, limit int) [
 	}
 	// Second pass: refine anything bigger than the target into movable
 	// pieces, then fill hottest-first.
-	cands := Enumerate(v, exporter, lf, target, limit)
+	r.RefineAbove = target
+	cands := Enumerate(v, exporter, r, limit)
 	return GreedyFill(cands, target)
 }
 

@@ -10,18 +10,15 @@ import (
 // dynamic migration ever happens. Inodes spread evenly, but requests do
 // not — and path traversal crosses many authority boundaries, inflating
 // forwards (Figure 14).
-type DirHash struct {
-	// MaxDepth bounds how deep the pinner descends; a directory is
-	// pinned when it has no sub-directories (a leaf, the finest
-	// grain) or when it sits at MaxDepth.
-	MaxDepth int
+type DirHash struct{}
 
-	pinnedVersion uint64
-	initialized   bool
-}
+// dirHashMaxDepth bounds how deep the pinner descends; a directory is
+// pinned when it has no sub-directories (a leaf, the finest grain) or
+// when it sits at dirHashMaxDepth.
+const dirHashMaxDepth = 4
 
 // NewDirHash returns the static pinning policy.
-func NewDirHash() *DirHash { return &DirHash{MaxDepth: 4} }
+func NewDirHash() *DirHash { return &DirHash{} }
 
 // Name implements Balancer.
 func (b *DirHash) Name() string { return "Dir-Hash" }
@@ -31,11 +28,6 @@ func (b *DirHash) Name() string { return "Dir-Hash" }
 // directories appear when workloads create them — and performs no load
 // balancing whatsoever.
 func (b *DirHash) Rebalance(v View) {
-	v.Ledger().EpochVanilla(v.NumMDS()) // stock heartbeat still runs
-	b.pin(v)
-}
-
-func (b *DirHash) pin(v View) {
 	part := v.Partition()
 	tree := part.Tree()
 	live := ImportableRanks(v)
@@ -64,7 +56,7 @@ func (b *DirHash) pin(v View) {
 					break
 				}
 			}
-			if !hasSubdirs || depth+1 >= b.MaxDepth {
+			if !hasSubdirs || depth+1 >= dirHashMaxDepth {
 				pin(ch)
 				continue
 			}
@@ -72,6 +64,4 @@ func (b *DirHash) pin(v View) {
 		}
 	}
 	walk(tree.Root(), 0)
-	b.initialized = true
-	b.pinnedVersion = part.Version()
 }

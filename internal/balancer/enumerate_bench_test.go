@@ -60,15 +60,10 @@ func BenchmarkEnumerateWide(b *testing.B) {
 		}
 		v.EndEpoch()
 	}
-	s := v.Servers[0]
-	lf := LoadFuncs{
-		OfKey: func(k namespace.FragKey) float64 { return s.HeatOfKey(k) },
-		OfDir: func(d *namespace.Inode) float64 { return s.HeatOfDir(d.Ino) },
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cands := Enumerate(v, 0, lf, 1, 4096)
+		cands := Enumerate(v, 0, heatRanking(v.Servers[0], 1), 4096)
 		if len(cands) < wide {
 			b.Fatalf("candidates = %d, want at least the %d refined dirs", len(cands), wide)
 		}

@@ -1,46 +1,10 @@
-package mantle
+package balancer
 
 import (
-	"fmt"
 	"testing"
 
-	"repro/internal/namespace"
-	"repro/internal/simtest"
+	"repro/internal/mds"
 )
-
-func buildView(t testing.TB, n, nDirs, filesPer int) (*simtest.View, []*namespace.Inode) {
-	t.Helper()
-	tree := namespace.NewTree()
-	data, err := tree.MkdirAll("/data")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dirs []*namespace.Inode
-	for d := 0; d < nDirs; d++ {
-		dir, err := tree.Mkdir(data, fmt.Sprintf("d%03d", d))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for f := 0; f < filesPer; f++ {
-			if _, err := tree.Create(dir, fmt.Sprintf("f%04d", f), 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		dirs = append(dirs, dir)
-	}
-	return simtest.New(tree, n), dirs
-}
-
-func heatUp(v *simtest.View, dirs []*namespace.Inode, epochs int) {
-	for e := 0; e < epochs; e++ {
-		for _, d := range dirs {
-			for _, f := range d.Children() {
-				v.ServeN(f, 1, int64(e))
-			}
-		}
-		v.EndEpoch()
-	}
-}
 
 func TestEnvHelpers(t *testing.T) {
 	e := Env{WhoAmI: 1, Loads: []float64{100, 300}, Total: 400}
@@ -59,7 +23,7 @@ func TestEnvHelpers(t *testing.T) {
 func TestGreedySpillPolicyMatchesShape(t *testing.T) {
 	v, dirs := buildView(t, 3, 6, 10)
 	heatUp(v, dirs, 2) // all load on rank 0, neighbour 1 idle
-	b := NewBalancer(GreedySpill())
+	b := NewMantle(GreedySpill())
 	b.Rebalance(v)
 	if v.Mig.QueuedTasks() == 0 {
 		t.Fatal("greedyspill-via-mantle did not spill")
@@ -79,7 +43,7 @@ func TestFillHeaviestTargetsEmptiest(t *testing.T) {
 		v.Part.SetAuth(e.Key, 1)
 	}
 	heatUp(v, dirs, 2)
-	b := NewBalancer(FillHeaviest(0.1))
+	b := NewMantle(FillHeaviest(0.1))
 	b.Rebalance(v)
 	if v.Mig.QueuedTasks() == 0 {
 		t.Fatal("overloaded rank 0 did not shed")
@@ -120,7 +84,7 @@ func TestSpreadEvenProportions(t *testing.T) {
 func TestNilCallbacksNoop(t *testing.T) {
 	v, dirs := buildView(t, 3, 4, 10)
 	heatUp(v, dirs, 2)
-	b := NewBalancer(Policy{PolicyName: "empty"})
+	b := NewMantle(Policy{PolicyName: "empty"})
 	b.Rebalance(v)
 	if v.Mig.QueuedTasks() != 0 {
 		t.Fatal("policy with nil callbacks must not migrate")
@@ -130,7 +94,7 @@ func TestNilCallbacksNoop(t *testing.T) {
 func TestWhereNilCancels(t *testing.T) {
 	v, dirs := buildView(t, 3, 4, 10)
 	heatUp(v, dirs, 2)
-	b := NewBalancer(Policy{
+	b := NewMantle(Policy{
 		PolicyName: "cancel",
 		When:       func(Env) bool { return true },
 		HowMuch:    func(e Env) float64 { return e.MyLoad() / 2 },
@@ -142,20 +106,63 @@ func TestWhereNilCancels(t *testing.T) {
 	}
 }
 
-func TestName(t *testing.T) {
-	if NewBalancer(GreedySpill()).Name() != "Mantle:GreedySpill" {
+func TestMantleName(t *testing.T) {
+	if NewMantle(GreedySpill()).Name() != "Mantle:GreedySpill" {
 		t.Fatal("name")
 	}
-	if NewBalancer(Policy{}).Name() != "Mantle" {
+	if NewMantle(Policy{}).Name() != "Mantle" {
 		t.Fatal("anonymous name")
+	}
+	if NewGreedySpill().Name() != "GreedySpill" {
+		t.Fatal("the paper's baseline keeps the figures' name")
 	}
 }
 
-func TestHeartbeatAccounting(t *testing.T) {
-	v, dirs := buildView(t, 3, 4, 10)
-	heatUp(v, dirs, 1)
-	NewBalancer(GreedySpill()).Rebalance(v)
-	if v.Ledg.TotalBytes() == 0 {
-		t.Fatal("mantle must ride the stock heartbeat exchange")
+// TestMantleSkipsDownAndDrainingRanks: the adaptor evaluates policies
+// over the importable ranks only. GreedySpill's ring neighbour is the
+// next importable rank, and a draining rank — which still serves, so
+// it has load — is never evaluated as an exporter (the drain pump owns
+// its exports).
+func TestMantleSkipsDownAndDrainingRanks(t *testing.T) {
+	queued := func(m *mds.Migrator) []*mds.ExportTask {
+		var out []*mds.ExportTask
+		m.ForEachQueued(func(t *mds.ExportTask) { out = append(out, t) })
+		return out
+	}
+
+	// Rank 0 loaded, its neighbour rank 1 down: the spill goes to 2.
+	v, dirs := buildView(t, 4, 6, 10)
+	heatUp(v, dirs, 2)
+	v.Servers[1].Crash()
+	NewGreedySpill().Rebalance(v)
+	tasks := queued(v.Mig)
+	if len(tasks) == 0 {
+		t.Fatal("rank 0 did not spill past its down neighbour")
+	}
+	for _, task := range tasks {
+		if task.From != 0 || task.To != 2 {
+			t.Fatalf("export %d -> %d, want 0 -> 2 (next importable rank)", task.From, task.To)
+		}
+	}
+
+	// Rank 0 loaded but draining, everything else idle: no policy runs
+	// on it, and nobody names it as a target.
+	v, dirs = buildView(t, 3, 6, 10)
+	heatUp(v, dirs, 2)
+	v.Servers[0].StartDrain()
+	for _, p := range []Policy{GreedySpill(), FillHeaviest(0.1), SpreadEven(0.1)} {
+		evaluated := false
+		when := p.When
+		p.When = func(e Env) bool {
+			evaluated = evaluated || e.MyLoad() > 0
+			return when(e)
+		}
+		NewMantle(p).Rebalance(v)
+		if evaluated {
+			t.Fatalf("%s: evaluated on the draining rank", p.PolicyName)
+		}
+		if n := len(queued(v.Mig)); n != 0 {
+			t.Fatalf("%s: %d exports planned around a draining rank", p.PolicyName, n)
+		}
 	}
 }

@@ -18,19 +18,19 @@ import (
 //     ("heat"), which tracks where load HAS been, not where it will
 //     be — invalid for scan-type workloads that never revisit files.
 type Vanilla struct {
-	// MinOffload is the fudge factor: an MDS exports only when its
-	// load exceeds avg*(1+MinOffload). CephFS uses ~0.1.
-	MinOffload float64
-	// CandidateLimit bounds candidate enumeration.
-	CandidateLimit int
-
 	bus *obs.Bus
 }
 
-// NewVanilla returns the CephFS built-in policy with default knobs.
-func NewVanilla() *Vanilla {
-	return &Vanilla{MinOffload: 0.1, CandidateLimit: 128}
-}
+const (
+	// vanillaMinOffload is the fudge factor: an MDS exports only when
+	// its load exceeds avg*(1+vanillaMinOffload). CephFS uses ~0.1.
+	vanillaMinOffload = 0.1
+	// vanillaCandidateLimit bounds candidate enumeration.
+	vanillaCandidateLimit = 128
+)
+
+// NewVanilla returns the CephFS built-in policy.
+func NewVanilla() *Vanilla { return &Vanilla{} }
 
 // Name implements Balancer.
 func (b *Vanilla) Name() string { return "CephFS-Vanilla" }
@@ -40,9 +40,6 @@ func (b *Vanilla) SetBus(bus *obs.Bus) { b.bus = bus }
 
 // Rebalance implements Balancer.
 func (b *Vanilla) Rebalance(v View) {
-	n := v.NumMDS()
-	v.Ledger().EpochVanilla(n)
-
 	loads := SmoothedLoads(v, 2)
 	// Plan over importable ranks only: down ranks serve nothing, and a
 	// draining rank is being emptied by the drain pump — it neither
@@ -58,7 +55,7 @@ func (b *Vanilla) Rebalance(v View) {
 	avg /= float64(len(live))
 	exporting := 0
 	for _, id := range live {
-		if loads[id] > avg*(1+b.MinOffload) {
+		if loads[id] > avg*(1+vanillaMinOffload) {
 			exporting++
 		}
 	}
@@ -96,12 +93,12 @@ func (b *Vanilla) Rebalance(v View) {
 
 	for _, ex := range live {
 		l := loads[ex]
-		if l <= avg*(1+b.MinOffload) {
+		if l <= avg*(1+vanillaMinOffload) {
 			continue
 		}
 		// Raw load-above-average, uncapped: over-migration by design.
 		fraction := (l - avg) / l
-		picked := HeatSelect(v, ex, fraction, b.CandidateLimit)
+		picked := HeatSelect(v, ex, fraction, vanillaCandidateLimit)
 		// Spread the picks across importers in room order.
 		for k, c := range picked {
 			if len(importers) == 0 {

@@ -18,7 +18,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mds"
 	"repro/internal/metrics"
-	"repro/internal/msg"
 	"repro/internal/namespace"
 	"repro/internal/obs"
 	"repro/internal/osd"
@@ -232,7 +231,6 @@ type Cluster struct {
 	migrator *mds.Migrator
 	clients  []*client.Client
 	osds     *osd.Pool
-	ledger   *msg.Ledger
 	rand     *rng.Source
 	rec      *metrics.Recorder
 	bus      *obs.Bus
@@ -360,7 +358,6 @@ func New(cfg Config) (*Cluster, error) {
 		tree:     tree,
 		part:     part,
 		osds:     osd.NewPool(cfg.OSDs, cfg.OSDBandwidth),
-		ledger:   msg.NewLedger(cfg.MDS),
 		rand:     src.Fork(2),
 		rec:      metrics.NewRecorder(cfg.MDS),
 		bus:      cfg.Bus,
@@ -467,9 +464,6 @@ func (c *Cluster) Clients() []*client.Client { return c.clients }
 
 // Metrics returns the run's recorder.
 func (c *Cluster) Metrics() *metrics.Recorder { return c.rec }
-
-// Ledger returns the control-plane message ledger.
-func (c *Cluster) Ledger() *msg.Ledger { return c.ledger }
 
 // Tick returns the current simulation tick.
 func (c *Cluster) Tick() int64 { return c.tick }
@@ -904,7 +898,6 @@ func (c *Cluster) AddMDS() *mds.Server {
 		s.EnableTenants(c.tn.N())
 	}
 	c.servers = append(c.servers, s)
-	c.ledger.Grow(len(c.servers))
 	c.rec.GrowMDS(len(c.servers))
 	return s
 }
@@ -1018,13 +1011,12 @@ func (c *Cluster) pumpDrains(tick int64) {
 		project := func(t *mds.ExportTask) { sp.charge(t.To, t.PlannedLoad) }
 		c.migrator.ForEachQueued(project)
 		c.migrator.ForEachActive(project)
-		pending := c.migrator.PendingFor(id)
 		share := s.CurrentLoad() / float64(len(entries))
 		if share <= 0 {
 			share = 1
 		}
 		for _, e := range entries {
-			if pending[e.Key] || c.migrator.IsFrozen(e.Key) {
+			if c.migrator.InTransit(e.Key, id) {
 				continue
 			}
 			c.migrator.SubmitDrain(e.Key, id, sp.next(share), share, tick)
@@ -1302,21 +1294,24 @@ func (v *view) Importable(id namespace.MDSID) bool    { return v.c.importable(id
 func (v *view) Partition() *namespace.Partition       { return v.c.part }
 func (v *view) Migrator() *mds.Migrator               { return v.c.migrator }
 func (v *view) Capacity() float64                     { return float64(v.c.cfg.Capacity) }
-func (v *view) HeatDecay() float64                    { return heatDecay }
-func (v *view) Rand() *rng.Source                     { return v.c.rand }
-func (v *view) Ledger() *msg.Ledger                   { return v.c.ledger }
 
-// ReadLeased implements balancer.LeaseView: a subtree currently served
-// under read leases — or one that qualifies and is waiting for its
-// standbys to sync — is handled by replication, not migration. Moving
-// it would invalidate (or forestall) the leases and re-concentrate its
-// read storm on the new authority; the pending case matters because a
-// freshly carved hot directory is exportable for the epoch or two its
-// replication group needs to sync, and exporting it restarts that
-// clock. Always false when leases are off, so the balancer behaves
-// exactly as before.
-func (v *view) ReadLeased(key namespace.FragKey) bool {
-	c := v.c
+// Held implements balancer.View: the subtree is pinned where it is by
+// a mechanism other than migration, so every policy's candidate
+// enumeration and Lunule's housekeeping leave it alone. Always false
+// with leases and tenancy off, so the balancer behaves exactly as it
+// would without them.
+func (v *view) Held(key namespace.FragKey) bool {
+	return v.c.readLeased(key) || v.c.tenantThrottled(key)
+}
+
+// readLeased: a subtree currently served under read leases — or one
+// that qualifies and is waiting for its standbys to sync — is handled
+// by replication, not migration. Moving it would invalidate (or
+// forestall) the leases and re-concentrate its read storm on the new
+// authority; the pending case matters because a freshly carved hot
+// directory is exportable for the epoch or two its replication group
+// needs to sync, and exporting it restarts that clock.
+func (c *Cluster) readLeased(key namespace.FragKey) bool {
 	if !c.leasesEnabled() {
 		return false
 	}
@@ -1331,16 +1326,16 @@ func (v *view) ReadLeased(key namespace.FragKey) bool {
 	return ok
 }
 
-// TenantThrottled implements balancer.TenantView: a subtree whose heat
-// comes dominantly from a tenant the token buckets throttled last
-// epoch is hot because that tenant is over quota — migrating it would
-// spread a noisy neighbour across more ranks instead of containing it,
-// so the balancer leaves it where admission already throttles it.
-// Always false when tenancy is off (or no tenant dominates), so the
-// balancer behaves exactly as before.
-func (v *view) TenantThrottled(key namespace.FragKey) bool {
-	c := v.c
-	if c.tn == nil {
+// tenantThrottled: a subtree whose heat comes dominantly from a tenant
+// the token buckets throttled last epoch is hot because that tenant is
+// over quota — migrating it would spread a noisy neighbour across more
+// ranks instead of containing it, so it stays where admission already
+// throttles it. The root entry is exempt: it aggregates every tenant's
+// heat, so holding it would pin the whole namespace on its rank the
+// moment any tenant is throttled, innocent subtrees included; once a
+// child is carved into its own entry it gets its own attribution.
+func (c *Cluster) tenantThrottled(key namespace.FragKey) bool {
+	if c.tn == nil || key == (namespace.FragKey{Dir: namespace.RootIno, Frag: namespace.WholeFrag}) {
 		return false
 	}
 	e, ok := c.part.EntryAt(key)
@@ -1348,10 +1343,7 @@ func (v *view) TenantThrottled(key namespace.FragKey) bool {
 		return false
 	}
 	t := c.servers[e.Auth].DominantTenant(key)
-	if t < 0 {
-		return false
-	}
-	return c.tn.ThrottledLastEpoch(t)
+	return t >= 0 && c.tn.ThrottledLastEpoch(t)
 }
 
 // Tenancy returns the attached tenant QoS manager (nil when the run is

@@ -269,14 +269,6 @@ func TestEpochMetricsRecorded(t *testing.T) {
 	}
 }
 
-func TestMessageLedgerPopulated(t *testing.T) {
-	c := newTestCluster(t, Config{})
-	c.Run(50)
-	if c.Ledger().TotalBytes() == 0 {
-		t.Fatal("balancer epochs must account control messages")
-	}
-}
-
 func TestFrozenSubtreeStallsNotLoses(t *testing.T) {
 	// Force a migration of a hot subtree and verify ops are stalled
 	// (clients retry) rather than dropped: total served still matches.

@@ -1,20 +1,13 @@
-// Package core implements the paper's contribution: the Lunule
-// metadata load balancer. It comprises the Imbalance Factor model
-// (Equations 1-3), the role-and-amount planner (Algorithm 1), the
-// workload-aware pattern analyzer (alpha/beta locality factors and the
-// migration index of Equation 4), and the three-path subtree selector.
 package core
 
 import (
 	"repro/internal/stats"
 )
 
-// DefaultSmoothness is the urgency smoothness knob S the paper uses.
-const DefaultSmoothness = 0.2
-
 // IFModel computes the cluster Imbalance Factor from per-MDS loads.
 type IFModel struct {
-	// S is the logistic smoothness knob in (0, 1); the paper sets 0.2.
+	// S is the logistic smoothness knob in (0, 1); zero means the
+	// paper's 0.2.
 	S float64
 }
 
@@ -42,7 +35,7 @@ func (m IFModel) Compute(loads []float64, capacity float64) IFResult {
 	}
 	s := m.S
 	if s == 0 {
-		s = DefaultSmoothness
+		s = smoothness
 	}
 	cov := stats.CoV(loads)
 	norm := cov / stats.MaxCoV(n)

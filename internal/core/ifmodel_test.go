@@ -96,7 +96,7 @@ func TestIFMonotoneInSkew(t *testing.T) {
 
 func TestIFSmoothnessDefault(t *testing.T) {
 	a := IFModel{}.Compute([]float64{1000, 0}, 2000)
-	b := IFModel{S: DefaultSmoothness}.Compute([]float64{1000, 0}, 2000)
+	b := IFModel{S: smoothness}.Compute([]float64{1000, 0}, 2000)
 	if a.IF != b.IF {
 		t.Fatal("zero smoothness must default to the paper's 0.2")
 	}

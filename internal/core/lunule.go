@@ -6,27 +6,10 @@ import (
 	"repro/internal/obs"
 )
 
-// Config parameterizes the Lunule balancer.
+// Config is what distinguishes the Lunule variants the evaluation
+// runs; the paper's parameters are the constants in core.go. The zero
+// Config is Lunule-Light with nothing ablated.
 type Config struct {
-	// Threshold is the IF value above which re-balance triggers.
-	Threshold float64
-	// Smoothness is the urgency knob S (paper: 0.2).
-	Smoothness float64
-	// L gates per-MDS plan participation in Algorithm 1.
-	L float64
-	// CapFraction sizes Algorithm 1's per-epoch export/import ceiling
-	// as a fraction of the single-MDS capacity C.
-	CapFraction float64
-	// HistoryEpochs feeds the importer-side future-load regression.
-	HistoryEpochs int
-	// Windows is the pattern analyzer's cutting-window depth N.
-	Windows int
-	// SiblingProb is the sibling-correlation probability mass.
-	SiblingProb float64
-	// Tolerance is the subtree selector's matching tolerance.
-	Tolerance float64
-	// CandidateLimit bounds candidate enumeration.
-	CandidateLimit int
 	// WorkloadAware toggles the workload-aware subtree selection; with
 	// it off the policy is the paper's Lunule-Light variant, which
 	// keeps the IF model and Algorithm 1 but selects subtrees by the
@@ -48,68 +31,12 @@ type Config struct {
 	DisableImporterGate bool
 }
 
-// DefaultConfig returns the configuration used throughout the paper's
-// evaluation.
-func DefaultConfig() Config {
-	return Config{
-		Threshold:      0.10,
-		Smoothness:     DefaultSmoothness,
-		L:              0.05,
-		CapFraction:    1.0,
-		HistoryEpochs:  8,
-		Windows:        5,
-		SiblingProb:    0.5,
-		Tolerance:      0.10,
-		CandidateLimit: 128,
-		WorkloadAware:  true,
-	}
-}
-
-// Normalize returns cfg with every zero-valued field replaced by its
-// DefaultConfig value. It is the explicit opt-in for the old "zero
-// means unset" construction style; New itself takes the config
-// verbatim, so a deliberate zero (Tolerance 0, Threshold 0,
-// SiblingProb 0 — exactly what the ablation flags need to express)
-// reaches the balancer unchanged.
-func (c Config) Normalize() Config {
-	def := DefaultConfig()
-	if c.Threshold == 0 {
-		c.Threshold = def.Threshold
-	}
-	if c.Smoothness == 0 {
-		c.Smoothness = def.Smoothness
-	}
-	if c.L == 0 {
-		c.L = def.L
-	}
-	if c.CapFraction == 0 {
-		c.CapFraction = def.CapFraction
-	}
-	if c.HistoryEpochs == 0 {
-		c.HistoryEpochs = def.HistoryEpochs
-	}
-	if c.Windows == 0 {
-		c.Windows = def.Windows
-	}
-	if c.SiblingProb == 0 {
-		c.SiblingProb = def.SiblingProb
-	}
-	if c.Tolerance == 0 {
-		c.Tolerance = def.Tolerance
-	}
-	if c.CandidateLimit == 0 {
-		c.CandidateLimit = def.CandidateLimit
-	}
-	return c
-}
-
 // Lunule is the paper's balancer: IF-model-driven triggering,
 // Algorithm 1 role/amount planning, and workload-aware subtree
 // selection.
 type Lunule struct {
-	cfg      Config
-	selector *Selector
-	bus      *obs.Bus
+	cfg Config
+	bus *obs.Bus
 
 	// lastResult is the most recent IF evaluation, exposed for
 	// experiments and debugging.
@@ -118,42 +45,20 @@ type Lunule struct {
 	rebalances int
 }
 
-// New creates a Lunule balancer from cfg taken verbatim: a zero field
-// means zero, not "use the default". Start from DefaultConfig (as the
-// experiments do) or call NewFromDefaults to get the paper's values
-// for anything left unset.
-func New(cfg Config) *Lunule {
-	sel := NewSelector()
-	sel.Tolerance = cfg.Tolerance
-	sel.CandidateLimit = cfg.CandidateLimit
-	return &Lunule{cfg: cfg, selector: sel}
-}
-
-// NewFromDefaults creates a Lunule balancer treating zero-valued cfg
-// fields as unset and filling them from DefaultConfig — the historical
-// behaviour of New, kept for callers that build configs sparsely.
-func NewFromDefaults(cfg Config) *Lunule {
-	return New(cfg.Normalize())
-}
+// New creates the Lunule variant cfg describes.
+func New(cfg Config) *Lunule { return &Lunule{cfg: cfg} }
 
 // SetBus implements obs.BusCarrier: trigger decisions (with their
 // IF/U/CoV inputs), plan pairs, and subtree picks are traced through
 // the given bus.
 func (b *Lunule) SetBus(bus *obs.Bus) { b.bus = bus }
 
-// NewDefault creates Lunule with the paper's defaults.
-func NewDefault() *Lunule {
-	cfg := DefaultConfig()
-	return New(cfg)
-}
+// NewDefault creates the paper's Lunule.
+func NewDefault() *Lunule { return New(Config{WorkloadAware: true}) }
 
 // NewLight creates the Lunule-Light variant (workload-aware selection
 // off).
-func NewLight() *Lunule {
-	cfg := DefaultConfig()
-	cfg.WorkloadAware = false
-	return New(cfg)
-}
+func NewLight() *Lunule { return New(Config{}) }
 
 // Name implements balancer.Balancer.
 func (b *Lunule) Name() string {
@@ -178,42 +83,28 @@ func (b *Lunule) Rebalances() int { return b.rebalances }
 func (b *Lunule) housekeep(v balancer.View) {
 	part := v.Partition()
 	mig := v.Migrator()
-	rootKey := namespace.FragKey{Dir: namespace.RootIno, Frag: namespace.WholeFrag}
-	// Entries serving (or about to serve) read leases are deliberate
-	// carve-outs owned by the lease controller; absorbing one back into
-	// its parent would tear down its replication group each epoch.
-	lv, _ := v.(balancer.LeaseView)
-	// Entries hot from an admission-throttled tenant are likewise left
-	// alone: merging or absorbing one would blend its heat into a
-	// larger entry and erase the per-tenant attribution the fairness
-	// skip (balancer.TenantView) keys on.
-	tv, _ := v.(balancer.TenantView)
 	for _, e := range part.Entries() {
-		if e.Key == rootKey || mig.IsFrozen(e.Key) || mig.PendingFor(e.Auth)[e.Key] {
-			continue
-		}
-		if lv != nil && lv.ReadLeased(e.Key) {
-			continue
-		}
-		if tv != nil && tv.TenantThrottled(e.Key) {
-			continue
-		}
-		if !v.Up(e.Auth) {
-			// Orphaned entry awaiting failover takeover: leave it for
-			// the recovery policy, do not merge/absorb around it.
+		// Held entries are deliberate carve-outs: absorbing a leased
+		// one would tear down its replication group each epoch, and
+		// merging a throttled tenant's would blend its heat into a
+		// larger entry and erase the attribution the hold keys on. An
+		// entry whose authority is down is orphaned awaiting failover
+		// takeover: leave it for the recovery policy.
+		if mig.InTransit(e.Key, e.Auth) || v.Held(e.Key) || !v.Up(e.Auth) {
 			continue
 		}
 		if e.Key.Frag.IsWhole() {
+			// The root entry has no enclosing authority and stays.
 			if enc, ok := part.EnclosingAuth(e.Key); ok && enc == e.Auth {
 				part.Absorb(e.Key)
 			}
 			continue
 		}
 		sibKey := namespace.FragKey{Dir: e.Key.Dir, Frag: e.Key.Frag.Sibling()}
-		if mig.IsFrozen(sibKey) {
+		if mig.InTransit(sibKey, e.Auth) {
 			continue
 		}
-		if sib, ok := part.EntryAt(sibKey); ok && sib.Auth == e.Auth && !mig.PendingFor(sib.Auth)[sibKey] {
+		if sib, ok := part.EntryAt(sibKey); ok && sib.Auth == e.Auth {
 			part.MergeWithSibling(e.Key)
 		}
 	}
@@ -222,7 +113,6 @@ func (b *Lunule) housekeep(v balancer.View) {
 // Rebalance implements balancer.Balancer.
 func (b *Lunule) Rebalance(v balancer.View) {
 	b.housekeep(v)
-	n := v.NumMDS()
 	// The plan runs over importable ranks only: a down rank neither
 	// reports an Imbalance State nor may be chosen as an endpoint, and
 	// a draining rank is already being emptied by the elastic drain
@@ -231,46 +121,39 @@ func (b *Lunule) Rebalance(v balancer.View) {
 	// real ranks afterwards.
 	live := balancer.ImportableRanks(v)
 	if len(live) < 2 {
-		v.Ledger().EpochLunule(n, 0, nil, 0)
 		return
 	}
-	allLoads := balancer.Loads(v)
-	allHistories := balancer.LoadHistories(v)
 	loads := make([]float64, len(live))
 	histories := make([][]float64, len(live))
 	for i, id := range live {
-		loads[i] = allLoads[id]
-		histories[i] = allHistories[id]
+		s := v.Server(id)
+		loads[i], histories[i] = s.CurrentLoad(), s.LoadHistory()
 	}
-	b.lastResult = IFModel{S: b.cfg.Smoothness}.Compute(loads, v.Capacity())
+	b.lastResult = IFModel{S: smoothness}.Compute(loads, v.Capacity())
 	if b.cfg.DisableUrgency {
 		// Ablation: raw normalized CoV, no benign-imbalance tolerance.
 		b.lastResult.U = 1
 		b.lastResult.IF = b.lastResult.NormCoV
 	}
-	fired := b.lastResult.IF >= b.cfg.Threshold
+	fired := b.lastResult.IF >= threshold
 	if b.bus.Enabled(obs.EvTrigger) {
 		b.bus.Emit(obs.Event{Tick: v.Tick(), Type: obs.EvTrigger, Fields: obs.F{
 			"balancer": b.Name(), "if": b.lastResult.IF, "cov": b.lastResult.CoV,
 			"norm_cov": b.lastResult.NormCoV, "u": b.lastResult.U,
-			"threshold": b.cfg.Threshold, "fired": fired, "live": len(live),
+			"threshold": threshold, "fired": fired, "live": len(live),
 		}})
 	}
-
 	if !fired {
-		// Benign (or no) imbalance: report stats, do nothing.
-		v.Ledger().EpochLunule(n, 0, nil, 0)
-		return
+		return // benign (or no) imbalance
 	}
 
 	plan := Plan(loads, histories, PlannerConfig{
-		L:                 b.cfg.L,
-		Cap:               b.cfg.CapFraction * v.Capacity(),
-		HistoryEpochs:     b.cfg.HistoryEpochs,
+		L:                 planL,
+		Cap:               capFraction * v.Capacity(),
+		HistoryEpochs:     historyEpochs,
 		DisableFutureLoad: b.cfg.DisableImporterGate,
 	})
 	if len(plan) == 0 {
-		v.Ledger().EpochLunule(n, 0, nil, 0)
 		return
 	}
 	for i := range plan {
@@ -286,55 +169,27 @@ func (b *Lunule) Rebalance(v balancer.View) {
 		}
 	}
 
-	// Group decisions per exporter for the decision messages.
-	perExporter := make(map[namespace.MDSID][]Decision)
-	var exporterOrder []namespace.MDSID
-	for _, d := range plan {
-		if _, seen := perExporter[d.From]; !seen {
-			exporterOrder = append(exporterOrder, d.From)
-		}
-		perExporter[d.From] = append(perExporter[d.From], d)
-	}
-	exporterRanks := make([]int, len(exporterOrder))
-	maxPairs := 0
-	for i, ex := range exporterOrder {
-		exporterRanks[i] = int(ex)
-		if len(perExporter[ex]) > maxPairs {
-			maxPairs = len(perExporter[ex])
-		}
-	}
-	v.Ledger().EpochLunule(n, 0, exporterRanks, maxPairs)
-
-	an := &Analyzer{
-		Windows:     b.cfg.Windows,
-		SiblingProb: b.cfg.SiblingProb,
-		EpochTicks:  v.EpochTicks(),
-	}
+	an := NewAnalyzer(v.EpochTicks())
 	if b.cfg.DisableSiblingCredit {
 		an.SiblingProb = 0
 	}
-	for _, ex := range exporterOrder {
-		for _, d := range perExporter[ex] {
-			b.execute(v, an, d)
-		}
+	// Plan emits its decisions grouped by exporter, in exporter order.
+	for _, d := range plan {
+		b.execute(v, an, d)
 	}
 }
 
+// execute realizes one decision with the workload-aware selector's
+// picks or, for Lunule-Light, with the default heat-ranked selection,
+// still bounded by the planned amount relative to the exporter's load.
 func (b *Lunule) execute(v balancer.View, an *Analyzer, d Decision) {
+	var picks []balancer.Candidate
 	if b.cfg.WorkloadAware {
-		for _, c := range b.selector.Select(v, an, d.From, d.Amount) {
-			b.tracePick(v, c, d)
-			balancer.SubmitCandidate(v, c, d.From, d.To)
-		}
-		return
+		picks = Select(v, an, d.From, d.Amount)
+	} else if load := v.Server(d.From).CurrentLoad(); load > 0 {
+		picks = balancer.HeatSelect(v, d.From, d.Amount/load, candidateLimit)
 	}
-	// Lunule-Light: default (heat-ranked) subtree selection, still
-	// bounded by the planned amount relative to the exporter's load.
-	load := v.Server(d.From).CurrentLoad()
-	if load <= 0 {
-		return
-	}
-	for _, c := range balancer.HeatSelect(v, d.From, d.Amount/load, b.cfg.CandidateLimit) {
+	for _, c := range picks {
 		b.tracePick(v, c, d)
 		balancer.SubmitCandidate(v, c, d.From, d.To)
 	}

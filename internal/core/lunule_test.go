@@ -42,24 +42,18 @@ func TestLunuleToleratesBenignSkew(t *testing.T) {
 	}
 	lun := NewDefault()
 	lun.Rebalance(v)
-	if lun.LastIF().IF >= lun.cfg.Threshold {
-		t.Fatalf("benign IF = %v, want below threshold %v", lun.LastIF().IF, lun.cfg.Threshold)
+	if lun.LastIF().IF >= threshold {
+		t.Fatalf("benign IF = %v, want below threshold %v", lun.LastIF().IF, threshold)
 	}
 	if lun.Rebalances() != 0 || v.Mig.QueuedTasks() != 0 {
 		t.Fatal("benign skew must not migrate")
-	}
-	// Stats were still reported to the initiator.
-	if v.Ledg.TotalBytes() == 0 {
-		t.Fatal("imbalance-state messages must flow every epoch")
 	}
 }
 
 func TestLunuleDisableUrgencyFiresOnBenign(t *testing.T) {
 	build := func() (*Lunule, func()) {
 		v, dirs := buildView(t, 10, 20)
-		cfg := DefaultConfig()
-		cfg.DisableUrgency = true
-		lun := New(cfg)
+		lun := New(Config{WorkloadAware: true, DisableUrgency: true})
 		fire := func() {
 			for e := int64(0); e < 3; e++ {
 				for _, d := range dirs {
@@ -113,41 +107,18 @@ func TestLunuleLightUsesHeatSelection(t *testing.T) {
 	}
 }
 
-func TestNewFromDefaultsFillsZeroFields(t *testing.T) {
-	lun := NewFromDefaults(Config{WorkloadAware: true})
-	def := DefaultConfig()
-	if lun.cfg.Threshold != def.Threshold || lun.cfg.Smoothness != def.Smoothness ||
-		lun.cfg.Windows != def.Windows || lun.cfg.CandidateLimit != def.CandidateLimit {
-		t.Fatalf("zero config not filled: %+v", lun.cfg)
-	}
-}
-
-func TestNormalizeKeepsExplicitValues(t *testing.T) {
-	cfg := Config{Threshold: 0.42, Windows: 3}.Normalize()
-	if cfg.Threshold != 0.42 || cfg.Windows != 3 {
-		t.Fatalf("normalize overwrote explicit values: %+v", cfg)
-	}
-	def := DefaultConfig()
-	if cfg.Smoothness != def.Smoothness || cfg.Tolerance != def.Tolerance {
-		t.Fatalf("normalize left zero fields unfilled: %+v", cfg)
-	}
-}
-
-// TestNewHonorsExplicitZero is the regression test for the old New,
-// which treated zero-valued fields as unset: an ablation expressing
-// Tolerance 0 (exact-match subtree selection) silently got the 10%
-// default back. New now takes the config verbatim, so the zero must
-// reach the selector.
+// TestNewHonorsExplicitZero: New takes the config verbatim. The zero
+// Config is Lunule-Light with nothing ablated — not "unset, so use the
+// paper's system" — and a single switch set reaches the balancer alone.
 func TestNewHonorsExplicitZero(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Tolerance = 0
-	cfg.Threshold = 0
-	cfg.SiblingProb = 0
-	lun := New(cfg)
-	if lun.selector.Tolerance != 0 {
-		t.Fatalf("explicit zero tolerance did not reach the selector: %v", lun.selector.Tolerance)
+	if lun := New(Config{}); lun.Name() != "Lunule-Light" || lun.cfg != (Config{}) {
+		t.Fatalf("zero config became %q %+v", lun.Name(), lun.cfg)
 	}
-	if lun.cfg.Threshold != 0 || lun.cfg.SiblingProb != 0 {
-		t.Fatalf("explicit zeros replaced by defaults: %+v", lun.cfg)
+	want := Config{WorkloadAware: true, DisableSiblingCredit: true}
+	if lun := New(want); lun.Name() != "Lunule" || lun.cfg != want {
+		t.Fatalf("config %+v became %q %+v", want, lun.Name(), lun.cfg)
+	}
+	if NewDefault().cfg != (Config{WorkloadAware: true}) || NewLight().cfg != (Config{}) {
+		t.Fatal("the named variants ablate nothing")
 	}
 }

@@ -21,19 +21,17 @@ import (
 // (deterministically) rather than by coin flips, which keeps runs
 // reproducible and equals the paper's probabilistic rule in mean.
 type Analyzer struct {
-	// Windows is N, the number of recent cutting windows consulted.
-	Windows int
 	// SiblingProb is the probability mass of the sibling-correlation
-	// rule (the paper's "certain probability").
+	// rule; the sibling-credit ablation zeroes it.
 	SiblingProb float64
 	// EpochTicks converts window counters into per-second load units.
 	EpochTicks int
 }
 
-// NewAnalyzer returns an analyzer with the defaults used throughout the
-// evaluation.
+// NewAnalyzer returns the analyzer the evaluation uses, for a cluster
+// with the given epoch length.
 func NewAnalyzer(epochTicks int) *Analyzer {
-	return &Analyzer{Windows: 5, SiblingProb: 0.5, EpochTicks: epochTicks}
+	return &Analyzer{SiblingProb: siblingProb, EpochTicks: epochTicks}
 }
 
 // Locality is the analyzed state of one subtree.
@@ -51,7 +49,7 @@ type Locality struct {
 }
 
 func (a *Analyzer) windowsUsed(epoch int64) float64 {
-	n := int64(a.Windows)
+	n := int64(windows)
 	if epoch+1 < n {
 		n = epoch + 1
 	}
@@ -85,7 +83,7 @@ func (a *Analyzer) locality(c trace.Counters, credit float64, epoch int64) Local
 	if c.Distinct > 0 {
 		loc.Alpha = float64(c.Recurrent) / float64(c.Distinct)
 	}
-	first := float64(c.FirstVisits+c.SiblingCredits) + credit
+	first := float64(c.FirstVisits) + credit
 	den := float64(c.Visits) + credit
 	if den > 0 {
 		loc.Beta = first / den
@@ -123,21 +121,21 @@ func (a *Analyzer) siblingCredit(col *trace.Collector, epoch int64, d *namespace
 	if uParent <= 0 {
 		return 0
 	}
-	fv := col.RecentDir(p.Ino, epoch, a.Windows).FirstVisits
+	fv := col.RecentDir(p.Ino, epoch, windows).FirstVisits
 	return a.SiblingProb * float64(fv) * float64(uSelf) / float64(uParent)
 }
 
 // ForDir analyzes the region rooted at directory d as observed by the
 // given collector (the exporter's).
 func (a *Analyzer) ForDir(col *trace.Collector, epoch int64, d *namespace.Inode) Locality {
-	c := col.RecentDir(d.Ino, epoch, a.Windows)
+	c := col.RecentDir(d.Ino, epoch, windows)
 	return a.locality(c, a.siblingCredit(col, epoch, d), epoch)
 }
 
 // ForKey analyzes an existing subtree entry as observed by the given
 // collector.
 func (a *Analyzer) ForKey(col *trace.Collector, epoch int64, part *namespace.Partition, key namespace.FragKey) Locality {
-	c := col.RecentKey(key, epoch, a.Windows)
+	c := col.RecentKey(key, epoch, windows)
 	credit := 0.0
 	dir := part.Tree().Get(key.Dir)
 	if dir != nil {
@@ -149,7 +147,7 @@ func (a *Analyzer) ForKey(col *trace.Collector, epoch int64, part *namespace.Par
 			uFrag, _ := part.UnvisitedIn(key)
 			uDir, _ := dir.UnvisitedBelow()
 			if uFrag > 0 && uDir > 0 {
-				fv := col.RecentDir(dir.Ino, epoch, a.Windows).FirstVisits
+				fv := col.RecentDir(dir.Ino, epoch, windows).FirstVisits
 				credit = a.SiblingProb * float64(fv) * float64(uFrag) / float64(uDir)
 			}
 		}

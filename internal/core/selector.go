@@ -1,12 +1,13 @@
 package core
 
 import (
+	"math"
+
 	"repro/internal/balancer"
 	"repro/internal/namespace"
-	"repro/internal/trace"
 )
 
-// Selector implements the paper's subtree selection (§3.3/§4.1): given
+// Select implements the paper's subtree selection (§3.3/§4.1): given
 // an exporter and a migration amount, it searches the exporter's
 // namespace through three paths:
 //
@@ -19,73 +20,16 @@ import (
 //  3. a minimal set of subtrees whose migration indices together
 //     roughly meet the demand.
 //
-// Candidate enumeration descends into a subtree's child directories
-// only when those children actually capture the subtree's migration
-// index; a region whose predicted load is diffuse (a scan spreading
-// over hundreds of directories) is kept whole so that path 2 can carve
-// a hash fragment of it — which ships a representative slice of the
-// not-yet-visited namespace, the behaviour that makes Lunule effective
-// on scan workloads.
-type Selector struct {
-	// Tolerance is the acceptable relative mismatch (the paper allows
-	// a 10% difference).
-	Tolerance float64
-	// CandidateLimit bounds candidate enumeration.
-	CandidateLimit int
-	// MaxFragSplits bounds repeated dirfrag splitting.
-	MaxFragSplits int
-	// ConcentrationMin is the fraction of a region's migration index
-	// its child directories must capture for the region to be refined
-	// into them rather than fragment-split.
-	ConcentrationMin float64
-	// MaxPicks bounds how many subtrees one decision may export.
-	MaxPicks int
-	// DustFraction drops candidates below this fraction of the amount.
-	DustFraction float64
-}
-
-// NewSelector returns a selector with the paper's defaults.
-func NewSelector() *Selector {
-	return &Selector{
-		Tolerance:        0.10,
-		CandidateLimit:   128,
-		MaxFragSplits:    8,
-		ConcentrationMin: 0.7,
-		MaxPicks:         16,
-		DustFraction:     0.05,
-	}
-}
-
-// selCtx carries the per-call state.
-type selCtx struct {
-	v    balancer.View
-	an   *Analyzer
-	col  *trace.Collector
-	part *namespace.Partition
-	ex   namespace.MDSID
-}
-
-func (ctx *selCtx) dirLoad(d *namespace.Inode) float64 {
-	return ctx.an.ForDir(ctx.col, ctx.v.Epoch(), d).MIndex
-}
-
-func (ctx *selCtx) keyLoad(k namespace.FragKey) float64 {
-	return ctx.an.ForKey(ctx.col, ctx.v.Epoch(), ctx.part, k).MIndex
-}
-
-// childDirs lists the sub-directories inside a region that are not
-// already subtree roots of their own.
-func (ctx *selCtx) childDirs(dir *namespace.Inode, frag namespace.Frag) []*namespace.Inode {
-	var out []*namespace.Inode
-	for _, ch := range dir.ChildrenInFrag(frag) {
-		if ch.IsDir && len(ctx.part.EntriesAt(ch.Ino)) == 0 {
-			out = append(out, ch)
-		}
-	}
-	return out
-}
-
-// Select returns the candidates to export so that their total migration
+// Candidate enumeration (balancer.Enumerate, ranked by migration
+// index) descends into a subtree's child directories only when those
+// children actually capture the subtree's migration index; a region
+// whose predicted load is diffuse (a scan spreading over hundreds of
+// directories) is kept whole so that path 2 can carve a hash fragment
+// of it — which ships a representative slice of the not-yet-visited
+// namespace, the behaviour that makes Lunule effective on scan
+// workloads.
+//
+// It returns the candidates to export so that their total migration
 // index approximates amount (ops/sec). The analyzer must belong to the
 // exporter (its collector classifies the exporter's recent traffic).
 //
@@ -95,18 +39,18 @@ func (ctx *selCtx) childDirs(dir *namespace.Inode, frag namespace.Frag) []*names
 // exporter's served load and then applied to the total enumerated
 // migration index; this ships the right proportion of the demand
 // rather than 'amount' worth of under-measured subtrees.
-func (s *Selector) Select(v balancer.View, an *Analyzer, exporter namespace.MDSID, amount float64) []balancer.Candidate {
+func Select(v balancer.View, an *Analyzer, exporter namespace.MDSID, amount float64) []balancer.Candidate {
 	if amount <= 0 {
 		return nil
 	}
-	ctx := &selCtx{
-		v:    v,
-		an:   an,
-		col:  v.Server(exporter).Collector(),
-		part: v.Partition(),
-		ex:   exporter,
-	}
-	cands := s.enumerate(ctx, amount)
+	col, part, epoch := v.Server(exporter).Collector(), v.Partition(), v.Epoch()
+	keyLoad := func(k namespace.FragKey) float64 { return an.ForKey(col, epoch, part, k).MIndex }
+	cands := balancer.Enumerate(v, exporter, balancer.Ranking{
+		OfKey:         keyLoad,
+		OfDir:         func(d *namespace.Inode) float64 { return an.ForDir(col, epoch, d).MIndex },
+		RefineAbove:   amount * (1 + tolerance),
+		Concentration: concentrationMin,
+	}, candidateLimit)
 	if len(cands) == 0 {
 		return nil
 	}
@@ -124,7 +68,7 @@ func (s *Selector) Select(v balancer.View, an *Analyzer, exporter namespace.MDSI
 			return nil
 		}
 	}
-	tol := s.Tolerance * amount
+	tol := tolerance * amount
 
 	// Path 1: one subtree that matches the amount within tolerance.
 	bestIdx, bestDiff := -1, tol+1
@@ -147,14 +91,14 @@ func (s *Selector) Select(v balancer.View, an *Analyzer, exporter namespace.MDSI
 	// candidate here is split by hash fragments.)
 	overIdx := -1
 	for i, c := range cands {
-		if c.Load > amount*(1+s.Tolerance) {
+		if c.Load > amount*(1+tolerance) {
 			if overIdx == -1 || c.Load < cands[overIdx].Load {
 				overIdx = i
 			}
 		}
 	}
 	if overIdx >= 0 {
-		if c, ok := s.fragSplit(ctx, cands[overIdx], amount); ok {
+		if c, ok := fragSplit(part, keyLoad, cands[overIdx], amount); ok {
 			return []balancer.Candidate{c}
 		}
 	}
@@ -165,126 +109,19 @@ func (s *Selector) Select(v balancer.View, an *Analyzer, exporter namespace.MDSI
 	var out []balancer.Candidate
 	remaining := amount
 	for _, c := range cands {
-		if c.Load < amount*s.DustFraction || remaining <= tol {
+		if c.Load < amount*dustFraction || remaining <= tol {
 			break
 		}
-		if c.Load > remaining*(1+s.Tolerance) {
+		if c.Load > remaining*(1+tolerance) {
 			continue
 		}
 		out = append(out, c)
 		remaining -= c.Load
-		if len(out) >= s.MaxPicks {
+		if len(out) >= maxPicks {
 			break
 		}
 	}
 	return out
-}
-
-// enumerate lists the exporter's movable candidates sorted by
-// descending migration index, refining a region into its child
-// directories only while the children capture at least
-// ConcentrationMin of its migration index.
-func (s *Selector) enumerate(ctx *selCtx, amount float64) []balancer.Candidate {
-	skip := ctx.v.Migrator().PendingFor(ctx.ex)
-	tree := ctx.part.Tree()
-	rootKey := namespace.FragKey{Dir: namespace.RootIno, Frag: namespace.WholeFrag}
-
-	// Subtrees served (or about to be served) under read leases are
-	// handled by replication, not migration (balancer.LeaseView).
-	lv, _ := ctx.v.(balancer.LeaseView)
-
-	// Subtrees hot because of an admission-throttled tenant stay put:
-	// the noisy neighbour is contained by its token bucket where it
-	// sits, and exporting its subtree would spread the over-quota load
-	// (and whatever shares the subtree) across more ranks
-	// (balancer.TenantView).
-	tv, _ := ctx.v.(balancer.TenantView)
-
-	var cands []balancer.Candidate
-	for _, e := range ctx.part.EntriesOf(ctx.ex) {
-		if skip[e.Key] || ctx.v.Migrator().IsFrozen(e.Key) {
-			continue
-		}
-		if lv != nil && lv.ReadLeased(e.Key) {
-			continue
-		}
-		if e.Key == rootKey {
-			// The root entry aggregates every tenant's heat, so the
-			// fairness skip below would freeze the entire namespace on
-			// this rank the moment any tenant is throttled — innocent
-			// subtrees included. Expand it unconditionally; once a child
-			// is carved into its own entry it gets its own tenant
-			// attribution and the skip applies at that granularity.
-			for _, ch := range ctx.childDirs(tree.Root(), namespace.WholeFrag) {
-				cands = append(cands, balancer.Candidate{Dir: ch, Load: ctx.dirLoad(ch)})
-			}
-			continue
-		}
-		if tv != nil && tv.TenantThrottled(e.Key) {
-			continue
-		}
-		cands = append(cands, balancer.Candidate{Key: e.Key, IsEntry: true, Load: ctx.keyLoad(e.Key)})
-	}
-
-	for len(cands) < s.CandidateLimit {
-		best := -1
-		var bestChildren []balancer.Candidate
-		for i, c := range cands {
-			if c.Load <= amount*(1+s.Tolerance) {
-				continue
-			}
-			var dir *namespace.Inode
-			frag := namespace.WholeFrag
-			if c.IsEntry {
-				dir = tree.Get(c.Key.Dir)
-				frag = c.Key.Frag
-			} else {
-				dir = c.Dir
-			}
-			if dir == nil {
-				continue
-			}
-			children := ctx.childDirs(dir, frag)
-			if len(children) == 0 {
-				continue
-			}
-			sum := 0.0
-			kids := make([]balancer.Candidate, 0, len(children))
-			for _, ch := range children {
-				l := ctx.dirLoad(ch)
-				sum += l
-				kids = append(kids, balancer.Candidate{Dir: ch, Load: l})
-			}
-			if sum < s.ConcentrationMin*c.Load {
-				// Diffuse region: keep whole; path 2 will frag-split.
-				continue
-			}
-			if best == -1 || c.Load > cands[best].Load {
-				best = i
-				bestChildren = kids
-			}
-		}
-		if best == -1 {
-			break
-		}
-		cands = append(cands[:best], cands[best+1:]...)
-		cands = append(cands, bestChildren...)
-	}
-
-	sortCandidates(cands)
-	return cands
-}
-
-func sortCandidates(cands []balancer.Candidate) {
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0; j-- {
-			a, b := cands[j-1], cands[j]
-			if a.Load > b.Load || (a.Load == b.Load && a.RootDir() <= b.RootDir()) {
-				break
-			}
-			cands[j-1], cands[j] = b, a
-		}
-	}
 }
 
 // fragSplit converts the candidate into a partition entry and splits
@@ -294,8 +131,7 @@ func sortCandidates(cands []balancer.Candidate) {
 // (their own indices plus their unvisited share), so a hash slice of a
 // scan region carries a representative share of both the live front
 // and the not-yet-visited namespace.
-func (s *Selector) fragSplit(ctx *selCtx, c balancer.Candidate, amount float64) (balancer.Candidate, bool) {
-	part := ctx.part
+func fragSplit(part *namespace.Partition, keyLoad func(namespace.FragKey) float64, c balancer.Candidate, amount float64) (balancer.Candidate, bool) {
 	tree := part.Tree()
 
 	key := c.Key
@@ -311,7 +147,7 @@ func (s *Selector) fragSplit(ctx *selCtx, c balancer.Candidate, amount float64) 
 		return balancer.Candidate{}, false
 	}
 
-	for i := 0; i < s.MaxFragSplits && load > amount*(1+s.Tolerance); i++ {
+	for i := 0; i < maxFragSplits && load > amount*(1+tolerance); i++ {
 		if len(dir.ChildrenInFrag(key.Frag)) < 2 {
 			break
 		}
@@ -319,8 +155,8 @@ func (s *Selector) fragSplit(ctx *selCtx, c balancer.Candidate, amount float64) 
 		if !ok {
 			break
 		}
-		ll := ctx.keyLoad(left.Key)
-		lr := ctx.keyLoad(right.Key)
+		ll := keyLoad(left.Key)
+		lr := keyLoad(right.Key)
 		if ll+lr > 0 {
 			// Re-apportion the parent's estimate by the halves' relative
 			// indices (absolute re-evaluation loses the parent context).
@@ -330,18 +166,11 @@ func (s *Selector) fragSplit(ctx *selCtx, c balancer.Candidate, amount float64) 
 		} else {
 			ll, lr = load/2, load/2
 		}
-		if absF(ll-amount) <= absF(lr-amount) {
+		if math.Abs(ll-amount) <= math.Abs(lr-amount) {
 			key, load = left.Key, ll
 		} else {
 			key, load = right.Key, lr
 		}
 	}
 	return balancer.Candidate{Key: key, IsEntry: true, Load: load}, true
-}
-
-func absF(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -55,9 +55,8 @@ func TestSelectorPicksHotDirsToMatchAmount(t *testing.T) {
 		}
 		v.EndEpoch()
 	}
-	sel := NewSelector()
 	// Total visible load ~30 ops/sec over 10 dirs; ask for ~9 (3 dirs).
-	picked := sel.Select(v, analyzerFor(v), 0, 9)
+	picked := Select(v, analyzerFor(v), 0, 9)
 	if len(picked) == 0 {
 		t.Fatal("no selection")
 	}
@@ -88,12 +87,11 @@ func TestSelectorPathOneExactMatch(t *testing.T) {
 		}
 		v.EndEpoch()
 	}
-	sel := NewSelector()
 	// Ask for exactly dirs[0]'s share of the served load (2 of 6
 	// parts): after the proportional conversion this equals dirs[0]'s
 	// migration index, so path 1 must return it alone.
 	served := v.Servers[0].CurrentLoad()
-	picked := sel.Select(v, analyzerFor(v), 0, served*2/6)
+	picked := Select(v, analyzerFor(v), 0, served*2/6)
 	if len(picked) != 1 {
 		t.Fatalf("want single-subtree match, got %d picks: %v", len(picked), picked)
 	}
@@ -111,9 +109,8 @@ func TestSelectorFragSplitsOversizedFlatDir(t *testing.T) {
 		}
 		v.EndEpoch()
 	}
-	sel := NewSelector()
 	// The dir's index is ~20 ops/sec; ask for half.
-	picked := sel.Select(v, analyzerFor(v), 0, 10)
+	picked := Select(v, analyzerFor(v), 0, 10)
 	if len(picked) != 1 {
 		t.Fatalf("want one fragment, got %d", len(picked))
 	}
@@ -147,7 +144,6 @@ func TestSelectorKeepsDiffuseScanRegionWhole(t *testing.T) {
 		}
 		v.EndEpoch()
 	}
-	sel := NewSelector()
 	an := analyzerFor(v)
 	col := v.Servers[0].Collector()
 	region, _ := v.Part.Tree().Lookup("/data")
@@ -155,11 +151,11 @@ func TestSelectorKeepsDiffuseScanRegionWhole(t *testing.T) {
 	if regionIdx <= 0 {
 		t.Fatal("scan region must have positive index")
 	}
-	picked := sel.Select(v, an, 0, regionIdx/2)
+	picked := Select(v, an, 0, regionIdx/2)
 	if len(picked) == 0 {
 		t.Fatal("no selection for scan region")
 	}
-	if len(picked) > sel.MaxPicks {
+	if len(picked) > maxPicks {
 		t.Fatalf("selection shattered into %d pieces", len(picked))
 	}
 	got := totalLoad(picked)
@@ -181,8 +177,7 @@ func TestSelectorSkipsPendingSubtrees(t *testing.T) {
 	// Mark dirs[0] as already being exported.
 	e := v.Part.Carve(dirs[0])
 	v.Mig.Submit(e.Key, 0, 1, 1, 0)
-	sel := NewSelector()
-	picked := sel.Select(v, analyzerFor(v), 0, 3)
+	picked := Select(v, analyzerFor(v), 0, 3)
 	for _, c := range picked {
 		if c.RootDir() == dirs[0].Ino {
 			t.Fatal("selected a subtree already pending export")
@@ -203,9 +198,8 @@ func TestSelectorConcentratedRegionRefines(t *testing.T) {
 		}
 		v.EndEpoch()
 	}
-	sel := NewSelector()
 	served := v.Servers[0].CurrentLoad()
-	picked := sel.Select(v, analyzerFor(v), 0, served/3)
+	picked := Select(v, analyzerFor(v), 0, served/3)
 	if len(picked) == 0 {
 		t.Fatal("no selection")
 	}
@@ -239,9 +233,8 @@ func TestSelectorDiffuseRegionFragSplits(t *testing.T) {
 		}
 		v.EndEpoch()
 	}
-	sel := NewSelector()
 	served := v.Servers[0].CurrentLoad()
-	picked := sel.Select(v, analyzerFor(v), 0, served/2)
+	picked := Select(v, analyzerFor(v), 0, served/2)
 	if len(picked) == 0 {
 		t.Fatal("no selection")
 	}
@@ -251,26 +244,24 @@ func TestSelectorDiffuseRegionFragSplits(t *testing.T) {
 			fragPicks++
 		}
 	}
-	if fragPicks == 0 && len(picked) > sel.MaxPicks/2 {
+	if fragPicks == 0 && len(picked) > maxPicks/2 {
 		t.Fatalf("diffuse region shattered into %d pieces without frag-splitting", len(picked))
 	}
 }
 
 func TestSelectorZeroAmount(t *testing.T) {
 	v, _ := buildView(t, 2, 5)
-	sel := NewSelector()
-	if picked := sel.Select(v, analyzerFor(v), 0, 0); picked != nil {
+	if picked := Select(v, analyzerFor(v), 0, 0); picked != nil {
 		t.Fatal("zero amount must select nothing")
 	}
-	if picked := sel.Select(v, analyzerFor(v), 0, -5); picked != nil {
+	if picked := Select(v, analyzerFor(v), 0, -5); picked != nil {
 		t.Fatal("negative amount must select nothing")
 	}
 }
 
 func TestSelectorNoTrafficNoSelection(t *testing.T) {
 	v, _ := buildView(t, 3, 10)
-	sel := NewSelector()
-	if picked := sel.Select(v, analyzerFor(v), 0, 100); len(picked) != 0 {
+	if picked := Select(v, analyzerFor(v), 0, 100); len(picked) != 0 {
 		t.Fatalf("idle namespace produced selection: %v", picked)
 	}
 }
@@ -288,10 +279,9 @@ func TestSelectorSaturationRescale(t *testing.T) {
 		}
 		v.EndEpoch()
 	}
-	sel := NewSelector()
 	// Served load is ~20 ops/sec; ask for 10 (half): should pick about
 	// half the dirs, not all of them.
-	picked := sel.Select(v, analyzerFor(v), 0, 10)
+	picked := Select(v, analyzerFor(v), 0, 10)
 	if len(picked) == 0 || len(picked) >= 10 {
 		t.Fatalf("proportional selection picked %d of 10 dirs", len(picked))
 	}

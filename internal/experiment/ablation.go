@@ -31,14 +31,12 @@ func runAblation(opt Options) (*Result, error) {
 	// --- urgency: benign-imbalance scenario (light total load) -------
 	for _, ab := range []struct {
 		name string
-		cfg  func(c *core.Config)
+		cfg  core.Config
 	}{
-		{"full Lunule", func(c *core.Config) {}},
-		{"urgency off", func(c *core.Config) { c.DisableUrgency = true }},
+		{"full Lunule", core.Config{WorkloadAware: true}},
+		{"urgency off", core.Config{WorkloadAware: true, DisableUrgency: true}},
 	} {
-		cfg := core.DefaultConfig()
-		ab.cfg(&cfg)
-		lun := core.New(cfg)
+		lun := core.New(ab.cfg)
 		c, err := cluster.New(cluster.Config{
 			Clients:    10,
 			ClientRate: 40, // ~20% of one MDS: harmless skew
@@ -64,15 +62,13 @@ func runAblation(opt Options) (*Result, error) {
 	// --- sibling credit: CNN scan throughput --------------------------
 	for _, ab := range []struct {
 		name string
-		cfg  func(c *core.Config)
+		cfg  core.Config
 	}{
-		{"full Lunule", func(c *core.Config) {}},
-		{"sibling credit off", func(c *core.Config) { c.DisableSiblingCredit = true }},
+		{"full Lunule", core.Config{WorkloadAware: true}},
+		{"sibling credit off", core.Config{WorkloadAware: true, DisableSiblingCredit: true}},
 	} {
-		cfg := core.DefaultConfig()
-		ab.cfg(&cfg)
 		c, err := runOne(opt, cluster.Config{
-			Balancer: core.New(cfg),
+			Balancer: core.New(ab.cfg),
 			Workload: MakeWorkload("CNN", opt.Scale),
 		})
 		if err != nil {
@@ -87,15 +83,13 @@ func runAblation(opt Options) (*Result, error) {
 	// --- importer gate: migration churn on Zipf ------------------------
 	for _, ab := range []struct {
 		name string
-		cfg  func(c *core.Config)
+		cfg  core.Config
 	}{
-		{"full Lunule", func(c *core.Config) {}},
-		{"importer gate off", func(c *core.Config) { c.DisableImporterGate = true }},
+		{"full Lunule", core.Config{WorkloadAware: true}},
+		{"importer gate off", core.Config{WorkloadAware: true, DisableImporterGate: true}},
 	} {
-		cfg := core.DefaultConfig()
-		ab.cfg(&cfg)
 		c, err := runOne(opt, cluster.Config{
-			Balancer: core.New(cfg),
+			Balancer: core.New(ab.cfg),
 			Workload: MakeWorkload("Zipf", opt.Scale),
 		})
 		if err != nil {

@@ -173,6 +173,11 @@ func TestOverheadMatchesPaper(t *testing.T) {
 	if res.Values["mds16.lunule.totalKB"] >= res.Values["mds16.vanilla.totalKB"] {
 		t.Fatal("N-to-1 must be cheaper than N-to-N")
 	}
+	// N-to-N grows faster than the n(n-1) message count: each heartbeat
+	// carries the sender's whole load vector.
+	if res.Values["mds16.vanilla.totalKB"]/res.Values["mds5.vanilla.totalKB"] <= 16.*15/(5*4) {
+		t.Fatal("heartbeat size must grow with the cluster")
+	}
 }
 
 func TestAblationUrgency(t *testing.T) {

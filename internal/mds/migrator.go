@@ -446,9 +446,31 @@ func (m *Migrator) ForEachQueued(fn func(*ExportTask)) {
 	}
 }
 
-// PendingFor returns queued+active export load already planned away
-// from the given exporter, keyed by subtree. Balancers use it to avoid
-// double-planning the same subtree.
+// InTransit reports whether the subtree entry must be left alone by
+// anything that plans or reshapes subtrees: it is frozen in an export's
+// commit window, or an export of it away from the given rank is already
+// queued or in flight. It is the one definition of that rule for
+// candidate enumeration, partition housekeeping and the drain pump.
+func (m *Migrator) InTransit(key namespace.FragKey, from namespace.MDSID) bool {
+	if m.IsFrozen(key) {
+		return true
+	}
+	for _, t := range m.queued {
+		if t.Key == key && t.From == from {
+			return true
+		}
+	}
+	for _, t := range m.active {
+		if t.Key == key && t.From == from {
+			return true
+		}
+	}
+	return false
+}
+
+// PendingFor returns the subtrees with a queued or in-flight export
+// away from the given exporter: the whole set at once, for inspection.
+// Per-entry decisions ask InTransit.
 func (m *Migrator) PendingFor(from namespace.MDSID) map[namespace.FragKey]bool {
 	out := make(map[namespace.FragKey]bool)
 	for _, t := range m.queued {

@@ -5,9 +5,7 @@ package simtest
 
 import (
 	"repro/internal/mds"
-	"repro/internal/msg"
 	"repro/internal/namespace"
-	"repro/internal/rng"
 )
 
 // View is a configurable balancer.View for tests.
@@ -16,12 +14,11 @@ type View struct {
 	EpochV      int64
 	EpochTicksV int
 	CapacityV   float64
-	HeatDecayV  float64
 	Servers     []*mds.Server
 	Part        *namespace.Partition
 	Mig         *mds.Migrator
-	Ledg        *msg.Ledger
-	Src         *rng.Source
+	// HeldKeys are the subtree entries Held reports as pinned in place.
+	HeldKeys map[namespace.FragKey]bool
 }
 
 // New builds a View over the tree with n fresh servers. Server capacity
@@ -32,14 +29,11 @@ func New(tree *namespace.Tree, n int) *View {
 	v := &View{
 		EpochTicksV: 10,
 		CapacityV:   2000,
-		HeatDecayV:  0.9,
 		Part:        part,
 		Mig:         mds.NewMigrator(part, 2000, 2, 20),
-		Ledg:        msg.NewLedger(n),
-		Src:         rng.New(1),
 	}
 	for i := 0; i < n; i++ {
-		v.Servers = append(v.Servers, mds.NewServer(namespace.MDSID(i), 2000, 6, v.HeatDecayV))
+		v.Servers = append(v.Servers, mds.NewServer(namespace.MDSID(i), 2000, 6, 0.9))
 	}
 	return v
 }
@@ -78,14 +72,8 @@ func (v *View) Migrator() *mds.Migrator { return v.Mig }
 // Capacity implements balancer.View.
 func (v *View) Capacity() float64 { return v.CapacityV }
 
-// HeatDecay implements balancer.View.
-func (v *View) HeatDecay() float64 { return v.HeatDecayV }
-
-// Rand implements balancer.View.
-func (v *View) Rand() *rng.Source { return v.Src }
-
-// Ledger implements balancer.View.
-func (v *View) Ledger() *msg.Ledger { return v.Ledg }
+// Held implements balancer.View.
+func (v *View) Held(key namespace.FragKey) bool { return v.HeldKeys[key] }
 
 // ServeN simulates n accesses to the inode on its authoritative server
 // during the given epoch, refreshing the tick budget as needed and

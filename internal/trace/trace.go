@@ -32,9 +32,6 @@ type Counters struct {
 	// FirstVisits is the number of accesses to inodes never visited
 	// before — the spatial-locality signal (beta numerator, l_s).
 	FirstVisits int
-	// SiblingCredits counts l_s credit received from first visits in
-	// sibling subtrees (the paper's sibling access-correlation rule).
-	SiblingCredits int
 }
 
 // Add accumulates o into c.
@@ -43,7 +40,6 @@ func (c *Counters) Add(o Counters) {
 	c.Distinct += o.Distinct
 	c.Recurrent += o.Recurrent
 	c.FirstVisits += o.FirstVisits
-	c.SiblingCredits += o.SiblingCredits
 }
 
 // IsZero reports whether no activity was recorded.
@@ -221,19 +217,6 @@ func (c *Collector) RecordFreshRun(key namespace.FragKey, parent *namespace.Inod
 	}
 }
 
-// CreditSibling applies one unit of sibling-correlation l_s credit to
-// the subtree at key (rooted at rootDir) in the current window.
-func (c *Collector) CreditSibling(key namespace.FragKey, epoch int64) {
-	if epoch != c.epoch {
-		c.BeginEpoch(epoch)
-	}
-	w := c.slot(epoch)
-	w.key(key).SiblingCredits++
-	if key.Dir != 0 {
-		w.dir(key.Dir).SiblingCredits++
-	}
-}
-
 // sumWindows folds fn over the valid windows among the last n epochs
 // ending at epoch.
 func (c *Collector) sumWindows(epoch int64, n int, fn func(*window) Counters) Counters {
@@ -275,29 +258,6 @@ func (c *Collector) RecentDir(dir namespace.Ino, epoch int64, n int) Counters {
 		}
 		return Counters{}
 	})
-}
-
-// ActiveKeys returns the set of subtree entries with any recorded
-// activity in the last n windows ending at epoch.
-func (c *Collector) ActiveKeys(epoch int64, n int) map[namespace.FragKey]struct{} {
-	if n > c.history {
-		n = c.history
-	}
-	out := make(map[namespace.FragKey]struct{})
-	for i := int64(0); i < int64(n); i++ {
-		e := epoch - i
-		if e < 0 {
-			break
-		}
-		w := c.slot(e)
-		if w.epoch != e {
-			continue
-		}
-		for k := range w.byKey {
-			out[k] = struct{}{}
-		}
-	}
-	return out
 }
 
 // Forget drops all state for the given subtree entry across all

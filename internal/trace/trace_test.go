@@ -159,50 +159,6 @@ func TestDirPropagationStopsAtSubtreeRoot(t *testing.T) {
 	}
 }
 
-func TestCreditSibling(t *testing.T) {
-	tr := namespace.NewTree()
-	a, _ := tr.Mkdir(tr.Root(), "a")
-	c := NewCollector(4)
-	key := namespace.FragKey{Dir: a.Ino, Frag: namespace.WholeFrag}
-	c.BeginEpoch(3)
-	c.CreditSibling(key, 3)
-	c.CreditSibling(key, 3)
-	got := c.RecentKey(key, 3, 1)
-	if got.SiblingCredits != 2 {
-		t.Fatalf("sibling credits: %+v", got)
-	}
-	if d := c.RecentDir(a.Ino, 3, 1); d.SiblingCredits != 2 {
-		t.Fatalf("dir sibling credits: %+v", d)
-	}
-	_ = tr
-}
-
-func TestActiveKeys(t *testing.T) {
-	tr := namespace.NewTree()
-	a, _ := tr.Mkdir(tr.Root(), "a")
-	fa, _ := tr.Create(a, "f", 1)
-	b, _ := tr.Mkdir(tr.Root(), "b")
-	fb, _ := tr.Create(b, "g", 1)
-	ka := namespace.FragKey{Dir: a.Ino, Frag: namespace.WholeFrag}
-	kb := namespace.FragKey{Dir: b.Ino, Frag: namespace.WholeFrag}
-	c := NewCollector(3)
-	c.BeginEpoch(0)
-	c.Record(ka, fa, 0)
-	c.BeginEpoch(1)
-	c.Record(kb, fb, 1)
-	keys := c.ActiveKeys(1, 2)
-	if len(keys) != 2 {
-		t.Fatalf("active keys = %d, want 2", len(keys))
-	}
-	keys = c.ActiveKeys(1, 1)
-	if _, ok := keys[ka]; ok {
-		t.Fatal("ka should be inactive in latest window only")
-	}
-	if _, ok := keys[kb]; !ok {
-		t.Fatal("kb missing")
-	}
-}
-
 func TestForget(t *testing.T) {
 	tr := namespace.NewTree()
 	a, _ := tr.Mkdir(tr.Root(), "a")
