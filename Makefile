@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmtcheck race check benchcheck loc gobench audit fuzz elastic replication batched readstorm noisy
+.PHONY: all build test vet fmtcheck race check benchcheck pairs loc gobench audit fuzz elastic replication batched readstorm noisy
 
 all: check
 
@@ -31,6 +31,17 @@ check: build vet fmtcheck race
 # own go.mod, so the root `./...` patterns above skip it.
 benchcheck:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# pairs measures the working tree against a parent revision on the
+# BENCHMARK.json workloads matching WORKLOAD: N alternating pairs of
+# driver runs, every run printed, then per end-to-end metric both
+# medians, both inter-quartile ranges, the win count and the verdict
+# (see scripts/pairs.sh; SEED0 and RUN_SECONDS pass through).
+PARENT ?= HEAD
+WORKLOAD ?= zipf_read
+N ?= 10
+pairs:
+	bash scripts/pairs.sh '$(PARENT)' '$(WORKLOAD)' $(N)
 
 # loc prints the code size the simplicity PRs report: non-blank,
 # non-comment, non-test Go lines per package under internal/, their

@@ -176,7 +176,7 @@ func SubmitCandidate(v View, c Candidate, exporter, importer namespace.MDSID) bo
 func heatRanking(s *mds.Server, refineAbove float64) Ranking {
 	return Ranking{
 		OfKey:       s.HeatOfKey,
-		OfDir:       func(d *namespace.Inode) float64 { return s.HeatOfDir(d.Ino) },
+		OfDir:       s.HeatOfDir,
 		RefineAbove: refineAbove,
 	}
 }

@@ -79,13 +79,20 @@ const MaxBackoffTicks = 16
 // or stale. The cache is a small LRU, so a namespace fragmented into
 // very many subtrees (Dir-Hash) keeps missing and keeps forwarding —
 // the effect Figure 14 measures.
+//
+// It is a flat array of at most DefaultAuthCacheSize slots, each
+// stamped with the clock of its last use: a lookup compares the slot it
+// hit last before scanning, and a store into a full cache overwrites
+// the slot with the smallest stamp. One client is served by one engine
+// lane per round, so nothing here is shared.
 type authCache struct {
-	cap   int
 	clock int64
-	m     map[namespace.FragKey]authEnt
+	last  int // slot of the most recent hit or store
+	slots []authSlot
 }
 
-type authEnt struct {
+type authSlot struct {
+	key  namespace.FragKey
 	auth namespace.MDSID
 	use  int64
 }
@@ -93,37 +100,53 @@ type authEnt struct {
 // DefaultAuthCacheSize is the per-client authority cache capacity.
 const DefaultAuthCacheSize = 64
 
+// find returns the slot holding key, or -1.
+func (a *authCache) find(key namespace.FragKey) int {
+	if a.last < len(a.slots) && a.slots[a.last].key == key {
+		return a.last
+	}
+	for i := range a.slots {
+		if a.slots[i].key == key {
+			return i
+		}
+	}
+	return -1
+}
+
 // CacheLookup reports the cached authority for a subtree, if any.
 func (c *Client) CacheLookup(key namespace.FragKey) (namespace.MDSID, bool) {
-	e, ok := c.cache.m[key]
-	if !ok {
+	a := &c.cache
+	i := a.find(key)
+	if i < 0 {
 		return 0, false
 	}
-	c.cache.clock++
-	e.use = c.cache.clock
-	c.cache.m[key] = e
-	return e.auth, true
+	a.clock++
+	a.last = i
+	a.slots[i].use = a.clock
+	return a.slots[i].auth, true
 }
 
 // CacheStore records a freshly learned subtree authority, evicting the
 // least recently used mapping when full.
 func (c *Client) CacheStore(key namespace.FragKey, auth namespace.MDSID) {
-	if c.cache.m == nil {
-		c.cache.m = make(map[namespace.FragKey]authEnt, c.cache.cap)
-	}
-	c.cache.clock++
-	if _, ok := c.cache.m[key]; !ok && len(c.cache.m) >= c.cache.cap {
-		var oldK namespace.FragKey
-		oldUse := int64(1<<62 - 1)
-		for k, e := range c.cache.m {
-			if e.use < oldUse {
-				oldUse = e.use
-				oldK = k
+	a := &c.cache
+	a.clock++
+	i := a.find(key)
+	switch {
+	case i >= 0:
+	case len(a.slots) < DefaultAuthCacheSize:
+		i = len(a.slots)
+		a.slots = append(a.slots, authSlot{})
+	default:
+		i = 0
+		for j := range a.slots {
+			if a.slots[j].use < a.slots[i].use {
+				i = j
 			}
 		}
-		delete(c.cache.m, oldK)
 	}
-	c.cache.m[key] = authEnt{auth: auth, use: c.cache.clock}
+	a.last = i
+	a.slots[i] = authSlot{key: key, auth: auth, use: a.clock}
 }
 
 // New creates a client from its workload spec with the given base rate
@@ -148,7 +171,6 @@ func New(id int, spec workload.ClientSpec, baseRate float64) *Client {
 		rate:        rate,
 		backoffRank: -1,
 		readsTree:   readsTree,
-		cache:       authCache{cap: DefaultAuthCacheSize},
 	}
 }
 

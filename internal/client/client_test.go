@@ -1,6 +1,7 @@
 package client
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/namespace"
@@ -269,5 +270,124 @@ func TestPeekOpLatencyFromDrawTick(t *testing.T) {
 	}
 	if lat := c.CompleteOp(5); lat != 3 {
 		t.Fatalf("queued latency = %d, want 3", lat)
+	}
+}
+
+// refLRU is the map-plus-clock cache the flat array replaced, kept as
+// the reference: a hit stamps the entry with the clock, a store into a
+// full cache evicts the entry with the smallest stamp.
+type refLRU struct {
+	clock int64
+	m     map[namespace.FragKey]authSlot
+}
+
+func (r *refLRU) lookup(key namespace.FragKey) (namespace.MDSID, bool) {
+	e, ok := r.m[key]
+	if !ok {
+		return 0, false
+	}
+	r.clock++
+	e.use = r.clock
+	r.m[key] = e
+	return e.auth, true
+}
+
+func (r *refLRU) store(key namespace.FragKey, auth namespace.MDSID) (evicted namespace.FragKey, did bool) {
+	r.clock++
+	if _, ok := r.m[key]; !ok && len(r.m) >= DefaultAuthCacheSize {
+		oldUse := int64(1<<62 - 1)
+		for k, e := range r.m {
+			if e.use < oldUse {
+				oldUse, evicted = e.use, k
+			}
+		}
+		delete(r.m, evicted)
+		did = true
+	}
+	r.m[key] = authSlot{key: key, auth: auth, use: r.clock}
+	return evicted, did
+}
+
+// TestAuthCacheMatchesReferenceLRU drives the flat cache and the
+// reference through random lookup/store sequences over 200 keys — three
+// times the capacity, so eviction runs constantly — and requires the
+// same hit, the same authority and the same cached key set (hence the
+// same evicted key) at every step.
+func TestAuthCacheMatchesReferenceLRU(t *testing.T) {
+	key := func(i int) namespace.FragKey {
+		// Two fragments per directory: keys that differ only in Frag.
+		return namespace.FragKey{Dir: namespace.Ino(10 + i/2), Frag: namespace.Frag{Value: uint32(i%2) << 31, Bits: 1}}
+	}
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := New(0, specOf(nil, 0, 1), 1)
+		ref := &refLRU{m: map[namespace.FragKey]authSlot{}}
+		for step := 0; step < 5000; step++ {
+			// Skewed picks so some keys are re-hit before they age out.
+			k := key(rng.Intn(1 + rng.Intn(200)))
+			if rng.Intn(3) == 0 {
+				auth := namespace.MDSID(rng.Intn(5))
+				evicted, did := ref.store(k, auth)
+				c.CacheStore(k, auth)
+				if did {
+					for _, s := range c.cache.slots {
+						if s.key == evicted {
+							t.Fatalf("seed %d step %d: reference evicted %v, flat cache kept it", seed, step, evicted)
+						}
+					}
+				}
+			} else {
+				wantAuth, wantOK := ref.lookup(k)
+				if auth, ok := c.CacheLookup(k); ok != wantOK || auth != wantAuth {
+					t.Fatalf("seed %d step %d: lookup %v = (%v, %v), reference (%v, %v)", seed, step, k, auth, ok, wantAuth, wantOK)
+				}
+			}
+			if len(c.cache.slots) != len(ref.m) {
+				t.Fatalf("seed %d step %d: %d slots, reference holds %d", seed, step, len(c.cache.slots), len(ref.m))
+			}
+			for _, s := range c.cache.slots {
+				if e, ok := ref.m[s.key]; !ok || e.auth != s.auth || e.use != s.use {
+					t.Fatalf("seed %d step %d: slot %+v, reference %+v (present %v)", seed, step, s, e, ok)
+				}
+			}
+		}
+	}
+}
+
+var sinkAuth namespace.MDSID
+
+// BenchmarkCacheLookup prices one authority-cache probe. same-key is
+// the last-hit slot's case, 8-keys round-robin a short scan, and
+// 64-full-all-miss the worst case the flat array has: a full cache
+// scanned end to end for a key that is not there.
+func BenchmarkCacheLookup(b *testing.B) {
+	key := func(i int) namespace.FragKey {
+		return namespace.FragKey{Dir: namespace.Ino(10 + i), Frag: namespace.WholeFrag}
+	}
+	cases := []struct {
+		name          string
+		stored, asked int // keys [0, stored) cached; lookups cycle [first, first+asked), asked a power of two
+		first         int
+	}{
+		{"same-key", 8, 1, 0},
+		{"8-keys round-robin", 8, 8, 0},
+		{"64-full-all-miss", DefaultAuthCacheSize, 8, DefaultAuthCacheSize},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			c := New(0, specOf(nil, 0, 1), 1)
+			for i := 0; i < tc.stored; i++ {
+				c.CacheStore(key(i), namespace.MDSID(i%5))
+			}
+			keys := make([]namespace.FragKey, tc.asked)
+			for i := range keys {
+				keys[i] = key(tc.first + i)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a, _ := c.CacheLookup(keys[i&(len(keys)-1)])
+				sinkAuth += a
+			}
+		})
 	}
 }

@@ -127,8 +127,8 @@ func (c *Cluster) subtreeHeatRW(e namespace.Entry) (total, read float64) {
 
 // dirHeatRW is a directory's heat across the servers that may have
 // served it under the governing entry.
-func (c *Cluster) dirHeatRW(e namespace.Entry, ino namespace.Ino) (total, read float64) {
-	return c.heatAcross(e, func(s *mds.Server) (float64, float64) { return s.DirHeatRW(ino) })
+func (c *Cluster) dirHeatRW(e namespace.Entry, dir *namespace.Inode) (total, read float64) {
+	return c.heatAcross(e, func(s *mds.Server) (float64, float64) { return s.DirHeatRW(dir) })
 }
 
 // leaseWorthy is the bar a (total, read) heat reading must clear for
@@ -228,7 +228,7 @@ func (c *Cluster) leaseCarve(e namespace.Entry) bool {
 			if !ch.IsDir || len(c.part.EntriesAt(ch.Ino)) != 0 {
 				continue
 			}
-			total, read := c.dirHeatRW(e, ch.Ino)
+			total, read := c.dirHeatRW(e, ch)
 			if !c.leaseWorthy(total, read) {
 				continue
 			}
@@ -246,7 +246,7 @@ func (c *Cluster) leaseCarve(e namespace.Entry) bool {
 	if target == nil {
 		return false
 	}
-	total, read := c.dirHeatRW(e, target.Ino)
+	total, read := c.dirHeatRW(e, target)
 	ne := c.part.Carve(target)
 	// Transfer the directory's accumulated heat onto the new key: a
 	// cold carve would fail the hot/read-dominance checks and be

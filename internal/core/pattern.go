@@ -121,14 +121,14 @@ func (a *Analyzer) siblingCredit(col *trace.Collector, epoch int64, d *namespace
 	if uParent <= 0 {
 		return 0
 	}
-	fv := col.RecentDir(p.Ino, epoch, windows).FirstVisits
+	fv := col.RecentDir(p, epoch, windows).FirstVisits
 	return a.SiblingProb * float64(fv) * float64(uSelf) / float64(uParent)
 }
 
 // ForDir analyzes the region rooted at directory d as observed by the
 // given collector (the exporter's).
 func (a *Analyzer) ForDir(col *trace.Collector, epoch int64, d *namespace.Inode) Locality {
-	c := col.RecentDir(d.Ino, epoch, windows)
+	c := col.RecentDir(d, epoch, windows)
 	return a.locality(c, a.siblingCredit(col, epoch, d), epoch)
 }
 
@@ -147,7 +147,7 @@ func (a *Analyzer) ForKey(col *trace.Collector, epoch int64, part *namespace.Par
 			uFrag, _ := part.UnvisitedIn(key)
 			uDir, _ := dir.UnvisitedBelow()
 			if uFrag > 0 && uDir > 0 {
-				fv := col.RecentDir(dir.Ino, epoch, windows).FirstVisits
+				fv := col.RecentDir(dir, epoch, windows).FirstVisits
 				credit = a.SiblingProb * float64(fv) * float64(uFrag) / float64(uDir)
 			}
 		}

@@ -19,7 +19,7 @@ func benchServer(b testing.TB) (*Server, namespace.Entry, *namespace.Inode) {
 }
 
 // BenchmarkServe measures the full per-op serve path: budget, trace
-// collector, and heat accounting with the cached ancestor chain.
+// collector, and heat accounting with its ancestor walk.
 func BenchmarkServe(b *testing.B) {
 	s, e, in := benchServer(b)
 	s.Serve(e, in, 0) // warm caches
@@ -31,10 +31,10 @@ func BenchmarkServe(b *testing.B) {
 }
 
 // BenchmarkAddHeat isolates the heat accounting (subtree counter bump
-// plus the cached directory-chain walk).
+// plus the directory-chain walk).
 func BenchmarkAddHeat(b *testing.B) {
 	s, e, in := benchServer(b)
-	s.addHeat(e.Key, in, false) // warm the chain cache
+	s.addHeat(e.Key, in, false) // grow the directory table
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

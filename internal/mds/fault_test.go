@@ -67,7 +67,7 @@ func TestServerRejoinInvalidatesStats(t *testing.T) {
 	if s.HeatOfKey(e.Key) != 0 {
 		t.Fatal("heat must be invalidated on rejoin")
 	}
-	if s.HeatOfDir(files[0].Parent.Ino) != 0 {
+	if s.HeatOfDir(files[0].Parent) != 0 {
 		t.Fatal("dir heat must be invalidated on rejoin")
 	}
 	if got := s.Collector().RecentKey(e.Key, 0, 1); !got.IsZero() {

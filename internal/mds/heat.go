@@ -32,14 +32,26 @@ type heatCell struct {
 	ops int64
 }
 
-// heatTable holds the decayed popularity counters of one MDS, keyed by
+// heatTable holds the decayed popularity counters of one MDS, by
 // subtree entry and by directory. Epoch close is O(1): it advances the
-// epoch stamp, and every heatPurgeEvery epochs sweeps out expired cells.
+// epoch stamp, and every heatPurgeEvery epochs sweeps out expired key
+// cells. A table belongs to one server, so one engine lane per round
+// touches the memo and the lazily grown slice.
 type heatTable struct {
 	decay float64
 	epoch int64
 	byKey map[namespace.FragKey]*heatCell
-	byDir map[namespace.Ino]*heatCell
+	// lastKey/last memoize the last key cell charged (last == nil: no
+	// memo): a rank serves runs of one client's consecutive ops, which
+	// mostly share their governing entry. Whatever deletes a key cell
+	// must drop the memo (dropKey, the purge in endEpoch).
+	lastKey namespace.FragKey
+	last    *heatCell
+	// byDir is indexed by Inode.DirNum and grown to the highest
+	// directory charged. A never-charged cell is the zero heatCell, which
+	// reads as zero heat exactly like an expired one, so directory cells
+	// need no purge.
+	byDir []heatCell
 	// tenants is the tenant dimension of byKeyT (0 = single-tenant
 	// cluster; no per-tenant split is kept and bumpTenant is never
 	// called).
@@ -63,7 +75,6 @@ func newHeatTable(decay float64) *heatTable {
 	return &heatTable{
 		decay: decay,
 		byKey: make(map[namespace.FragKey]*heatCell),
-		byDir: make(map[namespace.Ino]*heatCell),
 		pow:   []float64{1},
 	}
 }
@@ -117,19 +128,6 @@ func (t *heatTable) readValue(c *heatCell) float64 {
 	return v
 }
 
-// bump folds the pending decay into the cell and adds one access.
-// Both components fold together: the cell carries one epoch stamp, so
-// any write must decay val and rval in the same step.
-func (t *heatTable) bump(c *heatCell, read bool) {
-	c.val = t.value(c) + 1
-	r := t.readValue(c)
-	if read {
-		r++
-	}
-	c.rval = r
-	c.epoch = t.epoch
-}
-
 // bumpN folds the pending decay into the cell and adds n accesses in
 // one write, nRead of which were reads — the group-commit path's
 // weighted bump. Within an epoch decay is constant, so n unit bumps and
@@ -142,42 +140,67 @@ func (t *heatTable) bumpN(c *heatCell, n, nRead int) {
 
 // keyCell returns the cell for a subtree entry, creating it on first use.
 func (t *heatTable) keyCell(key namespace.FragKey) *heatCell {
+	if t.last != nil && t.lastKey == key {
+		return t.last
+	}
 	c := t.byKey[key]
 	if c == nil {
 		c = &heatCell{epoch: t.epoch}
 		t.byKey[key] = c
 	}
+	t.lastKey, t.last = key, c
 	return c
 }
 
-// dirCell returns the cell for a directory, creating it on first use.
-func (t *heatTable) dirCell(ino namespace.Ino) *heatCell {
-	c := t.byDir[ino]
-	if c == nil {
-		c = &heatCell{epoch: t.epoch}
-		t.byDir[ino] = c
+// dropKey deletes a subtree entry's cells (the subtree migrated away).
+func (t *heatTable) dropKey(key namespace.FragKey) {
+	delete(t.byKey, key)
+	delete(t.byKeyT, key)
+	t.last = nil // may point at the cell just deleted
+}
+
+// charge adds n accesses, nRead of them reads, to the subtree entry's
+// cell and to every directory from parent up to and including the
+// entry's root, and returns the entry's cell.
+func (t *heatTable) charge(key namespace.FragKey, parent *namespace.Inode, n, nRead int) *heatCell {
+	kc := t.keyCell(key)
+	t.bumpN(kc, n, nRead)
+	for d := parent; d != nil; d = d.Parent {
+		i := int(d.DirNum())
+		if i >= len(t.byDir) {
+			t.byDir = append(t.byDir, make([]heatCell, i+1-len(t.byDir))...)
+		}
+		t.bumpN(&t.byDir[i], n, nRead)
+		if d.Ino == key.Dir {
+			break
+		}
 	}
-	return c
+	return kc
 }
 
-// endEpoch closes the current heat epoch in O(1) and reports whether an
-// incremental purge ran (callers holding cached cell pointers must
-// invalidate them when it did).
-func (t *heatTable) endEpoch() (purged bool) {
+// dirHeat returns the directory's decayed heat and its read component
+// (zero for a directory never charged).
+func (t *heatTable) dirHeat(dir *namespace.Inode) (total, read float64) {
+	i := int(dir.DirNum())
+	if i >= len(t.byDir) {
+		return 0, 0
+	}
+	return t.value(&t.byDir[i]), t.readValue(&t.byDir[i])
+}
+
+// endEpoch closes the current heat epoch in O(1); every heatPurgeEvery
+// epochs it also sweeps out the expired key cells.
+func (t *heatTable) endEpoch() {
 	t.epoch++
 	if t.epoch%heatPurgeEvery != 0 {
-		return false
+		return
 	}
 	// Remove expired cells. Deletion only — the surviving state does
 	// not depend on map iteration order, so this stays deterministic.
+	t.last = nil // may point at a cell about to be deleted
 	for k, c := range t.byKey {
 		if t.value(c) == 0 {
 			delete(t.byKey, k)
-		}
-	}
-	for k, c := range t.byDir {
-		if t.value(c) == 0 {
-			delete(t.byDir, k)
 		}
 	}
 	for k, c := range t.byKeyT {
@@ -190,7 +213,6 @@ func (t *heatTable) endEpoch() (purged bool) {
 		}
 		delete(t.byKeyT, k)
 	}
-	return true
 }
 
 // entries counts the subtree cells currently carrying non-negligible
@@ -205,9 +227,10 @@ func (t *heatTable) entries() int {
 	return n
 }
 
-// minValue returns the smallest decayed value across all cells, or 0
-// for an empty table. Pure read over unordered maps: min is
-// order-independent, so this cannot perturb determinism.
+// minValue returns the smallest decayed value across all cells —
+// never-charged directory cells included, which read 0 — or 0 for an
+// empty table. Pure read: min is order-independent, so this cannot
+// perturb determinism.
 func (t *heatTable) minValue() float64 {
 	min := 0.0
 	first := true
@@ -216,8 +239,8 @@ func (t *heatTable) minValue() float64 {
 			min, first = v, false
 		}
 	}
-	for _, c := range t.byDir {
-		if v := t.value(c); first || v < min {
+	for i := range t.byDir {
+		if v := t.value(&t.byDir[i]); first || v < min {
 			min, first = v, false
 		}
 	}
@@ -288,16 +311,4 @@ func (t *heatTable) dominantTenant(key namespace.FragKey) int {
 		return -1
 	}
 	return best
-}
-
-// dirChain caches the ancestor heat cells an access to a child of one
-// parent directory must bump: the cells for parent, grandparent, ...,
-// up to and including the subtree root stop. Repeated accesses under
-// the same parent (the common case — shared-directory workloads hammer
-// one dir) reduce to one map lookup plus pointer bumps instead of an
-// O(depth) map walk per op.
-type dirChain struct {
-	gen  uint64        // server cache generation the chain was built in
-	stop namespace.Ino // subtree root the chain was built against
-	dirs []*heatCell
 }

@@ -81,7 +81,7 @@ func TestLazyHeatMatchesEagerSweep(t *testing.T) {
 		bumps = append(bumps, struct{ id, n int }{3 + step%4, 1})
 		for _, b := range bumps {
 			for i := 0; i < b.n; i++ {
-				lazy.bump(cell(b.id), false)
+				lazy.bumpN(cell(b.id), 1, 0)
 				eager.bump(b.id)
 			}
 		}
@@ -106,21 +106,88 @@ func TestHeatPurgeRemovesExpiredCells(t *testing.T) {
 	key := func(i int) namespace.FragKey { return namespace.FragKey{Dir: namespace.Ino(i)} }
 	hot := lazy.keyCell(key(0))
 	for i := 0; i < 1000; i++ {
-		lazy.bump(lazy.keyCell(key(i)), false)
+		lazy.bumpN(lazy.keyCell(key(i)), 1, 0)
 	}
 	if got := len(lazy.byKey); got != 1000 {
 		t.Fatalf("table has %d cells, want 1000", got)
 	}
 	for e := 0; e < heatPurgeEvery; e++ {
-		lazy.bump(hot, false) // keep one cell alive across every epoch
-		if lazy.endEpoch() != (lazy.epoch%heatPurgeEvery == 0) {
-			t.Fatalf("purge signal wrong at epoch %d", lazy.epoch)
-		}
+		lazy.bumpN(hot, 1, 0) // keep one cell alive across every epoch
+		lazy.endEpoch()
 	}
 	if got := len(lazy.byKey); got != 1 {
 		t.Fatalf("after purge: %d cells, want only the hot one", got)
 	}
 	if lazy.value(hot) == 0 {
 		t.Fatal("hot cell must survive the purge")
+	}
+}
+
+// TestHeatMemoInvalidation: the last-key memo holds a pointer into
+// byKey, so whatever deletes a key cell must drop it — otherwise the
+// next charge lands in a cell no reader can reach (or, on Rejoin, in a
+// table that should be gone). Each case heats one key, disturbs the
+// server, heats the key once more, and must read exactly that one
+// access; each fails when its invalidation is removed.
+func TestHeatMemoInvalidation(t *testing.T) {
+	cases := []struct {
+		name    string
+		disturb func(s *Server, key namespace.FragKey)
+	}{
+		{"purge", func(s *Server, key namespace.FragKey) {
+			// At decay 0.5 one access is under heatFloor after 7 epochs;
+			// the sweep at the heatPurgeEvery boundary deletes the cell.
+			for i := 0; i < heatPurgeEvery; i++ {
+				s.EndEpoch(10)
+			}
+			if len(s.heat.byKey) != 0 {
+				t.Fatal("fixture: the purge must delete the expired cell")
+			}
+		}},
+		{"drop", func(s *Server, key namespace.FragKey) { s.DropSubtreeStats(key) }},
+		{"rejoin", func(s *Server, key namespace.FragKey) { s.Crash(); s.Rejoin() }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, p, files := fixture(t)
+			s := NewServer(0, 1000, 4, 0.5)
+			e := p.GoverningEntry(files[0])
+			s.BeginTick()
+			s.Serve(e, files[0], 0)
+			tc.disturb(s, e.Key)
+			s.BeginTick()
+			s.Serve(e, files[1], 0)
+			if got := s.HeatOfKey(e.Key); got != 1 {
+				t.Fatalf("heat after %s = %v, want 1 (the one access since)", tc.name, got)
+			}
+			if ops, _ := s.KeyStats(e.Key); ops != 1 {
+				t.Fatalf("raw ops after %s = %d, want 1", tc.name, ops)
+			}
+		})
+	}
+}
+
+// TestMinHeatSeesEveryCell: the auditor's negative-heat check reads
+// MinHeat, so a corrupted cell must show there whether it is a key cell
+// or a directory cell in the dense table (whose never-charged cells read
+// as a harmless zero).
+func TestMinHeatSeesEveryCell(t *testing.T) {
+	_, p, files := fixture(t)
+	s := NewServer(0, 1000, 4, 0.5)
+	e := p.GoverningEntry(files[0])
+	s.BeginTick()
+	s.Serve(e, files[0], 0)
+	if got := s.MinHeat(); got < 0 || got > 1 {
+		t.Fatalf("healthy table: MinHeat = %v", got)
+	}
+	dir := &s.heat.byDir[files[0].Parent.DirNum()]
+	dir.val = -3
+	if got := s.MinHeat(); got != -3 {
+		t.Fatalf("corrupted directory cell: MinHeat = %v, want -3", got)
+	}
+	dir.val = 1
+	s.heat.byKey[e.Key].val = -2
+	if got := s.MinHeat(); got != -2 {
+		t.Fatalf("corrupted key cell: MinHeat = %v, want -2", got)
 	}
 }

@@ -101,9 +101,9 @@ func TestServerHeatAccumulatesAndDecays(t *testing.T) {
 	if s.HeatOfKey(e.Key) != 10 {
 		t.Fatalf("heat = %v", s.HeatOfKey(e.Key))
 	}
-	dirIno := files[0].Parent.Ino
-	if s.HeatOfDir(dirIno) != 10 {
-		t.Fatalf("dir heat = %v", s.HeatOfDir(dirIno))
+	dir := files[0].Parent
+	if s.HeatOfDir(dir) != 10 {
+		t.Fatalf("dir heat = %v", s.HeatOfDir(dir))
 	}
 	s.EndEpoch(10)
 	if s.HeatOfKey(e.Key) != 5 {

@@ -74,13 +74,6 @@ type Server struct {
 	// rebuilds the table, can re-apply it.
 	tenants int
 
-	// chainCache memoizes, per parent directory, the ancestor heat
-	// cells an access under that directory bumps. Invalidated by
-	// bumping cacheGen (on rejoin and after heat purges, which may
-	// delete cells the chains point at).
-	chainCache map[namespace.Ino]*dirChain
-	cacheGen   uint64
-
 	loadHistory []float64 // per-epoch load (ops/sec), appended by EndEpoch
 
 	// journal is the rank's group-commit journal of write-back batches
@@ -107,8 +100,6 @@ func NewServer(id namespace.MDSID, capacity, historyWindows int, heatDecay float
 		historyWindows: historyWindows,
 		heatDecay:      heatDecay,
 		heat:           newHeatTable(heatDecay),
-		chainCache:     make(map[namespace.Ino]*dirChain),
-		cacheGen:       1,
 		journal:        Journal{rank: id},
 	}
 }
@@ -212,8 +203,6 @@ func (s *Server) Rejoin() {
 	s.collector = trace.NewCollector(s.historyWindows)
 	s.heat = newHeatTable(s.heatDecay)
 	s.heat.setTenants(s.tenants)
-	s.chainCache = make(map[namespace.Ino]*dirChain)
-	s.cacheGen++
 	s.loadHistory = nil
 	s.opsEpoch = 0
 }
@@ -319,65 +308,23 @@ func (s *Server) AddOps(n int) {
 
 // AddHeatRun charges n accesses, nRead of which were reads, under one
 // parent directory in a single weighted walk — the batch path's
-// amortized form of addHeat. in is a representative inode of the run
-// (all ops in the run share in.Parent and the governing key).
+// amortized form of the per-op charge. in is a representative inode of
+// the run (all ops in the run share in.Parent and the governing key).
 func (s *Server) AddHeatRun(key namespace.FragKey, in *namespace.Inode, n, nRead int) {
 	if n <= 0 {
 		return
 	}
-	kc := s.heat.keyCell(key)
-	s.heat.bumpN(kc, n, nRead)
-	kc.ops += int64(n)
-	par := in.Parent
-	if par == nil {
-		return
-	}
-	cc := s.chainCache[par.Ino]
-	if cc == nil || cc.gen != s.cacheGen || cc.stop != key.Dir {
-		cc = s.buildChain(par, key.Dir)
-		s.chainCache[par.Ino] = cc
-	}
-	for _, c := range cc.dirs {
-		s.heat.bumpN(c, n, nRead)
-	}
+	s.heat.charge(key, in.Parent, n, nRead).ops += int64(n)
 }
 
 // addHeat charges one access to the subtree entry's counter and to
 // every directory from the inode's parent up to the subtree root.
-// The ancestor walk is cached per parent directory (a few pointer
-// bumps in the steady state); the chain is rebuilt when the governing
-// subtree root changes (split/migration) or the cache generation moves.
 func (s *Server) addHeat(key namespace.FragKey, in *namespace.Inode, write bool) {
-	read := !write
-	kc := s.heat.keyCell(key)
-	s.heat.bump(kc, read)
-	kc.ops++
-	par := in.Parent
-	if par == nil {
-		return
+	nRead := 1
+	if write {
+		nRead = 0
 	}
-	cc := s.chainCache[par.Ino]
-	if cc == nil || cc.gen != s.cacheGen || cc.stop != key.Dir {
-		cc = s.buildChain(par, key.Dir)
-		s.chainCache[par.Ino] = cc
-	}
-	for _, c := range cc.dirs {
-		s.heat.bump(c, read)
-	}
-}
-
-// buildChain collects the heat cells for par, par's parent, ..., up to
-// and including the directory stop (or the root if stop is not an
-// ancestor), mirroring the original per-op ancestor walk.
-func (s *Server) buildChain(par *namespace.Inode, stop namespace.Ino) *dirChain {
-	cc := &dirChain{gen: s.cacheGen, stop: stop}
-	for d := par; d != nil; d = d.Parent {
-		cc.dirs = append(cc.dirs, s.heat.dirCell(d.Ino))
-		if d.Ino == stop {
-			break
-		}
-	}
-	return cc
+	s.heat.charge(key, in.Parent, 1, nRead).ops++
 }
 
 // EndEpoch closes the current epoch: it computes the epoch's load in
@@ -394,10 +341,7 @@ func (s *Server) EndEpoch(epochTicks int) float64 {
 	load := float64(s.opsEpoch) / float64(epochTicks)
 	s.loadHistory = append(s.loadHistory, load)
 	s.opsEpoch = 0
-	if s.heat.endEpoch() {
-		// The purge may have removed cells cached chains point at.
-		s.cacheGen++
-	}
+	s.heat.endEpoch()
 	return load
 }
 
@@ -469,21 +413,14 @@ func (s *Server) KeyHeatRW(key namespace.FragKey) (total, read float64) {
 
 // DirHeatRW returns a directory's decayed popularity split into the
 // total and its read component — the lease controller's carve signal.
-func (s *Server) DirHeatRW(ino namespace.Ino) (total, read float64) {
-	c := s.heat.byDir[ino]
-	if c == nil {
-		return 0, 0
-	}
-	return s.heat.value(c), s.heat.readValue(c)
+func (s *Server) DirHeatRW(dir *namespace.Inode) (total, read float64) {
+	return s.heat.dirHeat(dir)
 }
 
 // HeatOfDir returns the decayed popularity accumulated at a directory.
-func (s *Server) HeatOfDir(ino namespace.Ino) float64 {
-	c := s.heat.byDir[ino]
-	if c == nil {
-		return 0
-	}
-	return s.heat.value(c)
+func (s *Server) HeatOfDir(dir *namespace.Inode) float64 {
+	total, _ := s.heat.dirHeat(dir)
+	return total
 }
 
 // HeatEntries returns how many subtree entries currently carry
@@ -500,12 +437,10 @@ func (s *Server) MinHeat() float64 {
 }
 
 // DropSubtreeStats clears trace and heat state for a subtree that has
-// been migrated away. (Chain caches only hold directory cells, so no
-// invalidation is needed for a key-cell delete.)
+// been migrated away.
 func (s *Server) DropSubtreeStats(key namespace.FragKey) {
 	s.collector.Forget(key)
-	delete(s.heat.byKey, key)
-	delete(s.heat.byKeyT, key)
+	s.heat.dropKey(key)
 }
 
 // EnableTenants gives the server's heat table a per-tenant dimension

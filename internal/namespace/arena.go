@@ -43,12 +43,10 @@ func (a *InodeArena) NewFileHashed(parent *Inode, name string, hash uint32, size
 	in := &a.slab[0]
 	a.slab = a.slab[1:]
 	*in = Inode{
-		Name:      name,
-		Parent:    parent,
-		Size:      size,
-		subInodes: 1,
-		subFiles:  1,
-		nameHash:  hash,
+		Name:     name,
+		Parent:   parent,
+		Size:     size,
+		nameHash: hash,
 	}
 	return in, nil
 }
@@ -76,16 +74,16 @@ func (t *Tree) Adopt(in *Inode) {
 // or an earlier create in the same barrier — the promised inode is
 // discarded and the existing one returned with adopted=false.
 func (t *Tree) AdoptOrExisting(in *Inode) (linked *Inode, adopted bool) {
-	parent := in.Parent
-	if ex := parent.link(in); ex != nil {
+	if ex := in.Parent.dir.link(in); ex != nil {
 		return ex, false
 	}
 	in.Ino = t.nextIn
 	t.nextIn++
 	t.byIno = append(t.byIno, in)
-	for a := parent; a != nil; a = a.Parent {
-		a.subInodes++
-		a.subFiles += in.subFiles
+	files := in.SubtreeFiles()
+	for a := in.Parent; a != nil; a = a.Parent {
+		a.dir.subInodes++
+		a.dir.subFiles += files
 	}
 	return in, true
 }

@@ -9,8 +9,6 @@ package namespace
 // step or two, and only a full 32-bit hash match costs a name compare.
 // Nothing on a probe or a growth hashes a name: the caller supplies the
 // hash on lookup, and growth re-inserts from the old slots alone.
-//
-// It sits behind a pointer so that a file inode pays eight bytes for it.
 type dirIndex struct {
 	slots []uint64
 }
@@ -20,23 +18,23 @@ const minDirSlots = 8
 
 // ChildHashed is Child for a caller that already holds HashName(name).
 func (in *Inode) ChildHashed(name string, hash uint32) *Inode {
-	if in.index == nil {
+	if in.dir == nil || in.dir.index.slots == nil {
 		return nil
 	}
-	c, _ := in.probe(name, hash)
+	c, _ := in.dir.probe(name, hash)
 	return c
 }
 
 // probe walks the name's probe sequence: it returns the child of that
 // name, or nil and the empty slot the sequence ends at — where the name
 // would be indexed.
-func (in *Inode) probe(name string, hash uint32) (*Inode, uint32) {
-	slots := in.index.slots
+func (d *dirState) probe(name string, hash uint32) (*Inode, uint32) {
+	slots := d.index.slots
 	mask := uint32(len(slots) - 1)
 	i := hash & mask
 	for ; slots[i] != 0; i = (i + 1) & mask {
 		if s := slots[i]; uint32(s>>32) == hash {
-			if c := in.order[uint32(s)-1]; c.Name == name {
+			if c := d.order[uint32(s)-1]; c.Name == name {
 				return c, i
 			}
 		}
@@ -47,18 +45,18 @@ func (in *Inode) probe(name string, hash uint32) (*Inode, uint32) {
 // link appends c to the directory's children and indexes it under
 // c.nameHash — one probe — unless a child of that name is already
 // linked, which is returned instead and c left untouched.
-func (in *Inode) link(c *Inode) (existing *Inode) {
-	if in.index == nil {
-		in.index = &dirIndex{slots: make([]uint64, minDirSlots)}
-	} else if 2*(len(in.order)+1) > len(in.index.slots) {
-		in.index.grow()
+func (d *dirState) link(c *Inode) (existing *Inode) {
+	if d.index.slots == nil {
+		d.index.slots = make([]uint64, minDirSlots)
+	} else if 2*(len(d.order)+1) > len(d.index.slots) {
+		d.index.grow()
 	}
-	ex, i := in.probe(c.Name, c.nameHash)
+	ex, i := d.probe(c.Name, c.nameHash)
 	if ex != nil {
 		return ex
 	}
-	in.order = append(in.order, c)
-	in.index.slots[i] = uint64(c.nameHash)<<32 | uint64(len(in.order))
+	d.order = append(d.order, c)
+	d.index.slots[i] = uint64(c.nameHash)<<32 | uint64(len(d.order))
 	return nil
 }
 
@@ -86,9 +84,9 @@ func place(slots []uint64, s uint64) {
 
 // reindex rebuilds the index from the child slice after a removal
 // shifted positions. The table keeps its size.
-func (in *Inode) reindex() {
-	clear(in.index.slots)
-	for pos, c := range in.order {
-		place(in.index.slots, uint64(c.nameHash)<<32|uint64(pos+1))
+func (d *dirState) reindex() {
+	clear(d.index.slots)
+	for pos, c := range d.order {
+		place(d.index.slots, uint64(c.nameHash)<<32|uint64(pos+1))
 	}
 }

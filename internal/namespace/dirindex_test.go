@@ -151,8 +151,8 @@ func TestDirIndexProperty(t *testing.T) {
 		check(step)
 	}
 	for _, d := range dirs[1:] {
-		if len(d.index.slots) < 512 {
-			t.Fatalf("%s index reached only %d slots; the run must cross several growth boundaries", d.Path(), len(d.index.slots))
+		if len(d.dir.index.slots) < 512 {
+			t.Fatalf("%s index reached only %d slots; the run must cross several growth boundaries", d.Path(), len(d.dir.index.slots))
 		}
 	}
 }

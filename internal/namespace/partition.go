@@ -400,10 +400,10 @@ func (p *Partition) rawSize(key FragKey) int {
 	}
 	n := 0
 	if key.Frag.IsWhole() {
-		n = dir.subInodes - 1 // children and below; not the dir itself
+		n = dir.SubtreeInodes() - 1 // children and below; not the dir itself
 	} else {
 		for _, c := range dir.ChildrenInFrag(key.Frag) {
-			n += c.subInodes
+			n += c.SubtreeInodes()
 		}
 	}
 	if key.Dir == RootIno && key.Frag.IsWhole() {
@@ -477,8 +477,8 @@ func (p *Partition) UnvisitedIn(key FragKey) (unvisited, total int) {
 		return dir.UnvisitedBelow()
 	}
 	for _, c := range dir.ChildrenInFrag(key.Frag) {
-		total += c.subFiles
-		unvisited += c.subFiles - c.VisitedFiles
+		total += c.SubtreeFiles()
+		unvisited += c.SubtreeFiles() - c.VisitedFiles()
 	}
 	if unvisited < 0 {
 		unvisited = 0

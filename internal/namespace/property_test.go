@@ -216,7 +216,7 @@ func TestVisitedCountsBounded(t *testing.T) {
 				ok = false
 				return false
 			}
-			if in.VisitedDesc > in.SubtreeInodes() {
+			if in.VisitedDesc() > in.SubtreeInodes() {
 				ok = false
 				return false
 			}

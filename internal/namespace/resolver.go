@@ -16,7 +16,7 @@ package namespace
 // on mismatch, advances a generation counter that logically empties the
 // whole cache in O(1) (slots are stamped with the generation that filled
 // them, so stale slots simply miss). Directories are numbered densely at
-// Mkdir (Inode.dirNum), so the cache is a flat slice indexed by that
+// Mkdir (Inode.DirNum), so the cache is a flat slice indexed by that
 // number however directory and file inode numbers interleave.
 type Resolver struct {
 	p     *Partition
@@ -60,9 +60,9 @@ func (r *Resolver) Entry(in *Inode) Entry {
 // created, would govern — the child of dir with the given name hash,
 // equal to p.GoverningChildEntry(dir, nameHash).
 func (r *Resolver) ChildEntry(dir *Inode, nameHash uint32) Entry {
-	if r.p.version == r.ver && int(dir.dirNum) < len(r.slots) {
+	if n := dir.DirNum(); r.p.version == r.ver && int(n) < len(r.slots) {
 		// The steady state: a filled slot of an unsplit directory.
-		if s := &r.slots[dir.dirNum]; s.gen == r.gen && len(s.frags) == 0 {
+		if s := &r.slots[n]; s.gen == r.gen && len(s.frags) == 0 {
 			return s.entry
 		}
 	}
@@ -74,7 +74,7 @@ func (r *Resolver) childEntrySlow(dir *Inode, nameHash uint32) Entry {
 		r.ver = v
 		r.gen++
 	}
-	n := int(dir.dirNum)
+	n := int(dir.DirNum())
 	if n >= len(r.slots) {
 		// Directories made since the last growth; numDirs covers them all.
 		r.slots = append(r.slots, make([]resolverSlot, int(r.p.tree.numDirs)-len(r.slots))...)

@@ -2,6 +2,7 @@ package namespace
 
 import (
 	"errors"
+	"math/bits"
 	"strings"
 )
 
@@ -27,59 +28,96 @@ var (
 // history the paper's stats-recording keeps (a boolean queue of the
 // last n epochs); it belongs to the inode in the real implementation
 // too, so it lives here rather than in a side table.
+//
+// Everything only a directory needs sits behind dir, so the inode a
+// file pays for is 80 bytes: dir != nil ⇔ IsDir. A file is its own
+// subtree — one inode, one file — and keeps a single visited bit. The
+// fields a served op reads (access history, parent, size, name hash)
+// come first: 48 contiguous bytes, which the slab's 80-byte stride
+// keeps inside one cache line for every other inode.
 type Inode struct {
-	Ino    Ino
-	Name   string
+	// Hot is the runtime access-history annotation.
+	Hot    Hot
 	Parent *Inode
-	IsDir  bool
 	Size   int64 // file size in bytes; 0 for directories
-
-	index *dirIndex // finds a child by name; nil until the first child
-	order []*Inode  // insertion-ordered children for deterministic walks
-
-	// subInodes is the number of inodes in the subtree rooted here,
-	// including this inode itself. Maintained incrementally on create
-	// and remove so subtree sizing during migration planning is O(1).
-	subInodes int
-
-	// subFiles is the number of regular files in the subtree rooted
-	// here (a file counts itself). It sizes the unvisited-volume
-	// estimates: directory inodes are containers, not scan targets.
-	subFiles int
 
 	// nameHash caches HashName(Name): fragment membership and the
 	// parent's name index both key on it.
 	nameHash uint32
+	IsDir    bool
+	visited  bool // a file's whole visited count: MarkVisited has run
 
-	// dirNum numbers the directories of a tree densely in creation order
-	// (the root is 0; meaningless on files). The Resolver indexes its
-	// per-directory memo by it.
-	dirNum uint32
+	dir *dirState // children and subtree counters; nil on files
 
-	// Hot is the runtime access-history annotation.
-	Hot Hot
-
-	// VisitedDesc counts the inodes in the subtree rooted here
-	// (including this inode) that have ever been accessed. It is
-	// maintained by the trace collector on first-ever visits and feeds
-	// the spatial-locality factor beta (the unvisited-inode ratio).
-	VisitedDesc int
-
-	// VisitedFiles counts only the regular files among VisitedDesc.
-	VisitedFiles int
+	Ino  Ino
+	Name string
 }
+
+// dirState is the directory-only part of an inode.
+type dirState struct {
+	index dirIndex // finds a child by name; empty until the first child
+	order []*Inode // insertion-ordered children for deterministic walks
+
+	// subInodes is the number of inodes in the subtree rooted here,
+	// including the directory itself. Maintained incrementally on create
+	// and remove so subtree sizing during migration planning is O(1).
+	subInodes int
+
+	// subFiles is the number of regular files in the subtree rooted
+	// here. It sizes the unvisited-volume estimates: directory inodes
+	// are containers, not scan targets.
+	subFiles int
+
+	// visitedDesc counts the inodes in the subtree rooted here
+	// (including the directory) that have ever been accessed. It is
+	// maintained by MarkVisited on first-ever visits and feeds the
+	// spatial-locality factor beta (the unvisited-inode ratio).
+	// visitedFiles counts only the regular files among them.
+	visitedDesc, visitedFiles int
+
+	// num numbers the directories of a tree densely in creation order
+	// (the root is 0); see Inode.DirNum.
+	num uint32
+}
+
+// DirNum returns a directory's dense creation-order number (the root is
+// 0; directories only). The per-directory tables — the Resolver memo,
+// the trace windows, the heat table — are slices indexed by it.
+func (in *Inode) DirNum() uint32 { return in.dir.num }
 
 // MarkVisited records this inode's first-ever access on every ancestor's
 // visited-descendant counter. Callers must invoke it exactly once per
 // inode (the trace collector does, on the first access).
 func (in *Inode) MarkVisited() {
-	isFile := !in.IsDir
-	for a := in; a != nil; a = a.Parent {
-		a.VisitedDesc++
-		if isFile {
-			a.VisitedFiles++
-		}
+	a, files := in, 0
+	if !in.IsDir {
+		in.visited = true
+		a, files = in.Parent, 1
 	}
+	for ; a != nil; a = a.Parent {
+		a.dir.visitedDesc++
+		a.dir.visitedFiles += files
+	}
+}
+
+// VisitedDesc returns how many inodes at and below this one have ever
+// been accessed.
+func (in *Inode) VisitedDesc() int {
+	if in.dir != nil {
+		return in.dir.visitedDesc
+	}
+	return in.VisitedFiles()
+}
+
+// VisitedFiles counts only the regular files among VisitedDesc.
+func (in *Inode) VisitedFiles() int {
+	if in.dir != nil {
+		return in.dir.visitedFiles
+	}
+	if in.visited {
+		return 1
+	}
+	return 0
 }
 
 // UnvisitedBelow returns how many of the regular files in this
@@ -88,8 +126,8 @@ func (in *Inode) MarkVisited() {
 // containers, not scan targets, and counting them would make fully
 // scanned regions look partially unvisited.
 func (in *Inode) UnvisitedBelow() (unvisited, total int) {
-	total = in.subFiles
-	u := total - in.VisitedFiles
+	total = in.SubtreeFiles()
+	u := total - in.VisitedFiles()
 	if u < 0 {
 		u = 0
 	}
@@ -97,32 +135,47 @@ func (in *Inode) UnvisitedBelow() (unvisited, total int) {
 }
 
 // SubtreeFiles returns the number of regular files at and below this
-// inode.
-func (in *Inode) SubtreeFiles() int { return in.subFiles }
+// inode (a file counts itself).
+func (in *Inode) SubtreeFiles() int {
+	if in.dir != nil {
+		return in.dir.subFiles
+	}
+	return 1
+}
 
 // SubtreeInodes returns the number of inodes at and below this inode.
-func (in *Inode) SubtreeInodes() int { return in.subInodes }
+func (in *Inode) SubtreeInodes() int {
+	if in.dir != nil {
+		return in.dir.subInodes
+	}
+	return 1
+}
 
 // NumChildren returns the number of direct children (0 for files).
-func (in *Inode) NumChildren() int { return len(in.order) }
+func (in *Inode) NumChildren() int { return len(in.Children()) }
 
 // Child returns the named child, or nil.
 func (in *Inode) Child(name string) *Inode {
 	return in.ChildHashed(name, HashName(name))
 }
 
-// Children returns the direct children in insertion order. The returned
-// slice is shared; callers must not modify it.
-func (in *Inode) Children() []*Inode { return in.order }
+// Children returns the direct children in insertion order (nil for
+// files). The returned slice is shared; callers must not modify it.
+func (in *Inode) Children() []*Inode {
+	if in.dir == nil {
+		return nil
+	}
+	return in.dir.order
+}
 
 // ChildrenInFrag returns the direct children whose name hash falls in
 // frag, in insertion order.
 func (in *Inode) ChildrenInFrag(f Frag) []*Inode {
 	if f.IsWhole() {
-		return in.order
+		return in.Children()
 	}
 	var out []*Inode
-	for _, c := range in.order {
+	for _, c := range in.Children() {
 		if f.Contains(c.nameHash) {
 			out = append(out, c)
 		}
@@ -184,7 +237,7 @@ type Tree struct {
 	root    *Inode
 	byIno   []*Inode // indexed by Ino; nil for removed inodes
 	nextIn  Ino
-	numDirs uint32  // directories ever created; the next Inode.dirNum
+	numDirs uint32  // directories ever created; the next Inode.DirNum
 	slab    []Inode // current slab chunk; alloc() carves from the front
 }
 
@@ -193,11 +246,11 @@ func NewTree() *Tree {
 	t := &Tree{nextIn: RootIno + 1, numDirs: 1}
 	root := t.alloc()
 	*root = Inode{
-		Ino:       RootIno,
-		Name:      "",
-		IsDir:     true,
-		subInodes: 1,
-		nameHash:  HashName(""),
+		Ino:      RootIno,
+		Name:     "",
+		IsDir:    true,
+		dir:      &dirState{subInodes: 1},
+		nameHash: HashName(""),
 	}
 	t.root = root
 	t.byIno = make([]*Inode, RootIno+1, inodeSlabSize)
@@ -227,7 +280,7 @@ func (t *Tree) Get(ino Ino) *Inode {
 }
 
 // NumInodes returns the total number of inodes in the tree.
-func (t *Tree) NumInodes() int { return t.root.subInodes }
+func (t *Tree) NumInodes() int { return t.root.dir.subInodes }
 
 // MaxIno returns the highest inode number ever allocated (inode numbers
 // are dense and start at RootIno, so [RootIno, MaxIno] spans every
@@ -248,18 +301,15 @@ func (t *Tree) attach(parent *Inode, name string, isDir bool, size int64) (*Inod
 	}
 	in := t.alloc()
 	*in = Inode{
-		Name:      name,
-		Parent:    parent,
-		IsDir:     isDir,
-		Size:      size,
-		subInodes: 1,
-		nameHash:  hash,
+		Name:     name,
+		Parent:   parent,
+		IsDir:    isDir,
+		Size:     size,
+		nameHash: hash,
 	}
 	if isDir {
-		in.dirNum = t.numDirs
+		in.dir = &dirState{subInodes: 1, num: t.numDirs}
 		t.numDirs++
-	} else {
-		in.subFiles = 1
 	}
 	t.AdoptOrExisting(in)
 	return in, nil
@@ -316,10 +366,10 @@ func (t *Tree) Remove(in *Inode) error {
 	if in.Parent == nil {
 		return ErrIsRoot
 	}
-	if in.IsDir && len(in.order) > 0 {
+	if in.NumChildren() > 0 {
 		return ErrNotEmpty
 	}
-	p := in.Parent
+	p := in.Parent.dir
 	for i, c := range p.order {
 		if c == in {
 			p.order = append(p.order[:i], p.order[i+1:]...)
@@ -328,11 +378,12 @@ func (t *Tree) Remove(in *Inode) error {
 	}
 	p.reindex() // every later sibling's position moved
 	t.byIno[in.Ino] = nil
-	for a := p; a != nil; a = a.Parent {
-		a.subInodes--
-		a.subFiles -= in.subFiles
-		a.VisitedDesc -= in.VisitedDesc
-		a.VisitedFiles -= in.VisitedFiles
+	files, vDesc, vFiles := in.SubtreeFiles(), in.VisitedDesc(), in.VisitedFiles()
+	for a := in.Parent; a != nil; a = a.Parent {
+		a.dir.subInodes--
+		a.dir.subFiles -= files
+		a.dir.visitedDesc -= vDesc
+		a.dir.visitedFiles -= vFiles
 	}
 	in.Parent = nil
 	return nil
@@ -346,7 +397,7 @@ func (t *Tree) Walk(fn func(*Inode) bool) {
 		if !fn(in) {
 			return false
 		}
-		for _, c := range in.order {
+		for _, c := range in.Children() {
 			if !rec(c) {
 				return false
 			}
@@ -416,13 +467,19 @@ func (h *Hot) AccessedIn(epoch int64) bool {
 // RecentEpochs returns in how many of the last n epochs (ending at the
 // given epoch) the inode was accessed.
 func (h *Hot) RecentEpochs(epoch int64, n int) int {
-	cnt := 0
-	for i := int64(0); i < int64(n); i++ {
-		if h.AccessedIn(epoch - i) {
-			cnt++
-		}
+	// Bit d of Bits is epoch h.Epoch-d; the asked epochs are bits
+	// [lo, lo+n) clipped to the 64-bit window.
+	lo, hi := h.Epoch-epoch, h.Epoch-epoch+int64(n)
+	if lo < 0 {
+		lo = 0
 	}
-	return cnt
+	if hi > 64 {
+		hi = 64
+	}
+	if lo >= hi {
+		return 0
+	}
+	return bits.OnesCount64(h.Bits >> uint(lo) << uint(64-(hi-lo)))
 }
 
 // EverAccessed reports whether the inode has ever been accessed.

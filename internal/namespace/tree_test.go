@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func fileName(prefix string, i int) string { return fmt.Sprintf("%s%05d", prefix, i) }
@@ -125,45 +126,173 @@ func TestSubtreeCountsInvariant(t *testing.T) {
 	}
 }
 
+// recount is the walking reference for the four incrementally
+// maintained per-inode counters: it derives them from the children and
+// from which inodes MarkVisited has run on.
+type recount struct{ inodes, files, vDesc, vFiles int }
+
+func recountSubtree(in *Inode, visited map[*Inode]bool) recount {
+	r := recount{inodes: 1}
+	if !in.IsDir {
+		r.files = 1
+	}
+	if visited[in] {
+		r.vDesc, r.vFiles = 1, r.files
+	}
+	for _, c := range in.Children() {
+		cr := recountSubtree(c, visited)
+		r.inodes += cr.inodes
+		r.files += cr.files
+		r.vDesc += cr.vDesc
+		r.vFiles += cr.vFiles
+	}
+	return r
+}
+
+// TestSubtreeCountsProperty: through random mkdir / create / adopt /
+// remove / MarkVisited sequences, every inode — files and directories
+// both — reports the subtree and visited counts a recount by walking
+// gives, dir != nil ⇔ IsDir holds, and UnvisitedIn on the halves of a
+// split directory matches the recount of the children in each half.
 func TestSubtreeCountsProperty(t *testing.T) {
-	// Random create sequences keep the count invariant and the total.
 	f := func(ops []uint16) bool {
 		tr := NewTree()
+		var arena InodeArena
 		dirs := []*Inode{tr.Root()}
-		created := 1
+		var all []*Inode // every linked inode but the root
+		visited := map[*Inode]bool{}
+		live := 1
 		for i, op := range ops {
 			parent := dirs[int(op)%len(dirs)]
-			if op%3 == 0 {
+			switch op % 7 {
+			case 0:
 				d, err := tr.Mkdir(parent, fileName("d", i))
 				if err != nil {
 					return false
 				}
-				dirs = append(dirs, d)
-			} else {
-				if _, err := tr.Create(parent, fileName("f", i), int64(op)); err != nil {
+				dirs, all = append(dirs, d), append(all, d)
+				live++
+			case 1, 2:
+				in, err := tr.Create(parent, fileName("f", i), int64(op))
+				if err != nil {
 					return false
 				}
+				all = append(all, in)
+				live++
+			case 3:
+				in, err := arena.NewFile(parent, fileName("a", i), 1)
+				if err != nil || in.SubtreeInodes() != 1 || in.SubtreeFiles() != 1 {
+					return false
+				}
+				if op%2 == 0 { // visited while still a promise, as write-back serves it
+					in.MarkVisited()
+					visited[in] = true
+				}
+				tr.Adopt(in)
+				all = append(all, in)
+				live++
+			case 4, 5:
+				if len(all) == 0 {
+					continue
+				}
+				if in := all[int(op/7)%len(all)]; !visited[in] && in.Parent != nil {
+					in.MarkVisited()
+					visited[in] = true
+				}
+			case 6:
+				if len(all) == 0 {
+					continue
+				}
+				in := all[int(op/7)%len(all)]
+				if in.Parent == nil || in.NumChildren() > 0 {
+					continue // already removed, or not empty
+				}
+				if tr.Remove(in) != nil {
+					return false
+				}
+				live--
+				for j, d := range dirs {
+					if d == in {
+						dirs = append(dirs[:j], dirs[j+1:]...)
+						break
+					}
+				}
 			}
-			created++
 		}
-		if tr.NumInodes() != created {
+		if tr.NumInodes() != live {
 			return false
 		}
 		good := true
 		tr.Walk(func(in *Inode) bool {
-			sum := 1
-			for _, c := range in.Children() {
-				sum += c.SubtreeInodes()
-			}
-			if in.SubtreeInodes() != sum {
-				good = false
-				return false
-			}
-			return true
+			want := recountSubtree(in, visited)
+			got := recount{in.SubtreeInodes(), in.SubtreeFiles(), in.VisitedDesc(), in.VisitedFiles()}
+			good = got == want && (in.dir != nil) == in.IsDir
+			return good
 		})
-		return good
+		if !good {
+			return false
+		}
+		p := NewPartition(tr, 0)
+		for _, d := range dirs {
+			if d == tr.Root() || d.NumChildren() < 2 {
+				continue
+			}
+			l, r, ok := p.SplitEntry(p.Carve(d).Key)
+			if !ok {
+				continue
+			}
+			for _, e := range []Entry{l, r} {
+				var want recount
+				for _, c := range d.ChildrenInFrag(e.Key.Frag) {
+					cr := recountSubtree(c, visited)
+					want.files += cr.files
+					want.vFiles += cr.vFiles
+				}
+				if u, total := p.UnvisitedIn(e.Key); u != want.files-want.vFiles || total != want.files {
+					return false
+				}
+			}
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInodeSize pins the per-file footprint: everything directory-only
+// lives behind Inode.dir.
+func TestInodeSize(t *testing.T) {
+	if sz := unsafe.Sizeof(Inode{}); sz > 80 {
+		t.Fatalf("Inode is %d bytes, want <= 80", sz)
+	}
+}
+
+// TestRecentEpochsMatchesLoop checks the shift-mask-popcount against the
+// per-epoch loop it replaced, for epochs inside and beyond the 64-bit
+// window and n from 0 past the window width.
+func TestRecentEpochsMatchesLoop(t *testing.T) {
+	loop := func(h *Hot, epoch int64, n int) int {
+		cnt := 0
+		for i := int64(0); i < int64(n); i++ {
+			if h.AccessedIn(epoch - i) {
+				cnt++
+			}
+		}
+		return cnt
+	}
+	f := func(bits uint64, at uint8, back int8) bool {
+		h := Hot{Bits: bits, Epoch: int64(at), Count: 1}
+		for _, epoch := range []int64{h.Epoch - int64(back), h.Epoch, h.Epoch + 1, h.Epoch - 63, h.Epoch - 64, h.Epoch + 70} {
+			for n := 0; n <= 70; n++ {
+				if h.RecentEpochs(epoch, n) != loop(&h, epoch, n) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

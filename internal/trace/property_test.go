@@ -48,7 +48,7 @@ func TestCollectorConservationProperty(t *testing.T) {
 			}
 			// Dir-level aggregation matches the key-level counters at
 			// the root (everything propagates to the root dir here).
-			dw := col.RecentDir(namespace.RootIno, e, 1)
+			dw := col.RecentDir(tree.Root(), e, 1)
 			if dw != w {
 				return false
 			}
@@ -86,7 +86,7 @@ func TestVisitedDescMatchesHotState(t *testing.T) {
 			}
 			return true
 		})
-		return tree.Root().VisitedDesc == visited
+		return tree.Root().VisitedDesc() == visited
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)

@@ -47,11 +47,20 @@ func (c Counters) IsZero() bool {
 	return c == Counters{}
 }
 
-// window is one cutting window's worth of counters.
+// window is one cutting window's worth of counters. Directories are
+// numbered densely (Inode.DirNum), so byDir is a slice indexed by that
+// number, grown to the highest directory the window has seen; a
+// never-touched directory reads as the zero Counters. Subtree entries
+// stay in a map, behind a one-slot memo of the last key recorded: a
+// rank serves runs of one client's consecutive ops, which mostly share
+// their governing entry. A window belongs to one collector, that is to
+// one rank, so one engine lane per round touches the memo and the slice.
 type window struct {
-	epoch int64
-	byDir map[namespace.Ino]*Counters
-	byKey map[namespace.FragKey]*Counters
+	epoch   int64
+	byDir   []Counters
+	byKey   map[namespace.FragKey]*Counters
+	lastKey namespace.FragKey
+	last    *Counters // byKey[lastKey]; nil = no memo
 }
 
 // Collector records accesses into a ring of cutting windows. Each MDS
@@ -72,11 +81,7 @@ func NewCollector(history int) *Collector {
 	}
 	ring := make([]window, history+1)
 	for i := range ring {
-		ring[i] = window{
-			epoch: -1,
-			byDir: make(map[namespace.Ino]*Counters),
-			byKey: make(map[namespace.FragKey]*Counters),
-		}
+		ring[i] = window{epoch: -1, byKey: make(map[namespace.FragKey]*Counters)}
 	}
 	// epoch starts at -1 so the first Record (possibly at epoch 0)
 	// opens its window.
@@ -101,31 +106,35 @@ func (c *Collector) BeginEpoch(epoch int64) {
 		return
 	}
 	w.epoch = epoch
-	for k := range w.byDir {
-		delete(w.byDir, k)
-	}
-	for k := range w.byKey {
-		delete(w.byKey, k)
-	}
+	clear(w.byDir)
+	clear(w.byKey)
+	w.last = nil
 	c.epoch = epoch
 }
 
-func (w *window) dir(ino namespace.Ino) *Counters {
-	ctr := w.byDir[ino]
-	if ctr == nil {
-		ctr = &Counters{}
-		w.byDir[ino] = ctr
+// add charges delta to the subtree entry and to every directory from
+// parent up to and including the entry's root, so any directory inside
+// the subtree has selector-usable stats.
+func (w *window) add(key namespace.FragKey, parent *namespace.Inode, delta Counters) {
+	if w.last == nil || w.lastKey != key {
+		ctr := w.byKey[key]
+		if ctr == nil {
+			ctr = &Counters{}
+			w.byKey[key] = ctr
+		}
+		w.lastKey, w.last = key, ctr
 	}
-	return ctr
-}
-
-func (w *window) key(k namespace.FragKey) *Counters {
-	ctr := w.byKey[k]
-	if ctr == nil {
-		ctr = &Counters{}
-		w.byKey[k] = ctr
+	w.last.Add(delta)
+	for d := parent; d != nil; d = d.Parent {
+		n := int(d.DirNum())
+		if n >= len(w.byDir) {
+			w.byDir = append(w.byDir, make([]Counters, n+1-len(w.byDir))...)
+		}
+		w.byDir[n].Add(delta)
+		if d.Ino == key.Dir {
+			break
+		}
 	}
-	return ctr
 }
 
 // Record classifies one access to in, governed by the subtree entry
@@ -174,19 +183,7 @@ func (c *Collector) RecordNoVisit(key namespace.FragKey, in *namespace.Inode, ep
 		delta.FirstVisits = 1
 	}
 
-	w := c.slot(epoch)
-	w.key(key).Add(delta)
-
-	// Propagate along the ancestor directory chain up to and including
-	// the governing subtree root, so any directory inside the subtree
-	// has selector-usable stats.
-	root := key.Dir
-	for d := in.Parent; d != nil; d = d.Parent {
-		w.dir(d.Ino).Add(delta)
-		if d.Ino == root {
-			break
-		}
-	}
+	c.slot(epoch).add(key, in.Parent, delta)
 	return !everSeen
 }
 
@@ -206,15 +203,7 @@ func (c *Collector) RecordFreshRun(key namespace.FragKey, parent *namespace.Inod
 	}
 	var delta Counters
 	delta.Visits, delta.Distinct, delta.FirstVisits = int(n), int(n), int(n)
-	w := c.slot(epoch)
-	w.key(key).Add(delta)
-	root := key.Dir
-	for d := parent; d != nil; d = d.Parent {
-		w.dir(d.Ino).Add(delta)
-		if d.Ino == root {
-			break
-		}
-	}
+	c.slot(epoch).add(key, parent, delta)
 }
 
 // sumWindows folds fn over the valid windows among the last n epochs
@@ -251,10 +240,11 @@ func (c *Collector) RecentKey(key namespace.FragKey, epoch int64, n int) Counter
 
 // RecentDir returns the summed counters attributed to the directory's
 // region over the last n cutting windows ending at epoch.
-func (c *Collector) RecentDir(dir namespace.Ino, epoch int64, n int) Counters {
+func (c *Collector) RecentDir(dir *namespace.Inode, epoch int64, n int) Counters {
+	num := int(dir.DirNum())
 	return c.sumWindows(epoch, n, func(w *window) Counters {
-		if ctr := w.byDir[dir]; ctr != nil {
-			return *ctr
+		if num < len(w.byDir) {
+			return w.byDir[num]
 		}
 		return Counters{}
 	})
@@ -264,6 +254,8 @@ func (c *Collector) RecentDir(dir namespace.Ino, epoch int64, n int) Counters {
 // retained windows. Exporters call it after a subtree is migrated away.
 func (c *Collector) Forget(key namespace.FragKey) {
 	for i := range c.ring {
-		delete(c.ring[i].byKey, key)
+		w := &c.ring[i]
+		delete(w.byKey, key)
+		w.last = nil // may point at the cell just deleted
 	}
 }

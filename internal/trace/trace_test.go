@@ -130,13 +130,13 @@ func TestDirPropagation(t *testing.T) {
 	c.BeginEpoch(0)
 	c.Record(key, f, 0)
 	// Both /a/b and /a and / accumulate the access (governing root is /).
-	if got := c.RecentDir(b.Ino, 0, 1); got.Visits != 1 {
+	if got := c.RecentDir(b, 0, 1); got.Visits != 1 {
 		t.Fatalf("dir b: %+v", got)
 	}
-	if got := c.RecentDir(a.Ino, 0, 1); got.Visits != 1 {
+	if got := c.RecentDir(a, 0, 1); got.Visits != 1 {
 		t.Fatalf("dir a: %+v", got)
 	}
-	if got := c.RecentDir(namespace.RootIno, 0, 1); got.Visits != 1 {
+	if got := c.RecentDir(tr.Root(), 0, 1); got.Visits != 1 {
 		t.Fatalf("root dir: %+v", got)
 	}
 }
@@ -151,10 +151,10 @@ func TestDirPropagationStopsAtSubtreeRoot(t *testing.T) {
 	key := namespace.FragKey{Dir: a.Ino, Frag: namespace.WholeFrag}
 	c.BeginEpoch(0)
 	c.Record(key, f, 0)
-	if got := c.RecentDir(a.Ino, 0, 1); got.Visits != 1 {
+	if got := c.RecentDir(a, 0, 1); got.Visits != 1 {
 		t.Fatalf("subtree root: %+v", got)
 	}
-	if got := c.RecentDir(namespace.RootIno, 0, 1); !got.IsZero() {
+	if got := c.RecentDir(tr.Root(), 0, 1); !got.IsZero() {
 		t.Fatalf("propagation crossed subtree root: %+v", got)
 	}
 }
