@@ -22,7 +22,7 @@ race:
 
 # check is the full gate: compile, vet, formatting, and the test suite
 # under the race detector. The steady-state allocation contracts
-# (alloc_test.go in internal/{namespace,mds,cluster}) are built with
+# (alloc_test.go in internal/{namespace,mds,cluster,obs}) are built with
 # !race, so check never reaches them; `make test` and CI's non-race
 # "Alloc" step do.
 check: build vet fmtcheck race
@@ -96,12 +96,14 @@ gobench:
 	$(GO) test -bench=. -benchmem ./...
 
 # fuzz smokes each fuzz target for a short budget with the invariant
-# checks as the oracle (long campaigns: raise FUZZTIME).
+# checks (for the event encoder: encoding/json's output) as the oracle
+# (long campaigns: raise FUZZTIME).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzPartitionOps -fuzztime=$(FUZZTIME) ./internal/audit
 	$(GO) test -fuzz=FuzzFragSplitMerge -fuzztime=$(FUZZTIME) ./internal/audit
 	$(GO) test -fuzz=FuzzMigratorLifecycle -fuzztime=$(FUZZTIME) ./internal/audit
+	$(GO) test -fuzz=FuzzAppendJSONValue -fuzztime=$(FUZZTIME) ./internal/obs
 
 # audit runs the audited failover suite (every experiment run carries
 # the state auditor; any invariant violation fails) plus the fuzz smoke.

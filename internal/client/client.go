@@ -4,7 +4,9 @@
 // the data path is enabled) has completed, at a bounded per-tick rate.
 // An op routed to a saturated or frozen MDS blocks the client for the
 // rest of the tick, which is how metadata imbalance stretches job
-// completion time.
+// completion time. (The write-back planner draws a tick's credit whether
+// or not earlier ops completed, which makes that mode an open loop at
+// the client's rate: DESIGN §3.5 records it.)
 package client
 
 import (
@@ -25,19 +27,17 @@ type Client struct {
 	rate      float64 // ops per tick
 
 	credit float64 // fractional-op accumulator
-	// pending is a FIFO of issued-but-unserved ops. The engine draws a
-	// run of ops ahead of serving them so it can route a whole batch to
-	// one rank; ops that stall stay queued and the head is re-attempted
-	// first. Held by value (not pointers) so stream ops never escape to
-	// the heap; head-index popping keeps the backing array reusable, so
-	// the steady-state tick path stays allocation-free.
-	pending []pendingOp
-	head    int   // index of the queue head within pending
-	debt    int64 // unpaid data bytes
+	// q is the FIFO of issued-but-unserved ops. The engine draws a run of
+	// ops ahead of serving them so it can route a whole batch to one
+	// rank; ops that stall stay queued and the head is re-attempted
+	// first. One engine lane touches a client per round, so the queue
+	// needs no lock.
+	q    opQueue
+	debt int64 // unpaid data bytes
 	// inflight counts queued ops that have been flushed into a server's
-	// group-commit journal in write-back mode. They stay in pending (the
+	// group-commit journal in write-back mode. They stay queued (the
 	// client remains the source of truth until the batch is applied), so
-	// issued == opsDone + pending always holds; inflight only partitions
+	// issued == opsDone + queued always holds; inflight only partitions
 	// the queue into [journaled prefix | locally buffered suffix].
 	inflight int64
 
@@ -59,13 +59,6 @@ type Client struct {
 	backoffRank namespace.MDSID // rank whose failure drove the backoff (-1 = none)
 
 	cache authCache
-}
-
-// pendingOp is one queued op plus the tick it was drawn from the
-// stream, which is when its latency clock starts.
-type pendingOp struct {
-	op    workload.Op
-	since int64
 }
 
 // MaxBackoffTicks caps the exponential retry backoff. With 1-second
@@ -246,7 +239,7 @@ func (c *Client) NextOp(tick int64) (workload.Op, bool) {
 // ops are issued immediately but stay queued until CompleteOp pops
 // them. ok=false means the stream ran dry before position k.
 func (c *Client) PeekOp(k int, tick int64) (workload.Op, bool) {
-	for c.head+k >= len(c.pending) {
+	for k >= c.q.len() {
 		if c.streamDone {
 			return workload.Op{}, false
 		}
@@ -255,22 +248,22 @@ func (c *Client) PeekOp(k int, tick int64) (workload.Op, bool) {
 			c.streamDone = true
 			return workload.Op{}, false
 		}
-		c.pending = append(c.pending, pendingOp{op: op, since: tick})
+		c.q.push(pendingOp{op: op, since: tick})
 		c.issued++
 	}
-	return c.pending[c.head+k].op, true
+	return c.q.at(k).op, true
 }
 
 // PeekSince returns the tick the k-th queued op was drawn from the
 // stream. The op must exist (see PeekOp); the write-back planner uses
 // the draw tick of the oldest buffered op to age-trigger flushes.
-func (c *Client) PeekSince(k int) int64 { return c.pending[c.head+k].since }
+func (c *Client) PeekSince(k int) int64 { return c.q.at(k).since }
 
 // OpAt returns the k-th queued op without consulting the stream. The
 // op must already be queued (see PeekOp): the write-back serve path
 // reads admitted batch ops, which are always journaled and queued, so
 // it can skip PeekOp's draw loop on its per-op fast path.
-func (c *Client) OpAt(k int) workload.Op { return c.pending[c.head+k].op }
+func (c *Client) OpAt(k int) workload.Op { return c.q.at(k).op }
 
 // MarkInflight records that the first n buffered ops past the current
 // in-flight prefix have been flushed into a group-commit journal.
@@ -281,7 +274,7 @@ func (c *Client) Inflight() int64 { return c.inflight }
 
 // RequeueInflight returns n journaled ops to the locally buffered state
 // after their batch was dropped (rank crash with an unapplied journal).
-// The ops never left pending, so this is exactly-once by construction:
+// The ops never left the queue, so this is exactly-once by construction:
 // the batch object is gone and the ops re-flush like fresh buffers.
 func (c *Client) RequeueInflight(n int64) {
 	c.inflight -= n
@@ -300,11 +293,11 @@ func (c *Client) BufferedOps() int64 { return c.PendingOps() - c.inflight }
 func (c *Client) Issued() int64 { return c.issued }
 
 // PendingOps returns how many issued-but-unserved ops the client holds.
-func (c *Client) PendingOps() int64 { return int64(len(c.pending) - c.head) }
+func (c *Client) PendingOps() int64 { return int64(c.q.len()) }
 
 // Idle reports that the client has nothing left to attempt: its stream
 // is exhausted and its queue is empty.
-func (c *Client) Idle() bool { return c.streamDone && c.head >= len(c.pending) }
+func (c *Client) Idle() bool { return c.streamDone && c.q.len() == 0 }
 
 // Credit returns the fractional-op accumulator (bounded by one tick's
 // rate; see AccrueCredit).
@@ -368,16 +361,21 @@ func (c *Client) Backoff() int64 { return c.backoff }
 // CompleteOp marks the queue head as served, pops it, and returns its
 // latency in ticks (1 for an op served in the tick it was drawn).
 func (c *Client) CompleteOp(tick int64) int64 {
-	lat := tick - c.pending[c.head].since + 1
+	// The pop is written out here: as an opQueue method it would not
+	// inline (it calls release), and every served op passes through.
+	q := &c.q
+	p := &q.blocks[0][q.head] // the head never leaves the first block
+	lat := tick - p.since + 1
 	if lat < 1 {
 		lat = 1
 	}
-	c.pending[c.head] = pendingOp{}
-	c.head++
-	if c.head == len(c.pending) {
-		// Queue drained: rewind to reuse the backing array.
-		c.pending = c.pending[:0]
-		c.head = 0
+	// Zeroed so the queue does not keep the served op's inodes reachable.
+	*p = pendingOp{}
+	if q.head++; q.head == q.tail {
+		// Drained: rewind into the first (by now the only) block.
+		q.head, q.tail = 0, 0
+	} else if q.head == qBlock {
+		q.release()
 	}
 	c.opsDone++
 	if c.inflight > 0 {

@@ -9,11 +9,13 @@ package cluster
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/elastic"
+	"repro/internal/obs"
 	"repro/internal/replica"
 	"repro/internal/tenant"
 	"repro/internal/workload"
@@ -36,6 +38,28 @@ func TestSteadyTickAllocs(t *testing.T) {
 	}
 	mdtest := func() workload.Generator {
 		return workload.NewMD(workload.MDConfig{CreatesPerClient: steadyOps, DirsPerClient: 4, StatEvery: 64})
+	}
+	// Buckets tight enough that the big tenants throttle every tick: the
+	// admission path actually taken, not the fast path.
+	contended := func() Config {
+		pol := tenant.DefaultPolicy()
+		pol.Rate, pol.Burst = 1500, 3000
+		gen := workload.NewTenants(workload.TenantsConfig{Tenants: 4, Skew: 1},
+			func(tn, clients, off int) workload.Generator {
+				dir := fmt.Sprintf("/tenant%02d", tn)
+				switch tn % 3 {
+				case 0:
+					return workload.NewZipf(workload.ZipfConfig{Dir: dir + "/zipf", ClientOffset: off,
+						FilesPerClient: 500, OpsPerClient: steadyOps})
+				case 1:
+					return workload.NewMD(workload.MDConfig{Dir: dir + "/md", ClientOffset: off,
+						CreatesPerClient: steadyOps})
+				default:
+					return workload.NewReadStorm(workload.ReadStormConfig{Dir: dir + "/storm", ClientOffset: off,
+						WriteEvery: 50, OpsPerClient: steadyOps})
+				}
+			})
+		return Config{Workload: gen, Tenancy: tenant.MustManager(pol)}
 	}
 	for _, tc := range []struct {
 		name    string
@@ -66,27 +90,20 @@ func TestSteadyTickAllocs(t *testing.T) {
 				Replication: leaseManager(3, 40, 0.75),
 			}
 		}},
-		{"tenants-contended", 118 /* 93.8 */, func() Config {
-			// Buckets tight enough that the big tenants throttle every
-			// tick: the admission path actually taken, not the fast path.
-			pol := tenant.DefaultPolicy()
-			pol.Rate, pol.Burst = 1500, 3000
-			gen := workload.NewTenants(workload.TenantsConfig{Tenants: 4, Skew: 1},
-				func(tn, clients, off int) workload.Generator {
-					dir := fmt.Sprintf("/tenant%02d", tn)
-					switch tn % 3 {
-					case 0:
-						return workload.NewZipf(workload.ZipfConfig{Dir: dir + "/zipf", ClientOffset: off,
-							FilesPerClient: 500, OpsPerClient: steadyOps})
-					case 1:
-						return workload.NewMD(workload.MDConfig{Dir: dir + "/md", ClientOffset: off,
-							CreatesPerClient: steadyOps})
-					default:
-						return workload.NewReadStorm(workload.ReadStormConfig{Dir: dir + "/storm", ClientOffset: off,
-							WriteEvery: 50, OpsPerClient: steadyOps})
-					}
-				})
-			return Config{Workload: gen, Tenancy: tenant.MustManager(pol)}
+		{"tenants-contended", 118 /* 93.8 */, contended},
+		{"tenants-contended-b32-events", 920 /* 735.6 */, func() Config {
+			// The traced write-back path: ~360 events a tick, nearly all
+			// batch_flush / batch_commit. The same cell without a Bus
+			// measures 448.4, so an event costs ~0.8 allocations: none to
+			// encode it (a counting sink in place of the JSONL measures
+			// the same 735.5), the rest boxing field values that are not
+			// small integers (an int >= 256 such as the journal depth, any
+			// int64 or float64) into their obs.F slots, and the growth of
+			// lane.events. With reflection encoding this cell was 11564.6.
+			cfg := contended()
+			cfg.Batching = &BatchingConfig{BatchSize: 32, FlushEvery: 4}
+			cfg.Bus = obs.NewBus(obs.NewJSONL(io.Discard))
+			return cfg
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

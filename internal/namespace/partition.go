@@ -402,8 +402,10 @@ func (p *Partition) rawSize(key FragKey) int {
 	if key.Frag.IsWhole() {
 		n = dir.SubtreeInodes() - 1 // children and below; not the dir itself
 	} else {
-		for _, c := range dir.ChildrenInFrag(key.Frag) {
-			n += c.SubtreeInodes()
+		for _, c := range dir.Children() {
+			if key.Frag.Contains(c.nameHash) {
+				n += c.SubtreeInodes()
+			}
 		}
 	}
 	if key.Dir == RootIno && key.Frag.IsWhole() {
@@ -453,12 +455,14 @@ func (p *Partition) SubtreeSizes() map[FragKey]int {
 // GovernedInodes returns the number of inodes the entry at key governs.
 func (p *Partition) GovernedInodes(key FragKey) int {
 	n := p.rawSize(key)
-	for _, e := range p.Entries() {
-		if e.Key == key {
-			continue
-		}
-		if enc, ok := p.enclosingEntry(e.Key); ok && enc.Key == key {
-			n -= p.rawSize(e.Key)
+	for _, es := range p.entries { // a sum: the map's order does not matter
+		for _, e := range es {
+			if e.Key == key {
+				continue
+			}
+			if enc, ok := p.enclosingEntry(e.Key); ok && enc.Key == key {
+				n -= p.rawSize(e.Key)
+			}
 		}
 	}
 	return n
@@ -476,9 +480,11 @@ func (p *Partition) UnvisitedIn(key FragKey) (unvisited, total int) {
 	if key.Frag.IsWhole() {
 		return dir.UnvisitedBelow()
 	}
-	for _, c := range dir.ChildrenInFrag(key.Frag) {
-		total += c.SubtreeFiles()
-		unvisited += c.SubtreeFiles() - c.VisitedFiles()
+	for _, c := range dir.Children() {
+		if key.Frag.Contains(c.nameHash) {
+			total += c.SubtreeFiles()
+			unvisited += c.SubtreeFiles() - c.VisitedFiles()
+		}
 	}
 	if unvisited < 0 {
 		unvisited = 0

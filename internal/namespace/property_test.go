@@ -105,19 +105,52 @@ func TestResolveChainConsistency(t *testing.T) {
 }
 
 // TestGovernedSizesTotalProperty: under any carve/split sequence, the
-// governed sizes stay non-negative and sum to the namespace size.
+// governed sizes stay non-negative and sum to the namespace size, and —
+// with every third file marked visited — each entry's SubtreeSizes,
+// GovernedInodes and UnvisitedIn equal a recount by walking: the inodes
+// whose governing entry it is, and the files (visited or not) below the
+// children its fragment covers.
 func TestGovernedSizesTotalProperty(t *testing.T) {
 	f := func(shape, ops []uint8) bool {
 		tr := buildRandomNamespace(shape)
 		p := applyRandomPartition(tr, ops, 5)
+		governed := make(map[FragKey]int)
+		files := 0
+		tr.Walk(func(in *Inode) bool {
+			governed[p.GoverningEntry(in).Key]++
+			if !in.IsDir {
+				if files++; files%3 == 0 {
+					in.MarkVisited()
+				}
+			}
+			return true
+		})
+		sizes := p.SubtreeSizes()
 		total := 0
-		for _, sz := range p.SubtreeSizes() {
-			if sz < 0 {
+		for _, e := range p.Entries() {
+			sz := sizes[e.Key]
+			if sz < 0 || sz != governed[e.Key] || p.GovernedInodes(e.Key) != sz {
 				return false
 			}
 			total += sz
+			spanFiles, spanUnvisited := 0, 0
+			tr.Walk(func(in *Inode) bool {
+				for c := in; !in.IsDir && c.Parent != nil; c = c.Parent {
+					if c.Parent.Ino == e.Key.Dir && e.Key.Frag.Contains(c.nameHash) {
+						spanFiles++
+						if !in.visited {
+							spanUnvisited++
+						}
+						break
+					}
+				}
+				return true
+			})
+			if u, n := p.UnvisitedIn(e.Key); u != spanUnvisited || n != spanFiles {
+				return false
+			}
 		}
-		return total == tr.NumInodes()
+		return total == tr.NumInodes() && len(sizes) == p.NumEntries()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -19,7 +19,9 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -147,31 +149,81 @@ type Event struct {
 // trailing newline) to dst: {"tick":..,"type":"..",<sorted fields>}.
 func (e Event) AppendJSON(dst []byte) []byte {
 	dst = append(dst, `{"tick":`...)
-	dst = append(dst, fmt.Sprintf("%d", e.Tick)...)
+	dst = strconv.AppendInt(dst, e.Tick, 10)
 	dst = append(dst, `,"type":`...)
-	dst = appendJSONValue(dst, string(e.Type))
-	if len(e.Fields) > 0 {
-		keys := make([]string, 0, len(e.Fields))
-		for k := range e.Fields {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			dst = append(dst, ',')
-			dst = appendJSONValue(dst, k)
-			dst = append(dst, ':')
-			dst = appendJSONValue(dst, e.Fields[k])
-		}
+	dst = appendJSONString(dst, string(e.Type))
+	var scratch [16]string // no emit site has more fields; more spill to the heap
+	keys := scratch[:0]
+	for k := range e.Fields {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		dst = append(dst, ',')
+		dst = appendJSONString(dst, k)
+		dst = append(dst, ':')
+		dst = appendJSONValue(dst, e.Fields[k])
 	}
 	return append(dst, '}')
 }
 
+// appendJSONValue appends v exactly as encoding/json would marshal it.
+// The types nearly every field has are written directly; everything
+// else (named types, slices, strings that need escaping) goes through
+// json.Marshal, so the typed arms are only ever a faster way to the
+// same bytes (TestAppendJSONMatchesEncodingJSON).
 func appendJSONValue(dst []byte, v any) []byte {
+	switch x := v.(type) {
+	case int:
+		return strconv.AppendInt(dst, int64(x), 10)
+	case int64:
+		return strconv.AppendInt(dst, x, 10)
+	case int32:
+		return strconv.AppendInt(dst, int64(x), 10)
+	case bool:
+		return strconv.AppendBool(dst, x)
+	case float64:
+		// encoding/json's rule: %f, or %e when the exponent is < -6 or
+		// >= 21, then with a two-digit negative exponent's leading zero
+		// cut (an %e rendering is at least five bytes). NaN and the
+		// infinities are not JSON: they fall through.
+		if abs := math.Abs(x); abs <= math.MaxFloat64 {
+			format := byte('f')
+			if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+				format = 'e'
+			}
+			dst = strconv.AppendFloat(dst, x, format, -1, 64)
+			if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+				dst[n-2] = dst[n-1]
+				dst = dst[:n-1]
+			}
+			return dst
+		}
+	case string:
+		return appendJSONString(dst, x)
+	}
 	b, err := json.Marshal(v)
 	if err != nil {
 		b, _ = json.Marshal(fmt.Sprint(v))
 	}
 	return append(dst, b...)
+}
+
+// escaped is a string on its way to appendJSONValue's fallback arm.
+type escaped string
+
+// appendJSONString appends s, unboxed, as a JSON string: copied through
+// when it is printable ASCII free of the characters encoding/json
+// escapes (HTML's <, > and & among them), marshalled otherwise.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return appendJSONValue(dst, escaped(s))
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // String renders the event compactly for test failures and summaries.
@@ -293,18 +345,14 @@ func ParseTypes(spec string) ([]Type, error) {
 	if spec == "" || spec == "all" {
 		return nil, nil
 	}
-	valid := make(map[Type]bool)
-	for _, t := range AllTypes() {
-		valid[t] = true
-	}
 	var out []Type
 	for _, part := range strings.Split(spec, ",") {
 		t := Type(strings.TrimSpace(part))
 		if t == "" {
 			continue
 		}
-		if !valid[t] {
-			names := make([]string, 0, len(valid))
+		if !slices.Contains(AllTypes(), t) {
+			var names []string
 			for _, v := range AllTypes() {
 				names = append(names, string(v))
 			}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -155,23 +154,10 @@ func (s *Summary) Counts() map[Type]int64 {
 // the stable AllTypes order (types never seen are omitted).
 func (s *Summary) String() string {
 	var b strings.Builder
-	seen := make(map[Type]bool, len(s.counts))
 	for _, t := range AllTypes() {
 		if n := s.counts[t]; n > 0 {
 			fmt.Fprintf(&b, "%-21s %d\n", t, n)
-			seen[t] = true
 		}
-	}
-	// Defensive: types outside AllTypes (future additions) still print.
-	var extra []string
-	for t := range s.counts {
-		if !seen[t] && s.counts[t] > 0 {
-			extra = append(extra, string(t))
-		}
-	}
-	sort.Strings(extra)
-	for _, t := range extra {
-		fmt.Fprintf(&b, "%-21s %d\n", t, s.counts[Type(t)])
 	}
 	return b.String()
 }
