@@ -18,7 +18,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -109,10 +108,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// The experiment constructors panic on a name or scale they do not
 	// know; flags are outside input, so they are checked here first.
 	name, balName := canonical(*wl), canonicalBalancer(*bal)
-	if err := known("workload", name, experiment.WorkloadNames, "Mixed", "ReadStorm"); err != nil {
+	if err := experiment.Known("workload", name, experiment.WorkloadNames, "Mixed", "ReadStorm"); err != nil {
 		return fail(err)
 	}
-	if err := known("balancer", balName, experiment.BalancerNames, "Dir-Hash"); err != nil {
+	if err := experiment.Known("balancer", balName, experiment.BalancerNames, "Dir-Hash"); err != nil {
 		return fail(err)
 	}
 	if !(*scale > 0) {
@@ -507,15 +506,6 @@ func writeCSV(path string, emit func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// known returns an error naming the flag unless v is one of the names.
-func known(flagName, v string, names []string, more ...string) error {
-	all := append(append([]string(nil), names...), more...)
-	if slices.Contains(all, v) {
-		return nil
-	}
-	return fmt.Errorf("unknown -%s %q (want one of %s)", flagName, v, strings.Join(all, ", "))
 }
 
 func canonical(w string) string {

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/experiment"
@@ -23,42 +24,70 @@ import (
 )
 
 func main() {
-	var (
-		wl        = flag.String("workload", "Zipf", "workload: CNN, NLP, Web, Zipf, MD, Mixed")
-		clients   = flag.Int("clients", 4, "number of client streams to interleave")
-		scale     = flag.Float64("scale", 1.0, "workload scale factor")
-		seed      = flag.Uint64("seed", 42, "random seed")
-		windowOps = flag.Int("windowops", 4000, "accesses per cutting window")
-		windows   = flag.Int("windows", 12, "number of windows to report")
-		export    = flag.String("export", "", "write the workload's op streams to this trace file and exit (replayable via lunule-sim -tracefile)")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	gen := experiment.MakeWorkload(canonical(*wl), *scale)
+// run is the command with its streams and exit code made explicit, so
+// the flag checks are testable.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lunule-trace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		wl        = fs.String("workload", "Zipf", "workload: CNN, NLP, Web, Zipf, MD, Mixed")
+		clients   = fs.Int("clients", 4, "number of client streams to interleave")
+		scale     = fs.Float64("scale", 1.0, "workload scale factor")
+		seed      = fs.Uint64("seed", 42, "random seed")
+		windowOps = fs.Int("windowops", 4000, "accesses per cutting window")
+		windows   = fs.Int("windows", 12, "number of windows to report")
+		export    = fs.String("export", "", "write the workload's op streams to this trace file and exit (replayable via lunule-sim -tracefile)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "error: %v\n", err)
+		return 1
+	}
+
+	// MakeWorkload panics on a name it does not know, and a non-positive
+	// scale or count analyses a degenerate run; flags are outside input.
+	name := canonical(*wl)
+	if err := experiment.Known("workload", name, experiment.WorkloadNames, "Mixed"); err != nil {
+		return fail(err)
+	}
+	if !(*scale > 0) {
+		return fail(fmt.Errorf("-scale must be > 0, got %v", *scale))
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"clients", *clients}, {"windowops", *windowOps}, {"windows", *windows}} {
+		if f.v < 1 {
+			return fail(fmt.Errorf("-%s must be >= 1, got %d", f.name, f.v))
+		}
+	}
+
+	gen := experiment.MakeWorkload(name, *scale)
 	tree := namespace.NewTree()
 	specs, err := gen.Setup(tree, *clients, rng.New(*seed))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 
 	if *export != "" {
 		f, err := os.Create(*export)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		if err := workload.WriteTrace(f, specs); err != nil {
 			f.Close()
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		fmt.Printf("trace written to %s (%d clients)\n", *export, *clients)
-		return
+		fmt.Fprintf(stdout, "trace written to %s (%d clients)\n", *export, *clients)
+		return 0
 	}
 
 	// Interleave the client streams round-robin, the way concurrent
@@ -127,7 +156,7 @@ func main() {
 		flush()
 	}
 
-	fmt.Printf("workload %s, %d clients, %d ops analyzed\n\n", gen.Name(), *clients, meta)
+	fmt.Fprintf(stdout, "workload %s, %d clients, %d ops analyzed\n\n", gen.Name(), *clients, meta)
 	tbl := &metrics.Table{Header: []string{"op kind", "count", "share"}}
 	for _, k := range []workload.OpKind{
 		workload.OpLookup, workload.OpGetattr, workload.OpOpen,
@@ -139,19 +168,20 @@ func main() {
 		tbl.Add(k.String(), fmt.Sprint(kinds[k]),
 			fmt.Sprintf("%.1f%%", 100*float64(kinds[k])/float64(meta)))
 	}
-	fmt.Print(tbl.String())
-	fmt.Printf("\nmetadata-op ratio: %.3f (meta %d / data %d)\n\n",
+	fmt.Fprint(stdout, tbl.String())
+	fmt.Fprintf(stdout, "\nmetadata-op ratio: %.3f (meta %d / data %d)\n\n",
 		float64(meta)/float64(meta+data), meta, data)
 
-	fmt.Printf("locality signature per window (%d ops each):\n", *windowOps)
-	fmt.Printf("%-8s %-22s %-22s\n", "window", "alpha (recurrent)", "beta (first-visit)")
+	fmt.Fprintf(stdout, "locality signature per window (%d ops each):\n", *windowOps)
+	fmt.Fprintf(stdout, "%-8s %-22s %-22s\n", "window", "alpha (recurrent)", "beta (first-visit)")
 	for i, s := range sigs {
-		fmt.Printf("%-8d %-22s %-22s\n", i,
+		fmt.Fprintf(stdout, "%-8d %-22s %-22s\n", i,
 			bar(s.alpha)+fmt.Sprintf(" %.2f", s.alpha),
 			bar(s.beta)+fmt.Sprintf(" %.2f", s.beta))
 	}
-	fmt.Println("\nhigh alpha -> temporal locality (heat-based balancing works);")
-	fmt.Println("high beta  -> spatial locality (scans/creates; Lunule's mIndex needed)")
+	fmt.Fprintln(stdout, "\nhigh alpha -> temporal locality (heat-based balancing works);")
+	fmt.Fprintln(stdout, "high beta  -> spatial locality (scans/creates; Lunule's mIndex needed)")
+	return 0
 }
 
 func bar(v float64) string {

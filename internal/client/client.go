@@ -44,7 +44,6 @@ type Client struct {
 	streamDone bool
 	readsTree  bool // stream consults the live namespace in Next()
 	done       bool
-	doneTick   int64
 	issued     int64 // ops drawn from the stream (completed or pending)
 	opsDone    int64
 	stallTicks int64
@@ -187,9 +186,6 @@ func (c *Client) Rate() float64 { return c.rate }
 // Done reports whether the client has finished its job.
 func (c *Client) Done() bool { return c.done }
 
-// DoneTick returns when the client finished (valid when Done).
-func (c *Client) DoneTick() int64 { return c.doneTick }
-
 // OpsDone returns the number of completed operations.
 func (c *Client) OpsDone() int64 { return c.opsDone }
 
@@ -231,27 +227,32 @@ func (c *Client) AccrueCredit() int {
 // head if any, otherwise the next from the stream, stamping its draw
 // tick. ok=false means the stream is exhausted and the queue is empty.
 func (c *Client) NextOp(tick int64) (workload.Op, bool) {
-	return c.PeekOp(0, tick)
+	if op := c.PeekOp(0, tick); op != nil {
+		return *op, true
+	}
+	return workload.Op{}, false
 }
 
-// PeekOp returns the k-th queued op (0 = the one to attempt next),
-// drawing from the stream as needed to fill the queue that far. Drawn
-// ops are issued immediately but stay queued until CompleteOp pops
-// them. ok=false means the stream ran dry before position k.
-func (c *Client) PeekOp(k int, tick int64) (workload.Op, bool) {
+// PeekOp returns the k-th queued op (0 = the one to attempt next) in
+// place, drawing from the stream as needed to fill the queue that far.
+// Drawn ops are issued immediately but stay queued until CompleteOp
+// pops them. nil means the stream ran dry before position k. Queue
+// blocks never move, so the pointer stays valid until that op completes
+// (CompleteOp zeroes the slot: read what you need of the head first).
+func (c *Client) PeekOp(k int, tick int64) *workload.Op {
 	for k >= c.q.len() {
 		if c.streamDone {
-			return workload.Op{}, false
+			return nil
 		}
 		op, ok := c.stream.Next()
 		if !ok {
 			c.streamDone = true
-			return workload.Op{}, false
+			return nil
 		}
 		c.q.push(pendingOp{op: op, since: tick})
 		c.issued++
 	}
-	return c.q.at(k).op, true
+	return &c.q.at(k).op
 }
 
 // PeekSince returns the tick the k-th queued op was drawn from the
@@ -259,11 +260,11 @@ func (c *Client) PeekOp(k int, tick int64) (workload.Op, bool) {
 // the draw tick of the oldest buffered op to age-trigger flushes.
 func (c *Client) PeekSince(k int) int64 { return c.q.at(k).since }
 
-// OpAt returns the k-th queued op without consulting the stream. The
-// op must already be queued (see PeekOp): the write-back serve path
-// reads admitted batch ops, which are always journaled and queued, so
-// it can skip PeekOp's draw loop on its per-op fast path.
-func (c *Client) OpAt(k int) workload.Op { return c.q.at(k).op }
+// OpAt returns the k-th queued op in place without consulting the
+// stream. The op must already be queued (see PeekOp, also for how long
+// the pointer is valid): the serve paths read ops the plan drew, so they
+// skip PeekOp's draw loop.
+func (c *Client) OpAt(k int) *workload.Op { return &c.q.at(k).op }
 
 // MarkInflight records that the first n buffered ops past the current
 // in-flight prefix have been flushed into a group-commit journal.
@@ -391,12 +392,12 @@ func (c *Client) CompleteOp(tick int64) int64 {
 
 // MaybeFinish marks the client done when its stream is exhausted, its
 // queue is empty, and all data debt is paid. It returns true on the
-// transition.
-func (c *Client) MaybeFinish(tick int64) bool {
+// transition; the engine records the completion tick (the recorder's
+// JCT owns it).
+func (c *Client) MaybeFinish() bool {
 	if c.done || !c.Idle() || c.debt > 0 {
 		return false
 	}
 	c.done = true
-	c.doneTick = tick
 	return true
 }

@@ -98,7 +98,7 @@ func TestNextOpRetainComplete(t *testing.T) {
 func TestMaybeFinish(t *testing.T) {
 	ops := []workload.Op{{Kind: workload.OpOpen}}
 	c := New(0, specOf(ops, 0, 1), 1)
-	if c.MaybeFinish(1) {
+	if c.MaybeFinish() {
 		t.Fatal("cannot finish before the stream is drained")
 	}
 	op, _ := c.NextOp(0)
@@ -109,17 +109,17 @@ func TestMaybeFinish(t *testing.T) {
 	}
 	// Outstanding data debt blocks completion.
 	c.AddDebt(100)
-	if c.MaybeFinish(7) {
+	if c.MaybeFinish() {
 		t.Fatal("cannot finish with data debt")
 	}
 	c.PayDebt(100)
-	if !c.MaybeFinish(9) {
+	if !c.MaybeFinish() {
 		t.Fatal("should finish")
 	}
-	if c.DoneTick() != 9 || !c.Done() {
+	if !c.Done() {
 		t.Fatal("done bookkeeping")
 	}
-	if c.MaybeFinish(10) {
+	if c.MaybeFinish() {
 		t.Fatal("finish must fire exactly once")
 	}
 }
@@ -233,24 +233,24 @@ func TestPeekOpQueueDrawAhead(t *testing.T) {
 	}
 	c := New(0, specOf(ops, 0, 1), 4)
 	// Peeking ahead draws and issues without completing.
-	op2, ok := c.PeekOp(2, 5)
-	if !ok || op2.Kind != workload.OpOpen {
+	op2 := c.PeekOp(2, 5)
+	if op2 == nil || op2.Kind != workload.OpOpen {
 		t.Fatal("peek at depth 2")
 	}
 	if c.Issued() != 3 || c.PendingOps() != 3 || c.OpsDone() != 0 {
 		t.Fatalf("issued=%d pending=%d done=%d", c.Issued(), c.PendingOps(), c.OpsDone())
 	}
 	// Head stays stable across peeks; completes pop in FIFO order.
-	if op0, _ := c.PeekOp(0, 5); op0.Kind != workload.OpLookup {
+	if op0 := c.PeekOp(0, 5); op0.Kind != workload.OpLookup {
 		t.Fatal("head changed")
 	}
 	c.CompleteOp(5)
-	if op0, _ := c.PeekOp(0, 5); op0.Kind != workload.OpGetattr {
+	if op0 := c.PeekOp(0, 5); op0.Kind != workload.OpGetattr {
 		t.Fatal("pop order")
 	}
 	c.CompleteOp(5)
 	c.CompleteOp(6)
-	if _, ok := c.PeekOp(0, 6); ok {
+	if c.PeekOp(0, 6) != nil {
 		t.Fatal("stream must be exhausted")
 	}
 	if !c.Idle() || c.Issued() != c.OpsDone() || c.PendingOps() != 0 {
@@ -262,7 +262,7 @@ func TestPeekOpLatencyFromDrawTick(t *testing.T) {
 	ops := []workload.Op{{Kind: workload.OpLookup}, {Kind: workload.OpOpen}}
 	c := New(0, specOf(ops, 0, 1), 2)
 	// Both ops drawn at tick 3; second completes at tick 5 -> latency 3.
-	if _, ok := c.PeekOp(1, 3); !ok {
+	if c.PeekOp(1, 3) == nil {
 		t.Fatal("draw ahead")
 	}
 	if lat := c.CompleteOp(3); lat != 1 {

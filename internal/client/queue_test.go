@@ -106,8 +106,8 @@ func TestOpQueueMatchesSliceModel(t *testing.T) {
 			case r < peekOdds:
 				k := rng.Intn(n + 1 + rng.Intn(3*qBlock))
 				wantOp, wantOK := ref.peek(k, tick)
-				if op, ok := c.PeekOp(k, tick); ok != wantOK || op != wantOp {
-					t.Fatalf("seed %d step %d: PeekOp(%d) = (%+v, %v), model (%+v, %v)", seed, step, k, op, ok, wantOp, wantOK)
+				if op := c.PeekOp(k, tick); (op != nil) != wantOK || (wantOK && *op != wantOp) {
+					t.Fatalf("seed %d step %d: PeekOp(%d) = %+v, model (%+v, %v)", seed, step, k, op, wantOp, wantOK)
 				}
 			case r < peekOdds+completeOdds:
 				for i := 1 + rng.Intn(1+rng.Intn(2*qBlock)); i > 0 && len(ref.q) > 0; i-- {
@@ -120,7 +120,7 @@ func TestOpQueueMatchesSliceModel(t *testing.T) {
 				}
 			case r == peekOdds+completeOdds && n > 0:
 				k := rng.Intn(n)
-				if op, since := c.OpAt(k), c.PeekSince(k); op != ref.q[k].op || since != ref.q[k].since {
+				if op, since := *c.OpAt(k), c.PeekSince(k); op != ref.q[k].op || since != ref.q[k].since {
 					t.Fatalf("seed %d step %d: queued op %d = (%+v, since %d), model %+v", seed, step, k, op, since, ref.q[k])
 				}
 			default:
@@ -157,7 +157,7 @@ func TestOpQueueMatchesSliceModel(t *testing.T) {
 func TestOpQueueMemoryFollowsBacklog(t *testing.T) {
 	c := New(0, workload.ClientSpec{Stream: &serialStream{limit: -1}}, 150)
 	for tick := int64(0); tick < 5000; tick++ {
-		if _, ok := c.PeekOp(int(c.PendingOps())+149, tick); !ok {
+		if c.PeekOp(int(c.PendingOps())+149, tick) == nil {
 			t.Fatal("endless stream ended")
 		}
 		for i := 0; i < 149; i++ {
@@ -199,7 +199,7 @@ func TestOpQueueDropsCompletedOps(t *testing.T) {
 		}
 		return workload.Op{Kind: workload.OpLookup, Target: in}
 	}}}, 10)
-	if _, ok := c.PeekOp(9, 0); !ok {
+	if c.PeekOp(9, 0) == nil {
 		t.Fatal("draw ahead")
 	}
 	c.CompleteOp(0)
@@ -243,7 +243,7 @@ func BenchmarkOpQueue(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			tick := int64(i)
-			sinkOp, _ = c.PeekOp(int(c.PendingOps())+149, tick)
+			sinkOp = *c.PeekOp(int(c.PendingOps())+149, tick)
 			done := 100
 			if c.PendingOps() > 20000 {
 				done = int(c.PendingOps()) - 1

@@ -90,6 +90,19 @@ func TestSteadyTickAllocs(t *testing.T) {
 				Replication: leaseManager(3, 40, 0.75),
 			}
 		}},
+		{"mixed-saturated", 4 /* 2.9 */, func() Config {
+			// The paper's 4.4 mix offering 64 x 150 ops a tick to ranks that
+			// serve 4 x 1200: every client is cut every tick and its cut
+			// suffix is planned again the next. Sized so that no client
+			// finishes. Before the scan generators appended into their
+			// stream's buffer this cell measured 1086.4: a fresh slice per
+			// file drawn, regrown as the file's ops were appended.
+			return Config{Capacity: 1200, Workload: workload.NewMixed(
+				workload.NewCNN(workload.CNNConfig{Dirs: 40, FilesPerDir: 200}),
+				workload.NewNLP(workload.NLPConfig{Dirs: 4, FilesPerDir: 600}),
+				workload.NewWeb(workload.WebConfig{RequestsPerClient: 25000}),
+				zipf())}
+		}},
 		{"tenants-contended", 118 /* 93.8 */, contended},
 		{"tenants-contended-b32-events", 920 /* 735.6 */, func() Config {
 			// The traced write-back path: ~360 events a tick, nearly all

@@ -486,9 +486,9 @@ func (c *Cluster) ScheduleAddMDS(tick int64, n int) {
 // (ceph.dir.pin). Pinned subtrees still migrate if a balancer chooses
 // to move them; combine with a passive balancer for fully static
 // placement. The pin is recorded so a graceful drain of the rank can
-// explicitly unpin-and-export the subtree (drain wins over pinning;
-// see PinnedRank). Pinning to a down, draining, or decommissioned rank
-// is refused.
+// explicitly unpin-and-export the subtree (drain wins over pinning:
+// retiring a rank beats keeping a manual placement on it). Pinning to
+// a down, draining, or decommissioned rank is refused.
 func (c *Cluster) PinPath(path string, rank int) error {
 	if rank < 0 || rank >= len(c.servers) {
 		return fmt.Errorf("cluster: pin rank %d out of range [0,%d)", rank, len(c.servers))
@@ -508,15 +508,6 @@ func (c *Cluster) PinPath(path string, rank int) error {
 	c.part.SetAuth(e.Key, namespace.MDSID(rank))
 	c.pins[e.Key] = rank
 	return nil
-}
-
-// PinnedRank reports the rank a subtree entry was pinned to by
-// PinPath, if it is still pinned. A drain of the pinned rank removes
-// the pin (the documented "drain wins" policy: retiring a rank beats
-// keeping a manual placement on it).
-func (c *Cluster) PinnedRank(key namespace.FragKey) (int, bool) {
-	r, ok := c.pins[key]
-	return r, ok
 }
 
 // ScheduleCapacity arranges for the given rank's capacity to change at
@@ -676,10 +667,14 @@ func (c *Cluster) governing(res *namespace.Resolver, in *namespace.Inode) namesp
 // routed is one op's resolution: the entry governing it and the inode
 // it acts on. For a create the target is the probe of (Parent, Name)
 // under hash = HashName(Name) — nil when the name does not exist yet.
+// write and ends are the op's Kind.IsWrite() and endsRun, filled by the
+// sync plan so that a carried resolution is walked without the op.
 type routed struct {
 	ent    namespace.Entry
 	target *namespace.Inode
 	hash   uint32
+	write  bool
+	ends   bool
 }
 
 // resolveOp resolves one op: the governing entry of its target, or, for
@@ -691,7 +686,7 @@ type routed struct {
 // through the owning lane's lookaside map. res is the caller's
 // resolver: a cohort's own in the parallel plan phase, the cluster's in
 // serial sections.
-func (c *Cluster) resolveOp(res *namespace.Resolver, op workload.Op) routed {
+func (c *Cluster) resolveOp(res *namespace.Resolver, op *workload.Op) routed {
 	r := routed{target: op.Target}
 	if op.Kind == workload.OpCreate {
 		r.hash = namespace.HashName(op.Name)
@@ -746,17 +741,13 @@ func isActive(s *mds.Server) bool { return s.State() == mds.RankActive }
 
 // DownRanks returns the currently-crashed ranks in rank order. A
 // decommissioned rank is not down — it left the cluster on purpose and
-// is never a takeover source or recovery target — so it is excluded
-// (see DecommissionedRanks).
+// is never a takeover source or recovery target — so it is excluded.
 func (c *Cluster) DownRanks() []int {
 	return c.ranksWhere(func(s *mds.Server) bool { return s.State() == mds.RankDown })
 }
 
 // DrainingRanks returns the ranks currently mid-drain in rank order.
 func (c *Cluster) DrainingRanks() []int { return c.ranksWhere((*mds.Server).Draining) }
-
-// DecommissionedRanks returns the retired ranks in rank order.
-func (c *Cluster) DecommissionedRanks() []int { return c.ranksWhere((*mds.Server).Decommissioned) }
 
 // ServingRanks counts ranks currently serving requests (active or
 // draining).
@@ -1136,9 +1127,7 @@ func (c *Cluster) Step() {
 		// before any admission runs (serial, like server BeginTick).
 		c.tn.BeginTick()
 		c.tnAdmittedTick = 0
-		for i := range c.tnServedTick {
-			c.tnServedTick[i] = 0
-		}
+		clear(c.tnServedTick)
 	}
 	if c.cfg.DataPath {
 		c.osds.BeginTick()

@@ -59,8 +59,8 @@ func TestDrainDecommission(t *testing.T) {
 	if n := len(c.Partition().EntriesOf(namespace.MDSID(victim))); n != 0 {
 		t.Fatalf("decommissioned rank still governs %d entries", n)
 	}
-	if got := c.DecommissionedRanks(); len(got) != 1 || got[0] != victim {
-		t.Fatalf("DecommissionedRanks = %v, want [%d]", got, victim)
+	if got := c.ranksWhere((*mds.Server).Decommissioned); len(got) != 1 || got[0] != victim {
+		t.Fatalf("decommissioned ranks = %v, want [%d]", got, victim)
 	}
 	if len(c.DownRanks()) != 0 {
 		t.Fatalf("DownRanks = %v: a decommissioned rank is not down", c.DownRanks())
@@ -191,13 +191,13 @@ func TestPinnedSubtreeDrain(t *testing.T) {
 	}
 	dir, _ := c.Tree().Lookup("/zipf/client000")
 	key := c.Partition().GoverningEntry(dir.Children()[0]).Key
-	if r, ok := c.PinnedRank(key); !ok || r != victim {
-		t.Fatalf("PinnedRank(%v) = %d,%v; want %d,true", key, r, ok, victim)
+	if r, ok := c.pins[key]; !ok || r != victim {
+		t.Fatalf("pins[%v] = %d,%v; want %d,true", key, r, ok, victim)
 	}
 	if !c.StartDrain(victim) {
 		t.Fatalf("StartDrain(%d) refused", victim)
 	}
-	if _, ok := c.PinnedRank(key); ok {
+	if _, ok := c.pins[key]; ok {
 		t.Fatal("drain must unpin subtrees pinned to the draining rank")
 	}
 	if err := c.PinPath("/zipf/client001", victim); err == nil {

@@ -46,8 +46,10 @@ import (
 //
 // The strategies differ only in plan, admit and the per-unit apply:
 // sync (this file) routes each client's credit into runs of same-rank
-// ops, reserves budget per op, serves op by op and re-plans clients
-// that stopped at a stream-gating op; write-back (wb.go) flushes
+// ops — resolving each queued op once per partition version and
+// carrying the resolutions admission refused across ticks (window) —
+// reserves budget per op, serves op by op and re-plans clients that
+// stopped at a stream-gating op; write-back (wb.go) flushes
 // buffered runs into rank journals, reserves budget per commit group
 // and applies a batch at a time. Everything else — op resolution, the
 // relay walk, stalls and backoff, op completion, data debt, the
@@ -96,17 +98,34 @@ const (
 // unit is what admission schedules and a rank lane serves: n queued
 // ops of one client bound for one rank, of which the budget
 // arbitration admitted the prefix adm, in the client's round-th turn
-// of the phase. A sync unit is a planned run (resolved ops at
-// routes[ent:ent+n] of the owning cohort); a write-back unit is a
-// journaled batch.
+// of the phase. A sync unit is a planned run (its ops' resolutions
+// start at the head of the client's window when the unit is served); a
+// write-back unit is a journaled batch.
 type unit struct {
 	client int32
 	rank   int32
 	n      int32
 	adm    int32
 	round  int32
-	ent    int32
 	batch  *mds.Batch
+}
+
+// window is one sync client's carried plan: routes[head+k] is the
+// resolution of the client's k-th queued op under partition version
+// ver. A resolution is a pure function of (inode, partition version) —
+// nothing unlinks or renames during a run — so plan resolves an op once
+// and reuses the entry every tick admission refuses the op; what is
+// never carried is everything read from live state (draws, lease
+// routing, rank liveness, budgets) and the probe of a create whose name
+// is still absent (target == nil: re-resolved every phase, so planIno's
+// contract holds). plan writes a client's window (its cohort's
+// subphase); applyRun advances head beside CompleteOp, the only pop in
+// sync mode, from the one lane serving the client that round — the
+// queue's own single-writer argument.
+type window struct {
+	ver    uint64
+	head   int32
+	routes []routed
 }
 
 // plan is one client's routed tick in the sync strategy: count
@@ -128,9 +147,8 @@ type cohort struct {
 	active   []int32 // clients still planning this phase (order preserved)
 	nextAct  []int32 // scratch for the next phase's active list
 
-	runs   []unit
-	plans  []plan
-	routes []routed // the plan's resolved ops, handed to the serve phase
+	runs  []unit
+	plans []plan
 }
 
 // asideKey files a promised create within a rank lane under its parent
@@ -188,6 +206,9 @@ type engine struct {
 	credit       []int64
 	participated []bool
 	blocked      []bool
+	// win is each client's carried plan (sync strategy only: nil in
+	// write-back mode), written under the same single-writer rule.
+	win []window
 
 	lanes []*rankLane
 	// admitLane buffers the effects of the serial admit phase (stall
@@ -263,6 +284,8 @@ func newEngine(c *Cluster, src *rng.Source) *engine {
 	if bc := c.cfg.Batching; bc != nil && (bc.BatchSize > 1 || bc.FlushEvery > 1) {
 		e.wb = newWBState(e, bc)
 		e.planFn = func(k int) { e.wbPlanCohort(k, e.tick) }
+	} else {
+		e.win = make([]window, n)
 	}
 	return e
 }
@@ -345,9 +368,7 @@ func (e *engine) serveTick(tick, epoch int64) {
 		// its own stream (parallel, cohort-owned).
 		c.rand.ShuffleInts(e.cohortOrder)
 		runParallel(e.workers, len(e.cohorts), e.beginTickFn)
-		for i := range e.blocked {
-			e.blocked[i] = false
-		}
+		clear(e.blocked)
 		// The tick's serve-budget pools, drawn down by admission. One
 		// pool per tick, not per phase: a client that re-plans after a
 		// create competes for what the first phase left.
@@ -387,7 +408,7 @@ func (e *engine) serveTick(tick, epoch int64) {
 	}
 	e.mergeTenantShards()
 	for i, cl := range c.clients {
-		if e.participated[i] && cl.MaybeFinish(tick) {
+		if e.participated[i] && cl.MaybeFinish() {
 			c.doneN++
 			c.rec.AddJCT(tick)
 			if c.tn != nil {
@@ -508,7 +529,7 @@ func (co *cohort) beginTick(e *engine) {
 // op blocks the client on its debt, and a create from a tree-reading
 // stream must be adopted before the stream may draw again (the next
 // recorded op can resolve a path through the created inode).
-func (e *engine) endsRun(cl *client.Client, op workload.Op) bool {
+func (e *engine) endsRun(cl *client.Client, op *workload.Op) bool {
 	if e.c.cfg.DataPath && op.DataSize > 0 {
 		return true
 	}
@@ -519,40 +540,51 @@ func (e *engine) endsRun(cl *client.Client, op workload.Op) bool {
 // ops, bounded by credit, split into runs at authority switches.
 // Planning stops after an op whose outcome gates the stream (endsRun);
 // the client re-plans in the next phase once the outcome has landed.
+// Only ops without a valid carried resolution are resolved (see
+// window); with the resolve cache disabled nothing is carried.
 func (co *cohort) plan(e *engine, tick int64) {
+	c := e.c
 	co.runs = co.runs[:0]
 	co.plans = co.plans[:0]
-	co.routes = co.routes[:0]
+	ver := c.part.Version()
 	for _, ci := range co.active {
-		cl := e.c.clients[ci]
+		cl := c.clients[ci]
+		w := &e.win[ci]
+		if w.ver != ver || co.res == nil {
+			w.ver, w.head = ver, int32(len(w.routes)) // nothing is carried
+		}
+		w.routes = w.routes[:copy(w.routes, w.routes[w.head:])]
+		w.head = 0
 		credit := e.credit[ci]
 		start := int32(len(co.runs))
 		nRuns := int32(0)
-		for k := int64(0); k < credit; k++ {
-			op, ok := cl.PeekOp(int(k), tick)
-			if !ok {
-				break // stream exhausted with an empty queue
+		for k := 0; int64(k) < credit; k++ {
+			if k == len(w.routes) {
+				if cl.PeekOp(k, tick) == nil {
+					break // stream exhausted with an empty queue
+				}
+				w.routes = append(w.routes, routed{})
 			}
-			r := e.c.resolveOp(co.res, op)
-			ent := r.ent
-			rank := int32(ent.Auth)
-			if rep := e.c.rep; rep != nil && rep.LiveLeases() != 0 && !op.Kind.IsWrite() {
+			r := &w.routes[k]
+			if r.target == nil {
+				// Just drawn, or a create whose name was absent: probe (again).
+				e.route(w.routes, k, co.res, cl)
+			}
+			rank := int32(r.ent.Auth)
+			if rep := c.rep; rep != nil && rep.LiveLeases() != 0 && !r.write && r.target != nil {
 				// A read on a leased subtree may serve at a lease holder
 				// instead of the authority; the run then targets the
 				// holder's rank and budget.
-				if leases := rep.Leases(ent.Key); len(leases) != 0 && op.Target != nil {
-					rank = e.leaseRank(ent, leases, op.Target.Ino)
+				if leases := rep.Leases(r.ent.Key); len(leases) != 0 {
+					rank = e.leaseRank(r.ent, leases, r.target.Ino)
 				}
 			}
 			if nRuns == 0 || co.runs[start+nRuns-1].rank != rank {
-				co.runs = append(co.runs, unit{
-					client: ci, rank: rank, round: nRuns, ent: int32(len(co.routes)),
-				})
+				co.runs = append(co.runs, unit{client: ci, rank: rank, round: nRuns})
 				nRuns++
 			}
-			co.routes = append(co.routes, r)
 			co.runs[start+nRuns-1].n++
-			if e.endsRun(cl, op) {
+			if r.ends {
 				break
 			}
 		}
@@ -560,6 +592,19 @@ func (co *cohort) plan(e *engine, tick int64) {
 			co.plans = append(co.plans, plan{client: ci, start: start, count: nRuns})
 		}
 	}
+}
+
+// route resolves the client's k-th queued op into its window slot.
+// Scans issue many ops on one inode in a row: an op on the previous
+// slot's target shares its governing entry.
+func (e *engine) route(routes []routed, k int, res *namespace.Resolver, cl *client.Client) {
+	r, op := &routes[k], cl.OpAt(k)
+	if k > 0 && res != nil && op.Target != nil && op.Target == routes[k-1].target {
+		r.ent, r.target = routes[k-1].ent, op.Target
+	} else {
+		*r = e.c.resolveOp(res, op)
+	}
+	r.write, r.ends = op.Kind.IsWrite(), e.endsRun(cl, op)
 }
 
 // admitRuns is the sync strategy's admission: it arbitrates each rank's
@@ -773,13 +818,14 @@ func (e *engine) relay(lane *rankLane, target *namespace.Inode) (execStatus, nam
 }
 
 // applyRun is the sync strategy's per-unit apply: it attempts the run's
-// admitted ops one by one, each against its own plan-time resolution.
+// admitted ops one by one — the queue head against the head of the
+// client's window, its plan-time resolution — popping both together.
 func (e *engine) applyRun(lane *rankLane, auth *mds.Server, cl *client.Client,
 	u *unit, tick, epoch int64) (execStatus, namespace.MDSID) {
-	routes := e.cohorts[e.cohortOf[u.client]].routes[u.ent : u.ent+u.adm]
-	for i := range routes {
-		r := &routes[i]
-		op, _ := cl.PeekOp(0, tick)
+	w := &e.win[u.client]
+	for i := int32(0); i < u.adm; i++ {
+		r := &w.routes[w.head]
+		op := cl.OpAt(0)
 		if st, at := e.execOp(lane, auth, cl, op, r, epoch); st != execOK {
 			return st, at
 		}
@@ -787,6 +833,7 @@ func (e *engine) applyRun(lane *rankLane, auth *mds.Server, cl *client.Client,
 			auth.AddTenantHeat(r.ent.Key, cl.Tenant, 1)
 		}
 		e.credit[u.client]--
+		w.head++
 		if e.complete(lane, cl, op.DataSize, tick) {
 			return execDebt, 0
 		}
@@ -803,7 +850,7 @@ func (e *engine) applyRun(lane *rankLane, auth *mds.Server, cl *client.Client,
 // produce promised inodes adopted at the barrier. r is the op's
 // plan-time resolution; the plan's probe of a create's name is reused.
 func (e *engine) execOp(lane *rankLane, auth *mds.Server, cl *client.Client,
-	op workload.Op, r *routed, epoch int64) (execStatus, namespace.MDSID) {
+	op *workload.Op, r *routed, epoch int64) (execStatus, namespace.MDSID) {
 	entry, target := r.ent, r.target
 	if op.Kind == workload.OpCreate && target == nil {
 		if e.c.tree.MaxIno() != e.planIno {
@@ -828,7 +875,6 @@ func (e *engine) execOp(lane *rankLane, auth *mds.Server, cl *client.Client,
 	if e.c.migrator.IsFrozen(entry.Key) || !auth.HasBudget() {
 		return execStall, lane.rank
 	}
-	write := op.Kind.IsWrite()
 	if lane.rank != entry.Auth {
 		// Lease serve: the plan phase routed this read to a
 		// non-authoritative lease holder, which serves it from its
@@ -846,8 +892,11 @@ func (e *engine) execOp(lane *rankLane, auth *mds.Server, cl *client.Client,
 		}
 		cl.CacheStore(entry.Key, entry.Auth)
 	}
-	e.serve(lane, auth, entry, target, epoch, write)
-	e.noteWrite(lane, entry.Key, write)
+	e.serve(lane, auth, entry, target, epoch, r.write)
+	if r.write && e.c.leased(entry.Key) {
+		// A write on a leased subtree: the barrier revokes its leases.
+		lane.revokes = append(lane.revokes, entry.Key)
+	}
 	return execOK, 0
 }
 
@@ -857,7 +906,7 @@ func (e *engine) execOp(lane *rankLane, auth *mds.Server, cl *client.Client,
 // is keyed by name hash, so a hit under a different name is a 32-bit
 // collision; the round's promises are then scanned instead — slow,
 // never wrong.
-func (lane *rankLane) promise(op workload.Op, hash uint32) (*namespace.Inode, error) {
+func (lane *rankLane) promise(op *workload.Op, hash uint32) (*namespace.Inode, error) {
 	key := asideKey{op.Parent.Ino, hash}
 	first := lane.aside[key]
 	if first != nil {
@@ -891,15 +940,6 @@ func (e *engine) serve(lane *rankLane, auth *mds.Server, entry namespace.Entry,
 	_, first := auth.ServeDeferVisit(entry, in, epoch, write)
 	if first {
 		lane.visits = append(lane.visits, in)
-	}
-}
-
-// noteWrite buffers a lease revoke when a write just served against a
-// leased subtree; the barrier applies it. Reads and unleased subtrees
-// cost one branch.
-func (e *engine) noteWrite(lane *rankLane, key namespace.FragKey, write bool) {
-	if write && e.c.leased(key) {
-		lane.revokes = append(lane.revokes, key)
 	}
 }
 

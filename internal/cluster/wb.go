@@ -145,8 +145,8 @@ func (e *engine) wbPlanClient(co *cohort, runs []wbRun, ci int32, tick int64) []
 	}
 	if !w.gated[ci] {
 		for e.credit[ci] > 0 {
-			op, ok := cl.PeekOp(int(cl.PendingOps()), tick)
-			if !ok {
+			op := cl.PeekOp(int(cl.PendingOps()), tick)
+			if op == nil {
 				break // stream exhausted
 			}
 			e.credit[ci]--
@@ -173,7 +173,7 @@ func (e *engine) wbPlanClient(co *cohort, runs []wbRun, ci int32, tick int64) []
 	var memoIn *namespace.Inode
 	var memoEnt namespace.Entry
 	for i < buf {
-		op, _ := cl.PeekOp(base+i, tick)
+		op := cl.PeekOp(base+i, tick)
 		rin := op.Target
 		if op.Kind == workload.OpCreate {
 			rin = op.Parent
@@ -185,7 +185,7 @@ func (e *engine) wbPlanClient(co *cohort, runs []wbRun, ci int32, tick int64) []
 		n := 1
 		ends := e.endsRun(cl, op)
 		for !ends && i+n < buf {
-			op2, _ := cl.PeekOp(base+i+n, tick)
+			op2 := cl.PeekOp(base+i+n, tick)
 			rin2 := op2.Target
 			if op2.Kind == workload.OpCreate {
 				rin2 = op2.Parent
@@ -304,8 +304,8 @@ func (e *engine) wbAdmitClient(ci int32, tick int64) {
 		}
 	}
 	for _, b := range q {
-		op, ok := cl.PeekOp(off, tick)
-		if !ok {
+		op := cl.PeekOp(off, tick)
+		if op == nil {
 			break // cannot happen: journaled ops are queued
 		}
 		ent := c.resolveOp(c.resolver, op).ent

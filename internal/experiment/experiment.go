@@ -7,6 +7,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -155,26 +156,25 @@ func Run(id string, opt Options) (*Result, error) {
 
 // --- shared builders ---------------------------------------------------
 
-func scaled(n int, scale float64) int {
-	v := int(float64(n) * scale)
-	if v < 1 {
-		v = 1
-	}
-	return v
-}
+func scaled(n int, scale float64) int { return max(int(float64(n)*scale), 1) }
 
 // scaledMin scales n but never below a floor — used where an
 // experiment's dynamics need a minimum run length regardless of scale.
-func scaledMin(n int, scale float64, min int) int {
-	v := scaled(n, scale)
-	if v < min {
-		v = min
-	}
-	return v
-}
+func scaledMin(n int, scale float64, floor int) int { return max(scaled(n, scale), floor) }
 
 // WorkloadNames lists the five single workloads in the paper's order.
 var WorkloadNames = []string{"CNN", "NLP", "Web", "Zipf", "MD"}
+
+// Known returns an error naming the flag unless v is one of the names.
+// MakeWorkload and MakeBalancer panic on a name they do not know; flags
+// are outside input, so the commands check them with this first.
+func Known(flagName, v string, names []string, more ...string) error {
+	all := append(append([]string(nil), names...), more...)
+	if slices.Contains(all, v) {
+		return nil
+	}
+	return fmt.Errorf("unknown -%s %q (want one of %s)", flagName, v, strings.Join(all, ", "))
+}
 
 // MakeWorkload builds one of the paper's workloads at the given scale.
 func MakeWorkload(name string, scale float64) workload.Generator {

@@ -95,8 +95,7 @@ func (g *MD) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([]Client
 const nameChunk = 64
 
 func newCreates(dirs []*namespace.Inode, client, n, statEvery int) Stream {
-	// One op per refill: reuse a single-element batch (seqStream copies
-	// ops out by value). Names are built nameChunk at a time into one
+	// One op per refill. Names are built nameChunk at a time into one
 	// buffer, converted to a string once and handed out as substrings —
 	// one allocation per 64 creates for the strings the tree stores,
 	// instead of a Sprintf (or even a conversion) per op. The names are
@@ -113,16 +112,15 @@ func newCreates(dirs []*namespace.Inode, client, n, statEvery int) Stream {
 		}
 	}
 	sinceStat := 0
-	buf := make([]Op, 1)
 	prefix := fmt.Sprintf("c%03d.f", client)
 	var (
 		scratch []byte
 		chunk   string             // names i-i%nameChunk onward, concatenated
 		ends    [nameChunk + 1]int // name k of the chunk is chunk[ends[k]:ends[k+1]]
 	)
-	return &seqStream{fill: func() []Op {
+	return &seqStream{fill: func(buf []Op) []Op {
 		if i >= n {
-			return nil
+			return buf
 		}
 		d := i / per
 		if d >= len(dirs) {
@@ -130,8 +128,7 @@ func newCreates(dirs []*namespace.Inode, client, n, statEvery int) Stream {
 		}
 		if statEvery > 0 && sinceStat >= statEvery {
 			sinceStat = 0
-			buf[0] = Op{Kind: OpGetattr, Target: dirs[d]}
-			return buf
+			return append(buf, Op{Kind: OpGetattr, Target: dirs[d]})
 		}
 		k := i % nameChunk
 		if k == 0 {
@@ -142,13 +139,12 @@ func newCreates(dirs []*namespace.Inode, client, n, statEvery int) Stream {
 			}
 			chunk = string(scratch)
 		}
-		buf[0] = Op{
+		i++
+		sinceStat++
+		return append(buf, Op{
 			Kind:   OpCreate,
 			Parent: dirs[d],
 			Name:   chunk[ends[k]:ends[k+1]],
-		}
-		i++
-		sinceStat++
-		return buf
+		})
 	}}
 }

@@ -96,23 +96,20 @@ func newZipfStats(dir *namespace.Inode, files []*namespace.Inode, ops int, expon
 	zipf := rng.NewZipf(src, exponent, len(files))
 	done := 0
 	writes := 0
-	buf := make([]Op, 1)
-	return &seqStream{fill: func() []Op {
+	return &seqStream{fill: func(buf []Op) []Op {
 		if done >= ops {
-			return nil
+			return buf
 		}
 		done++
 		if writeEvery > 0 && done%writeEvery == 0 {
 			writes++
-			buf[0] = Op{
+			return append(buf, Op{
 				Kind:   OpCreate,
 				Parent: dir,
 				Name:   fmt.Sprintf("new%04d_%06d", client, writes),
 				Size:   4096,
-			}
-			return buf
+			})
 		}
-		buf[0] = Op{Kind: OpGetattr, Target: files[perm[zipf.Next()]]}
-		return buf
+		return append(buf, Op{Kind: OpGetattr, Target: files[perm[zipf.Next()]]})
 	}}
 }

@@ -7,17 +7,19 @@ import (
 	"repro/internal/rng"
 )
 
-// seqStream is a Stream built from a refill closure that produces the
-// next batch of ops (typically one file's worth), or nil at end of job.
+// seqStream is a Stream built from a refill closure that appends the
+// next batch of ops (typically one file's worth) to the stream's own
+// buffer, or nothing at end of job. Next copies ops out by value, so
+// the one buffer is reused by every refill.
 type seqStream struct {
-	fill func() []Op
+	fill func(buf []Op) []Op
 	buf  []Op
 	pos  int
 }
 
 func (s *seqStream) Next() (Op, bool) {
 	for s.pos >= len(s.buf) {
-		s.buf = s.fill()
+		s.buf = s.fill(s.buf[:0])
 		if len(s.buf) == 0 {
 			return Op{}, false
 		}
@@ -112,12 +114,11 @@ func (g *CNN) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([]Clien
 func newCNNScan(files []*namespace.Inode) Stream {
 	idx := 0
 	var lastDir *namespace.Inode
-	return &seqStream{fill: func() []Op {
+	return &seqStream{fill: func(ops []Op) []Op {
 		if idx >= len(files) {
-			return nil
+			return ops
 		}
 		f := files[idx]
-		var ops []Op
 		if f.Parent != lastDir {
 			lastDir = f.Parent
 			ops = append(ops, Op{Kind: OpReaddir, Target: f.Parent})
@@ -226,12 +227,11 @@ func (g *NLP) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([]Clien
 func newNLPScan(files []*namespace.Inode, metaOpsPerFile int) Stream {
 	idx := 0
 	var lastDir *namespace.Inode
-	return &seqStream{fill: func() []Op {
+	return &seqStream{fill: func(ops []Op) []Op {
 		if idx >= len(files) {
-			return nil
+			return ops
 		}
 		f := files[idx]
-		var ops []Op
 		if f.Parent != lastDir {
 			lastDir = f.Parent
 			ops = append(ops, Op{Kind: OpReaddir, Target: f.Parent})

@@ -142,12 +142,11 @@ func (g *Web) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([]Clien
 // deep-path resolution), yielding a ~57% metadata ratio.
 func newWebReplay(files []*namespace.Inode, trace []int32) Stream {
 	idx := 0
-	return &seqStream{fill: func() []Op {
+	return &seqStream{fill: func(ops []Op) []Op {
 		if idx >= len(trace) {
-			return nil
+			return ops
 		}
 		f := files[trace[idx]]
-		var ops []Op
 		if idx%3 == 0 {
 			ops = append(ops, Op{Kind: OpLookup, Target: f})
 		}

@@ -90,17 +90,12 @@ func newZipfReads(files []*namespace.Inode, ops int, exponent float64, src *rng.
 	perm := src.Perm(len(files))
 	zipf := rng.NewZipf(src, exponent, len(files))
 	done := 0
-	// One read per refill: reuse a single-element batch (seqStream
-	// copies ops out by value), so the steady-state stream allocates
-	// nothing.
-	buf := make([]Op, 1)
-	return &seqStream{fill: func() []Op {
+	return &seqStream{fill: func(buf []Op) []Op {
 		if done >= ops {
-			return nil
+			return buf
 		}
 		done++
 		f := files[perm[zipf.Next()]]
-		buf[0] = Op{Kind: OpOpen, Target: f, DataSize: f.Size}
-		return buf
+		return append(buf, Op{Kind: OpOpen, Target: f, DataSize: f.Size})
 	}}
 }
