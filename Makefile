@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmtcheck race check benchcheck pairs loc gobench audit fuzz elastic replication batched readstorm noisy
+.PHONY: all build test vet fmtcheck race check benchcheck pairs loc budget gobench audit fuzz elastic replication batched readstorm noisy
 
 all: check
 
@@ -51,6 +51,16 @@ loc:
 		n=$$(ls $$d*.go | grep -v _test.go | xargs cat | grep -cv '^[[:space:]]*\(//.*\)\?$$'); \
 		printf '%-22s %5d\n' $${d%/} $$n; total=$$((total+n)); pkgs=$$((pkgs+1)); \
 	done; printf '%-22s %5d  (%d packages)\n' internal/ $$total $$pkgs
+
+# budget fails when the tree outgrows ROADMAP's standing budgets:
+# internal/cluster <= 2250 and internal/ <= 11500 code lines (as loc
+# counts them) in at most 20 packages.
+budget:
+	@$(MAKE) -s loc | awk '{ print } \
+		$$1 == "internal/cluster" && $$2 > 2250 { print "budget: internal/cluster over 2250 code lines"; bad = 1 } \
+		$$1 == "internal/" && $$2 > 11500 { print "budget: internal/ over 11500 code lines"; bad = 1 } \
+		$$1 == "internal/" && substr($$3, 2) + 0 > 20 { print "budget: internal/ over 20 packages"; bad = 1 } \
+		END { exit bad }'
 
 # elastic runs the audited autoscaler suite: the diurnal-wave experiment
 # (elastic vs static fleets) plus an audited scale-up/drain-down smoke of

@@ -1,20 +1,16 @@
 package experiment
 
 import (
-	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
-func init() {
-	register("ablation", "Ablation: contribution of each Lunule design choice", runAblation)
-}
-
-// runAblation quantifies the three design choices the paper argues for
-// by turning each off in isolation:
+// The ablation quantifies three design choices the paper argues for by
+// running full Lunule beside a variant with that choice alone turned
+// off, on the scenario where it should matter:
 //
 //   - the urgency term (Eq. 2), measured by how many rebalances fire on
 //     a lightly loaded, skewed cluster (benign imbalance);
@@ -23,87 +19,47 @@ func init() {
 //   - the importer-side future-load gate of Algorithm 1, measured by
 //     migration churn on the Zipf workload (it is the anti-ping-pong
 //     mechanism).
-func runAblation(opt Options) (*Result, error) {
-	res := &Result{Table: &metrics.Table{Header: []string{
-		"variant", "scenario", "metric", "value",
-	}}}
-
-	// --- urgency: benign-imbalance scenario (light total load) -------
-	for _, ab := range []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"full Lunule", core.Config{WorkloadAware: true}},
-		{"urgency off", core.Config{WorkloadAware: true, DisableUrgency: true}},
-	} {
-		lun := core.New(ab.cfg)
-		c, err := cluster.New(cluster.Config{
-			Clients:    10,
-			ClientRate: 40, // ~20% of one MDS: harmless skew
-			Balancer:   lun,
-			Workload: workload.NewZipf(workload.ZipfConfig{
-				OpsPerClient: scaledMin(8000, opt.Scale, 6000),
-			}),
-			Seed:  opt.Seed,
-			Audit: opt.auditor(),
-		})
-		if err != nil {
-			return nil, err
+var expAblation = entry{
+	id: "ablation", title: "Ablation: contribution of each Lunule design choice",
+	scenario: &scenario{func(opt Options) []cell {
+		// pair lists the full-Lunule cell and then the variant's.
+		pair := func(group, off string, disable core.Config, scenario, metric string, base cell) []cell {
+			full := base
+			full.labels, full.key, full.bal = []string{"full Lunule", scenario, metric}, group+"/full Lunule", "Lunule"
+			variant := full
+			variant.labels, variant.key = []string{off, scenario, metric}, group+"/"+off
+			disable.WorkloadAware = true
+			variant.attach = func(cfg *cluster.Config) { cfg.Balancer = core.New(disable) }
+			return []cell{full, variant}
 		}
-		c.Run(150)
-		if err := auditErr(c); err != nil {
-			return nil, err
+		light := cell{
+			gen: func() workload.Generator {
+				return workload.NewZipf(workload.ZipfConfig{OpsPerClient: scaledMin(8000, opt.Scale, 6000)})
+			},
+			shape: cluster.Config{Clients: 10, ClientRate: 40}, // ~20% of one MDS: harmless skew
+			drive: func(r *run, _ int64) { r.Run(150) },
 		}
-		res.Table.Add(ab.name, "light load (benign skew)", "rebalances", fmt.Sprint(lun.Rebalances()))
-		res.val("urgency/"+ab.name+".rebalances", float64(lun.Rebalances()))
-		res.val("urgency/"+ab.name+".migrated", c.Metrics().MigratedTotal())
-	}
-
-	// --- sibling credit: CNN scan throughput --------------------------
-	for _, ab := range []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"full Lunule", core.Config{WorkloadAware: true}},
-		{"sibling credit off", core.Config{WorkloadAware: true, DisableSiblingCredit: true}},
-	} {
-		c, err := runOne(opt, cluster.Config{
-			Balancer: core.New(ab.cfg),
-			Workload: MakeWorkload("CNN", opt.Scale),
-		})
-		if err != nil {
-			return nil, err
+		on := func(w string) cell { return cell{gen: func() workload.Generator { return paper(w, opt) }} }
+		return slices.Concat(
+			pair("urgency", "urgency off", core.Config{DisableUrgency: true}, "light load (benign skew)", "rebalances", light),
+			pair("sibling", "sibling credit off", core.Config{DisableSiblingCredit: true}, "CNN scan", "mean IOPS", on("CNN")),
+			pair("gate", "importer gate off", core.Config{DisableImporterGate: true}, "Zipf reads", "migrated inodes", on("Zipf")))
+	}},
+	report: func(res *Result, _ Options, rs []*run) error {
+		// One headline metric per pair under "value", and a second value.
+		for i, pairCols := range [][]column[*run]{
+			{num("value", ".rebalances", fi, func(r *run) float64 { return float64(r.policy.(*core.Lunule).Rebalances()) }),
+				value(".migrated", migrated)},
+			{num("value", ".mean", fi, meanIOPS), value(".meanIF", meanIF)},
+			{num("value", ".migrated", fi, migrated), value(".jct50", jct(0.5))},
+		} {
+			cols := append([]column[*run]{label("variant", 0), label("scenario", 1), label("metric", 2)}, pairCols...)
+			tabulate(res, rs[2*i:2*i+2], runKey, cols...)
 		}
-		rec := c.Metrics()
-		res.Table.Add(ab.name, "CNN scan", "mean IOPS", fi(rec.MeanThroughput()))
-		res.val("sibling/"+ab.name+".mean", rec.MeanThroughput())
-		res.val("sibling/"+ab.name+".meanIF", rec.MeanIF())
-	}
-
-	// --- importer gate: migration churn on Zipf ------------------------
-	for _, ab := range []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"full Lunule", core.Config{WorkloadAware: true}},
-		{"importer gate off", core.Config{WorkloadAware: true, DisableImporterGate: true}},
-	} {
-		c, err := runOne(opt, cluster.Config{
-			Balancer: core.New(ab.cfg),
-			Workload: MakeWorkload("Zipf", opt.Scale),
-		})
-		if err != nil {
-			return nil, err
-		}
-		rec := c.Metrics()
-		res.Table.Add(ab.name, "Zipf reads", "migrated inodes", fi(rec.MigratedTotal()))
-		res.val("gate/"+ab.name+".migrated", rec.MigratedTotal())
-		res.val("gate/"+ab.name+".jct50", rec.JCTQuantile(0.5))
-	}
-
-	res.Notes = append(res.Notes,
+		return nil
+	},
+	notes: []string{
 		"urgency off fires migrations on harmless skew that full Lunule tolerates (the paper's benign-imbalance claim)",
 		"sibling credit off barely moves CNN here: dirfrag slicing already ships unvisited content structurally (a hash slice of a scan region carries its share of not-yet-visited directories regardless of their index) — a reproduction finding, see EXPERIMENTS.md",
-		"importer gate off changes Zipf churn only marginally at this scale; the Cap ceiling absorbs most over-import pressure")
-	return res, nil
+		"importer gate off changes Zipf churn only marginally at this scale; the Cap ceiling absorbs most over-import pressure"},
 }

@@ -4,91 +4,62 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
-func init() {
-	register("batched",
-		"Extension: write-back client batching with group commit vs synchronous ops (MDtest + CNN ingest)",
-		runBatched)
-}
+// The batched experiment prices the write-back client mode on a
+// server-bound cluster: 4 ranks at the default 2000 ops/tick against 64
+// clients issuing 150 ops/tick (9600 demand vs 8000 budget).
+// Synchronously the budget caps throughput at capacity; with group
+// commit a budget unit admits a whole batch, so the amortized
+// resolve/heat/authority work turns directly into job-completion time.
+// Cells: the MDtest create-heavy workload sync and at B=8/B=32, and the
+// CNN ingest scan sync and at B=32. Every cell must finish, and runs the
+// full auditor wiring of runCells, so "zero audit violations" is part of
+// the result, not a side claim.
+const (
+	batchedRanks   = 4
+	batchedClients = 64
+)
 
-// runBatched prices the write-back client mode on a server-bound
-// cluster: 4 ranks at the default 2000 ops/tick against 64 clients
-// issuing 150 ops/tick (9600 demand vs 8000 budget). Synchronously the
-// budget caps throughput at capacity; with group commit a budget unit
-// admits a whole batch, so the amortized resolve/heat/authority work
-// turns directly into job-completion time. Cells: the MDtest
-// create-heavy workload sync and at B=8/B=32, and the CNN ingest scan
-// sync and at B=32. Every cell runs the full auditor wiring of runOne,
-// so "zero audit violations" is part of the result, not a side claim.
-func runBatched(opt Options) (*Result, error) {
-	const (
-		ranks   = 4
-		clients = 64
-	)
-	type cell struct {
-		name     string
-		key      string
-		workload func() workload.Generator
-		batching *cluster.BatchingConfig
-	}
-	mdtest := func() workload.Generator {
-		return workload.NewMD(workload.MDConfig{
-			CreatesPerClient: scaledMin(4000, opt.Scale, 2000),
-			DirsPerClient:    4,
-			StatEvery:        64,
-		})
-	}
-	cnn := func() workload.Generator { return MakeWorkload("CNN", opt.Scale) }
-	cells := []cell{
-		{"MDtest sync", "md.sync", mdtest, nil},
-		{"MDtest B=8", "md.b8", mdtest, &cluster.BatchingConfig{BatchSize: 8, FlushEvery: 4}},
-		{"MDtest B=32", "md.b32", mdtest, &cluster.BatchingConfig{BatchSize: 32, FlushEvery: 8}},
-		{"CNN sync", "cnn.sync", cnn, nil},
-		{"CNN B=32", "cnn.b32", cnn, &cluster.BatchingConfig{BatchSize: 32, FlushEvery: 8}},
-	}
-
-	res := &Result{Table: &metrics.Table{Header: []string{
-		"cell", "JCT p50", "JCT p99", "mean IOPS", "flushes", "batch mean",
-		"flush p99", "done",
-	}}}
-	jct50 := map[string]float64{}
-	for _, cl := range cells {
-		c, err := runOne(opt, cluster.Config{
-			MDS:      ranks,
-			Clients:  clients,
-			Balancer: MakeBalancer("Lunule"),
-			Workload: cl.workload(),
-			Batching: cl.batching,
-		})
-		if err != nil {
-			return nil, err
+var expBatched = entry{
+	id: "batched", title: "Extension: write-back client batching with group commit vs synchronous ops (MDtest + CNN ingest)",
+	scenario: &scenario{func(opt Options) []cell {
+		mdtest := func() workload.Generator {
+			return workload.NewMD(workload.MDConfig{
+				CreatesPerClient: scaledMin(4000, opt.Scale, 2000),
+				DirsPerClient:    4,
+				StatEvery:        64,
+			})
 		}
-		if !c.Done() {
-			return nil, fmt.Errorf("batched: cell %q did not finish in %d ticks", cl.name, opt.MaxTicks)
+		cnn := func() workload.Generator { return paper("CNN", opt) }
+		on := func(name, key string, gen func() workload.Generator, batching *cluster.BatchingConfig) cell {
+			return cell{labels: []string{name}, key: key, mustFinish: true, bal: "Lunule", gen: gen,
+				shape: cluster.Config{MDS: batchedRanks, Clients: batchedClients, Batching: batching}}
 		}
-		rec := c.Metrics()
-		jcts := rec.JCTQuantiles(0.5, 0.99)
-		jct50[cl.key] = jcts[0]
-		res.Table.Add(cl.name,
-			fi(jcts[0]), fi(jcts[1]), fi(rec.MeanThroughput()),
-			fmt.Sprint(rec.BatchFlushes()), f1(rec.MeanBatchSize()),
-			fi(rec.FlushAgeQuantile(0.99)), fmt.Sprintf("%v", c.Done()))
-		res.val(cl.key+".jct50", jcts[0])
-		res.val(cl.key+".jct99", jcts[1])
-		res.val(cl.key+".iops", rec.MeanThroughput())
-		res.val(cl.key+".flushes", float64(rec.BatchFlushes()))
-		res.val(cl.key+".batch_mean", rec.MeanBatchSize())
-	}
-	if s, b := jct50["md.sync"], jct50["md.b32"]; b > 0 {
-		res.val("md.speedup_b32", s/b)
-		res.Notes = append(res.Notes,
-			fmt.Sprintf("MDtest JCT p50 speedup at B=32: %.2fx over synchronous ops", s/b))
-	}
-	res.Notes = append(res.Notes,
-		fmt.Sprintf("server-bound cells: %d clients x 150 ops/tick vs %d ranks x 2000 budget; a commit group of B ops costs one budget unit", clients, ranks),
-		"flush latency bounded by FlushEvery; the tail flush drains short final runs")
-	return res, nil
+		return []cell{
+			on("MDtest sync", "md.sync", mdtest, nil),
+			on("MDtest B=8", "md.b8", mdtest, &cluster.BatchingConfig{BatchSize: 8, FlushEvery: 4}),
+			on("MDtest B=32", "md.b32", mdtest, &cluster.BatchingConfig{BatchSize: 32, FlushEvery: 8}),
+			on("CNN sync", "cnn.sync", cnn, nil),
+			on("CNN B=32", "cnn.b32", cnn, &cluster.BatchingConfig{BatchSize: 32, FlushEvery: 8}),
+		}
+	}},
+	cols: []column[*run]{label("cell", 0), colJCT50,
+		num("JCT p99", ".jct99", fi, jct(0.99)),
+		num("mean IOPS", ".iops", fi, meanIOPS),
+		num("flushes", ".flushes", fi, func(r *run) float64 { return float64(r.Metrics().BatchFlushes()) }),
+		num("batch mean", ".batch_mean", f1, func(r *run) float64 { return r.Metrics().MeanBatchSize() }),
+		shown("flush p99", fi, func(r *run) float64 { return r.Metrics().FlushAgeQuantile(0.99) }),
+		colFinished},
+	ratios: [][3]string{{"md.speedup_b32", "md.sync.jct50", "md.b32.jct50"}},
+	report: func(res *Result, _ Options, _ []*run) error {
+		if v, ok := res.Values["md.speedup_b32"]; ok {
+			res.note(fmt.Sprintf("MDtest JCT p50 speedup at B=32: %.2fx over synchronous ops", v))
+		}
+		return nil
+	},
+	notes: []string{
+		fmt.Sprintf("server-bound cells: %d clients x 150 ops/tick vs %d ranks x 2000 budget; a commit group of B ops costs one budget unit", batchedClients, batchedRanks),
+		"flush latency bounded by FlushEvery; the tail flush drains short final runs"},
 }

@@ -72,22 +72,45 @@ func resultDigest(res *Result) string {
 }
 
 // TestExperimentDigests pins all 25 experiments byte for byte, and
-// checks the output does not depend on how many cells run at once.
+// checks the output depends neither on how many cells run at once nor
+// on whether a scenario's run is shared: one pass runs each id alone on
+// one core, the other hands RunAll every id of a tick budget on four,
+// so fig6/fig7, fig9/fig10/fig11 and fig3/fig4 report on shared runs.
 func TestExperimentDigests(t *testing.T) {
 	if len(pinnedDigests) != len(IDs()) {
 		t.Errorf("%d digests pinned for %d experiments", len(pinnedDigests), len(IDs()))
 	}
-	for _, procs := range []int{1, 4} {
-		prev := runtime.GOMAXPROCS(procs)
-		for _, id := range IDs() {
-			res, err := Run(id, digestOpts(id))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := resultDigest(res); got != pinnedDigests[id] {
-				t.Errorf("GOMAXPROCS=%d: %s digest %s, pinned %s", procs, id, got, pinnedDigests[id])
-			}
+	check := func(how string, res *Result) {
+		if got := resultDigest(res); got != pinnedDigests[res.ID] {
+			t.Errorf("%s: %s digest %s, pinned %s", how, res.ID, got, pinnedDigests[res.ID])
 		}
-		runtime.GOMAXPROCS(prev)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// The race detector makes every run ~10x slower and has nothing to
+	// find on one core, so a race build keeps only the concurrent pass.
+	for _, id := range IDs() {
+		if raceBuild {
+			break
+		}
+		res, err := Run(id, digestOpts(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("Run at GOMAXPROCS=1", res)
+	}
+	runtime.GOMAXPROCS(4)
+	byBudget := map[int64][]string{}
+	for _, id := range IDs() {
+		mt := digestOpts(id).MaxTicks
+		byBudget[mt] = append(byBudget[mt], id)
+	}
+	for _, ids := range byBudget {
+		results, err := RunAll(ids, digestOpts(ids[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range results {
+			check("RunAll at GOMAXPROCS=4", res)
+		}
 	}
 }

@@ -5,81 +5,56 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/namespace"
 	"repro/internal/rng"
 	"repro/internal/workload"
 )
 
-func init() {
-	register("fig12a", "Figure 12(a): expanding the MDS cluster at runtime (Zipf)", runFig12a)
-	register("fig12b", "Figure 12(b): growing the client population in phases (Zipf)", runFig12b)
-}
+// Figure 12(a) starts a 4-MDS cluster and adds one MDS at each of these
+// ticks; Lunule must absorb the new capacity and raise aggregate
+// throughput.
+const fig12aAdd1, fig12aAdd2 = 100, 200
 
-// runFig12a starts a 4-MDS cluster and adds one MDS at two later points;
-// Lunule must absorb the new capacity and raise aggregate throughput.
-func runFig12a(opt Options) (*Result, error) {
-	addAt1 := int64(100)
-	addAt2 := int64(200)
-	c, err := cluster.New(cluster.Config{
-		MDS: 4,
-		// Demand (60 clients x 150 ops/s = 9000) exceeds the initial
-		// four MDSs' capacity, so each added server raises throughput.
-		Clients:  60,
-		Balancer: MakeBalancer("Lunule"),
-		Workload: workload.NewZipf(workload.ZipfConfig{
-			OpsPerClient: scaledMin(60000, opt.Scale, 45000),
-		}),
-		Seed:  opt.Seed,
-		Audit: opt.auditor(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.ScheduleAddMDS(addAt1, 1)
-	c.ScheduleAddMDS(addAt2, 1)
-	c.RunUntilDone(opt.MaxTicks)
-	if err := auditErr(c); err != nil {
-		return nil, err
-	}
-	rec := c.Metrics()
-
-	phaseMean := func(lo, hi int64) float64 {
-		sum, n := 0.0, 0
-		for i, tick := range rec.Agg.Ticks {
-			if tick >= lo && tick < hi {
-				sum += rec.Agg.Values[i]
-				n++
-			}
+var expFig12a = entry{
+	id: "fig12a", title: "Figure 12(a): expanding the MDS cluster at runtime (Zipf)",
+	scenario: &scenario{func(opt Options) []cell {
+		return []cell{{
+			bal: "Lunule",
+			gen: func() workload.Generator {
+				return workload.NewZipf(workload.ZipfConfig{OpsPerClient: scaledMin(60000, opt.Scale, 45000)})
+			},
+			// Demand (60 clients x 150 ops/s = 9000) exceeds the initial
+			// four MDSs' capacity, so each added server raises throughput.
+			shape: cluster.Config{MDS: 4, Clients: 60},
+			drive: func(r *run, maxTicks int64) {
+				r.ScheduleAddMDS(fig12aAdd1, 1)
+				r.ScheduleAddMDS(fig12aAdd2, 1)
+				r.RunUntilDone(maxTicks)
+			},
+		}}
+	}},
+	report: func(res *Result, _ Options, rs []*run) error {
+		type phase struct {
+			n      int // 1-based; the cluster has 3+n MDSs during it
+			name   string
+			lo, hi int64
 		}
-		if n == 0 {
-			return 0
+		// Skip each phase's first 40 ticks (warm-up and migration).
+		phases := []phase{
+			{1, "start", 40, fig12aAdd1},
+			{2, fmt.Sprintf("after +1 MDS @%d", fig12aAdd1), fig12aAdd1 + 40, fig12aAdd2},
+			{3, fmt.Sprintf("after +1 MDS @%d", fig12aAdd2), fig12aAdd2 + 40, fig12aAdd2 + 140},
 		}
-		return sum / float64(n)
-	}
-	// Skip each phase's first 40 ticks (warm-up and migration).
-	p1 := phaseMean(40, addAt1)
-	p2 := phaseMean(addAt1+40, addAt2)
-	p3 := phaseMean(addAt2+40, addAt2+140)
-
-	res := &Result{Table: &metrics.Table{Header: []string{
-		"phase", "MDSs", "aggregate IOPS",
-	}}}
-	res.Table.Add("start", "4", fi(p1))
-	res.Table.Add(fmt.Sprintf("after +1 MDS @%d", addAt1), "5", fi(p2))
-	res.Table.Add(fmt.Sprintf("after +1 MDS @%d", addAt2), "6", fi(p3))
-	for i, s := range rec.PerMDS {
-		res.Series = append(res.Series, NamedSeries{
-			Name:   fmt.Sprintf("MDS-%d IOPS", i+1),
-			Points: metrics.FormatSeries(s, 10),
-		})
-	}
-	res.val("phase1", p1)
-	res.val("phase2", p2)
-	res.val("phase3", p3)
-	res.Notes = append(res.Notes,
-		"paper: each added MDS quickly absorbs migrated load and the clustered throughput steps up (41k -> 51k -> +10%)")
-	return res, nil
+		tabulate(res, phases, func(p phase) string { return fmt.Sprintf("phase%d", p.n) },
+			text("phase", func(p phase) string { return p.name }),
+			shown("MDSs", fi, func(p phase) float64 { return float64(3 + p.n) }),
+			num("aggregate IOPS", "", fi, func(p phase) float64 { return aggWindow(p.lo, p.hi)(rs[0]) }))
+		for i, s := range rs[0].Metrics().PerMDS {
+			res.plot(fmt.Sprintf("MDS-%d IOPS", i+1), s, 10)
+		}
+		return nil
+	},
+	notes: []string{"paper: each added MDS quickly absorbs migrated load and the clustered throughput steps up (41k -> 51k -> +10%)"},
 }
 
 // phased wraps a generator so the clients start in equal groups at
@@ -97,77 +72,60 @@ func (p *phased) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([]wo
 	if err != nil {
 		return nil, err
 	}
-	per := clients / p.phases
-	if per == 0 {
-		per = 1
-	}
+	per := max(clients/p.phases, 1)
 	for i := range specs {
-		phase := i / per
-		if phase >= p.phases {
-			phase = p.phases - 1
-		}
-		specs[i].StartTick = int64(phase) * p.phaseTicks
+		specs[i].StartTick = int64(min(i/per, p.phases-1)) * p.phaseTicks
 	}
 	return specs, nil
 }
 
-// runFig12b grows the client population in four phases. The light
+// Figure 12(b) grows the client population in four phases. The light
 // phase-one imbalance must NOT trigger re-balance (the urgency term
 // classifies it as benign), while later phases spread load.
-func runFig12b(opt Options) (*Result, error) {
-	phaseTicks := int64(100)
-	lun := core.NewDefault()
-	c, err := cluster.New(cluster.Config{
-		Balancer: lun,
-		Workload: &phased{
-			// Clients must outlive all four phases (400 ticks at 45
-			// ops/s), so the op count has a hard floor.
-			inner: workload.NewZipf(workload.ZipfConfig{
-				OpsPerClient: scaledMin(30000, opt.Scale, 23000),
-			}),
-			phaseTicks: phaseTicks,
-			phases:     4,
-		},
-		Clients:    40,
-		ClientRate: 45, // phase-one demand stays well under one MDS's capacity
-		Seed:       opt.Seed,
-		Audit:      opt.auditor(),
-	})
-	if err != nil {
-		return nil, err
-	}
+const (
+	fig12bPhases     = 4
+	fig12bPhaseTicks = 100
+)
 
-	// Count rebalance activations per phase.
-	perPhase := make([]int, 4)
-	prev := 0
-	for phase := 0; phase < 4; phase++ {
-		c.Run(phaseTicks)
-		perPhase[phase] = lun.Rebalances() - prev
-		prev = lun.Rebalances()
-	}
-	c.RunUntilDone(opt.MaxTicks)
-	if err := auditErr(c); err != nil {
-		return nil, err
-	}
-	rec := c.Metrics()
-
-	res := &Result{Table: &metrics.Table{Header: []string{
-		"phase", "clients", "rebalances", "agg IOPS (end of phase)",
-	}}}
-	for phase := 0; phase < 4; phase++ {
-		endTick := int64(phase+1)*phaseTicks - 1
-		iops := 0.0
-		for i, tick := range rec.Agg.Ticks {
-			if tick > endTick-20 && tick <= endTick {
-				iops += rec.Agg.Values[i] / 20
-			}
-		}
-		res.Table.Add(fmt.Sprint(phase+1), fmt.Sprint(10*(phase+1)),
-			fmt.Sprint(perPhase[phase]), fi(iops))
-		res.val(fmt.Sprintf("phase%d.rebalances", phase+1), float64(perPhase[phase]))
-		res.val(fmt.Sprintf("phase%d.iops", phase+1), iops)
-	}
-	res.Notes = append(res.Notes,
-		"paper: the first-phase imbalance is tolerated (all MDSs lightly loaded -> low urgency -> no migration); throughput rises per phase")
-	return res, nil
+var expFig12b = entry{
+	id: "fig12b", title: "Figure 12(b): growing the client population in phases (Zipf)",
+	scenario: &scenario{func(opt Options) []cell {
+		return []cell{{
+			bal: "Lunule",
+			gen: func() workload.Generator {
+				return &phased{
+					// Clients must outlive all four phases (400 ticks at 45
+					// ops/s), so the op count has a hard floor.
+					inner:      workload.NewZipf(workload.ZipfConfig{OpsPerClient: scaledMin(30000, opt.Scale, 23000)}),
+					phaseTicks: fig12bPhaseTicks,
+					phases:     fig12bPhases,
+				}
+			},
+			// Phase-one demand stays well under one MDS's capacity.
+			shape: cluster.Config{Clients: 40, ClientRate: 45},
+			// marks[p] counts the rebalance activations of phase p.
+			drive: func(r *run, maxTicks int64) {
+				lun, prev := r.policy.(*core.Lunule), 0
+				for p := 0; p < fig12bPhases; p++ {
+					r.Run(fig12bPhaseTicks)
+					r.marks = append(r.marks, lun.Rebalances()-prev)
+					prev = lun.Rebalances()
+				}
+				r.RunUntilDone(maxTicks)
+			},
+		}}
+	}},
+	report: func(res *Result, _ Options, rs []*run) error {
+		r := rs[0]
+		tabulate(res, []int{1, 2, 3, 4}, func(p int) string { return fmt.Sprintf("phase%d", p) },
+			shown("phase", fi, func(p int) float64 { return float64(p) }),
+			shown("clients", fi, func(p int) float64 { return float64(10 * p) }),
+			num("rebalances", ".rebalances", fi, func(p int) float64 { return float64(r.marks[p-1]) }),
+			num("agg IOPS (end of phase)", ".iops", fi, func(p int) float64 {
+				end := int64(p) * fig12bPhaseTicks
+				return aggWindow(end-20, end)(r)
+			}))
+		return nil
+	},
+	notes: []string{"paper: the first-phase imbalance is tolerated (all MDSs lightly loaded -> low urgency -> no migration); throughput rises per phase"},
 }

@@ -2,20 +2,14 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/elastic"
-	"repro/internal/metrics"
 	"repro/internal/namespace"
 	"repro/internal/rng"
 	"repro/internal/workload"
 )
-
-func init() {
-	register("elastic",
-		"Extension: elastic MDS autoscaling with graceful drain vs static fleets (diurnal wave)",
-		runElastic)
-}
 
 // wave is the diurnal-load workload of the elastic experiment: a base
 // population of long-running Zipf clients carries steady background
@@ -33,10 +27,7 @@ type wave struct {
 func (w *wave) Name() string { return "Wave(" + w.base.Name() + "+" + w.peak.Name() + ")" }
 
 func (w *wave) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([]workload.ClientSpec, error) {
-	baseN := w.baseN
-	if baseN > clients {
-		baseN = clients
-	}
+	baseN := min(w.baseN, clients)
 	specs, err := w.base.Setup(tree, baseN, src.Fork(1))
 	if err != nil {
 		return nil, err
@@ -53,101 +44,71 @@ func (w *wave) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([]work
 	return append(specs, burst...), nil
 }
 
-// elasticWorkload builds the shared wave workload: 16 base clients and
-// 48 burst clients whose combined demand saturates four ranks but not
-// eight.
-func elasticWorkload(opt Options) (workload.Generator, int) {
-	return &wave{
-		base: workload.NewZipf(workload.ZipfConfig{
-			OpsPerClient: scaledMin(60000, opt.Scale, 45000),
-		}),
-		peak: workload.NewWeb(workload.WebConfig{
-			Files:             scaled(6000, opt.Scale),
-			RequestsPerClient: scaledMin(12000, opt.Scale, 9000),
-		}),
-		baseN:    16,
-		peakTick: 150,
-	}, 64
-}
-
-// runElastic rides one diurnal wave with three fleets over the same
-// workload and seed: the autoscaler (floor 4, ceiling 8, graceful
-// drain back down), a static-4 fleet (cheap but crushed by the peak),
-// and a static-16 fleet (fast but paying for idle ranks all run). The
-// elastic fleet must beat static-4 on completion time while billing
-// fewer rank-epochs than static-16.
-func runElastic(opt Options) (*Result, error) {
-	policy := elastic.DefaultPolicy() // 4..8, up 0.75 / down 0.35
-
-	type fleet struct {
-		name string
-		mds  int
-		ctl  func() *elastic.Controller
-	}
-	fleets := []fleet{
-		{"elastic", policy.MinRanks, func() *elastic.Controller { return elastic.MustController(policy) }},
-		{fmt.Sprintf("static-%d", policy.MinRanks), policy.MinRanks, func() *elastic.Controller { return nil }},
-		{"static-16", 16, func() *elastic.Controller { return nil }},
-	}
-
-	res := &Result{Table: &metrics.Table{Header: []string{
-		"fleet", "JCT p50", "JCT max", "rank-epochs", "peak ranks", "scale-ups", "drains",
-	}}}
-	for _, f := range fleets {
-		gen, clients := elasticWorkload(opt)
-		c, err := cluster.New(cluster.Config{
-			MDS:      f.mds,
-			Clients:  clients,
-			Balancer: MakeBalancer("Lunule"),
-			Workload: gen,
-			Elastic:  f.ctl(),
-			Seed:     opt.Seed,
-			Audit:    opt.auditor(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.RunUntilDone(opt.MaxTicks)
-		if !c.Done() {
-			return nil, fmt.Errorf("elastic: %s fleet did not finish in %d ticks", f.name, opt.MaxTicks)
-		}
-		c.SettleDrains(3000)
-		if err := auditErr(c); err != nil {
-			return nil, err
-		}
-		rec := c.Metrics()
-		peak := 0
-		for _, s := range c.Servers() {
-			if s.OpsTotal() > 0 {
-				peak++
+// The elastic experiment rides one diurnal wave with three fleets over
+// the same workload and seed: the autoscaler (floor 4, ceiling 8,
+// graceful drain back down), a static-4 fleet (cheap but crushed by the
+// peak), and a static-16 fleet (fast but paying for idle ranks all
+// run). Every fleet must finish; the elastic one must beat static-4 on
+// completion time while billing fewer rank-epochs than static-16.
+var expElastic = entry{
+	id: "elastic", title: "Extension: elastic MDS autoscaling with graceful drain vs static fleets (diurnal wave)",
+	scenario: &scenario{func(opt Options) []cell {
+		pol := elastic.DefaultPolicy() // 4..8, up 0.75 / down 0.35
+		// 16 base clients and 48 burst clients whose combined demand
+		// saturates four ranks but not eight.
+		gen := func() workload.Generator {
+			return &wave{
+				base: workload.NewZipf(workload.ZipfConfig{OpsPerClient: scaledMin(60000, opt.Scale, 45000)}),
+				peak: workload.NewWeb(workload.WebConfig{
+					Files:             scaled(6000, opt.Scale),
+					RequestsPerClient: scaledMin(12000, opt.Scale, 9000),
+				}),
+				baseN:    16,
+				peakTick: 150,
 			}
 		}
-		res.Table.Add(f.name,
-			fi(rec.JCTQuantile(0.5)), fi(rec.JCTQuantile(1.0)),
-			fmt.Sprint(c.RankEpochs()), fmt.Sprint(peak),
-			fmt.Sprint(c.ScaleUps()), fmt.Sprint(c.DrainsDone()))
-		key := f.name
-		res.val(key+".jct50", rec.JCTQuantile(0.5))
-		res.val(key+".jct_max", rec.JCTQuantile(1.0))
-		res.val(key+".rank_epochs", float64(c.RankEpochs()))
-		res.val(key+".scale_ups", float64(c.ScaleUps()))
-		res.val(key+".drains", float64(c.DrainsDone()))
-		if f.ctl() != nil {
-			active := 0
-			for _, s := range c.Servers() {
-				if s.Up() && !s.Draining() {
-					active++
+		fleet := func(name string, mds int, autoscale bool) cell {
+			cl := cell{labels: []string{name}, key: name, mustFinish: true, bal: "Lunule", gen: gen,
+				shape: cluster.Config{MDS: mds, Clients: 64},
+				drive: func(r *run, maxTicks int64) {
+					r.RunUntilDone(maxTicks)
+					r.SettleDrains(3000)
+				}}
+			if autoscale {
+				cl.attach = func(cfg *cluster.Config) { cfg.Elastic = elastic.MustController(pol) }
+			}
+			return cl
+		}
+		return []cell{
+			fleet("elastic", pol.MinRanks, true),
+			fleet(fmt.Sprintf("static-%d", pol.MinRanks), pol.MinRanks, false),
+			fleet("static-16", 16, false),
+		}
+	}},
+	cols: []column[*run]{label("fleet", 0), colJCT50, colJCTMax,
+		num("rank-epochs", ".rank_epochs", fi, func(r *run) float64 { return float64(r.RankEpochs()) }),
+		shown("peak ranks", fi, func(r *run) float64 { // ranks that ever served an op
+			n := 0
+			for _, s := range r.Servers() {
+				if s.OpsTotal() > 0 {
+					n++
 				}
 			}
-			res.val(key+".end_ranks", float64(active))
-			res.Series = append(res.Series, NamedSeries{
-				Name:   "elastic aggregate IOPS",
-				Points: metrics.FormatSeries(&rec.Agg, 10),
-			})
-		}
-	}
-	res.Notes = append(res.Notes,
+			return float64(n)
+		}),
+		num("scale-ups", ".scale_ups", fi, func(r *run) float64 { return float64(r.ScaleUps()) }),
+		num("drains", ".drains", fi, func(r *run) float64 { return float64(r.DrainsDone()) }),
+		value(".end_ranks", func(r *run) float64 { // active ranks left, for the autoscaled fleet
+			if r.key != "elastic" {
+				return math.NaN()
+			}
+			return float64(r.ServingRanks() - len(r.DrainingRanks()))
+		})},
+	report: func(res *Result, _ Options, rs []*run) error {
+		res.plot("elastic aggregate IOPS", &rs[0].Metrics().Agg, 10)
+		return nil
+	},
+	notes: []string{
 		"one full scale cycle: the controller grows 4->8 for the burst and gracefully drains back to 4 once it passes",
-		"elastic must beat static-4 on JCT (capacity when it matters) and static-16 on rank-epochs (no idle fleet)")
-	return res, nil
+		"elastic must beat static-4 on JCT (capacity when it matters) and static-16 on rank-epochs (no idle fleet)"},
 }

@@ -1,21 +1,23 @@
-// Package experiment reproduces the paper's evaluation: every table and
-// figure of §4 has a runner here that builds the right workloads,
-// cluster shape, and balancers, runs the simulation, and reports the
-// same rows/series the paper reports. The cmd/lunule-bench binary and
-// the top-level benchmarks both drive this registry.
+// Package experiment reproduces the paper's evaluation. Every table and
+// figure of §4 is one entry of the registry below: a scenario lists the
+// entry's cells (each an independent cluster on the experiment's seed),
+// runCells runs them on one bounded pool, and the entry's report turns
+// the finished runs into the rows/series the paper reports, each metric
+// declared once as a column. The cmd/lunule-bench binary and the
+// top-level benchmarks both drive this registry.
 package experiment
 
 import (
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 	"strings"
+	"time"
 
-	"repro/internal/audit"
 	"repro/internal/balancer"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -33,21 +35,6 @@ type Options struct {
 	// builds and fails the run on any invariant violation. The auditor
 	// is read-only, so audited results are identical to unaudited ones.
 	Audit bool
-}
-
-// auditor returns a fresh epoch-cadence auditor when auditing is
-// requested, else nil (the zero-cost disabled state).
-func (o Options) auditor() *audit.Auditor {
-	if !o.Audit {
-		return nil
-	}
-	return audit.New(audit.Options{})
-}
-
-// auditErr surfaces any invariant violations a run's auditor recorded.
-// Nil-safe on unaudited clusters.
-func auditErr(c *cluster.Cluster) error {
-	return c.Auditor().Err()
 }
 
 func (o *Options) defaults() {
@@ -76,6 +63,10 @@ type Result struct {
 	Notes []string
 	// Values exposes key numbers for tests and benchmarks.
 	Values map[string]float64
+	// Elapsed is the wall-clock of the scenario run behind this result
+	// plus its report; results that share one run each carry that run's
+	// time. It is the only field that differs between identical runs.
+	Elapsed time.Duration
 }
 
 // NamedSeries is a labelled series rendered as "t=v" pairs.
@@ -100,58 +91,205 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-func (r *Result) val(key string, v float64) {
-	if r.Values == nil {
-		r.Values = make(map[string]float64)
+func (r *Result) val(key string, v float64) { r.Values[key] = v }
+
+// plot appends a series downsampled to the given number of buckets.
+func (r *Result) plot(name string, s *stats.Series, buckets int) {
+	r.Series = append(r.Series, NamedSeries{Name: name, Points: metrics.FormatSeries(s, buckets)})
+}
+
+// ratio records Values[num]/Values[den] under key when the denominator
+// is positive.
+func (r *Result) ratio(key, num, den string) {
+	if d := r.Values[den]; d > 0 {
+		r.val(key, r.Values[num]/d)
 	}
-	r.Values[key] = v
 }
 
-// Runner executes one experiment.
-type Runner func(Options) (*Result, error)
+// note appends observations.
+func (r *Result) note(notes ...string) { r.Notes = append(r.Notes, notes...) }
 
-var registry = map[string]struct {
-	title  string
-	runner Runner
-}{}
-var order []string
-
-func register(id, title string, r Runner) {
-	registry[id] = struct {
-		title  string
-		runner Runner
-	}{title, r}
-	order = append(order, id)
+// A column declares one reported metric once: the table header, the
+// table cell and the Values entry of every row all come from it, so a
+// header and its cells cannot drift apart.
+type column[T any] struct {
+	// header is the table header; "" keeps the metric out of the table.
+	header string
+	format func(float64) string
+	get    func(T) float64
+	// keyed records the value under the row's prefix + key.
+	keyed bool
+	key   string
+	// text, when set, makes this a table-only string column (labels,
+	// rendered series) and the fields above but header are unused.
+	text func(T) string
 }
 
-// IDs returns the registered experiment IDs in registration order.
-func IDs() []string { return append([]string(nil), order...) }
+// num declares a metric that is both a table column and a value. A row
+// for which get returns NaN has no such metric: its table cell is blank
+// and no value is recorded.
+func num[T any](header, key string, format func(float64) string, get func(T) float64) column[T] {
+	return column[T]{header: header, format: format, get: get, keyed: true, key: key}
+}
+
+// shown declares a metric that appears in the table only.
+func shown[T any](header string, format func(float64) string, get func(T) float64) column[T] {
+	return column[T]{header: header, format: format, get: get}
+}
+
+// value declares a metric that is recorded but not tabulated.
+func value[T any](key string, get func(T) float64) column[T] {
+	return column[T]{get: get, keyed: true, key: key}
+}
+
+// text declares a table-only string column.
+func text[T any](header string, get func(T) string) column[T] {
+	return column[T]{header: header, text: get}
+}
+
+// tabulate appends one table row per element of rows, and records each
+// keyed column's value under prefix(row)+key. The first call on a
+// result sets the header row.
+func tabulate[T any](res *Result, rows []T, prefix func(T) string, cols ...column[T]) {
+	if res.Table == nil {
+		res.Table = &metrics.Table{}
+		for _, c := range cols {
+			if c.header != "" {
+				res.Table.Header = append(res.Table.Header, c.header)
+			}
+		}
+	}
+	for _, row := range rows {
+		var cells []string
+		for _, c := range cols {
+			if c.text != nil {
+				cells = append(cells, c.text(row))
+				continue
+			}
+			v := c.get(row)
+			if c.header != "" {
+				cell := ""
+				if !math.IsNaN(v) {
+					cell = c.format(v)
+				}
+				cells = append(cells, cell)
+			}
+			if c.keyed && !math.IsNaN(v) {
+				res.val(prefix(row)+c.key, v)
+			}
+		}
+		res.Table.Add(cells...)
+	}
+}
+
+// An entry is one table or figure of the evaluation.
+type entry struct {
+	id, title string
+	// scenario lists the cells to simulate; consecutive entries that
+	// point at the same scenario report on one shared run of it. Nil
+	// marks a closed form, which report alone computes.
+	scenario *scenario
+	// cols declares the usual table: one row per run, in cell order.
+	cols []column[*run]
+	// report adds what is not a row per run: series, derived values,
+	// tables over phases or generators. An entry has cols, report or both.
+	report func(res *Result, opt Options, runs []*run) error
+	// ratios lists derived values {key, numerator key, denominator key},
+	// recorded after cols and before report.
+	ratios [][3]string
+	// notes is the paper-vs-measured commentary, placed after anything
+	// report noted.
+	notes []string
+}
+
+// registry lists every experiment in the order -exp all has always
+// printed them.
+var registry = []*entry{
+	&expAblation, &expBatched, &expFig12a, &expFig12b, &expElastic, &expFailover, &expHetero,
+	&expFig9, &expFig10, &expFig11, &expNoisy, &expReadStorm, &expReplication,
+	&expFig13a, &expFig13b, &expFig14, &expOverhead, &expSharedDir,
+	&expTable1, &expFig2, &expFig3, &expFig4, &expFig6, &expFig7, &expFig8,
+}
+
+// IDs returns the registered experiment IDs in registry order.
+func IDs() []string {
+	out := make([]string, len(registry))
+	for i, e := range registry {
+		out[i] = e.id
+	}
+	return out
+}
 
 // Titles returns id -> title.
 func Titles() map[string]string {
 	out := make(map[string]string, len(registry))
-	for id, e := range registry {
-		out[id] = e.title
+	for _, e := range registry {
+		out[e.id] = e.title
 	}
 	return out
 }
 
 // Run executes the experiment with the given ID.
 func Run(id string, opt Options) (*Result, error) {
-	e, ok := registry[id]
-	if !ok {
-		known := IDs()
-		sort.Strings(known)
-		return nil, fmt.Errorf("experiment: unknown id %q (known: %s)", id, strings.Join(known, ", "))
-	}
-	opt.defaults()
-	res, err := e.runner(opt)
+	results, err := RunAll([]string{id}, opt)
 	if err != nil {
-		return nil, fmt.Errorf("experiment %s: %w", id, err)
+		return nil, err
 	}
-	res.ID = id
-	res.Title = e.title
-	return res, nil
+	return results[0], nil
+}
+
+// RunAll executes the listed experiments in order and returns their
+// results in that order. Consecutive entries that share a scenario
+// share one run of it. An unknown id fails before anything runs; on a
+// later error the results finished before it are returned with it.
+func RunAll(ids []string, opt Options) ([]*Result, error) {
+	opt.defaults()
+	entries := make([]*entry, len(ids))
+	for i, id := range ids {
+		at := slices.IndexFunc(registry, func(e *entry) bool { return e.id == id })
+		if at < 0 {
+			known := IDs()
+			slices.Sort(known)
+			return nil, fmt.Errorf("experiment: unknown id %q (known: %s)", id, strings.Join(known, ", "))
+		}
+		entries[i] = registry[at]
+	}
+	// Only the latest scenario's clusters are kept: -exp all would
+	// otherwise hold every experiment's until the end.
+	var ran *scenario
+	var runs []*run
+	var simTime time.Duration
+	results := make([]*Result, 0, len(ids))
+	for _, e := range entries {
+		start := time.Now()
+		if e.scenario != ran {
+			ran, runs, simTime = e.scenario, nil, 0
+			if ran != nil {
+				var err error
+				if runs, err = runCells(e.id, opt, ran.cells(opt)); err != nil {
+					return results, err
+				}
+				simTime = time.Since(start)
+			}
+		}
+		reportStart := time.Now()
+		res := &Result{ID: e.id, Title: e.title, Values: make(map[string]float64)}
+		if e.cols != nil {
+			tabulate(res, runs, runKey, e.cols...)
+		}
+		for _, q := range e.ratios {
+			res.ratio(q[0], q[1], q[2])
+		}
+		if e.report != nil {
+			if err := e.report(res, opt, runs); err != nil {
+				return results, fmt.Errorf("experiment %s: %w", e.id, err)
+			}
+		}
+		res.note(e.notes...)
+		res.Elapsed = simTime + time.Since(reportStart)
+		results = append(results, res)
+	}
+	return results, nil
 }
 
 // --- shared builders ---------------------------------------------------
@@ -237,27 +375,6 @@ func MakeBalancer(name string) balancer.Balancer {
 	default:
 		panic("experiment: unknown balancer " + name)
 	}
-}
-
-// runOne builds and runs a cluster to completion (or MaxTicks). With
-// Options.Audit set, every run carries a state auditor and an invariant
-// violation fails the experiment.
-func runOne(opt Options, cfg cluster.Config) (*cluster.Cluster, error) {
-	if cfg.Seed == 0 {
-		cfg.Seed = opt.Seed
-	}
-	if cfg.Audit == nil {
-		cfg.Audit = opt.auditor()
-	}
-	c, err := cluster.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.RunUntilDone(opt.MaxTicks)
-	if err := auditErr(c); err != nil {
-		return nil, err
-	}
-	return c, nil
 }
 
 func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }

@@ -37,6 +37,23 @@ func TestRegistryComplete(t *testing.T) {
 			t.Fatalf("experiment %s has no title", id)
 		}
 	}
+	for _, e := range registry {
+		if e.title == "" || (e.cols == nil && e.report == nil) {
+			t.Errorf("entry %s: title %q, columns %d, report set: %v", e.id, e.title, len(e.cols), e.report != nil)
+		}
+		if e.scenario == nil {
+			continue // a closed form: the report computes everything
+		}
+		cells := e.scenario.cells(Options{Seed: 42, Scale: 0.25, MaxTicks: 4000})
+		if len(cells) == 0 {
+			t.Errorf("entry %s: scenario lists no cells", e.id)
+		}
+		for i, cl := range cells {
+			if cl.bal == "" || cl.gen == nil {
+				t.Errorf("entry %s: cell %d names no balancer or builds no workload", e.id, i)
+			}
+		}
+	}
 }
 
 func TestUnknownExperiment(t *testing.T) {

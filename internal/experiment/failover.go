@@ -4,117 +4,68 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
-func init() {
-	register("failover",
-		"Extension: crash the hottest MDS mid-run — failover, abort, and post-failover rebalance",
-		runFailover)
-}
+// The failover experiment reproduces the paper's balancing decisions
+// *through* a full MDS failure: under the Zipf and shared-directory
+// workloads it crashes the hottest rank mid-run, keeps it down for a
+// fixed outage, rejoins it, and runs to completion. Every cell must
+// finish with zero lost ops — each client op eventually succeeds or is
+// accounted as retried/stalled — while the table compares how fast
+// Vanilla and Lunule re-spread the orphaned load across the survivors.
+const (
+	failoverCrashAt = 100
+	failoverRejoin  = failoverCrashAt + 120
+	// failoverRecoveryTicks is the takeover window the scenario
+	// configures: requests to the dead rank's subtrees stall this long
+	// before survivors take them over (models beacon grace + journal
+	// replay).
+	failoverRecoveryTicks = 30
+)
 
-// failoverRecoveryTicks is the takeover window the scenario configures:
-// requests to the dead rank's subtrees stall this long before survivors
-// take them over (models beacon grace + journal replay).
-const failoverRecoveryTicks = 30
-
-// runFailover reproduces the paper's balancing decisions *through* a
-// full MDS failure: under the Zipf and shared-directory workloads it
-// crashes the hottest rank mid-run, keeps it down for a fixed outage,
-// rejoins it, and runs to completion. Every cell must finish with zero
-// lost ops — each client op eventually succeeds or is accounted as
-// retried/stalled — while the table compares how fast Vanilla and
-// Lunule re-spread the orphaned load across the survivors.
-func runFailover(opt Options) (*Result, error) {
-	crashAt := int64(100)
-	outage := int64(120)
-
-	res := &Result{Table: &metrics.Table{Header: []string{
-		"workload", "balancer", "crashed", "pre IOPS", "outage IOPS", "post IOPS",
-		"reassign", "stalled", "aborted", "retries", "done",
-	}}}
-	for _, wl := range []string{"Zipf", "SharedDir"} {
-		var gen workload.Generator
-		switch wl {
-		case "Zipf":
-			gen = workload.NewZipf(workload.ZipfConfig{
-				// Clients must outlive the crash and the outage.
-				OpsPerClient: scaledMin(40000, opt.Scale, 35000),
-			})
-		case "SharedDir":
-			gen = workload.NewMDShared(workload.MDSharedConfig{
-				CreatesPerClient: scaledMin(15000, opt.Scale, 15000),
-			})
-		}
-		for _, b := range []string{"Vanilla", "Lunule"} {
-			c, err := cluster.New(cluster.Config{
-				Balancer:      MakeBalancer(b),
-				Workload:      gen,
-				RecoveryTicks: failoverRecoveryTicks,
-				Seed:          opt.Seed,
-				Audit:         opt.auditor(),
-			})
-			if err != nil {
-				return nil, err
+var expFailover = entry{
+	id: "failover", title: "Extension: crash the hottest MDS mid-run — failover, abort, and post-failover rebalance",
+	scenario: grid([]string{"Zipf", "SharedDir"}, []string{"Vanilla", "Lunule"}, func(w, b string) string { return w + "." + b },
+		cell{
+			shape: cluster.Config{RecoveryTicks: failoverRecoveryTicks},
+			// marks[0] is the rank that was crashed.
+			drive: func(r *run, maxTicks int64) {
+				r.Run(failoverCrashAt)
+				rank := r.CrashHottest()
+				r.marks = []int{rank}
+				r.Run(failoverRejoin - failoverCrashAt)
+				if rank >= 0 {
+					r.RecoverMDS(rank)
+				}
+				r.RunUntilDone(maxTicks)
+			},
+		},
+		func(w string, opt Options) workload.Generator {
+			if w == "SharedDir" {
+				return workload.NewMDShared(workload.MDSharedConfig{CreatesPerClient: scaledMin(15000, opt.Scale, 15000)})
 			}
-			c.Run(crashAt)
-			rank := c.CrashHottest()
-			c.Run(outage)
-			if rank >= 0 {
-				c.RecoverMDS(rank)
+			// Clients must outlive the crash and the outage.
+			return workload.NewZipf(workload.ZipfConfig{OpsPerClient: scaledMin(40000, opt.Scale, 35000)})
+		}),
+	cols: []column[*run]{label("workload", 0), label("balancer", 1),
+		shown("crashed", fi, func(r *run) float64 { return float64(r.marks[0]) }),
+		num("pre IOPS", ".pre", fi, aggWindow(failoverCrashAt-40, failoverCrashAt)),
+		num("outage IOPS", ".during", fi, aggWindow(failoverCrashAt, failoverRejoin)),
+		num("post IOPS", ".post", fi, aggWindow(failoverRejoin, failoverRejoin+80)),
+		colReassign, colStalled,
+		num("aborted", ".aborted", fi, func(r *run) float64 { return r.Metrics().AbortedTotal() }),
+		num("retries", ".retries", fi, func(r *run) float64 {
+			var n int64
+			for _, cl := range r.Clients() {
+				n += cl.Retries()
 			}
-			c.RunUntilDone(opt.MaxTicks)
-			if err := auditErr(c); err != nil {
-				return nil, err
-			}
-			rec := c.Metrics()
-
-			pre := windowMean(rec, crashAt-40, crashAt)
-			during := windowMean(rec, crashAt, crashAt+outage)
-			post := windowMean(rec, crashAt+outage, crashAt+outage+80)
-			reassign := rec.MeanTicksToReassign()
-			var retries int64
-			for _, cl := range c.Clients() {
-				retries += cl.Retries()
-			}
-			done := 0.0
-			if c.Done() {
-				done = 1
-			}
-			key := wl + "." + b
-			res.Table.Add(wl, b, fmt.Sprint(rank), fi(pre), fi(during), fi(post),
-				fi(reassign), fi(rec.StalledDownTotal()), fi(rec.AbortedTotal()),
-				fmt.Sprint(retries), fmt.Sprintf("%v", c.Done()))
-			res.val(key+".pre", pre)
-			res.val(key+".during", during)
-			res.val(key+".post", post)
-			res.val(key+".reassign", reassign)
-			res.val(key+".stalled", rec.StalledDownTotal())
-			res.val(key+".aborted", rec.AbortedTotal())
-			res.val(key+".retries", float64(retries))
-			res.val(key+".done", done)
-		}
-	}
-	res.Notes = append(res.Notes,
+			return float64(n)
+		}),
+		colDone},
+	notes: []string{
 		fmt.Sprintf("hottest rank crashed at tick %d, rejoined at %d; orphaned subtrees take over after %d ticks (least-loaded survivor)",
-			crashAt, crashAt+outage, failoverRecoveryTicks),
+			failoverCrashAt, failoverRejoin, failoverRecoveryTicks),
 		"zero lost ops: every op eventually succeeds or is accounted as a stalled/backed-off retry",
-		"paper context: healthy-cluster evaluation only — this extension measures how each policy re-spreads orphaned load after failover")
-	return res, nil
-}
-
-// windowMean averages the aggregate IOPS over ticks [lo, hi).
-func windowMean(rec *metrics.Recorder, lo, hi int64) float64 {
-	sum, n := 0.0, 0
-	for i, tick := range rec.Agg.Ticks {
-		if tick >= lo && tick < hi {
-			sum += rec.Agg.Values[i]
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+		"paper context: healthy-cluster evaluation only — this extension measures how each policy re-spreads orphaned load after failover"},
 }

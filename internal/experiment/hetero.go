@@ -1,19 +1,13 @@
 package experiment
 
 import (
-	"fmt"
-
 	"repro/internal/cluster"
-	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
-func init() {
-	register("hetero", "Extension: heterogeneous capacity and degradation injection", runHetero)
-}
-
-// runHetero probes the limit the paper's footnote acknowledges: the IF
-// model assumes every MDS delivers the same capacity C. Two scenarios:
+// The hetero experiment probes the limit the paper's footnote
+// acknowledges: the IF model assumes every MDS delivers the same
+// capacity C. Two scenarios beside the uniform baseline:
 //
 //  1. a static cluster where one MDS has half the capacity — the
 //     balancer aims for even *loads*, so the slow server saturates and
@@ -21,52 +15,37 @@ func init() {
 //  2. a mid-run degradation (one MDS's capacity halves at a fixed
 //     tick) — the balancers see the degraded server's served load drop
 //     and must not mistake it for an idle importer.
-func runHetero(opt Options) (*Result, error) {
-	res := &Result{Table: &metrics.Table{Header: []string{
-		"scenario", "balancer", "mean IOPS", "JCT p99", "slow-MDS stalls",
-	}}}
-
-	for _, sc := range []struct {
-		name    string
-		caps    []int
-		degrade bool
-	}{
-		{"uniform (baseline)", nil, false},
-		{"one slow MDS (half capacity)", []int{2000, 2000, 1000, 2000, 2000}, false},
-		{"mid-run degradation", nil, true},
-	} {
-		for _, b := range []string{"Vanilla", "Lunule"} {
-			c, err := cluster.New(cluster.Config{
-				Balancer:       MakeBalancer(b),
-				PerMDSCapacity: sc.caps,
-				Workload: workload.NewZipf(workload.ZipfConfig{
-					OpsPerClient: scaledMin(30000, opt.Scale, 20000),
-				}),
-				Seed:  opt.Seed,
-				Audit: opt.auditor(),
-			})
-			if err != nil {
-				return nil, err
-			}
-			if sc.degrade {
-				c.ScheduleCapacity(100, 2, 1000)
-			}
-			c.RunUntilDone(opt.MaxTicks)
-			if err := auditErr(c); err != nil {
-				return nil, err
-			}
-			rec := c.Metrics()
-			stalls := c.Servers()[2].Stalls()
-			res.Table.Add(sc.name, b, fi(rec.MeanThroughput()),
-				fi(rec.JCTQuantile(0.99)), fmt.Sprint(stalls))
-			key := sc.name + "/" + b
-			res.val(key+".mean", rec.MeanThroughput())
-			res.val(key+".jct99", rec.JCTQuantile(0.99))
-			res.val(key+".stalls", float64(stalls))
+var expHetero = entry{
+	id: "hetero", title: "Extension: heterogeneous capacity and degradation injection",
+	scenario: &scenario{func(opt Options) []cell {
+		zipf := func() workload.Generator {
+			return workload.NewZipf(workload.ZipfConfig{OpsPerClient: scaledMin(30000, opt.Scale, 20000)})
 		}
-	}
-	res.Notes = append(res.Notes,
+		degrade := func(r *run, maxTicks int64) {
+			r.ScheduleCapacity(100, 2, 1000)
+			r.RunUntilDone(maxTicks)
+		}
+		var cells []cell
+		for _, sc := range []struct {
+			name  string
+			caps  []int
+			drive func(*run, int64)
+		}{
+			{"uniform (baseline)", nil, nil},
+			{"one slow MDS (half capacity)", []int{2000, 2000, 1000, 2000, 2000}, nil},
+			{"mid-run degradation", nil, degrade},
+		} {
+			for _, b := range []string{"Vanilla", "Lunule"} {
+				cells = append(cells, cell{labels: []string{sc.name, b}, key: sc.name + "/" + b, bal: b, gen: zipf,
+					shape: cluster.Config{PerMDSCapacity: sc.caps}, drive: sc.drive})
+			}
+		}
+		return cells
+	}},
+	cols: []column[*run]{label("scenario", 0), label("balancer", 1), colMeanIOPS,
+		num("JCT p99", ".jct99", fi, jct(0.99)),
+		num("slow-MDS stalls", ".stalls", fi, func(r *run) float64 { return float64(r.Servers()[2].Stalls()) })},
+	notes: []string{
 		"the IF model's uniform-C assumption makes a slow MDS a persistent stall point (the paper calls heterogeneity orthogonal)",
-		"runs must still complete with no lost operations — degradation is absorbed, not fatal")
-	return res, nil
+		"runs must still complete with no lost operations — degradation is absorbed, not fatal"},
 }

@@ -1,107 +1,52 @@
 package experiment
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/cluster"
-	"repro/internal/metrics"
-)
+// mixedPair runs the mixed workload under Vanilla and Lunule; Figures
+// 9, 10 and 11 are three views of these two runs.
+var mixedPair = grid([]string{"Mixed"}, []string{"Vanilla", "Lunule"}, byBalancer, cell{}, paper)
 
-func init() {
-	register("fig9", "Figure 9: imbalance factor under the mixed workload", runFig9)
-	register("fig10", "Figure 10: per-MDS throughput under the mixed workload", runFig10)
-	register("fig11", "Figure 11: job-completion-time CDF under the mixed workload", runFig11)
-}
-
-// runMixedPair runs the mixed workload under Vanilla and Lunule.
-func runMixedPair(opt Options) (map[string]*cluster.Cluster, error) {
-	out := make(map[string]*cluster.Cluster, 2)
-	for _, b := range []string{"Vanilla", "Lunule"} {
-		c, err := runOne(opt, cluster.Config{
-			Balancer: MakeBalancer(b),
-			Workload: MakeWorkload("Mixed", opt.Scale),
-		})
-		if err != nil {
-			return nil, err
+var expFig9 = entry{
+	id: "fig9", title: "Figure 9: imbalance factor under the mixed workload",
+	scenario: mixedPair,
+	cols: []column[*run]{label("balancer", 1),
+		num("mean IF", ".meanIF", f3, meanIF),
+		num("max IF", ".maxIF", f3, func(r *run) float64 { return r.Metrics().IF.MaxValue() }),
+		num("run length (ticks)", ".ticks", fi, func(r *run) float64 { return float64(r.Tick()) })},
+	report: func(res *Result, _ Options, rs []*run) error {
+		for _, r := range rs {
+			res.plot(r.key+" IF", &r.Metrics().IF, 10)
 		}
-		out[b] = c
-	}
-	return out, nil
+		return nil
+	},
+	notes: []string{"paper: Vanilla's IF fluctuates up to ~0.6 and re-skews late; Lunule stays near zero and finishes sooner"},
 }
 
-func runFig9(opt Options) (*Result, error) {
-	cs, err := runMixedPair(opt)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Table: &metrics.Table{Header: []string{
-		"balancer", "mean IF", "max IF", "run length (ticks)",
-	}}}
-	for _, b := range []string{"Vanilla", "Lunule"} {
-		rec := cs[b].Metrics()
-		res.Table.Add(b, f3(rec.MeanIF()), f3(rec.IF.MaxValue()), fmt.Sprint(cs[b].Tick()))
-		res.Series = append(res.Series, NamedSeries{
-			Name:   b + " IF",
-			Points: metrics.FormatSeries(&rec.IF, 10),
-		})
-		res.val(b+".meanIF", rec.MeanIF())
-		res.val(b+".maxIF", rec.IF.MaxValue())
-		res.val(b+".ticks", float64(cs[b].Tick()))
-	}
-	res.Notes = append(res.Notes,
-		"paper: Vanilla's IF fluctuates up to ~0.6 and re-skews late; Lunule stays near zero and finishes sooner")
-	return res, nil
-}
-
-func runFig10(opt Options) (*Result, error) {
-	cs, err := runMixedPair(opt)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Table: &metrics.Table{Header: []string{
-		"balancer", "agg mean IOPS", "agg peak IOPS",
-	}}}
-	for _, b := range []string{"Vanilla", "Lunule"} {
-		rec := cs[b].Metrics()
-		res.Table.Add(b, fi(rec.MeanThroughput()), fi(rec.PeakThroughput(10)))
-		for i, s := range rec.PerMDS {
-			res.Series = append(res.Series, NamedSeries{
-				Name:   fmt.Sprintf("%s MDS-%d IOPS", b, i+1),
-				Points: metrics.FormatSeries(s, 10),
-			})
+var expFig10 = entry{
+	id: "fig10", title: "Figure 10: per-MDS throughput under the mixed workload",
+	scenario: mixedPair,
+	cols: []column[*run]{label("balancer", 1),
+		num("agg mean IOPS", ".mean", fi, meanIOPS),
+		num("agg peak IOPS", ".peak", fi, peakIOPS)},
+	report: func(res *Result, _ Options, rs []*run) error {
+		for _, r := range rs {
+			for i, s := range r.Metrics().PerMDS {
+				res.plot(fmt.Sprintf("%s MDS-%d IOPS", r.key, i+1), s, 10)
+			}
 		}
-		res.val(b+".mean", rec.MeanThroughput())
-		res.val(b+".peak", rec.PeakThroughput(10))
-	}
-	if v := res.Values["Vanilla.mean"]; v > 0 {
-		res.val("meanSpeedup", res.Values["Lunule.mean"]/v)
-	}
-	res.Notes = append(res.Notes,
-		"paper: Lunule's per-MDS curves stay even; during the first interval its clustered IOPS is ~1.6x Vanilla's")
-	return res, nil
+		return nil
+	},
+	ratios: [][3]string{{"meanSpeedup", "Lunule.mean", "Vanilla.mean"}},
+	notes:  []string{"paper: Lunule's per-MDS curves stay even; during the first interval its clustered IOPS is ~1.6x Vanilla's"},
 }
 
-func runFig11(opt Options) (*Result, error) {
-	cs, err := runMixedPair(opt)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Table: &metrics.Table{Header: []string{
-		"balancer", "JCT p50", "JCT p80", "JCT p99",
-	}}}
-	qs := []float64{0.5, 0.8, 0.99}
-	for _, b := range []string{"Vanilla", "Lunule"} {
-		rec := cs[b].Metrics()
-		jcts := rec.JCTQuantiles(qs...) // one sort for all three quantiles
-		res.Table.Add(b, fi(jcts[0]), fi(jcts[1]), fi(jcts[2]))
-		for i, q := range qs {
-			res.val(fmt.Sprintf("%s.p%.0f", b, q*100), jcts[i])
-		}
-	}
-	if v := res.Values["Lunule.p99"]; v > 0 {
-		res.val("tailImprovement", res.Values["Vanilla.p99"]/v)
-	}
-	res.Notes = append(res.Notes,
-		"paper: Lunule's p99 completion is 1.42x better; ~80% of clients finish before Vanilla's corresponding point")
-	return res, nil
+var expFig11 = entry{
+	id: "fig11", title: "Figure 11: job-completion-time CDF under the mixed workload",
+	scenario: mixedPair,
+	cols: []column[*run]{label("balancer", 1),
+		num("JCT p50", ".p50", fi, jct(0.5)),
+		num("JCT p80", ".p80", fi, jct(0.8)),
+		num("JCT p99", ".p99", fi, jct(0.99))},
+	ratios: [][3]string{{"tailImprovement", "Vanilla.p99", "Lunule.p99"}},
+	notes:  []string{"paper: Lunule's p99 completion is 1.42x better; ~80% of clients finish before Vanilla's corresponding point"},
 }

@@ -2,18 +2,12 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cluster"
-	"repro/internal/metrics"
 	"repro/internal/tenant"
 	"repro/internal/workload"
 )
-
-func init() {
-	register("noisy",
-		"Extension: multi-tenant QoS — token-bucket admission isolates victims from a noisy neighbor's metadata storm",
-		runNoisy)
-}
 
 // Shape of the noisy-neighbor scenario. The aggressor's offered load
 // (160 clients x 150 ops/tick) alone is three times the whole cluster's
@@ -33,22 +27,6 @@ const (
 	noisyRate          = 1300
 	noisyBurst         = 1300
 )
-
-// neutralTenancy is an accounting-only manager: buckets so large no
-// tenant can ever drain one, which is behavior-identical to running
-// without tenancy (the idle-differential test proves byte equality)
-// but still sizes the per-tenant JCT/latency slots in the recorder.
-func neutralTenancy() *tenant.Manager {
-	pol := tenant.DefaultPolicy()
-	pol.Rate, pol.Burst = 1e9, 2e9
-	return tenant.MustManager(pol)
-}
-
-func qosTenancy() *tenant.Manager {
-	pol := tenant.DefaultPolicy()
-	pol.Rate, pol.Burst = noisyRate, noisyBurst
-	return tenant.MustManager(pol)
-}
 
 // noisyVictimGen builds victim v's generator: the standard Zipf/MDtest/
 // ReadStorm mixture, each victim in its own subtree. Shared between the
@@ -91,130 +69,115 @@ func noisyAggrGen(off int, scale float64) workload.Generator {
 	return workload.NewMixed(gens...)
 }
 
-// runNoisy measures tenant isolation under a metadata storm. Four cells:
-// the victims alone (the baseline their completion times are judged
-// against), then victims plus a 96-client shared-directory create storm
-// under the vanilla balancer, under Lunule without QoS, and under Lunule
-// with per-tenant token buckets. Balancing alone cannot protect the
-// victims — the storm's demand exceeds the whole cluster's capacity, so
-// spreading it just saturates every rank — only admission control keeps
-// the victims at their isolated completion times.
-func runNoisy(opt Options) (*Result, error) {
-	victimsOnly := func() workload.Generator {
-		counts := make([]int, noisyVictims)
-		for v := range counts {
-			counts[v] = noisyVictimClients
+// worstVictim is the gate metric: the WORST victim tenant's value —
+// isolation must hold for every victim, not on average. Victims are
+// tenants 0..2 in the isolated cell and 1..3 behind the aggressor.
+func worstVictim(get func(r *run, tenant int) float64) func(*run) float64 {
+	return func(r *run) float64 {
+		first, worst := 0, 0.0
+		if noisyLoaded(r) {
+			first = 1
 		}
-		return workload.NewTenants(workload.TenantsConfig{Counts: counts},
-			func(t, clients, off int) workload.Generator {
-				return noisyVictimGen(t, off, opt.Scale)
-			})
-	}
-	loaded := func() workload.Generator {
-		counts := append([]int{noisyAggrClients}, make([]int, noisyVictims)...)
-		for v := 1; v < len(counts); v++ {
-			counts[v] = noisyVictimClients
-		}
-		return workload.NewTenants(workload.TenantsConfig{Counts: counts},
-			func(t, clients, off int) workload.Generator {
-				if t == 0 {
-					return noisyAggrGen(off, opt.Scale)
-				}
-				return noisyVictimGen(t-1, off, opt.Scale)
-			})
-	}
-
-	cells := []struct {
-		key      string
-		name     string
-		balancer string
-		loaded   bool
-		qos      bool
-	}{
-		{"isolated", "Isolated victims", "Lunule", false, false},
-		{"vanilla", "Vanilla+storm", "Vanilla", true, false},
-		{"lunule", "Lunule+storm", "Lunule", true, false},
-		{"qos", "Lunule+QoS+storm", "Lunule", true, true},
-	}
-
-	res := &Result{Table: &metrics.Table{Header: []string{
-		"cell", "victim p50", "victim lat", "aggr p50",
-		"aggr throttled", "ops/sec", "done",
-	}}}
-	for _, cell := range cells {
-		tn := neutralTenancy()
-		if cell.qos {
-			tn = qosTenancy()
-		}
-		gen := victimsOnly()
-		clients := noisyVictims * noisyVictimClients
-		if cell.loaded {
-			gen = loaded()
-			clients += noisyAggrClients
-		}
-		c, err := runOne(opt, cluster.Config{
-			MDS:      4,
-			Clients:  clients,
-			Balancer: MakeBalancer(cell.balancer),
-			Workload: gen,
-			Tenancy:  tn,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if !c.Done() {
-			return nil, fmt.Errorf("noisy: %s cell did not finish in %d ticks", cell.name, opt.MaxTicks)
-		}
-		rec := c.Metrics()
-
-		// The gate metric is the WORST victim tenant's median client
-		// completion time: isolation must hold for every victim, not on
-		// average.
-		firstVictim := 0
-		if cell.loaded {
-			firstVictim = 1
-		}
-		var victim50, victimLat float64
 		for v := 0; v < noisyVictims; v++ {
-			if p := rec.TenantJCTQuantile(firstVictim+v, 0.5); p > victim50 {
-				victim50 = p
-			}
-			if l := rec.TenantMeanLatency(firstVictim + v); l > victimLat {
-				victimLat = l
-			}
+			worst = max(worst, get(r, first+v))
 		}
-		var aggr50, aggrThrottled float64
-		if cell.loaded {
-			aggr50 = rec.TenantJCTQuantile(0, 0.5)
-			aggrThrottled = float64(tn.Throttled(0))
-		}
-
-		res.Table.Add(cell.name,
-			fi(victim50), f2(victimLat), fi(aggr50),
-			fi(aggrThrottled), f1(rec.MeanThroughput()),
-			fmt.Sprintf("%v", c.Done()))
-		res.val(cell.key+".victim50", victim50)
-		res.val(cell.key+".victim_lat", victimLat)
-		if cell.loaded {
-			res.val(cell.key+".aggr50", aggr50)
-			res.val(cell.key+".aggr_throttled", aggrThrottled)
-		}
+		return worst
 	}
+}
 
-	iso := res.Values["isolated.victim50"]
-	if iso > 0 {
-		res.Notes = append(res.Notes,
-			fmt.Sprintf("victim slowdown vs isolated p50=%s: vanilla %.2fx, lunule %.2fx, qos %.2fx",
+func noisyLoaded(r *run) bool { return r.key != "isolated" }
+
+// ifLoaded reads an aggressor metric where there is an aggressor.
+func ifLoaded(get func(*run) float64, otherwise float64) func(*run) float64 {
+	return func(r *run) float64 {
+		if !noisyLoaded(r) {
+			return otherwise
+		}
+		return get(r)
+	}
+}
+
+func aggr50(r *run) float64        { return r.Metrics().TenantJCTQuantile(0, 0.5) }
+func aggrThrottled(r *run) float64 { return float64(r.Tenancy().Throttled(0)) }
+
+// The noisy experiment measures tenant isolation under a metadata
+// storm. Four cells, each of which must finish: the victims alone (the
+// baseline their completion times are judged against), then victims
+// plus a 160-client shared-directory create storm under the vanilla
+// balancer, under Lunule without QoS, and under Lunule with per-tenant
+// token buckets. Balancing alone cannot protect the victims — the
+// storm's demand exceeds the whole cluster's capacity, so spreading it
+// just saturates every rank — only admission control keeps the victims
+// at their isolated completion times.
+var expNoisy = entry{
+	id: "noisy", title: "Extension: multi-tenant QoS — token-bucket admission isolates victims from a noisy neighbor's metadata storm",
+	scenario: &scenario{func(opt Options) []cell {
+		// Without QoS tenancy is accounting-only: buckets so large no tenant
+		// can ever drain one, which is behavior-identical to running
+		// without tenancy (the idle-differential test proves byte equality)
+		// but still sizes the per-tenant JCT/latency slots in the recorder.
+		on := func(key, name, bal string, loaded bool, rate, burst float64) cell {
+			// The victims, behind the aggressor as tenant 0 when loaded.
+			var counts []int
+			clients := noisyVictims * noisyVictimClients
+			if loaded {
+				counts = []int{noisyAggrClients}
+				clients += noisyAggrClients
+			}
+			for v := 0; v < noisyVictims; v++ {
+				counts = append(counts, noisyVictimClients)
+			}
+			return cell{labels: []string{name}, key: key, mustFinish: true, bal: bal,
+				gen: func() workload.Generator {
+					return workload.NewTenants(workload.TenantsConfig{Counts: counts},
+						func(t, _, off int) workload.Generator {
+							switch {
+							case !loaded:
+								return noisyVictimGen(t, off, opt.Scale)
+							case t == 0:
+								return noisyAggrGen(off, opt.Scale)
+							}
+							return noisyVictimGen(t-1, off, opt.Scale)
+						})
+				},
+				shape: cluster.Config{MDS: 4, Clients: clients},
+				attach: func(cfg *cluster.Config) {
+					pol := tenant.DefaultPolicy()
+					pol.Rate, pol.Burst = rate, burst
+					cfg.Tenancy = tenant.MustManager(pol)
+				}}
+		}
+		return []cell{
+			on("isolated", "Isolated victims", "Lunule", false, 1e9, 2e9),
+			on("vanilla", "Vanilla+storm", "Vanilla", true, 1e9, 2e9),
+			on("lunule", "Lunule+storm", "Lunule", true, 1e9, 2e9),
+			on("qos", "Lunule+QoS+storm", "Lunule", true, noisyRate, noisyBurst),
+		}
+	}},
+	// The aggressor's two metrics read 0 in the isolated row's table
+	// cells and are values only where there is an aggressor.
+	cols: []column[*run]{label("cell", 0),
+		num("victim p50", ".victim50", fi, worstVictim(func(r *run, t int) float64 { return r.Metrics().TenantJCTQuantile(t, 0.5) })),
+		num("victim lat", ".victim_lat", f2, worstVictim(func(r *run, t int) float64 { return r.Metrics().TenantMeanLatency(t) })),
+		shown("aggr p50", fi, ifLoaded(aggr50, 0)),
+		shown("aggr throttled", fi, ifLoaded(aggrThrottled, 0)),
+		shown("ops/sec", f1, meanIOPS), colFinished,
+		value(".aggr50", ifLoaded(aggr50, math.NaN())),
+		value(".aggr_throttled", ifLoaded(aggrThrottled, math.NaN()))},
+	report: func(res *Result, _ Options, _ []*run) error {
+		if iso := res.Values["isolated.victim50"]; iso > 0 {
+			res.note(fmt.Sprintf("victim slowdown vs isolated p50=%s: vanilla %.2fx, lunule %.2fx, qos %.2fx",
 				fi(iso),
 				res.Values["vanilla.victim50"]/iso,
 				res.Values["lunule.victim50"]/iso,
 				res.Values["qos.victim50"]/iso))
-	}
-	res.Notes = append(res.Notes,
+		}
+		return nil
+	},
+	notes: []string{
 		fmt.Sprintf("aggressor: %d clients hammering %d shared directories — offered load alone (%d ops/tick) exceeds total cluster capacity",
 			noisyAggrClients, noisyAggrDirs, noisyAggrClients*150),
 		fmt.Sprintf("qos cell: flat per-tenant buckets rate=%d burst=%d ops/tick; victims (%d clients each) never touch their caps",
 			noisyRate, noisyBurst, noisyVictimClients),
-		"balancing spreads the storm but cannot shrink it; admission control is what protects the victims")
-	return res, nil
+		"balancing spreads the storm but cannot shrink it; admission control is what protects the victims"},
 }

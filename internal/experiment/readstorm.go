@@ -4,15 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/metrics"
 	"repro/internal/replica"
+	"repro/internal/workload"
 )
-
-func init() {
-	register("readstorm",
-		"Extension: lease-based hot-read replicas vs pure migration under a shared-directory read storm",
-		runReadStorm)
-}
 
 // Read-replica policy of the lease cell. R=5 puts four serve-capable
 // standbys behind the storm's primary, so all five ranks share the read
@@ -28,80 +22,61 @@ const (
 	readStormReadFrac = 0.75
 )
 
-// runReadStorm measures what lease-based read replication buys on the
-// workload migration fundamentally cannot fix: every client hammering
-// one shared directory with cache-miss reads. Moving the directory (or
-// its dirfrags) just relocates the queue — the aggregate service rate
-// stays one rank's capacity per fragment, and a Zipf-skewed storm
-// concentrates in few fragments. Serving reads from lease holders
-// multiplies the service rate by the replica count instead. Three
-// identically-seeded cells: the CephFS built-in balancer, migration-only
-// Lunule, and Lunule with read leases on R-1 standbys.
-func runReadStorm(opt Options) (*Result, error) {
-	cells := []struct {
-		name     string
-		balancer string
-		leases   bool
-	}{
-		{"Vanilla", "Vanilla", false},
-		{"Lunule", "Lunule", false},
-		{"Lunule+leases", "Lunule", true},
+// ofReplicas reads a counter off a run's replica manager; a cell
+// without one counts 0.
+func ofReplicas(get func(*replica.Manager) int64) func(*run) float64 {
+	return func(r *run) float64 {
+		if m := r.Replicas(); m != nil {
+			return float64(get(m))
+		}
+		return 0
 	}
+}
 
-	res := &Result{Table: &metrics.Table{Header: []string{
-		"cell", "JCT p50", "JCT max", "ops/sec", "migrated",
-		"lease serves", "granted", "revoked", "expired", "done",
-	}}}
-	for _, cell := range cells {
-		var mgr *replica.Manager
-		if cell.leases {
-			pol := replica.DefaultPolicy()
-			pol.R = readStormR
-			pol.LeaseTicks = readStormLease
-			pol.ReplicateReadFrac = readStormReadFrac
-			mgr = replica.MustManager(pol)
+// The readstorm experiment measures what lease-based read replication
+// buys on the workload migration fundamentally cannot fix: every client
+// hammering one shared directory with cache-miss reads. Moving the
+// directory (or its dirfrags) just relocates the queue — the aggregate
+// service rate stays one rank's capacity per fragment, and a
+// Zipf-skewed storm concentrates in few fragments. Serving reads from
+// lease holders multiplies the service rate by the replica count
+// instead. Three identically-seeded cells, each of which must finish:
+// the CephFS built-in balancer, migration-only Lunule, and Lunule with
+// read leases on R-1 standbys.
+var expReadStorm = entry{
+	id: "readstorm", title: "Extension: lease-based hot-read replicas vs pure migration under a shared-directory read storm",
+	scenario: &scenario{func(opt Options) []cell {
+		on := func(name, key, bal string, leases bool) cell {
+			cl := cell{labels: []string{name}, key: key, mustFinish: true, bal: bal,
+				gen: func() workload.Generator { return paper("ReadStorm", opt) }}
+			if leases {
+				cl.attach = func(cfg *cluster.Config) {
+					pol := replica.DefaultPolicy()
+					pol.R = readStormR
+					pol.LeaseTicks = readStormLease
+					pol.ReplicateReadFrac = readStormReadFrac
+					cfg.Replication = replica.MustManager(pol)
+				}
+			}
+			return cl
 		}
-		c, err := runOne(opt, cluster.Config{
-			Balancer:    MakeBalancer(cell.balancer),
-			Workload:    MakeWorkload("ReadStorm", opt.Scale),
-			Replication: mgr,
-		})
-		if err != nil {
-			return nil, err
+		return []cell{
+			on("Vanilla", "vanilla", "Vanilla", false),
+			on("Lunule", "lunule", "Lunule", false),
+			on("Lunule+leases", "lease", "Lunule", true),
 		}
-		if !c.Done() {
-			return nil, fmt.Errorf("readstorm: %s cell did not finish in %d ticks", cell.name, opt.MaxTicks)
-		}
-		rec := c.Metrics()
-
-		var granted, revoked, expired int64
-		if mgr != nil {
-			granted = mgr.LeasesGranted()
-			revoked = mgr.LeasesRevoked()
-			expired = mgr.LeasesExpired()
-		}
-		res.Table.Add(cell.name,
-			fi(rec.JCTQuantile(0.5)), fi(rec.JCTQuantile(1.0)),
-			f1(rec.MeanThroughput()), fi(rec.MigratedTotal()),
-			fmt.Sprint(c.LeaseServes()), fmt.Sprint(granted),
-			fmt.Sprint(revoked), fmt.Sprint(expired),
-			fmt.Sprintf("%v", c.Done()))
-
-		key := map[string]string{
-			"Vanilla": "vanilla", "Lunule": "lunule", "Lunule+leases": "lease",
-		}[cell.name]
-		res.val(key+".jct50", rec.JCTQuantile(0.5))
-		res.val(key+".jct_max", rec.JCTQuantile(1.0))
-		res.val(key+".tput", rec.MeanThroughput())
-		res.val(key+".migrated", rec.MigratedTotal())
-		res.val(key+".lease_serves", float64(c.LeaseServes()))
-		res.val(key+".granted", float64(granted))
-		res.val(key+".expired", float64(expired))
-	}
-	res.Notes = append(res.Notes,
+	}},
+	cols: []column[*run]{label("cell", 0), colJCT50, colJCTMax,
+		num("ops/sec", ".tput", f1, meanIOPS),
+		num("migrated", ".migrated", fi, migrated),
+		num("lease serves", ".lease_serves", fi, func(r *run) float64 { return float64(r.LeaseServes()) }),
+		num("granted", ".granted", fi, ofReplicas((*replica.Manager).LeasesGranted)),
+		shown("revoked", fi, ofReplicas((*replica.Manager).LeasesRevoked)),
+		num("expired", ".expired", fi, ofReplicas((*replica.Manager).LeasesExpired)),
+		colFinished},
+	notes: []string{
 		"same seeded Zipf read storm on one shared directory in every cell; only the policy differs",
 		fmt.Sprintf("lease cell: R=%d replication, %d-tick leases, grants require read fraction >= %.2f",
 			readStormR, readStormLease, readStormReadFrac),
-		"migration relocates the storm's queue; leases multiply its service rate across the replica holders")
-	return res, nil
+		"migration relocates the storm's queue; leases multiply its service rate across the replica holders"},
 }

@@ -5,120 +5,86 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
-	"repro/internal/metrics"
 	"repro/internal/replica"
 	"repro/internal/rng"
 	"repro/internal/workload"
 )
 
-func init() {
-	register("replication",
-		"Extension: warm-standby subtree replication vs cold takeover under MTBF churn (R=1/2/3)",
-		runReplication)
-}
+const (
+	replicationRanks = 5
+	// replicationRecoveryTicks is the cold takeover window of the
+	// experiment — the latency a subtree pays when no warm standby
+	// exists (beacon grace + journal replay from the backing store).
+	replicationRecoveryTicks = 30
+	replicationHorizon       = 250
+)
 
-// replicationRecoveryTicks is the cold takeover window of the
-// experiment — the latency a subtree pays when no warm standby exists
-// (beacon grace + journal replay from the backing store).
-const replicationRecoveryTicks = 30
-
-// runReplication measures what warm-standby replication buys under
-// random failure churn: the same seeded MTBF crash/recover schedule is
-// replayed over three identically-seeded clusters at R=1 (no manager:
-// the cold RecoveryTicks takeover), R=2, and R=3. Warm cells should
-// collapse recovery latency from the cold window to PromoteTicks and
-// shed most of the outage stalls, at the cost of journal shipping and
-// background resyncs.
-func runReplication(opt Options) (*Result, error) {
-	const (
-		ranks   = 5
-		clients = 16
-	)
-	// One schedule for every cell, drawn from the experiment seed: the
-	// comparison is policy-only.
+// replicationChurn draws the experiment's MTBF crash/recover schedule
+// from its seed. Every cell draws its own copy of the same schedule, so
+// the comparison is policy-only.
+func replicationChurn(opt Options) *fault.Schedule {
 	churn := fault.MTBF(fault.MTBFConfig{
-		Ranks:   ranks,
+		Ranks:   replicationRanks,
 		MTBF:    90,
 		MTTR:    80,
-		Horizon: 250,
+		Horizon: replicationHorizon,
 	}, rng.New(opt.Seed).Fork(77))
-	if err := churn.Validate(ranks); err != nil {
-		return nil, err
-	}
-	crashes := 0
-	for _, ev := range churn.Events {
-		if ev.Kind == fault.Crash {
-			crashes++
-		}
-	}
+	return &churn
+}
 
-	res := &Result{Table: &metrics.Table{Header: []string{
-		"cell", "JCT p50", "JCT max", "reassign", "warm", "cold", "promotions",
-		"resyncs", "stalled", "done",
-	}}}
-	for _, r := range []int{1, 2, 3} {
-		var mgr *replica.Manager
-		if r >= 2 {
-			pol := replica.DefaultPolicy()
-			pol.R = r
-			mgr = replica.MustManager(pol)
-		}
-		sched := fault.Schedule{Events: append([]fault.Event(nil), churn.Events...)}
-		c, err := runOne(opt, cluster.Config{
-			MDS:      ranks,
-			Clients:  clients,
-			Balancer: MakeBalancer("Lunule"),
-			Workload: workload.NewZipf(workload.ZipfConfig{
-				// Clients must outlive the churn horizon.
-				OpsPerClient: scaledMin(40000, opt.Scale, 35000),
-			}),
-			RecoveryTicks: replicationRecoveryTicks,
-			Faults:        &sched,
-			Replication:   mgr,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if !c.Done() {
-			return nil, fmt.Errorf("replication: R=%d cell did not finish in %d ticks", r, opt.MaxTicks)
-		}
-		rec := c.Metrics()
+func warmRecoveries(r *run) float64 { return float64(r.Metrics().WarmRecoveries()) }
 
-		warm := rec.WarmRecoveries()
-		cold := len(rec.RecoveryEvents()) - warm
-		var resyncs, promotions int64
-		if mgr != nil {
-			resyncs = mgr.ResyncsDone()
-			promotions = c.Promotions()
+// The replication experiment measures what warm-standby replication
+// buys under random failure churn: the same seeded schedule is replayed
+// over three identically-seeded clusters at R=1 (no manager: the cold
+// RecoveryTicks takeover), R=2, and R=3, each of which must finish.
+// Warm cells should collapse recovery latency from the cold window to
+// PromoteTicks and shed most of the outage stalls, at the cost of
+// journal shipping and background resyncs.
+var expReplication = entry{
+	id: "replication", title: "Extension: warm-standby subtree replication vs cold takeover under MTBF churn (R=1/2/3)",
+	scenario: &scenario{func(opt Options) []cell {
+		zipf := func() workload.Generator {
+			// Clients must outlive the churn horizon.
+			return workload.NewZipf(workload.ZipfConfig{OpsPerClient: scaledMin(40000, opt.Scale, 35000)})
 		}
-		cell := fmt.Sprintf("R=%d", r)
-		if r == 1 {
-			cell = "R=1 (cold)"
+		var cells []cell
+		for r := 1; r <= 3; r++ {
+			name := fmt.Sprintf("R=%d", r)
+			if r == 1 {
+				name += " (cold)"
+			}
+			cells = append(cells, cell{labels: []string{name}, key: fmt.Sprintf("r%d", r), mustFinish: true, bal: "Lunule", gen: zipf,
+				shape: cluster.Config{MDS: replicationRanks, Clients: 16, RecoveryTicks: replicationRecoveryTicks},
+				attach: func(cfg *cluster.Config) {
+					cfg.Faults = replicationChurn(opt)
+					if r >= 2 {
+						pol := replica.DefaultPolicy()
+						pol.R = r
+						cfg.Replication = replica.MustManager(pol)
+					}
+				}})
 		}
-		done := 0.0
-		if c.Done() {
-			done = 1
+		return cells
+	}},
+	cols: []column[*run]{label("cell", 0), colJCT50, colJCTMax, colReassign,
+		num("warm", ".warm", fi, warmRecoveries),
+		num("cold", ".cold", fi, func(r *run) float64 { return float64(len(r.Metrics().RecoveryEvents())) - warmRecoveries(r) }),
+		num("promotions", ".promotions", fi, func(r *run) float64 { return float64(r.Promotions()) }),
+		num("resyncs", ".resyncs", fi, ofReplicas((*replica.Manager).ResyncsDone)),
+		colStalled, colDone},
+	report: func(res *Result, opt Options, _ []*run) error {
+		crashes := 0
+		for _, ev := range replicationChurn(opt).Events {
+			if ev.Kind == fault.Crash {
+				crashes++
+			}
 		}
-		res.Table.Add(cell,
-			fi(rec.JCTQuantile(0.5)), fi(rec.JCTQuantile(1.0)),
-			fi(rec.MeanTicksToReassign()), fmt.Sprint(warm), fmt.Sprint(cold),
-			fmt.Sprint(promotions), fmt.Sprint(resyncs),
-			fi(rec.StalledDownTotal()), fmt.Sprintf("%v", c.Done()))
-		key := fmt.Sprintf("r%d", r)
-		res.val(key+".jct50", rec.JCTQuantile(0.5))
-		res.val(key+".jct_max", rec.JCTQuantile(1.0))
-		res.val(key+".reassign", rec.MeanTicksToReassign())
-		res.val(key+".warm", float64(warm))
-		res.val(key+".cold", float64(cold))
-		res.val(key+".promotions", float64(promotions))
-		res.val(key+".resyncs", float64(resyncs))
-		res.val(key+".stalled", rec.StalledDownTotal())
-		res.val(key+".done", done)
-	}
-	res.Notes = append(res.Notes,
-		fmt.Sprintf("identical seeded MTBF churn per cell: %d crashes over %d ticks (MTBF 90, MTTR 80, 5 ranks)", crashes, 250),
+		res.note(fmt.Sprintf("identical seeded MTBF churn per cell: %d crashes over %d ticks (MTBF 90, MTTR 80, 5 ranks)", crashes, replicationHorizon))
+		return nil
+	},
+	notes: []string{
 		fmt.Sprintf("cold takeover window %d ticks vs warm promotion %d ticks after the crash",
 			replicationRecoveryTicks, replica.DefaultPolicy().PromoteTicks),
-		"warm cells ship the op/heat journal every 5 ticks and re-replicate lost standbys in the background")
-	return res, nil
+		"warm cells ship the op/heat journal every 5 ticks and re-replicate lost standbys in the background"},
 }

@@ -14,18 +14,22 @@ import (
 // scratch on any machine.
 func WriteMarkdownReport(w io.Writer, ids []string, opt Options) error {
 	opt.defaults()
+	results, err := RunAll(ids, opt)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "# Lunule reproduction report\n\n")
 	fmt.Fprintf(w, "- seed: %d\n- scale: %g\n- max ticks per run: %d\n- experiments: %s\n\n",
 		opt.Seed, opt.Scale, opt.MaxTicks, strings.Join(ids, ", "))
-	for _, id := range ids {
-		start := time.Now()
-		res, err := Run(id, opt)
-		if err != nil {
-			return err
-		}
+	for _, res := range results {
 		fmt.Fprintf(w, "## %s — %s\n\n", res.ID, res.Title)
-		if res.Table != nil {
-			writeMarkdownTable(w, res)
+		if t := res.Table; t != nil {
+			fmt.Fprintf(w, "| %s |\n", strings.Join(t.Header, " | "))
+			fmt.Fprintf(w, "|%s\n", strings.Repeat(" --- |", len(t.Header)))
+			for _, row := range t.Rows {
+				fmt.Fprintf(w, "| %s |\n", strings.Join(row, " | "))
+			}
+			fmt.Fprintln(w)
 		}
 		for _, s := range res.Series {
 			fmt.Fprintf(w, "- `%s`: %s\n", s.Name, s.Points)
@@ -36,21 +40,7 @@ func WriteMarkdownReport(w io.Writer, ids []string, opt Options) error {
 		for _, n := range res.Notes {
 			fmt.Fprintf(w, "> %s\n", n)
 		}
-		fmt.Fprintf(w, "\n_(completed in %v)_\n\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(w, "\n_(completed in %v)_\n\n", res.Elapsed.Round(time.Millisecond))
 	}
 	return nil
-}
-
-func writeMarkdownTable(w io.Writer, res *Result) {
-	t := res.Table
-	fmt.Fprintf(w, "| %s |\n", strings.Join(t.Header, " | "))
-	seps := make([]string, len(t.Header))
-	for i := range seps {
-		seps[i] = "---"
-	}
-	fmt.Fprintf(w, "| %s |\n", strings.Join(seps, " | "))
-	for _, row := range t.Rows {
-		fmt.Fprintf(w, "| %s |\n", strings.Join(row, " | "))
-	}
-	fmt.Fprintln(w)
 }

@@ -2,150 +2,101 @@ package experiment
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
-func init() {
-	register("fig13a", "Figure 13(a): MDS-cluster scalability under MD (Lunule)", runFig13a)
-	register("fig13b", "Figure 13(b): Lunule vs Vanilla vs Dir-Hash (Web)", runFig13b)
-	register("fig14", "Figure 14: Dir-Hash inode vs request distribution and forwards", runFig14)
-	register("overhead", "Section 3.4: control-plane message overhead per epoch", runOverhead)
+// Figure 13(a) measures peak throughput as the cluster grows 1..16
+// MDSs, with the client pool scaled to keep per-MDS demand above
+// capacity, against the linear projection of the single-MDS cell.
+var expFig13a = entry{
+	id: "fig13a", title: "Figure 13(a): MDS-cluster scalability under MD (Lunule)",
+	scenario: &scenario{func(opt Options) []cell {
+		md := func() workload.Generator {
+			// Floor: the run must span enough epochs for load to spread
+			// across the largest cluster.
+			return workload.NewMD(workload.MDConfig{CreatesPerClient: scaledMin(12000, opt.Scale, 9000)})
+		}
+		var cells []cell
+		for _, n := range []int{1, 2, 4, 8, 16} {
+			cells = append(cells, cell{labels: []string{fmt.Sprint(n), fmt.Sprint(10 * n)}, key: fmt.Sprintf("mds%d", n),
+				bal: "Lunule", gen: md, shape: cluster.Config{MDS: n, Clients: 10 * n}})
+		}
+		return cells
+	}},
+	report: func(res *Result, _ Options, rs []*run) error {
+		linear := func(r *run) float64 { return peakIOPS(rs[0]) * float64(len(r.Servers())) }
+		tabulate(res, rs, runKey, label("MDSs", 0), label("clients", 1), colPeakIOPS,
+			shown("linear ref", fi, linear),
+			num("efficiency", ".efficiency", f2, func(r *run) float64 {
+				if linear(r) > 0 {
+					return peakIOPS(r) / linear(r)
+				}
+				return 0
+			}))
+		return nil
+	},
+	notes: []string{"paper: Lunule scales linearly to 16 MDSs (112k req/s), slightly below the ideal line near saturation"},
 }
 
-// runFig13a measures peak throughput as the cluster grows 1..16 MDSs,
-// with the client pool scaled to keep per-MDS demand above capacity.
-func runFig13a(opt Options) (*Result, error) {
-	res := &Result{Table: &metrics.Table{Header: []string{
-		"MDSs", "clients", "peak IOPS", "linear ref", "efficiency",
-	}}}
-	base := 0.0
-	for _, n := range []int{1, 2, 4, 8, 16} {
-		clients := 10 * n
-		c, err := runOne(opt, cluster.Config{
-			MDS:      n,
-			Clients:  clients,
-			Balancer: MakeBalancer("Lunule"),
-			Workload: workload.NewMD(workload.MDConfig{
-				// Floor: the run must span enough epochs for load to
-				// spread across the largest cluster.
-				CreatesPerClient: scaledMin(12000, opt.Scale, 9000),
-			}),
-		})
-		if err != nil {
-			return nil, err
-		}
-		peak := c.Metrics().PeakThroughput(10)
-		if n == 1 {
-			base = peak
-		}
-		linear := base * float64(n)
-		eff := 0.0
-		if linear > 0 {
-			eff = peak / linear
-		}
-		res.Table.Add(fmt.Sprint(n), fmt.Sprint(clients), fi(peak), fi(linear), f2(eff))
-		res.val(fmt.Sprintf("mds%d.peak", n), peak)
-		res.val(fmt.Sprintf("mds%d.efficiency", n), eff)
-	}
-	res.Notes = append(res.Notes,
-		"paper: Lunule scales linearly to 16 MDSs (112k req/s), slightly below the ideal line near saturation")
-	return res, nil
-}
-
-// runFig13b compares peak throughput of the three placement schemes on
-// the Web workload.
-func runFig13b(opt Options) (*Result, error) {
-	res := &Result{Table: &metrics.Table{Header: []string{
-		"balancer", "peak IOPS", "mean IOPS", "JCT p50",
-	}}}
-	for _, b := range []string{"Lunule", "Vanilla", "Dir-Hash"} {
-		c, err := runOne(opt, cluster.Config{
-			Balancer: MakeBalancer(b),
-			Workload: workload.NewWeb(workload.WebConfig{
+// Figure 13(b) compares the three placement schemes on the Web workload.
+var expFig13b = entry{
+	id: "fig13b", title: "Figure 13(b): Lunule vs Vanilla vs Dir-Hash (Web)",
+	scenario: grid([]string{"Web"}, []string{"Lunule", "Vanilla", "Dir-Hash"}, byBalancer, cell{},
+		func(_ string, opt Options) workload.Generator {
+			return workload.NewWeb(workload.WebConfig{
 				// Floors: Dir-Hash's weaknesses (authority-cache misses,
 				// static placement) only bite on a namespace larger than
 				// the client caches, over a long enough run.
 				Files:             scaledMin(12000, opt.Scale, 9000),
 				RequestsPerClient: scaledMin(20000, opt.Scale, 12000),
-			}),
-		})
-		if err != nil {
-			return nil, err
-		}
-		rec := c.Metrics()
-		res.Table.Add(b, fi(rec.PeakThroughput(10)), fi(rec.MeanThroughput()), fi(rec.JCTQuantile(0.5)))
-		res.val(b+".peak", rec.PeakThroughput(10))
-		res.val(b+".mean", rec.MeanThroughput())
-	}
-	if v := res.Values["Dir-Hash.mean"]; v > 0 {
-		res.val("lunule-vs-dirhash", res.Values["Lunule.mean"]/v)
-	}
-	res.Notes = append(res.Notes,
-		"paper: Lunule outperforms Dir-Hash and Vanilla by up to 22.2% on Web")
-	return res, nil
+			})
+		}),
+	cols:   []column[*run]{label("balancer", 1), colPeakIOPS, colMeanIOPS, shown("JCT p50", fi, jct(0.5))},
+	ratios: [][3]string{{"lunule-vs-dirhash", "Lunule.mean", "Dir-Hash.mean"}},
+	notes:  []string{"paper: Lunule outperforms Dir-Hash and Vanilla by up to 22.2% on Web"},
 }
 
-// runFig14 shows why Dir-Hash loses: inodes distribute evenly but
+// pcts renders shares as space-separated percentages.
+func pcts(shares []float64) string {
+	out := make([]string, len(shares))
+	for i, s := range shares {
+		out[i] = pct(s)
+	}
+	return strings.Join(out, " ")
+}
+
+func inodesPerMDS(r *run) []int { return r.Partition().InodesPerMDS(len(r.Servers())) }
+
+// Figure 14 shows why Dir-Hash loses: inodes distribute evenly but
 // requests do not, and path traversal forwards explode.
-func runFig14(opt Options) (*Result, error) {
-	res := &Result{Table: &metrics.Table{Header: []string{
-		"balancer", "inode share per MDS", "request share per MDS", "forwards",
-	}}}
-	fwd := map[string]float64{}
-	for _, b := range []string{"Dir-Hash", "Lunule", "Vanilla"} {
-		c, err := runOne(opt, cluster.Config{
-			Balancer: MakeBalancer(b),
-			Workload: MakeWorkload("Web", opt.Scale),
-		})
-		if err != nil {
-			return nil, err
-		}
-		rec := c.Metrics()
-		inodes := c.Partition().InodesPerMDS(len(c.Servers()))
-		totalIno := 0
-		for _, v := range inodes {
-			totalIno += v
-		}
-		inoShare, reqShare := "", ""
-		for i, v := range inodes {
-			if i > 0 {
-				inoShare += " "
+var expFig14 = entry{
+	id: "fig14", title: "Figure 14: Dir-Hash inode vs request distribution and forwards",
+	scenario: grid([]string{"Web"}, []string{"Dir-Hash", "Lunule", "Vanilla"}, byBalancer, cell{}, paper),
+	cols: []column[*run]{label("balancer", 1),
+		text("inode share per MDS", func(r *run) string {
+			per := inodesPerMDS(r) // every inode has exactly one authority
+			frac := make([]float64, len(per))
+			for i, v := range per {
+				frac[i] = float64(v) / inodes(r)
 			}
-			inoShare += pct(float64(v) / float64(totalIno))
-		}
-		for i, s := range rec.ShareOfRequests() {
-			if i > 0 {
-				reqShare += " "
+			return pcts(frac)
+		}),
+		text("request share per MDS", func(r *run) string { return pcts(shares(r)) }),
+		num("forwards", ".forwards", fi, func(r *run) float64 { return r.Metrics().ForwardsTotal() }),
+		value(".inodeSpread", func(r *run) float64 { // max/min inode share
+			if lo := slices.Min(inodesPerMDS(r)); lo > 0 {
+				return float64(slices.Max(inodesPerMDS(r))) / float64(lo)
 			}
-			reqShare += pct(s)
-		}
-		fwd[b] = rec.ForwardsTotal()
-		res.Table.Add(b, inoShare, reqShare, fi(fwd[b]))
-		res.val(b+".forwards", fwd[b])
-		// Record the max/min inode share spread.
-		minV, maxV := inodes[0], inodes[0]
-		for _, v := range inodes {
-			if v < minV {
-				minV = v
-			}
-			if v > maxV {
-				maxV = v
-			}
-		}
-		if minV > 0 {
-			res.val(b+".inodeSpread", float64(maxV)/float64(minV))
-		}
-	}
-	if fwd["Vanilla"] > 0 {
-		res.val("dirhash-fwd-vs-vanilla", fwd["Dir-Hash"]/fwd["Vanilla"])
-	}
-	res.Notes = append(res.Notes,
-		"paper: Dir-Hash distributes inodes evenly yet leaves requests imbalanced and incurs ~98% more forwards",
-		"the simulated client authority cache makes the forwarding gap larger than the paper's (see EXPERIMENTS.md)")
-	return res, nil
+			return math.NaN()
+		})},
+	ratios: [][3]string{{"dirhash-fwd-vs-vanilla", "Dir-Hash.forwards", "Vanilla.forwards"}},
+	notes: []string{"paper: Dir-Hash distributes inodes evenly yet leaves requests imbalanced and incurs ~98% more forwards",
+		"the simulated client authority cache makes the forwarding gap larger than the paper's (see EXPERIMENTS.md)"},
 }
 
 // Wire sizes in bytes of the control-plane messages §3.4 compares. The
@@ -162,35 +113,43 @@ const (
 	heartbeatPerMDSBytes = 48
 )
 
-// runOverhead reproduces the §3.4 message-cost discussion in closed
-// form: per-epoch bytes for Lunule's centralized N-to-1 exchange (every
-// MDS but the initiator sends it one Imbalance State; a decision
+// The overhead entry reproduces the §3.4 message-cost discussion in
+// closed form: per-epoch bytes for Lunule's centralized N-to-1 exchange
+// (every MDS but the initiator sends it one Imbalance State; a decision
 // message goes back only in epochs that migrate) versus the stock
 // N-to-N heartbeat (every MDS sends every other one its load vector).
-func runOverhead(opt Options) (*Result, error) {
-	res := &Result{Table: &metrics.Table{Header: []string{
-		"cluster", "scheme", "per-MDS out/epoch", "initiator in/epoch", "total bytes/epoch",
-	}}}
-	kb := func(bytes int) float64 { return float64(bytes) / 1024 }
-	for _, n := range []int{5, 16} {
-		lunOut := imbalanceStateBytes
-		lunTotal := (n - 1) * lunOut // all of it inbound at the initiator
-		vanOut := (n - 1) * (envelopeBytes + n*heartbeatPerMDSBytes)
-		vanTotal := n * vanOut // and every MDS receives as much as it sends
-		res.Table.Add(fmt.Sprintf("%d MDS", n), "Lunule (N-to-1)",
-			fmt.Sprintf("%.2f KB", kb(lunOut)),
-			fmt.Sprintf("%.1f KB", kb(lunTotal)),
-			fmt.Sprintf("%.1f KB", kb(lunTotal)))
-		res.Table.Add(fmt.Sprintf("%d MDS", n), "Vanilla (N-to-N)",
-			fmt.Sprintf("%.2f KB", kb(vanOut)),
-			fmt.Sprintf("%.1f KB", kb(vanOut)),
-			fmt.Sprintf("%.1f KB", kb(vanTotal)))
-		res.val(fmt.Sprintf("mds%d.lunule.outKB", n), kb(lunOut))
-		res.val(fmt.Sprintf("mds%d.lunule.initiatorInKB", n), kb(lunTotal))
-		res.val(fmt.Sprintf("mds%d.vanilla.totalKB", n), kb(vanTotal))
-		res.val(fmt.Sprintf("mds%d.lunule.totalKB", n), kb(lunTotal))
-	}
-	res.Notes = append(res.Notes,
-		"paper: each MDS reports ~0.94 KB per epoch; at 16 MDSs the initiator receives ~14.1 KB per epoch")
-	return res, nil
+var expOverhead = entry{
+	id: "overhead", title: "Section 3.4: control-plane message overhead per epoch",
+	report: func(res *Result, _ Options, _ []*run) error {
+		type traffic struct { // KB per epoch
+			n              int
+			scheme, key    string
+			out, in, total float64
+			// The two figures the paper states are recorded as values, for
+			// Lunule only (NaN: no value).
+			outKB, initiatorInKB float64
+		}
+		kb := func(bytes int) float64 { return float64(bytes) / 1024 }
+		var rows []traffic
+		for _, n := range []int{5, 16} {
+			lunOut := imbalanceStateBytes
+			lunTotal := (n - 1) * lunOut // all of it inbound at the initiator
+			vanOut := (n - 1) * (envelopeBytes + n*heartbeatPerMDSBytes)
+			vanTotal := n * vanOut // and every MDS receives as much as it sends
+			rows = append(rows,
+				traffic{n, "Lunule (N-to-1)", "lunule", kb(lunOut), kb(lunTotal), kb(lunTotal), kb(lunOut), kb(lunTotal)},
+				traffic{n, "Vanilla (N-to-N)", "vanilla", kb(vanOut), kb(vanOut), kb(vanTotal), math.NaN(), math.NaN()})
+		}
+		kb1 := func(v float64) string { return f1(v) + " KB" }
+		tabulate(res, rows, func(t traffic) string { return fmt.Sprintf("mds%d.%s", t.n, t.key) },
+			text("cluster", func(t traffic) string { return fmt.Sprintf("%d MDS", t.n) }),
+			text("scheme", func(t traffic) string { return t.scheme }),
+			shown("per-MDS out/epoch", func(v float64) string { return f2(v) + " KB" }, func(t traffic) float64 { return t.out }),
+			shown("initiator in/epoch", kb1, func(t traffic) float64 { return t.in }),
+			num("total bytes/epoch", ".totalKB", kb1, func(t traffic) float64 { return t.total }),
+			value(".outKB", func(t traffic) float64 { return t.outKB }),
+			value(".initiatorInKB", func(t traffic) float64 { return t.initiatorInKB }))
+		return nil
+	},
+	notes: []string{"paper: each MDS reports ~0.94 KB per epoch; at 16 MDSs the initiator receives ~14.1 KB per epoch"},
 }

@@ -24,9 +24,7 @@ type Sweep struct {
 // RunSeeds executes the experiment once per seed (opt.Seed, opt.Seed+1,
 // ...) and aggregates the Values maps.
 func RunSeeds(id string, opt Options, seeds int) (*Sweep, error) {
-	if seeds < 1 {
-		seeds = 1
-	}
+	seeds = max(seeds, 1)
 	opt.defaults()
 	acc := make(map[string][]float64)
 	var last *Result
@@ -42,14 +40,8 @@ func RunSeeds(id string, opt Options, seeds int) (*Sweep, error) {
 		}
 		last = res
 	}
-	sw := &Sweep{
-		ID:    id,
-		Title: last.Title,
-		Seeds: seeds,
-		Mean:  make(map[string]float64, len(acc)),
-		Std:   make(map[string]float64, len(acc)),
-		Last:  last,
-	}
+	sw := &Sweep{ID: id, Title: last.Title, Seeds: seeds, Last: last,
+		Mean: make(map[string]float64, len(acc)), Std: make(map[string]float64, len(acc))}
 	for k, vs := range acc {
 		sw.Mean[k] = stats.Mean(vs)
 		sw.Std[k] = stats.StdDev(vs)

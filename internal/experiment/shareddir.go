@@ -1,54 +1,34 @@
 package experiment
 
-import (
-	"fmt"
+import "repro/internal/workload"
 
-	"repro/internal/cluster"
-	"repro/internal/metrics"
-	"repro/internal/workload"
-)
-
-func init() {
-	register("shareddir", "Extension: shared-directory create storm (the GIGA+ scenario)", runSharedDir)
-}
-
-// runSharedDir stresses the hardest case for subtree-granular
-// balancing: every client creates into one shared directory, so the
-// only way to parallelize is to split that directory's fragments
-// across MDSs. Policies that move whole directories (the heat-based
-// baselines) can only relocate the bottleneck; Lunule's selector
-// splits it.
-func runSharedDir(opt Options) (*Result, error) {
-	res := &Result{Table: &metrics.Table{Header: []string{
-		"balancer", "mean IOPS", "JCT p50", "dirfrag entries", "migrated",
-	}}}
-	for _, b := range []string{"Vanilla", "GreedySpill", "Lunule"} {
-		c, err := runOne(opt, cluster.Config{
-			Balancer: MakeBalancer(b),
-			Workload: workload.NewMDShared(workload.MDSharedConfig{
-				CreatesPerClient: scaledMin(15000, opt.Scale, 10000),
-			}),
-		})
-		if err != nil {
-			return nil, err
-		}
-		rec := c.Metrics()
+// The shareddir experiment stresses the hardest case for
+// subtree-granular balancing: every client creates into one shared
+// directory, so the only way to parallelize is to split that
+// directory's fragments across MDSs. Policies that move whole
+// directories (the heat-based baselines) can only relocate the
+// bottleneck; Lunule's selector splits it.
+var expSharedDir = entry{
+	id: "shareddir", title: "Extension: shared-directory create storm (the GIGA+ scenario)",
+	scenario: grid([]string{"SharedDir"}, []string{"Vanilla", "GreedySpill", "Lunule"}, byBalancer, cell{},
+		func(_ string, opt Options) workload.Generator {
+			return workload.NewMDShared(workload.MDSharedConfig{CreatesPerClient: scaledMin(15000, opt.Scale, 10000)})
+		}),
+	report: func(res *Result, _ Options, rs []*run) error {
 		// Count the fragment entries of the shared dir.
-		shared, err := c.Tree().Lookup("/mdshared/dir")
-		if err != nil {
-			return nil, err
+		frags := make(map[*run]float64, len(rs))
+		for _, r := range rs {
+			shared, err := r.Tree().Lookup("/mdshared/dir")
+			if err != nil {
+				return err
+			}
+			frags[r] = float64(len(r.Partition().EntriesAt(shared.Ino)))
 		}
-		frags := len(c.Partition().EntriesAt(shared.Ino))
-		res.Table.Add(b, fi(rec.MeanThroughput()), fi(rec.JCTQuantile(0.5)),
-			fmt.Sprint(frags), fi(rec.MigratedTotal()))
-		res.val(b+".mean", rec.MeanThroughput())
-		res.val(b+".jct50", rec.JCTQuantile(0.5))
-		res.val(b+".frags", float64(frags))
-	}
-	if v := res.Values["Vanilla.mean"]; v > 0 {
-		res.val("lunule-vs-vanilla", res.Values["Lunule.mean"]/v)
-	}
-	res.Notes = append(res.Notes,
-		"only dirfrag splitting parallelizes a single hot directory; whole-directory policies just relocate it")
-	return res, nil
+		tabulate(res, rs, runKey, label("balancer", 1), colMeanIOPS, colJCT50,
+			num("dirfrag entries", ".frags", fi, func(r *run) float64 { return frags[r] }),
+			shown("migrated", fi, migrated))
+		res.ratio("lunule-vs-vanilla", "Lunule.mean", "Vanilla.mean")
+		return nil
+	},
+	notes: []string{"only dirfrag splitting parallelizes a single hot directory; whole-directory policies just relocate it"},
 }

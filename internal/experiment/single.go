@@ -2,8 +2,8 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
+	"math"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/metrics"
@@ -12,284 +12,173 @@ import (
 	"repro/internal/workload"
 )
 
-func init() {
-	register("table1", "Table 1: workload characteristics (metadata-op ratios)", runTable1)
-	register("fig2", "Figure 2: per-MDS request distribution under the built-in balancer", runFig2)
-	register("fig3", "Figure 3: per-MDS throughput over time (Vanilla, Zipf & CNN)", runFig3)
-	register("fig4", "Figure 4: cumulative migrated inodes (Vanilla, Zipf & CNN)", runFig4)
-	register("fig6", "Figure 6: imbalance factor per workload and balancer", runFig6)
-	register("fig7", "Figure 7: metadata throughput per workload and balancer", runFig7)
-	register("fig8", "Figure 8: end-to-end job completion time with data access", runFig8)
-}
-
-// runTable1 measures each generator's op mix and namespace shape, the
-// reproduction of Table 1.
-func runTable1(opt Options) (*Result, error) {
-	res := &Result{Table: &metrics.Table{Header: []string{
-		"workload", "meta-op ratio", "paper", "files", "dirs", "ops/client",
-	}}}
-	paper := map[string]float64{"CNN": 0.781, "NLP": 0.928, "Web": 0.572, "Zipf": 0.50, "MD": 1.00}
-	for _, name := range WorkloadNames {
-		gen := MakeWorkload(name, opt.Scale)
-		tree := namespace.NewTree()
-		specs, err := gen.Setup(tree, 2, rng.New(opt.Seed))
-		if err != nil {
-			return nil, err
+// Table 1 measures each generator's op mix and namespace shape. No
+// cluster runs: it is a closed form over the generators.
+var expTable1 = entry{
+	id: "table1", title: "Table 1: workload characteristics (metadata-op ratios)",
+	report: func(res *Result, opt Options, _ []*run) error {
+		type shape struct {
+			name               string
+			ratio, paper       float64
+			files, dirs, nMeta int
 		}
-		stats := workload.Measure(specs[0].Stream)
-		files, dirs := 0, 0
-		tree.Walk(func(in *namespace.Inode) bool {
-			if in.IsDir {
-				dirs++
-			} else {
-				files++
-			}
-			return true
-		})
-		res.Table.Add(name, f3(stats.Ratio()), f3(paper[name]),
-			fmt.Sprint(files), fmt.Sprint(dirs), fmt.Sprint(stats.MetaOps))
-		res.val(name+".ratio", stats.Ratio())
-		res.val(name+".paper", paper[name])
-	}
-	res.Notes = append(res.Notes,
-		"ratios are structural properties of the generators and should match the paper within a few percent")
-	return res, nil
-}
-
-// runFig2 reruns the motivation study: the five workloads under the
-// CephFS built-in balancer, reporting each MDS's share of all requests.
-func runFig2(opt Options) (*Result, error) {
-	res := &Result{Table: &metrics.Table{Header: []string{
-		"workload", "MDS-1", "MDS-2", "MDS-3", "MDS-4", "MDS-5", "max/min",
-	}}}
-	for _, name := range WorkloadNames {
-		c, err := runOne(opt, cluster.Config{
-			Balancer: MakeBalancer("Vanilla"),
-			Workload: MakeWorkload(name, opt.Scale),
-		})
-		if err != nil {
-			return nil, err
-		}
-		share := c.Metrics().ShareOfRequests()
-		minS, maxS := share[0], share[0]
-		row := []string{name}
-		for _, s := range share {
-			row = append(row, pct(s))
-			if s < minS {
-				minS = s
-			}
-			if s > maxS {
-				maxS = s
-			}
-		}
-		ratio := 0.0
-		if minS > 0 {
-			ratio = maxS / minS
-		}
-		row = append(row, f1(ratio))
-		res.Table.Add(row...)
-		res.val(name+".maxShare", maxS)
-		res.val(name+".maxMin", ratio)
-	}
-	res.Notes = append(res.Notes,
-		"the paper observes shares as skewed as 90.3% on one MDS (CNN) and max/min ratios of 22-220x")
-	return res, nil
-}
-
-// runFig3 records the per-MDS instantaneous throughput under Vanilla
-// for the two workloads the paper plots.
-func runFig3(opt Options) (*Result, error) {
-	res := &Result{}
-	for _, name := range []string{"Zipf", "CNN"} {
-		c, err := runOne(opt, cluster.Config{
-			Balancer: MakeBalancer("Vanilla"),
-			Workload: MakeWorkload(name, opt.Scale),
-		})
-		if err != nil {
-			return nil, err
-		}
-		rec := c.Metrics()
-		for i, s := range rec.PerMDS {
-			res.Series = append(res.Series, NamedSeries{
-				Name:   fmt.Sprintf("%s MDS-%d IOPS", name, i+1),
-				Points: metrics.FormatSeries(s, 10),
-			})
-			res.val(fmt.Sprintf("%s.mds%d.mean", name, i+1), s.MeanValue())
-		}
-	}
-	res.Notes = append(res.Notes,
-		"the paper's counterpart shows ping-pong load swaps (Zipf) and a single active MDS (CNN)")
-	return res, nil
-}
-
-// runFig4 records the cumulative migrated-inode counts under Vanilla.
-func runFig4(opt Options) (*Result, error) {
-	res := &Result{Table: &metrics.Table{Header: []string{
-		"workload", "migrated inodes", "namespace inodes", "ratio",
-	}}}
-	for _, name := range []string{"Zipf", "CNN"} {
-		c, err := runOne(opt, cluster.Config{
-			Balancer: MakeBalancer("Vanilla"),
-			Workload: MakeWorkload(name, opt.Scale),
-		})
-		if err != nil {
-			return nil, err
-		}
-		rec := c.Metrics()
-		migr := rec.MigratedTotal()
-		total := float64(c.Tree().NumInodes())
-		res.Series = append(res.Series, NamedSeries{
-			Name:   name + " cumulative migrated",
-			Points: metrics.FormatSeries(&rec.Migrated, 10),
-		})
-		res.Table.Add(name, fi(migr), fi(total), f2(migr/total))
-		res.val(name+".migrated", migr)
-		res.val(name+".ratio", migr/total)
-	}
-	res.Notes = append(res.Notes,
-		"Vanilla migrates the namespace repeatedly (ratio >> 1): over-migration and invalid candidate selection")
-	return res, nil
-}
-
-// singleGrid runs the 5-workload x 4-balancer grid and hands each
-// recorder to collect in deterministic (workload, balancer) order.
-// The simulations are independent and individually deterministic, so
-// they fan out across cores; only the collection is serialized.
-func singleGrid(opt Options, collect func(workload, bal string, c *cluster.Cluster)) error {
-	type cell struct {
-		w, b string
-		c    *cluster.Cluster
-		err  error
-	}
-	var cells []*cell
-	for _, w := range WorkloadNames {
-		for _, b := range BalancerNames {
-			cells = append(cells, &cell{w: w, b: b})
-		}
-	}
-	workers := runtime.NumCPU()
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	jobs := make(chan *cell)
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for cl := range jobs {
-				cl.c, cl.err = runOne(opt, cluster.Config{
-					Balancer: MakeBalancer(cl.b),
-					Workload: MakeWorkload(cl.w, opt.Scale),
-				})
-			}
-		}()
-	}
-	for _, cl := range cells {
-		jobs <- cl
-	}
-	close(jobs)
-	wg.Wait()
-	for _, cl := range cells {
-		if cl.err != nil {
-			return cl.err
-		}
-		collect(cl.w, cl.b, cl.c)
-	}
-	return nil
-}
-
-// runFig6 reproduces the imbalance-factor comparison.
-func runFig6(opt Options) (*Result, error) {
-	res := &Result{Table: &metrics.Table{Header: []string{
-		"workload", "balancer", "mean IF", "tail IF", "IF series",
-	}}}
-	err := singleGrid(opt, func(w, b string, c *cluster.Cluster) {
-		rec := c.Metrics()
-		res.Table.Add(w, b, f3(rec.MeanIF()), f3(rec.TailIF(10)),
-			metrics.FormatSeries(&rec.IF, 8))
-		res.val(w+"/"+b+".meanIF", rec.MeanIF())
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Notes = append(res.Notes,
-		"expected shape: GreedySpill worst (IF toward 1), Vanilla poor on the scan workloads (CNN/NLP), Lunule lowest")
-	return res, nil
-}
-
-// runFig7 reproduces the aggregate-throughput comparison.
-func runFig7(opt Options) (*Result, error) {
-	res := &Result{Table: &metrics.Table{Header: []string{
-		"workload", "balancer", "peak IOPS", "mean IOPS", "lat p99.9", "JCT p50", "JCT p99",
-	}}}
-	type key struct{ w, b string }
-	means := map[key]float64{}
-	err := singleGrid(opt, func(w, b string, c *cluster.Cluster) {
-		rec := c.Metrics()
-		jcts := rec.JCTQuantiles(0.5, 0.99) // one sort for both quantiles
-		res.Table.Add(w, b, fi(rec.PeakThroughput(10)), fi(rec.MeanThroughput()),
-			fi(rec.LatencyQuantile(0.999)),
-			fi(jcts[0]), fi(jcts[1]))
-		res.val(w+"/"+b+".peak", rec.PeakThroughput(10))
-		res.val(w+"/"+b+".mean", rec.MeanThroughput())
-		res.val(w+"/"+b+".jct50", jcts[0])
-		res.val(w+"/"+b+".lat999", rec.LatencyQuantile(0.999))
-		means[key{w, b}] = rec.MeanThroughput()
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, w := range WorkloadNames {
-		for _, b := range []string{"Vanilla", "GreedySpill", "Lunule-Light"} {
-			if base := means[key{w, b}]; base > 0 {
-				res.val(w+".lunule-vs-"+b, means[key{w, "Lunule"}]/base)
-			}
-		}
-	}
-	res.Notes = append(res.Notes,
-		"paper: Lunule improves CNN throughput 2.81x over Vanilla, NLP 1.76x, and is at least on par elsewhere")
-	return res, nil
-}
-
-// runFig8 enables the data path and measures end-to-end job completion
-// for the four read workloads (MD excluded, as in the paper).
-func runFig8(opt Options) (*Result, error) {
-	res := &Result{Table: &metrics.Table{Header: []string{
-		"workload", "balancer", "JCT p50", "JCT p99", "speedup p50",
-	}}}
-	for _, w := range []string{"CNN", "NLP", "Zipf", "Web"} {
-		jct := map[string]float64{}
-		for _, b := range []string{"Vanilla", "Lunule"} {
-			c, err := runOne(opt, cluster.Config{
-				Balancer: MakeBalancer(b),
-				Workload: MakeWorkload(w, opt.Scale),
-				DataPath: true,
-				// A data pool sized so the large-file workloads brush
-				// against it once metadata is balanced: the dilution
-				// effect Figure 8 measures.
-				OSDs:         6,
-				OSDBandwidth: 24 << 20,
-			})
+		ratios := map[string]float64{"CNN": 0.781, "NLP": 0.928, "Web": 0.572, "Zipf": 0.50, "MD": 1.00}
+		var shapes []shape
+		for _, name := range WorkloadNames {
+			tree := namespace.NewTree()
+			specs, err := paper(name, opt).Setup(tree, 2, rng.New(opt.Seed))
 			if err != nil {
-				return nil, err
+				return err
 			}
-			rec := c.Metrics()
-			jcts := rec.JCTQuantiles(0.5, 0.99) // one sort for both quantiles
-			jct[b] = jcts[0]
-			speed := ""
-			if b == "Lunule" && jct[b] > 0 {
-				speed = f2(jct["Vanilla"] / jct[b])
-				res.val(w+".speedup", jct["Vanilla"]/jct[b])
-			}
-			res.Table.Add(w, b, fi(jcts[0]), fi(jcts[1]), speed)
-			res.val(w+"/"+b+".jct50", jcts[0])
+			st := workload.Measure(specs[0].Stream)
+			sh := shape{name: name, ratio: st.Ratio(), paper: ratios[name], nMeta: st.MetaOps}
+			tree.Walk(func(in *namespace.Inode) bool {
+				if in.IsDir {
+					sh.dirs++
+				} else {
+					sh.files++
+				}
+				return true
+			})
+			shapes = append(shapes, sh)
 		}
+		tabulate(res, shapes, func(s shape) string { return s.name },
+			text("workload", func(s shape) string { return s.name }),
+			num("meta-op ratio", ".ratio", f3, func(s shape) float64 { return s.ratio }),
+			num("paper", ".paper", f3, func(s shape) float64 { return s.paper }),
+			shown("files", fi, func(s shape) float64 { return float64(s.files) }),
+			shown("dirs", fi, func(s shape) float64 { return float64(s.dirs) }),
+			shown("ops/client", fi, func(s shape) float64 { return float64(s.nMeta) }))
+		return nil
+	},
+	notes: []string{"ratios are structural properties of the generators and should match the paper within a few percent"},
+}
+
+func shares(r *run) []float64 { return r.Metrics().ShareOfRequests() }
+
+// Figure 2 is the motivation study: each MDS's share of all requests
+// under the CephFS built-in balancer.
+var expFig2 = entry{
+	id: "fig2", title: "Figure 2: per-MDS request distribution under the built-in balancer",
+	scenario: grid(WorkloadNames, []string{"Vanilla"}, byWorkload, cell{}, paper),
+	cols:     fig2Cols(),
+	notes:    []string{"the paper observes shares as skewed as 90.3% on one MDS (CNN) and max/min ratios of 22-220x"},
+}
+
+func fig2Cols() []column[*run] {
+	cols := []column[*run]{label("workload", 0)}
+	for i := 0; i < 5; i++ { // the default cluster's five MDSs
+		cols = append(cols, shown(fmt.Sprintf("MDS-%d", i+1), pct, func(r *run) float64 { return shares(r)[i] }))
 	}
-	res.Notes = append(res.Notes,
-		"paper: 18.6-64.6% shorter completion for CNN/NLP/Zipf; Web gains are diluted by the data path")
-	return res, nil
+	return append(cols,
+		num("max/min", ".maxMin", f1, func(r *run) float64 {
+			if lo := slices.Min(shares(r)); lo > 0 {
+				return slices.Max(shares(r)) / lo
+			}
+			return 0
+		}),
+		value(".maxShare", func(r *run) float64 { return slices.Max(shares(r)) }))
+}
+
+// Figures 3 and 4 plot two views of the same two Vanilla runs.
+var vanillaPair = grid([]string{"Zipf", "CNN"}, []string{"Vanilla"}, byWorkload, cell{}, paper)
+
+// Figure 3 records the per-MDS instantaneous throughput under Vanilla
+// for the two workloads the paper plots.
+var expFig3 = entry{
+	id: "fig3", title: "Figure 3: per-MDS throughput over time (Vanilla, Zipf & CNN)",
+	scenario: vanillaPair,
+	report: func(res *Result, _ Options, rs []*run) error {
+		for _, r := range rs {
+			for i, s := range r.Metrics().PerMDS {
+				res.plot(fmt.Sprintf("%s MDS-%d IOPS", r.key, i+1), s, 10)
+				res.val(fmt.Sprintf("%s.mds%d.mean", r.key, i+1), s.MeanValue())
+			}
+		}
+		return nil
+	},
+	notes: []string{"the paper's counterpart shows ping-pong load swaps (Zipf) and a single active MDS (CNN)"},
+}
+
+func inodes(r *run) float64 { return float64(r.Tree().NumInodes()) }
+
+// Figure 4 records the cumulative migrated-inode counts under Vanilla.
+var expFig4 = entry{
+	id: "fig4", title: "Figure 4: cumulative migrated inodes (Vanilla, Zipf & CNN)",
+	scenario: vanillaPair,
+	cols: []column[*run]{label("workload", 0),
+		num("migrated inodes", ".migrated", fi, migrated),
+		shown("namespace inodes", fi, inodes),
+		num("ratio", ".ratio", f2, func(r *run) float64 { return migrated(r) / inodes(r) })},
+	report: func(res *Result, _ Options, rs []*run) error {
+		for _, r := range rs {
+			res.plot(r.key+" cumulative migrated", &r.Metrics().Migrated, 10)
+		}
+		return nil
+	},
+	notes: []string{"Vanilla migrates the namespace repeatedly (ratio >> 1): over-migration and invalid candidate selection"},
+}
+
+// paperGrid is the 5-workload x 4-balancer grid behind Figures 6 and 7.
+var paperGrid = grid(WorkloadNames, BalancerNames, byBoth, cell{}, paper)
+
+// Figure 6 reproduces the imbalance-factor comparison.
+var expFig6 = entry{
+	id: "fig6", title: "Figure 6: imbalance factor per workload and balancer",
+	scenario: paperGrid,
+	cols: []column[*run]{label("workload", 0), label("balancer", 1),
+		num("mean IF", ".meanIF", f3, meanIF),
+		shown("tail IF", f3, func(r *run) float64 { return r.Metrics().TailIF(10) }),
+		text("IF series", func(r *run) string { return metrics.FormatSeries(&r.Metrics().IF, 8) })},
+	notes: []string{"expected shape: GreedySpill worst (IF toward 1), Vanilla poor on the scan workloads (CNN/NLP), Lunule lowest"},
+}
+
+// Figure 7 reproduces the aggregate-throughput comparison.
+var expFig7 = entry{
+	id: "fig7", title: "Figure 7: metadata throughput per workload and balancer",
+	scenario: paperGrid,
+	cols: []column[*run]{label("workload", 0), label("balancer", 1), colPeakIOPS, colMeanIOPS,
+		num("lat p99.9", ".lat999", fi, func(r *run) float64 { return r.Metrics().LatencyQuantile(0.999) }),
+		colJCT50, colJCT99},
+	report: func(res *Result, _ Options, _ []*run) error {
+		for _, w := range WorkloadNames {
+			for _, b := range BalancerNames[:3] { // the three baselines
+				res.ratio(w+".lunule-vs-"+b, w+"/Lunule.mean", w+"/"+b+".mean")
+			}
+		}
+		return nil
+	},
+	notes: []string{"paper: Lunule improves CNN throughput 2.81x over Vanilla, NLP 1.76x, and is at least on par elsewhere"},
+}
+
+// Figure 8 enables the data path and measures end-to-end job completion
+// for the four read workloads (MD excluded, as in the paper). The data
+// pool is sized so the large-file workloads brush against it once
+// metadata is balanced: the dilution effect the figure measures.
+var fig8Workloads = []string{"CNN", "NLP", "Zipf", "Web"}
+
+var expFig8 = entry{
+	id: "fig8", title: "Figure 8: end-to-end job completion time with data access",
+	scenario: grid(fig8Workloads, []string{"Vanilla", "Lunule"}, byBoth,
+		cell{shape: cluster.Config{DataPath: true, OSDs: 6, OSDBandwidth: 24 << 20}}, paper),
+	report: func(res *Result, _ Options, rs []*run) error {
+		base := map[string]float64{} // workload -> Vanilla's JCT p50
+		for _, r := range rs {
+			if r.bal == "Vanilla" {
+				base[r.labels[0]] = jct(0.5)(r)
+			}
+		}
+		tabulate(res, rs, runKey, label("workload", 0), label("balancer", 1), colJCT50, colJCT99,
+			shown("speedup p50", f2, func(r *run) float64 { // only the Lunule rows carry one
+				if own := jct(0.5)(r); r.bal == "Lunule" && own > 0 {
+					return base[r.labels[0]] / own
+				}
+				return math.NaN()
+			}))
+		for _, w := range fig8Workloads {
+			res.ratio(w+".speedup", w+"/Vanilla.jct50", w+"/Lunule.jct50")
+		}
+		return nil
+	},
+	notes: []string{"paper: 18.6-64.6% shorter completion for CNN/NLP/Zipf; Web gains are diluted by the data path"},
 }
