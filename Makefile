@@ -106,14 +106,16 @@ gobench:
 	$(GO) test -bench=. -benchmem ./...
 
 # fuzz smokes each fuzz target for a short budget with the invariant
-# checks (for the event encoder: encoding/json's output) as the oracle
-# (long campaigns: raise FUZZTIME).
+# checks (for the event encoder: encoding/json's output; for the trace
+# parser: error-or-replayable, never a panic) as the oracle (long
+# campaigns: raise FUZZTIME).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzPartitionOps -fuzztime=$(FUZZTIME) ./internal/audit
 	$(GO) test -fuzz=FuzzFragSplitMerge -fuzztime=$(FUZZTIME) ./internal/audit
 	$(GO) test -fuzz=FuzzMigratorLifecycle -fuzztime=$(FUZZTIME) ./internal/audit
 	$(GO) test -fuzz=FuzzAppendJSONValue -fuzztime=$(FUZZTIME) ./internal/obs
+	$(GO) test -fuzz=FuzzParseTrace -fuzztime=$(FUZZTIME) ./internal/workload
 
 # audit runs the audited failover suite (every experiment run carries
 # the state auditor; any invariant violation fails) plus the fuzz smoke.

@@ -92,10 +92,15 @@ func TestBadFlagsFail(t *testing.T) {
 	}
 	// Values that used to panic inside a constructor, or run and print a
 	// silently wrong table: each must exit 1 with an error naming it.
+	sparse := filepath.Join(t.TempDir(), "sparse.trace")
+	if err := os.WriteFile(sparse, []byte("300000000 getattr /a\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		args []string
 		want string // substring of the error line
 	}{
+		{[]string{"-tracefile", sparse}, "no line has client 0"},
 		{[]string{"-workers", "-1"}, "workers"},
 		{[]string{"-mds", "-1"}, "MDS"},
 		{[]string{"-clients", "-3"}, "clients"},

@@ -665,10 +665,11 @@ func (c *Cluster) governing(res *namespace.Resolver, in *namespace.Inode) namesp
 }
 
 // routed is one op's resolution: the entry governing it and the inode
-// it acts on. For a create the target is the probe of (Parent, Name)
-// under hash = HashName(Name) — nil when the name does not exist yet.
-// write and ends are the op's Kind.IsWrite() and endsRun, filled by the
-// sync plan so that a carried resolution is walked without the op.
+// it acts on. A create has no target — whether its name exists is live
+// state, read when the create is served — and carries hash =
+// HashName(Name) instead; every other op has one. write and ends are
+// the op's Kind.IsWrite() and endsRun, filled by the sync plan so that
+// a carried resolution is walked without the op.
 type routed struct {
 	ent    namespace.Entry
 	target *namespace.Inode
@@ -678,29 +679,22 @@ type routed struct {
 }
 
 // resolveOp resolves one op: the governing entry of its target, or, for
-// a create of a not-yet-existing name, the entry that will govern the
-// child once adopted, so the create is routed to the rank that owns its
-// future home. This is the one place a create's directory is probed by
-// name; the serve path is handed the result. Promised (unadopted)
-// inodes never reach the resolver: within a round they are visible only
-// through the owning lane's lookaside map. res is the caller's
+// a create, the entry that governs the name under its parent — the
+// child's own governing entry whether or not it exists yet
+// (Partition.GoverningChildEntry), so a create is routed to the rank
+// that owns its home without reading the directory. res is the caller's
 // resolver: a cohort's own in the parallel plan phase, the cluster's in
 // serial sections.
 func (c *Cluster) resolveOp(res *namespace.Resolver, op *workload.Op) routed {
-	r := routed{target: op.Target}
-	if op.Kind == workload.OpCreate {
-		r.hash = namespace.HashName(op.Name)
-		r.target = op.Parent.ChildHashed(op.Name, r.hash)
-		if r.target == nil {
-			if res != nil {
-				r.ent = res.ChildEntry(op.Parent, r.hash)
-			} else {
-				r.ent = c.part.GoverningChildEntry(op.Parent, r.hash)
-			}
-			return r
-		}
+	if op.Kind != workload.OpCreate {
+		return routed{target: op.Target, ent: c.governing(res, op.Target)}
 	}
-	r.ent = c.governing(res, r.target)
+	r := routed{hash: namespace.HashName(op.Name)}
+	if res != nil {
+		r.ent = res.ChildEntry(op.Parent, r.hash)
+	} else {
+		r.ent = c.part.GoverningChildEntry(op.Parent, r.hash)
+	}
 	return r
 }
 

@@ -99,29 +99,32 @@ const (
 // ops of one client bound for one rank, of which the budget
 // arbitration admitted the prefix adm, in the client's round-th turn
 // of the phase. A sync unit is a planned run (its ops' resolutions
-// start at the head of the client's window when the unit is served); a
-// write-back unit is a journaled batch.
+// start at the head of the client's window when the unit is served;
+// creates marks a run holding a create); a write-back unit is a
+// journaled batch.
 type unit struct {
-	client int32
-	rank   int32
-	n      int32
-	adm    int32
-	round  int32
-	batch  *mds.Batch
+	client  int32
+	rank    int32
+	n       int32
+	adm     int32
+	round   int32
+	creates bool
+	batch   *mds.Batch
 }
 
 // window is one sync client's carried plan: routes[head+k] is the
 // resolution of the client's k-th queued op under partition version
 // ver. A resolution is a pure function of (inode, partition version) —
-// nothing unlinks or renames during a run — so plan resolves an op once
-// and reuses the entry every tick admission refuses the op; what is
-// never carried is everything read from live state (draws, lease
-// routing, rank liveness, budgets) and the probe of a create whose name
-// is still absent (target == nil: re-resolved every phase, so planIno's
-// contract holds). plan writes a client's window (its cohort's
-// subphase); applyRun advances head beside CompleteOp, the only pop in
-// sync mode, from the one lane serving the client that round — the
-// queue's own single-writer argument.
+// for a create, of (parent, name hash, partition version) — and nothing
+// unlinks or renames during a run, so plan resolves an op once and
+// reuses the entry every tick admission refuses the op; what is never
+// carried is everything read from live state (draws, lease routing,
+// rank liveness, budgets, whether a create's name exists). A slot whose
+// entry is the zero Entry (no directory is inode 0) is not resolved
+// yet. plan writes a client's window (its cohort's subphase); applyRun
+// advances head beside CompleteOp, the only pop in sync mode, from the
+// one lane serving the client that round — the queue's own
+// single-writer argument.
 type window struct {
 	ver    uint64
 	head   int32
@@ -151,14 +154,6 @@ type cohort struct {
 	plans []plan
 }
 
-// asideKey files a promised create within a rank lane under its parent
-// and name hash. Equal names share a key; so can unequal ones (the hash
-// is 32 bits), so a hit is confirmed by name — see rankLane.promise.
-type asideKey struct {
-	parent namespace.Ino
-	hash   uint32
-}
-
 // rankLane is one rank's serve-phase shard: lane-local buffers for
 // everything the rank's serving would otherwise write cross-shard.
 type rankLane struct {
@@ -183,8 +178,11 @@ type rankLane struct {
 	creates []*namespace.Inode
 	visits  []*namespace.Inode
 	chain   []namespace.MDSID
-	aside   map[asideKey]*namespace.Inode
-	arena   namespace.InodeArena
+	// arena promises this lane's creates and remembers them until the
+	// barrier; probed is applyRun's scratch: what each admitted create
+	// of the run being served found under its name.
+	arena  namespace.InodeArena
+	probed []*namespace.Inode
 
 	// batchCommits counts group-commit applications this round
 	// (write-back only).
@@ -224,11 +222,6 @@ type engine struct {
 	round       int32
 	budgetSnap  []int32
 	activeRanks []int
-
-	// planIno is Tree.MaxIno() when the current phase was planned. The
-	// tree links inodes only at serial barriers, so while it stands a
-	// plan-time "name absent" is still exact.
-	planIno namespace.Ino
 
 	// The current tick/epoch plus the three fan-out closures, bound
 	// once at construction: handing runParallel a fresh closure every
@@ -295,10 +288,7 @@ func newEngine(c *Cluster, src *rng.Source) *engine {
 func (e *engine) ensure() {
 	nr := len(e.c.servers)
 	for len(e.lanes) < nr {
-		e.lanes = append(e.lanes, &rankLane{
-			rank:  namespace.MDSID(len(e.lanes)),
-			aside: make(map[asideKey]*namespace.Inode),
-		})
+		e.lanes = append(e.lanes, &rankLane{rank: namespace.MDSID(len(e.lanes))})
 		e.byRank = append(e.byRank, nil)
 	}
 	if cap(e.budgetSnap) < nr {
@@ -377,7 +367,6 @@ func (e *engine) serveTick(tick, epoch int64) {
 		}
 
 		for {
-			e.planIno = c.tree.MaxIno()
 			runParallel(e.workers, len(e.cohorts), e.planFn)
 			e.admit(tick)
 			for e.round = 0; e.scheduleRound(); e.round++ {
@@ -566,12 +555,11 @@ func (co *cohort) plan(e *engine, tick int64) {
 				w.routes = append(w.routes, routed{})
 			}
 			r := &w.routes[k]
-			if r.target == nil {
-				// Just drawn, or a create whose name was absent: probe (again).
-				e.route(w.routes, k, co.res, cl)
+			if r.ent.Key.Dir == 0 {
+				e.route(w.routes, k, co.res, cl) // just drawn
 			}
 			rank := int32(r.ent.Auth)
-			if rep := c.rep; rep != nil && rep.LiveLeases() != 0 && !r.write && r.target != nil {
+			if rep := c.rep; rep != nil && rep.LiveLeases() != 0 && !r.write {
 				// A read on a leased subtree may serve at a lease holder
 				// instead of the authority; the run then targets the
 				// holder's rank and budget.
@@ -583,7 +571,9 @@ func (co *cohort) plan(e *engine, tick int64) {
 				co.runs = append(co.runs, unit{client: ci, rank: rank, round: nRuns})
 				nRuns++
 			}
-			co.runs[start+nRuns-1].n++
+			run := &co.runs[start+nRuns-1]
+			run.n++
+			run.creates = run.creates || r.target == nil
 			if r.ends {
 				break
 			}
@@ -820,13 +810,33 @@ func (e *engine) relay(lane *rankLane, target *namespace.Inode) (execStatus, nam
 // applyRun is the sync strategy's per-unit apply: it attempts the run's
 // admitted ops one by one — the queue head against the head of the
 // client's window, its plan-time resolution — popping both together.
+// A run holding creates first probes their names back to back, so the
+// misses into the directories' indexes overlap instead of each waiting
+// behind the previous op's serve. This is the one place a sync create
+// reads its directory; a lane may, because the index is written only at
+// the barrier, which also makes the answers good for the whole round.
 func (e *engine) applyRun(lane *rankLane, auth *mds.Server, cl *client.Client,
 	u *unit, tick, epoch int64) (execStatus, namespace.MDSID) {
 	w := &e.win[u.client]
+	if u.creates {
+		lane.probed = lane.probed[:0]
+		for i := int32(0); i < u.adm; i++ {
+			var found *namespace.Inode
+			if r := &w.routes[w.head+i]; r.target == nil {
+				op := cl.OpAt(int(i))
+				found = op.Parent.ChildHashed(op.Name, r.hash)
+			}
+			lane.probed = append(lane.probed, found)
+		}
+	}
 	for i := int32(0); i < u.adm; i++ {
 		r := &w.routes[w.head]
 		op := cl.OpAt(0)
-		if st, at := e.execOp(lane, auth, cl, op, r, epoch); st != execOK {
+		target := r.target
+		if target == nil {
+			target = lane.probed[i]
+		}
+		if st, at := e.execOp(lane, auth, cl, op, r, target, epoch); st != execOK {
 			return st, at
 		}
 		if lane.tnServed != nil {
@@ -846,28 +856,26 @@ func (e *engine) applyRun(lane *rankLane, auth *mds.Server, cl *client.Client,
 
 // execOp attempts one op against its authoritative rank with every
 // cross-rank write buffered: relay-budget admission reads the
-// round-start snapshot and the charges land at the barrier; creates
-// produce promised inodes adopted at the barrier. r is the op's
-// plan-time resolution; the plan's probe of a create's name is reused.
+// round-start snapshot and the charges land at the barrier. r is the
+// op's plan-time resolution and target the inode it acts on; nil is a
+// create of a name the tree does not hold, which acts on the inode the
+// lane promises for it — the first such create's, when another client
+// promised the name this round — adopted at the barrier.
 func (e *engine) execOp(lane *rankLane, auth *mds.Server, cl *client.Client,
-	op *workload.Op, r *routed, epoch int64) (execStatus, namespace.MDSID) {
-	entry, target := r.ent, r.target
-	if op.Kind == workload.OpCreate && target == nil {
-		if e.c.tree.MaxIno() != e.planIno {
-			// A barrier since the plan adopted something: the name may
-			// have been linked by an earlier round, so probe again.
-			target = op.Parent.ChildHashed(op.Name, r.hash)
+	op *workload.Op, r *routed, target *namespace.Inode, epoch int64) (execStatus, namespace.MDSID) {
+	entry := r.ent
+	if target == nil {
+		in, fresh, err := lane.arena.Promise(op.Parent, op.Name, r.hash, op.Size)
+		if err != nil {
+			// Invalid name: treat as served. No MDS serves the op, so
+			// count it for the auditor's ops-conservation reconciliation.
+			lane.n.racedCreates++
+			return execOK, 0
 		}
-		if target == nil {
-			var err error
-			if target, err = lane.promise(op, r.hash); err != nil {
-				// Invalid name: treat as served. No MDS serves the op,
-				// so count it for the auditor's ops-conservation
-				// reconciliation.
-				lane.n.racedCreates++
-				return execOK, 0
-			}
+		if fresh {
+			lane.creates = append(lane.creates, in)
 		}
+		target = in
 	}
 	if !auth.Up() {
 		return execStallDown, lane.rank
@@ -898,36 +906,6 @@ func (e *engine) execOp(lane *rankLane, auth *mds.Server, cl *client.Client,
 		lane.revokes = append(lane.revokes, entry.Key)
 	}
 	return execOK, 0
-}
-
-// promise returns the inode this lane promised for the create this
-// round, making the promise if it is the first: a name another client
-// already promised acts on that (about-to-exist) inode. The lookaside
-// is keyed by name hash, so a hit under a different name is a 32-bit
-// collision; the round's promises are then scanned instead — slow,
-// never wrong.
-func (lane *rankLane) promise(op *workload.Op, hash uint32) (*namespace.Inode, error) {
-	key := asideKey{op.Parent.Ino, hash}
-	first := lane.aside[key]
-	if first != nil {
-		if first.Name == op.Name {
-			return first, nil
-		}
-		for _, in := range lane.creates {
-			if in.Parent == op.Parent && in.Name == op.Name {
-				return in, nil
-			}
-		}
-	}
-	in, err := lane.arena.NewFileHashed(op.Parent, op.Name, hash, op.Size)
-	if err != nil {
-		return nil, err
-	}
-	if first == nil {
-		lane.aside[key] = in
-	}
-	lane.creates = append(lane.creates, in)
-	return in, nil
 }
 
 // serve records one access on the serving rank (the authority, or a
@@ -974,9 +952,7 @@ func (e *engine) applyLane(lane *rankLane, tick int64) {
 		lane.n.racedCreates++
 	}
 	lane.creates = lane.creates[:0]
-	if len(lane.aside) > 0 {
-		clear(lane.aside)
-	}
+	lane.arena.EndRound()
 	for _, in := range lane.visits {
 		in.MarkVisited()
 	}

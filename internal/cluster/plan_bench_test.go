@@ -14,17 +14,22 @@ import (
 // planned again next tick. ns/planned-op and ns/served-op are whole-Step
 // wall time over the ops the cohort routed and the ops admission let
 // through. NLP issues 14 ops per file (a drawn op mostly shares the
-// previous one's resolution); Zipf draws a different file every op.
-// version-moves carves and absorbs an empty directory every tick, so
-// the partition version never stands and no resolution is carried: the
-// slow side of the carried plan. Medians of five alternating runs at
-// -benchtime 3000x on the 2-vCPU reference host (go1.24.0), change vs
-// parent 42249c9, ns/planned-op (ns/served-op):
+// previous one's resolution); Zipf draws a different file every op;
+// mdtest creates, so its served ops also pay a probe, a promise and an
+// adoption each. version-moves carves and absorbs an empty directory
+// every tick, so the partition version never stands and no resolution
+// is carried: the slow side of the carried plan. Medians of alternating
+// runs (five; mdtest three) at -benchtime 3000x on the 2-vCPU reference
+// host (go1.24.0), change vs parent (42249c9; mdtest 8ac2b83, which
+// probed a carried create's directory again in every plan),
+// ns/planned-op (ns/served-op):
 //
-//	nlp/steady           42.9 (128.8)   122.2 (366.7)
-//	nlp/version-moves    49.2 (147.6)   119.7 (359.0)
-//	zipf/steady          69.9 (209.7)   111.8 (335.5)
-//	zipf/version-moves   95.2 (285.5)   114.7 (344.2)
+//	nlp/steady             42.9 (128.8)   122.2 (366.7)
+//	nlp/version-moves      49.2 (147.6)   119.7 (359.0)
+//	zipf/steady            69.9 (209.7)   111.8 (335.5)
+//	zipf/version-moves     95.2 (285.5)   114.7 (344.2)
+//	mdtest/steady         149.7 (435.1)   218.5 (635.3)
+//	mdtest/version-moves  161.6 (469.9)   229.5 (667.1)
 func BenchmarkPlanSaturated(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
@@ -35,6 +40,8 @@ func BenchmarkPlanSaturated(b *testing.B) {
 		{"nlp/version-moves", planBenchNLP, true},
 		{"zipf/steady", planBenchZipf, false},
 		{"zipf/version-moves", planBenchZipf, true},
+		{"mdtest/steady", planBenchMD, false},
+		{"mdtest/version-moves", planBenchMD, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			var c *Cluster
@@ -76,6 +83,12 @@ func BenchmarkPlanSaturated(b *testing.B) {
 
 func planBenchNLP() workload.Generator {
 	return workload.NewNLP(workload.NLPConfig{FilesPerDir: 1000})
+}
+
+// planBenchMD is 400 ticks of creates a build: the tree stays small
+// enough to rebuild often and large enough that a probe misses cache.
+func planBenchMD() workload.Generator {
+	return workload.NewMD(workload.MDConfig{CreatesPerClient: 20000})
 }
 
 func planBenchZipf() workload.Generator {

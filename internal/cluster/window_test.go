@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/namespace"
 	"repro/internal/obs"
 	"repro/internal/replica"
 	"repro/internal/tenant"
@@ -16,10 +17,11 @@ import (
 
 // checkWindows is the oracle of the carried plan (engine.go, window):
 // after a Step, no sync client's window reaches past its queue, and
-// every entry the next plan would reuse — target != nil, under a window
+// every entry the next plan would reuse — all of them, under a window
 // whose version still stands — equals a fresh, memo-free resolution of
-// the op queued at that position. It returns how many such entries
-// resolve a create (of an existing name).
+// the op queued at that position (for a create: the entry and hash of
+// its name, no target). It returns how many such entries resolve a
+// create.
 func checkWindows(t *testing.T, c *Cluster) (creates int) {
 	t.Helper()
 	e := c.engine
@@ -34,18 +36,15 @@ func checkWindows(t *testing.T, c *Cluster) (creates int) {
 		}
 		for k := 0; k < n; k++ {
 			r, op := w.routes[int(w.head)+k], cl.OpAt(k)
-			if r.target == nil {
-				if op.Kind != workload.OpCreate {
-					t.Fatalf("tick %d client %d op %d: %v carried without a target", c.tick, ci, k, op.Kind)
-				}
-				continue // an absent name: probed again every phase, never reused
-			}
 			want := c.resolveOp(nil, op)
 			want.write, want.ends = op.Kind.IsWrite(), e.endsRun(cl, op)
 			if r != want {
 				t.Fatalf("tick %d client %d op %d (%v): carried %+v, fresh %+v", c.tick, ci, k, op.Kind, r, want)
 			}
 			if op.Kind == workload.OpCreate {
+				if r.target != nil {
+					t.Fatalf("tick %d client %d op %d: create carried with a target", c.tick, ci, k)
+				}
 				creates++
 			}
 		}
@@ -55,12 +54,11 @@ func checkWindows(t *testing.T, c *Cluster) (creates int) {
 
 // carriedStats is what a carriedRun saw of the mechanism: stall notes;
 // entries that stood in a window whose version the next tick's plan
-// still found (reused, not resolved), existing-name creates and
-// run-ending ops among the standing entries, create entries left
-// unresolved (absent names); and the scenario's own activity.
+// still found (reused, not resolved), creates and run-ending ops among
+// the standing entries; and the scenario's own activity.
 type carriedStats struct {
 	stalls                    int64
-	carried, creates, absent  int
+	carried, creates          int
 	versions, ends, ticksRun  int
 	migrated, entries, leases int64
 }
@@ -84,12 +82,7 @@ func carriedRun(t *testing.T, workers int, disable bool, scenario func(*Config) 
 	for c.tick < 3000 && !c.Done() {
 		for ci := range c.clients {
 			w := &e.win[ci]
-			left[ci], vers[ci] = 0, w.ver
-			for _, r := range w.routes[w.head:] {
-				if r.target != nil {
-					left[ci]++
-				}
-			}
+			left[ci], vers[ci] = len(w.routes)-int(w.head), w.ver
 		}
 		ver := c.part.Version()
 		c.Step()
@@ -104,9 +97,6 @@ func carriedRun(t *testing.T, workers int, disable bool, scenario func(*Config) 
 				st.carried += left[ci]
 			}
 			for _, r := range w.routes[w.head:] {
-				if r.target == nil {
-					st.absent++
-				}
 				if r.ends {
 					st.ends++
 				}
@@ -226,7 +216,7 @@ var carriedScenarios = []struct {
 		pol.Rate, pol.Burst = 300, 600
 		cfg.Tenancy = tenant.MustManager(pol)
 		return nil
-	}, nil},
+	}, carriesCreates},
 	{"datapath", "a56875b768b47fc9f91578b0516a1870b8fb94040b97ad0edbfd94602480957f", func(cfg *Config) func(*Cluster) {
 		// Every open moves data and ends its run.
 		cfg.MDS, cfg.Clients, cfg.Seed, cfg.Capacity = 3, 12, 11, 8
@@ -251,13 +241,16 @@ var carriedScenarios = []struct {
 		after := dupCreateScenario(nil)(cfg)
 		cfg.Capacity = 40
 		return after
-	}, func(t *testing.T, st carriedStats) {
-		// A name the other client created first is carried; a name
-		// still absent stays unresolved in the window.
-		if st.creates == 0 || st.absent == 0 {
-			t.Errorf("existing-name creates carried %d, absent-name entries %d: want both", st.creates, st.absent)
-		}
-	}},
+	}, carriesCreates},
+}
+
+// carriesCreates asserts that creates stood in carried windows: of
+// names that exist and of names that do not alike, since where a create
+// is routed does not depend on it.
+func carriesCreates(t *testing.T, st carriedStats) {
+	if st.creates == 0 {
+		t.Errorf("no create was carried: %+v", st)
+	}
 }
 
 // TestCarriedPlanMatchesFresh is the contract of the carried plan: every
@@ -284,5 +277,56 @@ func TestCarriedPlanMatchesFresh(t *testing.T) {
 				diffEngineOutputs(t, fmt.Sprintf("%s carried (workers=%d) vs resolve cache disabled", sc.name, workers), fresh, got)
 			}
 		})
+	}
+}
+
+// TestCarriedCreateRoutedOnce: a create admission refused is planned
+// next tick from its window slot, not resolved again — so over a run
+// with a standing partition version, route is called once per op drawn.
+// Every carried create's slot is marked with a hash no resolution
+// produces; one plan later the marks must all stand, beside freshly
+// drawn ops that were routed.
+func TestCarriedCreateRoutedOnce(t *testing.T) {
+	c := newTestCluster(t, Config{MDS: 1, Clients: 8, Capacity: 400, Seed: 42,
+		Workload: workload.NewMD(workload.MDConfig{CreatesPerClient: 20000})})
+	c.Run(20) // saturated: each client is cut every tick
+	e := c.engine
+	co := e.cohorts[0]
+	standing := make([]int, len(c.clients))
+	marked := 0
+	for ci := range c.clients {
+		w := &e.win[ci]
+		if w.ver != c.part.Version() {
+			t.Fatalf("client %d: the partition version moved; nothing is carried", ci)
+		}
+		standing[ci] = len(w.routes) - int(w.head)
+		for k := range w.routes[w.head:] {
+			if r := &w.routes[int(w.head)+k]; r.target == nil {
+				r.hash ^= 1
+				marked++
+			}
+		}
+		e.credit[ci] = 150
+	}
+	co.active = append(co.active[:0], co.members...)
+	co.plan(e, c.tick)
+	planned := 0
+	for _, u := range co.runs {
+		planned += int(u.n)
+	}
+	for ci, cl := range c.clients {
+		for k, r := range e.win[ci].routes {
+			op := cl.OpAt(k)
+			if op.Kind != workload.OpCreate {
+				continue
+			}
+			carried, resolved := k < standing[ci], r.hash == namespace.HashName(op.Name)
+			if carried == resolved {
+				t.Fatalf("client %d op %d: carried %v, resolved by this plan %v", ci, k, carried, resolved)
+			}
+		}
+	}
+	if marked == 0 || planned <= marked {
+		t.Fatalf("%d carried creates, %d ops planned: want some carried and some drawn", marked, planned)
 	}
 }

@@ -1,20 +1,51 @@
 package namespace
 
-import "strings"
-
 // InodeArena allocates promised inodes for deferred adoption. The
 // parallel engine's rank lanes create files concurrently, but inode
 // numbers come from the tree's single monotonic counter and linking
 // mutates shared parent state, so creation is split in two: a lane
-// calls NewFile to get a fully usable file inode that is not yet in
-// the tree (Ino 0, unlinked), serves ops against it, and the engine
-// adopts it into the tree at the next serial barrier (Tree.AdoptOrExisting).
-// Each lane owns one arena, so slab carving needs no locking; like the
-// tree's own slab, chunked allocation amortizes to ~one allocation per
+// promises a fully usable file inode that is not yet in the tree (Ino
+// 0, unlinked), serves ops against it, and the engine adopts it into
+// the tree at the next serial barrier (Tree.AdoptOrExisting). Each lane
+// owns one arena, so slab carving needs no locking; like the tree's own
+// slab, chunked allocation amortizes to ~one allocation per
 // inodeSlabSize creates on the steady-state path.
+//
+// Between two barriers — a round — the arena is also the lane's view of
+// what is about to exist: Promise remembers the round's promises by
+// (parent, name), EndRound forgets them. The memory is an open-addressed
+// table indexed by the name hash the caller routed the create with
+// (mixed with the parent, so one name under many directories spreads),
+// at most half full; a slot is live while its stamp is the current
+// round's, so forgetting a round is one increment.
 type InodeArena struct {
 	slab []Inode
+
+	slots []promiseSlot // power-of-two sized, or nil before the first promise
+	round uint32
+	live  int // promises made this round
 }
+
+// promiseSlot holds a promise of the round it is stamped with; in is
+// nil in a slot never written.
+type promiseSlot struct {
+	round uint32
+	in    *Inode
+}
+
+// holds reports whether the slot is a promise of the current round.
+func (a *InodeArena) holds(s *promiseSlot) bool {
+	return s.in != nil && s.round == a.round
+}
+
+// promiseHome is where (parent, hash)'s probe sequence starts, before
+// masking to the table size.
+func promiseHome(parent *Inode, hash uint32) uint32 {
+	return hash ^ uint32(parent.Ino)*0x9e3779b1
+}
+
+// minPromiseSlots is the table size an arena's first promise allocates.
+const minPromiseSlots = 1024
 
 // NewFile returns a promised file inode under parent: named, parented,
 // and sized, but with Ino 0 and not linked into the tree. The caller
@@ -22,21 +53,18 @@ type InodeArena struct {
 // by another lane; name validity is checked here exactly as the tree's
 // own create path does. The inode supports everything the serve path
 // needs (Parent chain, name hash, heat tracking); it must be adopted
-// before the namespace is read again.
+// before the namespace is read again. NewFile remembers nothing: two
+// calls for one name return two inodes, and adoption keeps the first.
 func (a *InodeArena) NewFile(parent *Inode, name string, size int64) (*Inode, error) {
-	return a.NewFileHashed(parent, name, HashName(name), size)
+	if err := checkChild(parent, name); err != nil {
+		return nil, err
+	}
+	return a.carve(parent, name, HashName(name), size), nil
 }
 
-// NewFileHashed is NewFile for a caller that already holds
-// HashName(name) — the engine's plan phase computed it to route the
-// create — so a create hashes its name once.
-func (a *InodeArena) NewFileHashed(parent *Inode, name string, hash uint32, size int64) (*Inode, error) {
-	if parent == nil || !parent.IsDir {
-		return nil, ErrNotDir
-	}
-	if name == "" || strings.ContainsRune(name, '/') {
-		return nil, ErrBadName
-	}
+// carve takes the next slab inode for a file whose (parent, name)
+// passed checkChild.
+func (a *InodeArena) carve(parent *Inode, name string, hash uint32, size int64) *Inode {
 	if len(a.slab) == 0 {
 		a.slab = make([]Inode, inodeSlabSize)
 	}
@@ -48,7 +76,62 @@ func (a *InodeArena) NewFileHashed(parent *Inode, name string, hash uint32, size
 		Size:     size,
 		nameHash: hash,
 	}
-	return in, nil
+	return in
+}
+
+// Promise returns the inode this arena promised for (parent, name) this
+// round, making the promise — as NewFile does, errors included — when
+// it is the first: a name another client already promised acts on that
+// about-to-exist inode. fresh reports that this call made the promise;
+// the caller owes the tree one adoption per fresh promise. hash must be
+// HashName(name), which the caller holds from routing the create. Names
+// sharing a hash (it is 32 bits) or a table position probe linearly; a
+// hit is confirmed by parent and name.
+func (a *InodeArena) Promise(parent *Inode, name string, hash uint32, size int64) (in *Inode, fresh bool, err error) {
+	if err = checkChild(parent, name); err != nil {
+		return nil, false, err
+	}
+	if 2*(a.live+1) > len(a.slots) {
+		a.growPromises()
+	}
+	mask := uint32(len(a.slots) - 1)
+	i := promiseHome(parent, hash) & mask
+	for ; a.holds(&a.slots[i]); i = (i + 1) & mask {
+		if p := a.slots[i].in; p.nameHash == hash && p.Parent == parent && p.Name == name {
+			return p, false, nil
+		}
+	}
+	in = a.carve(parent, name, hash, size)
+	a.slots[i] = promiseSlot{a.round, in}
+	a.live++
+	return in, true, nil
+}
+
+// growPromises doubles the table (or makes the first one), carrying
+// over the round's live promises.
+func (a *InodeArena) growPromises() {
+	old := a.slots
+	a.slots = make([]promiseSlot, max(2*len(old), minPromiseSlots))
+	mask := uint32(len(a.slots) - 1)
+	for _, s := range old {
+		if a.holds(&s) {
+			i := promiseHome(s.in.Parent, s.in.nameHash) & mask
+			for a.slots[i].in != nil {
+				i = (i + 1) & mask
+			}
+			a.slots[i] = s
+		}
+	}
+}
+
+// EndRound forgets the round's promises; the inodes themselves belong
+// to whoever adopts them. When the stamp wraps, slots written 2^32
+// rounds ago would read as live again, so the table is wiped.
+func (a *InodeArena) EndRound() {
+	a.live = 0
+	if a.round++; a.round == 0 {
+		clear(a.slots)
+	}
 }
 
 // Adopt links a promised inode (from InodeArena.NewFile) into the
@@ -79,7 +162,7 @@ func (t *Tree) AdoptOrExisting(in *Inode) (linked *Inode, adopted bool) {
 	}
 	in.Ino = t.nextIn
 	t.nextIn++
-	t.byIno = append(t.byIno, in)
+	t.register(in)
 	files := in.SubtreeFiles()
 	for a := in.Parent; a != nil; a = a.Parent {
 		a.dir.subInodes++

@@ -224,18 +224,25 @@ func (in *Inode) IsAncestorOf(other *Inode) bool {
 // would otherwise pay for every new inode.
 const inodeSlabSize = 1024
 
+// inoBlock is how many inode numbers one registry block covers: 128 KB
+// of slots, so even the create benchmark's 7 k creates a tick open less
+// than one block a tick.
+const inoBlock = 16384
+
 // Tree is the namespace: a rooted inode hierarchy with an inode-number
 // registry. Tree is not safe for concurrent mutation; the simulator is
 // single-threaded per cluster by design (determinism).
 //
 // Inode numbers are dense (assigned sequentially from RootIno and never
-// reused), so the registry is a flat slice indexed by Ino, and inodes
-// are handed out from slab chunks rather than allocated individually.
-// A removed inode's slab slot is not recycled — acceptable for a
-// simulator where removes are rare and runs are bounded.
+// reused), so the registry is a list of fixed-size blocks indexed by
+// Ino — a create never copies what earlier creates registered — and
+// inodes are handed out from slab chunks rather than allocated
+// individually. A removed inode's slab slot is not recycled —
+// acceptable for a simulator where removes are rare and runs are
+// bounded.
 type Tree struct {
 	root    *Inode
-	byIno   []*Inode // indexed by Ino; nil for removed inodes
+	byIno   []*[inoBlock]*Inode // byIno[ino/inoBlock][ino%inoBlock]; nil for removed inodes
 	nextIn  Ino
 	numDirs uint32  // directories ever created; the next Inode.DirNum
 	slab    []Inode // current slab chunk; alloc() carves from the front
@@ -253,8 +260,7 @@ func NewTree() *Tree {
 		nameHash: HashName(""),
 	}
 	t.root = root
-	t.byIno = make([]*Inode, RootIno+1, inodeSlabSize)
-	t.byIno[RootIno] = root
+	t.register(root)
 	return t
 }
 
@@ -273,10 +279,19 @@ func (t *Tree) Root() *Inode { return t.root }
 
 // Get returns the inode with the given number, or nil.
 func (t *Tree) Get(ino Ino) *Inode {
-	if ino >= Ino(len(t.byIno)) {
+	if ino/inoBlock >= Ino(len(t.byIno)) {
 		return nil
 	}
-	return t.byIno[ino]
+	return t.byIno[ino/inoBlock][ino%inoBlock]
+}
+
+// register files a numbered inode in the registry, opening a block
+// when its number is the first past the last one.
+func (t *Tree) register(in *Inode) {
+	if in.Ino/inoBlock == Ino(len(t.byIno)) {
+		t.byIno = append(t.byIno, new([inoBlock]*Inode))
+	}
+	t.byIno[in.Ino/inoBlock][in.Ino%inoBlock] = in
 }
 
 // NumInodes returns the total number of inodes in the tree.
@@ -286,14 +301,23 @@ func (t *Tree) NumInodes() int { return t.root.dir.subInodes }
 // are dense and start at RootIno, so [RootIno, MaxIno] spans every
 // inode that exists or existed). The state auditor uses it to sample
 // inodes by stride without walking the tree.
-func (t *Tree) MaxIno() Ino { return Ino(len(t.byIno)) - 1 }
+func (t *Tree) MaxIno() Ino { return t.nextIn - 1 }
 
-func (t *Tree) attach(parent *Inode, name string, isDir bool, size int64) (*Inode, error) {
+// checkChild reports why name cannot be created under parent, leaving
+// aside whether it already exists: the check every create path shares.
+func checkChild(parent *Inode, name string) error {
 	if parent == nil || !parent.IsDir {
-		return nil, ErrNotDir
+		return ErrNotDir
 	}
 	if name == "" || strings.ContainsRune(name, '/') {
-		return nil, ErrBadName
+		return ErrBadName
+	}
+	return nil
+}
+
+func (t *Tree) attach(parent *Inode, name string, isDir bool, size int64) (*Inode, error) {
+	if err := checkChild(parent, name); err != nil {
+		return nil, err
 	}
 	hash := HashName(name)
 	if parent.ChildHashed(name, hash) != nil {
@@ -377,7 +401,7 @@ func (t *Tree) Remove(in *Inode) error {
 		}
 	}
 	p.reindex() // every later sibling's position moved
-	t.byIno[in.Ino] = nil
+	t.byIno[in.Ino/inoBlock][in.Ino%inoBlock] = nil
 	files, vDesc, vFiles := in.SubtreeFiles(), in.VisitedDesc(), in.VisitedFiles()
 	for a := in.Parent; a != nil; a = a.Parent {
 		a.dir.subInodes--

@@ -42,12 +42,14 @@ type TraceFile struct {
 }
 
 // ParseTrace reads a trace. It returns an error with line context for
-// malformed input.
+// malformed input, which includes client ids that are not dense: every
+// id in [0, max] must issue an op, so a trace defines no more clients
+// than it has lines (a cluster allocates per client).
 func ParseTrace(r io.Reader) (*TraceFile, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	tf := &TraceFile{}
-	lineNo := 0
+	lineNo, maxLine := 0, 0
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -79,7 +81,7 @@ func ParseTrace(r io.Reader) (*TraceFile, error) {
 		}
 		tf.ops = append(tf.ops, parsedOp{client: client, kind: kind, path: path, data: data})
 		if client+1 > tf.clients {
-			tf.clients = client + 1
+			tf.clients, maxLine = client+1, lineNo
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -87,6 +89,20 @@ func ParseTrace(r io.Reader) (*TraceFile, error) {
 	}
 	if len(tf.ops) == 0 {
 		return nil, fmt.Errorf("workload: trace contains no operations")
+	}
+	// n ops name at most n ids, so the first id without an op is at most
+	// n: marking ids up to there finds it without allocating per id.
+	seen := make([]bool, min(tf.clients, len(tf.ops)+1))
+	for _, op := range tf.ops {
+		if op.client < len(seen) {
+			seen[op.client] = true
+		}
+	}
+	for id, ok := range seen {
+		if !ok {
+			return nil, fmt.Errorf("workload: trace line %d: client %d, but no line has client %d: client ids must be dense from 0",
+				maxLine, tf.clients-1, id)
+		}
 	}
 	return tf, nil
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -58,19 +59,29 @@ func TestParseTraceBasics(t *testing.T) {
 	}
 }
 
+// traceErrorCases are traces ParseTrace must reject.
+var traceErrorCases = []string{
+	"",                       // empty
+	"0 lookup",               // too few fields
+	"x lookup /a",            // bad client
+	"0 frobnicate /a",        // unknown op
+	"0 lookup relative/path", // not absolute
+	"0 open /a notanumber",   // bad size
+	"300000000 getattr /a",   // one op, 300 M clients
+	"0 getattr /a\n3 getattr /b\n1 getattr /c\n", // client 2 has no op
+}
+
 func TestParseTraceErrors(t *testing.T) {
-	cases := []string{
-		"",                       // empty
-		"0 lookup",               // too few fields
-		"x lookup /a",            // bad client
-		"0 frobnicate /a",        // unknown op
-		"0 lookup relative/path", // not absolute
-		"0 open /a notanumber",   // bad size
-	}
-	for _, c := range cases {
+	for _, c := range traceErrorCases {
 		if _, err := ParseTrace(strings.NewReader(c)); err == nil {
 			t.Fatalf("trace %q should fail to parse", c)
 		}
+	}
+	// A gap in the client ids names the first id missing and the line
+	// that claimed the highest.
+	_, err := ParseTrace(strings.NewReader("0 getattr /a\n3 getattr /b\n1 getattr /c\n"))
+	if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "no line has client 2") {
+		t.Fatalf("sparse client ids: got %v, want line 2 and missing client 2 named", err)
 	}
 }
 
@@ -176,4 +187,41 @@ func TestTraceCreateRoundTrip(t *testing.T) {
 	if total != 50 {
 		t.Fatalf("replayed %d creates, want 50", total)
 	}
+}
+
+// FuzzParseTrace feeds ParseTrace arbitrary bytes: it must error or
+// return a trace that Setup accepts or rejects — never panics on — and
+// whose streams then drain.
+func FuzzParseTrace(f *testing.F) {
+	f.Add([]byte(sampleTrace))
+	// The shape of the cluster tests' createTrace: stats between creates
+	// of fresh names and of names a later getattr makes Setup pre-create.
+	f.Add([]byte("0 getattr /tr/c0/base 0\n0 create /tr/c0/new0 0\n0 open /tr/c0/base 64\n" +
+		"1 create /tr/c1/old0 0\n1 getattr /tr/c1/old0 0\n"))
+	for _, c := range traceErrorCases {
+		f.Add([]byte(c))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tf, err := ParseTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if tf.Clients() < 1 || tf.Clients() > len(data) {
+			t.Fatalf("%d clients from %d bytes", tf.Clients(), len(data))
+		}
+		specs, err := tf.Setup(namespace.NewTree(), tf.Clients(), rng.New(1))
+		if err != nil {
+			return
+		}
+		for _, sp := range specs {
+			for n := 0; ; n++ {
+				if _, ok := sp.Stream.Next(); !ok {
+					break
+				}
+				if n > len(data) {
+					t.Fatal("a stream yields more ops than the trace has bytes")
+				}
+			}
+		}
+	})
 }
