@@ -98,11 +98,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	ids, err := parseIDs(*exp)
+	if err == nil {
+		err = experiment.CheckScale(*scale)
+	}
 	switch {
 	case err != nil:
 		return fail(err)
-	case !(*scale > 0):
-		return fail(fmt.Errorf("-scale must be > 0, got %v", *scale))
 	case *ticks < 0:
 		return fail(fmt.Errorf("-maxticks must be >= 0, got %d", *ticks))
 	case *seeds < 1:

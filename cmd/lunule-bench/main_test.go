@@ -26,6 +26,9 @@ func TestBadFlagsFail(t *testing.T) {
 		{[]string{"-exp", "overhead,nope", "-md", md}, `-exp "nope"`},
 		{[]string{"-exp", "overhead", "-scale", "-1"}, "-scale"},
 		{[]string{"-exp", "overhead", "-scale", "0"}, "-scale"},
+		{[]string{"-exp", "fig6", "-scale", "Inf"}, "-scale"},
+		{[]string{"-exp", "fig6", "-scale", "NaN"}, "-scale"},
+		{[]string{"-exp", "fig6", "-scale", "1e300"}, "-scale"},
 		{[]string{"-exp", "overhead", "-maxticks", "-5"}, "-maxticks"},
 		{[]string{"-exp", "overhead", "-seeds", "-3"}, "-seeds"},
 		{[]string{"-exp", "overhead", "-seeds", "0"}, "-seeds"},

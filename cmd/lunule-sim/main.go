@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -114,8 +115,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := experiment.Known("balancer", balName, experiment.BalancerNames, "Dir-Hash"); err != nil {
 		return fail(err)
 	}
-	if !(*scale > 0) {
-		return fail(fmt.Errorf("-scale must be > 0, got %v", *scale))
+	if err := experiment.CheckScale(*scale); err != nil {
+		return fail(err)
 	}
 	var gen workload.Generator
 	nClients := *clients
@@ -479,6 +480,14 @@ func buildFaults(crashes, recovers string, mtbf, mttr float64, mdsN int, horizon
 		return nil, err
 	}
 	sched.Merge(recs)
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"mtbf", mtbf}, {"mttr", mttr}} {
+		if !(math.Abs(f.v) <= math.MaxFloat64) {
+			return nil, fmt.Errorf("-%s must be finite, got %v", f.name, f.v)
+		}
+	}
 	if mtbf > 0 {
 		sched.Merge(fault.MTBF(fault.MTBFConfig{
 			Ranks:   mdsN,

@@ -107,6 +107,17 @@ func TestBadFlagsFail(t *testing.T) {
 		{[]string{"-capacity", "-5"}, "capacity"},
 		{[]string{"-rate", "-1"}, "rate"},
 		{[]string{"-scale", "-1"}, "scale"},
+		{[]string{"-scale", "Inf"}, "-scale"},
+		{[]string{"-scale", "NaN"}, "-scale"},
+		{[]string{"-scale", "1e300"}, "-scale"},
+		{[]string{"-rate", "Inf"}, "rate"},
+		{[]string{"-replicate-read-frac", "NaN", "-lease-ticks", "10", "-replication", "2"}, "ReplicateReadFrac"},
+		{[]string{"-elastic", "-elastic-up", "NaN"}, "ScaleUpUtil"},
+		{[]string{"-elastic", "-elastic-down", "NaN"}, "ScaleDownUtil"},
+		{[]string{"-tenants", "4", "-tenant-skew", "NaN"}, "skew"},
+		{[]string{"-tenants", "4", "-tenant-skew", "Inf"}, "skew"},
+		{[]string{"-mtbf", "Inf"}, "-mtbf"},
+		{[]string{"-mtbf", "100", "-mttr", "NaN"}, "-mttr"},
 		{[]string{"-workload", "nope"}, "nope"},
 		{[]string{"-balancer", "nope"}, "nope"},
 		{[]string{"-replication", "2", "-recoveryticks", "1"}, "PromoteTicks"},

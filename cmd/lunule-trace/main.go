@@ -55,8 +55,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := experiment.Known("workload", name, experiment.WorkloadNames, "Mixed"); err != nil {
 		return fail(err)
 	}
-	if !(*scale > 0) {
-		return fail(fmt.Errorf("-scale must be > 0, got %v", *scale))
+	if err := experiment.CheckScale(*scale); err != nil {
+		return fail(err)
 	}
 	for _, f := range []struct {
 		name string

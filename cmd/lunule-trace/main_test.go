@@ -19,6 +19,9 @@ func TestBadFlagsFail(t *testing.T) {
 		{[]string{"-workload", "bogus"}, "bogus"},
 		{[]string{"-scale", "-1"}, "scale"},
 		{[]string{"-scale", "0"}, "scale"},
+		{[]string{"-scale", "Inf"}, "-scale"},
+		{[]string{"-scale", "NaN"}, "-scale"},
+		{[]string{"-scale", "1e300"}, "-scale"},
 		{[]string{"-clients", "0"}, "clients"},
 		{[]string{"-windowops", "0"}, "windowops"},
 		{[]string{"-windows", "-2"}, "windows"},

@@ -9,6 +9,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/audit"
 	"repro/internal/balancer"
@@ -202,8 +203,8 @@ func (c *Config) validate() error {
 		return fmt.Errorf("cluster: epoch ticks must be >= 1, got %d", c.EpochTicks)
 	case c.Clients < 1:
 		return fmt.Errorf("cluster: clients must be >= 1, got %d", c.Clients)
-	case !(c.ClientRate > 0):
-		return fmt.Errorf("cluster: client rate must be > 0, got %v", c.ClientRate)
+	case !(0 < c.ClientRate && c.ClientRate <= math.MaxFloat64):
+		return fmt.Errorf("cluster: client rate must be finite and > 0, got %v", c.ClientRate)
 	case c.OSDs < 1 || c.OSDBandwidth < 1:
 		return fmt.Errorf("cluster: data path needs OSDs >= 1 and bandwidth >= 1, got %d and %d",
 			c.OSDs, c.OSDBandwidth)

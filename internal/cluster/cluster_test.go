@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -60,6 +61,8 @@ func TestConfigValidation(t *testing.T) {
 		{"negative epoch", func(c *Config) { c.EpochTicks = -1 }, "epoch"},
 		{"negative clients", func(c *Config) { c.Clients = -3 }, "clients"},
 		{"negative rate", func(c *Config) { c.ClientRate = -1 }, "rate"},
+		{"infinite rate", func(c *Config) { c.ClientRate = math.Inf(1) }, "rate"},
+		{"NaN rate", func(c *Config) { c.ClientRate = math.NaN() }, "rate"},
 		{"negative OSDs", func(c *Config) { c.OSDs = -1 }, "OSDs"},
 		{"promotion after takeover", func(c *Config) {
 			c.RecoveryTicks = 2

@@ -93,10 +93,10 @@ func (p Policy) Validate() error {
 	if p.MaxRanks < p.MinRanks {
 		return fmt.Errorf("elastic: MaxRanks %d < MinRanks %d", p.MaxRanks, p.MinRanks)
 	}
-	if p.ScaleUpUtil <= 0 || p.ScaleUpUtil > 1.5 {
+	if !(0 < p.ScaleUpUtil && p.ScaleUpUtil <= 1.5) {
 		return fmt.Errorf("elastic: ScaleUpUtil %g outside (0, 1.5]", p.ScaleUpUtil)
 	}
-	if p.ScaleDownUtil < 0 || p.ScaleDownUtil >= p.ScaleUpUtil {
+	if !(0 <= p.ScaleDownUtil && p.ScaleDownUtil < p.ScaleUpUtil) {
 		return fmt.Errorf("elastic: ScaleDownUtil %g outside [0, ScaleUpUtil %g)",
 			p.ScaleDownUtil, p.ScaleUpUtil)
 	}

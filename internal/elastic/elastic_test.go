@@ -1,6 +1,9 @@
 package elastic
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func testPolicy() Policy {
 	return Policy{
@@ -33,6 +36,8 @@ func TestPolicyValidate(t *testing.T) {
 		{MinRanks: 1, MaxRanks: 4, ScaleUpUtil: 0, ScaleDownUtil: 0, StepUp: 1, StepDown: 1},
 		{MinRanks: 1, MaxRanks: 4, ScaleUpUtil: 0.5, ScaleDownUtil: 0.5, StepUp: 1, StepDown: 1},
 		{MinRanks: 1, MaxRanks: 4, ScaleUpUtil: 0.8, ScaleDownUtil: 0.2, StepUp: 0, StepDown: 1},
+		{MinRanks: 1, MaxRanks: 4, ScaleUpUtil: math.NaN(), ScaleDownUtil: 0.2, StepUp: 1, StepDown: 1},
+		{MinRanks: 1, MaxRanks: 4, ScaleUpUtil: 0.8, ScaleDownUtil: math.NaN(), StepUp: 1, StepDown: 1},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

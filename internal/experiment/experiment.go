@@ -296,6 +296,22 @@ func RunAll(ids []string, opt Options) ([]*Result, error) {
 
 func scaled(n int, scale float64) int { return max(int(float64(n)*scale), 1) }
 
+// maxScaledBase bounds the sizes the experiments pass to scaled (the
+// largest is 60000).
+const maxScaledBase = 1 << 20
+
+// CheckScale returns an error naming -scale unless scale is > 0 and
+// finite and every size scaled by it fits in an int: Go leaves the
+// conversion of an unrepresentable float implementation-defined (on
+// amd64 it yields MinInt64, which scaled clamps to a one-op run). The
+// commands check their -scale with it before building anything.
+func CheckScale(scale float64) error {
+	if !(0 < scale && scale*maxScaledBase < math.MaxInt) {
+		return fmt.Errorf("-scale must be > 0 with scaled sizes that fit an int, got %v", scale)
+	}
+	return nil
+}
+
 // scaledMin scales n but never below a floor — used where an
 // experiment's dynamics need a minimum run length regardless of scale.
 func scaledMin(n int, scale float64, floor int) int { return max(scaled(n, scale), floor) }

@@ -100,7 +100,7 @@ func (p Policy) Validate() error {
 	if p.LeaseTicks < 0 {
 		return fmt.Errorf("replica: LeaseTicks %d < 0", p.LeaseTicks)
 	}
-	if p.LeaseTicks > 0 && (p.ReplicateReadFrac <= 0 || p.ReplicateReadFrac > 1) {
+	if p.LeaseTicks > 0 && !(0 < p.ReplicateReadFrac && p.ReplicateReadFrac <= 1) {
 		return fmt.Errorf("replica: ReplicateReadFrac %v outside (0, 1]", p.ReplicateReadFrac)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/namespace"
@@ -63,6 +64,7 @@ func TestPolicyValidate(t *testing.T) {
 		{R: 2, ShipEvery: 5, PromoteTicks: 0, ResyncRate: 1, MaxSyncsPerRank: 1},
 		{R: 2, ShipEvery: 5, PromoteTicks: 2, ResyncRate: 0, MaxSyncsPerRank: 1},
 		{R: 2, ShipEvery: 5, PromoteTicks: 2, ResyncRate: 1, MaxSyncsPerRank: 0},
+		{R: 2, ShipEvery: 5, PromoteTicks: 2, ResyncRate: 1, MaxSyncsPerRank: 1, LeaseTicks: 10, ReplicateReadFrac: math.NaN()},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

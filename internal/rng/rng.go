@@ -11,6 +11,7 @@ package rng
 import (
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // Source is a deterministic pseudo-random source. The zero value is a
@@ -152,14 +153,28 @@ func (s *Source) ExpFloat64() float64 {
 	}
 }
 
-// Zipf samples from a Zipf(s=exponent) distribution over [0, n). It uses
-// a precomputed cumulative table, which makes construction O(n) and
-// sampling O(log n); the simulator's Zipf populations (10k files per
-// client directory) are small enough that the table is the simplest
-// correct choice.
+// Zipf samples from a Zipf(s=exponent) distribution over [0, n) by
+// inverting a precomputed cumulative table: a draw u maps to the
+// smallest i with cum[i] >= u. A guide table (Chen and Asau's cutpoint
+// method) starts that search within a step or two of its answer, so
+// construction is O(n) and sampling expected O(1), and the index drawn
+// for each u is exactly the one a binary search over cum returns.
 type Zipf struct {
-	src *Source
-	cum []float64 // cum[i] = P(X <= i)
+	src   *Source
+	cum   []float64 // cum[i] = P(X <= i)
+	guide []int32   // guide[b] = smallest i with cum[i] >= b/n, clamped to n-1
+}
+
+// lastTable is the most recently built pair of tables. A generator
+// builds one sampler per client, all of one shape, and the tables are
+// never written once built, so consecutive samplers of a shape share
+// them: built once, and small enough to stay in cache while every
+// client draws.
+var lastTable struct {
+	sync.Mutex
+	exponent float64
+	cum      []float64
+	guide    []int32
 }
 
 // NewZipf builds a sampler over [0, n) with the given exponent. An
@@ -173,6 +188,18 @@ func NewZipf(src *Source, exponent float64, n int) *Zipf {
 	if exponent < 0 {
 		panic("rng: NewZipf called with negative exponent")
 	}
+	lastTable.Lock()
+	defer lastTable.Unlock()
+	if len(lastTable.cum) != n || lastTable.exponent != exponent {
+		lastTable.exponent = exponent
+		lastTable.cum, lastTable.guide = zipfTables(exponent, n)
+	}
+	return &Zipf{src: src, cum: lastTable.cum, guide: lastTable.guide}
+}
+
+// zipfTables builds the cumulative table of Zipf(exponent) over [0, n)
+// and its guide.
+func zipfTables(exponent float64, n int) ([]float64, []int32) {
 	cum := make([]float64, n)
 	total := 0.0
 	for i := 0; i < n; i++ {
@@ -182,25 +209,38 @@ func NewZipf(src *Source, exponent float64, n int) *Zipf {
 	for i := range cum {
 		cum[i] /= total
 	}
-	return &Zipf{src: src, cum: cum}
+	// n+1 buckets: u*n can round up to n when u is just below 1.
+	guide := make([]int32, n+1)
+	i := 0
+	for b := range guide {
+		for i < n-1 && cum[i] < float64(b)/float64(n) {
+			i++
+		}
+		guide[b] = int32(i)
+	}
+	return cum, guide
 }
 
 // N returns the population size.
 func (z *Zipf) N() int { return len(z.cum) }
 
 // Next returns the next sample in [0, N()). Rank 0 is the most popular.
-func (z *Zipf) Next() int {
-	u := z.src.Float64()
-	lo, hi := 0, len(z.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+func (z *Zipf) Next() int { return z.index(z.src.Float64()) }
+
+// index returns the smallest i with cum[i] >= u, clamped to n-1, for u
+// in [0, 1). Its bucket's guide entry is that index whenever u*n rounds
+// down; when it rounds up into the next bucket the entry may overshoot,
+// and the first loop walks back.
+func (z *Zipf) index(u float64) int {
+	cum := z.cum
+	i := int(z.guide[int(u*float64(len(cum)))])
+	for i > 0 && cum[i-1] >= u {
+		i--
 	}
-	return lo
+	for i < len(cum)-1 && cum[i] < u {
+		i++
+	}
+	return i
 }
 
 // HeadMass returns the probability mass of the top frac of the

@@ -80,36 +80,37 @@ func (g *ReadStorm) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([
 	}
 	streams := make([]Stream, clients)
 	for c := 0; c < clients; c++ {
-		streams[c] = newZipfStats(dir, files, g.cfg.OpsPerClient, g.cfg.Exponent,
-			g.cfg.WriteEvery, g.cfg.ClientOffset+c, src.Fork(uint64(c)+10))
+		streams[c] = &zipfStats{
+			pick: newZipfPicker(files, g.cfg.Exponent, src.Fork(uint64(c)+10)),
+			dir:  dir, ops: g.cfg.OpsPerClient, writeEvery: g.cfg.WriteEvery, client: g.cfg.ClientOffset + c,
+		}
 	}
 	return jitterSpecs(streams, 0, 0, src.Fork(1)), nil
 }
 
-// newZipfStats is the pure-metadata sibling of newZipfReads: Zipf-
-// distributed getattrs with no data-path bytes. With writeEvery > 0,
-// every writeEvery-th op is instead a create into the shared directory
-// (a lease-invalidating write).
-func newZipfStats(dir *namespace.Inode, files []*namespace.Inode, ops int, exponent float64,
-	writeEvery, client int, src *rng.Source) Stream {
-	perm := src.Perm(len(files))
-	zipf := rng.NewZipf(src, exponent, len(files))
-	done := 0
-	writes := 0
-	return &seqStream{fill: func(buf []Op) []Op {
-		if done >= ops {
-			return buf
-		}
-		done++
-		if writeEvery > 0 && done%writeEvery == 0 {
-			writes++
-			return append(buf, Op{
-				Kind:   OpCreate,
-				Parent: dir,
-				Name:   fmt.Sprintf("new%04d_%06d", client, writes),
-				Size:   4096,
-			})
-		}
-		return append(buf, Op{Kind: OpGetattr, Target: files[perm[zipf.Next()]]})
-	}}
+// zipfStats is the pure-metadata sibling of zipfReads: Zipf-distributed
+// getattrs with no data-path bytes. With writeEvery > 0, every
+// writeEvery-th op is instead a create into the shared directory (a
+// lease-invalidating write).
+type zipfStats struct {
+	pick                                  zipfPicker
+	dir                                   *namespace.Inode
+	ops, done, writeEvery, client, writes int
+}
+
+func (s *zipfStats) Next() (Op, bool) {
+	if s.done >= s.ops {
+		return Op{}, false
+	}
+	s.done++
+	if s.writeEvery > 0 && s.done%s.writeEvery == 0 {
+		s.writes++
+		return Op{
+			Kind:   OpCreate,
+			Parent: s.dir,
+			Name:   fmt.Sprintf("new%04d_%06d", s.client, s.writes),
+			Size:   4096,
+		}, true
+	}
+	return Op{Kind: OpGetattr, Target: s.pick.next()}, true
 }

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/namespace"
@@ -79,17 +81,50 @@ func refWeb(files []*namespace.Inode, trace []int32) []Op {
 	return all
 }
 
+// refZipfPicks returns n files drawn the way a Zipf client draws them:
+// a permutation of files, then an inverse-CDF draw over a table built
+// as rng.NewZipf builds it, searched by bisection here rather than
+// through rng.Zipf.
+func refZipfPicks(files []*namespace.Inode, exponent float64, n int, src *rng.Source) []*namespace.Inode {
+	perm := src.Perm(len(files))
+	cum := make([]float64, len(files))
+	total := 0.0
+	for i := range cum {
+		total += 1 / math.Pow(float64(i+1), exponent)
+		cum[i] = total
+	}
+	for i := range cum {
+		cum[i] /= total
+	}
+	picks := make([]*namespace.Inode, n)
+	for d := range picks {
+		u := src.Float64()
+		lo, hi := 0, len(cum)-1
+		for lo < hi {
+			if mid := (lo + hi) / 2; cum[mid] < u {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		picks[d] = files[perm[lo]]
+	}
+	return picks
+}
+
 // TestScanStreamsMatchReference: CNN, NLP and Web clients yield op for
 // op what the fresh-slice reference yields — the readdir at every
-// directory change included — and then end.
+// directory change included — and Zipf and ReadStorm clients what a
+// bisection over their popularity table picks; then each ends.
 func TestScanStreamsMatchReference(t *testing.T) {
 	const clients, seed = 3, 11
-	check := func(t *testing.T, specs []ClientSpec, want []Op) {
+	check := func(t *testing.T, specs []ClientSpec, wantFor func(c int) []Op) {
 		t.Helper()
-		if len(want) == 0 {
-			t.Fatal("empty reference")
-		}
 		for c, sp := range specs {
+			want := wantFor(c)
+			if len(want) == 0 {
+				t.Fatal("empty reference")
+			}
 			got := drain(sp.Stream)
 			if len(got) != len(want) {
 				t.Fatalf("client %d: %d ops, reference %d", c, len(got), len(want))
@@ -117,12 +152,13 @@ func TestScanStreamsMatchReference(t *testing.T) {
 		if readdirs != 5 {
 			t.Fatalf("reference has %d readdirs, want one per directory", readdirs)
 		}
-		check(t, specs, want)
+		check(t, specs, func(int) []Op { return want })
 	})
 	t.Run("NLP", func(t *testing.T) {
 		tree, specs := setup(t, NewNLP(NLPConfig{Dirs: 3, FilesPerDir: 4, MetaOpsPerFile: 6}), clients, seed)
 		root, _ := tree.Lookup("/nlp")
-		check(t, specs, refNLP(leaves(root, 1), 6))
+		want := refNLP(leaves(root, 1), 6)
+		check(t, specs, func(int) []Op { return want })
 	})
 	t.Run("Web", func(t *testing.T) {
 		cfg := WebConfig{Files: 60, DirFanout: 5, DirsPerSection: 3, RequestsPerClient: 200, PhaseLen: 50, PhaseShift: 7}
@@ -139,12 +175,52 @@ func TestScanStreamsMatchReference(t *testing.T) {
 		for i := range trace {
 			trace[i] = int32(perm[(zipf.Next()+i/cfg.PhaseLen*cfg.PhaseShift)%cfg.Files])
 		}
-		check(t, specs, refWeb(leaves(root, 2), trace))
+		want := refWeb(leaves(root, 2), trace)
+		check(t, specs, func(int) []Op { return want })
+	})
+	// Each client's source is the setup source's fork c+10, taken in
+	// client order as Setup takes them.
+	t.Run("Zipf", func(t *testing.T) {
+		const files, ops = 40, 500
+		tree, specs := setup(t, NewZipf(ZipfConfig{FilesPerClient: files, OpsPerClient: ops, Exponent: 1.1}), clients, seed)
+		setupSrc := rng.New(seed)
+		check(t, specs, func(c int) []Op {
+			dir, _ := tree.Lookup(fmt.Sprintf("/zipf/client%03d", c))
+			want := make([]Op, ops)
+			for i, f := range refZipfPicks(dir.Children(), 1.1, ops, setupSrc.Fork(uint64(c)+10)) {
+				want[i] = Op{Kind: OpOpen, Target: f, DataSize: f.Size}
+			}
+			return want
+		})
+	})
+	t.Run("ReadStorm", func(t *testing.T) {
+		const ops, writeEvery, offset = 500, 7, 20
+		cfg := ReadStormConfig{Files: 60, OpsPerClient: ops, WriteEvery: writeEvery, ClientOffset: offset}
+		tree, specs := setup(t, NewReadStorm(cfg), clients, seed)
+		dir, _ := tree.Lookup("/readstorm/dir")
+		files := dir.Children()
+		setupSrc := rng.New(seed)
+		check(t, specs, func(c int) []Op {
+			picks := refZipfPicks(files, 0.98, ops, setupSrc.Fork(uint64(c)+10))
+			var want []Op
+			for done := 1; done <= ops; done++ {
+				if done%writeEvery == 0 {
+					want = append(want, Op{Kind: OpCreate, Parent: dir, Size: 4096,
+						Name: fmt.Sprintf("new%04d_%06d", offset+c, done/writeEvery)})
+				} else {
+					want = append(want, Op{Kind: OpGetattr, Target: picks[0]})
+					picks = picks[1:]
+				}
+			}
+			return want
+		})
 	})
 }
 
-// steadyGens are the six seqStream generators, sized so that one
-// client's stream outlasts any measurement below.
+// steadyGens are the six generators whose streams run in steady state:
+// the CNN, NLP and Web scans and MD's creates refill a seqStream, the
+// Zipf and ReadStorm draws are streams of their own. Each is sized so
+// that one client's stream outlasts any measurement below.
 var steadyGens = map[string]Generator{
 	"CNN":       NewCNN(CNNConfig{Dirs: 40, FilesPerDir: 500}),
 	"NLP":       NewNLP(NLPConfig{Dirs: 4, FilesPerDir: 5000}),
@@ -168,11 +244,12 @@ func steadyStream(tb testing.TB, name string, tree *namespace.Tree) Stream {
 var sinkOp Op
 
 // BenchmarkSeqStreamNext prices one drawn op for a many-ops-per-file
-// scan and for a one-op refill. Medians of five alternating runs on the
-// 2-vCPU reference host (go1.24.0): NLP 20.8 ns/op, 0 B/op (parent
-// 42249c9: 104.4 ns/op, 143 B/op); Zipf 68.7 ns/op, 0 B/op (parent
-// 63.4; 61.8 against 63.8 over six more pairs — equal within this
-// host's run-to-run spread).
+// scan and for a Zipf client. Medians of five alternating runs on the
+// 2-vCPU reference host (go1.24.0), 0 B/op throughout:
+//
+//	       parent 42249c9  parent 6c8fc30  change
+//	NLP    104.4 (143 B)   20.8            21.0
+//	Zipf    63.4           63.0            20.6 (guide table, no closure)
 func BenchmarkSeqStreamNext(b *testing.B) {
 	b.Run("NLP", func(b *testing.B) {
 		tree := namespace.NewTree()

@@ -114,6 +114,9 @@ func (g *Tenants) Partition(clients int) ([]int, error) {
 		}
 		return append([]int(nil), g.cfg.Counts...), nil
 	}
+	if !(0 <= g.cfg.Skew && g.cfg.Skew <= math.MaxFloat64) {
+		return nil, fmt.Errorf("workload: tenant skew %v is not finite", g.cfg.Skew)
+	}
 	weights := make([]float64, n)
 	var sum float64
 	for t := range weights {

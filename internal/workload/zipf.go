@@ -80,22 +80,42 @@ func (g *Zipf) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([]Clie
 			}
 			files[f] = in
 		}
-		streams[c] = newZipfReads(files, g.cfg.OpsPerClient, g.cfg.Exponent, src.Fork(uint64(c)+10))
+		streams[c] = &zipfReads{pick: newZipfPicker(files, g.cfg.Exponent, src.Fork(uint64(c)+10)), left: g.cfg.OpsPerClient}
 	}
 	return jitterSpecs(streams, 0, 0, src.Fork(1)), nil
 }
 
-func newZipfReads(files []*namespace.Inode, ops int, exponent float64, src *rng.Source) Stream {
-	// Decouple popularity rank from file creation order.
+// zipfPicker draws files by Zipf popularity. Popularity rank is
+// decoupled from creation order by a random permutation, folded into
+// ranked at setup so that a draw is one sample and one load.
+type zipfPicker struct {
+	ranked []*namespace.Inode // ranked[r] is the file of popularity rank r
+	zipf   rng.Zipf
+}
+
+func newZipfPicker(files []*namespace.Inode, exponent float64, src *rng.Source) zipfPicker {
 	perm := src.Perm(len(files))
-	zipf := rng.NewZipf(src, exponent, len(files))
-	done := 0
-	return &seqStream{fill: func(buf []Op) []Op {
-		if done >= ops {
-			return buf
-		}
-		done++
-		f := files[perm[zipf.Next()]]
-		return append(buf, Op{Kind: OpOpen, Target: f, DataSize: f.Size})
-	}}
+	ranked := make([]*namespace.Inode, len(files))
+	for r, f := range perm {
+		ranked[r] = files[f]
+	}
+	return zipfPicker{ranked: ranked, zipf: *rng.NewZipf(src, exponent, len(files))}
+}
+
+func (p *zipfPicker) next() *namespace.Inode { return p.ranked[p.zipf.Next()] }
+
+// zipfReads is one Filebench client: left more opens, each of a
+// Zipf-picked file with its data.
+type zipfReads struct {
+	pick zipfPicker
+	left int
+}
+
+func (s *zipfReads) Next() (Op, bool) {
+	if s.left <= 0 {
+		return Op{}, false
+	}
+	s.left--
+	f := s.pick.next()
+	return Op{Kind: OpOpen, Target: f, DataSize: f.Size}, true
 }
