@@ -21,7 +21,8 @@ race:
 	$(GO) test -race ./...
 
 # check is the full gate: compile, vet, formatting, and the test suite
-# under the race detector. The steady-state allocation contracts
+# under the race detector (a cluster run is one goroutine; the race
+# detector covers the experiment cell pool). The steady-state allocation contracts
 # (alloc_test.go in internal/{namespace,mds,cluster,obs}) are built with
 # !race, so check never reaches them; `make test` and CI's non-race
 # "Alloc" step do.
@@ -78,28 +79,26 @@ replication:
 
 # batched runs the audited write-back batching suite: the sync vs
 # write-back JCT experiment (MDtest + CNN ingest) plus an audited
-# write-back MDtest CLI smoke on a multi-worker pool under the race
-# detector — both must exit clean.
+# write-back MDtest CLI smoke — both must exit clean.
 batched:
 	$(GO) run ./cmd/lunule-bench -exp batched -audit
-	$(GO) run -race ./cmd/lunule-sim -workload md -batch-size 32 -flush-every 8 -workers 4 -mds 4 -clients 32 -scale 0.2 -audit -audit-every-tick -maxticks 3000 >/dev/null
+	$(GO) run ./cmd/lunule-sim -workload md -batch-size 32 -flush-every 8 -mds 4 -clients 32 -scale 0.2 -audit -audit-every-tick -maxticks 3000 >/dev/null
 
 # readstorm runs the audited lease-based read-replica suite: the
 # shared-directory read-storm experiment (leases vs pure migration vs
-# vanilla) plus an audited lease-enabled CLI smoke on a multi-worker
-# pool under the race detector — both must exit clean.
+# vanilla) plus an audited lease-enabled CLI smoke — both must exit
+# clean.
 readstorm:
 	$(GO) run ./cmd/lunule-bench -exp readstorm -audit
-	$(GO) run -race ./cmd/lunule-sim -workload readstorm -replication 3 -lease-ticks 40 -workers 4 -mds 5 -clients 40 -scale 0.5 -audit -audit-every-tick -maxticks 3000 >/dev/null
+	$(GO) run ./cmd/lunule-sim -workload readstorm -replication 3 -lease-ticks 40 -mds 5 -clients 40 -scale 0.5 -audit -audit-every-tick -maxticks 3000 >/dev/null
 
 # noisy runs the audited multi-tenant QoS suite: the noisy-neighbor
 # isolation experiment (per-tenant token buckets vs unprotected
 # balancing, reduced scale so the audited run stays fast) plus an
-# audited skewed-tenant CLI smoke on a multi-worker pool under the race
-# detector — both must exit clean.
+# audited skewed-tenant CLI smoke — both must exit clean.
 noisy:
 	$(GO) run ./cmd/lunule-bench -exp noisy -audit -scale 0.25
-	$(GO) run -race ./cmd/lunule-sim -tenants 4 -tenant-rate 600 -tenant-burst 1200 -workers 4 -mds 4 -clients 24 -audit -audit-every-tick -maxticks 3000 >/dev/null
+	$(GO) run ./cmd/lunule-sim -tenants 4 -tenant-rate 600 -tenant-burst 1200 -mds 4 -clients 24 -audit -audit-every-tick -maxticks 3000 >/dev/null
 
 # gobench runs the in-package Go micro-benchmarks.
 gobench:

@@ -45,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("lunule-sim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		wl        = fs.String("workload", "Zipf", "workload: CNN, NLP, Web, Zipf, MD, Mixed")
+		wl        = fs.String("workload", "Zipf", "workload: CNN, NLP, Web, Zipf, MD, Mixed, ReadStorm")
 		bal       = fs.String("balancer", "Lunule", "balancer: Vanilla, GreedySpill, Lunule-Light, Lunule, Dir-Hash")
 		mdsN      = fs.Int("mds", 5, "number of metadata servers")
 		clients   = fs.Int("clients", 40, "number of clients")
@@ -64,7 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mtbf      = fs.Float64("mtbf", 0, "random failures: mean ticks between failures per rank (0 = off)")
 		mttr      = fs.Float64("mttr", 0, "random failures: mean ticks to repair (default mtbf/10)")
 		recoveryT = fs.Int("recoveryticks", 0, "failover takeover latency window in ticks (default 20)")
-		workers   = fs.Int("workers", 1, "worker goroutines for the phased tick engine (0 or 1 = serial); output is byte-identical at every setting")
 		auditOn   = fs.Bool("audit", false, "validate cross-module invariants at every epoch; violations fail the run")
 		auditTick = fs.Bool("audit-every-tick", false, "with -audit, run the invariant checks every tick instead of every epoch")
 
@@ -106,13 +105,39 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
+	// A dependent flag counts as given when it was set, whatever its
+	// value: each row names the flags and what they need.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, d := range []struct {
+		flags []string
+		needs string
+		ok    bool
+	}{
+		{[]string{"mttr"}, "-mtbf", *mtbf > 0},
+		{[]string{"audit-every-tick"}, "-audit", *auditOn},
+		{[]string{"flush-every"}, "-batch-size", *batchSize > 0},
+		{[]string{"replication-ship", "replication-promote", "replication-resync", "lease-ticks"}, "-replication >= 2", *replicationR > 1},
+		{[]string{"replicate-read-frac"}, "-lease-ticks", *leaseTicks > 0},
+		{[]string{"tenant-rate", "tenant-burst", "tenant-skew"}, "-tenants", *tenants > 0},
+		{[]string{"elastic-min", "elastic-max", "elastic-up", "elastic-down", "elastic-cooldown", "elastic-step"}, "-elastic", *elasticOn},
+		{[]string{"trace-events"}, "-trace-out or -trace-summary", *traceOut != "" || *traceSum},
+	} {
+		for _, f := range d.flags {
+			if set[f] && !d.ok {
+				return fail(fmt.Errorf("-%s needs %s", f, d.needs))
+			}
+		}
+	}
+
 	// The experiment constructors panic on a name or scale they do not
 	// know; flags are outside input, so they are checked here first.
-	name, balName := canonical(*wl), canonicalBalancer(*bal)
-	if err := experiment.Known("workload", name, experiment.WorkloadNames, "Mixed", "ReadStorm"); err != nil {
+	name, err := experiment.WorkloadName(*wl)
+	if err != nil {
 		return fail(err)
 	}
-	if err := experiment.Known("balancer", balName, experiment.BalancerNames, "Dir-Hash"); err != nil {
+	balName, err := experiment.BalancerName(*bal)
+	if err != nil {
 		return fail(err)
 	}
 	if err := experiment.CheckScale(*scale); err != nil {
@@ -151,15 +176,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		gen = workload.DefaultTenants(*tenants, *tenantSkew)
 		name = gen.Name()
-	} else if *tenantRate != 4000 || *tenantBurst != 8000 || *tenantSkew != 1.0 {
-		return fail(fmt.Errorf("-tenant-rate/-tenant-burst/-tenant-skew need -tenants"))
 	}
 	faults, err := buildFaults(*crashes, *recovers, *mtbf, *mttr, *mdsN, *ticks, *seed)
 	if err != nil {
 		return fail(err)
-	}
-	if *auditTick && !*auditOn {
-		return fail(fmt.Errorf("-audit-every-tick needs -audit"))
 	}
 	var auditor *audit.Auditor
 	if *auditOn {
@@ -173,8 +193,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fe = 4
 		}
 		batching = &cluster.BatchingConfig{BatchSize: *batchSize, FlushEvery: fe}
-	} else if *flushEvery != 0 {
-		return fail(fmt.Errorf("-flush-every needs -batch-size"))
 	}
 
 	var rep *replica.Manager
@@ -187,20 +205,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pol.LeaseTicks = *leaseTicks
 		if *leaseTicks > 0 {
 			pol.ReplicateReadFrac = *leaseReadFrac
-		} else if *leaseReadFrac != 0.75 {
-			return fail(fmt.Errorf("-replicate-read-frac needs -lease-ticks"))
 		}
 		var err error
 		rep, err = replica.NewManager(pol)
 		if err != nil {
 			return fail(err)
 		}
-	} else if *replShipEvery != 5 || *replPromote != 2 || *replResyncRate != 2000 {
-		return fail(fmt.Errorf("-replication-ship/-replication-promote/-replication-resync need -replication >= 2"))
-	} else if *leaseTicks != 0 {
-		return fail(fmt.Errorf("-lease-ticks needs -replication >= 2"))
-	} else if *leaseReadFrac != 0.75 {
-		return fail(fmt.Errorf("-replicate-read-frac needs -lease-ticks"))
 	}
 
 	var controller *elastic.Controller
@@ -223,8 +233,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-	} else if *elasticMin > 0 || *elasticMax > 0 {
-		return fail(fmt.Errorf("-elastic-min/-elastic-max need -elastic"))
 	}
 
 	// Observability wiring. The bus is nil unless a sink was requested,
@@ -254,8 +262,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		bus = obs.NewBus(sinks...)
 		bus.Allow(types...)
-	} else if *traceEvs != "" {
-		return fail(fmt.Errorf("-trace-events needs -trace-out or -trace-summary"))
 	}
 
 	if *pprofAddr != "" {
@@ -288,7 +294,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ClientRate:    *rate,
 		DataPath:      *data,
 		Seed:          *seed,
-		Workers:       *workers,
 		Balancer:      experiment.MakeBalancer(balName),
 		Workload:      gen,
 		RecoveryTicks: *recoveryT,
@@ -515,42 +520,4 @@ func writeCSV(path string, emit func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-func canonical(w string) string {
-	switch strings.ToLower(w) {
-	case "cnn":
-		return "CNN"
-	case "nlp":
-		return "NLP"
-	case "web":
-		return "Web"
-	case "zipf":
-		return "Zipf"
-	case "md", "mdtest":
-		return "MD"
-	case "mixed":
-		return "Mixed"
-	case "readstorm", "read-storm":
-		return "ReadStorm"
-	default:
-		return w
-	}
-}
-
-func canonicalBalancer(b string) string {
-	switch strings.ToLower(b) {
-	case "vanilla", "cephfs", "cephfs-vanilla":
-		return "Vanilla"
-	case "greedyspill", "greedy":
-		return "GreedySpill"
-	case "lunule-light", "light":
-		return "Lunule-Light"
-	case "lunule":
-		return "Lunule"
-	case "dir-hash", "dirhash", "hash":
-		return "Dir-Hash"
-	default:
-		return b
-	}
 }

@@ -101,7 +101,6 @@ func TestBadFlagsFail(t *testing.T) {
 		want string // substring of the error line
 	}{
 		{[]string{"-tracefile", sparse}, "no line has client 0"},
-		{[]string{"-workers", "-1"}, "workers"},
 		{[]string{"-mds", "-1"}, "MDS"},
 		{[]string{"-clients", "-3"}, "clients"},
 		{[]string{"-capacity", "-5"}, "capacity"},
@@ -121,6 +120,13 @@ func TestBadFlagsFail(t *testing.T) {
 		{[]string{"-workload", "nope"}, "nope"},
 		{[]string{"-balancer", "nope"}, "nope"},
 		{[]string{"-replication", "2", "-recoveryticks", "1"}, "PromoteTicks"},
+		// A dependent flag set to its default still needs its parent.
+		{[]string{"-tenant-rate", "4000"}, "-tenant-rate needs -tenants"},
+		{[]string{"-elastic-up", "0.75"}, "-elastic-up needs -elastic"},
+		{[]string{"-elastic-down", "0.35"}, "-elastic-down needs -elastic"},
+		{[]string{"-elastic-cooldown", "2"}, "-elastic-cooldown needs -elastic"},
+		{[]string{"-elastic-step", "2"}, "-elastic-step needs -elastic"},
+		{[]string{"-mttr", "50"}, "-mttr needs -mtbf"},
 	} {
 		stderr.Reset()
 		if code := run(tc.args, &stdout, &stderr); code != 1 ||

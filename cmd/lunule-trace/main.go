@@ -33,7 +33,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("lunule-trace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		wl        = fs.String("workload", "Zipf", "workload: CNN, NLP, Web, Zipf, MD, Mixed")
+		wl        = fs.String("workload", "Zipf", "workload: CNN, NLP, Web, Zipf, MD, Mixed, ReadStorm")
 		clients   = fs.Int("clients", 4, "number of client streams to interleave")
 		scale     = fs.Float64("scale", 1.0, "workload scale factor")
 		seed      = fs.Uint64("seed", 42, "random seed")
@@ -51,8 +51,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// MakeWorkload panics on a name it does not know, and a non-positive
 	// scale or count analyses a degenerate run; flags are outside input.
-	name := canonical(*wl)
-	if err := experiment.Known("workload", name, experiment.WorkloadNames, "Mixed"); err != nil {
+	name, err := experiment.WorkloadName(*wl)
+	if err != nil {
 		return fail(err)
 	}
 	if err := experiment.CheckScale(*scale); err != nil {
@@ -201,23 +201,4 @@ func bar(v float64) string {
 		}
 	}
 	return string(out)
-}
-
-func canonical(w string) string {
-	switch w {
-	case "cnn", "CNN":
-		return "CNN"
-	case "nlp", "NLP":
-		return "NLP"
-	case "web", "Web":
-		return "Web"
-	case "zipf", "Zipf":
-		return "Zipf"
-	case "md", "MD":
-		return "MD"
-	case "mixed", "Mixed":
-		return "Mixed"
-	default:
-		return w
-	}
 }

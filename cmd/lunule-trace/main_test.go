@@ -47,3 +47,15 @@ func TestSmallRun(t *testing.T) {
 		t.Fatalf("missing signature table:\n%s", stdout.String())
 	}
 }
+
+// TestWorkloadSpellings: -workload takes the spellings lunule-sim takes
+// (experiment.WorkloadName), in any case.
+func TestWorkloadSpellings(t *testing.T) {
+	for _, wl := range []string{"mdtest", "ZIPF", "read-storm"} {
+		var stdout, stderr bytes.Buffer
+		args := []string{"-workload", wl, "-clients", "2", "-scale", "0.01", "-windowops", "100", "-windows", "1"}
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Errorf("-workload %s: exit %d, stderr: %s", wl, code, stderr.String())
+		}
+	}
+}

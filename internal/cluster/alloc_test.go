@@ -27,7 +27,7 @@ const steadyOps = 1 << 30
 
 // TestSteadyTickAllocs holds allocations per steady-state Step under a
 // ceiling for each way the tick loop can be configured: 100 warm-up
-// ticks, then 100 measured, at 4 ranks / 64 clients / one worker. Each
+// ticks, then 100 measured, at 4 ranks / 64 clients. Each
 // ceiling is ceil(1.25 x the value measured when the cell was added or
 // last re-measured, noted beside it), so the test fails when a per-op allocation slips
 // back into plan, admit, serve or the barrier (one per op is thousands
@@ -121,7 +121,7 @@ func TestSteadyTickAllocs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg()
-			cfg.MDS, cfg.Clients, cfg.Workers, cfg.Seed = 4, 64, 1, 42
+			cfg.MDS, cfg.Clients, cfg.Seed = 4, 64, 42
 			cfg.Balancer = core.NewDefault()
 			c, err := New(cfg)
 			if err != nil {

@@ -98,13 +98,10 @@ type Config struct {
 	// Partition.Version on every mutation), so this knob exists only
 	// for the differential tests that prove it.
 	DisableResolveCache bool
-	// Workers is the worker count for the phased tick engine: how many
-	// goroutines execute the routing and serve subphases of each tick
-	// (see engine.go). 0 or 1 runs the engine inline on the calling
-	// goroutine; a negative count is rejected. The simulated run is
-	// byte-identical at every worker count — parallelism changes
-	// wall-clock time only — which the differential tests prove the same
-	// way the resolve-cache ones do.
+	// Workers is ignored: a run is one goroutine.
+	//
+	// Deprecated: kept only because the benchmark harness still sets
+	// it; it is deleted together with that use.
 	Workers int
 	// Audit optionally attaches a state auditor that validates
 	// cross-module invariants at every epoch close (or every tick; see
@@ -208,8 +205,6 @@ func (c *Config) validate() error {
 	case c.OSDs < 1 || c.OSDBandwidth < 1:
 		return fmt.Errorf("cluster: data path needs OSDs >= 1 and bandwidth >= 1, got %d and %d",
 			c.OSDs, c.OSDBandwidth)
-	case c.Workers < 0:
-		return fmt.Errorf("cluster: workers must be >= 0, got %d", c.Workers)
 	case c.Batching != nil && (c.Batching.BatchSize < 1 || c.Batching.FlushEvery < 1):
 		return errors.New("cluster: batching requires BatchSize >= 1 and FlushEvery >= 1")
 	case c.Replication != nil && c.Replication.Policy().PromoteTicks >= c.RecoveryTicks:
@@ -238,18 +233,21 @@ type Cluster struct {
 
 	tick  int64
 	doneN int
-	// opCounters are the run's cumulative op-path counts; the rank lanes
-	// accumulate a round's deltas in their own copy and add them here at
-	// the barrier.
-	opCounters
+	// The run's cumulative op-path counts. forwards counts relay hops
+	// charged to non-authoritative ranks; stalledDown, attempts refused
+	// because a rank was down; racedCreates, create ops completed without
+	// an MDS serve because the name raced into existence (the auditor's
+	// ops-conservation check reconciles client and server totals with
+	// it); leaseServes, reads served by a non-authoritative lease holder.
+	forwards, stalledDown, racedCreates, leaseServes int64
 
 	auditor *audit.Auditor
 	// orphanFn is the Orphaned closure handed to every audit pass,
 	// built once so the audited tick loop does not allocate it.
 	orphanFn func(namespace.MDSID) bool
 
-	// engine is the phased (optionally parallel) serve engine; see
-	// engine.go. It owns all per-tick client/rank scratch.
+	// engine is the phased serve engine; see engine.go. It owns all
+	// per-tick client/rank scratch.
 	engine *engine
 
 	// Reusable per-tick scratch, so the steady-state tick loop does not
@@ -289,8 +287,8 @@ type Cluster struct {
 	// (nil = single-tenant, zero tick-path cost), the engine-side
 	// independent count of ops admitted this tick across all tenants
 	// (the conservation audit reconciles it against the manager's own
-	// books), and the per-tick served-per-tenant scratch the serve
-	// lanes merge into (the served <= admitted audit reads it).
+	// books), and the per-tick served-per-tenant counts (the served <=
+	// admitted audit reads them).
 	tn             *tenant.Manager
 	tnAdmittedTick int64
 	tnServedTick   []int64
@@ -303,30 +301,6 @@ type Cluster struct {
 	// events holds scheduled cluster mutations, fired at the top of
 	// their tick in submission order (events.go).
 	events eventQueue
-}
-
-// opCounters are the op-path counts a rank lane accumulates per round
-// and the cluster keeps per run.
-type opCounters struct {
-	// forwards counts relay hops charged to non-authoritative ranks.
-	forwards int64
-	// stalledDown counts attempts refused because a rank was down.
-	stalledDown int64
-	// racedCreates counts create ops completed without an MDS serve
-	// because the name raced into existence; the auditor's ops-
-	// conservation check needs it to reconcile client and server totals.
-	racedCreates int64
-	// leaseServes counts reads served by a non-authoritative lease holder.
-	leaseServes int64
-}
-
-// add folds d into c and zeroes d.
-func (c *opCounters) add(d *opCounters) {
-	c.forwards += d.forwards
-	c.stalledDown += d.stalledDown
-	c.racedCreates += d.racedCreates
-	c.leaseServes += d.leaseServes
-	*d = opCounters{}
 }
 
 // outage describes one crashed rank whose subtrees are still orphaned:
@@ -647,7 +621,7 @@ func (c *Cluster) CrashPathOwner(path string) int {
 	}
 	entry, ok := c.part.EntryAt(namespace.FragKey{Dir: in.Ino, Frag: namespace.WholeFrag})
 	if !ok {
-		entry = c.governing(c.resolver, in)
+		entry = c.governing(in)
 	}
 	if c.CrashMDS(int(entry.Auth)) {
 		return int(entry.Auth)
@@ -655,12 +629,12 @@ func (c *Cluster) CrashPathOwner(path string) int {
 	return -1
 }
 
-// governing returns the entry governing the inode, through the given
-// version-cached resolver or — when the resolve cache is disabled and
-// res is nil — by a full ancestor walk.
-func (c *Cluster) governing(res *namespace.Resolver, in *namespace.Inode) namespace.Entry {
-	if res != nil {
-		return res.Entry(in)
+// governing returns the entry governing the inode, through the
+// cluster's version-cached resolver or — when the resolve cache is
+// disabled — by a full ancestor walk.
+func (c *Cluster) governing(in *namespace.Inode) namespace.Entry {
+	if c.resolver != nil {
+		return c.resolver.Entry(in)
 	}
 	return c.part.GoverningEntry(in)
 }
@@ -683,16 +657,14 @@ type routed struct {
 // a create, the entry that governs the name under its parent — the
 // child's own governing entry whether or not it exists yet
 // (Partition.GoverningChildEntry), so a create is routed to the rank
-// that owns its home without reading the directory. res is the caller's
-// resolver: a cohort's own in the parallel plan phase, the cluster's in
-// serial sections.
-func (c *Cluster) resolveOp(res *namespace.Resolver, op *workload.Op) routed {
+// that owns its home without reading the directory.
+func (c *Cluster) resolveOp(op *workload.Op) routed {
 	if op.Kind != workload.OpCreate {
-		return routed{target: op.Target, ent: c.governing(res, op.Target)}
+		return routed{target: op.Target, ent: c.governing(op.Target)}
 	}
 	r := routed{hash: namespace.HashName(op.Name)}
-	if res != nil {
-		r.ent = res.ChildEntry(op.Parent, r.hash)
+	if c.resolver != nil {
+		r.ent = c.resolver.ChildEntry(op.Parent, r.hash)
 	} else {
 		r.ent = c.part.GoverningChildEntry(op.Parent, r.hash)
 	}
@@ -1119,7 +1091,7 @@ func (c *Cluster) Step() {
 	}
 	if c.tn != nil {
 		// Refill the token buckets and reset the tick's admission books
-		// before any admission runs (serial, like server BeginTick).
+		// before any admission runs (like server BeginTick).
 		c.tn.BeginTick()
 		c.tnAdmittedTick = 0
 		clear(c.tnServedTick)
@@ -1138,7 +1110,7 @@ func (c *Cluster) Step() {
 	c.engine.serveTick(tick, epoch)
 
 	if c.tn != nil && c.bus.Enabled(obs.EvTenantThrottle) {
-		// Serial post-serve sweep: one event per tenant the buckets
+		// Post-serve sweep: one event per tenant the buckets
 		// throttled this tick. Uncontended buckets emit nothing, so an
 		// idle QoS attachment leaves the trace byte-identical.
 		for t := 0; t < c.tn.N(); t++ {

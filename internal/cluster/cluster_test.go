@@ -55,7 +55,6 @@ func TestConfigValidation(t *testing.T) {
 		{"nil balancer", func(c *Config) { c.Balancer = nil }, "balancer"},
 		{"nil workload", func(c *Config) { c.Workload = nil }, "workload"},
 		{"zero batching", func(c *Config) { c.Batching = &BatchingConfig{} }, "batching"},
-		{"negative workers", func(c *Config) { c.Workers = -1 }, "workers"},
 		{"negative MDS", func(c *Config) { c.MDS = -1 }, "MDS"},
 		{"negative capacity", func(c *Config) { c.Capacity = -5 }, "capacity"},
 		{"negative epoch", func(c *Config) { c.EpochTicks = -1 }, "epoch"},

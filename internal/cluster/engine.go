@@ -3,7 +3,6 @@ package cluster
 import (
 	"repro/internal/client"
 	"repro/internal/mds"
-	"repro/internal/metrics"
 	"repro/internal/namespace"
 	"repro/internal/obs"
 	"repro/internal/replica"
@@ -12,37 +11,35 @@ import (
 )
 
 // This file implements the tick engine: the client-serve part of
-// Cluster.Step, structured so that client cohorts and MDS ranks can
-// execute on a worker pool while producing byte-identical output at
-// every worker count (including one — the serial engine is this same
-// code run inline; see runParallel).
+// Cluster.Step. A run is one goroutine; the phases below fix the order
+// in which a tick's effects land, and that order is model output.
 //
 // There is ONE tick loop, serveTick, for both client contracts:
 //
-//	gate (serial, client ID order)
+//	gate (client ID order)
 //	    done / not started / backing off / data debt, then credit.
 //	shuffle (cohort order from the cluster stream, member order from
 //	    each cohort's own stream)
 //	repeat:
-//	  plan (parallel over cohorts)         — strategy
-//	  admit (serial, tick shuffle order)   — strategy
+//	  plan (cohort order)                  — strategy
+//	  admit (tick shuffle order)           — strategy
 //	      Arbitrates each rank's per-tick budget pool (and, with QoS,
 //	      the tenant token buckets) and schedules every admitted unit —
 //	      "n queued ops of client c at rank r, admitted prefix adm,
 //	      round k" — into its rank's list. A client's k-th unit is its
-//	      round k, so within a round a client is touched by one lane.
+//	      round k, so within a round a client is served by one rank.
 //	  for each round:
-//	      serve (parallel over ranks): serveRank walks its list for
-//	          the round and applies each unit              — strategy
-//	          Everything a lane touches is owned by it: its server, the
-//	          clients of its units, its lane-local buffers. Cross-rank
-//	          effects — relay charges, stall notes, created inodes,
-//	          first-visit marks, events, counters — are buffered.
-//	      barrier (serial, ascending rank order): applyLane lands them;
-//	          created inodes are adopted here, so the order assigns
-//	          inode numbers and is part of the determinism contract.
+//	      serve (ascending rank): serveRank walks its list for the
+//	          round and applies each unit                  — strategy
+//	          What serving a rank does to other ranks and to the tree —
+//	          relay charges, stall notes, created inodes, first-visit
+//	          marks, lease revokes, events — waits in the rank's lane.
+//	      barrier (ascending rank): applyLane lands them; created
+//	          inodes are adopted here, so the order assigns inode
+//	          numbers. Every rank serves before any barrier runs, so no
+//	          serve of a round sees another rank's effects of that round.
 //	  while the strategy re-plans (sync only)
-//	merge + sweep (serial): latency and tenant shards, job completion.
+//	sweep (client ID order): job completion.
 //
 // The strategies differ only in plan, admit and the per-unit apply:
 // sync (this file) routes each client's credit into runs of same-rank
@@ -59,19 +56,18 @@ import (
 // letting each round drain budget before the next exists, is what keeps
 // budget contention fair: a client whose saturated-rank ops sit behind
 // a rank switch competes in shuffle order, not at round-two priority.
-// Relay admission uses the round-start budget snapshot rather than live
-// cross-rank reads; the snapshot-admitted charges are applied at the
-// barrier, flooring each budget at zero.
+// Relay admission uses the round-start budget snapshot; the admitted
+// charges are applied at the barrier, flooring each budget at zero.
 //
-// RNG partitioning: the cluster stream (c.rand) is consumed only in
-// serial sections (the per-tick cohort-order shuffle, epoch-close
-// balancing). Each cohort owns a Source forked from the experiment
-// seed at construction and consumes it only inside its own routing
-// subphase, so the streams are identical at every worker count.
+// RNG partitioning: the cluster stream (c.rand) draws the per-tick
+// cohort order and the epoch-close balancing. Each cohort owns a Source
+// forked from the experiment seed at construction and draws only its
+// members' per-tick shuffle.
 
 // engineCohortSize is the target number of clients per cohort; the
-// cohort count is clamped to engineMaxCohorts because each cohort
-// carries its own authority-resolver memo (one slot per directory).
+// cohort count is clamped to engineMaxCohorts. Each cohort shuffles its
+// members from its own forked stream, so both constants are model
+// output: changing either moves every pinned digest.
 const (
 	engineCohortSize = 8
 	engineMaxCohorts = 16
@@ -95,13 +91,12 @@ const (
 	execDebt
 )
 
-// unit is what admission schedules and a rank lane serves: n queued
-// ops of one client bound for one rank, of which the budget
-// arbitration admitted the prefix adm, in the client's round-th turn
-// of the phase. A sync unit is a planned run (its ops' resolutions
-// start at the head of the client's window when the unit is served;
-// creates marks a run holding a create); a write-back unit is a
-// journaled batch.
+// unit is what admission schedules and a rank serves: n queued ops of
+// one client bound for one rank, of which the budget arbitration
+// admitted the prefix adm, in the client's round-th turn of the phase.
+// A sync unit is a planned run (its ops' resolutions start at the head
+// of the client's window when the unit is served; creates marks a run
+// holding a create); a write-back unit is a journaled batch.
 type unit struct {
 	client  int32
 	rank    int32
@@ -121,10 +116,8 @@ type unit struct {
 // carried is everything read from live state (draws, lease routing,
 // rank liveness, budgets, whether a create's name exists). A slot whose
 // entry is the zero Entry (no directory is inode 0) is not resolved
-// yet. plan writes a client's window (its cohort's subphase); applyRun
-// advances head beside CompleteOp, the only pop in sync mode, from the
-// one lane serving the client that round — the queue's own
-// single-writer argument.
+// yet. plan writes a client's window; applyRun advances head beside
+// CompleteOp, the only pop in sync mode, so head tracks the queue head.
 type window struct {
 	ver    uint64
 	head   int32
@@ -139,12 +132,11 @@ type plan struct {
 	count  int32
 }
 
-// cohort is a fixed block of clients that routes together. Everything
-// here is written only by the cohort's own routing subphase.
+// cohort is a fixed block of clients shuffled from one stream and
+// planned together.
 type cohort struct {
 	members []int32     // client IDs, fixed at construction
 	rand    *rng.Source // cohort-private stream, forked from the seed
-	res     *namespace.Resolver
 
 	shuffled []int32 // members with credit this tick, in shuffled order
 	active   []int32 // clients still planning this phase (order preserved)
@@ -154,23 +146,18 @@ type cohort struct {
 	plans []plan
 }
 
-// rankLane is one rank's serve-phase shard: lane-local buffers for
-// everything the rank's serving would otherwise write cross-shard.
+// rankLane holds what serving one rank does to other ranks and to the
+// tree until the round's barrier lands it, in ascending rank order.
+// Pure sums (op counters, latency, batch commits) go straight to their
+// owner.
 type rankLane struct {
 	rank namespace.MDSID
 
-	lat metrics.LatencyShard
-	// tnServed / tlat shard per-tenant served counts and latency
-	// histograms (nil unless the cluster runs tenant QoS); the serial
-	// end of tick merges them in ascending rank order.
-	tnServed []int64
-	tlat     []metrics.LatencyShard
-	events   []obs.Event
-	fwdOut   []int32 // per rank: relay charges buffered this round
-	fwdTch   []int32 // ranks with nonzero fwdOut, in first-charge order
-	stalls   []int64 // per rank: stall notes buffered this round
-	stallT   []int32
-	n        opCounters // this round's deltas, added to the cluster's at the barrier
+	events []obs.Event
+	fwdOut []int32 // per rank: relay charges buffered this round
+	fwdTch []int32 // ranks with nonzero fwdOut, in first-charge order
+	stalls []int64 // per rank: stall notes buffered this round
+	stallT []int32
 	// revokes buffers write-invalidated leased keys; the barrier applies
 	// them (revokeLease) in ascending rank order.
 	revokes []namespace.FragKey
@@ -183,35 +170,28 @@ type rankLane struct {
 	// of the run being served found under its name.
 	arena  namespace.InodeArena
 	probed []*namespace.Inode
-
-	// batchCommits counts group-commit applications this round
-	// (write-back only).
-	batchCommits int64
 }
 
 // engine holds the tick engine's amortized state.
 type engine struct {
-	c       *Cluster
-	workers int
+	c *Cluster
 
 	cohorts     []*cohort
-	cohortOrder []int // shuffled per tick; lane processing order
+	cohortOrder []int // shuffled per tick; admission's cohort order
 	cohortOf    []int // client -> owning cohort index
 
-	// Per-client tick state, indexed by client ID. blocked is written
-	// from parallel rank lanes, but each index is written only by the
-	// single lane serving that client this round.
+	// Per-client tick state, indexed by client ID.
 	credit       []int64
 	participated []bool
 	blocked      []bool
 	// win is each client's carried plan (sync strategy only: nil in
-	// write-back mode), written under the same single-writer rule.
+	// write-back mode).
 	win []window
 
 	lanes []*rankLane
-	// admitLane buffers the effects of the serial admit phase (stall
-	// notes, backoff and flush events) so admission shares the lanes'
-	// stall helpers; it is applied once, right after admit.
+	// admitLane buffers the effects of the admit phase (stall notes,
+	// backoff and flush events) so admission shares the lanes' stall
+	// helpers; it is applied once, right after admit.
 	admitLane rankLane
 	avail     []int32 // per rank: unreserved serve budget this tick
 
@@ -223,15 +203,6 @@ type engine struct {
 	budgetSnap  []int32
 	activeRanks []int
 
-	// The current tick/epoch plus the three fan-out closures, bound
-	// once at construction: handing runParallel a fresh closure every
-	// phase would allocate on the steady tick path (dozens of times per
-	// tick — one per plan phase and serve round).
-	tick, epoch int64
-	beginTickFn func(int)
-	planFn      func(int)
-	serveFn     func(int)
-
 	// wb is the write-back strategy's state (wb.go), non-nil only when
 	// Config.Batching selects a real batching regime. The degenerate
 	// {BatchSize:1, FlushEvery:1} configuration leaves it nil: that
@@ -241,13 +212,11 @@ type engine struct {
 
 // newEngine builds the engine for a freshly constructed cluster,
 // forking one RNG stream per cohort from the experiment seed. Cohort
-// membership is a pure function of the client count, never of the
-// worker count — worker-count invariance starts here.
+// membership is a pure function of the client count.
 func newEngine(c *Cluster, src *rng.Source) *engine {
 	n := len(c.clients)
 	e := &engine{
 		c:            c,
-		workers:      c.cfg.Workers,
 		cohortOf:     make([]int, n),
 		credit:       make([]int64, n),
 		participated: make([]bool, n),
@@ -259,9 +228,6 @@ func newEngine(c *Cluster, src *rng.Source) *engine {
 	}
 	for k := 0; k < numCohorts; k++ {
 		co := &cohort{rand: src.Fork(uint64(100 + k))}
-		if !c.cfg.DisableResolveCache {
-			co.res = namespace.NewResolver(c.part)
-		}
 		// Contiguous blocks: client i belongs to cohort i*numCohorts/n.
 		lo, hi := k*n/numCohorts, (k+1)*n/numCohorts
 		for i := lo; i < hi; i++ {
@@ -271,12 +237,8 @@ func newEngine(c *Cluster, src *rng.Source) *engine {
 		e.cohorts = append(e.cohorts, co)
 		e.cohortOrder = append(e.cohortOrder, k)
 	}
-	e.beginTickFn = func(k int) { e.cohorts[k].beginTick(e) }
-	e.planFn = func(k int) { e.cohorts[k].plan(e, e.tick) }
-	e.serveFn = func(j int) { e.serveRank(e.activeRanks[j], e.tick, e.epoch) }
 	if bc := c.cfg.Batching; bc != nil && (bc.BatchSize > 1 || bc.FlushEvery > 1) {
 		e.wb = newWBState(e, bc)
-		e.planFn = func(k int) { e.wbPlanCohort(k, e.tick) }
 	} else {
 		e.win = make([]window, n)
 	}
@@ -303,15 +265,6 @@ func (e *engine) ensure() {
 			lane.fwdOut = append(lane.fwdOut, 0)
 		}
 	}
-	if tn := e.c.tn; tn != nil {
-		nt := tn.N()
-		for _, lane := range e.lanes {
-			if lane.tnServed == nil {
-				lane.tnServed = make([]int64, nt)
-				lane.tlat = make([]metrics.LatencyShard, nt)
-			}
-		}
-	}
 }
 
 // serveTick runs the serve phase of one tick — the one loop both
@@ -319,10 +272,9 @@ func (e *engine) ensure() {
 func (e *engine) serveTick(tick, epoch int64) {
 	c := e.c
 	e.ensure()
-	e.tick, e.epoch = tick, epoch
 
-	// Gate (serial, client ID order): done/not-started, retry backoff,
-	// data debt — then credit accrual for everyone who participates.
+	// Gate (client ID order): done/not-started, retry backoff, data
+	// debt — then credit accrual for everyone who participates.
 	anyActive := false
 	for i, cl := range c.clients {
 		e.participated[i] = false
@@ -353,11 +305,12 @@ func (e *engine) serveTick(tick, epoch int64) {
 	}
 
 	if anyActive {
-		// Shuffle the per-tick orders: the cohort processing order from
-		// the cluster stream (serial), each cohort's member order from
-		// its own stream (parallel, cohort-owned).
+		// Shuffle the per-tick orders: the cohort order from the cluster
+		// stream, each cohort's member order from its own stream.
 		c.rand.ShuffleInts(e.cohortOrder)
-		runParallel(e.workers, len(e.cohorts), e.beginTickFn)
+		for _, co := range e.cohorts {
+			co.beginTick(e)
+		}
 		clear(e.blocked)
 		// The tick's serve-budget pools, drawn down by admission. One
 		// pool per tick, not per phase: a client that re-plans after a
@@ -367,13 +320,21 @@ func (e *engine) serveTick(tick, epoch int64) {
 		}
 
 		for {
-			runParallel(e.workers, len(e.cohorts), e.planFn)
+			for k, co := range e.cohorts {
+				if e.wb != nil {
+					e.wbPlanCohort(k, tick)
+				} else {
+					co.plan(e, tick)
+				}
+			}
 			e.admit(tick)
 			for e.round = 0; e.scheduleRound(); e.round++ {
 				for i, s := range c.servers {
 					e.budgetSnap[i] = int32(s.RemainingBudget())
 				}
-				runParallel(e.workers, len(e.activeRanks), e.serveFn)
+				for _, r := range e.activeRanks {
+					e.serveRank(r, tick, epoch)
+				}
 				for _, r := range e.activeRanks {
 					e.applyLane(e.lanes[r], tick)
 				}
@@ -386,16 +347,8 @@ func (e *engine) serveTick(tick, epoch int64) {
 		}
 	}
 
-	// End of tick (serial): merge latency shards in rank order (pure
-	// integer adds — any order would produce the same bytes, rank order
-	// keeps it obviously deterministic), then the completion sweep in
-	// client ID order over everyone who participated this tick.
-	for _, lane := range e.lanes {
-		if lane.lat.Dirty() {
-			c.rec.MergeLatencyShard(&lane.lat)
-		}
-	}
-	e.mergeTenantShards()
+	// End of tick: the completion sweep in client ID order over everyone
+	// who participated this tick.
 	for i, cl := range c.clients {
 		if e.participated[i] && cl.MaybeFinish() {
 			c.doneN++
@@ -409,7 +362,7 @@ func (e *engine) serveTick(tick, epoch int64) {
 
 // admit rebuilds the phase's schedule through the strategy's admission
 // — which appends every admitted unit to its rank's list — and lands
-// what the serial phase buffered.
+// what admission buffered.
 func (e *engine) admit(tick int64) {
 	for i := range e.byRank {
 		e.byRank[i] = e.byRank[i][:0]
@@ -471,29 +424,6 @@ func (e *engine) admitOps(cl *client.Client, rank, want, per int32) (grant, adm 
 	return grant, adm
 }
 
-// mergeTenantShards folds every lane's per-tenant served counts and
-// latency shards into the cluster at the serial end of the tick.
-// Integer adds in ascending (rank, tenant) order — deterministic at
-// any worker count. No-op on single-tenant runs (the lanes never
-// allocate tenant shards).
-func (e *engine) mergeTenantShards() {
-	c := e.c
-	if c.tn == nil {
-		return
-	}
-	for _, lane := range e.lanes {
-		for t := range lane.tlat {
-			if lane.tlat[t].Dirty() {
-				c.rec.MergeTenantLatencyShard(t, &lane.tlat[t])
-			}
-			if n := lane.tnServed[t]; n != 0 {
-				c.tnServedTick[t] += n
-				lane.tnServed[t] = 0
-			}
-		}
-	}
-}
-
 // beginTick builds the cohort's shuffled active list for the tick from
 // the members that accrued credit, consuming the cohort stream only
 // when the cohort has any such member (so idle cohorts do not advance
@@ -539,7 +469,7 @@ func (co *cohort) plan(e *engine, tick int64) {
 	for _, ci := range co.active {
 		cl := c.clients[ci]
 		w := &e.win[ci]
-		if w.ver != ver || co.res == nil {
+		if w.ver != ver || c.resolver == nil {
 			w.ver, w.head = ver, int32(len(w.routes)) // nothing is carried
 		}
 		w.routes = w.routes[:copy(w.routes, w.routes[w.head:])]
@@ -556,7 +486,7 @@ func (co *cohort) plan(e *engine, tick int64) {
 			}
 			r := &w.routes[k]
 			if r.ent.Key.Dir == 0 {
-				e.route(w.routes, k, co.res, cl) // just drawn
+				e.route(w.routes, k, cl) // just drawn
 			}
 			rank := int32(r.ent.Auth)
 			if rep := c.rep; rep != nil && rep.LiveLeases() != 0 && !r.write {
@@ -587,12 +517,12 @@ func (co *cohort) plan(e *engine, tick int64) {
 // route resolves the client's k-th queued op into its window slot.
 // Scans issue many ops on one inode in a row: an op on the previous
 // slot's target shares its governing entry.
-func (e *engine) route(routes []routed, k int, res *namespace.Resolver, cl *client.Client) {
+func (e *engine) route(routes []routed, k int, cl *client.Client) {
 	r, op := &routes[k], cl.OpAt(k)
-	if k > 0 && res != nil && op.Target != nil && op.Target == routes[k-1].target {
+	if k > 0 && e.c.resolver != nil && op.Target != nil && op.Target == routes[k-1].target {
 		r.ent, r.target = routes[k-1].ent, op.Target
 	} else {
-		*r = e.c.resolveOp(res, op)
+		*r = e.c.resolveOp(op)
 	}
 	r.write, r.ends = op.Kind.IsWrite(), e.endsRun(cl, op)
 }
@@ -640,17 +570,12 @@ func (e *engine) admitRuns() {
 // target's inode number indexes uniformly into the live candidates
 // (the primary plus the lease holders, in that fixed order), so a
 // storm's reads spread evenly and every inode sticks to exactly one
-// replica while the holder set is stable. Inode-sticky — not
-// client-sticky — is load-bearing for the parallel engine: the serve
-// path touches per-inode access state (trace.RecordNoVisit mutates
-// Hot), and routing all reads of an inode to one rank keeps that state
-// single-writer within a tick. Routing on last-epoch loads instead
+// replica while the holder set is stable — its reads, and so its access
+// history, stay on one rank. Routing on last-epoch loads instead
 // oscillates: the loads are a full epoch stale, so whichever rank
 // looked idle at epoch close absorbs the entire next epoch's stream
-// and the roles flip every epoch. The uniform spread is stable, keeps
-// every candidate under demand/n, and is a pure function of (entry,
-// leases, inode) — no shared mutable reads — so it is identical at
-// every worker count.
+// and the roles flip every epoch. The uniform spread is stable and
+// keeps every candidate under demand/n.
 func (e *engine) leaseRank(ent namespace.Entry, leases []replica.Lease, ino namespace.Ino) int32 {
 	c := e.c
 	var cands [8]namespace.MDSID
@@ -694,11 +619,10 @@ func (e *engine) rebuildActive() bool {
 	return any
 }
 
-// serveRank executes one rank lane for the round: it applies the units
+// serveRank serves one rank for the round: it applies the units
 // scheduled to this rank for the round, in admission order, buffering
-// every cross-rank effect in the lane, and parks each client whose unit
-// did not end cleanly. Each client has at most one unit per round, so a
-// lane is the sole writer of every client it touches.
+// in the rank's lane what the barrier lands, and parks each client whose
+// unit did not end cleanly. Each client has at most one unit per round.
 func (e *engine) serveRank(rank int, tick, epoch int64) {
 	c := e.c
 	lane := e.lanes[rank]
@@ -724,8 +648,8 @@ func (e *engine) serveRank(rank int, tick, epoch int64) {
 			e.stall(lane, cl, at)
 		case execDebt:
 			// The data transfer blocks the client until paid; the debt
-			// is paid (OSD pool access is serial) at the barrier, which
-			// re-activates the client on success.
+			// is paid at the barrier, which re-activates the client on
+			// success.
 			e.blocked[u.client] = true
 		}
 	}
@@ -745,7 +669,7 @@ func (e *engine) stall(lane *rankLane, cl *client.Client, at namespace.MDSID) {
 // stalled-on-down and the client enters capped-exponential backoff.
 func (e *engine) stallDown(lane *rankLane, cl *client.Client, at namespace.MDSID, tick int64) {
 	lane.noteStall(at)
-	lane.n.stalledDown++
+	e.c.stalledDown++
 	cl.RetainBackoff(tick, at)
 	if e.c.bus.Enabled(obs.EvBackoffEnter) {
 		f := obs.AcquireF()
@@ -757,8 +681,8 @@ func (e *engine) stallDown(lane *rankLane, cl *client.Client, at namespace.MDSID
 
 // complete retires the client's head op, which the lane just served:
 // the backoff-exit event if the op had been backing off, the latency
-// and tenant shards, and the debt of an op that moves data — in which
-// case it reports true and the unit ends with execDebt.
+// (run-wide and per tenant), and the debt of an op that moves data — in
+// which case it reports true and the unit ends with execDebt.
 func (e *engine) complete(lane *rankLane, cl *client.Client, data, tick int64) bool {
 	c := e.c
 	if cl.Backoff() > 0 && c.bus.Enabled(obs.EvBackoffExit) {
@@ -767,10 +691,10 @@ func (e *engine) complete(lane *rankLane, cl *client.Client, data, tick int64) b
 		lane.events = append(lane.events, obs.Event{Tick: tick, Type: obs.EvBackoffExit, Fields: f})
 	}
 	lat := cl.CompleteOp(tick)
-	lane.lat.Add(lat)
-	if lane.tnServed != nil {
-		lane.tnServed[cl.Tenant]++
-		lane.tlat[cl.Tenant].Add(lat)
+	c.rec.AddLatency(lat)
+	if c.tn != nil {
+		c.tnServedTick[cl.Tenant]++
+		c.rec.AddTenantLatency(cl.Tenant, lat)
 	}
 	if !c.cfg.DataPath || data <= 0 {
 		return false
@@ -803,7 +727,7 @@ func (e *engine) relay(lane *rankLane, target *namespace.Inode) (execStatus, nam
 		}
 		lane.fwdOut[h]++
 	}
-	lane.n.forwards += int64(len(hops))
+	c.forwards += int64(len(hops))
 	return execOK, 0
 }
 
@@ -813,8 +737,8 @@ func (e *engine) relay(lane *rankLane, target *namespace.Inode) (execStatus, nam
 // A run holding creates first probes their names back to back, so the
 // misses into the directories' indexes overlap instead of each waiting
 // behind the previous op's serve. This is the one place a sync create
-// reads its directory; a lane may, because the index is written only at
-// the barrier, which also makes the answers good for the whole round.
+// reads its directory; the index is written only at the barrier, so
+// the answers hold for the whole round.
 func (e *engine) applyRun(lane *rankLane, auth *mds.Server, cl *client.Client,
 	u *unit, tick, epoch int64) (execStatus, namespace.MDSID) {
 	w := &e.win[u.client]
@@ -839,7 +763,7 @@ func (e *engine) applyRun(lane *rankLane, auth *mds.Server, cl *client.Client,
 		if st, at := e.execOp(lane, auth, cl, op, r, target, epoch); st != execOK {
 			return st, at
 		}
-		if lane.tnServed != nil {
+		if e.c.tn != nil {
 			auth.AddTenantHeat(r.ent.Key, cl.Tenant, 1)
 		}
 		e.credit[u.client]--
@@ -854,13 +778,13 @@ func (e *engine) applyRun(lane *rankLane, auth *mds.Server, cl *client.Client,
 	return execOK, 0
 }
 
-// execOp attempts one op against its authoritative rank with every
-// cross-rank write buffered: relay-budget admission reads the
-// round-start snapshot and the charges land at the barrier. r is the
-// op's plan-time resolution and target the inode it acts on; nil is a
-// create of a name the tree does not hold, which acts on the inode the
-// lane promises for it — the first such create's, when another client
-// promised the name this round — adopted at the barrier.
+// execOp attempts one op against its serving rank, buffering what the
+// barrier lands: relay-budget admission reads the round-start snapshot
+// and the charges land at the barrier. r is the op's plan-time
+// resolution and target the inode it acts on; nil is a create of a name
+// the tree does not hold, which acts on the inode the lane promises for
+// it — the first such create's, when another client promised the name
+// this round — adopted at the barrier.
 func (e *engine) execOp(lane *rankLane, auth *mds.Server, cl *client.Client,
 	op *workload.Op, r *routed, target *namespace.Inode, epoch int64) (execStatus, namespace.MDSID) {
 	entry := r.ent
@@ -869,7 +793,7 @@ func (e *engine) execOp(lane *rankLane, auth *mds.Server, cl *client.Client,
 		if err != nil {
 			// Invalid name: treat as served. No MDS serves the op, so
 			// count it for the auditor's ops-conservation reconciliation.
-			lane.n.racedCreates++
+			e.c.racedCreates++
 			return execOK, 0
 		}
 		if fresh {
@@ -889,7 +813,7 @@ func (e *engine) execOp(lane *rankLane, auth *mds.Server, cl *client.Client,
 		// replica — no client-cache or relay work (the client holds the
 		// lease grant; reads resolve to the holder directly).
 		e.serve(lane, auth, entry, target, epoch, false)
-		lane.n.leaseServes++
+		e.c.leaseServes++
 		return execOK, 0
 	}
 	if cached, ok := cl.CacheLookup(entry.Key); !ok || cached != entry.Auth {
@@ -910,11 +834,11 @@ func (e *engine) execOp(lane *rankLane, auth *mds.Server, cl *client.Client,
 
 // serve records one access on the serving rank (the authority, or a
 // lease holder for lease-served reads), deferring the first-visit
-// ancestor walk to the barrier (it writes shared ancestor counters).
+// ancestor walk to the barrier.
 func (e *engine) serve(lane *rankLane, auth *mds.Server, entry namespace.Entry,
 	in *namespace.Inode, epoch int64, write bool) {
-	// Cannot fail: HasBudget was checked by the caller and only this
-	// lane drains this server's budget mid-round.
+	// Cannot fail: HasBudget was checked by the caller and only relay
+	// charges, which land at the barrier, drain budget otherwise.
 	_, first := auth.ServeDeferVisit(entry, in, epoch, write)
 	if first {
 		lane.visits = append(lane.visits, in)
@@ -949,7 +873,7 @@ func (e *engine) applyLane(lane *rankLane, tick int64) {
 			// probe-free write-back promise may lose its slot.
 			panic("cluster: duplicate create reached the sync barrier")
 		}
-		lane.n.racedCreates++
+		c.racedCreates++
 	}
 	lane.creates = lane.creates[:0]
 	lane.arena.EndRound()
@@ -967,15 +891,10 @@ func (e *engine) applyLane(lane *rankLane, tick int64) {
 		lane.stalls[h] = 0
 	}
 	lane.stallT = lane.stallT[:0]
-	c.opCounters.add(&lane.n)
 	for _, k := range lane.revokes {
 		c.revokeLease(k)
 	}
 	lane.revokes = lane.revokes[:0]
-	if lane.batchCommits != 0 {
-		c.rec.AddBatchCommits(lane.batchCommits)
-		lane.batchCommits = 0
-	}
 	for _, ev := range lane.events {
 		c.bus.EmitPooled(ev)
 	}

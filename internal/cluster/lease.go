@@ -9,13 +9,11 @@
 // lease set directly. A cluster without leases (LeaseTicks 0, the
 // default) never has a live lease and pays one comparison per read.
 //
-// Determinism: grants and carves run in serial sections over the
-// partition's sorted entry snapshot; write revokes are buffered in rank
-// lanes during the parallel serve rounds and applied at the serial
-// barriers in ascending rank order. The lease set therefore changes
-// only in serial sections — the parallel plan and serve phases only
-// read it — and the lease path is byte-identical at every worker count,
-// which the differential tests prove.
+// Order: grants and carves walk the partition's sorted entry snapshot;
+// write revokes are buffered in rank lanes during a serve round and
+// applied at its barrier in ascending rank order. The lease set
+// therefore never changes while a round is being served, so every rank
+// of a round routes and serves against the same leases.
 package cluster
 
 import (
@@ -50,7 +48,7 @@ func (c *Cluster) leased(key namespace.FragKey) bool {
 }
 
 // revokeLease drops every lease on the subtree — the write-invalidation
-// path, applied at the serial apply barriers in ascending rank order.
+// path, applied at the round barriers in ascending rank order.
 // Idempotent: a key already revoked this round is a no-op, so duplicate
 // buffered revokes are harmless.
 func (c *Cluster) revokeLease(key namespace.FragKey) {

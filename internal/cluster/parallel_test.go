@@ -16,24 +16,15 @@ import (
 	"repro/internal/workload"
 )
 
-// engineWorkerCounts are the worker counts every differential below
-// runs at. 1 is the inline path (runParallel never spawns), 2 forces
-// real cross-goroutine interleaving, 8 oversubscribes the lane count
-// of most scenarios so workers steal across cohorts and ranks.
-var engineWorkerCounts = []int{1, 2, 8}
-
-// runEngineDiff runs one seeded scenario at the given worker count and
-// returns the run's complete externally visible output: per-tick CSV,
-// per-epoch CSV, and the JSONL event trace. The scenario mutates the
-// config (schedules, replication) before the cluster is built.
-func runEngineDiff(t *testing.T, workers int, scenario func(*Config) func(*Cluster)) []byte {
+// runEngineDiff runs one seeded scenario and returns the run's complete
+// externally visible output: per-tick CSV, per-epoch CSV, and the JSONL
+// event trace. The scenario mutates the config (schedules, replication)
+// before the cluster is built.
+func runEngineDiff(t *testing.T, scenario func(*Config) func(*Cluster)) []byte {
 	t.Helper()
 	var tr bytes.Buffer
 	sink := obs.NewJSONL(&tr)
-	cfg := Config{
-		Workers: workers,
-		Bus:     obs.NewBus(sink),
-	}
+	cfg := Config{Bus: obs.NewBus(sink)}
 	after := scenario(&cfg)
 	c := newTestCluster(t, cfg)
 	if after != nil {
@@ -71,17 +62,17 @@ func diffEngineOutputs(t *testing.T, name string, want, got []byte) {
 	if lo < 0 {
 		lo = 0
 	}
-	t.Fatalf("%s diverges at byte %d:\nserial:   %q\nparallel: %q",
+	t.Fatalf("%s diverges at byte %d:\nwant: %q\ngot:  %q",
 		name, i, want[lo:min(i+80, len(want))], got[lo:min(i+80, len(got))])
 }
 
 // engineScenarios are the stress configurations of the engine
 // differential. Each returns an optional post-construction hook. digest
-// is the SHA-256 of the serial run's runEngineDiff bytes, recorded at
-// the commit before write-back became a strategy of the one tick loop
-// (rows added since: at the parent of the commit that added them): it
-// pins the engine's output across commits, not only across worker
-// counts. A change that means to alter model output re-records it.
+// is the SHA-256 of the run's runEngineDiff bytes, recorded at the
+// commit before write-back became a strategy of the one tick loop (rows
+// added since: at the parent of the commit that added them): it pins
+// the engine's output across commits. A change that means to alter
+// model output re-records it.
 var engineScenarios = []struct {
 	name     string
 	digest   string
@@ -123,8 +114,7 @@ var engineScenarios = []struct {
 	}},
 	{"batched", "e55c340d2d673c81c5c3869d8575731995b28e2920004d30056d6ebc477a142a", func(cfg *Config) func(*Cluster) {
 		// Write-back mode with a mid-run crash: flush/admit ordering,
-		// batch serve rounds, and the crash-requeue sweep all have to
-		// reproduce byte-identically at every worker count.
+		// batch serve rounds, and the crash-requeue sweep.
 		var sched fault.Schedule
 		sched.Crash(50, 2).Recover(120, 2)
 		cfg.MDS = 4
@@ -138,10 +128,9 @@ var engineScenarios = []struct {
 	}},
 	{"leases", "91d73cc92b8fb20297dc53558d4ffb2631690d315788f6c7103bc6d7799a09b6", func(cfg *Config) func(*Cluster) {
 		// Lease-served read storm with writes mixed in and a holder-rank
-		// crash mid-run: lease routing, the client-sticky holder spread,
+		// crash mid-run: lease routing, the inode-sticky holder spread,
 		// write revokes at the serve barriers, carve heat seeding, and
-		// crash-driven lease pruning all have to reproduce byte-
-		// identically at every worker count.
+		// crash-driven lease pruning.
 		var sched fault.Schedule
 		sched.Crash(30, 2).Recover(70, 2)
 		cfg.MDS = 5
@@ -164,11 +153,10 @@ var engineScenarios = []struct {
 	{"leases-drain", "daa869cd708ce8305b0d280edbe9cb7ec518db340032e30202d26a2b3466ea75", leasesDrainScenario},
 	{"tenants", "8e99465160a8ee91c2f55cd0f2285d175c15363f254c1be9ffad24d58268d10b", func(cfg *Config) func(*Cluster) {
 		// Skewed multi-tenant mix under contended token buckets with a
-		// mid-run crash: the serial bucket-admission phase, per-tenant
-		// lane accounting, throttle events, and the per-tenant heat and
-		// debt bookkeeping all have to reproduce byte-identically at
-		// every worker count. The policy is tight enough that the big
-		// tenants throttle every epoch.
+		// mid-run crash: bucket admission, per-tenant served counts and
+		// latency, throttle events, and the per-tenant heat and debt
+		// bookkeeping. The policy is tight enough that the big tenants
+		// throttle every epoch.
 		var sched fault.Schedule
 		sched.Crash(50, 1).Recover(120, 1)
 		cfg.MDS = 4
@@ -288,7 +276,7 @@ func leasesDrainScenario(cfg *Config) func(*Cluster) {
 // and write, and holders serve reads in between.
 func TestLeasesDrainCoversEveryRevoke(t *testing.T) {
 	var c *Cluster
-	out := runEngineDiff(t, 0, func(cfg *Config) func(*Cluster) {
+	out := runEngineDiff(t, func(cfg *Config) func(*Cluster) {
 		after := leasesDrainScenario(cfg)
 		return func(built *Cluster) {
 			c = built
@@ -311,24 +299,17 @@ func TestLeasesDrainCoversEveryRevoke(t *testing.T) {
 // its slot at the adoption barrier and is counted there.
 const dupCreateWBRaced = 604
 
-// TestParallelEngineDifferential is the correctness contract of the
-// phased tick engine: the same seeded run must produce byte-identical
-// CSVs and event traces at every worker count, and the serial baseline
-// (Workers: 0) must still hash to the digest recorded for it. Any
-// scheduling leak — RNG consumption, merge ordering, budget
-// arbitration, inode-number assignment — shows up here as a diverging
-// trace; any change of model output as a diverging digest.
+// TestParallelEngineDifferential pins the phased tick engine's output:
+// each seeded scenario's CSVs and event trace must hash to the digest
+// recorded for it, so any change of RNG consumption, barrier order,
+// budget arbitration or inode-number assignment shows up as a diverging
+// digest. The name predates the engine running on one goroutine.
 func TestParallelEngineDifferential(t *testing.T) {
 	for _, sc := range engineScenarios {
-		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			base := runEngineDiff(t, 0, sc.scenario)
-			if got := fmt.Sprintf("%x", sha256.Sum256(base)); got != sc.digest {
-				t.Errorf("serial output digest %s, recorded %s: model output changed", got, sc.digest)
-			}
-			for _, w := range engineWorkerCounts {
-				got := runEngineDiff(t, w, sc.scenario)
-				diffEngineOutputs(t, sc.name+"/workers="+string(rune('0'+w)), base, got)
+			out := runEngineDiff(t, sc.scenario)
+			if got := fmt.Sprintf("%x", sha256.Sum256(out)); got != sc.digest {
+				t.Errorf("output digest %s, recorded %s: model output changed", got, sc.digest)
 			}
 		})
 	}

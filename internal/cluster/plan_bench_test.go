@@ -52,7 +52,7 @@ func BenchmarkPlanSaturated(b *testing.B) {
 				if c == nil || c.Done() {
 					b.StopTimer()
 					var err error
-					c, err = New(Config{MDS: 1, Clients: 8, Capacity: 400, Workers: 1, Seed: 42,
+					c, err = New(Config{MDS: 1, Clients: 8, Capacity: 400, Seed: 42,
 						Balancer: core.NewDefault(), Workload: bc.gen()})
 					if err != nil {
 						b.Fatal(err)

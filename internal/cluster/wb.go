@@ -78,8 +78,8 @@ type wbState struct {
 	// across ranks. The same Batch pointers live in the rank journals.
 	queues [][]*mds.Batch
 
-	// Per-client plan scratch; each slot is written only by the owning
-	// cohort during the parallel plan phase.
+	// Per-client plan scratch, written by wbPlanClient and read by
+	// admission.
 	flStart []int32
 	flCount []int32
 	planned []bool
@@ -116,7 +116,7 @@ func (e *engine) wbPlanCohort(k int, tick int64) {
 	}
 	for _, ci := range co.shuffled {
 		w.planned[ci] = true
-		runs = e.wbPlanClient(co, runs, ci, tick)
+		runs = e.wbPlanClient(runs, ci, tick)
 	}
 	for _, ci := range co.members {
 		if w.planned[ci] || !e.participated[ci] {
@@ -125,7 +125,7 @@ func (e *engine) wbPlanCohort(k int, tick int64) {
 		if e.c.clients[ci].PendingOps() == 0 {
 			continue
 		}
-		runs = e.wbPlanClient(co, runs, ci, tick)
+		runs = e.wbPlanClient(runs, ci, tick)
 	}
 	w.runs[k] = runs
 }
@@ -133,7 +133,7 @@ func (e *engine) wbPlanCohort(k int, tick int64) {
 // wbPlanClient draws the client's new ops (bounded by credit, consumed
 // at draw time) and splits the locally buffered suffix into runs at
 // governing-entry switches, appending the flushable prefix to runs.
-func (e *engine) wbPlanClient(co *cohort, runs []wbRun, ci int32, tick int64) []wbRun {
+func (e *engine) wbPlanClient(runs []wbRun, ci int32, tick int64) []wbRun {
 	w := e.wb
 	cl := e.c.clients[ci]
 	// A tree-reading stream must not draw past an unadopted create: the
@@ -179,7 +179,7 @@ func (e *engine) wbPlanClient(co *cohort, runs []wbRun, ci int32, tick int64) []
 			rin = op.Parent
 		}
 		if rin != memoIn {
-			memoIn, memoEnt = rin, e.c.resolveOp(co.res, op).ent
+			memoIn, memoEnt = rin, e.c.resolveOp(op).ent
 		}
 		ent := memoEnt
 		n := 1
@@ -191,7 +191,7 @@ func (e *engine) wbPlanClient(co *cohort, runs []wbRun, ci int32, tick int64) []
 				rin2 = op2.Parent
 			}
 			if rin2 != memoIn {
-				memoIn, memoEnt = rin2, e.c.resolveOp(co.res, op2).ent
+				memoIn, memoEnt = rin2, e.c.resolveOp(op2).ent
 				if memoEnt.Key != ent.Key || memoEnt.Auth != ent.Auth {
 					break // entry switch: the run ends here
 				}
@@ -308,7 +308,7 @@ func (e *engine) wbAdmitClient(ci int32, tick int64) {
 		if op == nil {
 			break // cannot happen: journaled ops are queued
 		}
-		ent := c.resolveOp(c.resolver, op).ent
+		ent := c.resolveOp(op).ent
 		if !c.servers[ent.Auth].Up() {
 			// Authority sits on a down rank (orphan window): the batch
 			// stays in its current live journal and the client backs
@@ -398,12 +398,12 @@ func (e *engine) applyBatch(lane *rankLane, auth *mds.Server, cl *client.Client,
 		fresh, raced := false, false
 		if op.Kind == workload.OpCreate {
 			// Probe-free create: no duplicate lookup here. The promise
-			// is cheap (slab carve); the serial adoption barrier decides
+			// is cheap (slab carve); the adoption barrier decides
 			// duplicate names deterministically (AdoptOrExisting), and a
 			// losing promise completes as a raced create next serve.
 			in, err := lane.arena.NewFile(op.Parent, op.Name, op.Size)
 			if err != nil {
-				lane.n.racedCreates++
+				c.racedCreates++
 				raced = true
 			} else {
 				lane.creates = append(lane.creates, in)
@@ -471,7 +471,7 @@ func (e *engine) applyBatch(lane *rankLane, auth *mds.Server, cl *client.Client,
 	}
 	if served > 0 {
 		auth.AddOps(served)
-		if lane.tnServed != nil {
+		if c.tn != nil {
 			auth.AddTenantHeat(entry.Key, cl.Tenant, served)
 		}
 	}
@@ -483,7 +483,7 @@ func (e *engine) applyBatch(lane *rankLane, auth *mds.Server, cl *client.Client,
 	}
 	if applied > 0 {
 		auth.Journal().Commit(b, applied)
-		lane.batchCommits++
+		c.rec.AddBatchCommit()
 		if c.bus.Enabled(obs.EvBatchCommit) {
 			f := obs.AcquireF()
 			f["rank"], f["client"], f["n"], f["groups"] = int(lane.rank), cl.ID, applied, groups

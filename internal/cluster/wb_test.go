@@ -24,7 +24,7 @@ func mdCreateHeavy(n int) workload.Generator {
 // TestWriteBackDegenerateMatchesSync is the write-back mode's anchor
 // differential: BatchSize=1, FlushEvery=1 must produce byte-identical
 // output (tick CSV, epoch CSV, JSONL trace) to a run with no batching
-// configured at all, at every worker count. The degenerate setting is
+// configured at all. The degenerate setting is
 // DEFINED to run the synchronous path verbatim; this test pins that
 // equivalence so a future write-back change cannot quietly claim the
 // {1,1} regime.
@@ -35,13 +35,7 @@ func TestWriteBackDegenerateMatchesSync(t *testing.T) {
 		cfg.Batching = &BatchingConfig{BatchSize: 1, FlushEvery: 1}
 		return after
 	}
-	base := runEngineDiff(t, 0, sync)
-	got := runEngineDiff(t, 0, degen)
-	diffEngineOutputs(t, "degenerate/serial", base, got)
-	for _, w := range engineWorkerCounts {
-		got := runEngineDiff(t, w, degen)
-		diffEngineOutputs(t, "degenerate/workers="+string(rune('0'+w)), base, got)
-	}
+	diffEngineOutputs(t, "degenerate", runEngineDiff(t, sync), runEngineDiff(t, degen))
 }
 
 // TestWriteBackMDtestAuditClean runs the create-heavy MDtest workload

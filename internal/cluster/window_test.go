@@ -18,10 +18,10 @@ import (
 // checkWindows is the oracle of the carried plan (engine.go, window):
 // after a Step, no sync client's window reaches past its queue, and
 // every entry the next plan would reuse — all of them, under a window
-// whose version still stands — equals a fresh, memo-free resolution of
-// the op queued at that position (for a create: the entry and hash of
-// its name, no target). It returns how many such entries resolve a
-// create.
+// whose version still stands — equals a fresh resolution of the op
+// queued at that position through the Partition itself (for a create:
+// the entry and hash of its name, no target). It returns how many such
+// entries resolve a create.
 func checkWindows(t *testing.T, c *Cluster) (creates int) {
 	t.Helper()
 	e := c.engine
@@ -36,8 +36,13 @@ func checkWindows(t *testing.T, c *Cluster) (creates int) {
 		}
 		for k := 0; k < n; k++ {
 			r, op := w.routes[int(w.head)+k], cl.OpAt(k)
-			want := c.resolveOp(nil, op)
-			want.write, want.ends = op.Kind.IsWrite(), e.endsRun(cl, op)
+			want := routed{write: op.Kind.IsWrite(), ends: e.endsRun(cl, op)}
+			if op.Kind == workload.OpCreate {
+				want.hash = namespace.HashName(op.Name)
+				want.ent = c.part.GoverningChildEntry(op.Parent, want.hash)
+			} else {
+				want.target, want.ent = op.Target, c.part.GoverningEntry(op.Target)
+			}
 			if r != want {
 				t.Fatalf("tick %d client %d op %d (%v): carried %+v, fresh %+v", c.tick, ci, k, op.Kind, r, want)
 			}
@@ -65,11 +70,11 @@ type carriedStats struct {
 
 // carriedRun steps one scenario to completion under checkWindows and
 // returns the run's complete output (CSV, epoch CSV, JSONL trace).
-func carriedRun(t *testing.T, workers int, disable bool, scenario func(*Config) func(*Cluster)) ([]byte, carriedStats) {
+func carriedRun(t *testing.T, disable bool, scenario func(*Config) func(*Cluster)) ([]byte, carriedStats) {
 	t.Helper()
 	var tr bytes.Buffer
 	sink := obs.NewJSONL(&tr)
-	cfg := Config{Workers: workers, Bus: obs.NewBus(sink), DisableResolveCache: disable}
+	cfg := Config{Bus: obs.NewBus(sink), DisableResolveCache: disable}
 	after := scenario(&cfg)
 	c := newTestCluster(t, cfg)
 	if after != nil {
@@ -256,26 +261,23 @@ func carriesCreates(t *testing.T, st carriedStats) {
 // TestCarriedPlanMatchesFresh is the contract of the carried plan: every
 // scenario runs under the window oracle every tick, and its whole output
 // must be byte-equal to the same run with the resolve cache disabled —
-// which carries nothing and resolves every op of every phase afresh —
-// at one worker and at four.
+// which carries nothing and resolves every op of every phase afresh.
 func TestCarriedPlanMatchesFresh(t *testing.T) {
 	for _, sc := range carriedScenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			fresh, _ := carriedRun(t, 1, true, sc.scenario)
+			fresh, _ := carriedRun(t, true, sc.scenario)
 			if got := fmt.Sprintf("%x", sha256.Sum256(fresh)); got != sc.digest {
 				t.Errorf("output digest %s, recorded %s: model output changed", got, sc.digest)
 			}
-			for _, workers := range []int{1, 4} {
-				got, st := carriedRun(t, workers, false, sc.scenario)
-				t.Logf("workers=%d: %+v", workers, st)
-				if st.stalls == 0 || st.carried == 0 {
-					t.Errorf("workers=%d: not saturated, nothing carried: %+v", workers, st)
-				}
-				if sc.check != nil {
-					sc.check(t, st)
-				}
-				diffEngineOutputs(t, fmt.Sprintf("%s carried (workers=%d) vs resolve cache disabled", sc.name, workers), fresh, got)
+			got, st := carriedRun(t, false, sc.scenario)
+			t.Logf("%+v", st)
+			if st.stalls == 0 || st.carried == 0 {
+				t.Errorf("not saturated, nothing carried: %+v", st)
 			}
+			if sc.check != nil {
+				sc.check(t, st)
+			}
+			diffEngineOutputs(t, sc.name+" carried vs resolve cache disabled", fresh, got)
 		})
 	}
 }

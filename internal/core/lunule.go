@@ -38,9 +38,6 @@ type Lunule struct {
 	cfg Config
 	bus *obs.Bus
 
-	// lastResult is the most recent IF evaluation, exposed for
-	// experiments and debugging.
-	lastResult IFResult
 	// rebalances counts how many epochs actually triggered migration.
 	rebalances int
 }
@@ -67,9 +64,6 @@ func (b *Lunule) Name() string {
 	}
 	return "Lunule-Light"
 }
-
-// LastIF returns the most recent IF evaluation.
-func (b *Lunule) LastIF() IFResult { return b.lastResult }
 
 // Rebalances returns how many epochs triggered migration so far.
 func (b *Lunule) Rebalances() int { return b.rebalances }
@@ -129,17 +123,17 @@ func (b *Lunule) Rebalance(v balancer.View) {
 		s := v.Server(id)
 		loads[i], histories[i] = s.CurrentLoad(), s.LoadHistory()
 	}
-	b.lastResult = IFModel{S: smoothness}.Compute(loads, v.Capacity())
+	res := IFModel{S: smoothness}.Compute(loads, v.Capacity())
 	if b.cfg.DisableUrgency {
 		// Ablation: raw normalized CoV, no benign-imbalance tolerance.
-		b.lastResult.U = 1
-		b.lastResult.IF = b.lastResult.NormCoV
+		res.U = 1
+		res.IF = res.NormCoV
 	}
-	fired := b.lastResult.IF >= threshold
+	fired := res.IF >= threshold
 	if b.bus.Enabled(obs.EvTrigger) {
 		b.bus.Emit(obs.Event{Tick: v.Tick(), Type: obs.EvTrigger, Fields: obs.F{
-			"balancer": b.Name(), "if": b.lastResult.IF, "cov": b.lastResult.CoV,
-			"norm_cov": b.lastResult.NormCoV, "u": b.lastResult.U,
+			"balancer": b.Name(), "if": res.IF, "cov": res.CoV,
+			"norm_cov": res.NormCoV, "u": res.U,
 			"threshold": threshold, "fired": fired, "live": len(live),
 		}})
 	}

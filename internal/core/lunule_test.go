@@ -2,7 +2,29 @@ package core
 
 import (
 	"testing"
+
+	"repro/internal/obs"
 )
+
+// traced attaches a ring-backed bus to the balancer; trigger reads back
+// a field of the last trigger decision it recorded.
+func traced(lun *Lunule) *obs.Ring {
+	ring := obs.NewRing(16)
+	lun.SetBus(obs.NewBus(ring))
+	return ring
+}
+
+func trigger(t *testing.T, ring *obs.Ring, field string) float64 {
+	t.Helper()
+	evs := ring.Events()
+	for i := len(evs) - 1; i >= 0; i-- {
+		if evs[i].Type == obs.EvTrigger {
+			return evs[i].Fields[field].(float64)
+		}
+	}
+	t.Fatal("no trigger decision traced")
+	return 0
+}
 
 func TestLunuleTriggersOnHarmfulSkew(t *testing.T) {
 	v, dirs := buildView(t, 10, 20)
@@ -17,9 +39,10 @@ func TestLunuleTriggersOnHarmfulSkew(t *testing.T) {
 		v.EndEpoch()
 	}
 	lun := NewDefault()
+	ring := traced(lun)
 	lun.Rebalance(v)
-	if lun.LastIF().IF < 0.5 {
-		t.Fatalf("IF = %v, want high for a fully skewed saturated cluster", lun.LastIF().IF)
+	if ifv := trigger(t, ring, "if"); ifv < 0.5 {
+		t.Fatalf("IF = %v, want high for a fully skewed saturated cluster", ifv)
 	}
 	if lun.Rebalances() != 1 {
 		t.Fatalf("rebalances = %d, want 1", lun.Rebalances())
@@ -41,9 +64,10 @@ func TestLunuleToleratesBenignSkew(t *testing.T) {
 		v.EndEpoch()
 	}
 	lun := NewDefault()
+	ring := traced(lun)
 	lun.Rebalance(v)
-	if lun.LastIF().IF >= threshold {
-		t.Fatalf("benign IF = %v, want below threshold %v", lun.LastIF().IF, threshold)
+	if ifv := trigger(t, ring, "if"); ifv >= threshold {
+		t.Fatalf("benign IF = %v, want below threshold %v", ifv, threshold)
 	}
 	if lun.Rebalances() != 0 || v.Mig.QueuedTasks() != 0 {
 		t.Fatal("benign skew must not migrate")
@@ -68,9 +92,10 @@ func TestLunuleDisableUrgencyFiresOnBenign(t *testing.T) {
 		return lun, fire
 	}
 	lun, fire := build()
+	ring := traced(lun)
 	fire()
-	if lun.LastIF().U != 1 {
-		t.Fatalf("ablated urgency = %v, want 1", lun.LastIF().U)
+	if u := trigger(t, ring, "u"); u != 1 {
+		t.Fatalf("ablated urgency = %v, want 1", u)
 	}
 	if lun.Rebalances() == 0 {
 		t.Fatal("without urgency the benign skew must trigger")

@@ -166,8 +166,7 @@ type Controller struct {
 	lastScaleEpoch int64 // epoch of the most recent non-None decision
 	scaled         bool  // whether any decision has fired yet
 
-	scaleUps   int64
-	scaleDowns int64
+	scaleUps int64
 }
 
 // NewController builds a controller; the policy must validate.
@@ -192,9 +191,6 @@ func (c *Controller) Policy() Policy { return c.policy }
 
 // ScaleUps returns how many ScaleUp decisions have fired.
 func (c *Controller) ScaleUps() int64 { return c.scaleUps }
-
-// ScaleDowns returns how many ScaleDown decisions have fired.
-func (c *Controller) ScaleDowns() int64 { return c.scaleDowns }
 
 // Observe consumes one epoch snapshot and returns the decision. The
 // guards run in a fixed order (warmup, in-flight drain, cooldown,
@@ -246,7 +242,6 @@ func (c *Controller) Observe(s Snapshot) Decision {
 			return none("at_min")
 		}
 		c.noteScale(s.Epoch)
-		c.scaleDowns++
 		return Decision{Action: ScaleDown, Delta: delta, Reason: "idle", Util: util}
 	}
 	return none("steady")

@@ -133,11 +133,14 @@ func TestDrainInFlightBlocksDecisions(t *testing.T) {
 func TestCounters(t *testing.T) {
 	c := MustController(testPolicy())
 	c.Observe(snap(0, 4, 0, 0.5))
-	c.Observe(snap(1, 4, 0, 0.9))  // up
-	c.Observe(snap(4, 6, 0, 0.1))  // down (past cooldown)
-	c.Observe(snap(7, 5, 0, 0.05)) // down
-	if c.ScaleUps() != 1 || c.ScaleDowns() != 2 {
-		t.Fatalf("counters: ups %d downs %d, want 1/2", c.ScaleUps(), c.ScaleDowns())
+	c.Observe(snap(1, 4, 0, 0.9)) // up
+	for _, s := range []Snapshot{snap(4, 6, 0, 0.1), snap(7, 5, 0, 0.05)} {
+		if d := c.Observe(s); d.Action != ScaleDown { // past cooldown
+			t.Fatalf("epoch %d: want a scale-down, got %v", s.Epoch, d.Action)
+		}
+	}
+	if c.ScaleUps() != 1 {
+		t.Fatalf("scale-ups %d, want 1", c.ScaleUps())
 	}
 }
 

@@ -330,6 +330,42 @@ func Known(flagName, v string, names []string, more ...string) error {
 	return fmt.Errorf("unknown -%s %q (want one of %s)", flagName, v, strings.Join(all, ", "))
 }
 
+// workloadSpellings and balancerSpellings are the commands' one
+// spelling table for -workload and -balancer: each row is the name
+// MakeWorkload or MakeBalancer takes, then its aliases. Matching
+// ignores case.
+var (
+	workloadSpellings = [][]string{
+		{"CNN"}, {"NLP"}, {"Web"}, {"Zipf"}, {"MD", "mdtest"}, {"Mixed"},
+		{"ReadStorm", "read-storm"},
+	}
+	balancerSpellings = [][]string{
+		{"Vanilla", "cephfs", "cephfs-vanilla"}, {"GreedySpill", "greedy"},
+		{"Lunule-Light", "light"}, {"Lunule"}, {"Dir-Hash", "dirhash", "hash"},
+	}
+)
+
+// WorkloadName returns the MakeWorkload name that the -workload value v
+// spells, or an error naming the flag.
+func WorkloadName(v string) (string, error) { return spelled("workload", v, workloadSpellings) }
+
+// BalancerName returns the MakeBalancer name that the -balancer value v
+// spells, or an error naming the flag.
+func BalancerName(v string) (string, error) { return spelled("balancer", v, balancerSpellings) }
+
+func spelled(flagName, v string, table [][]string) (string, error) {
+	names := make([]string, len(table))
+	for i, row := range table {
+		for _, sp := range row {
+			if strings.EqualFold(v, sp) {
+				return row[0], nil
+			}
+		}
+		names[i] = row[0]
+	}
+	return "", Known(flagName, v, names)
+}
+
 // MakeWorkload builds one of the paper's workloads at the given scale.
 func MakeWorkload(name string, scale float64) workload.Generator {
 	switch name {

@@ -60,9 +60,8 @@ type Server struct {
 	fwdTotal    int64 // forwarding units served overall
 	stallsTotal int64 // requests stalled here (no budget or frozen target)
 
-	state     RankState // lifecycle state (see RankState)
-	downTicks int64     // cumulative ticks spent down
-	crashes   int64     // lifecycle transitions up -> down
+	state   RankState // lifecycle state (see RankState)
+	crashes int64     // lifecycle transitions up -> down
 
 	collector      *trace.Collector
 	historyWindows int
@@ -108,17 +107,10 @@ func NewServer(id namespace.MDSID, capacity, historyWindows int, heatDecay float
 // decommissioned server gets no budget; a draining one keeps serving
 // at full capacity until its last subtree has been exported.
 func (s *Server) BeginTick() {
-	switch s.state {
-	case RankDown:
+	s.opsTick = 0
+	s.budget = s.Capacity
+	if s.state == RankDown || s.state == RankDecommissioned {
 		s.budget = 0
-		s.opsTick = 0
-		s.downTicks++
-	case RankDecommissioned:
-		s.budget = 0
-		s.opsTick = 0
-	default:
-		s.budget = s.Capacity
-		s.opsTick = 0
 	}
 }
 
@@ -210,23 +202,20 @@ func (s *Server) Rejoin() {
 // Crashes returns how many times the server went down.
 func (s *Server) Crashes() int64 { return s.crashes }
 
-// DownTicks returns the cumulative ticks the server spent down.
-func (s *Server) DownTicks() int64 { return s.downTicks }
-
 // HasBudget reports whether the server can accept more work this tick.
 func (s *Server) HasBudget() bool { return s.budget > 0 }
 
 // RemainingBudget returns the number of ops the server can still accept
-// this tick. The parallel engine snapshots it at round barriers to
-// admit relay hops without cross-rank writes mid-round.
+// this tick. The engine snapshots it at each round's start and admits
+// that round's relay hops against the snapshot.
 func (s *Server) RemainingBudget() int { return s.budget }
 
-// AddForwardCharges applies n relay charges buffered by the parallel
-// engine at a phase barrier: the rank that resolved a chain through
-// this server charges it here instead of writing this server's budget
-// from another goroutine. Admission was decided against the round-start
-// budget snapshot, so the whole batch is charged, flooring the budget
-// at zero (a relay hop never owes work into the next tick).
+// AddForwardCharges applies n relay charges buffered by the engine
+// until a round barrier: the rank that resolved a chain through this
+// server charges it here, so no serve of the round sees another rank's
+// relays. Admission was decided against the round-start budget
+// snapshot, so the whole batch is charged, flooring the budget at zero
+// (a relay hop never owes work into the next tick).
 func (s *Server) AddForwardCharges(n int) {
 	if n <= 0 {
 		return
@@ -238,8 +227,8 @@ func (s *Server) AddForwardCharges(n int) {
 	s.fwdTotal += int64(n)
 }
 
-// AddStalls applies n stall notes buffered by the parallel engine at a
-// phase barrier: requests that could not be served this tick.
+// AddStalls applies n stall notes buffered by the engine until a round
+// barrier: requests that could not be served this tick.
 func (s *Server) AddStalls(n int64) { s.stallsTotal += n }
 
 // Serve processes one metadata access to in, governed by subtree entry
@@ -256,10 +245,10 @@ func (s *Server) Serve(e namespace.Entry, in *namespace.Inode, epoch int64) bool
 
 // ServeDeferVisit is Serve with the first-visit side effect handed back
 // to the caller: firstVisit=true means the inode was accessed for the
-// first time ever and the caller owes it a MarkVisited. The parallel
-// engine uses this to keep the serve path free of ancestor-chain
-// writes (MarkVisited walks shared ancestor counters), buffering the
-// inodes per rank lane and applying the walks at the serial barrier.
+// first time ever and the caller owes it a MarkVisited. The engine uses
+// this to keep ancestor-chain writes (MarkVisited walks the ancestors'
+// counters) out of a round's serves, buffering the inodes per rank lane
+// and applying the walks at the round barrier.
 // write classifies the access for the read/write heat split; the total
 // heat charged is identical either way.
 func (s *Server) ServeDeferVisit(e namespace.Entry, in *namespace.Inode, epoch int64, write bool) (ok, firstVisit bool) {

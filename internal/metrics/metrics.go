@@ -6,7 +6,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/stats"
@@ -41,12 +40,8 @@ type Recorder struct {
 
 	recoveries []RecoveryEvent
 
-	// latency histograms per-op service latency in ticks: index i
-	// counts ops completed with latency i+1; the final slot is the
-	// overflow bucket.
-	latency    [maxLatencyBucket]int64
-	latencyN   int64
-	latencySum int64
+	// latency histograms per-op service latency in ticks.
+	latency histogram
 
 	// Write-back batching counters (zero unless the run used write-back
 	// clients). batchSize histograms the op count of flushed batches
@@ -64,7 +59,7 @@ type Recorder struct {
 	// tenantJCT[t] holds tenant t's client completion ticks, tenantLat[t]
 	// accumulates tenant t's op-latency histogram. Sized by SetTenants.
 	tenantJCT [][]float64
-	tenantLat []LatencyShard
+	tenantLat []histogram
 }
 
 // RecoveryEvent records one completed failover takeover.
@@ -177,67 +172,46 @@ func (r *Recorder) SampleEpoch(tick int64, ifv, cov float64) {
 // AddJCT records a client completion time.
 func (r *Recorder) AddJCT(tick int64) { r.JCT = append(r.JCT, float64(tick)) }
 
-// AddLatency records one op's service latency in ticks (>= 1).
-func (r *Recorder) AddLatency(ticks int64) {
-	if ticks < 1 {
-		ticks = 1
-	}
-	idx := ticks - 1
-	if idx >= maxLatencyBucket {
-		idx = maxLatencyBucket - 1
-	}
-	r.latency[idx]++
-	r.latencyN++
-	r.latencySum += ticks
-}
-
-// LatencyShard is a per-worker latency accumulator for the parallel
-// engine: rank lanes record op latencies into their own shard during a
-// parallel serve phase and the engine merges the shards into the
-// Recorder at the serial end of the tick. Merging is pure integer
-// addition, so any merge order yields byte-identical CSV output; the
-// maxIdx watermark keeps the merge cost proportional to the latencies
-// actually seen instead of the full histogram width.
-type LatencyShard struct {
+// histogram counts op latencies in ticks: counts[i] is the number of
+// ops completed with latency i+1; the final slot is the overflow bucket.
+type histogram struct {
 	counts [maxLatencyBucket]int64
-	maxIdx int
 	n      int64
 	sum    int64
 }
 
-// Add records one op's latency into the shard (same bucketing as
-// Recorder.AddLatency).
-func (s *LatencyShard) Add(ticks int64) {
+// add records one latency, clamped to >= 1.
+func (h *histogram) add(ticks int64) {
 	if ticks < 1 {
 		ticks = 1
 	}
-	idx := ticks - 1
-	if idx >= maxLatencyBucket {
-		idx = maxLatencyBucket - 1
-	}
-	s.counts[idx]++
-	if int(idx) >= s.maxIdx {
-		s.maxIdx = int(idx) + 1
-	}
-	s.n++
-	s.sum += ticks
+	h.counts[min(ticks-1, maxLatencyBucket-1)]++
+	h.n++
+	h.sum += ticks
 }
 
-// Dirty reports whether the shard holds unmerged samples.
-func (s *LatencyShard) Dirty() bool { return s.n != 0 }
-
-// MergeLatencyShard folds a shard's counts into the recorder and
-// resets the shard for reuse.
-func (r *Recorder) MergeLatencyShard(s *LatencyShard) {
-	for i := 0; i < s.maxIdx; i++ {
-		if c := s.counts[i]; c != 0 {
-			r.latency[i] += c
-			s.counts[i] = 0
-		}
+// mean returns the average latency (0 when empty).
+func (h *histogram) mean() float64 {
+	if h.n == 0 {
+		return 0
 	}
-	r.latencyN += s.n
-	r.latencySum += s.sum
-	s.maxIdx, s.n, s.sum = 0, 0, 0
+	return float64(h.sum) / float64(h.n)
+}
+
+// quantile returns the q-quantile latency; the overflow bucket reports
+// the cap.
+func (h *histogram) quantile(q float64) float64 {
+	return stats.QuantileOfCounts(h.counts[:], func(i int) float64 { return float64(i + 1) }, q)
+}
+
+// AddLatency records one op's service latency in ticks (>= 1).
+func (r *Recorder) AddLatency(ticks int64) { r.latency.add(ticks) }
+
+// AddTenantLatency records one op's service latency under tenant t.
+func (r *Recorder) AddTenantLatency(t int, ticks int64) {
+	if t >= 0 && t < len(r.tenantLat) {
+		r.tenantLat[t].add(ticks)
+	}
 }
 
 // SetTenants sizes the per-tenant measurement slots (idempotent, never
@@ -247,7 +221,7 @@ func (r *Recorder) SetTenants(n int) {
 	if n <= len(r.tenantLat) {
 		return
 	}
-	lat := make([]LatencyShard, n)
+	lat := make([]histogram, n)
 	copy(lat, r.tenantLat)
 	r.tenantLat = lat
 	jct := make([][]float64, n)
@@ -283,34 +257,12 @@ func (r *Recorder) TenantJCTQuantile(t int, q float64) float64 {
 	return stats.Percentile(r.tenantJCT[t], q)
 }
 
-// MergeTenantLatencyShard folds a per-lane tenant latency shard into
-// tenant t's histogram and resets the shard for reuse. Integer adds
-// only, so merge order cannot change the result.
-func (r *Recorder) MergeTenantLatencyShard(t int, s *LatencyShard) {
-	if t < 0 || t >= len(r.tenantLat) {
-		return
-	}
-	d := &r.tenantLat[t]
-	for i := 0; i < s.maxIdx; i++ {
-		if c := s.counts[i]; c != 0 {
-			d.counts[i] += c
-			s.counts[i] = 0
-		}
-	}
-	if s.maxIdx > d.maxIdx {
-		d.maxIdx = s.maxIdx
-	}
-	d.n += s.n
-	d.sum += s.sum
-	s.maxIdx, s.n, s.sum = 0, 0, 0
-}
-
 // TenantMeanLatency returns tenant t's average op latency in ticks.
 func (r *Recorder) TenantMeanLatency(t int) float64 {
-	if t < 0 || t >= len(r.tenantLat) || r.tenantLat[t].n == 0 {
+	if t < 0 || t >= len(r.tenantLat) {
 		return 0
 	}
-	return float64(r.tenantLat[t].sum) / float64(r.tenantLat[t].n)
+	return r.tenantLat[t].mean()
 }
 
 // TenantLatencyQuantile returns the q-quantile op latency of tenant t.
@@ -318,24 +270,17 @@ func (r *Recorder) TenantLatencyQuantile(t int, q float64) float64 {
 	if t < 0 || t >= len(r.tenantLat) {
 		return 0
 	}
-	return stats.QuantileOfCounts(r.tenantLat[t].counts[:], func(i int) float64 { return float64(i + 1) }, q)
+	return r.tenantLat[t].quantile(q)
 }
 
 // MeanLatency returns the average op latency in ticks (0 if none).
-func (r *Recorder) MeanLatency() float64 {
-	if r.latencyN == 0 {
-		return 0
-	}
-	return float64(r.latencySum) / float64(r.latencyN)
-}
+func (r *Recorder) MeanLatency() float64 { return r.latency.mean() }
 
 // LatencyQuantile returns the q-quantile op latency in ticks from the
 // histogram (the overflow bucket reports the cap). It uses the same
 // interpolated quantile definition as stats.Percentile, so histogram
 // quantiles agree exactly with quantiles of the raw latency sample.
-func (r *Recorder) LatencyQuantile(q float64) float64 {
-	return stats.QuantileOfCounts(r.latency[:], func(i int) float64 { return float64(i + 1) }, q)
-}
+func (r *Recorder) LatencyQuantile(q float64) float64 { return r.latency.quantile(q) }
 
 // AddBatchFlush records one write-back batch flushed into a rank's
 // group-commit journal: its op count and the buffering age (ticks since
@@ -361,9 +306,9 @@ func (r *Recorder) AddBatchFlush(n int, age int64) {
 	r.flushAge[age]++
 }
 
-// AddBatchCommits records batch (or batch-prefix) applications by the
+// AddBatchCommit records one batch (or batch-prefix) application by the
 // serve phase.
-func (r *Recorder) AddBatchCommits(n int64) { r.batchCommits += n }
+func (r *Recorder) AddBatchCommit() { r.batchCommits++ }
 
 // AddBatchRequeue records one batch dropped at rank crash and re-queued
 // client-side.
@@ -473,9 +418,6 @@ func (r *Recorder) JCTQuantiles(qs ...float64) []float64 {
 	return stats.Percentiles(r.JCT, qs...)
 }
 
-// JCTMax returns the slowest client's completion time.
-func (r *Recorder) JCTMax() float64 { return stats.Max(r.JCT) }
-
 // MigratedTotal returns the final cumulative migrated-inode count.
 func (r *Recorder) MigratedTotal() float64 { return r.Migrated.Last() }
 
@@ -568,11 +510,4 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// SortedCopy returns a sorted copy of xs (ascending).
-func SortedCopy(xs []float64) []float64 {
-	out := append([]float64(nil), xs...)
-	sort.Float64s(out)
-	return out
 }

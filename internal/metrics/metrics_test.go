@@ -96,9 +96,6 @@ func TestJCTQuantiles(t *testing.T) {
 	if got := r.JCTQuantile(0.5); got != 30 {
 		t.Fatalf("p50 = %v", got)
 	}
-	if got := r.JCTMax(); got != 100 {
-		t.Fatalf("max = %v", got)
-	}
 }
 
 func TestEpochSampling(t *testing.T) {
@@ -238,16 +235,5 @@ func TestTableRendering(t *testing.T) {
 	// Columns align: both data rows place the value at the same offset.
 	if strings.Index(lines[2], "1") != strings.Index(lines[3], "2") {
 		t.Fatal("column alignment")
-	}
-}
-
-func TestSortedCopy(t *testing.T) {
-	in := []float64{3, 1, 2}
-	out := SortedCopy(in)
-	if out[0] != 1 || out[2] != 3 {
-		t.Fatal("sorted")
-	}
-	if in[0] != 3 {
-		t.Fatal("input must not be mutated")
 	}
 }

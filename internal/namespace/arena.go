@@ -1,15 +1,14 @@
 package namespace
 
 // InodeArena allocates promised inodes for deferred adoption. The
-// parallel engine's rank lanes create files concurrently, but inode
-// numbers come from the tree's single monotonic counter and linking
-// mutates shared parent state, so creation is split in two: a lane
+// engine's rank lanes create files during a serve round, but inode
+// numbers come from the tree's single monotonic counter and the round
+// barrier fixes their order, so creation is split in two: a lane
 // promises a fully usable file inode that is not yet in the tree (Ino
 // 0, unlinked), serves ops against it, and the engine adopts it into
-// the tree at the next serial barrier (Tree.AdoptOrExisting). Each lane
-// owns one arena, so slab carving needs no locking; like the tree's own
-// slab, chunked allocation amortizes to ~one allocation per
-// inodeSlabSize creates on the steady-state path.
+// the tree at the round barrier (Tree.AdoptOrExisting). Each lane owns
+// one arena; like the tree's own slab, chunked allocation amortizes to
+// ~one allocation per inodeSlabSize creates on the steady-state path.
 //
 // Between two barriers — a round — the arena is also the lane's view of
 // what is about to exist: Promise remembers the round's promises by

@@ -59,14 +59,6 @@ func (f Frag) Contains(h uint32) bool {
 	return h>>(32-uint32(f.Bits)) == f.Value
 }
 
-// ContainsFrag reports whether f covers all of g (f is g or an ancestor).
-func (f Frag) ContainsFrag(g Frag) bool {
-	if f.Bits > g.Bits {
-		return false
-	}
-	return g.Value>>(uint32(g.Bits)-uint32(f.Bits)) == f.Value
-}
-
 // IsWhole reports whether the fragment covers the entire directory.
 func (f Frag) IsWhole() bool { return f.Bits == 0 }
 

@@ -55,10 +55,9 @@ func (s *JSONL) Close() error {
 // against. A capacity of 0 panics (a ring that keeps nothing is a
 // misconfiguration, not a request for silence).
 type Ring struct {
-	events  []Event
-	start   int
-	total   int64
-	dropped int64
+	events []Event
+	start  int
+	total  int64
 }
 
 // NewRing creates a ring retaining up to capacity events.
@@ -87,7 +86,6 @@ func (r *Ring) Write(e Event) {
 	}
 	r.events[r.start] = e
 	r.start = (r.start + 1) % len(r.events)
-	r.dropped++
 }
 
 // Close implements Sink (no-op).
@@ -95,9 +93,6 @@ func (r *Ring) Close() error { return nil }
 
 // Total returns how many events were written (including overwritten).
 func (r *Ring) Total() int64 { return r.total }
-
-// Dropped returns how many events were overwritten by newer ones.
-func (r *Ring) Dropped() int64 { return r.dropped }
 
 // Events returns the retained events, oldest first.
 func (r *Ring) Events() []Event {

@@ -8,11 +8,9 @@ package osd
 
 // Pool is a bandwidth-limited OSD cluster.
 type Pool struct {
-	osds       int
-	perOSD     int64 // bytes per tick per OSD
-	budget     int64 // remaining bytes this tick
-	granted    int64 // total bytes granted overall
-	grantTicks int64
+	osds   int
+	perOSD int64 // bytes per tick per OSD
+	budget int64 // remaining bytes this tick
 }
 
 // NewPool creates a pool of n OSDs, each contributing bandwidthPerTick
@@ -27,17 +25,9 @@ func NewPool(n int, bandwidthPerTick int64) *Pool {
 // OSDs returns the current pool size.
 func (p *Pool) OSDs() int { return p.osds }
 
-// AddOSDs grows the pool (cluster expansion experiments).
-func (p *Pool) AddOSDs(k int) {
-	if k > 0 {
-		p.osds += k
-	}
-}
-
 // BeginTick refills the tick's bandwidth budget.
 func (p *Pool) BeginTick() {
 	p.budget = int64(p.osds) * p.perOSD
-	p.grantTicks++
 }
 
 // Consume grants up to want bytes from the remaining budget and
@@ -51,12 +41,8 @@ func (p *Pool) Consume(want int64) int64 {
 		g = p.budget
 	}
 	p.budget -= g
-	p.granted += g
 	return g
 }
 
 // Remaining returns the unconsumed budget of the current tick.
 func (p *Pool) Remaining() int64 { return p.budget }
-
-// GrantedTotal returns the total bytes moved through the pool.
-func (p *Pool) GrantedTotal() int64 { return p.granted }

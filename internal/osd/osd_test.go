@@ -21,9 +21,6 @@ func TestPoolBudget(t *testing.T) {
 	if p.Remaining() != 200 {
 		t.Fatal("budget must refill per tick")
 	}
-	if p.GrantedTotal() != 200 {
-		t.Fatalf("granted total = %d", p.GrantedTotal())
-	}
 }
 
 func TestPoolDegenerate(t *testing.T) {
@@ -38,21 +35,5 @@ func TestPoolDegenerate(t *testing.T) {
 	neg := NewPool(-3, 100)
 	if neg.OSDs() != 0 {
 		t.Fatal("negative size clamps to 0")
-	}
-}
-
-func TestPoolExpansion(t *testing.T) {
-	p := NewPool(2, 100)
-	p.AddOSDs(3)
-	if p.OSDs() != 5 {
-		t.Fatalf("osds = %d", p.OSDs())
-	}
-	p.AddOSDs(-1) // ignored
-	if p.OSDs() != 5 {
-		t.Fatal("negative growth must be ignored")
-	}
-	p.BeginTick()
-	if p.Remaining() != 500 {
-		t.Fatalf("expanded budget = %d", p.Remaining())
 	}
 }

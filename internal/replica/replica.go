@@ -172,9 +172,6 @@ type Group struct {
 // Appended returns the last appended journal sequence.
 func (g *Group) Appended() uint64 { return g.appended }
 
-// Totals returns the journal's prefix sums over every appended record.
-func (g *Group) Totals() (ops int64, heat float64) { return g.totalOps, g.totalHeat }
-
 // Tail returns the retained (not yet universally applied) journal
 // records. Shared slice; callers must not modify it.
 func (g *Group) Tail() []Record { return g.records }
@@ -669,8 +666,8 @@ func (m *Manager) ExpireLeases(tick int64) int {
 
 // Leases returns the live leases on the subtree, in holder-rank order.
 // Shared storage, valid until the next grant, revoke or expiry: the
-// engine routes reads off it in the parallel plan phase, and the lease
-// set changes only in serial sections. Callers must not modify it.
+// engine routes reads off it while planning, and the lease set never
+// changes mid-phase. Callers must not modify it.
 func (m *Manager) Leases(key namespace.FragKey) []Lease {
 	if g := m.groups[key]; g != nil {
 		return g.Leases

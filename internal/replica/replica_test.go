@@ -137,7 +137,7 @@ func TestStatResetRestartsDeltaBasis(t *testing.T) {
 	te.ops[k], te.heat[k] = 7, 1.5
 	m.Pump(1, te.env())
 	g := m.GroupOf(k)
-	ops, heat := g.Totals()
+	ops, heat, _ := g.PrefixAt(g.Appended())
 	if ops != 107 {
 		t.Fatalf("total ops = %d, want 107 (100 then a reset reading of 7)", ops)
 	}
@@ -200,7 +200,7 @@ func TestResyncCompletionFastForwards(t *testing.T) {
 		t.Fatalf("standby must be synced, got %+v", g.Standbys)
 	}
 	sb := g.Standbys[0]
-	ops, heat := g.Totals()
+	ops, heat, _ := g.PrefixAt(g.Appended())
 	if sb.Applied != g.Appended() || sb.Ops != ops || sb.Heat != heat {
 		t.Fatalf("fast-forward mismatch: standby %+v, journal head (%d, %d, %g)",
 			sb, g.Appended(), ops, heat)

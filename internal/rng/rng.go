@@ -129,30 +129,6 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// NormFloat64 returns a normally distributed value with mean 0 and
-// stddev 1, using the Box-Muller transform.
-func (s *Source) NormFloat64() float64 {
-	for {
-		u1 := s.Float64()
-		u2 := s.Float64()
-		if u1 <= 1e-300 {
-			continue
-		}
-		return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	}
-}
-
-// ExpFloat64 returns an exponentially distributed value with rate 1.
-func (s *Source) ExpFloat64() float64 {
-	for {
-		u := s.Float64()
-		if u <= 1e-300 {
-			continue
-		}
-		return -math.Log(u)
-	}
-}
-
 // Zipf samples from a Zipf(s=exponent) distribution over [0, n) by
 // inverting a precomputed cumulative table: a draw u maps to the
 // smallest i with cum[i] >= u. A guide table (Chen and Asau's cutpoint

@@ -199,37 +199,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	s := New(29)
-	const n = 200000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := s.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean %v", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Fatalf("normal variance %v", variance)
-	}
-}
-
-func TestExpFloat64Mean(t *testing.T) {
-	s := New(31)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += s.ExpFloat64()
-	}
-	if math.Abs(sum/n-1) > 0.02 {
-		t.Fatalf("exponential mean %v", sum/n)
-	}
-}
-
 func TestZipfRange(t *testing.T) {
 	s := New(37)
 	z := NewZipf(s, 0.98, 100)

@@ -1,10 +1,9 @@
 // Package stats provides the statistical primitives used by the
 // balancers and the experiment harness: dispersion measures (including
 // the Coefficient of Variation at the heart of the Lunule IF model),
-// percentiles/CDFs for job-completion-time analysis, online summary
-// statistics, the logistic urgency function, and the linear-regression
-// load predictor used by the migration initiator for importer-side
-// future-load estimation.
+// percentiles for job-completion-time analysis, the logistic urgency
+// function, and the linear-regression load predictor used by the
+// migration initiator for importer-side future-load estimation.
 package stats
 
 import (
@@ -70,20 +69,6 @@ func MaxCoV(n int) float64 {
 		return 0
 	}
 	return math.Sqrt(float64(n))
-}
-
-// Min returns the minimum of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Max returns the maximum of xs, or 0 for an empty slice.
@@ -209,93 +194,6 @@ func valueAtRank(counts []int64, value func(int) float64, rank int64) float64 {
 	return value(len(counts) - 1)
 }
 
-// CDF is an empirical cumulative distribution over a sample.
-type CDF struct {
-	sorted []float64
-}
-
-// NewCDF builds an empirical CDF from xs (copied and sorted).
-func NewCDF(xs []float64) *CDF {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return &CDF{sorted: sorted}
-}
-
-// Len returns the sample size.
-func (c *CDF) Len() int { return len(c.sorted) }
-
-// At returns P(X <= x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	idx := sort.SearchFloat64s(c.sorted, x)
-	for idx < len(c.sorted) && c.sorted[idx] == x {
-		idx++
-	}
-	return float64(idx) / float64(len(c.sorted))
-}
-
-// Quantile returns the q-quantile of the sample.
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	return percentileSorted(c.sorted, q)
-}
-
-// Online accumulates summary statistics one observation at a time using
-// Welford's algorithm; it is used by per-MDS load monitors where keeping
-// the full series would be wasteful.
-type Online struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add incorporates x.
-func (o *Online) Add(x float64) {
-	o.n++
-	if o.n == 1 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
-	}
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
-}
-
-// N returns the number of observations.
-func (o *Online) N() int { return o.n }
-
-// Mean returns the running mean.
-func (o *Online) Mean() float64 { return o.mean }
-
-// Variance returns the corrected sample variance.
-func (o *Online) Variance() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n-1)
-}
-
-// StdDev returns the corrected sample standard deviation.
-func (o *Online) StdDev() float64 { return math.Sqrt(o.Variance()) }
-
-// Min returns the smallest observation (0 if none).
-func (o *Online) Min() float64 { return o.min }
-
-// Max returns the largest observation (0 if none).
-func (o *Online) Max() float64 { return o.max }
-
 // LinReg fits y = a + b*x by ordinary least squares over the provided
 // points. The migration initiator uses it to extrapolate each MDS's
 // historical per-epoch load (cld) into the next epoch's expected load
@@ -387,44 +285,4 @@ func (s *Series) Tail(k int) float64 {
 		k = len(s.Values)
 	}
 	return Mean(s.Values[len(s.Values)-k:])
-}
-
-// Histogram counts observations into fixed-width buckets over
-// [lo, hi); values outside the range are clamped into the edge buckets.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-	total   int
-}
-
-// NewHistogram creates a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, n)}
-}
-
-// Add records x.
-func (h *Histogram) Add(x float64) {
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Buckets)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Buckets) {
-		idx = len(h.Buckets) - 1
-	}
-	h.Buckets[idx]++
-	h.total++
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int { return h.total }
-
-// Frac returns the fraction of observations in bucket i.
-func (h *Histogram) Frac(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Buckets[i]) / float64(h.total)
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -147,66 +148,9 @@ func TestPercentileWithinBounds(t *testing.T) {
 		}
 		q := float64(qRaw) / 255
 		p := Percentile(xs, q)
-		return p >= Min(xs)-1e-9 && p <= Max(xs)+1e-9
+		return p >= slices.Min(xs)-1e-9 && p <= Max(xs)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCDF(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 2, 3})
-	if c.At(0) != 0 {
-		t.Fatal("At(0)")
-	}
-	if c.At(2) != 0.75 {
-		t.Fatalf("At(2) = %v", c.At(2))
-	}
-	if c.At(5) != 1 {
-		t.Fatal("At(5)")
-	}
-	if c.Len() != 4 {
-		t.Fatal("Len")
-	}
-	if !almost(c.Quantile(1), 3, 1e-12) {
-		t.Fatal("Quantile(1)")
-	}
-}
-
-func TestOnlineMatchesBatch(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3}
-	var o Online
-	for _, x := range xs {
-		o.Add(x)
-	}
-	if o.N() != len(xs) {
-		t.Fatal("N")
-	}
-	if !almost(o.Mean(), Mean(xs), 1e-12) {
-		t.Fatalf("online mean %v vs %v", o.Mean(), Mean(xs))
-	}
-	if !almost(o.Variance(), Variance(xs), 1e-9) {
-		t.Fatalf("online variance %v vs %v", o.Variance(), Variance(xs))
-	}
-	if o.Min() != 1 || o.Max() != 9 {
-		t.Fatalf("min/max %v/%v", o.Min(), o.Max())
-	}
-}
-
-func TestOnlineBatchProperty(t *testing.T) {
-	f := func(raw []int16) bool {
-		if len(raw) < 2 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		var o Online
-		for i, v := range raw {
-			xs[i] = float64(v)
-			o.Add(xs[i])
-		}
-		return almost(o.Mean(), Mean(xs), 1e-6) && almost(o.Variance(), Variance(xs), 1e-3)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -264,32 +208,13 @@ func TestSeries(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0, 1, 2.5, 9.9, 100, -5} {
-		h.Add(x)
-	}
-	if h.Total() != 6 {
-		t.Fatal("total")
-	}
-	// -5 clamps to bucket 0; 100 clamps to last bucket.
-	if h.Buckets[0] != 3 {
-		t.Fatalf("bucket0 = %d", h.Buckets[0])
-	}
-	if h.Buckets[4] != 2 {
-		t.Fatalf("bucket4 = %d", h.Buckets[4])
-	}
-	if !almost(h.Frac(0), 0.5, 1e-12) {
-		t.Fatal("Frac")
-	}
-}
-
+// TestMinMax checks the sample extremes: Percentile at 0 and Max.
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7}
-	if Min(xs) != -1 || Max(xs) != 7 {
+	if Percentile(xs, 0) != -1 || Max(xs) != 7 {
 		t.Fatal("min/max")
 	}
-	if Min(nil) != 0 || Max(nil) != 0 {
+	if Percentile(nil, 0) != 0 || Max(nil) != 0 {
 		t.Fatal("empty min/max")
 	}
 }

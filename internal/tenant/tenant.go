@@ -4,9 +4,8 @@
 //
 // The cluster owns at most one Manager (Config.Tenancy; nil disables
 // the subsystem exactly like obs/audit/replica). All mutation happens
-// in the serial sections of the tick loop — the budget-admission phase
-// of the engine, BeginTick, EndEpoch — so the Manager needs no locks
-// and the parallel engine stays byte-identical at every worker count.
+// at fixed points of the tick loop — the budget-admission phase of the
+// engine, BeginTick, EndEpoch.
 //
 // Semantics: every tenant owns a token bucket refilled at Rate tokens
 // per tick up to Burst. Admission charges a run of ops against the
@@ -112,7 +111,7 @@ type bucket struct {
 
 // Manager is the cluster-wide tenant state: one token bucket per
 // tenant plus the admission/throttle/stall accounting. Not safe for
-// concurrent use; the cluster calls it only from serial tick sections.
+// concurrent use.
 type Manager struct {
 	pol     Policy
 	buckets []bucket
@@ -171,7 +170,7 @@ func (m *Manager) N() int { return len(m.buckets) }
 func (m *Manager) Clients(t int) int { return m.buckets[t].clients }
 
 // BeginTick refills every bucket and resets the per-tick counters.
-// Called once per tick from the serial prologue.
+// Called once per tick, before any admission.
 func (m *Manager) BeginTick() {
 	for t := range m.buckets {
 		b := &m.buckets[t]
@@ -289,9 +288,6 @@ func (m *Manager) MaxDebt() float64 {
 	return max
 }
 
-// DebtOf returns tenant t's SLO debt from the last closed epoch.
-func (m *Manager) DebtOf(t int) float64 { return m.buckets[t].debt }
-
 // ThrottledLastEpoch reports whether tenant t's bucket ran dry during
 // the last closed epoch — the fairness signal the balancer consults
 // before migrating a subtree that is hot purely from over-quota load.
@@ -303,9 +299,6 @@ func (m *Manager) Tokens(t int) float64 { return m.buckets[t].tokens }
 
 // BurstOf returns tenant t's bucket capacity.
 func (m *Manager) BurstOf(t int) float64 { return m.buckets[t].burst }
-
-// RateOf returns tenant t's per-tick refill rate.
-func (m *Manager) RateOf(t int) float64 { return m.buckets[t].rate }
 
 // AdmittedTick returns the ops admitted for tenant t in the current
 // tick — the auditor's conservation operand.

@@ -30,26 +30,34 @@ func TestPolicyValidate(t *testing.T) {
 	}
 }
 
+// refill drains tenant t's bucket and returns what one tick puts back:
+// the tenant's rate.
+func refill(m *Manager, t int) float64 {
+	m.Take(t, int(m.BurstOf(t)))
+	m.BeginTick()
+	return m.Tokens(t)
+}
+
 func TestBindWeightModes(t *testing.T) {
 	m := MustManager(Policy{Rate: 10, Burst: 30, WeightMode: WeightFlat})
 	if err := m.Bind([]int{1, 4}); err != nil {
 		t.Fatal(err)
 	}
-	if m.RateOf(0) != 10 || m.RateOf(1) != 10 {
-		t.Errorf("flat rates = %v, %v, want 10, 10", m.RateOf(0), m.RateOf(1))
+	if r0, r1 := refill(m, 0), refill(m, 1); r0 != 10 || r1 != 10 {
+		t.Errorf("flat rates = %v, %v, want 10, 10", r0, r1)
 	}
 	m = MustManager(Policy{Rate: 10, Burst: 30, WeightMode: WeightClients})
 	if err := m.Bind([]int{1, 4}); err != nil {
 		t.Fatal(err)
-	}
-	if m.RateOf(0) != 10 || m.RateOf(1) != 40 {
-		t.Errorf("clients rates = %v, %v, want 10, 40", m.RateOf(0), m.RateOf(1))
 	}
 	if m.BurstOf(1) != 120 {
 		t.Errorf("clients burst = %v, want 120", m.BurstOf(1))
 	}
 	if m.Tokens(1) != 120 {
 		t.Errorf("bucket should start full, tokens = %v", m.Tokens(1))
+	}
+	if r0, r1 := refill(m, 0), refill(m, 1); r0 != 10 || r1 != 40 {
+		t.Errorf("clients rates = %v, %v, want 10, 40", r0, r1)
 	}
 	if err := m.Bind(nil); err == nil {
 		t.Error("Bind(nil) should fail")
@@ -123,14 +131,19 @@ func TestDebtAndThrottleLatch(t *testing.T) {
 		t.Errorf("debt must only appear after EndEpoch, got %v", m.MaxDebt())
 	}
 	m.EndEpoch()
-	if got := m.DebtOf(0); got != 0.4 {
-		t.Errorf("debt(0) = %v, want 0.4", got)
-	}
-	if got := m.DebtOf(1); got != 0 {
-		t.Errorf("throttles must not create debt, debt(1) = %v", got)
-	}
 	if got := m.MaxDebt(); got != 0.4 {
-		t.Errorf("MaxDebt = %v, want 0.4", got)
+		t.Errorf("MaxDebt = %v, want tenant 0's 0.4", got)
+	}
+	// Throttles alone never create debt, however low the threshold.
+	m2 := MustManager(Policy{Rate: 10, Burst: 10, DebtThreshold: 0.01})
+	if err := m2.Bind([]int{1}); err != nil {
+		t.Fatal(err)
+	}
+	m2.NoteAdmitted(0, 10)
+	m2.NoteThrottled(0, 50)
+	m2.EndEpoch()
+	if got := m2.MaxDebt(); got != 0 {
+		t.Errorf("throttles must not create debt, MaxDebt = %v", got)
 	}
 	if m.ThrottledLastEpoch(0) || !m.ThrottledLastEpoch(1) {
 		t.Errorf("throttle latch = %v, %v, want false, true",

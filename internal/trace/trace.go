@@ -155,10 +155,9 @@ func (c *Collector) Record(key namespace.FragKey, in *namespace.Inode, epoch int
 // RecordNoVisit is Record with the first-ever-visit MarkVisited side
 // effect left to the caller: it returns true when the inode had never
 // been accessed before, in which case the caller owes it a
-// MarkVisited. The parallel engine uses this to defer the ancestor
-// walk (which mutates shared per-directory counters) to a serial
-// barrier; everything recorded here touches only the collector and the
-// inode itself, both owned by the serving rank.
+// MarkVisited. The engine uses this to defer the ancestor walk (which
+// mutates per-directory counters) to a round barrier; everything
+// recorded here touches only the collector and the inode itself.
 func (c *Collector) RecordNoVisit(key namespace.FragKey, in *namespace.Inode, epoch int64) (firstEver bool) {
 	if epoch != c.epoch {
 		c.BeginEpoch(epoch)

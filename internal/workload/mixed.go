@@ -22,17 +22,6 @@ func NewMixed(gens ...Generator) *Mixed {
 	return &Mixed{gens: gens}
 }
 
-// DefaultMixed builds the paper's mixture: CNN, NLP, Web, and Zipf with
-// default (scaled) configurations.
-func DefaultMixed() *Mixed {
-	return NewMixed(
-		NewCNN(CNNConfig{}),
-		NewNLP(NLPConfig{}),
-		NewWeb(WebConfig{}),
-		NewZipf(ZipfConfig{}),
-	)
-}
-
 // Name implements Generator.
 func (g *Mixed) Name() string { return "Mixed" }
 

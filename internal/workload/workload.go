@@ -84,11 +84,11 @@ type Stream interface {
 
 // TreeReader is implemented by streams whose Next() consults the live
 // namespace tree (trace replay resolves recorded paths against it).
-// The parallel engine must not draw ops ahead of an unadopted create
-// for such streams: a lookup recorded after a create only resolves once
-// the created inode is actually linked into the tree. Synthetic
-// generators build ops from their own state and never read the tree,
-// so they batch freely.
+// The engine links created inodes into the tree only at a round
+// barrier, so it must not draw ops ahead of an unadopted create for
+// such streams: a lookup recorded after a create only resolves once the
+// created inode is linked. Synthetic generators build ops from their
+// own state and never read the tree, so they batch freely.
 type TreeReader interface {
 	ReadsTree() bool
 }

@@ -247,8 +247,13 @@ func TestMDCreatesAndRatio(t *testing.T) {
 	}
 }
 
+// paperMixed is the paper's mixture at default configurations.
+func paperMixed() *Mixed {
+	return NewMixed(NewCNN(CNNConfig{}), NewNLP(NLPConfig{}), NewWeb(WebConfig{}), NewZipf(ZipfConfig{}))
+}
+
 func TestMixedGroups(t *testing.T) {
-	g := DefaultMixed()
+	g := paperMixed()
 	tree, specs := setup(t, g, 8, 10)
 	if len(specs) != 8 {
 		t.Fatal("specs")
@@ -272,7 +277,7 @@ func TestMixedGroups(t *testing.T) {
 }
 
 func TestMixedTooFewClients(t *testing.T) {
-	g := DefaultMixed()
+	g := paperMixed()
 	tree := namespace.NewTree()
 	if _, err := g.Setup(tree, 2, rng.New(1)); err == nil {
 		t.Fatal("expected error for fewer clients than groups")
