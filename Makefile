@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmtcheck race check benchcheck pairs loc budget gobench audit fuzz elastic replication batched readstorm noisy
+.PHONY: all build test vet fmtcheck race check benchcheck pairs loc budget repin gobench audit fuzz elastic replication batched readstorm noisy
 
 all: check
 
@@ -62,6 +62,18 @@ budget:
 		$$1 == "internal/" && $$2 > 11500 { print "budget: internal/ over 11500 code lines"; bad = 1 } \
 		$$1 == "internal/" && substr($$3, 2) + 0 > 20 { print "budget: internal/ over 20 packages"; bad = 1 } \
 		END { exit bad }'
+
+# repin re-records every pinned output from the working tree — the
+# testdata/digests.txt ledgers of internal/{cluster,experiment,rng} and
+# lunule-sim's golden report, through the tests' one -update flag —
+# then prints the git diff --stat of those files and the names of the
+# pins that moved. A change not meant to alter model output prints
+# nothing.
+PINNED = ./internal/cluster ./internal/experiment ./internal/rng ./cmd/lunule-sim
+repin:
+	@out=$$($(GO) test -count=1 $(PINNED) -update 2>&1) || { echo "$$out"; exit 1; }
+	@git diff --stat -- $(PINNED:./%=%/testdata)
+	@git diff -U0 -- $(PINNED:./%=%/testdata) | sed -n 's/^+\([^+# ][^ ]*\) [0-9a-f]\{64\}$$/\1/p'
 
 # elastic runs the audited autoscaler suite: the diurnal-wave experiment
 # (elastic vs static fleets) plus an audited scale-up/drain-down smoke of

@@ -1,87 +1,12 @@
 package cluster
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/audit"
 	"repro/internal/fault"
-	"repro/internal/obs"
 	"repro/internal/rng"
 )
-
-// runAuditDiff is the audit counterpart of runCacheDiff: the same
-// seeded 16-MDS failover-and-migration run, returning its complete
-// externally visible output (per-tick CSV, per-epoch CSV, JSONL event
-// trace), with the given auditor attached (nil = auditing off).
-func runAuditDiff(t *testing.T, aud *audit.Auditor) []byte {
-	t.Helper()
-	var sched fault.Schedule
-	sched.Crash(40, 0).Recover(110, 0).Crash(160, 3).Recover(230, 3)
-	var tr bytes.Buffer
-	sink := obs.NewJSONL(&tr)
-	c := newTestCluster(t, Config{
-		MDS:           16,
-		Clients:       24,
-		Seed:          11,
-		RecoveryTicks: 12,
-		Faults:        &sched,
-		Workload:      failoverZipf(),
-		Bus:           obs.NewBus(sink),
-		Audit:         aud,
-	})
-	c.RunUntilDone(30000)
-	if !c.Done() {
-		t.Fatal("clients must finish")
-	}
-	if c.Metrics().MigratedTotal() == 0 {
-		t.Fatal("schedule produced no migrations; the audit never saw an export")
-	}
-	var out bytes.Buffer
-	if err := c.Metrics().WriteCSV(&out); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Metrics().WriteEpochCSV(&out); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out.Write(tr.Bytes())
-	return out.Bytes()
-}
-
-// TestAuditDifferential is the read-only contract of the auditor: a
-// seeded failover-and-migration run with per-tick auditing enabled
-// must produce byte-identical CSVs and event traces to the same run
-// with auditing off — and the audited run must be violation-free.
-// Any auditor code path that mutates simulation state, consumes RNG,
-// or perturbs tick ordering shows up here as a diverging trace.
-func TestAuditDifferential(t *testing.T) {
-	plain := runAuditDiff(t, nil)
-	aud := audit.New(audit.Options{EveryTick: true})
-	audited := runAuditDiff(t, aud)
-
-	if aud.Passes() == 0 {
-		t.Fatal("auditor never ran")
-	}
-	for _, v := range aud.Violations() {
-		t.Errorf("audit violation: %s", v)
-	}
-	if !bytes.Equal(plain, audited) {
-		a, b := plain, audited
-		i := 0
-		for i < len(a) && i < len(b) && a[i] == b[i] {
-			i++
-		}
-		lo := i - 80
-		if lo < 0 {
-			lo = 0
-		}
-		t.Fatalf("audited and unaudited runs diverge at byte %d:\nplain:   %q\naudited: %q",
-			i, a[lo:min(i+80, len(a))], b[lo:min(i+80, len(b))])
-	}
-}
 
 // TestAuditCleanUnderMTBFChurn runs a stochastic crash/recovery storm
 // (generated MTBF schedule, 8 ranks, always one survivor) with per-tick

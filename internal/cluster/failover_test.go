@@ -4,7 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/fault"
+	"repro/internal/audit"
 	"repro/internal/namespace"
 	"repro/internal/workload"
 )
@@ -134,39 +134,6 @@ func TestFailoverRejoinBeforeWindowCancelsTakeover(t *testing.T) {
 	}
 }
 
-// TestFailoverScheduledFaultsDeterministic runs the same seeded
-// schedule twice and asserts identical fault metrics — the core claim
-// of the fault package.
-func TestFailoverScheduledFaultsDeterministic(t *testing.T) {
-	run := func() (*Cluster, int64) {
-		var s fault.Schedule
-		s.CrashHottest(40).Recover(150, 0).Crash(250, 2).Recover(400, 2)
-		c := newTestCluster(t, Config{RecoveryTicks: 12, Faults: &s, Workload: failoverZipf()})
-		end := c.RunUntilDone(20000)
-		return c, end
-	}
-	a, endA := run()
-	b, endB := run()
-	if !a.Done() || !b.Done() {
-		t.Fatal("clients must finish under scheduled faults")
-	}
-	if endA != endB {
-		t.Fatalf("end ticks differ: %d vs %d", endA, endB)
-	}
-	ra, rb := a.Metrics(), b.Metrics()
-	if ra.StalledDownTotal() != rb.StalledDownTotal() ||
-		ra.AbortedTotal() != rb.AbortedTotal() ||
-		ra.RecoveryTicksTotal() != rb.RecoveryTicksTotal() {
-		t.Fatalf("fault metrics differ: (%v,%v,%v) vs (%v,%v,%v)",
-			ra.StalledDownTotal(), ra.AbortedTotal(), ra.RecoveryTicksTotal(),
-			rb.StalledDownTotal(), rb.AbortedTotal(), rb.RecoveryTicksTotal())
-	}
-	if !reflect.DeepEqual(a.DownRanks(), b.DownRanks()) {
-		t.Fatalf("down ranks differ: %v vs %v", a.DownRanks(), b.DownRanks())
-	}
-	checkAuthLive(t, a)
-}
-
 // TestCrashRefusals covers the guard rails: crashing the last survivor,
 // an out-of-range rank, an already-down rank, or recovering an up rank
 // are all refused.
@@ -231,5 +198,67 @@ func TestClientBackoffOnDownRank(t *testing.T) {
 	c.RunUntilDone(20000)
 	if !c.Done() {
 		t.Fatal("clients must finish")
+	}
+}
+
+// TestRecoverClearsOnlyMatchingBackoffs is the two-crashes regression:
+// recovering one rank must wake only the clients that were backing off
+// against it. The old blanket ClearBackoff also woke clients backing
+// off against a rank that was still down, collapsing their carefully
+// grown retry intervals into a thundering herd of doomed retries.
+func TestRecoverClearsOnlyMatchingBackoffs(t *testing.T) {
+	aud := audit.New(audit.Options{EveryTick: true})
+	c := newTestCluster(t, Config{
+		MDS:           4,
+		Clients:       24,
+		Seed:          11,
+		RecoveryTicks: 200,
+		Workload:      failoverZipf(),
+		Audit:         aud,
+	})
+	c.Run(30)
+	if !c.CrashMDS(0) || !c.CrashMDS(3) {
+		t.Fatal("crashes refused")
+	}
+	c.Run(40)
+
+	backingOff := map[int]int{} // rank -> clients in backoff against it
+	keep := map[int]int64{}     // client -> backoff width against rank 3
+	for _, cl := range c.Clients() {
+		if cl.Backoff() > 0 {
+			backingOff[int(cl.BackoffRank())]++
+			if cl.BackoffRank() == 3 {
+				keep[cl.ID] = cl.Backoff()
+			}
+		}
+	}
+	if backingOff[0] == 0 || backingOff[3] == 0 {
+		t.Fatalf("scenario must have clients backing off against both down ranks, got %v", backingOff)
+	}
+
+	if !c.RecoverMDS(0) {
+		t.Fatal("recovery refused")
+	}
+	for _, cl := range c.Clients() {
+		if cl.Backoff() > 0 && cl.BackoffRank() == 0 {
+			t.Fatalf("client %d still backing off against the recovered rank", cl.ID)
+		}
+	}
+	for _, cl := range c.Clients() {
+		if want, ok := keep[cl.ID]; ok {
+			if cl.Backoff() != want || cl.BackoffRank() != 3 {
+				t.Fatalf("client %d backoff against still-down rank 3 disturbed: backoff=%d rank=%d (want %d)",
+					cl.ID, cl.Backoff(), cl.BackoffRank(), want)
+			}
+		}
+	}
+
+	c.RecoverMDS(3)
+	c.RunUntilDone(30000)
+	if !c.Done() {
+		t.Fatal("clients must finish")
+	}
+	for _, v := range aud.Violations() {
+		t.Errorf("audit violation: %s", v)
 	}
 }

@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/audit"
-	"repro/internal/obs"
 	"repro/internal/replica"
 	"repro/internal/workload"
 )
@@ -145,56 +143,4 @@ func TestLeaseWriteInvalidation(t *testing.T) {
 	for _, v := range aud.Violations() {
 		t.Errorf("audit violation: %s", v)
 	}
-}
-
-// runLeaseIdle runs a write-only workload (reads never dominate, so no
-// subtree ever qualifies for leases) and returns the run's complete
-// external output plus the cluster for counter checks.
-func runLeaseIdle(t *testing.T, leaseTicks int64) ([]byte, *Cluster) {
-	t.Helper()
-	var tr bytes.Buffer
-	sink := obs.NewJSONL(&tr)
-	pol := replica.DefaultPolicy()
-	pol.LeaseTicks = leaseTicks
-	if leaseTicks > 0 {
-		pol.ReplicateReadFrac = 0.9
-	}
-	c := newTestCluster(t, Config{
-		MDS:         4,
-		Clients:     12,
-		Seed:        11,
-		Workload:    smallMD(),
-		Replication: replica.MustManager(pol),
-		Bus:         obs.NewBus(sink),
-	})
-	c.RunUntilDone(30000)
-	if !c.Done() {
-		t.Fatal("clients must finish")
-	}
-	var out bytes.Buffer
-	if err := c.Metrics().WriteCSV(&out); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Metrics().WriteEpochCSV(&out); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out.Write(tr.Bytes())
-	return out.Bytes(), c
-}
-
-// TestLeaseIdleByteIdentical is the lease-disabled differential: with
-// the lease machinery configured on but no subtree ever qualifying
-// (write-only workload), the run is byte-identical — CSVs and event
-// trace — to the same run with leases off. Enabling the feature costs
-// nothing and perturbs nothing until a subtree actually qualifies.
-func TestLeaseIdleByteIdentical(t *testing.T) {
-	off, _ := runLeaseIdle(t, 0)
-	on, c := runLeaseIdle(t, 30)
-	if c.Replicas().LeasesGranted() != 0 {
-		t.Fatalf("write-only workload granted %d leases", c.Replicas().LeasesGranted())
-	}
-	diffEngineOutputs(t, "lease-idle", off, on)
 }

@@ -1,59 +1,11 @@
 package cluster
 
 import (
-	"bytes"
 	"testing"
 
-	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
-
-// runTraced runs a seeded failover schedule with an optional bus and
-// returns the cluster plus its rendered per-tick and per-epoch CSVs —
-// the complete externally visible measurement of the run.
-func runTraced(t *testing.T, bus *obs.Bus) (*Cluster, []byte) {
-	t.Helper()
-	var s fault.Schedule
-	s.Crash(40, 0).Recover(100, 0).Crash(150, 1).Recover(200, 1)
-	c := newTestCluster(t, Config{
-		RecoveryTicks: 12,
-		Faults:        &s,
-		Workload:      failoverZipf(),
-		Bus:           bus,
-	})
-	c.RunUntilDone(20000)
-	if !c.Done() {
-		t.Fatal("clients must finish")
-	}
-	var out bytes.Buffer
-	if err := c.Metrics().WriteCSV(&out); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Metrics().WriteEpochCSV(&out); err != nil {
-		t.Fatal(err)
-	}
-	return c, out.Bytes()
-}
-
-// TestTracingDoesNotPerturbSimulation is the determinism contract of
-// the obs package: the same seeded run with tracing on and off must
-// produce byte-identical metrics. Tracing observes; it never touches
-// the RNG or tick ordering.
-func TestTracingDoesNotPerturbSimulation(t *testing.T) {
-	_, plain := runTraced(t, nil)
-	ring := obs.NewRing(1 << 16)
-	traced, withBus := runTraced(t, obs.NewBus(ring))
-	if !bytes.Equal(plain, withBus) {
-		t.Fatal("tracing changed the simulation output")
-	}
-	if ring.Total() == 0 {
-		t.Fatal("traced run emitted nothing")
-	}
-	if traced.Tick() == 0 {
-		t.Fatal("run did not advance")
-	}
-}
 
 // TestTraceFailoverSequence asserts the event stream tells the failover
 // story in order: a crash (aborting in-flight exports), the orphan
@@ -61,7 +13,8 @@ func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 // the eventual recovery.
 func TestTraceFailoverSequence(t *testing.T) {
 	ring := obs.NewRing(1 << 16)
-	_, _ = runTraced(t, obs.NewBus(ring))
+	toRing := &axis{apply: func(cfg *Config) { cfg.Bus = obs.NewBus(ring) }}
+	runScenario(t, scenarioNamed(t, "crash-recover"), toRing)
 
 	crashes := ring.OfType(obs.EvCrash)
 	if len(crashes) != 2 {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -9,7 +8,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mds"
 	"repro/internal/namespace"
-	"repro/internal/obs"
 	"repro/internal/replica"
 )
 
@@ -183,90 +181,6 @@ func TestPromotionFallsBackColdWhenUnsynced(t *testing.T) {
 	checkAuthLive(t, c)
 	for _, v := range aud.Violations() {
 		t.Errorf("audit violation: %s", v)
-	}
-}
-
-// runReplication runs one seeded, replicated (R=2) cluster through a
-// crash/recover schedule under the default balancer and returns its
-// complete externally visible output: per-tick CSV, per-epoch CSV, and
-// the JSONL trace including the replica_promote/journal_lag/
-// rereplicate events.
-func runReplication(t *testing.T, aud *audit.Auditor) (*Cluster, []byte) {
-	t.Helper()
-	var tr bytes.Buffer
-	sink := obs.NewJSONL(&tr)
-	var s fault.Schedule
-	s.CrashHottest(40).Recover(150, 0).Crash(250, 2).Recover(400, 2)
-	if err := s.Validate(5); err != nil {
-		t.Fatal(err)
-	}
-	c := newTestCluster(t, Config{
-		MDS:           5,
-		RecoveryTicks: 12,
-		Faults:        &s,
-		Workload:      failoverZipf(),
-		Replication:   replica.MustManager(replica.DefaultPolicy()),
-		Bus:           obs.NewBus(sink),
-		Audit:         aud,
-	})
-	c.RunUntilDone(30000)
-	if !c.Done() {
-		t.Fatal("clients must finish under faults with replication")
-	}
-	var out bytes.Buffer
-	if err := c.Metrics().WriteCSV(&out); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Metrics().WriteEpochCSV(&out); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out.Write(tr.Bytes())
-	return c, out.Bytes()
-}
-
-// TestReplicationFaultChurnAudited drives the replicated cluster
-// through crash/recover churn with the real balancer migrating
-// underneath, under per-tick auditing: warm promotions happen, the
-// re-replicator restores R, and every replica invariant holds.
-func TestReplicationFaultChurnAudited(t *testing.T) {
-	aud := audit.New(audit.Options{EveryTick: true})
-	c, _ := runReplication(t, aud)
-	if c.Promotions() == 0 {
-		t.Fatal("no warm promotions under the fault schedule — scenario proves too little")
-	}
-	if c.Replicas().ResyncsDone() == 0 {
-		t.Fatal("the re-replicator never restored R after a loss")
-	}
-	checkAuthLive(t, c)
-	if aud.Passes() == 0 {
-		t.Fatal("auditor never ran")
-	}
-	for _, v := range aud.Violations() {
-		t.Errorf("audit violation: %s", v)
-	}
-}
-
-// TestReplicationDeterministic is the replication determinism
-// contract: two seed-equal replicated runs (fresh managers, same
-// policy, same fault schedule) produce byte-identical CSVs and JSONL
-// traces — ships, syncs, promotions, and all.
-func TestReplicationDeterministic(t *testing.T) {
-	_, a := runReplication(t, audit.New(audit.Options{}))
-	_, b := runReplication(t, audit.New(audit.Options{}))
-	if !bytes.Equal(a, b) {
-		i := 0
-		for i < len(a) && i < len(b) && a[i] == b[i] {
-			i++
-		}
-		lo := i - 80
-		if lo < 0 {
-			lo = 0
-		}
-		t.Fatalf("seed-equal replicated runs diverge at byte %d:\nfirst:  %q\nsecond: %q",
-			i, a[lo:min(i+80, len(a))], b[lo:min(i+80, len(b))])
 	}
 }
 

@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/audit"
-	"repro/internal/obs"
 	"repro/internal/tenant"
 	"repro/internal/workload"
 )
@@ -15,60 +13,6 @@ func tenantManager(rate, burst float64) *tenant.Manager {
 	pol := tenant.DefaultPolicy()
 	pol.Rate, pol.Burst = rate, burst
 	return tenant.MustManager(pol)
-}
-
-// runTenantIdle runs a skewed multi-tenant workload and returns the
-// run's complete external output plus the cluster. With enabled, a QoS
-// manager is attached whose buckets are far larger than any tenant's
-// per-tick demand, so admission never throttles.
-func runTenantIdle(t *testing.T, enabled bool) ([]byte, *Cluster) {
-	t.Helper()
-	var tr bytes.Buffer
-	sink := obs.NewJSONL(&tr)
-	cfg := Config{
-		MDS:      4,
-		Clients:  12,
-		Seed:     11,
-		Workload: workload.DefaultTenants(3, 0.5),
-		Bus:      obs.NewBus(sink),
-	}
-	if enabled {
-		cfg.Tenancy = tenantManager(1e6, 2e6)
-	}
-	c := newTestCluster(t, cfg)
-	c.RunUntilDone(30000)
-	if !c.Done() {
-		t.Fatal("clients must finish")
-	}
-	var out bytes.Buffer
-	if err := c.Metrics().WriteCSV(&out); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Metrics().WriteEpochCSV(&out); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out.Write(tr.Bytes())
-	return out.Bytes(), c
-}
-
-// TestTenantIdleByteIdentical is the QoS-disabled differential: with
-// admission configured on but every bucket uncontended, the run is
-// byte-identical — CSVs and event trace — to the same run with tenancy
-// off. Attaching the subsystem costs nothing and perturbs nothing until
-// a bucket actually runs dry.
-func TestTenantIdleByteIdentical(t *testing.T) {
-	off, _ := runTenantIdle(t, false)
-	on, c := runTenantIdle(t, true)
-	tn := c.Tenancy()
-	for i := 0; i < tn.N(); i++ {
-		if tn.Throttled(i) != 0 {
-			t.Fatalf("uncontended bucket throttled tenant %d (%d ops)", i, tn.Throttled(i))
-		}
-	}
-	diffEngineOutputs(t, "tenant-idle", off, on)
 }
 
 // TestTenantAdmissionThrottles runs a skewed tenant mix under a tight

@@ -21,23 +21,6 @@ func mdCreateHeavy(n int) workload.Generator {
 	})
 }
 
-// TestWriteBackDegenerateMatchesSync is the write-back mode's anchor
-// differential: BatchSize=1, FlushEvery=1 must produce byte-identical
-// output (tick CSV, epoch CSV, JSONL trace) to a run with no batching
-// configured at all. The degenerate setting is
-// DEFINED to run the synchronous path verbatim; this test pins that
-// equivalence so a future write-back change cannot quietly claim the
-// {1,1} regime.
-func TestWriteBackDegenerateMatchesSync(t *testing.T) {
-	sync := engineScenarios[0].scenario // failover: crashes + recoveries
-	degen := func(cfg *Config) func(*Cluster) {
-		after := sync(cfg)
-		cfg.Batching = &BatchingConfig{BatchSize: 1, FlushEvery: 1}
-		return after
-	}
-	diffEngineOutputs(t, "degenerate", runEngineDiff(t, sync), runEngineDiff(t, degen))
-}
-
 // TestWriteBackMDtestAuditClean runs the create-heavy MDtest workload
 // in write-back mode under the every-tick auditor (which now checks the
 // in-flight/journal balance) and sanity-checks the batching metrics:

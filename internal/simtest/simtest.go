@@ -1,6 +1,8 @@
-// Package simtest provides a lightweight balancer.View implementation
-// over hand-built namespaces, so balancer and selector logic can be
-// unit-tested without running a full cluster simulation.
+// Package simtest holds what tests share: a lightweight balancer.View
+// implementation over hand-built namespaces, so balancer and selector
+// logic can be unit-tested without running a full cluster simulation,
+// and the digest ledger behind the one -update flag (ledger.go), which
+// pins seeded output across commits.
 package simtest
 
 import (
