@@ -40,18 +40,18 @@ type Options struct {
 	// close. Epoch cadence catches everything eventually; tick cadence
 	// pins a violation to the tick that introduced it.
 	EveryTick bool
-	// ResolveSamples is how many inodes each pass cross-checks between
-	// the resolver cache and a fresh ancestor walk (0 = default 64).
-	// Sampling is a deterministic stride that rotates with the pass
-	// counter, so repeated passes cover different inodes without RNG.
-	ResolveSamples int
-	// MaxViolations caps the retained violations (0 = default 100);
-	// checks keep running after the cap but stop recording.
-	MaxViolations int
-	// OnViolation, when set, is called for each violation as it is
-	// found (e.g. to fail a test immediately with context).
-	OnViolation func(Violation)
 }
+
+const (
+	// resolveSamples is how many inodes each pass cross-checks between
+	// the resolver cache and a fresh ancestor walk. Sampling is a
+	// deterministic stride that rotates with the pass counter, so
+	// repeated passes cover different inodes without RNG.
+	resolveSamples = 64
+	// maxViolations caps the retained violations; checks keep running
+	// after the cap but stop recording.
+	maxViolations = 100
+)
 
 // Auditor runs invariant checks over cluster state. The zero value is
 // not useful; construct with New. A nil *Auditor is valid and disabled:
@@ -62,16 +62,8 @@ type Auditor struct {
 	violations []Violation
 }
 
-// New creates an auditor. Zero option fields take their defaults.
-func New(opt Options) *Auditor {
-	if opt.ResolveSamples <= 0 {
-		opt.ResolveSamples = 64
-	}
-	if opt.MaxViolations <= 0 {
-		opt.MaxViolations = 100
-	}
-	return &Auditor{opt: opt}
-}
+// New creates an auditor.
+func New(opt Options) *Auditor { return &Auditor{opt: opt} }
 
 // EveryTick reports whether the auditor wants tick cadence. Nil-safe.
 func (a *Auditor) EveryTick() bool { return a != nil && a.opt.EveryTick }
@@ -104,12 +96,13 @@ func (a *Auditor) Err() error {
 }
 
 func (a *Auditor) failf(tick int64, check, format string, args ...any) {
-	v := Violation{Tick: tick, Check: check, Msg: fmt.Sprintf(format, args...)}
-	if len(a.violations) < a.opt.MaxViolations {
+	a.record(Violation{Tick: tick, Check: check, Msg: fmt.Sprintf(format, args...)})
+}
+
+// record keeps a violation, up to maxViolations of them.
+func (a *Auditor) record(v Violation) {
+	if len(a.violations) < maxViolations {
 		a.violations = append(a.violations, v)
-	}
-	if a.opt.OnViolation != nil {
-		a.opt.OnViolation(v)
 	}
 }
 
@@ -445,12 +438,7 @@ func (a *Auditor) checkLifecycle(s State) {
 func (a *Auditor) checkPartition(s State) {
 	for _, v := range CheckPartition(s.Tree, s.Partition) {
 		v.Tick = s.Tick
-		if len(a.violations) < a.opt.MaxViolations {
-			a.violations = append(a.violations, v)
-		}
-		if a.opt.OnViolation != nil {
-			a.opt.OnViolation(v)
-		}
+		a.record(v)
 	}
 	orphaned := s.Orphaned
 	if orphaned == nil {
@@ -485,7 +473,7 @@ func (a *Auditor) checkResolver(s State) {
 		return
 	}
 	n := int64(maxIno-namespace.RootIno) + 1
-	stride := n / int64(a.opt.ResolveSamples)
+	stride := n / resolveSamples
 	if stride < 1 {
 		stride = 1
 	}
@@ -514,12 +502,7 @@ func (a *Auditor) checkResolver(s State) {
 func (a *Auditor) checkFrozen(s State) {
 	for _, v := range CheckMigrator(s.Migrator, s.Tick) {
 		v.Tick = s.Tick
-		if len(a.violations) < a.opt.MaxViolations {
-			a.violations = append(a.violations, v)
-		}
-		if a.opt.OnViolation != nil {
-			a.opt.OnViolation(v)
-		}
+		a.record(v)
 	}
 }
 

@@ -64,7 +64,7 @@ func mustDir(t testing.TB, tree *namespace.Tree, path string) *namespace.Inode {
 func TestAuditorHealthyState(t *testing.T) {
 	tree, part, mig, servers := fixture(t, 2)
 	part.Carve(mustDir(t, tree, "/b"))
-	a := New(Options{ResolveSamples: 16})
+	a := New(Options{})
 	state := State{
 		Tick: 5, Tree: tree, Partition: part,
 		Resolver: namespace.NewResolver(part),
@@ -87,8 +87,7 @@ func TestAuditorFlagsDownAuthority(t *testing.T) {
 	part.SetAuth(e.Key, 1)
 	servers[1].Crash()
 
-	var seen []Violation
-	a := New(Options{OnViolation: func(v Violation) { seen = append(seen, v) }})
+	a := New(Options{})
 	state := State{Tick: 9, Tree: tree, Partition: part, Migrator: mig, Servers: servers}
 	if n := a.Check(state); n != 1 {
 		t.Fatalf("violations = %d, want 1: %v", n, a.Violations())
@@ -99,9 +98,6 @@ func TestAuditorFlagsDownAuthority(t *testing.T) {
 	}
 	if !strings.Contains(v.String(), "down and not orphan-tracked") {
 		t.Fatalf("violation message = %q", v.String())
-	}
-	if len(seen) != 1 {
-		t.Fatalf("OnViolation fired %d times, want 1", len(seen))
 	}
 	if err := a.Err(); err == nil || !strings.Contains(err.Error(), "1 invariant violation") {
 		t.Fatalf("Err() = %v", err)
@@ -130,6 +126,8 @@ func TestAuditorFlagsOutOfRangeAuthority(t *testing.T) {
 	}
 }
 
+// TestAuditorMaxViolationsCap: past maxViolations the checks keep
+// running but stop recording.
 func TestAuditorMaxViolationsCap(t *testing.T) {
 	tree, part, mig, servers := fixture(t, 2)
 	for _, p := range []string{"/a", "/b", "/c"} {
@@ -138,14 +136,19 @@ func TestAuditorMaxViolationsCap(t *testing.T) {
 	}
 	servers[1].Crash()
 
-	fired := 0
-	a := New(Options{MaxViolations: 1, OnViolation: func(Violation) { fired++ }})
-	a.Check(State{Tree: tree, Partition: part, Migrator: mig, Servers: servers})
-	if len(a.Violations()) != 1 {
-		t.Fatalf("recorded %d violations, cap is 1", len(a.Violations()))
+	a := New(Options{})
+	state := State{Tree: tree, Partition: part, Migrator: mig, Servers: servers}
+	if n := a.Check(state); n != 3 {
+		t.Fatalf("first pass found %d violations, want 3", n)
 	}
-	if fired != 3 {
-		t.Fatalf("OnViolation fired %d times, want all 3 past the cap", fired)
+	for pass := 1; pass < 40; pass++ { // 120 violations in all
+		a.Check(state)
+	}
+	if len(a.Violations()) != maxViolations {
+		t.Fatalf("recorded %d of 120 violations, want the cap %d", len(a.Violations()), maxViolations)
+	}
+	if a.Passes() != 40 {
+		t.Fatalf("passes = %d, want 40: checks keep running past the cap", a.Passes())
 	}
 }
 
