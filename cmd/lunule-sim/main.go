@@ -105,6 +105,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
+	// A numeric flag outside its domain would otherwise be replaced by a
+	// default or turn its feature off without a word.
+	for _, d := range []struct {
+		flag, domain string
+		ok           bool
+	}{
+		{"mds", ">= 1", *mdsN >= 1},
+		{"clients", ">= 1", *clients >= 1},
+		{"rate", "> 0", *rate > 0},
+		{"capacity", ">= 1", *capacity >= 1},
+		{"maxticks", ">= 0", *ticks >= 0},
+		{"mtbf", ">= 0", *mtbf >= 0},
+		{"mttr", ">= 0", *mttr >= 0},
+		{"recoveryticks", ">= 0", *recoveryT >= 0},
+		{"batch-size", ">= 0", *batchSize >= 0},
+		{"replication", ">= 1", *replicationR >= 1},
+		{"tenants", ">= 0", *tenants >= 0},
+	} {
+		if !d.ok {
+			return fail(fmt.Errorf("-%s must be %s, got %s", d.flag, d.domain, fs.Lookup(d.flag).Value))
+		}
+	}
+
 	// A dependent flag counts as given when it was set, whatever its
 	// value: each row names the flags and what they need.
 	set := map[string]bool{}
