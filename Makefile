@@ -118,8 +118,9 @@ gobench:
 
 # fuzz smokes each fuzz target for a short budget with the invariant
 # checks (for the event encoder: encoding/json's output; for the trace
-# parser: error-or-replayable, never a panic) as the oracle (long
-# campaigns: raise FUZZTIME).
+# parser: error-or-replayable, never a panic; for the fault-spec parser:
+# error-or-round-trip, never a panic) as the oracle (long campaigns:
+# raise FUZZTIME).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzPartitionOps -fuzztime=$(FUZZTIME) ./internal/audit
@@ -127,6 +128,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzMigratorLifecycle -fuzztime=$(FUZZTIME) ./internal/audit
 	$(GO) test -fuzz=FuzzAppendJSONValue -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -fuzz=FuzzParseTrace -fuzztime=$(FUZZTIME) ./internal/workload
+	$(GO) test -fuzz=FuzzParseSpecs -fuzztime=$(FUZZTIME) ./internal/fault
 
 # audit runs the audited failover suite (every experiment run carries
 # the state auditor; any invariant violation fails) plus the fuzz smoke.

@@ -54,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scale     = fs.Float64("scale", 1.0, "workload scale factor")
 		seed      = fs.Uint64("seed", 42, "random seed")
 		ticks     = fs.Int64("maxticks", 6000, "simulated-tick budget")
-		data      = fs.Bool("data", false, "enable the OSD data path")
+		data      = fs.Bool("data", false, "enable the OSD data path: 6 OSDs x 64 MiB per tick")
 		csvPath   = fs.String("csv", "", "write per-tick series to this CSV file")
 		ifCSV     = fs.String("ifcsv", "", "write the per-epoch imbalance series to this CSV file")
 		traceFile = fs.String("tracefile", "", "replay this op trace instead of a synthetic workload (see lunule-trace -export)")
@@ -122,6 +122,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{"batch-size", ">= 0", *batchSize >= 0},
 		{"replication", ">= 1", *replicationR >= 1},
 		{"tenants", ">= 0", *tenants >= 0},
+		{"tenant-skew", ">= 0", *tenantSkew >= 0},
+		{"elastic-min", ">= 0", *elasticMin >= 0},
+		{"elastic-max", ">= 0", *elasticMax >= 0},
+		{"elastic-cooldown", ">= 0", *elasticCool >= 0},
 	} {
 		if !d.ok {
 			return fail(fmt.Errorf("-%s must be %s, got %s", d.flag, d.domain, fs.Lookup(d.flag).Value))
@@ -129,26 +133,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// A dependent flag counts as given when it was set, whatever its
-	// value: each row names the flags and what they need.
+	// value: each row names the flags and what they need, or what they
+	// cannot be combined with.
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	for _, d := range []struct {
 		flags []string
-		needs string
+		rule  string
 		ok    bool
 	}{
-		{[]string{"mttr"}, "-mtbf", *mtbf > 0},
-		{[]string{"audit-every-tick"}, "-audit", *auditOn},
-		{[]string{"flush-every"}, "-batch-size", *batchSize > 0},
-		{[]string{"replication-ship", "replication-promote", "replication-resync", "lease-ticks"}, "-replication >= 2", *replicationR > 1},
-		{[]string{"replicate-read-frac"}, "-lease-ticks", *leaseTicks > 0},
-		{[]string{"tenant-rate", "tenant-burst", "tenant-skew"}, "-tenants", *tenants > 0},
-		{[]string{"elastic-min", "elastic-max", "elastic-up", "elastic-down", "elastic-cooldown", "elastic-step"}, "-elastic", *elasticOn},
-		{[]string{"trace-events"}, "-trace-out or -trace-summary", *traceOut != "" || *traceSum},
+		{[]string{"mttr"}, "needs -mtbf", *mtbf > 0},
+		{[]string{"audit-every-tick"}, "needs -audit", *auditOn},
+		{[]string{"flush-every"}, "needs -batch-size", *batchSize > 0},
+		{[]string{"replication-ship", "replication-promote", "replication-resync", "lease-ticks"}, "needs -replication >= 2", *replicationR > 1},
+		{[]string{"replicate-read-frac"}, "needs -lease-ticks", *leaseTicks > 0},
+		{[]string{"tenant-rate", "tenant-burst", "tenant-skew"}, "needs -tenants", *tenants > 0},
+		{[]string{"elastic-min", "elastic-max", "elastic-up", "elastic-down", "elastic-cooldown", "elastic-step"}, "needs -elastic", *elasticOn},
+		{[]string{"trace-events"}, "needs -trace-out or -trace-summary", *traceOut != "" || *traceSum},
+		// A trace fixes its own clients and ops.
+		{[]string{"clients", "workload", "scale", "tenants"}, "cannot be combined with -tracefile", *traceFile == ""},
 	} {
 		for _, f := range d.flags {
 			if set[f] && !d.ok {
-				return fail(fmt.Errorf("-%s needs %s", f, d.needs))
+				return fail(fmt.Errorf("-%s %s", f, d.rule))
 			}
 		}
 	}
@@ -186,9 +193,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var tenancy *tenant.Manager
 	if *tenants > 0 {
-		if *traceFile != "" {
-			return fail(fmt.Errorf("-tenants cannot be combined with -tracefile"))
-		}
 		pol := tenant.DefaultPolicy()
 		pol.Rate = *tenantRate
 		pol.Burst = *tenantBurst
@@ -310,12 +314,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
+	var dataBandwidth int64
+	if *data {
+		dataBandwidth = 6 * (64 << 20) // 6 OSDs x 64 MiB per tick
+	}
 	c, err := cluster.New(cluster.Config{
 		MDS:           *mdsN,
 		Capacity:      *capacity,
 		Clients:       nClients,
 		ClientRate:    *rate,
-		DataPath:      *data,
+		DataBandwidth: dataBandwidth,
 		Seed:          *seed,
 		Balancer:      experiment.MakeBalancer(balName),
 		Workload:      gen,

@@ -140,6 +140,17 @@ func TestBadFlagsFail(t *testing.T) {
 		{[]string{"-elastic-cooldown", "2"}, "-elastic-cooldown needs -elastic"},
 		{[]string{"-elastic-step", "2"}, "-elastic-step needs -elastic"},
 		{[]string{"-mttr", "50"}, "-mttr needs -mtbf"},
+		// Out of range: a negative floor or ceiling fell back to its
+		// default, a negative cooldown turned the cooldown off, and a
+		// negative skew was read as 0.
+		{[]string{"-elastic", "-elastic-min", "-1"}, "-elastic-min"},
+		{[]string{"-elastic", "-elastic-max", "-4"}, "-elastic-max"},
+		{[]string{"-elastic", "-elastic-cooldown", "-3"}, "-elastic-cooldown"},
+		{[]string{"-tenants", "3", "-tenant-skew", "-2"}, "-tenant-skew"},
+		// A trace fixes its own clients and ops, so these were ignored.
+		{[]string{"-tracefile", sparse, "-clients", "10"}, "-clients cannot be combined with -tracefile"},
+		{[]string{"-tracefile", sparse, "-workload", "CNN"}, "-workload cannot be combined with -tracefile"},
+		{[]string{"-tracefile", sparse, "-scale", "3"}, "-scale cannot be combined with -tracefile"},
 	} {
 		stderr.Reset()
 		if code := run(tc.args, &stdout, &stderr); code != 1 ||

@@ -67,12 +67,10 @@ type Config struct {
 	Clients int
 	// ClientRate is the base ops per tick per client.
 	ClientRate float64
-	// DataPath enables the OSD data path (end-to-end experiments).
-	DataPath bool
-	// OSDs is the data pool size when DataPath is on.
-	OSDs int
-	// OSDBandwidth is bytes per tick per OSD.
-	OSDBandwidth int64
+	// DataBandwidth is the OSD pool's total bytes per tick: an op with
+	// data blocks its client until the pool has moved its bytes
+	// (end-to-end experiments). 0 means no data path.
+	DataBandwidth int64
 	// Seed drives all randomness in the run.
 	Seed uint64
 	// Balancer is the policy under test.
@@ -172,12 +170,6 @@ func (c *Config) defaults() {
 	if c.ClientRate == 0 {
 		c.ClientRate = 150
 	}
-	if c.OSDs == 0 {
-		c.OSDs = 6
-	}
-	if c.OSDBandwidth == 0 {
-		c.OSDBandwidth = 64 << 20 // 64 MB per OSD per tick
-	}
 	if c.RecoveryTicks < 1 {
 		c.RecoveryTicks = 20
 	}
@@ -202,9 +194,8 @@ func (c *Config) validate() error {
 		return fmt.Errorf("cluster: clients must be >= 1, got %d", c.Clients)
 	case !(0 < c.ClientRate && c.ClientRate <= math.MaxFloat64):
 		return fmt.Errorf("cluster: client rate must be finite and > 0, got %v", c.ClientRate)
-	case c.OSDs < 1 || c.OSDBandwidth < 1:
-		return fmt.Errorf("cluster: data path needs OSDs >= 1 and bandwidth >= 1, got %d and %d",
-			c.OSDs, c.OSDBandwidth)
+	case c.DataBandwidth < 0:
+		return fmt.Errorf("cluster: data bandwidth must be >= 0, got %d", c.DataBandwidth)
 	case c.Batching != nil && (c.Batching.BatchSize < 1 || c.Batching.FlushEvery < 1):
 		return errors.New("cluster: batching requires BatchSize >= 1 and FlushEvery >= 1")
 	case c.Replication != nil && c.Replication.Policy().PromoteTicks >= c.RecoveryTicks:
@@ -226,7 +217,7 @@ type Cluster struct {
 	servers  []*mds.Server
 	migrator *mds.Migrator
 	clients  []*client.Client
-	osds     *osd.Pool
+	osds     *osd.Pool // nil without a data path
 	rand     *rng.Source
 	rec      *metrics.Recorder
 	bus      *obs.Bus
@@ -332,7 +323,6 @@ func New(cfg Config) (*Cluster, error) {
 		cfg:      cfg,
 		tree:     tree,
 		part:     part,
-		osds:     osd.NewPool(cfg.OSDs, cfg.OSDBandwidth),
 		rand:     src.Fork(2),
 		rec:      metrics.NewRecorder(cfg.MDS),
 		bus:      cfg.Bus,
@@ -343,6 +333,9 @@ func New(cfg Config) (*Cluster, error) {
 		pins:     make(map[namespace.FragKey]int),
 	}
 	cl.orphanFn = func(id namespace.MDSID) bool { _, ok := cl.outages[id]; return ok }
+	if cfg.DataBandwidth > 0 {
+		cl.osds = osd.NewPool(cfg.DataBandwidth)
+	}
 	if !cfg.DisableResolveCache {
 		cl.resolver = namespace.NewResolver(part)
 	}
@@ -1031,11 +1024,8 @@ func (c *Cluster) elasticStep(tick, epoch int64, ifv float64) {
 		}
 		c.scaleUps++
 	case elastic.ScaleDown:
-		for i := 0; i < d.Delta; i++ {
-			v := c.pickDrainVictim()
-			if v < 0 || !c.StartDrain(v) {
-				break
-			}
+		if v := c.pickDrainVictim(); v >= 0 {
+			c.StartDrain(v)
 		}
 	default:
 		return
@@ -1096,7 +1086,7 @@ func (c *Cluster) Step() {
 		c.tnAdmittedTick = 0
 		clear(c.tnServedTick)
 	}
-	if c.cfg.DataPath {
+	if c.osds != nil {
 		c.osds.BeginTick()
 	}
 	c.migrator.Tick(tick)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -62,7 +63,7 @@ func TestConfigValidation(t *testing.T) {
 		{"negative rate", func(c *Config) { c.ClientRate = -1 }, "rate"},
 		{"infinite rate", func(c *Config) { c.ClientRate = math.Inf(1) }, "rate"},
 		{"NaN rate", func(c *Config) { c.ClientRate = math.NaN() }, "rate"},
-		{"negative OSDs", func(c *Config) { c.OSDs = -1 }, "OSDs"},
+		{"negative data bandwidth", func(c *Config) { c.DataBandwidth = -1 }, "data bandwidth"},
 		{"promotion after takeover", func(c *Config) {
 			c.RecoveryTicks = 2
 			c.Replication = replica.MustManager(replica.DefaultPolicy())
@@ -73,6 +74,20 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: New returned %v, want an error naming %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestInterfaceBudgets holds ROADMAP's interface budgets: a new knob or
+// view method needs a deliberate edit here.
+func TestInterfaceBudgets(t *testing.T) {
+	if n := reflect.TypeOf(Config{}).NumField(); n > 20 {
+		t.Errorf("cluster.Config has %d fields, budget 20", n)
+	}
+	if n := reflect.TypeOf(core.Config{}).NumField(); n != 4 {
+		t.Errorf("core.Config has %d fields, budget exactly 4", n)
+	}
+	if n := reflect.TypeOf((*balancer.View)(nil)).Elem().NumMethod(); n > 11 {
+		t.Errorf("balancer.View has %d methods, budget 11", n)
 	}
 }
 
@@ -200,9 +215,7 @@ func TestDataPathSlowsCompletion(t *testing.T) {
 	noData.RunUntilDone(20000)
 
 	withData := base
-	withData.DataPath = true
-	withData.OSDs = 1
-	withData.OSDBandwidth = 4 << 20 // starve the data path
+	withData.DataBandwidth = 4 << 20 // starve the data path
 	cData := newTestCluster(t, withData)
 	cData.RunUntilDone(20000)
 

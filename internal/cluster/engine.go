@@ -449,7 +449,7 @@ func (co *cohort) beginTick(e *engine) {
 // stream must be adopted before the stream may draw again (the next
 // recorded op can resolve a path through the created inode).
 func (e *engine) endsRun(cl *client.Client, op *workload.Op) bool {
-	if e.c.cfg.DataPath && op.DataSize > 0 {
+	if e.c.osds != nil && op.DataSize > 0 {
 		return true
 	}
 	return op.Kind == workload.OpCreate && cl.StreamReadsTree()
@@ -696,7 +696,7 @@ func (e *engine) complete(lane *rankLane, cl *client.Client, data, tick int64) b
 		c.tnServedTick[cl.Tenant]++
 		c.rec.AddTenantLatency(cl.Tenant, lat)
 	}
-	if !c.cfg.DataPath || data <= 0 {
+	if c.osds == nil || data <= 0 {
 		return false
 	}
 	cl.AddDebt(data)

@@ -249,9 +249,7 @@ var scenarios = []scenario{
 		pol.Rate, pol.Burst = 200, 400
 		cfg.Tenancy = tenant.MustManager(pol)
 		cfg.Batching = &BatchingConfig{BatchSize: 8, FlushEvery: 4}
-		cfg.DataPath = true
-		cfg.OSDs = 1
-		cfg.OSDBandwidth = 48 << 10
+		cfg.DataBandwidth = 48 << 10
 		return nil
 	}},
 	// Every created name created twice (see dupCreates): a create served
@@ -396,7 +394,7 @@ var scenarios = []scenario{
 	{name: "saturated/datapath", drive: stepWindows, config: func(cfg *Config) func(*Cluster) {
 		// Every open moves data and ends its run.
 		cfg.MDS, cfg.Clients, cfg.Seed, cfg.Capacity = 3, 12, 11, 8
-		cfg.DataPath = true
+		cfg.DataBandwidth = 6 * (64 << 20)
 		cfg.Workload = workload.NewCNN(workload.CNNConfig{Dirs: 6, FilesPerDir: 20})
 		return nil
 	}, check: func(t *testing.T, r *run) {

@@ -11,7 +11,7 @@ import (
 // 1) and of the same skew at one tenth of the load (benign — the
 // urgency term suppresses IF).
 func ExampleIFModel_Compute() {
-	m := core.IFModel{S: 0.2}
+	m := core.IFModel{}
 	harmful := m.Compute([]float64{2000, 0, 0, 0, 0}, 2000)
 	benign := m.Compute([]float64{200, 0, 0, 0, 0}, 2000)
 	fmt.Printf("harmful IF %.2f (urgency %.2f)\n", harmful.IF, harmful.U)
@@ -26,11 +26,7 @@ func ExampleIFModel_Compute() {
 func ExamplePlan() {
 	loads := []float64{1800, 100, 100}
 	histories := [][]float64{{1800, 1800}, {100, 100}, {100, 100}}
-	plan := core.Plan(loads, histories, core.PlannerConfig{
-		L:             0.05,
-		Cap:           2000,
-		HistoryEpochs: 8,
-	})
+	plan := core.Plan(loads, histories, core.PlannerConfig{Cap: 2000})
 	for _, d := range plan {
 		fmt.Printf("move %.0f ops/s from MDS-%d to MDS-%d\n", d.Amount, d.From, d.To)
 	}

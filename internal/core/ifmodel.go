@@ -4,12 +4,9 @@ import (
 	"repro/internal/stats"
 )
 
-// IFModel computes the cluster Imbalance Factor from per-MDS loads.
-type IFModel struct {
-	// S is the logistic smoothness knob in (0, 1); zero means the
-	// paper's 0.2.
-	S float64
-}
+// IFModel computes the cluster Imbalance Factor from per-MDS loads,
+// with the paper's urgency smoothness S = smoothness.
+type IFModel struct{}
 
 // IFResult breaks the Imbalance Factor into its components.
 type IFResult struct {
@@ -28,14 +25,10 @@ type IFResult struct {
 // Compute evaluates the model for the given per-MDS loads (ops/sec)
 // and the theoretical single-MDS capacity C. A cluster with fewer than
 // two MDSs, zero capacity, or zero load is perfectly balanced (IF 0).
-func (m IFModel) Compute(loads []float64, capacity float64) IFResult {
+func (IFModel) Compute(loads []float64, capacity float64) IFResult {
 	n := len(loads)
 	if n < 2 || capacity <= 0 {
 		return IFResult{}
-	}
-	s := m.S
-	if s == 0 {
-		s = smoothness
 	}
 	cov := stats.CoV(loads)
 	norm := cov / stats.MaxCoV(n)
@@ -43,7 +36,7 @@ func (m IFModel) Compute(loads []float64, capacity float64) IFResult {
 	if u > 1 {
 		u = 1
 	}
-	urgency := stats.Logistic(u, s)
+	urgency := stats.Logistic(u, smoothness)
 	return IFResult{
 		IF:          norm * urgency,
 		CoV:         cov,

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/stats"
 )
 
 func TestIFRange(t *testing.T) {
@@ -94,10 +96,11 @@ func TestIFMonotoneInSkew(t *testing.T) {
 	}
 }
 
+// TestIFSmoothnessDefault: the urgency term is Equation 2's logistic
+// at the paper's S = 0.2.
 func TestIFSmoothnessDefault(t *testing.T) {
-	a := IFModel{}.Compute([]float64{1000, 0}, 2000)
-	b := IFModel{S: smoothness}.Compute([]float64{1000, 0}, 2000)
-	if a.IF != b.IF {
-		t.Fatal("zero smoothness must default to the paper's 0.2")
+	r := IFModel{}.Compute([]float64{1000, 0}, 2000)
+	if smoothness != 0.2 || r.U != stats.Logistic(0.5, 0.2) {
+		t.Fatalf("urgency %v at u=0.5, want the logistic at S=0.2", r.U)
 	}
 }

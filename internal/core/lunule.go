@@ -123,7 +123,7 @@ func (b *Lunule) Rebalance(v balancer.View) {
 		s := v.Server(id)
 		loads[i], histories[i] = s.CurrentLoad(), s.LoadHistory()
 	}
-	res := IFModel{S: smoothness}.Compute(loads, v.Capacity())
+	res := IFModel{}.Compute(loads, v.Capacity())
 	if b.cfg.DisableUrgency {
 		// Ablation: raw normalized CoV, no benign-imbalance tolerance.
 		res.U = 1
@@ -142,9 +142,7 @@ func (b *Lunule) Rebalance(v balancer.View) {
 	}
 
 	plan := Plan(loads, histories, PlannerConfig{
-		L:                 planL,
 		Cap:               capFraction * v.Capacity(),
-		HistoryEpochs:     historyEpochs,
 		DisableFutureLoad: b.cfg.DisableImporterGate,
 	})
 	if len(plan) == 0 {

@@ -5,18 +5,14 @@ import (
 	"repro/internal/stats"
 )
 
-// PlannerConfig parameterizes Algorithm 1.
+// PlannerConfig parameterizes Algorithm 1. The participation gate L is
+// planL, and the last historyEpochs epochs of each MDS's history feed
+// the linear regression that predicts its next-epoch load (fld).
 type PlannerConfig struct {
-	// L gates participation: an MDS joins the plan only when its
-	// squared relative deviation (delta/avg)^2 exceeds L.
-	L float64
 	// Cap is the per-epoch ceiling on any MDS's export or import
 	// amount (load units), modelling the bounded migration throughput
 	// of one epoch.
 	Cap float64
-	// HistoryEpochs is how many recent epochs feed the linear
-	// regression that predicts each MDS's next-epoch load (fld).
-	HistoryEpochs int
 	// DisableFutureLoad drops the importer-side fld test (ablation):
 	// every below-average MDS imports its full gap.
 	DisableFutureLoad bool
@@ -33,6 +29,8 @@ type Decision struct {
 // Plan implements Algorithm 1 (role and migration amount
 // determination). loads[i] is MDS i's current load (cld); histories[i]
 // its per-epoch load history, used to predict the future load (fld).
+// An MDS joins the plan only when its squared relative deviation
+// (delta/avg)^2 exceeds planL.
 // The returned decisions pair exporter demand with importer capacity,
 // both capped by cfg.Cap.
 func Plan(loads []float64, histories [][]float64, cfg PlannerConfig) []Decision {
@@ -63,7 +61,7 @@ func Plan(loads []float64, histories [][]float64, cfg PlannerConfig) []Decision 
 			abs = -abs
 		}
 		rel := abs / avg
-		if rel*rel <= cfg.L {
+		if rel*rel <= planL {
 			continue
 		}
 		if delta > 0 {
@@ -77,7 +75,7 @@ func Plan(loads []float64, histories [][]float64, cfg PlannerConfig) []Decision 
 			importers = append(importers, imprt{namespace.MDSID(i), minF(cfg.Cap, abs)})
 			continue
 		}
-		fld := predictNext(histories, i, cfg.HistoryEpochs)
+		fld := predictNext(histories, i)
 		growth := fld - loads[i]
 		if growth < abs {
 			ild := abs - growth
@@ -112,13 +110,13 @@ func Plan(loads []float64, histories [][]float64, cfg PlannerConfig) []Decision 
 	return plan
 }
 
-func predictNext(histories [][]float64, i, k int) float64 {
+func predictNext(histories [][]float64, i int) float64 {
 	if i >= len(histories) || len(histories[i]) == 0 {
 		return 0
 	}
 	h := histories[i]
-	if k > 0 && len(h) > k {
-		h = h[len(h)-k:]
+	if len(h) > historyEpochs {
+		h = h[len(h)-historyEpochs:]
 	}
 	return stats.FitSeries(h).PredictNext()
 }

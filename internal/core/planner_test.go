@@ -8,7 +8,7 @@ import (
 )
 
 func defaultPlanCfg() PlannerConfig {
-	return PlannerConfig{L: 0.05, Cap: 1000, HistoryEpochs: 8}
+	return PlannerConfig{Cap: 1000}
 }
 
 func TestPlanSingleHotExporter(t *testing.T) {
@@ -58,14 +58,17 @@ func TestPlanLGateFiltersSmallDeviations(t *testing.T) {
 	for i, l := range loads {
 		hist[i] = []float64{l}
 	}
-	cfg := defaultPlanCfg()
 	// avg = 1000; deviations 150/1000 = 0.15 -> squared 0.0225 < 0.05.
-	if plan := Plan(loads, hist, cfg); len(plan) != 0 {
+	if plan := Plan(loads, hist, defaultPlanCfg()); len(plan) != 0 {
 		t.Fatalf("sub-threshold deviations should not plan, got %v", plan)
 	}
-	cfg.L = 0.01
-	if plan := Plan(loads, hist, cfg); len(plan) == 0 {
-		t.Fatal("lower L should admit the deviations")
+	// 25% deviations: 0.0625 > L, so they plan.
+	loads = []float64{1250, 1000, 1000, 1000, 750}
+	for i, l := range loads {
+		hist[i] = []float64{l}
+	}
+	if plan := Plan(loads, hist, defaultPlanCfg()); len(plan) == 0 {
+		t.Fatal("deviations above L should plan")
 	}
 }
 

@@ -16,6 +16,17 @@ package elastic
 
 import "fmt"
 
+// The controller's fixed guards. No command, experiment or benchmark
+// workload varies them.
+const (
+	// warmupEpochs suppresses decisions at the start of the run, while
+	// load histories are still filling.
+	warmupEpochs int64 = 2
+	// stepDown is how many ranks one ScaleDown drains: ranks retire one
+	// at a time.
+	stepDown int = 1
+)
+
 // Action is what the controller wants the cluster to do this epoch.
 type Action int
 
@@ -27,7 +38,7 @@ const (
 	ScaleNone Action = iota
 	// ScaleUp: add Delta ranks now.
 	ScaleUp
-	// ScaleDown: start a graceful drain of Delta ranks.
+	// ScaleDown: start a graceful drain of one rank.
 	ScaleDown
 )
 
@@ -59,19 +70,13 @@ type Policy struct {
 	// consecutive scale decisions (migrations from the last move must
 	// land before the signal is trusted again).
 	CooldownEpochs int64
-	// WarmupEpochs suppresses decisions at the start of the run, while
-	// load histories are still filling.
-	WarmupEpochs int64
 	// StepUp is how many ranks one ScaleUp adds (clamped to MaxRanks).
 	StepUp int
-	// StepDown is how many ranks one ScaleDown drains (clamped to
-	// MinRanks).
-	StepDown int
 }
 
 // DefaultPolicy returns the policy used by the elastic experiment and
 // the -elastic CLI default: 4..8 ranks, grow at 75% utilization, drain
-// below 35%, two-epoch cooldown and warmup, +2/-1 steps.
+// below 35%, two-epoch cooldown, +2 steps.
 func DefaultPolicy() Policy {
 	return Policy{
 		MinRanks:       4,
@@ -79,9 +84,7 @@ func DefaultPolicy() Policy {
 		ScaleUpUtil:    0.75,
 		ScaleDownUtil:  0.35,
 		CooldownEpochs: 2,
-		WarmupEpochs:   2,
 		StepUp:         2,
-		StepDown:       1,
 	}
 }
 
@@ -100,8 +103,11 @@ func (p Policy) Validate() error {
 		return fmt.Errorf("elastic: ScaleDownUtil %g outside [0, ScaleUpUtil %g)",
 			p.ScaleDownUtil, p.ScaleUpUtil)
 	}
-	if p.StepUp < 1 || p.StepDown < 1 {
-		return fmt.Errorf("elastic: steps must be >= 1 (up %d, down %d)", p.StepUp, p.StepDown)
+	if p.CooldownEpochs < 0 {
+		return fmt.Errorf("elastic: CooldownEpochs %d < 0", p.CooldownEpochs)
+	}
+	if p.StepUp < 1 {
+		return fmt.Errorf("elastic: StepUp %d < 1", p.StepUp)
 	}
 	return nil
 }
@@ -126,9 +132,9 @@ type Snapshot struct {
 	IF float64
 	// MaxTenantDebt is the worst per-tenant SLO debt of the closed
 	// epoch — the fraction of a tenant's within-quota demand the rank
-	// pools could not serve — already gated by the tenancy policy's
-	// debt threshold (0 when tenancy is off, no tenant crossed the
-	// threshold, or the threshold is disabled). Nonzero means some
+	// pools could not serve — already gated by the tenancy layer's debt
+	// threshold (0 when tenancy is off or no tenant reached the
+	// threshold). Nonzero means some
 	// tenant is starved despite being inside its quota, which is a
 	// capacity problem, so it triggers scale-up like saturation does.
 	MaxTenantDebt float64
@@ -148,7 +154,8 @@ func (s Snapshot) Util() float64 {
 // Decision is the controller's verdict for one epoch.
 type Decision struct {
 	Action Action
-	// Delta is how many ranks to add or drain (0 for ScaleNone).
+	// Delta is how many ranks to add or drain (0 for ScaleNone, 1 for
+	// ScaleDown).
 	Delta int
 	// Reason is a short stable token for traces and tests:
 	// "saturated", "idle", or for ScaleNone the guard that held
@@ -201,7 +208,7 @@ func (c *Controller) Observe(s Snapshot) Decision {
 	none := func(reason string) Decision {
 		return Decision{Action: ScaleNone, Reason: reason, Util: util}
 	}
-	if c.observed <= c.policy.WarmupEpochs {
+	if c.observed <= warmupEpochs {
 		return none("warmup")
 	}
 	if s.DrainingRanks > 0 {
@@ -234,15 +241,11 @@ func (c *Controller) Observe(s Snapshot) Decision {
 		}
 		return Decision{Action: ScaleUp, Delta: delta, Reason: reason, Util: util}
 	case util < c.policy.ScaleDownUtil:
-		delta := c.policy.StepDown
-		if s.ActiveRanks-delta < c.policy.MinRanks {
-			delta = s.ActiveRanks - c.policy.MinRanks
-		}
-		if delta <= 0 {
+		if s.ActiveRanks-stepDown < c.policy.MinRanks {
 			return none("at_min")
 		}
 		c.noteScale(s.Epoch)
-		return Decision{Action: ScaleDown, Delta: delta, Reason: "idle", Util: util}
+		return Decision{Action: ScaleDown, Delta: stepDown, Reason: "idle", Util: util}
 	}
 	return none("steady")
 }

@@ -160,7 +160,7 @@ var fig8Workloads = []string{"CNN", "NLP", "Zipf", "Web"}
 var expFig8 = entry{
 	id: "fig8", title: "Figure 8: end-to-end job completion time with data access",
 	scenario: grid(fig8Workloads, []string{"Vanilla", "Lunule"}, byBoth,
-		cell{shape: cluster.Config{DataPath: true, OSDs: 6, OSDBandwidth: 24 << 20}}, paper),
+		cell{shape: cluster.Config{DataBandwidth: 6 * (24 << 20)}}, paper), // 6 OSDs x 24 MiB
 	report: func(res *Result, _ Options, rs []*run) error {
 		base := map[string]float64{} // workload -> Vanilla's JCT p50
 		for _, r := range rs {

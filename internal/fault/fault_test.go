@@ -1,7 +1,10 @@
 package fault
 
 import (
+	"fmt"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -76,98 +79,100 @@ func TestValidateRange(t *testing.T) {
 	}
 }
 
-// TestValidateDuplicatesAndOrdering is the table test for the two
-// script mistakes Validate rejects beyond range errors: duplicate
-// same-tick same-target events, and recoveries with no earlier crash
-// that could have taken the rank down.
+// validateCases are the two script mistakes Validate rejects beyond
+// range errors — duplicate same-tick same-target events, and recoveries
+// with no earlier crash that could have taken the rank down — and their
+// near misses, each in a 4-rank cluster.
+var validateCases = []struct {
+	name  string
+	build func() Schedule
+	ok    bool
+}{
+	{"duplicate crash same tick same rank", func() Schedule {
+		var s Schedule
+		s.Crash(10, 1).Crash(10, 1)
+		return s
+	}, false},
+	{"crash and recover same tick same rank", func() Schedule {
+		var s Schedule
+		s.Crash(10, 1).Recover(10, 1)
+		return s
+	}, false},
+	{"duplicate hottest crash same tick", func() Schedule {
+		var s Schedule
+		s.CrashHottest(10).CrashHottest(10)
+		return s
+	}, false},
+	{"duplicate path crash same tick", func() Schedule {
+		var s Schedule
+		s.CrashPath(10, "/a").CrashPath(10, "/a")
+		return s
+	}, false},
+	{"same tick different ranks", func() Schedule {
+		var s Schedule
+		s.Crash(10, 1).Crash(10, 2)
+		return s
+	}, true},
+	{"same tick hottest plus concrete", func() Schedule {
+		var s Schedule
+		s.CrashHottest(10).Crash(10, 2)
+		return s
+	}, true},
+	{"same tick different paths", func() Schedule {
+		var s Schedule
+		s.CrashPath(10, "/a").CrashPath(10, "/b")
+		return s
+	}, true},
+	{"same target different ticks", func() Schedule {
+		var s Schedule
+		s.Crash(10, 1).Recover(20, 1).Crash(30, 1)
+		return s
+	}, true},
+	{"recover before any crash", func() Schedule {
+		var s Schedule
+		s.Recover(10, 1)
+		return s
+	}, false},
+	{"recover before its crash", func() Schedule {
+		var s Schedule
+		s.Crash(50, 1).Recover(10, 1)
+		return s
+	}, false},
+	{"recover of the wrong rank", func() Schedule {
+		var s Schedule
+		s.Crash(10, 1).Recover(20, 2)
+		return s
+	}, false},
+	{"recover out of submission order still valid", func() Schedule {
+		var s Schedule
+		s.Recover(20, 1).Crash(10, 1) // validation sorts by tick
+		return s
+	}, true},
+	{"wildcard crash authorizes later recover", func() Schedule {
+		var s Schedule
+		s.CrashHottest(10).Recover(20, 0)
+		return s
+	}, true},
+	{"path crash authorizes later recover", func() Schedule {
+		var s Schedule
+		s.CrashPath(10, "/a").Recover(20, 2)
+		return s
+	}, true},
+	{"wildcard crash at the recover tick is not earlier", func() Schedule {
+		var s Schedule
+		s.CrashHottest(10).Recover(10, 0)
+		return s
+	}, false},
+	{"path on a recover", func() Schedule {
+		var s Schedule
+		s.Events = append(s.Events, Event{Tick: 10, Rank: 1, Kind: Recover, Path: "/a"})
+		return s
+	}, false},
+}
+
+// TestValidateDuplicatesAndOrdering is the table test of validateCases.
 func TestValidateDuplicatesAndOrdering(t *testing.T) {
-	cases := []struct {
-		name  string
-		build func() Schedule
-		ok    bool
-	}{
-		{"duplicate crash same tick same rank", func() Schedule {
-			var s Schedule
-			s.Crash(10, 1).Crash(10, 1)
-			return s
-		}, false},
-		{"crash and recover same tick same rank", func() Schedule {
-			var s Schedule
-			s.Crash(10, 1).Recover(10, 1)
-			return s
-		}, false},
-		{"duplicate hottest crash same tick", func() Schedule {
-			var s Schedule
-			s.CrashHottest(10).CrashHottest(10)
-			return s
-		}, false},
-		{"duplicate path crash same tick", func() Schedule {
-			var s Schedule
-			s.CrashPath(10, "/a").CrashPath(10, "/a")
-			return s
-		}, false},
-		{"same tick different ranks", func() Schedule {
-			var s Schedule
-			s.Crash(10, 1).Crash(10, 2)
-			return s
-		}, true},
-		{"same tick hottest plus concrete", func() Schedule {
-			var s Schedule
-			s.CrashHottest(10).Crash(10, 2)
-			return s
-		}, true},
-		{"same tick different paths", func() Schedule {
-			var s Schedule
-			s.CrashPath(10, "/a").CrashPath(10, "/b")
-			return s
-		}, true},
-		{"same target different ticks", func() Schedule {
-			var s Schedule
-			s.Crash(10, 1).Recover(20, 1).Crash(30, 1)
-			return s
-		}, true},
-		{"recover before any crash", func() Schedule {
-			var s Schedule
-			s.Recover(10, 1)
-			return s
-		}, false},
-		{"recover before its crash", func() Schedule {
-			var s Schedule
-			s.Crash(50, 1).Recover(10, 1)
-			return s
-		}, false},
-		{"recover of the wrong rank", func() Schedule {
-			var s Schedule
-			s.Crash(10, 1).Recover(20, 2)
-			return s
-		}, false},
-		{"recover out of submission order still valid", func() Schedule {
-			var s Schedule
-			s.Recover(20, 1).Crash(10, 1) // validation sorts by tick
-			return s
-		}, true},
-		{"wildcard crash authorizes later recover", func() Schedule {
-			var s Schedule
-			s.CrashHottest(10).Recover(20, 0)
-			return s
-		}, true},
-		{"path crash authorizes later recover", func() Schedule {
-			var s Schedule
-			s.CrashPath(10, "/a").Recover(20, 2)
-			return s
-		}, true},
-		{"wildcard crash at the recover tick is not earlier", func() Schedule {
-			var s Schedule
-			s.CrashHottest(10).Recover(10, 0)
-			return s
-		}, false},
-		{"path on a recover", func() Schedule {
-			var s Schedule
-			s.Events = append(s.Events, Event{Tick: 10, Rank: 1, Kind: Recover, Path: "/a"})
-			return s
-		}, false},
-	}
-	for _, tc := range cases {
+	for _, tc := range validateCases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.build()
 			err := s.Validate(4)
@@ -292,4 +297,57 @@ func TestMTBFDegenerateConfigs(t *testing.T) {
 			t.Errorf("MTBF(%+v) produced %d events, want none", cfg, len(s.Events))
 		}
 	}
+}
+
+// specOf renders events the way ParseSpecs reads them: tick:rank,
+// tick:hot or tick:/path, comma-separated.
+func specOf(events []Event) string {
+	parts := make([]string, len(events))
+	for i, ev := range events {
+		target := strconv.Itoa(ev.Rank)
+		switch {
+		case ev.Path != "":
+			target = ev.Path
+		case ev.Rank == HottestRank:
+			target = "hot"
+		}
+		parts[i] = fmt.Sprintf("%d:%s", ev.Tick, target)
+	}
+	return strings.Join(parts, ",")
+}
+
+// FuzzParseSpecs feeds a spec string of either kind through ParseSpecs
+// and Validate against a rank count. Neither may panic, and a schedule
+// both accept must parse back from its own rendering to the same
+// events. The seeds are validateCases, one spec per kind present.
+func FuzzParseSpecs(f *testing.F) {
+	for _, tc := range validateCases {
+		s := tc.build()
+		for _, k := range []Kind{Crash, Recover} {
+			var evs []Event
+			for _, ev := range s.Events {
+				if ev.Kind == k {
+					evs = append(evs, ev)
+				}
+			}
+			if len(evs) > 0 {
+				f.Add(specOf(evs), uint8(k), int16(4))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, spec string, kind uint8, ranks int16) {
+		k := Kind(kind % 2)
+		s, err := ParseSpecs(spec, k)
+		if err != nil || s.Validate(int(ranks)) != nil {
+			return
+		}
+		rendered := specOf(s.Events)
+		back, err := ParseSpecs(rendered, k)
+		if err != nil {
+			t.Fatalf("%q accepted, but its rendering %q: %v", spec, rendered, err)
+		}
+		if !reflect.DeepEqual(back.Events, s.Events) {
+			t.Fatalf("%q rendered as %q parses to %+v, want %+v", spec, rendered, back.Events, s.Events)
+		}
+	})
 }

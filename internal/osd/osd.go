@@ -8,26 +8,19 @@ package osd
 
 // Pool is a bandwidth-limited OSD cluster.
 type Pool struct {
-	osds   int
-	perOSD int64 // bytes per tick per OSD
-	budget int64 // remaining bytes this tick
+	perTick int64 // the pool's total bytes per tick
+	budget  int64 // remaining bytes this tick
 }
 
-// NewPool creates a pool of n OSDs, each contributing bandwidthPerTick
-// bytes per tick.
-func NewPool(n int, bandwidthPerTick int64) *Pool {
-	if n < 0 {
-		n = 0
-	}
-	return &Pool{osds: n, perOSD: bandwidthPerTick}
+// NewPool creates a pool that moves bytesPerTick bytes per tick in
+// total, over all its OSDs.
+func NewPool(bytesPerTick int64) *Pool {
+	return &Pool{perTick: bytesPerTick}
 }
-
-// OSDs returns the current pool size.
-func (p *Pool) OSDs() int { return p.osds }
 
 // BeginTick refills the tick's bandwidth budget.
 func (p *Pool) BeginTick() {
-	p.budget = int64(p.osds) * p.perOSD
+	p.budget = p.perTick
 }
 
 // Consume grants up to want bytes from the remaining budget and

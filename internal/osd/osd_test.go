@@ -3,7 +3,7 @@ package osd
 import "testing"
 
 func TestPoolBudget(t *testing.T) {
-	p := NewPool(2, 100)
+	p := NewPool(200)
 	p.BeginTick()
 	if p.Remaining() != 200 {
 		t.Fatalf("budget = %d", p.Remaining())
@@ -24,7 +24,7 @@ func TestPoolBudget(t *testing.T) {
 }
 
 func TestPoolDegenerate(t *testing.T) {
-	p := NewPool(0, 100)
+	p := NewPool(0)
 	p.BeginTick()
 	if p.Consume(10) != 0 {
 		t.Fatal("empty pool grants nothing")
@@ -32,8 +32,9 @@ func TestPoolDegenerate(t *testing.T) {
 	if p.Consume(-5) != 0 {
 		t.Fatal("negative want")
 	}
-	neg := NewPool(-3, 100)
-	if neg.OSDs() != 0 {
-		t.Fatal("negative size clamps to 0")
+	neg := NewPool(-300)
+	neg.BeginTick()
+	if neg.Consume(10) != 0 {
+		t.Fatal("negative bandwidth grants nothing")
 	}
 }

@@ -29,6 +29,10 @@ import (
 	"repro/internal/namespace"
 )
 
+// maxSyncsPerRank bounds concurrent inbound syncs per rank so the
+// re-replicator cannot dogpile one idle survivor.
+const maxSyncsPerRank = 4
+
 // Policy parameterizes the replication manager.
 type Policy struct {
 	// R is the replication factor: one primary plus R−1 standbys per
@@ -49,9 +53,6 @@ type Policy struct {
 	// ResyncRate is how many inodes one background re-replication sync
 	// copies per tick.
 	ResyncRate int
-	// MaxSyncsPerRank bounds concurrent inbound syncs per rank so the
-	// re-replicator cannot dogpile one idle survivor.
-	MaxSyncsPerRank int
 	// LeaseTicks, when positive, enables lease-based read-replica
 	// authority: synced standbys of hot read-dominated subtrees are
 	// granted read leases that let them serve reads for the subtree.
@@ -68,15 +69,13 @@ type Policy struct {
 
 // DefaultPolicy returns the policy used by the replication experiment
 // and the -replication CLI default: R=2, ship every 5 ticks, promote
-// 2 ticks after a crash, resync 2000 inodes/tick, at most 4 inbound
-// syncs per rank.
+// 2 ticks after a crash, resync 2000 inodes/tick.
 func DefaultPolicy() Policy {
 	return Policy{
-		R:               2,
-		ShipEvery:       5,
-		PromoteTicks:    2,
-		ResyncRate:      2000,
-		MaxSyncsPerRank: 4,
+		R:            2,
+		ShipEvery:    5,
+		PromoteTicks: 2,
+		ResyncRate:   2000,
 	}
 }
 
@@ -93,9 +92,6 @@ func (p Policy) Validate() error {
 	}
 	if p.ResyncRate < 1 {
 		return fmt.Errorf("replica: ResyncRate %d < 1", p.ResyncRate)
-	}
-	if p.MaxSyncsPerRank < 1 {
-		return fmt.Errorf("replica: MaxSyncsPerRank %d < 1", p.MaxSyncsPerRank)
 	}
 	if p.LeaseTicks < 0 {
 		return fmt.Errorf("replica: LeaseTicks %d < 0", p.LeaseTicks)
@@ -710,7 +706,7 @@ func (m *Manager) rereplicate(env Env) {
 				if id == g.Primary || g.hasStandby(id) || !env.Eligible(id) {
 					continue
 				}
-				if m.syncCount[id] >= m.pol.MaxSyncsPerRank {
+				if m.syncCount[id] >= maxSyncsPerRank {
 					continue
 				}
 				if l := env.Load(id); best < 0 || l < bestLoad {

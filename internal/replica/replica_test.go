@@ -59,12 +59,11 @@ func TestPolicyValidate(t *testing.T) {
 		t.Fatalf("default policy invalid: %v", err)
 	}
 	bad := []Policy{
-		{R: 1, ShipEvery: 5, PromoteTicks: 2, ResyncRate: 1, MaxSyncsPerRank: 1},
-		{R: 2, ShipEvery: 0, PromoteTicks: 2, ResyncRate: 1, MaxSyncsPerRank: 1},
-		{R: 2, ShipEvery: 5, PromoteTicks: 0, ResyncRate: 1, MaxSyncsPerRank: 1},
-		{R: 2, ShipEvery: 5, PromoteTicks: 2, ResyncRate: 0, MaxSyncsPerRank: 1},
-		{R: 2, ShipEvery: 5, PromoteTicks: 2, ResyncRate: 1, MaxSyncsPerRank: 0},
-		{R: 2, ShipEvery: 5, PromoteTicks: 2, ResyncRate: 1, MaxSyncsPerRank: 1, LeaseTicks: 10, ReplicateReadFrac: math.NaN()},
+		{R: 1, ShipEvery: 5, PromoteTicks: 2, ResyncRate: 1},
+		{R: 2, ShipEvery: 0, PromoteTicks: 2, ResyncRate: 1},
+		{R: 2, ShipEvery: 5, PromoteTicks: 0, ResyncRate: 1},
+		{R: 2, ShipEvery: 5, PromoteTicks: 2, ResyncRate: 0},
+		{R: 2, ShipEvery: 5, PromoteTicks: 2, ResyncRate: 1, LeaseTicks: 10, ReplicateReadFrac: math.NaN()},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -149,7 +148,6 @@ func TestStatResetRestartsDeltaBasis(t *testing.T) {
 func TestRereplicatePlacementAndBounds(t *testing.T) {
 	pol := DefaultPolicy()
 	pol.R = 3
-	pol.MaxSyncsPerRank = 1
 	pol.ResyncRate = 1 // keep syncs in flight
 	m := MustManager(pol)
 	te := &testEnv{
@@ -158,22 +156,31 @@ func TestRereplicatePlacementAndBounds(t *testing.T) {
 		noImp:  map[namespace.MDSID]bool{2: true}, // draining: not eligible
 		ops:    map[namespace.FragKey]int64{},
 		heat:   map[namespace.FragKey]float64{},
-		inodes: map[namespace.FragKey]int{key(1): 100, key(2): 100},
+		inodes: map[namespace.FragKey]int{},
 	}
-	m.Reconcile([]namespace.Entry{entry(1, 0), entry(2, 0)}, retainAll)
+	// One group more than ranks 1 and 3 have sync slots for, all led
+	// by rank 0.
+	var entries []namespace.Entry
+	for d := namespace.Ino(1); d <= maxSyncsPerRank+1; d++ {
+		entries = append(entries, entry(d, 0))
+		te.inodes[key(d)] = 100
+	}
+	m.Reconcile(entries, retainAll)
 	m.Pump(0, te.env())
-	// Group 1 gets the two least-loaded eligible ranks (3 then 1);
-	// group 2 finds both saturated by MaxSyncsPerRank and gets nobody.
-	g1, g2 := m.GroupOf(key(1)), m.GroupOf(key(2))
-	if len(g1.Standbys) != 2 || g1.Standbys[0].Rank != 3 || g1.Standbys[1].Rank != 1 {
-		t.Fatalf("group 1 standbys = %+v, want ranks [3 1]", g1.Standbys)
+	// Each of the first maxSyncsPerRank groups gets the two
+	// least-loaded eligible ranks (3 then 1); the last finds both
+	// saturated and gets nobody.
+	for d := namespace.Ino(1); d <= maxSyncsPerRank; d++ {
+		if g := m.GroupOf(key(d)); len(g.Standbys) != 2 || g.Standbys[0].Rank != 3 || g.Standbys[1].Rank != 1 {
+			t.Fatalf("group %d standbys = %+v, want ranks [3 1]", d, g.Standbys)
+		}
 	}
-	if len(g2.Standbys) != 0 {
-		t.Fatalf("group 2 must wait for sync slots, got %+v", g2.Standbys)
+	if g := m.GroupOf(key(maxSyncsPerRank + 1)); len(g.Standbys) != 0 {
+		t.Fatalf("the last group must wait for sync slots, got %+v", g.Standbys)
 	}
-	if m.ResyncsStarted() != 2 || m.SyncingStandbys() != 2 {
-		t.Fatalf("resyncs started = %d, syncing = %d, want 2, 2",
-			m.ResyncsStarted(), m.SyncingStandbys())
+	if m.ResyncsStarted() != 2*maxSyncsPerRank || m.SyncingStandbys() != 2*maxSyncsPerRank {
+		t.Fatalf("resyncs started = %d, syncing = %d, want %d each",
+			m.ResyncsStarted(), m.SyncingStandbys(), 2*maxSyncsPerRank)
 	}
 }
 

@@ -23,43 +23,29 @@ import (
 	"math"
 )
 
-// WeightMode values for Policy.WeightMode.
-const (
-	// WeightFlat gives every tenant the same Rate regardless of size.
-	WeightFlat = "flat"
-	// WeightClients scales each tenant's rate by its client count:
-	// rate_t = Rate * clients_t. Burst scales the same way.
-	WeightClients = "clients"
-)
+// debtThreshold is the per-epoch stall fraction at or above which a
+// tenant counts as SLO-indebted for elastic scale-up. Debt is
+// stalls/(stalls+admitted) over the closed epoch, measured on
+// bucket-admitted work only.
+const debtThreshold float64 = 0.5
 
-// Policy configures per-tenant token-bucket admission.
+// Policy configures per-tenant token-bucket admission. Every tenant
+// gets the same bucket, whatever its size.
 type Policy struct {
-	// Rate is the bucket refill in ops per tick (per tenant under
-	// "flat", per client under "clients"). Must be positive.
+	// Rate is the bucket refill in ops per tick. Must be positive.
 	Rate float64
 
 	// Burst is the bucket capacity in ops. Buckets start full. Must be
 	// at least Rate (a bucket smaller than one refill would leak
 	// tokens every tick).
 	Burst float64
-
-	// WeightMode selects how Rate maps to per-tenant refill rates:
-	// "" or "flat" for equal shares, "clients" to scale by tenant
-	// size.
-	WeightMode string
-
-	// DebtThreshold is the per-epoch stall fraction above which a
-	// tenant counts as SLO-indebted for elastic scale-up (0 disables
-	// the debt signal). Debt is stalls/(stalls+admitted) over the
-	// closed epoch, measured on bucket-admitted work only.
-	DebtThreshold float64
 }
 
-// DefaultPolicy returns a permissive flat policy: generous enough that
-// a typical per-client rate never throttles, so attaching it to an
+// DefaultPolicy returns a permissive policy: generous enough that a
+// typical per-client rate never throttles, so attaching it to an
 // uncontended run is behavior-neutral.
 func DefaultPolicy() Policy {
-	return Policy{Rate: 4000, Burst: 8000, WeightMode: WeightFlat, DebtThreshold: 0.5}
+	return Policy{Rate: 4000, Burst: 8000}
 }
 
 // Validate checks the policy for internal consistency.
@@ -69,14 +55,6 @@ func (p Policy) Validate() error {
 	}
 	if p.Burst < p.Rate || math.IsNaN(p.Burst) || math.IsInf(p.Burst, 0) {
 		return fmt.Errorf("tenant: burst must be >= rate, got burst=%v rate=%v", p.Burst, p.Rate)
-	}
-	switch p.WeightMode {
-	case "", WeightFlat, WeightClients:
-	default:
-		return fmt.Errorf("tenant: unknown weight mode %q", p.WeightMode)
-	}
-	if p.DebtThreshold < 0 || p.DebtThreshold >= 1 || math.IsNaN(p.DebtThreshold) {
-		return fmt.Errorf("tenant: debt threshold must be in [0, 1), got %v", p.DebtThreshold)
 	}
 	return nil
 }
@@ -153,12 +131,7 @@ func (m *Manager) Bind(clientsPerTenant []int) error {
 		if n <= 0 {
 			return fmt.Errorf("tenant: tenant %d has %d clients; every tenant needs at least one", t, n)
 		}
-		rate, burst := m.pol.Rate, m.pol.Burst
-		if m.pol.WeightMode == WeightClients {
-			rate *= float64(n)
-			burst *= float64(n)
-		}
-		m.buckets[t] = bucket{rate: rate, burst: burst, tokens: burst, clients: n}
+		m.buckets[t] = bucket{rate: m.pol.Rate, burst: m.pol.Burst, tokens: m.pol.Burst, clients: n}
 	}
 	return nil
 }
@@ -269,20 +242,16 @@ func (m *Manager) EndEpoch() {
 }
 
 // MaxDebt returns the highest per-tenant SLO debt from the last closed
-// epoch, but only when it crosses the policy's DebtThreshold — the
-// elastic snapshot signal. Returns 0 when the signal is disabled or
-// every tenant is within threshold.
+// epoch, but only when it reaches debtThreshold — the elastic snapshot
+// signal. Returns 0 when every tenant is below the threshold.
 func (m *Manager) MaxDebt() float64 {
-	if m.pol.DebtThreshold <= 0 {
-		return 0
-	}
 	max := 0.0
 	for t := range m.buckets {
 		if d := m.buckets[t].debt; d > max {
 			max = d
 		}
 	}
-	if max < m.pol.DebtThreshold {
+	if max < debtThreshold {
 		return 0
 	}
 	return max

@@ -12,16 +12,12 @@ func TestPolicyValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"default", DefaultPolicy(), true},
-		{"flat", Policy{Rate: 10, Burst: 20, WeightMode: WeightFlat}, true},
-		{"clients", Policy{Rate: 10, Burst: 10, WeightMode: WeightClients}, true},
-		{"empty mode", Policy{Rate: 1, Burst: 1}, true},
+		{"burst above rate", Policy{Rate: 10, Burst: 20}, true},
+		{"burst equals rate", Policy{Rate: 1, Burst: 1}, true},
 		{"zero rate", Policy{Rate: 0, Burst: 10}, false},
 		{"negative rate", Policy{Rate: -1, Burst: 10}, false},
 		{"nan rate", Policy{Rate: math.NaN(), Burst: 10}, false},
 		{"burst below rate", Policy{Rate: 10, Burst: 5}, false},
-		{"bad mode", Policy{Rate: 1, Burst: 1, WeightMode: "zipf"}, false},
-		{"debt one", Policy{Rate: 1, Burst: 1, DebtThreshold: 1}, false},
-		{"debt negative", Policy{Rate: 1, Burst: 1, DebtThreshold: -0.1}, false},
 	}
 	for _, c := range cases {
 		if err := c.pol.Validate(); (err == nil) != c.ok {
@@ -38,26 +34,18 @@ func refill(m *Manager, t int) float64 {
 	return m.Tokens(t)
 }
 
+// TestBindWeightModes: every tenant gets the policy's bucket whatever
+// its client count, and the bucket starts full.
 func TestBindWeightModes(t *testing.T) {
-	m := MustManager(Policy{Rate: 10, Burst: 30, WeightMode: WeightFlat})
+	m := MustManager(Policy{Rate: 10, Burst: 30})
 	if err := m.Bind([]int{1, 4}); err != nil {
 		t.Fatal(err)
+	}
+	if m.BurstOf(1) != 30 || m.Tokens(1) != 30 {
+		t.Errorf("tenant 1 burst %v, tokens %v, want a full bucket of 30", m.BurstOf(1), m.Tokens(1))
 	}
 	if r0, r1 := refill(m, 0), refill(m, 1); r0 != 10 || r1 != 10 {
-		t.Errorf("flat rates = %v, %v, want 10, 10", r0, r1)
-	}
-	m = MustManager(Policy{Rate: 10, Burst: 30, WeightMode: WeightClients})
-	if err := m.Bind([]int{1, 4}); err != nil {
-		t.Fatal(err)
-	}
-	if m.BurstOf(1) != 120 {
-		t.Errorf("clients burst = %v, want 120", m.BurstOf(1))
-	}
-	if m.Tokens(1) != 120 {
-		t.Errorf("bucket should start full, tokens = %v", m.Tokens(1))
-	}
-	if r0, r1 := refill(m, 0), refill(m, 1); r0 != 10 || r1 != 40 {
-		t.Errorf("clients rates = %v, %v, want 10, 40", r0, r1)
+		t.Errorf("rates = %v, %v, want 10, 10", r0, r1)
 	}
 	if err := m.Bind(nil); err == nil {
 		t.Error("Bind(nil) should fail")
@@ -117,13 +105,13 @@ func TestFractionalTokensStayWhole(t *testing.T) {
 }
 
 func TestDebtAndThrottleLatch(t *testing.T) {
-	m := MustManager(Policy{Rate: 10, Burst: 10, DebtThreshold: 0.3})
+	m := MustManager(Policy{Rate: 10, Burst: 10})
 	if err := m.Bind([]int{1, 1}); err != nil {
 		t.Fatal(err)
 	}
-	// Tenant 0: 6 admitted, 4 pool-stalled -> debt 0.4.
-	m.NoteAdmitted(0, 6)
-	m.NoteStalled(0, 4)
+	// Tenant 0: 4 admitted, 6 pool-stalled -> debt 0.6.
+	m.NoteAdmitted(0, 4)
+	m.NoteStalled(0, 6)
 	// Tenant 1: throttled by its bucket but fully served otherwise.
 	m.NoteAdmitted(1, 10)
 	m.NoteThrottled(1, 50)
@@ -131,11 +119,11 @@ func TestDebtAndThrottleLatch(t *testing.T) {
 		t.Errorf("debt must only appear after EndEpoch, got %v", m.MaxDebt())
 	}
 	m.EndEpoch()
-	if got := m.MaxDebt(); got != 0.4 {
-		t.Errorf("MaxDebt = %v, want tenant 0's 0.4", got)
+	if got := m.MaxDebt(); got != 0.6 {
+		t.Errorf("MaxDebt = %v, want tenant 0's 0.6", got)
 	}
-	// Throttles alone never create debt, however low the threshold.
-	m2 := MustManager(Policy{Rate: 10, Burst: 10, DebtThreshold: 0.01})
+	// Throttles alone never create debt.
+	m2 := MustManager(Policy{Rate: 10, Burst: 10})
 	if err := m2.Bind([]int{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +146,7 @@ func TestDebtAndThrottleLatch(t *testing.T) {
 }
 
 func TestMaxDebtThreshold(t *testing.T) {
-	m := MustManager(Policy{Rate: 10, Burst: 10, DebtThreshold: 0.5})
+	m := MustManager(Policy{Rate: 10, Burst: 10})
 	if err := m.Bind([]int{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -166,16 +154,13 @@ func TestMaxDebtThreshold(t *testing.T) {
 	m.NoteStalled(0, 2)
 	m.EndEpoch()
 	if got := m.MaxDebt(); got != 0 {
-		t.Errorf("debt 0.2 below threshold 0.5 must report 0, got %v", got)
+		t.Errorf("debt 0.2 below threshold %v must report 0, got %v", debtThreshold, got)
 	}
-	disabled := MustManager(Policy{Rate: 10, Burst: 10, DebtThreshold: 0})
-	if err := disabled.Bind([]int{1}); err != nil {
-		t.Fatal(err)
-	}
-	disabled.NoteStalled(0, 100)
-	disabled.EndEpoch()
-	if got := disabled.MaxDebt(); got != 0 {
-		t.Errorf("threshold 0 disables the signal, got %v", got)
+	m.NoteAdmitted(0, 5)
+	m.NoteStalled(0, 5)
+	m.EndEpoch()
+	if got := m.MaxDebt(); got != debtThreshold {
+		t.Errorf("debt at the threshold must report, got %v", got)
 	}
 }
 

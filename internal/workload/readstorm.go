@@ -20,8 +20,6 @@ type ReadStormConfig struct {
 	Files int
 	// OpsPerClient is the number of reads each client performs.
 	OpsPerClient int
-	// Exponent is the Zipf exponent over the shared files.
-	Exponent float64
 	// WriteEvery mixes one create into the shared directory every this
 	// many reads per client (0 = pure reads). Creates are writes, so
 	// they invalidate any read leases on the directory — the knob
@@ -42,9 +40,6 @@ func (c *ReadStormConfig) defaults() {
 	}
 	if c.OpsPerClient == 0 {
 		c.OpsPerClient = 12000
-	}
-	if c.Exponent == 0 {
-		c.Exponent = 0.98
 	}
 	if c.Dir == "" {
 		c.Dir = "/readstorm/dir"
@@ -81,7 +76,7 @@ func (g *ReadStorm) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([
 	streams := make([]Stream, clients)
 	for c := 0; c < clients; c++ {
 		streams[c] = &zipfStats{
-			pick: newZipfPicker(files, g.cfg.Exponent, src.Fork(uint64(c)+10)),
+			pick: newZipfPicker(files, src.Fork(uint64(c)+10)),
 			dir:  dir, ops: g.cfg.OpsPerClient, writeEvery: g.cfg.WriteEvery, client: g.cfg.ClientOffset + c,
 		}
 	}

@@ -40,12 +40,6 @@ type CNNConfig struct {
 	// FilesPerDir is the number of images per directory (ImageNet:
 	// 1280 on average; scaled down by default).
 	FilesPerDir int
-	// MeanFileBytes is the average image size (ImageNet: 114.3 KB).
-	MeanFileBytes int64
-	// StartSpread staggers client start times over this many ticks.
-	StartSpread int64
-	// RateJitter varies per-client speed by +/- this fraction.
-	RateJitter float64
 }
 
 func (c *CNNConfig) defaults() {
@@ -54,15 +48,6 @@ func (c *CNNConfig) defaults() {
 	}
 	if c.FilesPerDir == 0 {
 		c.FilesPerDir = 24
-	}
-	if c.MeanFileBytes == 0 {
-		c.MeanFileBytes = 114300
-	}
-	if c.StartSpread == 0 {
-		c.StartSpread = 10
-	}
-	if c.RateJitter == 0 {
-		c.RateJitter = 0.05
 	}
 }
 
@@ -93,7 +78,7 @@ func (g *CNN) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([]Clien
 			return nil, err
 		}
 		for f := 0; f < g.cfg.FilesPerDir; f++ {
-			size := g.cfg.MeanFileBytes/2 + sizes.Int63n(g.cfg.MeanFileBytes)
+			size := cnnFileBytes/2 + sizes.Int63n(cnnFileBytes)
 			in, err := tree.Create(dir, fmt.Sprintf("img%05d.jpg", f), size)
 			if err != nil {
 				return nil, err
@@ -105,7 +90,7 @@ func (g *CNN) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([]Clien
 	for i := range streams {
 		streams[i] = newCNNScan(files)
 	}
-	return jitterSpecs(streams, g.cfg.StartSpread, g.cfg.RateJitter, src.Fork(2)), nil
+	return jitterSpecs(streams, scanStartSpread, scanRateJitter, src.Fork(2)), nil
 }
 
 // newCNNScan returns one client's scan: per directory one readdir, per
@@ -148,15 +133,6 @@ type NLPConfig struct {
 	// FilesPerDir is the number of text files per folder (corpus:
 	// ~60k; scaled down by default).
 	FilesPerDir int
-	// MeanFileBytes is the average file size (corpus: 2.8 KB).
-	MeanFileBytes int64
-	// MetaOpsPerFile is the number of metadata ops each file costs
-	// (13 gives the paper's 92.8% metadata ratio).
-	MetaOpsPerFile int
-	// StartSpread staggers client start times over this many ticks.
-	StartSpread int64
-	// RateJitter varies per-client speed by +/- this fraction.
-	RateJitter float64
 }
 
 func (c *NLPConfig) defaults() {
@@ -165,18 +141,6 @@ func (c *NLPConfig) defaults() {
 	}
 	if c.FilesPerDir == 0 {
 		c.FilesPerDir = 400
-	}
-	if c.MeanFileBytes == 0 {
-		c.MeanFileBytes = 2800
-	}
-	if c.MetaOpsPerFile == 0 {
-		c.MetaOpsPerFile = 13
-	}
-	if c.StartSpread == 0 {
-		c.StartSpread = 10
-	}
-	if c.RateJitter == 0 {
-		c.RateJitter = 0.05
 	}
 }
 
@@ -206,7 +170,7 @@ func (g *NLP) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([]Clien
 			return nil, err
 		}
 		for f := 0; f < g.cfg.FilesPerDir; f++ {
-			size := g.cfg.MeanFileBytes/2 + sizes.Int63n(g.cfg.MeanFileBytes)
+			size := nlpFileBytes/2 + sizes.Int63n(nlpFileBytes)
 			in, err := tree.Create(dir, fmt.Sprintf("doc%06d.txt", f), size)
 			if err != nil {
 				return nil, err
@@ -216,15 +180,15 @@ func (g *NLP) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([]Clien
 	}
 	streams := make([]Stream, clients)
 	for i := range streams {
-		streams[i] = newNLPScan(files, g.cfg.MetaOpsPerFile)
+		streams[i] = newNLPScan(files)
 	}
-	return jitterSpecs(streams, g.cfg.StartSpread, g.cfg.RateJitter, src.Fork(2)), nil
+	return jitterSpecs(streams, scanStartSpread, scanRateJitter, src.Fork(2)), nil
 }
 
 // newNLPScan returns one client's single-pass scan: per file,
-// metaOpsPerFile metadata operations (path resolution, stats,
+// nlpMetaOpsPerFile metadata operations (path resolution, stats,
 // permission checks, the open itself) and one tiny data read.
-func newNLPScan(files []*namespace.Inode, metaOpsPerFile int) Stream {
+func newNLPScan(files []*namespace.Inode) Stream {
 	idx := 0
 	var lastDir *namespace.Inode
 	return &seqStream{fill: func(ops []Op) []Op {
@@ -237,7 +201,7 @@ func newNLPScan(files []*namespace.Inode, metaOpsPerFile int) Stream {
 			ops = append(ops, Op{Kind: OpReaddir, Target: f.Parent})
 		}
 		ops = append(ops, Op{Kind: OpLookup, Target: f})
-		for fileOps := 1; fileOps < metaOpsPerFile-1; fileOps++ {
+		for fileOps := 1; fileOps < nlpMetaOpsPerFile-1; fileOps++ {
 			ops = append(ops, Op{Kind: OpGetattr, Target: f})
 		}
 		ops = append(ops, Op{Kind: OpOpen, Target: f, DataSize: f.Size})

@@ -48,7 +48,7 @@ func refCNN(files []*namespace.Inode) []Op {
 	return all
 }
 
-func refNLP(files []*namespace.Inode, metaOpsPerFile int) []Op {
+func refNLP(files []*namespace.Inode) []Op {
 	var all []Op
 	var lastDir *namespace.Inode
 	for _, f := range files {
@@ -58,7 +58,7 @@ func refNLP(files []*namespace.Inode, metaOpsPerFile int) []Op {
 			ops = append(ops, Op{Kind: OpReaddir, Target: f.Parent})
 		}
 		ops = append(ops, Op{Kind: OpLookup, Target: f})
-		for fileOps := 1; fileOps < metaOpsPerFile-1; fileOps++ {
+		for fileOps := 1; fileOps < nlpMetaOpsPerFile-1; fileOps++ {
 			ops = append(ops, Op{Kind: OpGetattr, Target: f})
 		}
 		ops = append(ops, Op{Kind: OpOpen, Target: f, DataSize: f.Size})
@@ -85,12 +85,12 @@ func refWeb(files []*namespace.Inode, trace []int32) []Op {
 // a permutation of files, then an inverse-CDF draw over a table built
 // as rng.NewZipf builds it, searched by bisection here rather than
 // through rng.Zipf.
-func refZipfPicks(files []*namespace.Inode, exponent float64, n int, src *rng.Source) []*namespace.Inode {
+func refZipfPicks(files []*namespace.Inode, n int, src *rng.Source) []*namespace.Inode {
 	perm := src.Perm(len(files))
 	cum := make([]float64, len(files))
 	total := 0.0
 	for i := range cum {
-		total += 1 / math.Pow(float64(i+1), exponent)
+		total += 1 / math.Pow(float64(i+1), zipfExponent)
 		cum[i] = total
 	}
 	for i := range cum {
@@ -155,13 +155,14 @@ func TestScanStreamsMatchReference(t *testing.T) {
 		check(t, specs, func(int) []Op { return want })
 	})
 	t.Run("NLP", func(t *testing.T) {
-		tree, specs := setup(t, NewNLP(NLPConfig{Dirs: 3, FilesPerDir: 4, MetaOpsPerFile: 6}), clients, seed)
+		tree, specs := setup(t, NewNLP(NLPConfig{Dirs: 3, FilesPerDir: 4}), clients, seed)
 		root, _ := tree.Lookup("/nlp")
-		want := refNLP(leaves(root, 1), 6)
+		want := refNLP(leaves(root, 1))
 		check(t, specs, func(int) []Op { return want })
 	})
 	t.Run("Web", func(t *testing.T) {
-		cfg := WebConfig{Files: 60, DirFanout: 5, DirsPerSection: 3, RequestsPerClient: 200, PhaseLen: 50, PhaseShift: 7}
+		// Two sections and three hot-set phases.
+		cfg := WebConfig{Files: 600, RequestsPerClient: 2*webPhaseLen + 500}
 		tree, specs := setup(t, NewWeb(cfg), clients, seed)
 		root, _ := tree.Lookup("/web")
 		// The shared trace, drawn as Web.Setup draws it: the second fork
@@ -170,10 +171,10 @@ func TestScanStreamsMatchReference(t *testing.T) {
 		src.Fork(1)
 		traceSrc := src.Fork(2)
 		perm := traceSrc.Perm(cfg.Files)
-		zipf := rng.NewZipf(traceSrc, 0.9, cfg.Files)
+		zipf := rng.NewZipf(traceSrc, webZipfExponent, cfg.Files)
 		trace := make([]int32, cfg.RequestsPerClient)
 		for i := range trace {
-			trace[i] = int32(perm[(zipf.Next()+i/cfg.PhaseLen*cfg.PhaseShift)%cfg.Files])
+			trace[i] = int32(perm[(zipf.Next()+i/webPhaseLen*webPhaseShift)%cfg.Files])
 		}
 		want := refWeb(leaves(root, 2), trace)
 		check(t, specs, func(int) []Op { return want })
@@ -182,12 +183,12 @@ func TestScanStreamsMatchReference(t *testing.T) {
 	// client order as Setup takes them.
 	t.Run("Zipf", func(t *testing.T) {
 		const files, ops = 40, 500
-		tree, specs := setup(t, NewZipf(ZipfConfig{FilesPerClient: files, OpsPerClient: ops, Exponent: 1.1}), clients, seed)
+		tree, specs := setup(t, NewZipf(ZipfConfig{FilesPerClient: files, OpsPerClient: ops}), clients, seed)
 		setupSrc := rng.New(seed)
 		check(t, specs, func(c int) []Op {
 			dir, _ := tree.Lookup(fmt.Sprintf("/zipf/client%03d", c))
 			want := make([]Op, ops)
-			for i, f := range refZipfPicks(dir.Children(), 1.1, ops, setupSrc.Fork(uint64(c)+10)) {
+			for i, f := range refZipfPicks(dir.Children(), ops, setupSrc.Fork(uint64(c)+10)) {
 				want[i] = Op{Kind: OpOpen, Target: f, DataSize: f.Size}
 			}
 			return want
@@ -201,7 +202,7 @@ func TestScanStreamsMatchReference(t *testing.T) {
 		files := dir.Children()
 		setupSrc := rng.New(seed)
 		check(t, specs, func(c int) []Op {
-			picks := refZipfPicks(files, 0.98, ops, setupSrc.Fork(uint64(c)+10))
+			picks := refZipfPicks(files, ops, setupSrc.Fork(uint64(c)+10))
 			var want []Op
 			for done := 1; done <= ops; done++ {
 				if done%writeEvery == 0 {
@@ -261,7 +262,7 @@ func BenchmarkSeqStreamNext(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var ok bool
 			if sinkOp, ok = s.Next(); !ok {
-				s = newNLPScan(files, 13) // scan the corpus again
+				s = newNLPScan(files) // scan the corpus again
 			}
 		}
 	})

@@ -36,9 +36,9 @@ type TenantFactory func(t, clients, clientOffset int) Generator
 type TenantsConfig struct {
 	// Tenants is the number of tenants (at least 1).
 	Tenants int
-	// Skew is the Zipf exponent of the tenant-size distribution:
-	// 0 gives equal shares, larger values concentrate clients in the
-	// low-numbered tenants.
+	// Skew is the Zipf exponent of the tenant-size distribution, finite
+	// and >= 0: 0 gives equal shares, larger values concentrate clients
+	// in the low-numbered tenants.
 	Skew float64
 	// Counts, when set, fixes each tenant's client count explicitly
 	// instead of deriving sizes from Skew. Its length must match
@@ -53,9 +53,6 @@ func (c *TenantsConfig) defaults() {
 	}
 	if c.Tenants < 1 {
 		c.Tenants = 1
-	}
-	if c.Skew < 0 {
-		c.Skew = 0
 	}
 }
 
@@ -115,7 +112,7 @@ func (g *Tenants) Partition(clients int) ([]int, error) {
 		return append([]int(nil), g.cfg.Counts...), nil
 	}
 	if !(0 <= g.cfg.Skew && g.cfg.Skew <= math.MaxFloat64) {
-		return nil, fmt.Errorf("workload: tenant skew %v is not finite", g.cfg.Skew)
+		return nil, fmt.Errorf("workload: tenant skew must be finite and >= 0, got %v", g.cfg.Skew)
 	}
 	weights := make([]float64, n)
 	var sum float64

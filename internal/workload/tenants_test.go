@@ -44,8 +44,9 @@ func TestTenantsPartition(t *testing.T) {
 	if _, err := skewed.Partition(3); err == nil {
 		t.Error("fewer clients than tenants must fail")
 	}
-	// A NaN skew used to hand tenant 0 nearly every client.
-	for _, skew := range []float64{math.NaN(), math.Inf(1)} {
+	// A NaN skew used to hand tenant 0 nearly every client, and a
+	// negative one was quietly read as 0.
+	for _, skew := range []float64{math.NaN(), math.Inf(1), -2} {
 		if _, err := NewTenants(TenantsConfig{Tenants: 4, Skew: skew}, nil2).Partition(40); err == nil {
 			t.Errorf("skew %v must fail", skew)
 		}

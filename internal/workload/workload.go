@@ -20,6 +20,52 @@ import (
 	"repro/internal/rng"
 )
 
+// The generators' fixed shapes, each defined once. They are constants,
+// not configuration: Table 1 and the datasets it names fix them, and no
+// command, experiment or benchmark workload varies them. The fractions
+// are typed so that expressions over them round as float64 arithmetic
+// does.
+const (
+	// cnnFileBytes is the mean ImageNet image size (114.3 KB).
+	cnnFileBytes int64 = 114300
+	// nlpFileBytes is the mean THUTC corpus file size (2.8 KB).
+	nlpFileBytes int64 = 2800
+	// nlpMetaOpsPerFile is the metadata ops one NLP file costs (lookup,
+	// stats, permission checks, the open); 13 gives the paper's 92.8%
+	// metadata ratio.
+	nlpMetaOpsPerFile = 13
+	// scanStartSpread staggers CNN and NLP client starts over this many
+	// ticks, and scanRateJitter varies their speed by +/- this fraction.
+	scanStartSpread int64   = 10
+	scanRateJitter  float64 = 0.05
+
+	// webFileBytes is the mean served-file size of the web trace.
+	webFileBytes int64 = 24 * 1024
+	// webDirFanout is the number of files per web directory, and
+	// webDirsPerSection groups directories under second-level sections
+	// (a department web tree: /web/<section>/<dir>/<page>), giving the
+	// dynamic balancers coarse subtrees to move while Dir-Hash pins the
+	// fine-grained leaves.
+	webDirFanout      = 40
+	webDirsPerSection = 12
+	// webZipfExponent is the popularity skew of the web trace.
+	webZipfExponent float64 = 0.9
+	// The hot set rotates by webPhaseShift popularity ranks every
+	// webPhaseLen requests.
+	webPhaseLen   = 2000
+	webPhaseShift = 40
+	// webStartSpread and webRateJitter are the web clients' start
+	// stagger and speed variation.
+	webStartSpread int64   = 40
+	webRateJitter  float64 = 0.1
+
+	// zipfFileBytes is the Filebench Zipfian read file size.
+	zipfFileBytes int64 = 16 * 1024
+	// zipfExponent is the Zipf exponent of the Filebench reads and the
+	// read storm (0.98 gives the 80/20 shape).
+	zipfExponent float64 = 0.98
+)
+
 // OpKind is the kind of a file system operation.
 type OpKind int
 

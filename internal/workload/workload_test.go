@@ -103,7 +103,7 @@ func TestNLPShapeAndRatio(t *testing.T) {
 }
 
 func TestNLPSinglePassScan(t *testing.T) {
-	g := NewNLP(NLPConfig{Dirs: 2, FilesPerDir: 5, MetaOpsPerFile: 13})
+	g := NewNLP(NLPConfig{Dirs: 2, FilesPerDir: 5})
 	_, specs := setup(t, g, 1, 5)
 	dataOps := 0
 	visits := make(map[namespace.Ino]int)
@@ -126,7 +126,7 @@ func TestNLPSinglePassScan(t *testing.T) {
 		t.Fatalf("scan covered %d files, want 10", len(order))
 	}
 	for ino, n := range visits {
-		// Single pass: every file costs exactly MetaOpsPerFile accesses.
+		// Single pass: every file costs exactly nlpMetaOpsPerFile accesses.
 		if n != 13 {
 			t.Fatalf("file %d visited %d times, want 13", ino, n)
 		}

@@ -17,10 +17,6 @@ type ZipfConfig struct {
 	FilesPerClient int
 	// OpsPerClient is the number of reads each client performs.
 	OpsPerClient int
-	// Exponent is the Zipf exponent (0.98 gives the 80/20 shape).
-	Exponent float64
-	// MeanFileBytes is the average file size.
-	MeanFileBytes int64
 	// Dir is the workload's root directory (default "/zipf").
 	Dir string
 	// ClientOffset shifts the client indices baked into directory
@@ -35,12 +31,6 @@ func (c *ZipfConfig) defaults() {
 	}
 	if c.OpsPerClient == 0 {
 		c.OpsPerClient = 12000
-	}
-	if c.Exponent == 0 {
-		c.Exponent = 0.98
-	}
-	if c.MeanFileBytes == 0 {
-		c.MeanFileBytes = 16 * 1024
 	}
 	if c.Dir == "" {
 		c.Dir = "/zipf"
@@ -74,32 +64,33 @@ func (g *Zipf) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([]Clie
 		}
 		files := make([]*namespace.Inode, g.cfg.FilesPerClient)
 		for f := 0; f < g.cfg.FilesPerClient; f++ {
-			in, err := tree.Create(dir, fmt.Sprintf("file%05d", f), g.cfg.MeanFileBytes)
+			in, err := tree.Create(dir, fmt.Sprintf("file%05d", f), zipfFileBytes)
 			if err != nil {
 				return nil, err
 			}
 			files[f] = in
 		}
-		streams[c] = &zipfReads{pick: newZipfPicker(files, g.cfg.Exponent, src.Fork(uint64(c)+10)), left: g.cfg.OpsPerClient}
+		streams[c] = &zipfReads{pick: newZipfPicker(files, src.Fork(uint64(c)+10)), left: g.cfg.OpsPerClient}
 	}
 	return jitterSpecs(streams, 0, 0, src.Fork(1)), nil
 }
 
-// zipfPicker draws files by Zipf popularity. Popularity rank is
-// decoupled from creation order by a random permutation, folded into
-// ranked at setup so that a draw is one sample and one load.
+// zipfPicker draws files by Zipf popularity (exponent zipfExponent).
+// Popularity rank is decoupled from creation order by a random
+// permutation, folded into ranked at setup so that a draw is one sample
+// and one load.
 type zipfPicker struct {
 	ranked []*namespace.Inode // ranked[r] is the file of popularity rank r
 	zipf   rng.Zipf
 }
 
-func newZipfPicker(files []*namespace.Inode, exponent float64, src *rng.Source) zipfPicker {
+func newZipfPicker(files []*namespace.Inode, src *rng.Source) zipfPicker {
 	perm := src.Perm(len(files))
 	ranked := make([]*namespace.Inode, len(files))
 	for r, f := range perm {
 		ranked[r] = files[f]
 	}
-	return zipfPicker{ranked: ranked, zipf: *rng.NewZipf(src, exponent, len(files))}
+	return zipfPicker{ranked: ranked, zipf: *rng.NewZipf(src, zipfExponent, len(files))}
 }
 
 func (p *zipfPicker) next() *namespace.Inode { return p.ranked[p.zipf.Next()] }
