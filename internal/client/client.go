@@ -4,9 +4,9 @@
 // the data path is enabled) has completed, at a bounded per-tick rate.
 // An op routed to a saturated or frozen MDS blocks the client for the
 // rest of the tick, which is how metadata imbalance stretches job
-// completion time. (The write-back planner draws a tick's credit whether
-// or not earlier ops completed, which makes that mode an open loop at
-// the client's rate: DESIGN §3.5 records it.)
+// completion time. (The write-back planner draws ahead of completion,
+// but only while the client's queue holds less than FlushEvery ticks of
+// its credit: a closed loop with a window, DESIGN §3.5.)
 package client
 
 import (

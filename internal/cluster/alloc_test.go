@@ -8,7 +8,6 @@
 package cluster
 
 import (
-	"fmt"
 	"io"
 	"runtime"
 	"testing"
@@ -17,7 +16,6 @@ import (
 	"repro/internal/elastic"
 	"repro/internal/obs"
 	"repro/internal/replica"
-	"repro/internal/tenant"
 	"repro/internal/workload"
 )
 
@@ -39,28 +37,7 @@ func TestSteadyTickAllocs(t *testing.T) {
 	mdtest := func() workload.Generator {
 		return workload.NewMD(workload.MDConfig{CreatesPerClient: steadyOps, DirsPerClient: 4, StatEvery: 64})
 	}
-	// Buckets tight enough that the big tenants throttle every tick: the
-	// admission path actually taken, not the fast path.
-	contended := func() Config {
-		pol := tenant.DefaultPolicy()
-		pol.Rate, pol.Burst = 1500, 3000
-		gen := workload.NewTenants(workload.TenantsConfig{Tenants: 4, Skew: 1},
-			func(tn, clients, off int) workload.Generator {
-				dir := fmt.Sprintf("/tenant%02d", tn)
-				switch tn % 3 {
-				case 0:
-					return workload.NewZipf(workload.ZipfConfig{Dir: dir + "/zipf", ClientOffset: off,
-						FilesPerClient: 500, OpsPerClient: steadyOps})
-				case 1:
-					return workload.NewMD(workload.MDConfig{Dir: dir + "/md", ClientOffset: off,
-						CreatesPerClient: steadyOps})
-				default:
-					return workload.NewReadStorm(workload.ReadStormConfig{Dir: dir + "/storm", ClientOffset: off,
-						WriteEvery: 50, OpsPerClient: steadyOps})
-				}
-			})
-		return Config{Workload: gen, Tenancy: tenant.MustManager(pol)}
-	}
+	contended := func() Config { return contendedTenants(steadyOps) }
 	for _, tc := range []struct {
 		name    string
 		ceiling float64 // ceil(1.25 x measured)
@@ -104,15 +81,15 @@ func TestSteadyTickAllocs(t *testing.T) {
 				zipf())}
 		}},
 		{"tenants-contended", 109 /* 87.2 */, contended},
-		{"tenants-contended-b32-events", 920 /* 735.6 */, func() Config {
-			// The traced write-back path: ~360 events a tick, nearly all
-			// batch_flush / batch_commit. The same cell without a Bus
-			// measures 448.4, so an event costs ~0.8 allocations: none to
-			// encode it (a counting sink in place of the JSONL measures
-			// the same 735.5), the rest boxing field values that are not
-			// small integers (an int >= 256 such as the journal depth, any
-			// int64 or float64) into their obs.F slots, and the growth of
-			// lane.events. With reflection encoding this cell was 11564.6.
+		{"tenants-contended-b32-events", 163 /* 129.9 */, func() Config {
+			// The traced write-back path, nearly all batch_flush /
+			// batch_commit events. The same cell without a Bus measures
+			// 125.1: encoding allocates nothing, and only field values that
+			// are not small integers (an int >= 256, any int64 or float64)
+			// box into their obs.F slots. Before the draw was bounded by
+			// the client's window it measured 735.6 (448.4 without a Bus):
+			// the journals stood deep enough to box every depth field. With
+			// reflection encoding it was 11564.6.
 			cfg := contended()
 			cfg.Batching = &BatchingConfig{BatchSize: 32, FlushEvery: 4}
 			cfg.Bus = obs.NewBus(obs.NewJSONL(io.Discard))
