@@ -2,7 +2,7 @@
 // partition structure and authority liveness, governed-inode
 // conservation, resolver-cache agreement, migration freeze windows and
 // counter reconciliation, client credit/debt/backoff bounds, heat
-// non-negativity, and ops conservation. The auditor is strictly
+// non-negativity, ops conservation and liveness. The auditor is strictly
 // read-only — it never mutates simulation state, touches the RNG, or
 // perturbs tick ordering — so a run with the auditor enabled is
 // byte-identical to the same run without it. A nil *Auditor is the
@@ -51,6 +51,10 @@ const (
 	// maxViolations caps the retained violations; checks keep running
 	// after the cap but stop recording.
 	maxViolations = 100
+	// livenessTicks is how long ops may stay outstanding, with a rank up
+	// and no op served, before a pass records a liveness violation: two
+	// full client backoffs, so one cannot trip it.
+	livenessTicks = 2 * client.MaxBackoffTicks
 )
 
 // Auditor runs invariant checks over cluster state. The zero value is
@@ -60,6 +64,10 @@ type Auditor struct {
 	opt        Options
 	passes     int64
 	violations []Violation
+	// done is the client ops completed at the last pass; progress is the
+	// last pass's tick at which an op had been served since the pass
+	// before, no op was outstanding, or no rank was up.
+	done, progress int64
 }
 
 // New creates an auditor.
@@ -161,6 +169,7 @@ func (a *Auditor) Check(s State) int {
 	a.checkClients(s)
 	a.checkHeat(s)
 	a.checkOps(s)
+	a.checkLiveness(s)
 	a.checkLifecycle(s)
 	a.checkReplicas(s)
 	a.checkLeases(s)
@@ -623,6 +632,32 @@ func (a *Auditor) checkOps(s State) {
 	if fwd > s.Forwards {
 		a.failf(s.Tick, "ops/forwards",
 			"forwarding units charged at ranks %d exceed cluster forwards %d", fwd, s.Forwards)
+	}
+}
+
+// checkLiveness validates progress ("ops/liveness"): while ops are
+// outstanding and some rank is up, an op is served at least every
+// livenessTicks ticks. Progress is sampled at passes, so the stall
+// measured never exceeds the real one; a stall is recorded once per
+// window.
+func (a *Auditor) checkLiveness(s State) {
+	var done, pending int64
+	for _, cl := range s.Clients {
+		done += cl.OpsDone()
+		pending += cl.PendingOps()
+	}
+	up := false
+	for _, srv := range s.Servers {
+		up = up || srv.Up()
+	}
+	if done != a.done || pending == 0 || !up {
+		a.done, a.progress = done, s.Tick
+		return
+	}
+	if s.Tick-a.progress >= livenessTicks {
+		a.failf(s.Tick, "ops/liveness",
+			"%d ops outstanding, none served since tick %d", pending, a.progress)
+		a.progress = s.Tick
 	}
 }
 

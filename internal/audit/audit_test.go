@@ -5,10 +5,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/mds"
 	"repro/internal/namespace"
 	"repro/internal/replica"
 	"repro/internal/tenant"
+	"repro/internal/workload"
 )
 
 // fixture builds a small namespace with a partition, migrator, and n
@@ -149,6 +151,51 @@ func TestAuditorMaxViolationsCap(t *testing.T) {
 	}
 	if a.Passes() != 40 {
 		t.Fatalf("passes = %d, want 40: checks keep running past the cap", a.Passes())
+	}
+}
+
+// TestAuditorFlagsStall: an op that stays outstanding with a rank up
+// and nothing served is a liveness violation once livenessTicks pass,
+// once per window; with every rank down the stall is not a violation,
+// and the window restarts when a rank is back.
+func TestAuditorFlagsStall(t *testing.T) {
+	tree, part, mig, servers := fixture(t, 2)
+	x := tree.Get(namespace.RootIno)
+	cl := client.New(0, workload.ClientSpec{
+		Stream: workload.NewOpList([]workload.Op{{Kind: workload.OpGetattr, Target: x}}),
+	}, 1)
+	cl.PeekOp(0, 0) // drawn, never served
+	a := New(Options{})
+	state := State{Tree: tree, Partition: part, Migrator: mig, Servers: servers,
+		Clients: []*client.Client{cl}}
+	stalls := func(tick int64) int {
+		state.Tick = tick
+		a.Check(state)
+		n := 0
+		for _, v := range a.Violations() {
+			if v.Check == "ops/liveness" {
+				n++
+			}
+		}
+		return n
+	}
+	steps := []struct {
+		tick int64
+		want int
+	}{{0, 0}, {livenessTicks - 1, 0}, {livenessTicks, 1}, {livenessTicks + 1, 1}, {2 * livenessTicks, 2}}
+	for _, st := range steps {
+		if n := stalls(st.tick); n != st.want {
+			t.Fatalf("tick %d: %d liveness violations, want %d: %v", st.tick, n, st.want, a.Violations())
+		}
+	}
+	servers[0].Crash()
+	servers[1].Crash()
+	if n := stalls(10 * livenessTicks); n != 2 {
+		t.Fatalf("every rank down: %d liveness violations, want 2", n)
+	}
+	servers[0].Rejoin()
+	if n := stalls(11*livenessTicks - 1); n != 2 {
+		t.Fatalf("rank back: the window must restart, got %d violations", n)
 	}
 }
 
