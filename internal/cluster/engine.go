@@ -784,10 +784,17 @@ func (e *engine) applyRun(lane *rankLane, auth *mds.Server, cl *client.Client,
 // resolution and target the inode it acts on; nil is a create of a name
 // the tree does not hold, which acts on the inode the lane promises for
 // it — the first such create's, when another client promised the name
-// this round — adopted at the barrier.
+// this round — adopted at the barrier. The promise follows the checks
+// an op can stall on, so a stalled create leaves the tree as it was.
 func (e *engine) execOp(lane *rankLane, auth *mds.Server, cl *client.Client,
 	op *workload.Op, r *routed, target *namespace.Inode, epoch int64) (execStatus, namespace.MDSID) {
 	entry := r.ent
+	if !auth.Up() {
+		return execStallDown, lane.rank
+	}
+	if e.c.migrator.IsFrozen(entry.Key) || !auth.HasBudget() {
+		return execStall, lane.rank
+	}
 	if target == nil {
 		in, fresh, err := lane.arena.Promise(op.Parent, op.Name, r.hash, op.Size)
 		if err != nil {
@@ -800,12 +807,6 @@ func (e *engine) execOp(lane *rankLane, auth *mds.Server, cl *client.Client,
 			lane.creates = append(lane.creates, in)
 		}
 		target = in
-	}
-	if !auth.Up() {
-		return execStallDown, lane.rank
-	}
-	if e.c.migrator.IsFrozen(entry.Key) || !auth.HasBudget() {
-		return execStall, lane.rank
 	}
 	if lane.rank != entry.Auth {
 		// Lease serve: the plan phase routed this read to a
@@ -865,15 +866,12 @@ func (lane *rankLane) noteStall(r namespace.MDSID) {
 func (e *engine) applyLane(lane *rankLane, tick int64) {
 	c := e.c
 	for _, in := range lane.creates {
-		if _, ok := c.tree.AdoptOrExisting(in); ok {
-			continue
-		}
-		if e.wb == nil {
-			// Sync lanes dedup their promises per (parent, name); only a
-			// probe-free write-back promise may lose its slot.
+		// Sync lanes dedup their promises per (parent, name); only a
+		// probe-free write-back promise may lose its slot. Its op was
+		// served, as a sync create of a taken name is, so it counts once.
+		if _, ok := c.tree.AdoptOrExisting(in); !ok && e.wb == nil {
 			panic("cluster: duplicate create reached the sync barrier")
 		}
-		c.racedCreates++
 	}
 	lane.creates = lane.creates[:0]
 	lane.arena.EndRound()
