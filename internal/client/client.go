@@ -276,13 +276,9 @@ func (c *Client) Inflight() int64 { return c.inflight }
 // RequeueInflight returns n journaled ops to the locally buffered state
 // after their batch was dropped (rank crash with an unapplied journal).
 // The ops never left the queue, so this is exactly-once by construction:
-// the batch object is gone and the ops re-flush like fresh buffers.
-func (c *Client) RequeueInflight(n int64) {
-	c.inflight -= n
-	if c.inflight < 0 {
-		c.inflight = 0
-	}
-}
+// the batch object is gone and the ops re-flush like fresh buffers. A
+// count that goes negative is left for the auditor to report.
+func (c *Client) RequeueInflight(n int64) { c.inflight -= n }
 
 // BufferedOps returns how many queued ops are still buffered locally
 // (issued but not yet flushed to any journal).

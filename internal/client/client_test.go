@@ -23,6 +23,19 @@ func TestClientBasics(t *testing.T) {
 	}
 }
 
+// TestRequeueInflightUnderflowShows: re-queueing more journaled ops than
+// are in flight leaves the count negative, where the auditor's
+// "inflight outside [0, pending]" check sees it, instead of clamping
+// the error away.
+func TestRequeueInflightUnderflowShows(t *testing.T) {
+	c := New(0, specOf(nil, 0, 1), 1)
+	c.MarkInflight(2)
+	c.RequeueInflight(3)
+	if got := c.Inflight(); got != -1 {
+		t.Fatalf("inflight = %d after re-queueing 3 of 2, want -1", got)
+	}
+}
+
 func TestClientRateScaleAndDefaults(t *testing.T) {
 	c := New(0, specOf(nil, 0, 0.5), 100)
 	if c.Rate() != 50 {
