@@ -136,6 +136,9 @@ type State struct {
 	// because the name raced into existence (the one legitimate gap
 	// between client ops-done and server ops-served).
 	RacedCreates int64
+	// Journaled is each rank's unapplied write-back ops (indexed by
+	// rank; nil when no client runs in write-back mode).
+	Journaled []int64
 	// Replicas is the warm-standby replication manager; nil skips the
 	// replica invariant family.
 	Replicas *replica.Manager
@@ -584,7 +587,7 @@ func (a *Auditor) checkHeat(s State) {
 // forwarded-hop count (a saturated relay is counted as a hop but
 // cannot be charged). Write-back mode ("ops/journal"): each client's
 // in-flight count stays within its pending queue, the cluster's
-// in-flight total equals the ops sitting in rank group-commit journals,
+// in-flight total equals the ops the rank journals hold (Journaled),
 // and a down rank's journal is empty.
 func (a *Auditor) checkOps(s State) {
 	var done, inflight int64
@@ -607,10 +610,13 @@ func (a *Auditor) checkOps(s State) {
 		done += cl.OpsDone()
 	}
 	var served, fwd, journaled int64
-	for _, srv := range s.Servers {
+	for i, srv := range s.Servers {
 		served += srv.OpsTotal()
 		fwd += srv.Forwards()
-		jops := srv.Journal().Ops()
+		var jops int64
+		if i < len(s.Journaled) {
+			jops = s.Journaled[i]
+		}
 		journaled += jops
 		if !srv.Up() && jops != 0 {
 			// A crash drops the rank's unapplied journal (the batches

@@ -54,13 +54,9 @@ type Config struct {
 	// MDS is the initial number of metadata servers.
 	MDS int
 	// Capacity is each MDS's maximum metadata ops per tick (the
-	// paper's C, in IOPS since a tick is one second).
+	// paper's C, in IOPS since a tick is one second). ScheduleCapacity
+	// changes one rank's, from any tick on.
 	Capacity int
-	// PerMDSCapacity optionally overrides Capacity per rank
-	// (heterogeneous hardware; the IF model still assumes the uniform
-	// C — the paper calls handling heterogeneity orthogonal, and the
-	// "hetero" experiment measures what that assumption costs).
-	PerMDSCapacity []int
 	// EpochTicks is the balancing epoch length (paper default: 10 s).
 	EpochTicks int
 	// Clients is the number of workload clients.
@@ -340,12 +336,8 @@ func New(cfg Config) (*Cluster, error) {
 		cl.resolver = namespace.NewResolver(part)
 	}
 	for i := 0; i < cfg.MDS; i++ {
-		capacity := cfg.Capacity
-		if i < len(cfg.PerMDSCapacity) && cfg.PerMDSCapacity[i] > 0 {
-			capacity = cfg.PerMDSCapacity[i]
-		}
 		cl.servers = append(cl.servers,
-			mds.NewServer(namespace.MDSID(i), capacity, historyWindows, heatDecay))
+			mds.NewServer(namespace.MDSID(i), cfg.Capacity, historyWindows, heatDecay))
 	}
 	cl.migrator = mds.NewMigrator(part, migrationRate, maxActiveExports, queueTTLTicks)
 	cl.migrator.MinTicks = exportLatencyTicks
@@ -479,9 +471,12 @@ func (c *Cluster) PinPath(path string, rank int) error {
 }
 
 // ScheduleCapacity arranges for the given rank's capacity to change at
-// the given tick (degradation/failure injection: a slow disk, a noisy
-// neighbour, a partial failure). Non-positive capacities are clamped to
-// 1 by the server.
+// the given tick: heterogeneous hardware from tick 0 (the IF model
+// still assumes the uniform C — the paper calls heterogeneity
+// orthogonal, and the "hetero" experiment measures what that costs), or
+// degradation injection later (a slow disk, a noisy neighbour, a
+// partial failure). Non-positive capacities are clamped to 1 by the
+// server.
 func (c *Cluster) ScheduleCapacity(tick int64, rank, capacity int) {
 	c.events.schedule(tick, func() {
 		if rank >= 0 && rank < len(c.servers) {
@@ -1145,6 +1140,7 @@ func (c *Cluster) Step() {
 			Orphaned:          c.orphanFn,
 			Forwards:          c.forwards,
 			RacedCreates:      c.racedCreates,
+			Journaled:         c.engine.journaled(),
 			Replicas:          c.rep,
 			LeaseWriteRevoked: c.leaseWriteRevoked,
 			Tenancy:           c.tn,

@@ -21,13 +21,15 @@ import (
 //	shuffle (cohort order from the cluster stream, member order from
 //	    each cohort's own stream)
 //	repeat:
-//	  plan (cohort order)                  — strategy
-//	  admit (tick shuffle order)           — strategy
-//	      Arbitrates each rank's per-tick budget pool (and, with QoS,
-//	      the tenant token buckets) and schedules every admitted unit —
-//	      "n queued ops of client c at rank r, admitted prefix adm,
-//	      round k" — into its rank's list. A client's k-th unit is its
-//	      round k, so within a round a client is served by one rank.
+//	  plan + admit (tick shuffle order)    — strategy
+//	      Plans each client just before admitting it: a plan reads only
+//	      its own client, the partition, the resolver and the lease set,
+//	      and admission writes none of them. Admission arbitrates each
+//	      rank's per-tick budget pool (and, with QoS, the tenant token
+//	      buckets) and schedules every admitted unit — "n queued ops of
+//	      client c at rank r, admitted prefix adm, round k" — into its
+//	      rank's list. A client's k-th unit is its round k, so within a
+//	      round a client is served by one rank.
 //	  for each round:
 //	      serve (ascending rank): serveRank walks its list for the
 //	          round and applies each unit                  — strategy
@@ -46,10 +48,10 @@ import (
 // ops — resolving each queued op once per partition version and
 // carrying the resolutions admission refused across ticks (window) —
 // reserves budget per op, serves op by op and re-plans clients that
-// stopped at a stream-gating op; write-back (wb.go) flushes
-// buffered runs into rank journals, reserves budget per commit group
-// and applies a batch at a time. Everything else — op resolution, the
-// relay walk, stalls and backoff, op completion, data debt, the
+// stopped at a stream-gating op; write-back (wb.go) flushes buffered
+// runs as batches into the client's FIFO, reserves budget per commit
+// group and applies a batch at a time. Everything else — op resolution,
+// the relay walk, stalls and backoff, op completion, data debt, the
 // bucket-then-pool grant — has one definition below.
 //
 // Arbitrating the full tick in client order at admit, rather than
@@ -104,7 +106,7 @@ type unit struct {
 	adm     int32
 	round   int32
 	creates bool
-	batch   *mds.Batch
+	batch   *wbBatch
 }
 
 // window is one sync client's carried plan: routes[head+k] is the
@@ -124,26 +126,13 @@ type window struct {
 	routes []routed
 }
 
-// plan is one client's routed tick in the sync strategy: count
-// consecutive runs starting at the owning cohort's runs[start].
-type plan struct {
-	client int32
-	start  int32
-	count  int32
-}
-
-// cohort is a fixed block of clients shuffled from one stream and
-// planned together.
+// cohort is a fixed block of clients shuffled from one stream.
 type cohort struct {
 	members []int32     // client IDs, fixed at construction
 	rand    *rng.Source // cohort-private stream, forked from the seed
 
 	shuffled []int32 // members with credit this tick, in shuffled order
 	active   []int32 // clients still planning this phase (order preserved)
-	nextAct  []int32 // scratch for the next phase's active list
-
-	runs  []unit
-	plans []plan
 }
 
 // rankLane holds what serving one rank does to other ranks and to the
@@ -178,7 +167,6 @@ type engine struct {
 
 	cohorts     []*cohort
 	cohortOrder []int // shuffled per tick; admission's cohort order
-	cohortOf    []int // client -> owning cohort index
 
 	// Per-client tick state, indexed by client ID.
 	credit       []int64
@@ -187,6 +175,8 @@ type engine struct {
 	// win is each client's carried plan (sync strategy only: nil in
 	// write-back mode).
 	win []window
+	// runs is plan's scratch: the runs of the client being admitted.
+	runs []unit
 
 	lanes []*rankLane
 	// admitLane buffers the effects of the admit phase (stall notes,
@@ -217,7 +207,6 @@ func newEngine(c *Cluster, src *rng.Source) *engine {
 	n := len(c.clients)
 	e := &engine{
 		c:            c,
-		cohortOf:     make([]int, n),
 		credit:       make([]int64, n),
 		participated: make([]bool, n),
 		blocked:      make([]bool, n),
@@ -232,7 +221,6 @@ func newEngine(c *Cluster, src *rng.Source) *engine {
 		lo, hi := k*n/numCohorts, (k+1)*n/numCohorts
 		for i := lo; i < hi; i++ {
 			co.members = append(co.members, int32(i))
-			e.cohortOf[i] = k
 		}
 		e.cohorts = append(e.cohorts, co)
 		e.cohortOrder = append(e.cohortOrder, k)
@@ -263,6 +251,11 @@ func (e *engine) ensure() {
 	for _, lane := range e.lanes {
 		for len(lane.fwdOut) < nr {
 			lane.fwdOut = append(lane.fwdOut, 0)
+		}
+	}
+	if w := e.wb; w != nil {
+		for len(w.depth) < nr {
+			w.depth = append(w.depth, 0)
 		}
 	}
 }
@@ -320,13 +313,6 @@ func (e *engine) serveTick(tick, epoch int64) {
 		}
 
 		for {
-			for k, co := range e.cohorts {
-				if e.wb != nil {
-					e.wbPlanCohort(k, tick)
-				} else {
-					co.plan(e, tick)
-				}
-			}
 			e.admit(tick)
 			for e.round = 0; e.scheduleRound(); e.round++ {
 				for i, s := range c.servers {
@@ -360,9 +346,10 @@ func (e *engine) serveTick(tick, epoch int64) {
 	}
 }
 
-// admit rebuilds the phase's schedule through the strategy's admission
-// — which appends every admitted unit to its rank's list — and lands
-// what admission buffered.
+// admit rebuilds the phase's schedule — planning each active client in
+// the tick's shuffled order just before the strategy's admission
+// appends its admitted units to their ranks' lists — and lands what
+// admission buffered.
 func (e *engine) admit(tick int64) {
 	for i := range e.byRank {
 		e.byRank[i] = e.byRank[i][:0]
@@ -370,7 +357,11 @@ func (e *engine) admit(tick int64) {
 	if e.wb != nil {
 		e.wbAdmit(tick)
 	} else {
-		e.admitRuns()
+		for _, k := range e.cohortOrder {
+			for _, ci := range e.cohorts[k].active {
+				e.admitRuns(ci, e.plan(ci, tick))
+			}
+		}
 	}
 	e.applyLane(&e.admitLane, tick)
 }
@@ -455,63 +446,55 @@ func (e *engine) endsRun(cl *client.Client, op *workload.Op) bool {
 	return op.Kind == workload.OpCreate && cl.StreamReadsTree()
 }
 
-// plan routes each active client's whole remaining tick: its queued
-// ops, bounded by credit, split into runs at authority switches.
-// Planning stops after an op whose outcome gates the stream (endsRun);
-// the client re-plans in the next phase once the outcome has landed.
-// Only ops without a valid carried resolution are resolved (see
-// window); with the resolve cache disabled nothing is carried.
-func (co *cohort) plan(e *engine, tick int64) {
+// plan routes the client's whole remaining tick: its queued ops,
+// bounded by credit, split into runs at authority switches. Planning
+// stops after an op whose outcome gates the stream (endsRun); the
+// client re-plans in the next phase once the outcome has landed. Only
+// ops without a valid carried resolution are resolved (see window);
+// with the resolve cache disabled nothing is carried. The runs live in
+// the engine's scratch until the next plan.
+func (e *engine) plan(ci int32, tick int64) []unit {
 	c := e.c
-	co.runs = co.runs[:0]
-	co.plans = co.plans[:0]
-	ver := c.part.Version()
-	for _, ci := range co.active {
-		cl := c.clients[ci]
-		w := &e.win[ci]
-		if w.ver != ver || c.resolver == nil {
-			w.ver, w.head = ver, int32(len(w.routes)) // nothing is carried
+	cl := c.clients[ci]
+	w := &e.win[ci]
+	if ver := c.part.Version(); w.ver != ver || c.resolver == nil {
+		w.ver, w.head = ver, int32(len(w.routes)) // nothing is carried
+	}
+	w.routes = w.routes[:copy(w.routes, w.routes[w.head:])]
+	w.head = 0
+	runs := e.runs[:0]
+	for k := 0; int64(k) < e.credit[ci]; k++ {
+		if k == len(w.routes) {
+			if cl.PeekOp(k, tick) == nil {
+				break // stream exhausted with an empty queue
+			}
+			w.routes = append(w.routes, routed{})
 		}
-		w.routes = w.routes[:copy(w.routes, w.routes[w.head:])]
-		w.head = 0
-		credit := e.credit[ci]
-		start := int32(len(co.runs))
-		nRuns := int32(0)
-		for k := 0; int64(k) < credit; k++ {
-			if k == len(w.routes) {
-				if cl.PeekOp(k, tick) == nil {
-					break // stream exhausted with an empty queue
-				}
-				w.routes = append(w.routes, routed{})
-			}
-			r := &w.routes[k]
-			if r.ent.Key.Dir == 0 {
-				e.route(w.routes, k, cl) // just drawn
-			}
-			rank := int32(r.ent.Auth)
-			if rep := c.rep; rep != nil && rep.LiveLeases() != 0 && !r.write {
-				// A read on a leased subtree may serve at a lease holder
-				// instead of the authority; the run then targets the
-				// holder's rank and budget.
-				if leases := rep.Leases(r.ent.Key); len(leases) != 0 {
-					rank = e.leaseRank(r.ent, leases, r.target.Ino)
-				}
-			}
-			if nRuns == 0 || co.runs[start+nRuns-1].rank != rank {
-				co.runs = append(co.runs, unit{client: ci, rank: rank, round: nRuns})
-				nRuns++
-			}
-			run := &co.runs[start+nRuns-1]
-			run.n++
-			run.creates = run.creates || r.target == nil
-			if r.ends {
-				break
+		r := &w.routes[k]
+		if r.ent.Key.Dir == 0 {
+			e.route(w.routes, k, cl) // just drawn
+		}
+		rank := int32(r.ent.Auth)
+		if rep := c.rep; rep != nil && rep.LiveLeases() != 0 && !r.write {
+			// A read on a leased subtree may serve at a lease holder
+			// instead of the authority; the run then targets the
+			// holder's rank and budget.
+			if leases := rep.Leases(r.ent.Key); len(leases) != 0 {
+				rank = e.leaseRank(r.ent, leases, r.target.Ino)
 			}
 		}
-		if nRuns > 0 {
-			co.plans = append(co.plans, plan{client: ci, start: start, count: nRuns})
+		if len(runs) == 0 || runs[len(runs)-1].rank != rank {
+			runs = append(runs, unit{client: ci, rank: rank, round: int32(len(runs))})
+		}
+		run := &runs[len(runs)-1]
+		run.n++
+		run.creates = run.creates || r.target == nil
+		if r.ends {
+			break
 		}
 	}
+	e.runs = runs
+	return runs
 }
 
 // route resolves the client's k-th queued op into its window slot.
@@ -527,41 +510,35 @@ func (e *engine) route(routes []routed, k int, cl *client.Client) {
 	r.write, r.ends = op.Kind.IsWrite(), e.endsRun(cl, op)
 }
 
-// admitRuns is the sync strategy's admission: it arbitrates each rank's
-// per-tick serve budget across the planned runs, walking the clients in
-// the tick's shuffled order and each client's runs in sequence, and
-// schedules them. A client whose run does not fully fit is cut there:
+// admitRuns is the sync strategy's admission of one client's planned
+// runs: in sequence, each draws on its rank's per-tick serve budget and
+// is scheduled. A run that does not fully fit cuts the client there:
 // the run keeps its admitted prefix and the client's later runs are
 // dropped (it will stall at the cut). With tenant QoS on a run is
 // charged to its owner's token bucket BEFORE the rank pool, so an
 // over-quota tenant is throttled at admission no matter how much rank
 // budget is free; a bucket throttle cuts the plan like a pool shortfall
 // but leaves the pool to the other tenants.
-func (e *engine) admitRuns() {
-	for _, k := range e.cohortOrder {
-		co := e.cohorts[k]
-		for _, p := range co.plans {
-			cl := e.c.clients[p.client]
-			for _, u := range co.runs[p.start : p.start+p.count] {
-				if !e.c.servers[u.rank].Up() {
-					// A down rank has no budget to arbitrate: the run is
-					// admitted whole so its first op takes the stall-down
-					// path (backoff, stalled-on-down accounting). The
-					// client blocks there, so later runs reserve nothing.
-					u.adm = u.n
-					e.byRank[u.rank] = append(e.byRank[u.rank], u)
-					break
-				}
-				grant, adm := e.admitOps(cl, u.rank, u.n, 1)
-				if grant < u.n {
-					e.c.tn.NoteThrottled(cl.Tenant, int(u.n-grant))
-				}
-				u.adm = adm
-				e.byRank[u.rank] = append(e.byRank[u.rank], u)
-				if adm < u.n {
-					break
-				}
-			}
+func (e *engine) admitRuns(ci int32, runs []unit) {
+	cl := e.c.clients[ci]
+	for _, u := range runs {
+		if !e.c.servers[u.rank].Up() {
+			// A down rank has no budget to arbitrate: the run is admitted
+			// whole so its first op takes the stall-down path (backoff,
+			// stalled-on-down accounting). The client blocks there, so
+			// later runs reserve nothing.
+			u.adm = u.n
+			e.byRank[u.rank] = append(e.byRank[u.rank], u)
+			return
+		}
+		grant, adm := e.admitOps(cl, u.rank, u.n, 1)
+		if grant < u.n {
+			e.c.tn.NoteThrottled(cl.Tenant, int(u.n-grant))
+		}
+		u.adm = adm
+		e.byRank[u.rank] = append(e.byRank[u.rank], u)
+		if adm < u.n {
+			return
 		}
 	}
 }
@@ -601,20 +578,19 @@ func (e *engine) leaseRank(ent namespace.Entry, leases []replica.Lease, ino name
 // rebuildActive keeps, for the next planning phase, the clients that
 // finished their whole plan cleanly and still hold credit (a plan ends
 // early at a stream-gating op, so there may be more tick to route).
-// Order within each cohort is preserved from the tick shuffle.
+// Order within each cohort is preserved from the tick shuffle. A client
+// that planned no run holds credit only when idle, so it drops out too.
 func (e *engine) rebuildActive() bool {
 	any := false
 	for _, co := range e.cohorts {
-		co.nextAct = co.nextAct[:0]
-		for _, p := range co.plans {
-			ci := p.client
-			if e.blocked[ci] || e.credit[ci] <= 0 || e.c.clients[ci].Idle() {
-				continue
+		act := co.active[:0]
+		for _, ci := range co.active {
+			if !e.blocked[ci] && e.credit[ci] > 0 && !e.c.clients[ci].Idle() {
+				act = append(act, ci)
 			}
-			co.nextAct = append(co.nextAct, ci)
 		}
-		co.active, co.nextAct = co.nextAct, co.active
-		any = any || len(co.active) > 0
+		co.active = act
+		any = any || len(act) > 0
 	}
 	return any
 }
@@ -809,7 +785,7 @@ func (e *engine) execOp(lane *rankLane, auth *mds.Server, cl *client.Client,
 		target = in
 	}
 	if lane.rank != entry.Auth {
-		// Lease serve: the plan phase routed this read to a
+		// Lease serve: the plan routed this read to a
 		// non-authoritative lease holder, which serves it from its
 		// replica — no client-cache or relay work (the client holds the
 		// lease grant; reads resolve to the holder directly).

@@ -67,10 +67,10 @@ func BenchmarkPlanSaturated(b *testing.B) {
 					c.Partition().Absorb(c.Partition().Carve(idle).Key)
 				}
 				c.Step()
-				for _, u := range c.engine.cohorts[0].runs {
-					planned += int64(u.n)
-				}
+				// One rank: each client plans one run a tick, and admission
+				// schedules it whole, cut or not.
 				for _, u := range c.engine.byRank[0] {
+					planned += int64(u.n)
 					served += int64(u.adm)
 				}
 			}

@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/client"
 	"repro/internal/mds"
 	"repro/internal/namespace"
@@ -20,8 +23,8 @@ import (
 // synchronously, a client buffers drawn ops locally and flushes them in
 // per-destination batches.
 //
-//	plan (wbPlanCohort)
-//	    Each participating client draws up to its credit of new ops
+//	plan (wbPlan, run by wbAdmit just before the client's admission)
+//	    A participating client draws up to its credit of new ops
 //	    into its pending queue (credit is consumed at draw time) while
 //	    the queue, journaled and buffered ops together, holds fewer than
 //	    max(BatchSize, FlushEvery × credit): the loop is closed at the
@@ -35,17 +38,17 @@ import (
 //	    so a held-back run holds back everything behind it. Plans never
 //	    read the lease set: with batching on, leases are granted
 //	    and revoked but no op is lease-served.
-//	admit (wbAdmit: tick shuffle order, then ID order for clients whose
-//	    only work is outstanding journaled batches)
-//	    Flushable runs become Batches pushed into their rank's
-//	    group-commit journal (mds.Journal); the ops stay in the client
-//	    queue, counted by the client's in-flight prefix. Then each
-//	    client's outstanding batches are admitted FIFO at group
-//	    granularity: a batch of n ops costs ceil(n/BatchSize) budget
-//	    units — the group-commit amortization. Retained batches
-//	    (journaled in an earlier tick) re-resolve their governing entry
-//	    through their first op and follow migrated authority to the new
-//	    rank's journal. The client's k-th admitted batch is its round k.
+//	admit (wbAdmit: tick shuffle order, then ID order for the other
+//	    participating clients with queued ops)
+//	    Flushable runs become batches at the tail of the client's FIFO,
+//	    journaled at their rank; the ops stay in the client queue,
+//	    counted by the client's in-flight prefix. Then each client's
+//	    outstanding batches are admitted FIFO at group granularity: a
+//	    batch of n ops costs ceil(n/BatchSize) budget units — the
+//	    group-commit amortization. Retained batches (journaled in an
+//	    earlier tick) re-resolve their governing entry through their
+//	    first op and follow migrated authority to the new rank. The
+//	    client's k-th admitted batch is its round k.
 //	apply (applyBatch)
 //	    The lane does the client-cache / forward-chain work once per
 //	    batch, charges budget once per group, and fast-applies the
@@ -55,20 +58,34 @@ import (
 //
 // Visibility and crash rules: ops never leave the client queue until
 // applied, so issued == done + pending holds unchanged; the in-flight
-// prefix mirrors the rank journals (audited: Σ Inflight == Σ journal
-// ops). A crash drops the dead rank's journal; every dropped batch
-// re-queues the owning client's WHOLE outstanding suffix (later batches
-// on live ranks included — queue order must survive), exactly once,
-// because the batch objects are discarded. Known approximation: a
-// batch re-resolves and commits against its first op's governing
-// entry, so ops past a mid-batch fragment split are charged to the
-// first op's fragment until the next flush boundary.
+// prefix is the FIFO's unapplied ops (audited per rank). A rank's
+// journal is its live batches in arrival order, read from the FIFOs. A
+// crash drops it; every dropped batch re-queues the owning client's
+// WHOLE outstanding suffix (later batches on live ranks included —
+// queue order must survive), exactly once, because the batch objects
+// are discarded. Known approximation: a batch re-resolves and commits
+// against its first op's governing entry, so ops past a mid-batch
+// fragment split are charged to the first op's fragment until the next
+// flush boundary.
 
-// wbRun is one flushable same-entry run planned by a cohort.
+// wbRun is one flushable same-entry run planned for a client.
 type wbRun struct {
 	n     int32
 	since int64
 	ent   namespace.Entry
+}
+
+// wbBatch is one flushed batch: the next n unapplied ops of its
+// client's queue, journaled at rank. The ops themselves never leave the
+// queue until applied, so a batch is routing and accounting state only,
+// and it lives only in its client's FIFO.
+type wbBatch struct {
+	rank namespace.MDSID // rank whose journal holds the batch
+	n    int             // unapplied ops; 0 once fully applied
+	ent  namespace.Entry // governing entry of the batch's first op
+	// arrival orders the rank's journal: stamped at flush and again
+	// when the batch is re-homed to a migrated authority.
+	arrival int64
 }
 
 // wbState is the write-back strategy's state (nil in sync and
@@ -77,18 +94,19 @@ type wbState struct {
 	batchSize  int
 	flushEvery int64
 
-	// queues[ci] is client ci's outstanding journaled batches, FIFO
-	// across ranks. The same Batch pointers live in the rank journals.
-	queues [][]*mds.Batch
+	// queues[ci] is client ci's outstanding batches, FIFO across ranks:
+	// the one record of every rank's journal.
+	queues [][]*wbBatch
+	// depth[r] counts rank r's live batches, kept beside the FIFOs so a
+	// flush reads its journal depth without walking every queue.
+	depth    []int
+	arrivals int64 // the last arrival stamp
 
-	// Per-client plan scratch, written by wbPlanClient and read by
-	// admission.
-	flStart []int32
-	flCount []int32
-	planned []bool
+	planned []bool // admitted in this tick's shuffled pass
 	gated   []bool
-
-	runs [][]wbRun // per cohort: flushable runs planned this tick
+	runs    []wbRun // wbPlan's scratch: the client being admitted
+	// journaled is engine.journaled's scratch, reused by every audit pass.
+	journaled []int64
 }
 
 func newWBState(e *engine, bc *BatchingConfig) *wbState {
@@ -96,48 +114,44 @@ func newWBState(e *engine, bc *BatchingConfig) *wbState {
 	return &wbState{
 		batchSize:  bc.BatchSize,
 		flushEvery: bc.FlushEvery,
-		queues:     make([][]*mds.Batch, n),
-		flStart:    make([]int32, n),
-		flCount:    make([]int32, n),
+		queues:     make([][]*wbBatch, n),
 		planned:    make([]bool, n),
 		gated:      make([]bool, n),
-		runs:       make([][]wbRun, len(e.cohorts)),
 	}
 }
 
-// wbPlanCohort draws and forms flushable runs for one cohort: the
-// shuffled (credited) clients first, then any other participating
-// member with buffered or journaled ops (flush-age triggers fire and
-// retained batches re-admit even on zero-credit ticks).
-func (e *engine) wbPlanCohort(k int, tick int64) {
-	co := e.cohorts[k]
+// arrive returns the next arrival stamp: a batch reaching a rank sorts
+// after every batch already there.
+func (w *wbState) arrive() int64 {
+	w.arrivals++
+	return w.arrivals
+}
+
+// wbAdmit plans and admits each credited client in the tick's shuffled
+// order, then, in ID order, every other participating client with
+// queued ops: flush-age triggers fire and retained batches re-admit
+// even on zero-credit ticks.
+func (e *engine) wbAdmit(tick int64) {
 	w := e.wb
-	runs := w.runs[k][:0]
-	for _, ci := range co.members {
-		w.flCount[ci] = 0
-		w.planned[ci] = false
-	}
-	for _, ci := range co.shuffled {
-		w.planned[ci] = true
-		runs = e.wbPlanClient(runs, ci, tick)
-	}
-	for _, ci := range co.members {
-		if w.planned[ci] || !e.participated[ci] {
-			continue
+	clear(w.planned)
+	for _, k := range e.cohortOrder {
+		for _, ci := range e.cohorts[k].shuffled {
+			w.planned[ci] = true
+			e.wbAdmitClient(ci, e.wbPlan(ci, tick), tick)
 		}
-		if e.c.clients[ci].PendingOps() == 0 {
-			continue
-		}
-		runs = e.wbPlanClient(runs, ci, tick)
 	}
-	w.runs[k] = runs
+	for ci, cl := range e.c.clients {
+		if !w.planned[ci] && e.participated[ci] && cl.PendingOps() > 0 {
+			e.wbAdmitClient(int32(ci), e.wbPlan(int32(ci), tick), tick)
+		}
+	}
 }
 
-// wbPlanClient draws the client's new ops (bounded by credit, consumed
-// at draw time, and by the client's window) and splits the locally
-// buffered suffix into runs at governing-entry switches, appending the
-// flushable prefix to runs.
-func (e *engine) wbPlanClient(runs []wbRun, ci int32, tick int64) []wbRun {
+// wbPlan draws the client's new ops (bounded by credit, consumed at
+// draw time, and by the client's window) and splits the locally
+// buffered suffix into runs at governing-entry switches, returning the
+// flushable prefix in the state's scratch.
+func (e *engine) wbPlan(ci int32, tick int64) []wbRun {
 	w := e.wb
 	cl := e.c.clients[ci]
 	// A tree-reading stream must not draw past an unadopted create: the
@@ -167,12 +181,9 @@ func (e *engine) wbPlanClient(runs []wbRun, ci int32, tick int64) []wbRun {
 			}
 		}
 	}
+	runs := w.runs[:0]
 	buf := int(cl.BufferedOps())
-	if buf == 0 {
-		return runs
-	}
 	base := int(cl.Inflight())
-	start := int32(len(runs))
 	i := 0
 	// One-entry resolve memo keyed by the op's resolve-input inode
 	// (the parent for creates, the target otherwise): sequential fills
@@ -215,41 +226,16 @@ func (e *engine) wbPlanClient(runs []wbRun, ci int32, tick int64) []wbRun {
 		runs = append(runs, wbRun{n: int32(n), since: since, ent: ent})
 		i += n
 	}
-	if cnt := int32(len(runs)) - start; cnt > 0 {
-		w.flStart[ci] = start
-		w.flCount[ci] = cnt
-	}
+	w.runs = runs
 	return runs
 }
 
-// wbAdmit journals the planned flushes and admits each client's
-// outstanding batches against the per-rank budget pools, in the tick's
-// shuffled client order, then (ID order) the clients whose only work is
-// batches retained from earlier ticks.
-func (e *engine) wbAdmit(tick int64) {
-	w := e.wb
-	for _, k := range e.cohortOrder {
-		for _, ci := range e.cohorts[k].shuffled {
-			e.wbAdmitClient(ci, tick)
-		}
-	}
-	for ci := range e.c.clients {
-		if w.planned[ci] || !e.participated[ci] {
-			continue
-		}
-		if len(w.queues[ci]) == 0 && w.flCount[ci] == 0 {
-			continue
-		}
-		e.wbAdmitClient(int32(ci), tick)
-	}
-}
-
-// wbAdmitClient flushes the client's planned runs into their rank
-// journals, then walks its batch FIFO granting commit groups from the
+// wbAdmitClient journals the client's flushable runs as batches at the
+// tail of its FIFO, then walks the FIFO granting commit groups from the
 // budget pools. A batch that cannot be (fully) admitted blocks every
 // later batch of the same client — per-client FIFO is the ordering
 // contract application correctness rests on.
-func (e *engine) wbAdmitClient(ci int32, tick int64) {
+func (e *engine) wbAdmitClient(ci int32, runs []wbRun, tick int64) {
 	c := e.c
 	w := e.wb
 	lane := &e.admitLane
@@ -257,40 +243,32 @@ func (e *engine) wbAdmitClient(ci int32, tick int64) {
 	q := w.queues[ci]
 	// Pop batches fully applied in earlier ticks.
 	pop := 0
-	for pop < len(q) && q[pop].Dead {
+	for pop < len(q) && q[pop].n == 0 {
 		pop++
 	}
 	if pop > 0 {
 		n := copy(q, q[pop:])
-		for j := n; j < len(q); j++ {
-			q[j] = nil
-		}
+		clear(q[n:])
 		q = q[:n]
 	}
-	// Journal the freshly flushable runs.
-	if fn := w.flCount[ci]; fn > 0 {
-		for _, fr := range w.runs[e.cohortOf[ci]][w.flStart[ci] : w.flStart[ci]+fn] {
-			rank := fr.ent.Auth
-			if !c.servers[rank].Up() {
-				// The sync path would attempt the op against the down
-				// rank and back off; the flush does the same, with the
-				// ops staying buffered client-side.
-				e.stallDown(lane, cl, rank, tick)
-				break
-			}
-			b := &mds.Batch{
-				Client: int(ci), Rank: rank, N: int(fr.n), Since: fr.since, Ent: fr.ent,
-			}
-			c.servers[rank].Journal().Push(b)
-			q = append(q, b)
-			cl.MarkInflight(int(fr.n))
-			c.rec.AddBatchFlush(int(fr.n), tick-fr.since)
-			if c.bus.Enabled(obs.EvBatchFlush) {
-				f := obs.AcquireF()
-				f["client"], f["rank"], f["n"] = cl.ID, int(rank), int(fr.n)
-				f["age"], f["depth"] = tick-fr.since, c.servers[rank].Journal().Depth()
-				lane.events = append(lane.events, obs.Event{Tick: tick, Type: obs.EvBatchFlush, Fields: f})
-			}
+	for _, fr := range runs {
+		rank := fr.ent.Auth
+		if !c.servers[rank].Up() {
+			// The sync path would attempt the op against the down rank
+			// and back off; the flush does the same, with the ops
+			// staying buffered client-side.
+			e.stallDown(lane, cl, rank, tick)
+			break
+		}
+		q = append(q, &wbBatch{rank: rank, n: int(fr.n), ent: fr.ent, arrival: w.arrive()})
+		w.depth[rank]++
+		cl.MarkInflight(int(fr.n))
+		c.rec.AddBatchFlush(int(fr.n), tick-fr.since)
+		if c.bus.Enabled(obs.EvBatchFlush) {
+			f := obs.AcquireF()
+			f["client"], f["rank"], f["n"] = cl.ID, int(rank), int(fr.n)
+			f["age"], f["depth"] = tick-fr.since, w.depth[rank]
+			lane.events = append(lane.events, obs.Event{Tick: tick, Type: obs.EvBatchFlush, Fields: f})
 		}
 	}
 	w.queues[ci] = q
@@ -326,19 +304,23 @@ func (e *engine) wbAdmitClient(ci int32, tick int64) {
 			refundBlocked()
 			break
 		}
-		if ent.Auth != b.Rank {
-			mds.MoveBatch(c.servers[b.Rank].Journal(), c.servers[ent.Auth].Journal(), b)
+		if ent.Auth != b.rank {
+			// The authority migrated: the batch joins the tail of the new
+			// rank's journal.
+			w.depth[b.rank]--
+			w.depth[ent.Auth]++
+			b.rank, b.arrival = ent.Auth, w.arrive()
 		}
-		b.Ent = ent
+		b.ent = ent
 		if c.migrator.IsFrozen(ent.Key) {
-			e.stall(lane, cl, b.Rank)
+			e.stall(lane, cl, b.rank)
 			refundBlocked()
 			break
 		}
 		// The batch draws from its tenant's bucket, then from the rank
 		// pool at one unit per commit group.
-		want := int32(b.N)
-		grant, adm := e.admitOps(cl, int32(b.Rank), want, int32(w.batchSize))
+		want := int32(b.n)
+		grant, adm := e.admitOps(cl, int32(b.rank), want, int32(w.batchSize))
 		if adm == 0 {
 			// Nothing admitted (bucket dry — the write-back throttle — or
 			// pool dry): the batch is retained in the journal. With
@@ -349,7 +331,7 @@ func (e *engine) wbAdmitClient(ci int32, tick int64) {
 				c.tn.NoteThrottled(cl.Tenant, int(want))
 			}
 			if round == 0 {
-				e.stall(lane, cl, b.Rank)
+				e.stall(lane, cl, b.rank)
 			}
 			break
 		}
@@ -357,13 +339,13 @@ func (e *engine) wbAdmitClient(ci int32, tick int64) {
 			c.tn.NoteThrottled(cl.Tenant, int(want-grant))
 		}
 		tickAdm += int(adm)
-		e.byRank[b.Rank] = append(e.byRank[b.Rank],
-			unit{client: ci, rank: int32(b.Rank), n: want, adm: adm, round: round, batch: b})
+		e.byRank[b.rank] = append(e.byRank[b.rank],
+			unit{client: ci, rank: int32(b.rank), n: want, adm: adm, round: round, batch: b})
 		round++
 		if adm < want {
 			break // partial admission: serve the prefix, stall there
 		}
-		off += b.N
+		off += b.n
 	}
 }
 
@@ -377,7 +359,7 @@ func (e *engine) applyBatch(lane *rankLane, auth *mds.Server, cl *client.Client,
 	c := e.c
 	w := e.wb
 	b := u.batch
-	entry := b.Ent
+	entry := b.ent
 	adm := int(u.adm)
 	applied, served, groups := 0, 0, 0
 	groupLeft := 0
@@ -490,10 +472,12 @@ func (e *engine) applyBatch(lane *rankLane, auth *mds.Server, cl *client.Client,
 		lane.revokes = append(lane.revokes, entry.Key)
 	}
 	// The admission cut: the budget pool ran dry mid-batch. Read before
-	// the commit shrinks b.N to the unapplied remainder.
-	cut := adm < b.N
+	// the commit shrinks b.n to the unapplied remainder.
+	cut := adm < b.n
 	if applied > 0 {
-		auth.Journal().Commit(b, applied)
+		if b.n -= applied; b.n == 0 {
+			w.depth[b.rank]--
+		}
 		c.rec.AddBatchCommit()
 		if c.bus.Enabled(obs.EvBatchCommit) {
 			f := obs.AcquireF()
@@ -507,48 +491,75 @@ func (e *engine) applyBatch(lane *rankLane, auth *mds.Server, cl *client.Client,
 	return status, at
 }
 
-// wbCrashRank drops the crashed rank's unapplied journal: every live
-// batch in it re-queues the owning client's whole outstanding suffix
-// (see wbRequeueFrom), then the journal resets. Called from CrashMDS,
-// so requeue events interleave deterministically with the crash event.
+// wbCrashRank drops the rank's unapplied journal: its live batches,
+// collected from the client FIFOs, re-queue in arrival order, each the
+// owning client's whole outstanding suffix (see wbRequeueFrom). Called
+// from CrashMDS and before a drained rank retires, so requeue events
+// interleave deterministically with the crash event.
 func (e *engine) wbCrashRank(id namespace.MDSID, tick int64) {
-	j := e.c.servers[id].Journal()
-	j.Each(func(b *mds.Batch) {
-		e.wbRequeueFrom(b, tick)
-	})
-	j.Reset()
+	type held struct {
+		client int
+		b      *wbBatch
+	}
+	var journal []held
+	for ci, q := range e.wb.queues {
+		for _, b := range q {
+			if b.n > 0 && b.rank == id {
+				journal = append(journal, held{ci, b})
+			}
+		}
+	}
+	slices.SortFunc(journal, func(x, y held) int { return cmp.Compare(x.b.arrival, y.b.arrival) })
+	for _, h := range journal {
+		e.wbRequeueFrom(h.client, h.b, tick)
+	}
 }
 
-// wbRequeueFrom drops the owning client's outstanding batches from b
-// onward — later batches on live ranks included, because the client
-// queue must re-flush in order — returning their ops to the locally
-// buffered state. Exactly-once is structural: the batch objects are
-// discarded, and the ops never left the client queue.
-func (e *engine) wbRequeueFrom(b *mds.Batch, tick int64) {
+// wbRequeueFrom drops the client's outstanding batches from b onward —
+// later batches on live ranks included, because the client queue must
+// re-flush in order — returning their ops to the locally buffered
+// state. Exactly-once is structural: the batch objects are discarded,
+// and the ops never left the client queue.
+func (e *engine) wbRequeueFrom(ci int, b *wbBatch, tick int64) {
 	c := e.c
 	w := e.wb
-	ci := b.Client
 	q := w.queues[ci]
-	idx := 0
-	for idx < len(q) && q[idx] != b {
-		idx++
-	}
-	if idx == len(q) {
+	idx := slices.Index(q, b)
+	if idx < 0 {
 		return // already requeued via an earlier batch's suffix
 	}
 	cl := c.clients[ci]
 	for _, s := range q[idx:] {
-		c.servers[s.Rank].Journal().Drop(s)
-		cl.RequeueInflight(int64(s.N))
+		w.depth[s.rank]--
+		cl.RequeueInflight(int64(s.n))
 		c.rec.AddBatchRequeue()
 		if c.bus.Enabled(obs.EvBatchRequeue) {
 			f := obs.AcquireF()
-			f["rank"], f["client"], f["n"] = int(s.Rank), ci, s.N
+			f["rank"], f["client"], f["n"] = int(s.rank), ci, s.n
 			c.bus.EmitPooled(obs.Event{Tick: tick, Type: obs.EvBatchRequeue, Fields: f})
 		}
 	}
-	for i := idx; i < len(q); i++ {
-		q[i] = nil
-	}
+	clear(q[idx:])
 	w.queues[ci] = q[:idx]
+}
+
+// journaled returns each rank's unapplied write-back ops, summed from
+// the client FIFOs into reused scratch (nil in sync mode): the
+// auditor's view of the rank journals.
+func (e *engine) journaled() []int64 {
+	w := e.wb
+	if w == nil {
+		return nil
+	}
+	if cap(w.journaled) < len(e.c.servers) {
+		w.journaled = make([]int64, len(e.c.servers))
+	}
+	j := w.journaled[:len(e.c.servers)]
+	clear(j)
+	for _, q := range w.queues {
+		for _, b := range q {
+			j[b.rank] += int64(b.n)
+		}
+	}
+	return j
 }

@@ -8,6 +8,8 @@ import (
 	"repro/internal/audit"
 	"repro/internal/elastic"
 	"repro/internal/fault"
+	"repro/internal/namespace"
+	"repro/internal/obs"
 	"repro/internal/replica"
 	"repro/internal/rng"
 	"repro/internal/workload"
@@ -200,8 +202,8 @@ func TestWriteBackCrashRequeuesExactlyOnce(t *testing.T) {
 	inodes := c.Tree().NumInodes()
 	c.Run(20)
 	victim, deepest := -1, int64(0)
-	for i, s := range c.Servers() {
-		if ops := s.Journal().Ops(); s.Up() && ops > deepest {
+	for i, ops := range c.engine.journaled() {
+		if c.Servers()[i].Up() && ops > deepest {
 			victim, deepest = i, ops
 		}
 	}
@@ -211,8 +213,11 @@ func TestWriteBackCrashRequeuesExactlyOnce(t *testing.T) {
 	if !c.CrashMDS(victim) {
 		t.Fatal("crash refused")
 	}
-	if ops := c.Servers()[victim].Journal().Ops(); ops != 0 {
+	if ops := c.engine.journaled()[victim]; ops != 0 {
 		t.Fatalf("crashed rank still holds %d journaled ops", ops)
+	}
+	if d := c.engine.wb.depth[victim]; d != 0 {
+		t.Fatalf("crashed rank still counts %d live batches", d)
 	}
 	if c.Metrics().BatchRequeues() == 0 {
 		t.Fatal("crashing a rank with an unapplied journal must re-queue batches")
@@ -230,6 +235,66 @@ func TestWriteBackCrashRequeuesExactlyOnce(t *testing.T) {
 		}
 	}
 	checkOneInodePerCreate(t, c, inodes, 16*600)
+}
+
+// TestCrashRequeueOrder: a crashed rank's batches re-queue in the order
+// they reached it, not in client or flush order. Client 0 flushes a
+// batch to rank 1, then clients 2 and 1 flush one each to rank 0; a
+// migration then moves client 0's directory to rank 0, where its
+// re-homed batch arrives last. No rank has budget, so all three stay
+// journaled until rank 0 crashes.
+func TestCrashRequeueOrder(t *testing.T) {
+	ring := obs.NewRing(64)
+	bus := obs.NewBus(ring)
+	bus.Allow(obs.EvBatchRequeue)
+	c := newTestCluster(t, Config{
+		MDS: 2, Clients: 3, ClientRate: 8, Seed: 1, Bus: bus,
+		Workload: workload.NewMD(workload.MDConfig{CreatesPerClient: 64}),
+		Batching: &BatchingConfig{BatchSize: 4, FlushEvery: 64},
+	})
+	for ci, rank := range []int{1, 0, 0} {
+		if err := c.PinPath(fmt.Sprintf("/md/client%03d", ci), rank); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := c.engine
+	e.ensure()
+	clear(e.avail)
+	for _, ci := range []int32{0, 2, 1} {
+		e.credit[ci] = 8
+		e.wbAdmitClient(ci, e.wbPlan(ci, 0), 0)
+	}
+	dir, err := c.Tree().Lookup("/md/client000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Partition().SetAuth(namespace.FragKey{Dir: dir.Ino, Frag: namespace.WholeFrag}, 0)
+	clear(e.blocked)
+	e.wbAdmitClient(0, nil, 0) // re-resolves client 0's batch onto rank 0
+	if got := e.wb.depth[:2]; got[0] != 3 || got[1] != 0 {
+		t.Fatalf("live batches per rank %v before the crash, want [3 0]", got)
+	}
+	if !c.CrashMDS(0) {
+		t.Fatal("crash refused")
+	}
+	var order []any
+	for _, ev := range ring.OfType(obs.EvBatchRequeue) {
+		if ev.Fields["rank"] != 0 || ev.Fields["n"] != 8 {
+			t.Errorf("requeue %v: want rank 0, n 8", ev.Fields)
+		}
+		order = append(order, ev.Fields["client"])
+	}
+	if fmt.Sprint(order) != "[2 1 0]" {
+		t.Fatalf("requeued clients %v, want arrival order [2 1 0]", order)
+	}
+	for _, cl := range c.Clients() {
+		if cl.Inflight() != 0 {
+			t.Errorf("client %d keeps %d ops in flight", cl.ID, cl.Inflight())
+		}
+	}
+	if e.wb.depth[0] != 0 || e.journaled()[0] != 0 {
+		t.Errorf("crashed rank keeps %d batches of %d ops", e.wb.depth[0], e.journaled()[0])
+	}
 }
 
 // TestWriteBackChurnWithReplication runs write-back MDtest under seeded

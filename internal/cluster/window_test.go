@@ -145,7 +145,6 @@ func TestCarriedCreateRoutedOnce(t *testing.T) {
 		Workload: workload.NewMD(workload.MDConfig{CreatesPerClient: 20000})})
 	c.Run(20) // saturated: each client is cut every tick
 	e := c.engine
-	co := e.cohorts[0]
 	standing := make([]int, len(c.clients))
 	marked := 0
 	for ci := range c.clients {
@@ -162,11 +161,11 @@ func TestCarriedCreateRoutedOnce(t *testing.T) {
 		}
 		e.credit[ci] = 150
 	}
-	co.active = append(co.active[:0], co.members...)
-	co.plan(e, c.tick)
 	planned := 0
-	for _, u := range co.runs {
-		planned += int(u.n)
+	for ci := range c.clients {
+		for _, u := range e.plan(int32(ci), c.tick) {
+			planned += int(u.n)
+		}
 	}
 	for ci, cl := range c.clients {
 		for k, r := range e.win[ci].routes {

@@ -1,9 +1,6 @@
 package experiment
 
-import (
-	"repro/internal/cluster"
-	"repro/internal/workload"
-)
+import "repro/internal/workload"
 
 // The hetero experiment probes the limit the paper's footnote
 // acknowledges: the IF model assumes every MDS delivers the same
@@ -21,23 +18,26 @@ var expHetero = entry{
 		zipf := func() workload.Generator {
 			return workload.NewZipf(workload.ZipfConfig{OpsPerClient: scaledMin(30000, opt.Scale, 20000)})
 		}
-		degrade := func(r *run, maxTicks int64) {
-			r.ScheduleCapacity(100, 2, 1000)
-			r.RunUntilDone(maxTicks)
+		// halveRank2At halves rank 2's capacity from the given tick on:
+		// tick 0 is a slow MDS, a later tick a degradation.
+		halveRank2At := func(tick int64) func(*run, int64) {
+			return func(r *run, maxTicks int64) {
+				r.ScheduleCapacity(tick, 2, 1000)
+				r.RunUntilDone(maxTicks)
+			}
 		}
 		var cells []cell
 		for _, sc := range []struct {
 			name  string
-			caps  []int
 			drive func(*run, int64)
 		}{
-			{"uniform (baseline)", nil, nil},
-			{"one slow MDS (half capacity)", []int{2000, 2000, 1000, 2000, 2000}, nil},
-			{"mid-run degradation", nil, degrade},
+			{"uniform (baseline)", nil},
+			{"one slow MDS (half capacity)", halveRank2At(0)},
+			{"mid-run degradation", halveRank2At(100)},
 		} {
 			for _, b := range []string{"Vanilla", "Lunule"} {
 				cells = append(cells, cell{labels: []string{sc.name, b}, key: sc.name + "/" + b, bal: b, gen: zipf,
-					shape: cluster.Config{PerMDSCapacity: sc.caps}, drive: sc.drive})
+					drive: sc.drive})
 			}
 		}
 		return cells

@@ -74,11 +74,6 @@ type Server struct {
 	tenants int
 
 	loadHistory []float64 // per-epoch load (ops/sec), appended by EndEpoch
-
-	// journal is the rank's group-commit journal of write-back batches
-	// awaiting application (empty unless the cluster runs in write-back
-	// mode). A crash drops it; the engine re-queues the ops client-side.
-	journal Journal
 }
 
 // NewServer creates an MDS with the given per-tick capacity. The
@@ -99,7 +94,6 @@ func NewServer(id namespace.MDSID, capacity, historyWindows int, heatDecay float
 		historyWindows: historyWindows,
 		heatDecay:      heatDecay,
 		heat:           newHeatTable(heatDecay),
-		journal:        Journal{rank: id},
 	}
 }
 
@@ -263,12 +257,6 @@ func (s *Server) ServeDeferVisit(e namespace.Entry, in *namespace.Inode, epoch i
 	s.addHeat(e.Key, in, write)
 	return true, firstVisit
 }
-
-// Journal returns the rank's group-commit journal of write-back
-// batches. It is empty unless the cluster runs clients in write-back
-// mode; the auditor sums Journal().Ops() across ranks against the
-// clients' in-flight counters.
-func (s *Server) Journal() *Journal { return &s.journal }
 
 // ConsumeGroupBudget charges one budget unit for a commit group — the
 // group-commit amortization: a group of up to BatchSize batched ops
