@@ -21,7 +21,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/namespace"
 	"repro/internal/obs"
-	"repro/internal/osd"
 	"repro/internal/replica"
 	"repro/internal/rng"
 	"repro/internal/tenant"
@@ -86,12 +85,6 @@ type Config struct {
 	// touches the RNG or tick ordering, so the same seed produces the
 	// same run with tracing on or off.
 	Bus *obs.Bus
-	// DisableResolveCache turns off the version-cached authority
-	// resolver and resolves every op with a full ancestor walk. The
-	// cache is semantically invisible (it is invalidated by
-	// Partition.Version on every mutation), so this knob exists only
-	// for the differential tests that prove it.
-	DisableResolveCache bool
 	// Workers is ignored: a run is one goroutine.
 	//
 	// Deprecated: kept only because the benchmark harness still sets
@@ -207,19 +200,23 @@ func (c *Config) validate() error {
 type Cluster struct {
 	cfg Config
 
-	tree     *namespace.Tree
-	part     *namespace.Partition
-	resolver *namespace.Resolver // nil when cfg.DisableResolveCache
+	tree *namespace.Tree
+	part *namespace.Partition
+	// resolver is the version-cached authority resolver; nil only in
+	// tests that prove it invisible by resolving every op afresh.
+	resolver *namespace.Resolver
 	servers  []*mds.Server
 	migrator *mds.Migrator
 	clients  []*client.Client
-	osds     *osd.Pool // nil without a data path
 	rand     *rng.Source
 	rec      *metrics.Recorder
 	bus      *obs.Bus
 
 	tick  int64
 	doneN int
+	// dataLeft is the data path's unspent bytes this tick: Step refills
+	// it to cfg.DataBandwidth and payDebt draws it down.
+	dataLeft int64
 	// The run's cumulative op-path counts. forwards counts relay hops
 	// charged to non-authoritative ranks; stalledDown, attempts refused
 	// because a rank was down; racedCreates, create ops completed without
@@ -329,12 +326,7 @@ func New(cfg Config) (*Cluster, error) {
 		pins:     make(map[namespace.FragKey]int),
 	}
 	cl.orphanFn = func(id namespace.MDSID) bool { _, ok := cl.outages[id]; return ok }
-	if cfg.DataBandwidth > 0 {
-		cl.osds = osd.NewPool(cfg.DataBandwidth)
-	}
-	if !cfg.DisableResolveCache {
-		cl.resolver = namespace.NewResolver(part)
-	}
+	cl.resolver = namespace.NewResolver(part)
 	for i := 0; i < cfg.MDS; i++ {
 		cl.servers = append(cl.servers,
 			mds.NewServer(namespace.MDSID(i), cfg.Capacity, historyWindows, heatDecay))
@@ -617,9 +609,19 @@ func (c *Cluster) CrashPathOwner(path string) int {
 	return -1
 }
 
+// payDebt moves as much of the client's data-path debt as the tick's
+// remaining bandwidth allows: the OSD pool is one budget of
+// cfg.DataBandwidth bytes per tick, drained in payment order.
+func (c *Cluster) payDebt(cl *client.Client) {
+	if g := min(cl.Debt(), c.dataLeft); g > 0 {
+		c.dataLeft -= g
+		cl.PayDebt(g)
+	}
+}
+
 // governing returns the entry governing the inode, through the
-// cluster's version-cached resolver or — when the resolve cache is
-// disabled — by a full ancestor walk.
+// cluster's version-cached resolver or — without one — by a full
+// ancestor walk.
 func (c *Cluster) governing(in *namespace.Inode) namespace.Entry {
 	if c.resolver != nil {
 		return c.resolver.Entry(in)
@@ -1081,9 +1083,7 @@ func (c *Cluster) Step() {
 		c.tnAdmittedTick = 0
 		clear(c.tnServedTick)
 	}
-	if c.osds != nil {
-		c.osds.BeginTick()
-	}
+	c.dataLeft = c.cfg.DataBandwidth
 	c.migrator.Tick(tick)
 	c.leaseWriteRevoked = c.leaseWriteRevoked[:0] // new tick, new write-invalidation window
 	if len(c.draining) != 0 {

@@ -18,8 +18,8 @@ import (
 //
 //	gate (client ID order)
 //	    done / not started / backing off / data debt, then credit.
-//	shuffle (cohort order from the cluster stream, member order from
-//	    each cohort's own stream)
+//	shuffle (cohort order from the cluster stream, then each cohort's
+//	    credited clients from the cohort's own stream)
 //	repeat:
 //	  plan + admit (tick shuffle order)    — strategy
 //	      Plans each client just before admitting it: a plan reads only
@@ -33,9 +33,10 @@ import (
 //	  for each round:
 //	      serve (ascending rank): serveRank walks its list for the
 //	          round and applies each unit                  — strategy
-//	          What serving a rank does to other ranks and to the tree —
-//	          relay charges, stall notes, created inodes, first-visit
-//	          marks, lease revokes, events — waits in the rank's lane.
+//	          Stall notes and data-debt payments land at once. What
+//	          serving a rank does to other ranks and to the tree — relay
+//	          charges, created inodes, first-visit marks, lease revokes,
+//	          events — waits in the rank's lane.
 //	      barrier (ascending rank): applyLane lands them; created
 //	          inodes are adopted here, so the order assigns inode
 //	          numbers. Every rank serves before any barrier runs, so no
@@ -61,14 +62,14 @@ import (
 // Relay admission uses the round-start budget snapshot; the admitted
 // charges are applied at the barrier, flooring each budget at zero.
 //
-// RNG partitioning: the cluster stream (c.rand) draws the per-tick
-// cohort order and the epoch-close balancing. Each cohort owns a Source
-// forked from the experiment seed at construction and draws only its
-// members' per-tick shuffle.
+// RNG streams: the cluster stream (c.rand) draws the per-tick cohort
+// order and the epoch-close balancing. A cohort is a fixed block of
+// client IDs that owns a stream forked from the experiment seed at
+// construction; the stream draws only the shuffle of the block's
+// credited clients.
 
 // engineCohortSize is the target number of clients per cohort; the
-// cohort count is clamped to engineMaxCohorts. Each cohort shuffles its
-// members from its own forked stream, so both constants are model
+// cohort count is clamped to engineMaxCohorts. Both constants are model
 // output: changing either moves every pinned digest.
 const (
 	engineCohortSize = 8
@@ -126,31 +127,19 @@ type window struct {
 	routes []routed
 }
 
-// cohort is a fixed block of clients shuffled from one stream.
-type cohort struct {
-	members []int32     // client IDs, fixed at construction
-	rand    *rng.Source // cohort-private stream, forked from the seed
-
-	shuffled []int32 // members with credit this tick, in shuffled order
-	active   []int32 // clients still planning this phase (order preserved)
-}
-
 // rankLane holds what serving one rank does to other ranks and to the
 // tree until the round's barrier lands it, in ascending rank order.
-// Pure sums (op counters, latency, batch commits) go straight to their
-// owner.
+// Pure sums (op counters, latency, stall notes, batch commits) and
+// data-debt payments go straight to their owner.
 type rankLane struct {
 	rank namespace.MDSID
 
 	events []obs.Event
 	fwdOut []int32 // per rank: relay charges buffered this round
 	fwdTch []int32 // ranks with nonzero fwdOut, in first-charge order
-	stalls []int64 // per rank: stall notes buffered this round
-	stallT []int32
 	// revokes buffers write-invalidated leased keys; the barrier applies
 	// them (revokeLease) in ascending rank order.
 	revokes []namespace.FragKey
-	debtors []int32
 	creates []*namespace.Inode
 	visits  []*namespace.Inode
 	chain   []namespace.MDSID
@@ -165,8 +154,12 @@ type rankLane struct {
 type engine struct {
 	c *Cluster
 
-	cohorts     []*cohort
-	cohortOrder []int // shuffled per tick; admission's cohort order
+	// streams[k] shuffles cohort k: clients [k*n/len(streams),
+	// (k+1)*n/len(streams)) of n.
+	streams     []*rng.Source
+	cohortOrder []int   // shuffled per tick
+	order       []int32 // the tick's credited clients, in shuffled order
+	active      []int32 // the clients still planning this phase, in order
 
 	// Per-client tick state, indexed by client ID.
 	credit       []int64
@@ -179,9 +172,9 @@ type engine struct {
 	runs []unit
 
 	lanes []*rankLane
-	// admitLane buffers the effects of the admit phase (stall notes,
-	// backoff and flush events) so admission shares the lanes' stall
-	// helpers; it is applied once, right after admit.
+	// admitLane buffers the events of the admit phase (backoff and
+	// flush) so admission shares the lanes' stall helpers; it is applied
+	// once, right after admit.
 	admitLane rankLane
 	avail     []int32 // per rank: unreserved serve budget this tick
 
@@ -211,18 +204,9 @@ func newEngine(c *Cluster, src *rng.Source) *engine {
 		participated: make([]bool, n),
 		blocked:      make([]bool, n),
 	}
-	numCohorts := (n + engineCohortSize - 1) / engineCohortSize
-	if numCohorts > engineMaxCohorts {
-		numCohorts = engineMaxCohorts
-	}
-	for k := 0; k < numCohorts; k++ {
-		co := &cohort{rand: src.Fork(uint64(100 + k))}
-		// Contiguous blocks: client i belongs to cohort i*numCohorts/n.
-		lo, hi := k*n/numCohorts, (k+1)*n/numCohorts
-		for i := lo; i < hi; i++ {
-			co.members = append(co.members, int32(i))
-		}
-		e.cohorts = append(e.cohorts, co)
+	nc := min((n+engineCohortSize-1)/engineCohortSize, engineMaxCohorts)
+	for k := 0; k < nc; k++ {
+		e.streams = append(e.streams, src.Fork(uint64(100+k)))
 		e.cohortOrder = append(e.cohortOrder, k)
 	}
 	if bc := c.cfg.Batching; bc != nil && (bc.BatchSize > 1 || bc.FlushEvery > 1) {
@@ -279,7 +263,7 @@ func (e *engine) serveTick(tick, epoch int64) {
 			continue // backing off after failures against a down rank
 		}
 		if cl.Debt() > 0 {
-			cl.PayDebt(c.osds.Consume(cl.Debt()))
+			c.payDebt(cl)
 			if cl.Debt() > 0 {
 				continue // still blocked on the data path
 			}
@@ -298,12 +282,7 @@ func (e *engine) serveTick(tick, epoch int64) {
 	}
 
 	if anyActive {
-		// Shuffle the per-tick orders: the cohort order from the cluster
-		// stream, each cohort's member order from its own stream.
-		c.rand.ShuffleInts(e.cohortOrder)
-		for _, co := range e.cohorts {
-			co.beginTick(e)
-		}
+		e.shuffle()
 		clear(e.blocked)
 		// The tick's serve-budget pools, drawn down by admission. One
 		// pool per tick, not per phase: a client that re-plans after a
@@ -357,10 +336,8 @@ func (e *engine) admit(tick int64) {
 	if e.wb != nil {
 		e.wbAdmit(tick)
 	} else {
-		for _, k := range e.cohortOrder {
-			for _, ci := range e.cohorts[k].active {
-				e.admitRuns(ci, e.plan(ci, tick))
-			}
+		for _, ci := range e.active {
+			e.admitRuns(ci, e.plan(ci, tick))
 		}
 	}
 	e.applyLane(&e.admitLane, tick)
@@ -415,24 +392,27 @@ func (e *engine) admitOps(cl *client.Client, rank, want, per int32) (grant, adm 
 	return grant, adm
 }
 
-// beginTick builds the cohort's shuffled active list for the tick from
-// the members that accrued credit, consuming the cohort stream only
-// when the cohort has any such member (so idle cohorts do not advance
-// their streams).
-func (co *cohort) beginTick(e *engine) {
-	co.shuffled = co.shuffled[:0]
-	for _, ci := range co.members {
-		if e.credit[ci] > 0 {
-			co.shuffled = append(co.shuffled, ci)
+// shuffle draws the tick's client order: the cohort order from the
+// cluster stream, then, cohort by cohort, the clients that accrued
+// credit, shuffled from the cohort's own stream. A cohort's stream is
+// consumed only when it has two such clients or more, so an idle
+// cohort does not advance it.
+func (e *engine) shuffle() {
+	e.c.rand.ShuffleInts(e.cohortOrder)
+	n, nc := len(e.c.clients), len(e.streams)
+	e.order = e.order[:0]
+	for _, k := range e.cohortOrder {
+		lo := len(e.order)
+		for ci := k * n / nc; ci < (k+1)*n/nc; ci++ {
+			if e.credit[ci] > 0 {
+				e.order = append(e.order, int32(ci))
+			}
+		}
+		if seg := e.order[lo:]; len(seg) > 1 {
+			e.streams[k].Shuffle(len(seg), func(i, j int) { seg[i], seg[j] = seg[j], seg[i] })
 		}
 	}
-	if len(co.shuffled) > 1 {
-		co.rand.Shuffle(len(co.shuffled), func(i, j int) {
-			co.shuffled[i], co.shuffled[j] = co.shuffled[j], co.shuffled[i]
-		})
-	}
-	co.active = co.active[:0]
-	co.active = append(co.active, co.shuffled...)
+	e.active = append(e.active[:0], e.order...)
 }
 
 // endsRun reports whether op must be the last of its run: a data-path
@@ -440,7 +420,7 @@ func (co *cohort) beginTick(e *engine) {
 // stream must be adopted before the stream may draw again (the next
 // recorded op can resolve a path through the created inode).
 func (e *engine) endsRun(cl *client.Client, op *workload.Op) bool {
-	if e.c.osds != nil && op.DataSize > 0 {
+	if e.c.cfg.DataBandwidth > 0 && op.DataSize > 0 {
 		return true
 	}
 	return op.Kind == workload.OpCreate && cl.StreamReadsTree()
@@ -451,8 +431,8 @@ func (e *engine) endsRun(cl *client.Client, op *workload.Op) bool {
 // stops after an op whose outcome gates the stream (endsRun); the
 // client re-plans in the next phase once the outcome has landed. Only
 // ops without a valid carried resolution are resolved (see window);
-// with the resolve cache disabled nothing is carried. The runs live in
-// the engine's scratch until the next plan.
+// without a resolver nothing is carried. The runs live in the engine's
+// scratch until the next plan.
 func (e *engine) plan(ci int32, tick int64) []unit {
 	c := e.c
 	cl := c.clients[ci]
@@ -577,28 +557,26 @@ func (e *engine) leaseRank(ent namespace.Entry, leases []replica.Lease, ino name
 
 // rebuildActive keeps, for the next planning phase, the clients that
 // finished their whole plan cleanly and still hold credit (a plan ends
-// early at a stream-gating op, so there may be more tick to route).
-// Order within each cohort is preserved from the tick shuffle. A client
-// that planned no run holds credit only when idle, so it drops out too.
+// early at a stream-gating op, so there may be more tick to route), in
+// the tick's shuffled order. A client that planned no run holds credit
+// only when idle, so it drops out too.
 func (e *engine) rebuildActive() bool {
-	any := false
-	for _, co := range e.cohorts {
-		act := co.active[:0]
-		for _, ci := range co.active {
-			if !e.blocked[ci] && e.credit[ci] > 0 && !e.c.clients[ci].Idle() {
-				act = append(act, ci)
-			}
+	act := e.active[:0]
+	for _, ci := range e.active {
+		if !e.blocked[ci] && e.credit[ci] > 0 && !e.c.clients[ci].Idle() {
+			act = append(act, ci)
 		}
-		co.active = act
-		any = any || len(act) > 0
 	}
-	return any
+	e.active = act
+	return len(act) > 0
 }
 
 // serveRank serves one rank for the round: it applies the units
 // scheduled to this rank for the round, in admission order, buffering
 // in the rank's lane what the barrier lands, and parks each client whose
 // unit did not end cleanly. Each client has at most one unit per round.
+// A client whose last op moved data pays what the data path can move
+// this tick, and plans again next phase if that cleared its debt.
 func (e *engine) serveRank(rank int, tick, epoch int64) {
 	c := e.c
 	lane := e.lanes[rank]
@@ -621,12 +599,10 @@ func (e *engine) serveRank(rank int, tick, epoch int64) {
 		case execStallDown:
 			e.stallDown(lane, cl, at, tick)
 		case execStall:
-			e.stall(lane, cl, at)
+			e.stall(cl, at)
 		case execDebt:
-			// The data transfer blocks the client until paid; the debt
-			// is paid at the barrier, which re-activates the client on
-			// success.
-			e.blocked[u.client] = true
+			c.payDebt(cl)
+			e.blocked[u.client] = cl.Debt() > 0 || e.credit[u.client] <= 0
 		}
 	}
 }
@@ -635,8 +611,8 @@ func (e *engine) serveRank(rank int, tick, epoch int64) {
 // could not be served, noting the stall against the rank that refused
 // it (the authority, a relay hop, or — at the admission cut — the rank
 // whose tick budget was reserved ahead of the op).
-func (e *engine) stall(lane *rankLane, cl *client.Client, at namespace.MDSID) {
-	lane.noteStall(at)
+func (e *engine) stall(cl *client.Client, at namespace.MDSID) {
+	e.c.servers[at].AddStalls(1)
 	cl.Retain()
 	e.blocked[cl.ID] = true
 }
@@ -644,7 +620,7 @@ func (e *engine) stall(lane *rankLane, cl *client.Client, at namespace.MDSID) {
 // stallDown is stall against a down rank: the attempt is accounted as
 // stalled-on-down and the client enters capped-exponential backoff.
 func (e *engine) stallDown(lane *rankLane, cl *client.Client, at namespace.MDSID, tick int64) {
-	lane.noteStall(at)
+	e.c.servers[at].AddStalls(1)
 	e.c.stalledDown++
 	cl.RetainBackoff(tick, at)
 	if e.c.bus.Enabled(obs.EvBackoffEnter) {
@@ -672,11 +648,10 @@ func (e *engine) complete(lane *rankLane, cl *client.Client, data, tick int64) b
 		c.tnServedTick[cl.Tenant]++
 		c.rec.AddTenantLatency(cl.Tenant, lat)
 	}
-	if c.osds == nil || data <= 0 {
+	if c.cfg.DataBandwidth <= 0 || data <= 0 {
 		return false
 	}
 	cl.AddDebt(data)
-	lane.debtors = append(lane.debtors, int32(cl.ID))
 	return true
 }
 
@@ -822,23 +797,8 @@ func (e *engine) serve(lane *rankLane, auth *mds.Server, entry namespace.Entry,
 	}
 }
 
-// noteStall buffers one stall note against a rank (applied at the
-// barrier; the per-rank slices are sized lazily because stalls are off
-// the hot path).
-func (lane *rankLane) noteStall(r namespace.MDSID) {
-	if len(lane.stalls) <= int(r) {
-		lane.stalls = append(lane.stalls, make([]int64, int(r)+1-len(lane.stalls))...)
-	}
-	if lane.stalls[r] == 0 {
-		lane.stallT = append(lane.stallT, int32(r))
-	}
-	lane.stalls[r]++
-}
-
 // applyLane lands one lane's buffered effects. The round barrier calls
-// it for the round's lanes in ascending rank order; it also pays the
-// lane's data-path debtors, unblocking one whose debt cleared so it can
-// re-plan in the next phase.
+// it for the round's lanes in ascending rank order.
 func (e *engine) applyLane(lane *rankLane, tick int64) {
 	c := e.c
 	for _, in := range lane.creates {
@@ -860,11 +820,6 @@ func (e *engine) applyLane(lane *rankLane, tick int64) {
 		lane.fwdOut[h] = 0
 	}
 	lane.fwdTch = lane.fwdTch[:0]
-	for _, h := range lane.stallT {
-		c.servers[h].AddStalls(lane.stalls[h])
-		lane.stalls[h] = 0
-	}
-	lane.stallT = lane.stallT[:0]
 	for _, k := range lane.revokes {
 		c.revokeLease(k)
 	}
@@ -873,12 +828,4 @@ func (e *engine) applyLane(lane *rankLane, tick int64) {
 		c.bus.EmitPooled(ev)
 	}
 	lane.events = lane.events[:0]
-	for _, ci := range lane.debtors {
-		cl := c.clients[ci]
-		cl.PayDebt(c.osds.Consume(cl.Debt()))
-		if cl.Debt() == 0 && e.credit[ci] > 0 {
-			e.blocked[ci] = false
-		}
-	}
-	lane.debtors = lane.debtors[:0]
 }

@@ -62,6 +62,9 @@ func runScenario(t *testing.T, sc scenario, ax *axis) *run {
 	if after != nil {
 		after(r.c)
 	}
+	if ax != nil && ax.build != nil {
+		ax.build(r.c)
+	}
 	if sc.drive != nil {
 		sc.drive(t, r)
 	} else {

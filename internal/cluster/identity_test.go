@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/audit"
@@ -14,8 +15,10 @@ type axis struct {
 	name string
 	// entry is the test that runs the axis on every row that does not
 	// name another in scenario.entries.
-	entry   string
-	apply   func(*Config)
+	entry string
+	apply func(*Config)
+	// build mutates the built cluster before it runs.
+	build   func(*Cluster)
 	csvOnly bool
 	// skip says why the axis does not apply to a row's config ("" when
 	// it does).
@@ -44,7 +47,15 @@ var axes = []axis{
 		apply: func(cfg *Config) { cfg.Bus = nil }},
 	// The version-cached resolver and the carried plan are pure memos.
 	{name: "resolve-cache-off", entry: "TestResolveCacheDifferential",
-		apply: func(cfg *Config) { cfg.DisableResolveCache = true }},
+		build: func(c *Cluster) { c.resolver = nil },
+		check: func(t *testing.T, sc scenario, r *run) {
+			if r.c.resolver != nil {
+				t.Error("the run kept its resolver")
+			}
+			if strings.HasPrefix(sc.name, "saturated/") && r.st.carried != 0 {
+				t.Errorf("%d entries carried without a resolver", r.st.carried)
+			}
+		}},
 	// Write-back at {1,1} is defined to run the synchronous path verbatim.
 	{name: "batching-1-1", entry: "TestWriteBackDegenerateMatchesSync",
 		apply: func(cfg *Config) { cfg.Batching = &BatchingConfig{BatchSize: 1, FlushEvery: 1} },

@@ -134,11 +134,9 @@ func (w *wbState) arrive() int64 {
 func (e *engine) wbAdmit(tick int64) {
 	w := e.wb
 	clear(w.planned)
-	for _, k := range e.cohortOrder {
-		for _, ci := range e.cohorts[k].shuffled {
-			w.planned[ci] = true
-			e.wbAdmitClient(ci, e.wbPlan(ci, tick), tick)
-		}
+	for _, ci := range e.order {
+		w.planned[ci] = true
+		e.wbAdmitClient(ci, e.wbPlan(ci, tick), tick)
 	}
 	for ci, cl := range e.c.clients {
 		if !w.planned[ci] && e.participated[ci] && cl.PendingOps() > 0 {
@@ -313,7 +311,7 @@ func (e *engine) wbAdmitClient(ci int32, runs []wbRun, tick int64) {
 		}
 		b.ent = ent
 		if c.migrator.IsFrozen(ent.Key) {
-			e.stall(lane, cl, b.rank)
+			e.stall(cl, b.rank)
 			refundBlocked()
 			break
 		}
@@ -331,7 +329,7 @@ func (e *engine) wbAdmitClient(ci int32, runs []wbRun, tick int64) {
 				c.tn.NoteThrottled(cl.Tenant, int(want))
 			}
 			if round == 0 {
-				e.stall(lane, cl, b.rank)
+				e.stall(cl, b.rank)
 			}
 			break
 		}

@@ -82,7 +82,7 @@ func stepWindows(t *testing.T, r *run) {
 			w := &e.win[ci]
 			// The plan ran for this client and kept its window: what
 			// stood in it was walked, not resolved.
-			if !r.cfg.DisableResolveCache && e.participated[ci] && w.ver == vers[ci] {
+			if c.resolver != nil && e.participated[ci] && w.ver == vers[ci] {
 				st.carried += left[ci]
 			}
 			for _, rt := range w.routes[w.head:] {

@@ -221,8 +221,7 @@ func (s *Server) AddForwardCharges(n int) {
 	s.fwdTotal += int64(n)
 }
 
-// AddStalls applies n stall notes buffered by the engine until a round
-// barrier: requests that could not be served this tick.
+// AddStalls counts n requests that could not be served here this tick.
 func (s *Server) AddStalls(n int64) { s.stallsTotal += n }
 
 // Serve processes one metadata access to in, governed by subtree entry
