@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmtcheck race check benchcheck pairs loc budget repin gobench audit fuzz elastic replication batched readstorm noisy
+.PHONY: all build test vet fmtcheck race check benchcheck pairs identity loc budget repin gobench audit fuzz elastic replication batched readstorm noisy
 
 all: check
 
@@ -43,6 +43,14 @@ WORKLOAD ?= zipf_read
 N ?= 10
 pairs:
 	bash scripts/pairs.sh '$(PARENT)' '$(WORKLOAD)' $(N)
+
+# identity checks that the working tree's outputs equal a parent
+# revision's: the benchmark run digests at seeds 42 and 7, `-exp all
+# -scale 0.5` without timing lines, two lunule-sim traces (the
+# write-back one compared within each tick) and their stdout. It fails
+# on any difference (see scripts/identity.sh).
+identity:
+	bash scripts/identity.sh '$(PARENT)'
 
 # loc prints the code size the simplicity PRs report: non-blank,
 # non-comment, non-test Go lines per package under internal/, their

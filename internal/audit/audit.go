@@ -1,8 +1,9 @@
 // Package audit validates cross-module invariants of a running cluster:
 // partition structure and authority liveness, governed-inode
-// conservation, resolver-cache agreement, migration freeze windows and
-// counter reconciliation, client credit/debt/backoff bounds, heat
-// non-negativity, ops conservation and liveness. The auditor is strictly
+// conservation, resolver-cache agreement, first-visit counter bounds,
+// migration freeze windows and counter reconciliation, client
+// credit/debt/backoff bounds, heat non-negativity, ops conservation and
+// liveness. The auditor is strictly
 // read-only — it never mutates simulation state, touches the RNG, or
 // perturbs tick ordering — so a run with the auditor enabled is
 // byte-identical to the same run without it. A nil *Auditor is the
@@ -167,6 +168,7 @@ func (a *Auditor) Check(s State) int {
 	a.passes++
 	a.checkPartition(s)
 	a.checkResolver(s)
+	a.checkVisited(s)
 	a.checkFrozen(s)
 	a.checkMigratorCounters(s)
 	a.checkClients(s)
@@ -505,6 +507,22 @@ func (a *Auditor) checkResolver(s State) {
 				i, got.Key.Dir, got.Key.Frag, got.Auth,
 				want.Key.Dir, want.Key.Frag, want.Auth)
 		}
+	}
+}
+
+// checkVisited validates the root's first-visit counters against its
+// subtree sizes ("namespace/visited"): no more files visited than exist,
+// no more inodes than exist. Each inode's first visit is marked once,
+// on a linked inode, so an excess is a visit counted twice or a visit
+// to an inode the tree never linked. The scan signal reads the
+// difference (Inode.UnvisitedBelow), which therefore needs no clamp.
+func (a *Auditor) checkVisited(s State) {
+	root := s.Tree.Root()
+	if vf, f := root.VisitedFiles(), root.SubtreeFiles(); vf > f {
+		a.failf(s.Tick, "namespace/visited", "root: %d files visited of %d", vf, f)
+	}
+	if vd, n := root.VisitedDesc(), root.SubtreeInodes(); vd > n {
+		a.failf(s.Tick, "namespace/visited", "root: %d inodes visited of %d", vd, n)
 	}
 }
 

@@ -324,6 +324,31 @@ func TestAuditorLeaseCountViolation(t *testing.T) {
 	}
 }
 
+// TestAuditorVisitedViolation: a tree whose every inode was visited
+// once is healthy; a first visit marked on an inode the tree never
+// linked — a create's carved file, its name taken — is one file too
+// many.
+func TestAuditorVisitedViolation(t *testing.T) {
+	tree, part, mig, servers := fixture(t, 2)
+	state := State{Tick: 9, Tree: tree, Partition: part, Migrator: mig, Servers: servers}
+	for ino := namespace.RootIno; ino <= tree.MaxIno(); ino++ {
+		tree.Get(ino).MarkVisited()
+	}
+	a := New(Options{})
+	if n := a.Check(state); n != 0 {
+		t.Fatalf("fully visited tree produced %d violations: %v", n, a.Violations())
+	}
+	var arena namespace.InodeArena
+	phantom, err := arena.NewFile(mustDir(t, tree, "/a"), "f0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phantom.MarkVisited()
+	if a.Check(state) == 0 || checksNamed(a, "namespace/visited") == 0 {
+		t.Fatalf("a visit to an unlinked inode not flagged: %v", a.Violations())
+	}
+}
+
 // tenantFixture builds a clean 2-tenant state mid-tick: tenant 0 was
 // bucket-admitted 6 ops and served 6, tenant 1 admitted 3 and served 2.
 func tenantFixture(t *testing.T) (State, *tenant.Manager) {

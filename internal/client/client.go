@@ -30,8 +30,7 @@ type Client struct {
 	// q is the FIFO of issued-but-unserved ops. The engine draws a run of
 	// ops ahead of serving them so it can route a whole batch to one
 	// rank; ops that stall stay queued and the head is re-attempted
-	// first. One engine lane touches a client per round, so the queue
-	// needs no lock.
+	// first.
 	q    opQueue
 	debt int64 // unpaid data bytes
 	// inflight counts queued ops that have been flushed into a server's
@@ -75,8 +74,7 @@ const MaxBackoffTicks = 16
 // It is a flat array of at most DefaultAuthCacheSize slots, each
 // stamped with the clock of its last use: a lookup compares the slot it
 // hit last before scanning, and a store into a full cache overwrites
-// the slot with the smallest stamp. One client is served by one engine
-// lane per round, so nothing here is shared.
+// the slot with the smallest stamp.
 type authCache struct {
 	clock int64
 	last  int // slot of the most recent hit or store

@@ -631,14 +631,12 @@ func (c *Cluster) governing(in *namespace.Inode) namespace.Entry {
 
 // routed is one op's resolution: the entry governing it and the inode
 // it acts on. A create has no target — whether its name exists is live
-// state, read when the create is served — and carries hash =
-// HashName(Name) instead; every other op has one. write and ends are
-// the op's Kind.IsWrite() and endsRun, filled by the sync plan so that
-// a carried resolution is walked without the op.
+// state, read when the create is served; every other op has one. write
+// and ends are the op's Kind.IsWrite() and endsRun, filled by the sync
+// plan so that a carried resolution is walked without the op.
 type routed struct {
 	ent    namespace.Entry
 	target *namespace.Inode
-	hash   uint32
 	write  bool
 	ends   bool
 }
@@ -652,13 +650,11 @@ func (c *Cluster) resolveOp(op *workload.Op) routed {
 	if op.Kind != workload.OpCreate {
 		return routed{target: op.Target, ent: c.governing(op.Target)}
 	}
-	r := routed{hash: namespace.HashName(op.Name)}
+	hash := namespace.HashName(op.Name)
 	if c.resolver != nil {
-		r.ent = c.resolver.ChildEntry(op.Parent, r.hash)
-	} else {
-		r.ent = c.part.GoverningChildEntry(op.Parent, r.hash)
+		return routed{ent: c.resolver.ChildEntry(op.Parent, hash)}
 	}
-	return r
+	return routed{ent: c.part.GoverningChildEntry(op.Parent, hash)}
 }
 
 // ApplyFaults schedules every event of the fault schedule: a crash of

@@ -177,7 +177,7 @@ var scenarios = []scenario{
 	{name: "leases", config: func(cfg *Config) func(*Cluster) {
 		// Lease-served read storm with writes mixed in and a holder-rank
 		// crash mid-run: lease routing, the inode-sticky holder spread,
-		// write revokes at the serve barriers, carve heat seeding, and
+		// write revokes where writes are served, carve heat seeding, and
 		// crash-driven lease pruning.
 		var sched fault.Schedule
 		sched.Crash(30, 2).Recover(70, 2)
@@ -253,8 +253,8 @@ var scenarios = []scenario{
 		return nil
 	}},
 	// Every created name created twice (see dupCreates): a create served
-	// after its name was adopted, two promises of one name in one lane
-	// and round, and a name-hash collision between promises.
+	// after its name was linked, two creates of one name at one rank and
+	// round, and a name-hash collision between two creates.
 	{name: "dup-creates", config: dupCreateScenario(nil)},
 	{name: "wb-dup-creates", config: dupCreateScenario(&BatchingConfig{BatchSize: 8, FlushEvery: 2})},
 	// Autoscaled: demand far above four ranks' capacity so the controller

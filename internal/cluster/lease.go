@@ -10,10 +10,9 @@
 // default) never has a live lease and pays one comparison per read.
 //
 // Order: grants and carves walk the partition's sorted entry snapshot;
-// write revokes are buffered in rank lanes during a serve round and
-// applied at its barrier in ascending rank order. The lease set
-// therefore never changes while a round is being served, so every rank
-// of a round routes and serves against the same leases.
+// a write revokes its subtree's leases where it is served. Reads are
+// routed to lease holders at plan, before any serve of the phase, so a
+// revoke moves only the next phase's routing.
 package cluster
 
 import (
@@ -48,9 +47,8 @@ func (c *Cluster) leased(key namespace.FragKey) bool {
 }
 
 // revokeLease drops every lease on the subtree — the write-invalidation
-// path, applied at the round barriers in ascending rank order.
-// Idempotent: a key already revoked this round is a no-op, so duplicate
-// buffered revokes are harmless.
+// path, called where a write is served. Idempotent: on a subtree
+// without a live lease it is a no-op.
 func (c *Cluster) revokeLease(key namespace.FragKey) {
 	if !c.leased(key) {
 		return

@@ -117,7 +117,7 @@ func TestLeaseReadStormAudited(t *testing.T) {
 }
 
 // TestLeaseWriteInvalidation mixes creates into the storm: every write
-// to a leased subtree must revoke its leases at the serve barrier, and
+// to a leased subtree must revoke its leases where it is served, and
 // the per-tick audit proves no write-invalidated subtree ends a tick
 // with live leases. Leases still re-form between writes, so holder
 // serving stays active.

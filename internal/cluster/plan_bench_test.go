@@ -15,10 +15,10 @@ import (
 // wall time over the ops the cohort routed and the ops admission let
 // through. NLP issues 14 ops per file (a drawn op mostly shares the
 // previous one's resolution); Zipf draws a different file every op;
-// mdtest creates, so its served ops also pay a probe, a promise and an
-// adoption each. version-moves carves and absorbs an empty directory
-// every tick, so the partition version never stands and no resolution
-// is carried: the slow side of the carried plan. Medians of alternating
+// mdtest creates, so its served ops also pay a create each.
+// version-moves carves and absorbs an empty directory every tick, so
+// the partition version never stands and no resolution is carried: the
+// slow side of the carried plan. Medians of alternating
 // runs (five; mdtest three) at -benchtime 3000x on the 2-vCPU reference
 // host (go1.24.0), change vs parent (42249c9; mdtest 8ac2b83, which
 // probed a carried create's directory again in every plan),

@@ -32,8 +32,7 @@ func checkWindows(t *testing.T, c *Cluster) (creates int) {
 			r, op := w.routes[int(w.head)+k], cl.OpAt(k)
 			want := routed{write: op.Kind.IsWrite(), ends: e.endsRun(cl, op)}
 			if op.Kind == workload.OpCreate {
-				want.hash = namespace.HashName(op.Name)
-				want.ent = c.part.GoverningChildEntry(op.Parent, want.hash)
+				want.ent = c.part.GoverningChildEntry(op.Parent, namespace.HashName(op.Name))
 			} else {
 				want.target, want.ent = op.Target, c.part.GoverningEntry(op.Target)
 			}
@@ -137,13 +136,14 @@ func carriesCreates(t *testing.T, r *run) {
 // TestCarriedCreateRoutedOnce: a create admission refused is planned
 // next tick from its window slot, not resolved again — so over a run
 // with a standing partition version, route is called once per op drawn.
-// Every carried create's slot is marked with a hash no resolution
-// produces; one plan later the marks must all stand, beside freshly
-// drawn ops that were routed.
+// Every carried create's slot is marked with an authority no resolution
+// produces (the cluster has one rank); one plan later the marks must all
+// stand, beside freshly drawn ops that were routed.
 func TestCarriedCreateRoutedOnce(t *testing.T) {
 	c := newTestCluster(t, Config{MDS: 1, Clients: 8, Capacity: 400, Seed: 42,
 		Workload: workload.NewMD(workload.MDConfig{CreatesPerClient: 20000})})
 	c.Run(20) // saturated: each client is cut every tick
+	const mark = namespace.MDSID(7)
 	e := c.engine
 	standing := make([]int, len(c.clients))
 	marked := 0
@@ -155,7 +155,7 @@ func TestCarriedCreateRoutedOnce(t *testing.T) {
 		standing[ci] = len(w.routes) - int(w.head)
 		for k := range w.routes[w.head:] {
 			if r := &w.routes[int(w.head)+k]; r.target == nil {
-				r.hash ^= 1
+				r.ent.Auth = mark
 				marked++
 			}
 		}
@@ -173,7 +173,7 @@ func TestCarriedCreateRoutedOnce(t *testing.T) {
 			if op.Kind != workload.OpCreate {
 				continue
 			}
-			carried, resolved := k < standing[ci], r.hash == namespace.HashName(op.Name)
+			carried, resolved := k < standing[ci], r.ent.Auth != mark
 			if carried == resolved {
 				t.Fatalf("client %d op %d: carried %v, resolved by this plan %v", ci, k, carried, resolved)
 			}

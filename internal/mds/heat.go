@@ -35,8 +35,8 @@ type heatCell struct {
 // heatTable holds the decayed popularity counters of one MDS, by
 // subtree entry and by directory. Epoch close is O(1): it advances the
 // epoch stamp, and every heatPurgeEvery epochs sweeps out expired key
-// cells. A table belongs to one server, so one engine lane per round
-// touches the memo and the lazily grown slice.
+// cells. A table belongs to one server, and a run is one goroutine, so
+// nothing here is shared.
 type heatTable struct {
 	decay float64
 	epoch int64

@@ -204,12 +204,13 @@ func (s *Server) HasBudget() bool { return s.budget > 0 }
 // that round's relay hops against the snapshot.
 func (s *Server) RemainingBudget() int { return s.budget }
 
-// AddForwardCharges applies n relay charges buffered by the engine
-// until a round barrier: the rank that resolved a chain through this
-// server charges it here, so no serve of the round sees another rank's
-// relays. Admission was decided against the round-start budget
-// snapshot, so the whole batch is charged, flooring the budget at zero
-// (a relay hop never owes work into the next tick).
+// AddForwardCharges applies the n relay charges a round of serves made
+// through this server; the engine holds them until the round's barrier,
+// so no serve of the round sees another rank's relays. Admission was
+// decided against the round-start budget snapshot, so the whole sum is
+// charged, flooring the budget at zero (a relay hop never owes work
+// into the next tick). Flooring makes one charge of a sum equal to its
+// terms charged in turn.
 func (s *Server) AddForwardCharges(n int) {
 	if n <= 0 {
 		return
@@ -238,11 +239,7 @@ func (s *Server) Serve(e namespace.Entry, in *namespace.Inode, epoch int64) bool
 
 // ServeDeferVisit is Serve with the first-visit side effect handed back
 // to the caller: firstVisit=true means the inode was accessed for the
-// first time ever and the caller owes it a MarkVisited. The engine uses
-// this to keep ancestor-chain writes (MarkVisited walks the ancestors'
-// counters) out of a round's serves, buffering the inodes per rank lane
-// and applying the walks at the round barrier.
-// write classifies the access for the read/write heat split; the total
+// first time ever and the caller owes it a MarkVisited. write classifies the access for the read/write heat split; the total
 // heat charged is identical either way.
 func (s *Server) ServeDeferVisit(e namespace.Entry, in *namespace.Inode, epoch int64, write bool) (ok, firstVisit bool) {
 	if s.budget <= 0 {

@@ -149,8 +149,8 @@ func (p *Partition) GoverningEntry(in *Inode) Entry {
 // GoverningChildEntry returns the entry that would govern a child of
 // parent with the given name hash, without the child having to exist:
 // it is exactly GoverningEntry of such a child. The engine routes
-// not-yet-created files with it, so a create is sharded to the same
-// rank lane that will own the inode once adopted.
+// not-yet-created files with it, so a create is served by the rank that
+// will own the inode once adopted.
 func (p *Partition) GoverningChildEntry(parent *Inode, nameHash uint32) Entry {
 	if e, ok := p.lookupEntry(parent.Ino, nameHash); ok {
 		return e
@@ -485,9 +485,6 @@ func (p *Partition) UnvisitedIn(key FragKey) (unvisited, total int) {
 			total += c.SubtreeFiles()
 			unvisited += c.SubtreeFiles() - c.VisitedFiles()
 		}
-	}
-	if unvisited < 0 {
-		unvisited = 0
 	}
 	return unvisited, total
 }

@@ -336,7 +336,7 @@ func TestResolverMatchesGoverningEntry(t *testing.T) {
 				if err != nil {
 					return false
 				}
-				// A promised inode resolves before it is adopted.
+				// A carved inode resolves before it is adopted.
 				if r.Entry(in) != p.GoverningEntry(in) {
 					return false
 				}

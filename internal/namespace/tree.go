@@ -127,11 +127,7 @@ func (in *Inode) VisitedFiles() int {
 // scanned regions look partially unvisited.
 func (in *Inode) UnvisitedBelow() (unvisited, total int) {
 	total = in.SubtreeFiles()
-	u := total - in.VisitedFiles()
-	if u < 0 {
-		u = 0
-	}
-	return u, total
+	return total - in.VisitedFiles(), total
 }
 
 // SubtreeFiles returns the number of regular files at and below this

@@ -184,7 +184,7 @@ func TestSubtreeCountsProperty(t *testing.T) {
 				if err != nil || in.SubtreeInodes() != 1 || in.SubtreeFiles() != 1 {
 					return false
 				}
-				if op%2 == 0 { // visited while still a promise, as write-back serves it
+				if op%2 == 0 { // visited before it is adopted
 					in.MarkVisited()
 					visited[in] = true
 				}
@@ -440,26 +440,26 @@ func TestHotFutureEpochQuery(t *testing.T) {
 }
 
 // TestAdoptDuplicate pins the one linking body behind both adoption
-// entry points: the first promise of a (parent, name) slot links and
+// entry points: the first carved inode of a (parent, name) slot links and
 // counts, a second is discarded in favour of the linked inode by
 // AdoptOrExisting and is a panic for Adopt.
 func TestAdoptDuplicate(t *testing.T) {
 	tr := buildSmallTree(t)
 	a, _ := tr.Lookup("/a")
 	var arena InodeArena
-	promise := func() *Inode {
+	carve := func() *Inode {
 		in, err := arena.NewFile(a, "new", 10)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return in
 	}
-	first := promise()
+	first := carve()
 	tr.Adopt(first)
 	if first.Ino == 0 || a.Child("new") != first || tr.NumInodes() != 8 || tr.Get(first.Ino) != first {
 		t.Fatalf("Adopt did not link: ino=%d inodes=%d", first.Ino, tr.NumInodes())
 	}
-	if got, ok := tr.AdoptOrExisting(promise()); ok || got != first || tr.NumInodes() != 8 {
+	if got, ok := tr.AdoptOrExisting(carve()); ok || got != first || tr.NumInodes() != 8 {
 		t.Fatalf("duplicate adopted: got=%p first=%p ok=%v inodes=%d", got, first, ok, tr.NumInodes())
 	}
 	defer func() {
@@ -467,5 +467,5 @@ func TestAdoptDuplicate(t *testing.T) {
 			t.Fatal("Adopt of a duplicate must panic")
 		}
 	}()
-	tr.Adopt(promise())
+	tr.Adopt(carve())
 }

@@ -54,7 +54,7 @@ func (c Counters) IsZero() bool {
 // stay in a map, behind a one-slot memo of the last key recorded: a
 // rank serves runs of one client's consecutive ops, which mostly share
 // their governing entry. A window belongs to one collector, that is to
-// one rank, so one engine lane per round touches the memo and the slice.
+// one rank, and a run is one goroutine, so nothing here is shared.
 type window struct {
 	epoch   int64
 	byDir   []Counters
@@ -155,9 +155,8 @@ func (c *Collector) Record(key namespace.FragKey, in *namespace.Inode, epoch int
 // RecordNoVisit is Record with the first-ever-visit MarkVisited side
 // effect left to the caller: it returns true when the inode had never
 // been accessed before, in which case the caller owes it a
-// MarkVisited. The engine uses this to defer the ancestor walk (which
-// mutates per-directory counters) to a round barrier; everything
-// recorded here touches only the collector and the inode itself.
+// MarkVisited. Everything recorded here touches only the collector and
+// the inode itself.
 func (c *Collector) RecordNoVisit(key namespace.FragKey, in *namespace.Inode, epoch int64) (firstEver bool) {
 	if epoch != c.epoch {
 		c.BeginEpoch(epoch)
@@ -191,8 +190,7 @@ func (c *Collector) RecordNoVisit(key namespace.FragKey, in *namespace.Inode, ep
 // inode is by construction a first visit, a distinct visit, and not
 // recurrent, so the whole run folds into one counter delta and one
 // ancestor-chain walk instead of n map probes each. The caller owes
-// each inode its Hot.Touch and MarkVisited (the write-back serve path
-// touches at serve time and marks at the adoption barrier).
+// each inode its Hot.Touch and MarkVisited.
 func (c *Collector) RecordFreshRun(key namespace.FragKey, parent *namespace.Inode, epoch int64, n int64) {
 	if n <= 0 {
 		return

@@ -130,8 +130,8 @@ type Stream interface {
 
 // TreeReader is implemented by streams whose Next() consults the live
 // namespace tree (trace replay resolves recorded paths against it).
-// The engine links created inodes into the tree only at a round
-// barrier, so it must not draw ops ahead of an unadopted create for
+// The engine links a created inode into the tree only when its create
+// is served, so it must not draw ops ahead of an unserved create for
 // such streams: a lookup recorded after a create only resolves once the
 // created inode is linked. Synthetic generators build ops from their
 // own state and never read the tree, so they batch freely.
