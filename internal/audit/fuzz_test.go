@@ -72,9 +72,10 @@ func requireClean(t *testing.T, tree *namespace.Tree, part *namespace.Partition,
 }
 
 // FuzzPartitionOps exercises the full partition mutation surface —
-// carve, split, merge, absorb, authority moves, plus live tree churn
-// (create/remove) — and requires structural and conservation
-// invariants to hold after every op.
+// carve, split, merge, absorb, authority moves, plus live creates —
+// and requires structural and conservation invariants to hold after
+// every op. Ops decode mod 7 and op 6 is a no-op, which keeps the seed
+// inputs' op sequences.
 func FuzzPartitionOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 1, 0, 4, 3, 2, 0})
 	f.Add([]byte{0, 2, 1, 0, 1, 1, 3, 0, 5, 9, 6, 1})
@@ -82,7 +83,6 @@ func FuzzPartitionOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tree, dirs := fuzzTree(t)
 		part := namespace.NewPartition(tree, 0)
-		var created []*namespace.Inode
 		nextName := 0
 		for i := 0; i+1 < len(data); i += 2 {
 			op, arg := data[i]%7, data[i+1]
@@ -110,19 +110,8 @@ func FuzzPartitionOps(f *testing.F) {
 				}
 			case 5: // create a file
 				dir := dirs[int(arg)%len(dirs)]
-				in, err := tree.Create(dir, fmt.Sprintf("fz%d", nextName), 1)
+				tree.Create(dir, fmt.Sprintf("fz%d", nextName), 1)
 				nextName++
-				if err == nil {
-					created = append(created, in)
-				}
-			case 6: // remove a fuzz-created file
-				if len(created) > 0 {
-					j := int(arg) % len(created)
-					if err := tree.Remove(created[j]); err != nil {
-						t.Fatalf("step %d: remove leaf file: %v", i/2, err)
-					}
-					created = append(created[:j], created[j+1:]...)
-				}
 			}
 			requireClean(t, tree, part, i/2, op)
 		}

@@ -387,7 +387,7 @@ func TestAuthorityAlwaysResolvable(t *testing.T) {
 		c.Step()
 		if i%200 == 0 {
 			c.Tree().Walk(func(in *namespace.Inode) bool {
-				auth := c.Partition().AuthOf(in)
+				auth := c.Partition().GoverningEntry(in).Auth
 				if int(auth) < 0 || int(auth) >= len(c.Servers()) {
 					t.Fatalf("inode %d resolves to invalid MDS %d", in.Ino, auth)
 				}

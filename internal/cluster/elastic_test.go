@@ -207,7 +207,7 @@ func TestPinnedSubtreeDrain(t *testing.T) {
 	if !c.Servers()[victim].Decommissioned() {
 		t.Fatal("drain never completed")
 	}
-	auth := c.Partition().AuthOf(dir.Children()[0])
+	auth := c.Partition().GoverningEntry(dir.Children()[0]).Auth
 	if int(auth) == victim || !c.Servers()[auth].Up() {
 		t.Fatalf("formerly-pinned subtree on rank %d (victim %d): not a live survivor", auth, victim)
 	}

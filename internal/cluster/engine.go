@@ -111,8 +111,8 @@ type unit struct {
 // window is one sync client's carried plan: routes[head+k] is the
 // resolution of the client's k-th queued op under partition version
 // ver. A resolution is a pure function of (inode, partition version) —
-// for a create, of (parent, name hash, partition version) — and nothing
-// unlinks or renames during a run, so plan resolves an op once and
+// for a create, of (parent, name hash, partition version) — and the
+// tree has no unlink or rename, so plan resolves an op once and
 // reuses the entry every tick admission refuses the op; what is never
 // carried is everything read from live state (draws, lease routing,
 // rank liveness, budgets, whether a create's name exists). A slot whose

@@ -121,7 +121,7 @@ func TestPinPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir, _ := c.Tree().Lookup("/zipf/client000")
-	if c.Partition().AuthOf(dir.Children()[0]) != 3 {
+	if c.Partition().GoverningEntry(dir.Children()[0]).Auth != 3 {
 		t.Fatal("pinned subtree not on the requested rank")
 	}
 	if err := c.PinPath("/nope", 0); err == nil {

@@ -170,7 +170,7 @@ func TestMigratorLifecycle(t *testing.T) {
 	if m.IsFrozen(e.Key) {
 		t.Fatal("must unfreeze on completion")
 	}
-	if p.AuthOf(tr.Get(d.Children()[0].Ino)) != 1 {
+	if p.GoverningEntry(tr.Get(d.Children()[0].Ino)).Auth != 1 {
 		t.Fatal("authority must transfer")
 	}
 	if m.MigratedInodes() != 20 {

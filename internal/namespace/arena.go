@@ -34,19 +34,6 @@ func (a *InodeArena) NewFile(parent *Inode, name string, size int64) (*Inode, er
 	return in, nil
 }
 
-// Adopt links a carved inode (from InodeArena.NewFile) into the
-// tree and panics if it cannot: the inode is already linked, or its
-// (parent, name) slot is taken. It is AdoptOrExisting for callers whose
-// own dedup must make a duplicate impossible.
-func (t *Tree) Adopt(in *Inode) {
-	if in.Ino != 0 {
-		panic("namespace: Adopt of a linked inode")
-	}
-	if _, ok := t.AdoptOrExisting(in); !ok {
-		panic("namespace: Adopt of a duplicate inode")
-	}
-}
-
 // AdoptOrExisting links a carved inode into the tree: it assigns the
 // next inode number and splices it under its parent, bumping ancestor
 // subtree counters, exactly as a direct Create would have. Adoption

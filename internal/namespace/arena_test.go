@@ -40,7 +40,7 @@ func TestRegistryBlocks(t *testing.T) {
 			in, _ = tr.Create(d, fileName("f", i), 1)
 		} else {
 			in, _ = a.NewFile(d, fileName("f", i), 1)
-			tr.Adopt(in)
+			tr.AdoptOrExisting(in)
 		}
 		all = append(all, in)
 	}
@@ -63,15 +63,5 @@ func TestRegistryBlocks(t *testing.T) {
 		if tr.Get(ino) != nil {
 			t.Fatalf("Get(%d) past MaxIno %d is not nil", ino, tr.MaxIno())
 		}
-	}
-	gone := all[inoBlock] // in the second block
-	if err := tr.Remove(gone); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Get(gone.Ino) != nil || tr.Get(gone.Ino-1) == nil || tr.Get(gone.Ino+1) == nil {
-		t.Fatal("Remove must nil exactly the removed inode's slot")
-	}
-	if tr.MaxIno() != last.Ino {
-		t.Fatal("Remove moved MaxIno")
 	}
 }

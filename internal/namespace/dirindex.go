@@ -81,12 +81,3 @@ func place(slots []uint64, s uint64) {
 	}
 	slots[i] = s
 }
-
-// reindex rebuilds the index from the child slice after a removal
-// shifted positions. The table keeps its size.
-func (d *dirState) reindex() {
-	clear(d.index.slots)
-	for pos, c := range d.order {
-		place(d.index.slots, uint64(c.nameHash)<<32|uint64(pos+1))
-	}
-}

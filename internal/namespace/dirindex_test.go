@@ -14,12 +14,12 @@ type refDir struct {
 }
 
 // TestDirIndexProperty drives random Create/Mkdir/AdoptOrExisting/
-// Remove/Child against three directories of one tree and, after every
-// step, checks each against its reference: every known name resolves to
-// its own inode, unknown and removed names to nil, Children() is the
-// insertion order, and NumChildren and the subtree counters add up. The
-// step count takes the busiest directory across the 8, 16, .. 1024-slot
-// growth boundaries and back down through removals.
+// Child against three directories of one tree and, after every step,
+// checks each against its reference: every known name resolves to its
+// own inode, unknown names to nil, Children() is the insertion order,
+// and NumChildren and the subtree counters add up. The step count takes
+// the busiest directory across the 8, 16, .. 1024-slot growth
+// boundaries.
 func TestDirIndexProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tr := NewTree()
@@ -36,7 +36,6 @@ func TestDirIndexProperty(t *testing.T) {
 		dirs = append(dirs, d)
 		refs[d] = &refDir{byName: map[string]*Inode{}}
 	}
-	var removed []string
 	check := func(step int) {
 		t.Helper()
 		inodes, files := 0, 0
@@ -53,11 +52,6 @@ func TestDirIndexProperty(t *testing.T) {
 			for name, want := range ref.byName {
 				if got := d.Child(name); got != want {
 					t.Fatalf("step %d: %s.Child(%q) = %v, want its own inode", step, d.Path(), name, got)
-				}
-			}
-			for _, name := range removed {
-				if ref.byName[name] == nil && d.Child(name) != nil {
-					t.Fatalf("step %d: removed name %q still resolves in %s", step, name, d.Path())
 				}
 			}
 			if d.Child("never-created") != nil {
@@ -92,11 +86,10 @@ func TestDirIndexProperty(t *testing.T) {
 			d = tr.Root()
 		}
 		ref := refs[d]
-		// A small name space, so duplicates and re-creates are common.
+		// A small name space, so duplicates are common.
 		name := fmt.Sprintf("n%d", rng.Intn(900))
-		grow := step < steps*2/3 // then shrink, mostly
 		switch op := rng.Intn(10); {
-		case op < 3 && grow, op < 1:
+		case op < 4:
 			in, err := tr.Create(d, name, 1)
 			if (err == ErrExists) != (ref.byName[name] != nil) {
 				t.Fatalf("step %d: Create(%q) err=%v, reference has it: %v", step, name, err, ref.byName[name] != nil)
@@ -104,7 +97,7 @@ func TestDirIndexProperty(t *testing.T) {
 			if err == nil {
 				ref.byName[name], ref.order = in, append(ref.order, in)
 			}
-		case op < 6 && grow, op < 2:
+		case op < 8:
 			promised, err := arena.NewFile(d, name, 1)
 			if err != nil {
 				t.Fatal(err)
@@ -120,32 +113,13 @@ func TestDirIndexProperty(t *testing.T) {
 				}
 				ref.byName[name], ref.order = got, append(ref.order, got)
 			}
-		case op < 7 && grow:
-			// An empty subdirectory: it can be removed like a file.
+		default:
 			in, err := tr.Mkdir(d, name)
 			if (err == ErrExists) != (ref.byName[name] != nil) {
 				t.Fatalf("step %d: Mkdir(%q) err=%v", step, name, err)
 			}
 			if err == nil {
 				ref.byName[name], ref.order = in, append(ref.order, in)
-			}
-		default:
-			if len(ref.order) == 0 {
-				continue
-			}
-			i := rng.Intn(len(ref.order))
-			victim := ref.order[i]
-			if victim == dirs[1] || victim == dirs[2] {
-				continue
-			}
-			if err := tr.Remove(victim); err != nil {
-				t.Fatalf("step %d: Remove(%q): %v", step, victim.Name, err)
-			}
-			delete(ref.byName, victim.Name)
-			ref.order = append(ref.order[:i:i], ref.order[i+1:]...)
-			removed = append(removed, victim.Name)
-			if len(removed) > 32 {
-				removed = removed[1:]
 			}
 		}
 		check(step)
@@ -202,11 +176,5 @@ func TestDirIndexHashCollision(t *testing.T) {
 	}
 	if d.NumChildren() != 2 {
 		t.Fatalf("NumChildren = %d, want 2", d.NumChildren())
-	}
-	if err := tr.Remove(ia); err != nil {
-		t.Fatal(err)
-	}
-	if d.Child(a) != nil || d.Child(b) != ib {
-		t.Fatalf("after removing %q: Child(a)=%v Child(b)=%v", a, d.Child(a), d.Child(b))
 	}
 }

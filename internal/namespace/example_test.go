@@ -18,12 +18,12 @@ func Example() {
 	part := namespace.NewPartition(tree, 0) // rank 0 holds the root subtree
 
 	img, _ := tree.Lookup("/home/alice/photos/img2.jpg")
-	fmt.Println("before:", part.AuthOf(img))
+	fmt.Println("before:", part.GoverningEntry(img).Auth)
 
 	// Carve /home/alice/photos into its own subtree and migrate it.
 	e := part.Carve(photos)
 	part.SetAuth(e.Key, 3)
-	fmt.Println("after: ", part.AuthOf(img))
+	fmt.Println("after: ", part.GoverningEntry(img).Auth)
 
 	// Split the subtree into two dirfrags (each keeps rank 3).
 	l, r, _ := part.SplitEntry(e.Key)

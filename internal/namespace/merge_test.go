@@ -33,7 +33,7 @@ func TestMergeWithSibling(t *testing.T) {
 	}
 	// Resolution still covers every child.
 	for _, ch := range c.Children() {
-		if p.AuthOf(ch) != merged.Auth {
+		if p.GoverningEntry(ch).Auth != merged.Auth {
 			t.Fatal("child resolution broken after merge")
 		}
 	}

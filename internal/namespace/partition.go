@@ -158,11 +158,6 @@ func (p *Partition) GoverningChildEntry(parent *Inode, nameHash uint32) Entry {
 	return p.GoverningEntry(parent)
 }
 
-// AuthOf returns the MDS authoritative for the inode.
-func (p *Partition) AuthOf(in *Inode) MDSID {
-	return p.GoverningEntry(in).Auth
-}
-
 // ResolveChainInto returns the sequence of authorities a path
 // traversal from the root to the inode visits (adjacent duplicates
 // collapsed, ordered root-first) together with the governing entry. The

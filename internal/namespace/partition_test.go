@@ -40,10 +40,10 @@ func buildPartitionFixture(t testing.TB) (*Tree, *Partition) {
 func TestPartitionDefaultAuth(t *testing.T) {
 	tr, p := buildPartitionFixture(t)
 	f, _ := tr.Lookup("/b/sub/g00001")
-	if p.AuthOf(f) != 0 {
+	if p.GoverningEntry(f).Auth != 0 {
 		t.Fatal("default auth must be root auth")
 	}
-	if p.AuthOf(tr.Root()) != 0 {
+	if p.GoverningEntry(tr.Root()).Auth != 0 {
 		t.Fatal("root auth")
 	}
 	if p.NumEntries() != 1 {
@@ -62,16 +62,16 @@ func TestCarveAndSetAuth(t *testing.T) {
 		t.Fatal("SetAuth failed")
 	}
 	f, _ := tr.Lookup("/a/f00003")
-	if p.AuthOf(f) != 2 {
+	if p.GoverningEntry(f).Auth != 2 {
 		t.Fatal("file under carved subtree must follow new auth")
 	}
 	// The dir inode itself stays with the parent subtree (CephFS rule).
-	if p.AuthOf(a) != 0 {
+	if p.GoverningEntry(a).Auth != 0 {
 		t.Fatal("subtree root dir inode belongs to enclosing subtree")
 	}
 	// Unrelated paths unchanged.
 	g, _ := tr.Lookup("/b/sub/g00000")
-	if p.AuthOf(g) != 0 {
+	if p.GoverningEntry(g).Auth != 0 {
 		t.Fatal("unrelated subtree moved")
 	}
 }
@@ -98,10 +98,10 @@ func TestNestedCarve(t *testing.T) {
 	}
 	p.SetAuth(esub.Key, 2)
 	g, _ := tr.Lookup("/b/sub/g00000")
-	if p.AuthOf(g) != 2 {
+	if p.GoverningEntry(g).Auth != 2 {
 		t.Fatal("deepest entry wins")
 	}
-	if p.AuthOf(sub) != 1 {
+	if p.GoverningEntry(sub).Auth != 1 {
 		t.Fatal("sub's own inode belongs to /b subtree")
 	}
 }
@@ -173,7 +173,7 @@ func TestSplitEntry(t *testing.T) {
 	p.SetAuth(r.Key, 4)
 	n3, n4 := 0, 0
 	for _, ch := range c.Children() {
-		switch p.AuthOf(ch) {
+		switch p.GoverningEntry(ch).Auth {
 		case 3:
 			n3++
 		case 4:
@@ -198,13 +198,13 @@ func TestAbsorb(t *testing.T) {
 	e := p.Carve(a)
 	p.SetAuth(e.Key, 2)
 	f, _ := tr.Lookup("/a/f00000")
-	if p.AuthOf(f) != 2 {
+	if p.GoverningEntry(f).Auth != 2 {
 		t.Fatal("precondition")
 	}
 	if !p.Absorb(e.Key) {
 		t.Fatal("absorb failed")
 	}
-	if p.AuthOf(f) != 0 {
+	if p.GoverningEntry(f).Auth != 0 {
 		t.Fatal("absorbed region must rejoin enclosing subtree")
 	}
 	if p.Absorb(FragKey{Dir: RootIno, Frag: WholeFrag}) {

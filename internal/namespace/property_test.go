@@ -81,7 +81,7 @@ func TestResolveChainConsistency(t *testing.T) {
 				ok = false
 				return false
 			}
-			if entry.Auth != p.AuthOf(in) {
+			if entry.Auth != p.GoverningEntry(in).Auth {
 				ok = false
 				return false
 			}
@@ -197,7 +197,7 @@ func TestAbsorbRestoresEnclosingAuth(t *testing.T) {
 
 		before := make(map[Ino]MDSID)
 		tr.Walk(func(in *Inode) bool {
-			before[in.Ino] = p.AuthOf(in)
+			before[in.Ino] = p.GoverningEntry(in).Auth
 			return true
 		})
 		e := p.Carve(d)
@@ -207,7 +207,7 @@ func TestAbsorbRestoresEnclosingAuth(t *testing.T) {
 		}
 		ok := true
 		tr.Walk(func(in *Inode) bool {
-			if p.AuthOf(in) != before[in.Ino] {
+			if p.GoverningEntry(in).Auth != before[in.Ino] {
 				ok = false
 				return false
 			}
@@ -340,7 +340,7 @@ func TestResolverMatchesGoverningEntry(t *testing.T) {
 				if r.Entry(in) != p.GoverningEntry(in) {
 					return false
 				}
-				tr.Adopt(in)
+				tr.AdoptOrExisting(in)
 			case 7:
 				sub, err := tr.Mkdir(d, fileName("dir", i))
 				if err != nil {

@@ -94,8 +94,3 @@ func (r *Resolver) childEntrySlow(dir *Inode, nameHash uint32) Entry {
 	}
 	return s.entry
 }
-
-// AuthOf returns the MDS authoritative for the inode (cached).
-func (r *Resolver) AuthOf(in *Inode) MDSID {
-	return r.Entry(in).Auth
-}

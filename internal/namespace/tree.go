@@ -17,10 +17,7 @@ var (
 	ErrExists   = errors.New("namespace: entry already exists")
 	ErrNotFound = errors.New("namespace: entry not found")
 	ErrNotDir   = errors.New("namespace: not a directory")
-	ErrIsDir    = errors.New("namespace: is a directory")
 	ErrBadName  = errors.New("namespace: invalid name")
-	ErrIsRoot   = errors.New("namespace: operation not valid on root")
-	ErrNotEmpty = errors.New("namespace: directory not empty")
 )
 
 // Inode is a node in the namespace tree: either a directory (with
@@ -196,25 +193,6 @@ func (in *Inode) Path() string {
 	return b.String()
 }
 
-// Depth returns the number of edges from the root (0 for the root).
-func (in *Inode) Depth() int {
-	d := 0
-	for n := in; n.Parent != nil; n = n.Parent {
-		d++
-	}
-	return d
-}
-
-// IsAncestorOf reports whether in is a strict ancestor of other.
-func (in *Inode) IsAncestorOf(other *Inode) bool {
-	for n := other.Parent; n != nil; n = n.Parent {
-		if n == in {
-			return true
-		}
-	}
-	return false
-}
-
 // inodeSlabSize is how many inodes each slab chunk holds. Slab
 // allocation amortizes the per-create heap allocation the tick loop
 // would otherwise pay for every new inode.
@@ -379,34 +357,6 @@ func (t *Tree) Lookup(path string) (*Inode, error) {
 		cur = next
 	}
 	return cur, nil
-}
-
-// Remove detaches a file or an empty directory from the tree.
-func (t *Tree) Remove(in *Inode) error {
-	if in.Parent == nil {
-		return ErrIsRoot
-	}
-	if in.NumChildren() > 0 {
-		return ErrNotEmpty
-	}
-	p := in.Parent.dir
-	for i, c := range p.order {
-		if c == in {
-			p.order = append(p.order[:i], p.order[i+1:]...)
-			break
-		}
-	}
-	p.reindex() // every later sibling's position moved
-	t.byIno[in.Ino/inoBlock][in.Ino%inoBlock] = nil
-	files, vDesc, vFiles := in.SubtreeFiles(), in.VisitedDesc(), in.VisitedFiles()
-	for a := in.Parent; a != nil; a = a.Parent {
-		a.dir.subInodes--
-		a.dir.subFiles -= files
-		a.dir.visitedDesc -= vDesc
-		a.dir.visitedFiles -= vFiles
-	}
-	in.Parent = nil
-	return nil
 }
 
 // Walk visits every inode in depth-first, insertion order, starting at

@@ -43,9 +43,6 @@ func TestTreeBasics(t *testing.T) {
 	if f3.Path() != "/b/sub/f3" {
 		t.Fatalf("Path = %q", f3.Path())
 	}
-	if f3.Depth() != 3 {
-		t.Fatalf("Depth = %d", f3.Depth())
-	}
 	if tr.Root().Path() != "/" {
 		t.Fatal("root path")
 	}
@@ -150,7 +147,7 @@ func recountSubtree(in *Inode, visited map[*Inode]bool) recount {
 }
 
 // TestSubtreeCountsProperty: through random mkdir / create / adopt /
-// remove / MarkVisited sequences, every inode — files and directories
+// MarkVisited sequences, every inode — files and directories
 // both — reports the subtree and visited counts a recount by walking
 // gives, dir != nil ⇔ IsDir holds, and UnvisitedIn on the halves of a
 // split directory matches the recount of the children in each half.
@@ -164,7 +161,7 @@ func TestSubtreeCountsProperty(t *testing.T) {
 		live := 1
 		for i, op := range ops {
 			parent := dirs[int(op)%len(dirs)]
-			switch op % 7 {
+			switch op % 6 {
 			case 0:
 				d, err := tr.Mkdir(parent, fileName("d", i))
 				if err != nil {
@@ -188,34 +185,16 @@ func TestSubtreeCountsProperty(t *testing.T) {
 					in.MarkVisited()
 					visited[in] = true
 				}
-				tr.Adopt(in)
+				tr.AdoptOrExisting(in)
 				all = append(all, in)
 				live++
 			case 4, 5:
 				if len(all) == 0 {
 					continue
 				}
-				if in := all[int(op/7)%len(all)]; !visited[in] && in.Parent != nil {
+				if in := all[int(op/6)%len(all)]; !visited[in] {
 					in.MarkVisited()
 					visited[in] = true
-				}
-			case 6:
-				if len(all) == 0 {
-					continue
-				}
-				in := all[int(op/7)%len(all)]
-				if in.Parent == nil || in.NumChildren() > 0 {
-					continue // already removed, or not empty
-				}
-				if tr.Remove(in) != nil {
-					return false
-				}
-				live--
-				for j, d := range dirs {
-					if d == in {
-						dirs = append(dirs[:j], dirs[j+1:]...)
-						break
-					}
 				}
 			}
 		}
@@ -297,28 +276,6 @@ func TestRecentEpochsMatchesLoop(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	tr := buildSmallTree(t)
-	f1, _ := tr.Lookup("/a/f1")
-	before := tr.NumInodes()
-	if err := tr.Remove(f1); err != nil {
-		t.Fatal(err)
-	}
-	if tr.NumInodes() != before-1 {
-		t.Fatal("count after remove")
-	}
-	if _, err := tr.Lookup("/a/f1"); err != ErrNotFound {
-		t.Fatal("removed file still found")
-	}
-	b, _ := tr.Lookup("/b")
-	if err := tr.Remove(b); err != ErrNotEmpty {
-		t.Fatalf("want ErrNotEmpty, got %v", err)
-	}
-	if err := tr.Remove(tr.Root()); err != ErrIsRoot {
-		t.Fatalf("want ErrIsRoot, got %v", err)
-	}
-}
-
 func TestWalkOrderDeterministic(t *testing.T) {
 	tr := buildSmallTree(t)
 	var paths []string
@@ -368,24 +325,6 @@ func TestChildrenInFrag(t *testing.T) {
 	}
 	if len(d.ChildrenInFrag(WholeFrag)) != 200 {
 		t.Fatal("whole frag must cover all children")
-	}
-}
-
-func TestIsAncestorOf(t *testing.T) {
-	tr := buildSmallTree(t)
-	b, _ := tr.Lookup("/b")
-	f3, _ := tr.Lookup("/b/sub/f3")
-	if !b.IsAncestorOf(f3) {
-		t.Fatal("b should be ancestor of f3")
-	}
-	if f3.IsAncestorOf(b) {
-		t.Fatal("f3 is not ancestor of b")
-	}
-	if b.IsAncestorOf(b) {
-		t.Fatal("strict ancestry should exclude self")
-	}
-	if !tr.Root().IsAncestorOf(f3) {
-		t.Fatal("root is ancestor of everything")
 	}
 }
 
@@ -439,10 +378,9 @@ func TestHotFutureEpochQuery(t *testing.T) {
 	}
 }
 
-// TestAdoptDuplicate pins the one linking body behind both adoption
-// entry points: the first carved inode of a (parent, name) slot links and
-// counts, a second is discarded in favour of the linked inode by
-// AdoptOrExisting and is a panic for Adopt.
+// TestAdoptDuplicate pins the one linking body: the first carved inode
+// of a (parent, name) slot links and counts, a second is discarded in
+// favour of the linked inode.
 func TestAdoptDuplicate(t *testing.T) {
 	tr := buildSmallTree(t)
 	a, _ := tr.Lookup("/a")
@@ -455,17 +393,13 @@ func TestAdoptDuplicate(t *testing.T) {
 		return in
 	}
 	first := carve()
-	tr.Adopt(first)
+	if got, ok := tr.AdoptOrExisting(first); !ok || got != first {
+		t.Fatalf("first carve not adopted: got=%p first=%p ok=%v", got, first, ok)
+	}
 	if first.Ino == 0 || a.Child("new") != first || tr.NumInodes() != 8 || tr.Get(first.Ino) != first {
-		t.Fatalf("Adopt did not link: ino=%d inodes=%d", first.Ino, tr.NumInodes())
+		t.Fatalf("AdoptOrExisting did not link: ino=%d inodes=%d", first.Ino, tr.NumInodes())
 	}
 	if got, ok := tr.AdoptOrExisting(carve()); ok || got != first || tr.NumInodes() != 8 {
 		t.Fatalf("duplicate adopted: got=%p first=%p ok=%v inodes=%d", got, first, ok, tr.NumInodes())
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Adopt of a duplicate must panic")
-		}
-	}()
-	tr.Adopt(carve())
 }
