@@ -255,17 +255,14 @@ type Cluster struct {
 	draining   map[namespace.MDSID]*drainState
 	pins       map[namespace.FragKey]int
 	rankEpochs int64
-	scaleUps   int64
 	drainsDone int64
 
 	// Replication state: the manager (nil = R=1, no replication), the
-	// partition version its groups were last reconciled against, the
-	// environment closures built once at init, and the cumulative
-	// warm-promotion counter.
+	// partition version its groups were last reconciled against, and
+	// the environment closures built once at init.
 	rep        *replica.Manager
 	repVersion uint64
 	repEnv     replica.Env
-	promotions int64
 
 	// Tenant QoS state (tenant.go in internal/tenant): the manager
 	// (nil = single-tenant, zero tick-path cost), the engine-side
@@ -1015,7 +1012,6 @@ func (c *Cluster) elasticStep(tick, epoch int64, ifv float64) {
 		for i := 0; i < d.Delta; i++ {
 			c.AddMDS()
 		}
-		c.scaleUps++
 	case elastic.ScaleDown:
 		if v := c.pickDrainVictim(); v >= 0 {
 			c.StartDrain(v)
@@ -1056,8 +1052,14 @@ func (c *Cluster) SettleDrains(maxTicks int64) int64 {
 // static fleet.
 func (c *Cluster) RankEpochs() int64 { return c.rankEpochs }
 
-// ScaleUps returns how many scale-up decisions were applied.
-func (c *Cluster) ScaleUps() int64 { return c.scaleUps }
+// ScaleUps returns how many scale-up decisions were applied: the
+// controller's count (0 without one).
+func (c *Cluster) ScaleUps() int64 {
+	if c.elastic == nil {
+		return 0
+	}
+	return c.elastic.ScaleUps()
+}
 
 // DrainsDone returns how many graceful drains completed.
 func (c *Cluster) DrainsDone() int64 { return c.drainsDone }

@@ -109,7 +109,6 @@ func (c *Cluster) promoteReplicas(dead namespace.MDSID, crashedAt int64) {
 	if promoted == 0 {
 		return
 	}
-	c.promotions += int64(promoted)
 	c.rec.AddRecovery(metrics.RecoveryEvent{
 		Rank:         int(dead),
 		CrashTick:    crashedAt,
@@ -130,5 +129,10 @@ func (c *Cluster) promoteReplicas(dead namespace.MDSID, crashedAt int64) {
 func (c *Cluster) Replicas() *replica.Manager { return c.rep }
 
 // Promotions returns how many subtree entries have been warm-promoted
-// after crashes.
-func (c *Cluster) Promotions() int64 { return c.promotions }
+// after crashes: the replication manager's count (0 without one).
+func (c *Cluster) Promotions() int64 {
+	if c.rep == nil {
+		return 0
+	}
+	return c.rep.Promotions()
+}
