@@ -18,15 +18,15 @@ const dupCreateNames = 300
 // created twice, covering each way a create can meet its own duplicate:
 //
 //   - /dup/late (pinned to rank 1 by dupCreateScenario): client 0
-//     creates f0000.. at half rate, each tick in round 0; client 1
-//     creates the same names, each behind a getattr served by rank 0,
-//     so its creates are planned while the name is absent and served in
-//     rounds >= 1 — after client 0's create linked the inode.
+//     creates f0000.. at half rate; client 1 creates the same names,
+//     each behind a getattr served by rank 0, so the two reach a name
+//     at different ticks and one's create is planned while the name is
+//     absent and served after the other's create linked the inode.
 //   - /dup/same: clients 2 and 3 create the same names at the same
-//     rate, at one rank and round; the second served must be handed
-//     the first's inode.
+//     rate at one rank; the second served must be handed the first's
+//     inode.
 //   - /dup/coll: clients 4 and 5 create two distinct names with equal
-//     HashName in opposite orders, at one rank and round.
+//     HashName in opposite orders, at one rank.
 type dupCreates struct{}
 
 func (dupCreates) Name() string { return "dup-creates" }
@@ -179,7 +179,7 @@ func TestStalledCreateNotAdopted(t *testing.T) {
 }
 
 // TestDuplicateCreates pins what a create does when its name is taken
-// between plan and serve, or created twice in one round: exactly one
+// between plan and serve, or created twice in one phase: exactly one
 // inode per name, no raced creates (each name is valid, and a create of
 // a taken name is served as the existing inode, so it counts once, as
 // served) and ops conservation under the every-tick

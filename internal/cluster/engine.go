@@ -26,20 +26,14 @@ import (
 //	      its own client, the partition, the resolver and the lease set,
 //	      and admission writes none of them. Admission arbitrates each
 //	      rank's per-tick budget pool (and, with QoS, the tenant token
-//	      buckets) and schedules every admitted unit — "n queued ops of
-//	      client c at rank r, admitted prefix adm, round k" — into its
-//	      rank's list. A client's k-th unit is its round k, so within a
-//	      round a client is served by one rank.
-//	  for each round:
-//	      serve (ascending rank): serveRank walks its list for the
-//	          round and applies each unit                  — strategy
-//	          Every effect lands where it occurs — stall notes, data
-//	          debt, created inodes (so serve order assigns inode
-//	          numbers), first-visit marks, lease revokes, events —
-//	          except relay charges, which collect in fwd.
-//	      barrier: each rank's relay charges of the round land at once,
-//	          so no rank's relay admission sees another rank's charges
-//	          of the same round.
+//	      buckets) and appends every admitted unit — "n queued ops of
+//	      client c at rank r, admitted prefix adm" — to the phase's
+//	      schedule, so a client's units sit together in plan order.
+//	  serve (schedule order): servePhase applies each unit of a client
+//	      that has not stalled this tick                   — strategy
+//	      Every effect lands where it occurs: stall notes, data debt,
+//	      relay charges, created inodes (so serve order assigns inode
+//	      numbers), first-visit marks, lease revokes, events.
 //	  while the strategy re-plans (sync only)
 //	sweep (client ID order): job completion.
 //
@@ -55,11 +49,12 @@ import (
 // bucket-then-pool grant — has one definition below.
 //
 // Arbitrating the full tick in client order at admit, rather than
-// letting each round drain budget before the next exists, is what keeps
-// budget contention fair: a client whose saturated-rank ops sit behind
-// a rank switch competes in shuffle order, not at round-two priority.
-// Relay admission uses the round-start budget snapshot; the admitted
-// charges are applied at the barrier, flooring each budget at zero.
+// letting serve drain budget as it goes, is what keeps budget contention
+// fair: a client whose saturated-rank ops sit behind a rank switch
+// competes in shuffle order, not behind every earlier client's whole
+// plan. Admission reserves only the pools. A relay charge lands on its
+// hop's live budget when the relay is made, flooring it at zero, so a
+// unit admitted at a rank that relays for others can still stall there.
 //
 // RNG streams: the cluster stream (c.rand) draws the per-tick cohort
 // order and the epoch-close balancing. A cohort is a fixed block of
@@ -95,8 +90,7 @@ const (
 
 // unit is what admission schedules and a rank serves: n queued ops of
 // one client bound for one rank, of which the budget arbitration
-// admitted the prefix adm, in the client's round-th turn of the phase.
-// A sync unit is a planned run (its ops' resolutions start at the head
+// admitted the prefix adm. A sync unit is a planned run (its ops' resolutions start at the head
 // of the client's window when the unit is served); a write-back unit is
 // a journaled batch.
 type unit struct {
@@ -104,7 +98,6 @@ type unit struct {
 	rank   int32
 	n      int32
 	adm    int32
-	round  int32
 	batch  *wbBatch
 }
 
@@ -147,20 +140,13 @@ type engine struct {
 	runs []unit
 
 	avail []int32 // per rank: unreserved serve budget this tick
-	// fwd holds, per rank, the relay charges of the round being served
-	// until its barrier.
-	fwd []int32
 	// arena carves created inodes; chain is reach's scratch.
 	arena namespace.InodeArena
 	chain []namespace.MDSID
 
-	// The phase's schedule, rebuilt by admit: each rank's admitted
-	// units in admission order, the round being served, and the ranks
-	// with work in it.
-	byRank      [][]unit
-	round       int32
-	budgetSnap  []int32
-	activeRanks []int
+	// sched is the phase's schedule, rebuilt by admit: the admitted
+	// units in admission order.
+	sched []unit
 
 	// wb is the write-back strategy's state (wb.go), non-nil only when
 	// Config.Batching selects a real batching regime. The degenerate
@@ -197,18 +183,10 @@ func newEngine(c *Cluster, src *rng.Source) *engine {
 // can be added mid-run) without reallocating on the steady path.
 func (e *engine) ensure() {
 	nr := len(e.c.servers)
-	for len(e.byRank) < nr {
-		e.byRank = append(e.byRank, nil)
-	}
-	if cap(e.budgetSnap) < nr {
-		e.budgetSnap = make([]int32, nr)
+	if cap(e.avail) < nr {
 		e.avail = make([]int32, nr)
-		e.fwd = make([]int32, nr)
-		e.activeRanks = make([]int, 0, nr)
 	}
-	e.budgetSnap = e.budgetSnap[:nr]
 	e.avail = e.avail[:nr]
-	e.fwd = e.fwd[:nr]
 	if w := e.wb; w != nil {
 		for len(w.depth) < nr {
 			w.depth = append(w.depth, 0)
@@ -265,20 +243,7 @@ func (e *engine) serveTick(tick, epoch int64) {
 
 		for {
 			e.admit(tick)
-			for e.round = 0; e.scheduleRound(); e.round++ {
-				for i, s := range c.servers {
-					e.budgetSnap[i] = int32(s.RemainingBudget())
-				}
-				for _, r := range e.activeRanks {
-					e.serveRank(r, tick, epoch)
-				}
-				// The barrier. AddForwardCharges floors at zero, so one
-				// charge of the round's sum equals its shares in turn.
-				for h, n := range e.fwd {
-					c.servers[h].AddForwardCharges(int(n))
-					e.fwd[h] = 0
-				}
-			}
+			e.servePhase(tick, epoch)
 			// Write-back never re-plans within a tick: credit is spent
 			// at draw and a batch's outcome gates nothing.
 			if e.wb != nil || !e.rebuildActive() {
@@ -302,11 +267,9 @@ func (e *engine) serveTick(tick, epoch int64) {
 
 // admit rebuilds the phase's schedule, planning each active client in
 // the tick's shuffled order just before the strategy's admission
-// appends its admitted units to their ranks' lists.
+// appends its admitted units.
 func (e *engine) admit(tick int64) {
-	for i := range e.byRank {
-		e.byRank[i] = e.byRank[i][:0]
-	}
+	e.sched = e.sched[:0]
 	if e.wb != nil {
 		e.wbAdmit(tick)
 	} else {
@@ -314,23 +277,6 @@ func (e *engine) admit(tick int64) {
 			e.admitRuns(ci, e.plan(ci, tick))
 		}
 	}
-}
-
-// scheduleRound collects, in ascending order (the serve order, which
-// assigns inode numbers), the ranks holding a unit of the current round whose client
-// is still unblocked. It returns false when the round is empty: the
-// phase is over.
-func (e *engine) scheduleRound() bool {
-	e.activeRanks = e.activeRanks[:0]
-	for rank, units := range e.byRank {
-		for i := range units {
-			if units[i].round == e.round && !e.blocked[units[i].client] {
-				e.activeRanks = append(e.activeRanks, rank)
-				break
-			}
-		}
-	}
-	return len(e.activeRanks) > 0
 }
 
 // admitOps draws want ops of the client first from its tenant's token
@@ -437,7 +383,7 @@ func (e *engine) plan(ci int32, tick int64) []unit {
 			}
 		}
 		if len(runs) == 0 || runs[len(runs)-1].rank != rank {
-			runs = append(runs, unit{client: ci, rank: rank, round: int32(len(runs))})
+			runs = append(runs, unit{client: ci, rank: rank})
 		}
 		run := &runs[len(runs)-1]
 		run.n++
@@ -480,7 +426,7 @@ func (e *engine) admitRuns(ci int32, runs []unit) {
 			// stalled-on-down accounting). The client blocks there, so
 			// later runs reserve nothing.
 			u.adm = u.n
-			e.byRank[u.rank] = append(e.byRank[u.rank], u)
+			e.sched = append(e.sched, u)
 			return
 		}
 		grant, adm := e.admitOps(cl, u.rank, u.n, 1)
@@ -488,7 +434,7 @@ func (e *engine) admitRuns(ci int32, runs []unit) {
 			e.c.tn.NoteThrottled(cl.Tenant, int(u.n-grant))
 		}
 		u.adm = adm
-		e.byRank[u.rank] = append(e.byRank[u.rank], u)
+		e.sched = append(e.sched, u)
 		if adm < u.n {
 			return
 		}
@@ -543,21 +489,18 @@ func (e *engine) rebuildActive() bool {
 	return len(act) > 0
 }
 
-// serveRank serves one rank for the round: it applies the units
-// scheduled to this rank for the round, in admission order, and parks
-// each client whose unit did not end cleanly. Each client has at most one unit per round.
+// servePhase applies the phase's schedule in admission order and parks
+// each client whose unit did not end cleanly, skipping its later units.
 // A client whose last op moved data pays what the data path can move
 // this tick, and plans again next phase if that cleared its debt.
-func (e *engine) serveRank(rank int, tick, epoch int64) {
+func (e *engine) servePhase(tick, epoch int64) {
 	c := e.c
-	auth := c.servers[rank]
-	units := e.byRank[rank]
-	for i := range units {
-		u := &units[i]
-		if u.round != e.round || e.blocked[u.client] {
+	for i := range e.sched {
+		u := &e.sched[i]
+		if e.blocked[u.client] {
 			continue // an earlier unit of this client stalled this tick
 		}
-		cl := c.clients[u.client]
+		cl, auth := c.clients[u.client], c.servers[u.rank]
 		var st execStatus
 		var at namespace.MDSID
 		if u.batch != nil {
@@ -628,9 +571,9 @@ func (e *engine) complete(cl *client.Client, data, tick int64) bool {
 // reach walks the client's request for target to the authority of
 // entry. A request that misses the client's authority cache relays
 // along the authority chain, and the cache then learns the authority.
-// Relay admission is against the round-start budget snapshot; the
-// forward charges wait in fwd for the barrier. A down or saturated hop
-// refuses the request.
+// A down or saturated hop refuses the request; otherwise every hop is
+// charged at once. A chain can pass one rank twice (A→B→A), and the
+// charge floors at zero.
 func (e *engine) reach(cl *client.Client, entry namespace.Entry, target *namespace.Inode) (execStatus, namespace.MDSID) {
 	if cached, ok := cl.CacheLookup(entry.Key); ok && cached == entry.Auth {
 		return execOK, 0
@@ -643,12 +586,12 @@ func (e *engine) reach(cl *client.Client, entry namespace.Entry, target *namespa
 		if !c.servers[h].Up() {
 			return execStallDown, h
 		}
-		if e.budgetSnap[h] <= 0 {
+		if !c.servers[h].HasBudget() {
 			return execStall, h
 		}
 	}
 	for _, h := range hops {
-		e.fwd[h]++
+		c.servers[h].AddForwardCharges(1)
 	}
 	c.forwards += int64(len(hops))
 	cl.CacheStore(entry.Key, entry.Auth)
@@ -728,6 +671,9 @@ func (e *engine) execOp(rank namespace.MDSID, auth *mds.Server, cl *client.Clien
 	if st, at := e.reach(cl, entry, target); st != execOK {
 		return st, at
 	}
+	if !auth.HasBudget() {
+		return execStall, rank // a relay through this rank took its last unit
+	}
 	if r.target == nil {
 		target, _ = e.c.tree.AdoptOrExisting(target)
 	}
@@ -742,8 +688,8 @@ func (e *engine) execOp(rank namespace.MDSID, auth *mds.Server, cl *client.Clien
 // lease holder for lease-served reads).
 func (e *engine) serve(auth *mds.Server, entry namespace.Entry,
 	in *namespace.Inode, epoch int64, write bool) {
-	// Cannot fail: HasBudget was checked by the caller and only relay
-	// charges, which land at the barrier, drain budget otherwise.
+	// Cannot fail: the caller checked HasBudget after the relay walk,
+	// the last step that draws budget.
 	if _, first := auth.ServeDeferVisit(entry, in, epoch, write); first {
 		in.MarkVisited()
 	}

@@ -88,7 +88,7 @@ func (c *Cluster) dropRankReplicas(id namespace.MDSID, reason string) {
 }
 
 // writeRevokedThisTick reports whether the key's leases were write-
-// invalidated during the current tick's serve rounds. The per-tick list
+// invalidated during the current tick's serve. The per-tick list
 // is tiny (one entry per written leased subtree), so a linear scan
 // beats a map here.
 func (c *Cluster) writeRevokedThisTick(key namespace.FragKey) bool {

@@ -69,7 +69,7 @@ func BenchmarkPlanSaturated(b *testing.B) {
 				c.Step()
 				// One rank: each client plans one run a tick, and admission
 				// schedules it whole, cut or not.
-				for _, u := range c.engine.byRank[0] {
+				for _, u := range c.engine.sched {
 					planned += int64(u.n)
 					served += int64(u.adm)
 				}

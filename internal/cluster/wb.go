@@ -14,10 +14,10 @@ import (
 // This file is the write-back strategy of the tick engine (engine.go):
 // its plan, admit and per-unit apply, active when Config.Batching
 // selects a real batching regime (BatchSize > 1 or FlushEvery > 1). The
-// tick loop, the round scheduler, serveRank and every stall, relay,
-// completion and grant helper are the engine's; the degenerate {1,1}
-// configuration leaves the write-back state nil and is the sync
-// strategy, which the differential test guards.
+// tick loop, servePhase and every stall, relay, completion and grant
+// helper are the engine's; the degenerate {1,1} configuration leaves
+// the write-back state nil and is the sync strategy, which the
+// differential test guards.
 //
 // The mode changes the client contract: instead of attempting each op
 // synchronously, a client buffers drawn ops locally and flushes them in
@@ -48,7 +48,7 @@ import (
 //	    group-commit amortization. Retained batches (journaled in an
 //	    earlier tick) re-resolve their governing entry through their
 //	    first op and follow migrated authority to the new rank. The
-//	    client's k-th admitted batch is its round k.
+//	    admitted batches join the phase's schedule in FIFO order.
 //	apply (applyBatch)
 //	    The serving rank does the client-cache / forward-chain work once
 //	    per batch, charges budget once per group, and fast-applies the
@@ -274,7 +274,6 @@ func (e *engine) wbAdmitClient(ci int32, runs []wbRun, tick int64) {
 	}
 	// Admission over the FIFO at group granularity.
 	off := 0
-	round := int32(0)
 	// Tokens this client charged for batches admitted this tick. When a
 	// later batch blocks the client, the serve phase skips those earlier
 	// batches too (a client's batches apply in order), so their tokens
@@ -327,7 +326,7 @@ func (e *engine) wbAdmitClient(ci int32, runs []wbRun, tick int64) {
 			if grant == 0 {
 				c.tn.NoteThrottled(cl.Tenant, int(want))
 			}
-			if round == 0 {
+			if tickAdm == 0 {
 				e.stall(cl, b.rank)
 			}
 			break
@@ -336,9 +335,7 @@ func (e *engine) wbAdmitClient(ci int32, runs []wbRun, tick int64) {
 			c.tn.NoteThrottled(cl.Tenant, int(want-grant))
 		}
 		tickAdm += int(adm)
-		e.byRank[b.rank] = append(e.byRank[b.rank],
-			unit{client: ci, rank: int32(b.rank), n: want, adm: adm, round: round, batch: b})
-		round++
+		e.sched = append(e.sched, unit{client: ci, rank: int32(b.rank), n: want, adm: adm, batch: b})
 		if adm < want {
 			break // partial admission: serve the prefix, stall there
 		}
@@ -372,7 +369,7 @@ func (e *engine) applyBatch(auth *mds.Server, cl *client.Client,
 	for applied < adm {
 		if groupLeft == 0 {
 			if !auth.ConsumeGroupBudget() {
-				// Another rank's forward charges floored the budget under
+				// Relay charges through this rank floored the budget under
 				// the admission reservation; the remainder is retained.
 				status, at = execStall, rank
 				break

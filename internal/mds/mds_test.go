@@ -54,8 +54,8 @@ func TestServerForwardChargesBudget(t *testing.T) {
 	if s.RemainingBudget() != 1 {
 		t.Fatalf("budget after one forward = %d, want 1", s.RemainingBudget())
 	}
-	// A barrier batch admitted against the round-start snapshot is
-	// charged whole; the budget floors at zero.
+	// A charge past the budget (a chain through this server twice) is
+	// counted whole; the budget floors at zero.
 	s.AddForwardCharges(3)
 	if s.HasBudget() || s.RemainingBudget() != 0 {
 		t.Fatalf("budget after over-charge = %d, want 0", s.RemainingBudget())

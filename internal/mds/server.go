@@ -200,17 +200,15 @@ func (s *Server) Crashes() int64 { return s.crashes }
 func (s *Server) HasBudget() bool { return s.budget > 0 }
 
 // RemainingBudget returns the number of ops the server can still accept
-// this tick. The engine snapshots it at each round's start and admits
-// that round's relay hops against the snapshot.
+// this tick. The engine reads it once a tick, at the gate, as the pool
+// its admission draws from.
 func (s *Server) RemainingBudget() int { return s.budget }
 
-// AddForwardCharges applies the n relay charges a round of serves made
-// through this server; the engine holds them until the round's barrier,
-// so no serve of the round sees another rank's relays. Admission was
-// decided against the round-start budget snapshot, so the whole sum is
-// charged, flooring the budget at zero (a relay hop never owes work
-// into the next tick). Flooring makes one charge of a sum equal to its
-// terms charged in turn.
+// AddForwardCharges charges n relays made through this server, at the
+// moment they are made. The engine admits a relay hop only while
+// HasBudget holds and then charges every hop of the chain; a chain can
+// pass one server twice, so the charge floors the budget at zero (a
+// relay hop never owes work into the next tick).
 func (s *Server) AddForwardCharges(n int) {
 	if n <= 0 {
 		return
