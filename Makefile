@@ -138,8 +138,10 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseTrace -fuzztime=$(FUZZTIME) ./internal/workload
 	$(GO) test -fuzz=FuzzParseSpecs -fuzztime=$(FUZZTIME) ./internal/fault
 
-# audit runs the audited failover suite (every experiment run carries
-# the state auditor; any invariant violation fails) plus the fuzz smoke.
+# audit runs the audited failover suite and the whole evaluation at
+# benchmark scale (every experiment run carries the state auditor; any
+# invariant violation fails) plus the fuzz smoke.
 audit: fuzz
 	$(GO) run ./cmd/lunule-bench -exp failover,overhead -audit
+	$(GO) run ./cmd/lunule-bench -exp all -scale 0.25 -audit
 	$(GO) run ./cmd/lunule-sim -audit -audit-every-tick -mtbf 300 -mttr 60 -mds 8 -maxticks 800 >/dev/null

@@ -48,13 +48,11 @@ import (
 // the relay walk, stalls and backoff, op completion, data debt, the
 // bucket-then-pool grant — has one definition below.
 //
-// Arbitrating the full tick in client order at admit, rather than
-// letting serve drain budget as it goes, is what keeps budget contention
-// fair: a client whose saturated-rank ops sit behind a rank switch
-// competes in shuffle order, not behind every earlier client's whole
-// plan. Admission reserves only the pools. A relay charge lands on its
-// hop's live budget when the relay is made, flooring it at zero, so a
-// unit admitted at a rank that relays for others can still stall there.
+// Admission arbitrates the whole tick in shuffle order and reserves from
+// the pools; serve spends what was reserved. A relay charge is the
+// exception: it lands on its hop's live budget when the relay is made,
+// flooring it at zero, so a unit admitted at a rank that relays for
+// others can still stall there.
 //
 // RNG streams: the cluster stream (c.rand) draws the per-tick cohort
 // order and the epoch-close balancing. A cohort is a fixed block of
@@ -90,9 +88,9 @@ const (
 
 // unit is what admission schedules and a rank serves: n queued ops of
 // one client bound for one rank, of which the budget arbitration
-// admitted the prefix adm. A sync unit is a planned run (its ops' resolutions start at the head
-// of the client's window when the unit is served); a write-back unit is
-// a journaled batch.
+// admitted the prefix adm. A sync unit is a planned run (its ops'
+// resolutions start at the head of the client's window when the unit is
+// served); a write-back unit is a journaled batch.
 type unit struct {
 	client int32
 	rank   int32

@@ -200,8 +200,8 @@ func (s *Server) Crashes() int64 { return s.crashes }
 func (s *Server) HasBudget() bool { return s.budget > 0 }
 
 // RemainingBudget returns the number of ops the server can still accept
-// this tick. The engine reads it once a tick, at the gate, as the pool
-// its admission draws from.
+// this tick. The engine reads it once a tick, before admission, as the
+// pool admission draws from.
 func (s *Server) RemainingBudget() int { return s.budget }
 
 // AddForwardCharges charges n relays made through this server, at the
