@@ -66,8 +66,8 @@ func Enumerate(v View, exporter namespace.MDSID, r Ranking, limit int) []Candida
 	// region that are not already subtree roots of their own.
 	childDirs := func(dir *namespace.Inode, frag namespace.Frag) []Candidate {
 		var out []Candidate
-		for _, ch := range dir.ChildrenInFrag(frag) {
-			if ch.IsDir && len(part.EntriesAt(ch.Ino)) == 0 {
+		for i := 0; i < dir.NumChildren(); i++ {
+			if ch := dir.ChildAt(i); ch.IsDir && ch.InFrag(frag) && len(part.EntriesAt(ch.Ino)) == 0 {
 				out = append(out, Candidate{Dir: ch, Load: r.OfDir(ch)})
 			}
 		}

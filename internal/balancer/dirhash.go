@@ -45,13 +45,14 @@ func (b *DirHash) Rebalance(v View) {
 	}
 	var walk func(dir *namespace.Inode, depth int)
 	walk = func(dir *namespace.Inode, depth int) {
-		for _, ch := range dir.Children() {
+		for i := 0; i < dir.NumChildren(); i++ {
+			ch := dir.ChildAt(i)
 			if !ch.IsDir {
 				continue
 			}
 			hasSubdirs := false
-			for _, g := range ch.Children() {
-				if g.IsDir {
+			for j := 0; j < ch.NumChildren(); j++ {
+				if ch.ChildAt(j).IsDir {
 					hasSubdirs = true
 					break
 				}

@@ -220,8 +220,9 @@ func (c *Cluster) leaseCarve(e namespace.Entry) bool {
 	for depth := 0; depth < leaseCarveDepth; depth++ {
 		var next *namespace.Inode
 		var nextHeat float64
-		for _, ch := range cur.ChildrenInFrag(frag) {
-			if !ch.IsDir || len(c.part.EntriesAt(ch.Ino)) != 0 {
+		for i := 0; i < cur.NumChildren(); i++ {
+			ch := cur.ChildAt(i)
+			if !ch.IsDir || !ch.InFrag(frag) || len(c.part.EntriesAt(ch.Ino)) != 0 {
 				continue
 			}
 			total, read := c.dirHeatRW(e, ch)

@@ -148,7 +148,13 @@ func fragSplit(part *namespace.Partition, keyLoad func(namespace.FragKey) float6
 	}
 
 	for i := 0; i < maxFragSplits && load > amount*(1+tolerance); i++ {
-		if len(dir.ChildrenInFrag(key.Frag)) < 2 {
+		n := 0 // children in the fragment, counted up to the two a split needs
+		for j := 0; j < dir.NumChildren() && n < 2; j++ {
+			if dir.ChildAt(j).InFrag(key.Frag) {
+				n++
+			}
+		}
+		if n < 2 {
 			break
 		}
 		left, right, ok := part.SplitEntry(key)

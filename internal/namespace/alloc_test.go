@@ -7,7 +7,10 @@
 
 package namespace
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 func TestResolverEntryZeroAlloc(t *testing.T) {
 	_, p, leaf := benchPartition(t)
@@ -53,5 +56,41 @@ func TestRawSizeFragNoAllocs(t *testing.T) {
 		p.UnvisitedIn(r.Key)
 	}); n != 0 {
 		t.Fatalf("GovernedInodes + UnvisitedIn on a split fragment allocate %.1f times, want 0", n)
+	}
+}
+
+// TestCreateHeapAlloc is the per-file heap contract of the create path:
+// 200 k carve+adopt calls into 4 directories leave at most 90 bytes of
+// live heap per inode — its 72-byte numbered slot plus its child-list
+// and name-index entries, about 82 B together. The names are the
+// caller's and made beforehand.
+func TestCreateHeapAlloc(t *testing.T) {
+	const n, perInode = 200000, 90
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fileName("f", i)
+	}
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	tr := NewTree()
+	var dirs [4]*Inode
+	for i := range dirs {
+		dirs[i], _ = tr.Mkdir(tr.Root(), fileName("d", i))
+	}
+	var arena InodeArena
+	for i, name := range names {
+		in, err := arena.NewFile(dirs[i%len(dirs)], name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.AdoptOrExisting(in)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(tr)
+	if b := float64(ms.HeapAlloc-before) / n; b > perInode {
+		t.Fatalf("%.1f B of live heap per created inode, want <= %d", b, perInode)
 	}
 }

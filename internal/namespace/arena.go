@@ -3,55 +3,53 @@ package namespace
 // InodeArena carves file inodes that are not yet in the tree: a create
 // builds its inode under the parent (Ino 0, unlinked), the serve path
 // can walk it — Parent chain, name hash, heat tracking — and
-// Tree.AdoptOrExisting links it once the op is known to be served, so a
-// create that stalls leaves the tree as it was. Like the tree's own
-// slab, chunked allocation amortizes to ~one allocation per
-// inodeSlabSize creates on the steady-state path.
+// Tree.AdoptOrExisting links a copy of it once the op is known to be
+// served, so a create that stalls leaves the tree, and the heap, as it
+// was. The arena holds one scratch inode: a carve stays valid until the
+// next NewFile.
 type InodeArena struct {
-	slab []Inode
+	scratch Inode
 }
 
 // NewFile returns a file inode under parent: named, parented, and
 // sized, but with Ino 0 and not linked into the tree. Name validity is
 // checked here exactly as the tree's own create path does; whether the
 // name is taken is decided at adoption. NewFile remembers nothing: two
-// calls for one name return two inodes, and adoption keeps the first.
+// calls for one name carve twice, and adoption keeps the first.
 func (a *InodeArena) NewFile(parent *Inode, name string, size int64) (*Inode, error) {
 	if err := checkChild(parent, name); err != nil {
 		return nil, err
 	}
-	if len(a.slab) == 0 {
-		a.slab = make([]Inode, inodeSlabSize)
-	}
-	in := &a.slab[0]
-	a.slab = a.slab[1:]
-	*in = Inode{
-		Name:     name,
-		Parent:   parent,
-		Size:     size,
-		nameHash: HashName(name),
-	}
-	return in, nil
+	a.scratch = Inode{Name: name, Parent: parent, Size: size, nameHash: HashName(name)}
+	return &a.scratch, nil
 }
 
-// AdoptOrExisting links a carved inode into the tree: it assigns the
-// next inode number and splices it under its parent, bumping ancestor
-// subtree counters, exactly as a direct Create would have. Adoption
-// order defines inode-number order. The linking probe is the one
-// duplicate check: when the (parent, name) slot is already linked, the
-// carved inode is discarded and the existing one returned with
-// adopted=false.
+// AdoptOrExisting links a carved inode into the tree: it copies it into
+// the slot of the next inode number, splices that under its parent and
+// bumps ancestor subtree counters, exactly as a direct Create would
+// have, and returns the linked copy. Adoption order defines
+// inode-number order. The linking probe is the one duplicate check:
+// when the (parent, name) slot is already linked, the carved inode is
+// discarded and the existing one returned with adopted=false.
 func (t *Tree) AdoptOrExisting(in *Inode) (linked *Inode, adopted bool) {
-	if ex := in.Parent.dir.link(in); ex != nil {
+	d := in.Parent.dir
+	ex, slot := d.find(in.Name, in.nameHash)
+	if ex != nil {
 		return ex, false
 	}
-	in.Ino = t.nextIn
+	if t.nextIn%inodeSlabSize == 0 {
+		t.slabs = append(t.slabs, new([inodeSlabSize]Inode))
+	}
+	c := t.at(uint32(t.nextIn))
+	*c = *in
+	c.Ino = t.nextIn
 	t.nextIn++
-	t.register(in)
-	files := in.SubtreeFiles()
-	for a := in.Parent; a != nil; a = a.Parent {
+	d.order = append(d.order, uint32(c.Ino))
+	d.index.slots[slot] = uint64(c.nameHash)<<32 | uint64(c.Ino)
+	files := c.SubtreeFiles()
+	for a := c.Parent; a != nil; a = a.Parent {
 		a.dir.subInodes++
 		a.dir.subFiles += files
 	}
-	return in, true
+	return c, true
 }

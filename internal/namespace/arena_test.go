@@ -27,25 +27,25 @@ func TestArenaNewFileErrors(t *testing.T) {
 	}
 }
 
-// TestRegistryBlocks: the inode registry across a block boundary, fed
+// TestRegistryBlocks: numbered inode slots across slab boundaries, fed
 // by creates and by adopted arena inodes alike.
 func TestRegistryBlocks(t *testing.T) {
 	tr := NewTree()
 	d, _ := tr.Mkdir(tr.Root(), "d")
 	var a InodeArena
 	var all []*Inode
-	for i := 0; i < 2*inoBlock+10; i++ {
+	for i := 0; i < 2*inodeSlabSize+10; i++ {
 		var in *Inode
 		if i%2 == 0 {
 			in, _ = tr.Create(d, fileName("f", i), 1)
 		} else {
 			in, _ = a.NewFile(d, fileName("f", i), 1)
-			tr.AdoptOrExisting(in)
+			in, _ = tr.AdoptOrExisting(in)
 		}
 		all = append(all, in)
 	}
-	if len(tr.byIno) != 3 {
-		t.Fatalf("%d registry blocks for %d inodes", len(tr.byIno), tr.NumInodes())
+	if len(tr.slabs) != 3 {
+		t.Fatalf("%d slabs for %d inodes", len(tr.slabs), tr.NumInodes())
 	}
 	last := all[len(all)-1]
 	if tr.MaxIno() != last.Ino || last.Ino != Ino(tr.NumInodes()) {
@@ -57,9 +57,9 @@ func TestRegistryBlocks(t *testing.T) {
 		}
 	}
 	if tr.Get(RootIno) != tr.Root() || tr.Get(d.Ino) != d || tr.Get(0) != nil {
-		t.Fatal("the first block lost the root, /d, or gained an inode 0")
+		t.Fatal("the first slab lost the root, /d, or gained an inode 0")
 	}
-	for _, ino := range []Ino{tr.MaxIno() + 1, 3 * inoBlock, 3*inoBlock + 1, 1 << 40} {
+	for _, ino := range []Ino{tr.MaxIno() + 1, 3 * inodeSlabSize, 3*inodeSlabSize + 1, 1 << 40} {
 		if tr.Get(ino) != nil {
 			t.Fatalf("Get(%d) past MaxIno %d is not nil", ino, tr.MaxIno())
 		}

@@ -76,3 +76,32 @@ func BenchmarkResolveChainInto(b *testing.B) {
 		buf = chain[:0]
 	}
 }
+
+// BenchmarkCarveAdopt is one create's namespace work: carve a file
+// under one of 4 directories and adopt it. A fresh tree takes over
+// every 64 k creates (outside the timer), so ns/op and B/op include the
+// directories' index growth but not an ever larger tree.
+func BenchmarkCarveAdopt(b *testing.B) {
+	names := make([]string, 1<<16)
+	for i := range names {
+		names[i] = fileName("f", i)
+	}
+	var tr *Tree
+	var dirs [4]*Inode
+	var arena InodeArena
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(names)
+		if k == 0 {
+			b.StopTimer()
+			tr = NewTree()
+			for j := range dirs {
+				dirs[j], _ = tr.Mkdir(tr.Root(), fileName("d", j))
+			}
+			b.StartTimer()
+		}
+		in, _ := arena.NewFile(dirs[k%len(dirs)], names[k], 1)
+		tr.AdoptOrExisting(in)
+	}
+}

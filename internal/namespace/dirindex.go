@@ -1,12 +1,12 @@
 package namespace
 
 // dirIndex finds a directory's child by name: an open-addressed hash
-// table over the directory's insertion-ordered child slice, keyed by
-// the 32-bit name hash every inode caches. A slot packs the child's
-// hash (high half) with its position in Inode.order plus one (low
-// half); zero is an empty slot. The table is a power of two in size and
-// at most half full, so a linear probe ends at an empty slot after a
-// step or two, and only a full 32-bit hash match costs a name compare.
+// table over the directory's children, keyed by the 32-bit name hash
+// every inode caches. A slot packs the child's hash (high half) with
+// its inode number (low half), so a probe hit reads the child directly;
+// zero is an empty slot. The table is a power of two in size and at
+// most half full, so a linear probe ends at an empty slot after a step
+// or two, and only a full 32-bit hash match costs a name compare.
 // Nothing on a probe or a growth hashes a name: the caller supplies the
 // hash on lookup, and growth re-inserts from the old slots alone.
 type dirIndex struct {
@@ -34,7 +34,7 @@ func (d *dirState) probe(name string, hash uint32) (*Inode, uint32) {
 	i := hash & mask
 	for ; slots[i] != 0; i = (i + 1) & mask {
 		if s := slots[i]; uint32(s>>32) == hash {
-			if c := d.order[uint32(s)-1]; c.Name == name {
+			if c := d.tree.at(uint32(s)); c.Name == name {
 				return c, i
 			}
 		}
@@ -42,22 +42,16 @@ func (d *dirState) probe(name string, hash uint32) (*Inode, uint32) {
 	return nil, i
 }
 
-// link appends c to the directory's children and indexes it under
-// c.nameHash — one probe — unless a child of that name is already
-// linked, which is returned instead and c left untouched.
-func (d *dirState) link(c *Inode) (existing *Inode) {
+// find returns the child of that name, or nil and the empty slot that
+// indexes it once linked (AdoptOrExisting fills it), growing the table
+// first so that it stays at most half full with one more child.
+func (d *dirState) find(name string, hash uint32) (*Inode, uint32) {
 	if d.index.slots == nil {
 		d.index.slots = make([]uint64, minDirSlots)
 	} else if 2*(len(d.order)+1) > len(d.index.slots) {
 		d.index.grow()
 	}
-	ex, i := d.probe(c.Name, c.nameHash)
-	if ex != nil {
-		return ex
-	}
-	d.order = append(d.order, c)
-	d.index.slots[i] = uint64(c.nameHash)<<32 | uint64(len(d.order))
-	return nil
+	return d.probe(name, hash)
 }
 
 // grow doubles the table, re-inserting every slot by the hash it holds.

@@ -14,11 +14,12 @@ type refDir struct {
 }
 
 // TestDirIndexProperty drives random Create/Mkdir/AdoptOrExisting/
-// Child against three directories of one tree and, after every step,
-// checks each against its reference: every known name resolves to its
-// own inode, unknown names to nil, Children() is the insertion order,
-// and NumChildren and the subtree counters add up. The step count takes
-// the busiest directory across the 8, 16, .. 1024-slot growth
+// Child and unadopted carves against three directories of one tree
+// and, after every step, checks each against its reference: every known
+// name resolves to its own inode, unknown names to nil, Children() is
+// the insertion order, NumChildren and the subtree counters add up, and
+// the tree keeps its number order (checkNumberOrder). The step count
+// takes the busiest directory across the 8, 16, .. 1024-slot growth
 // boundaries.
 func TestDirIndexProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -78,6 +79,9 @@ func TestDirIndexProperty(t *testing.T) {
 			t.Fatalf("step %d: tree counts %d inodes / %d files, want %d / %d",
 				step, tr.NumInodes(), tr.Root().SubtreeFiles(), 1+inodes, files)
 		}
+		if err := checkNumberOrder(tr); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
 	}
 	const steps = 2600
 	for step := 0; step < steps; step++ {
@@ -88,7 +92,7 @@ func TestDirIndexProperty(t *testing.T) {
 		ref := refs[d]
 		// A small name space, so duplicates are common.
 		name := fmt.Sprintf("n%d", rng.Intn(900))
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(11); {
 		case op < 4:
 			in, err := tr.Create(d, name, 1)
 			if (err == ErrExists) != (ref.byName[name] != nil) {
@@ -108,10 +112,15 @@ func TestDirIndexProperty(t *testing.T) {
 					t.Fatalf("step %d: adopting duplicate %q: got %v adopted=%v", step, name, got, adopted)
 				}
 			} else {
-				if !adopted || got != promised || tr.Get(got.Ino) != got {
+				if !adopted || got == promised || got.Name != name || tr.Get(got.Ino) != got {
 					t.Fatalf("step %d: adopting new %q: got %v adopted=%v", step, name, got, adopted)
 				}
 				ref.byName[name], ref.order = got, append(ref.order, got)
+			}
+		case op == 10: // a carve that never links
+			before := tr.MaxIno()
+			if _, err := arena.NewFile(d, name, 1); err != nil || tr.MaxIno() != before {
+				t.Fatalf("step %d: unadopted carve of %q: err=%v, MaxIno %d -> %d", step, name, err, before, tr.MaxIno())
 			}
 		default:
 			in, err := tr.Mkdir(d, name)

@@ -397,8 +397,8 @@ func (p *Partition) rawSize(key FragKey) int {
 	if key.Frag.IsWhole() {
 		n = dir.SubtreeInodes() - 1 // children and below; not the dir itself
 	} else {
-		for _, c := range dir.Children() {
-			if key.Frag.Contains(c.nameHash) {
+		for i := 0; i < dir.NumChildren(); i++ {
+			if c := dir.ChildAt(i); c.InFrag(key.Frag) {
 				n += c.SubtreeInodes()
 			}
 		}
@@ -475,8 +475,8 @@ func (p *Partition) UnvisitedIn(key FragKey) (unvisited, total int) {
 	if key.Frag.IsWhole() {
 		return dir.UnvisitedBelow()
 	}
-	for _, c := range dir.Children() {
-		if key.Frag.Contains(c.nameHash) {
+	for i := 0; i < dir.NumChildren(); i++ {
+		if c := dir.ChildAt(i); c.InFrag(key.Frag) {
 			total += c.SubtreeFiles()
 			unvisited += c.SubtreeFiles() - c.VisitedFiles()
 		}

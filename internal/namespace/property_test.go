@@ -51,7 +51,7 @@ func applyRandomPartition(tr *Tree, ops []uint8, nMDS int) *Partition {
 			}
 		case 2:
 			es := p.EntriesAt(d.Ino)
-			if len(es) == 1 && len(d.ChildrenInFrag(es[0].Key.Frag)) > 1 {
+			if len(es) == 1 && len(childrenInFrag(d, es[0].Key.Frag)) > 1 {
 				l, r, ok := p.SplitEntry(es[0].Key)
 				if ok {
 					p.SetAuth(l.Key, MDSID(i%nMDS))

@@ -27,11 +27,11 @@ var (
 // too, so it lives here rather than in a side table.
 //
 // Everything only a directory needs sits behind dir, so the inode a
-// file pays for is 80 bytes: dir != nil ⇔ IsDir. A file is its own
+// file pays for is 72 bytes: dir != nil ⇔ IsDir. A file is its own
 // subtree — one inode, one file — and keeps a single visited bit. The
 // fields a served op reads (access history, parent, size, name hash)
-// come first: 48 contiguous bytes, which the slab's 80-byte stride
-// keeps inside one cache line for every other inode.
+// come first: 40 contiguous bytes, which the slab's 72-byte stride
+// keeps inside one cache line for half the inodes.
 type Inode struct {
 	// Hot is the runtime access-history annotation.
 	Hot    Hot
@@ -53,11 +53,12 @@ type Inode struct {
 // dirState is the directory-only part of an inode.
 type dirState struct {
 	index dirIndex // finds a child by name; empty until the first child
-	order []*Inode // insertion-ordered children for deterministic walks
+	order []uint32 // the children's inode numbers in insertion order: ascending
+	tree  *Tree    // resolves order and index numbers to inodes
 
 	// subInodes is the number of inodes in the subtree rooted here,
 	// including the directory itself. Maintained incrementally on create
-	// and remove so subtree sizing during migration planning is O(1).
+	// so subtree sizing during migration planning is O(1).
 	subInodes int
 
 	// subFiles is the number of regular files in the subtree rooted
@@ -145,33 +146,32 @@ func (in *Inode) SubtreeInodes() int {
 }
 
 // NumChildren returns the number of direct children (0 for files).
-func (in *Inode) NumChildren() int { return len(in.Children()) }
+func (in *Inode) NumChildren() int {
+	if in.dir == nil {
+		return 0
+	}
+	return len(in.dir.order)
+}
+
+// ChildAt returns the i-th direct child in insertion order — ascending
+// inode-number order — for 0 <= i < NumChildren(). Walking children
+// this way allocates nothing.
+func (in *Inode) ChildAt(i int) *Inode { return in.dir.tree.at(in.dir.order[i]) }
+
+// InFrag reports whether the inode's name hash falls in frag: whether
+// it is one of its parent's children that frag covers.
+func (in *Inode) InFrag(f Frag) bool { return f.Contains(in.nameHash) }
 
 // Child returns the named child, or nil.
 func (in *Inode) Child(name string) *Inode {
 	return in.ChildHashed(name, HashName(name))
 }
 
-// Children returns the direct children in insertion order (nil for
-// files). The returned slice is shared; callers must not modify it.
+// Children returns a copy of the direct children in insertion order.
 func (in *Inode) Children() []*Inode {
-	if in.dir == nil {
-		return nil
-	}
-	return in.dir.order
-}
-
-// ChildrenInFrag returns the direct children whose name hash falls in
-// frag, in insertion order.
-func (in *Inode) ChildrenInFrag(f Frag) []*Inode {
-	if f.IsWhole() {
-		return in.Children()
-	}
-	var out []*Inode
-	for _, c := range in.Children() {
-		if f.Contains(c.nameHash) {
-			out = append(out, c)
-		}
+	out := make([]*Inode, in.NumChildren())
+	for i := range out {
+		out[i] = in.ChildAt(i)
 	}
 	return out
 }
@@ -193,83 +193,56 @@ func (in *Inode) Path() string {
 	return b.String()
 }
 
-// inodeSlabSize is how many inodes each slab chunk holds. Slab
-// allocation amortizes the per-create heap allocation the tick loop
-// would otherwise pay for every new inode.
+// inodeSlabSize is how many inodes each slab holds. Slab allocation
+// amortizes the per-create heap allocation the tick loop would
+// otherwise pay for every new inode.
 const inodeSlabSize = 1024
 
-// inoBlock is how many inode numbers one registry block covers: 128 KB
-// of slots, so even the create benchmark's 7 k creates a tick open less
-// than one block a tick.
-const inoBlock = 16384
-
-// Tree is the namespace: a rooted inode hierarchy with an inode-number
-// registry. Tree is not safe for concurrent mutation; the simulator is
+// Tree is the namespace: a rooted inode hierarchy stored in inode-number
+// order. Tree is not safe for concurrent mutation; the simulator is
 // single-threaded per cluster by design (determinism).
 //
 // Inode numbers are dense (assigned sequentially from RootIno and never
-// reused), so the registry is a list of fixed-size blocks indexed by
-// Ino — a create never copies what earlier creates registered — and
-// inodes are handed out from slab chunks rather than allocated
-// individually. A removed inode's slab slot is not recycled —
-// acceptable for a simulator where removes are rare and runs are
-// bounded.
+// reused), so inode n is slot n%inodeSlabSize of slab n/inodeSlabSize
+// (slot 0 of the first slab is never used): finding an inode by number
+// is arithmetic, a create never moves an earlier inode, and a
+// directory's child list and name index hold numbers, not pointers the
+// garbage collector traces.
 type Tree struct {
-	root    *Inode
-	byIno   []*[inoBlock]*Inode // byIno[ino/inoBlock][ino%inoBlock]; nil for removed inodes
+	slabs   []*[inodeSlabSize]Inode
 	nextIn  Ino
-	numDirs uint32  // directories ever created; the next Inode.DirNum
-	slab    []Inode // current slab chunk; alloc() carves from the front
+	numDirs uint32 // directories ever created; the next Inode.DirNum
 }
 
 // NewTree creates a namespace containing only the root directory.
 func NewTree() *Tree {
 	t := &Tree{nextIn: RootIno + 1, numDirs: 1}
-	root := t.alloc()
-	*root = Inode{
+	t.slabs = append(t.slabs, new([inodeSlabSize]Inode))
+	*t.Root() = Inode{
 		Ino:      RootIno,
-		Name:     "",
 		IsDir:    true,
-		dir:      &dirState{subInodes: 1},
+		dir:      &dirState{tree: t, subInodes: 1},
 		nameHash: HashName(""),
 	}
-	t.root = root
-	t.register(root)
 	return t
 }
 
-// alloc returns a zeroed inode from the slab.
-func (t *Tree) alloc() *Inode {
-	if len(t.slab) == 0 {
-		t.slab = make([]Inode, inodeSlabSize)
-	}
-	in := &t.slab[0]
-	t.slab = t.slab[1:]
-	return in
-}
+// at returns inode n's slot; n must be below nextIn.
+func (t *Tree) at(n uint32) *Inode { return &t.slabs[n/inodeSlabSize][n%inodeSlabSize] }
 
 // Root returns the root directory inode.
-func (t *Tree) Root() *Inode { return t.root }
+func (t *Tree) Root() *Inode { return &t.slabs[0][RootIno] }
 
 // Get returns the inode with the given number, or nil.
 func (t *Tree) Get(ino Ino) *Inode {
-	if ino/inoBlock >= Ino(len(t.byIno)) {
+	if ino == 0 || ino >= t.nextIn {
 		return nil
 	}
-	return t.byIno[ino/inoBlock][ino%inoBlock]
-}
-
-// register files a numbered inode in the registry, opening a block
-// when its number is the first past the last one.
-func (t *Tree) register(in *Inode) {
-	if in.Ino/inoBlock == Ino(len(t.byIno)) {
-		t.byIno = append(t.byIno, new([inoBlock]*Inode))
-	}
-	t.byIno[in.Ino/inoBlock][in.Ino%inoBlock] = in
+	return t.at(uint32(ino))
 }
 
 // NumInodes returns the total number of inodes in the tree.
-func (t *Tree) NumInodes() int { return t.root.dir.subInodes }
+func (t *Tree) NumInodes() int { return t.Root().dir.subInodes }
 
 // MaxIno returns the highest inode number ever allocated (inode numbers
 // are dense and start at RootIno, so [RootIno, MaxIno] spans every
@@ -293,24 +266,18 @@ func (t *Tree) attach(parent *Inode, name string, isDir bool, size int64) (*Inod
 	if err := checkChild(parent, name); err != nil {
 		return nil, err
 	}
-	hash := HashName(name)
-	if parent.ChildHashed(name, hash) != nil {
+	in := Inode{Name: name, Parent: parent, IsDir: isDir, Size: size, nameHash: HashName(name)}
+	if isDir {
+		in.dir = &dirState{tree: t, subInodes: 1, num: t.numDirs}
+	}
+	linked, adopted := t.AdoptOrExisting(&in)
+	if !adopted {
 		return nil, ErrExists
 	}
-	in := t.alloc()
-	*in = Inode{
-		Name:     name,
-		Parent:   parent,
-		IsDir:    isDir,
-		Size:     size,
-		nameHash: hash,
-	}
 	if isDir {
-		in.dir = &dirState{subInodes: 1, num: t.numDirs}
 		t.numDirs++
 	}
-	t.AdoptOrExisting(in)
-	return in, nil
+	return linked, nil
 }
 
 // Mkdir creates a directory under parent.
@@ -326,7 +293,7 @@ func (t *Tree) Create(parent *Inode, name string, size int64) (*Inode, error) {
 // MkdirAll creates every directory along path (like mkdir -p) and
 // returns the final one. Path components are separated by '/'.
 func (t *Tree) MkdirAll(path string) (*Inode, error) {
-	cur := t.root
+	cur := t.Root()
 	for _, part := range splitPath(path) {
 		next := cur.Child(part)
 		if next == nil {
@@ -345,7 +312,7 @@ func (t *Tree) MkdirAll(path string) (*Inode, error) {
 
 // Lookup resolves an absolute path to an inode.
 func (t *Tree) Lookup(path string) (*Inode, error) {
-	cur := t.root
+	cur := t.Root()
 	for _, part := range splitPath(path) {
 		if !cur.IsDir {
 			return nil, ErrNotDir
@@ -367,14 +334,14 @@ func (t *Tree) Walk(fn func(*Inode) bool) {
 		if !fn(in) {
 			return false
 		}
-		for _, c := range in.Children() {
-			if !rec(c) {
+		for i := 0; i < in.NumChildren(); i++ {
+			if !rec(in.ChildAt(i)) {
 				return false
 			}
 		}
 		return true
 	}
-	rec(t.root)
+	rec(t.Root())
 }
 
 func splitPath(path string) []string {
@@ -395,8 +362,9 @@ func splitPath(path string) []string {
 type Hot struct {
 	// Bits holds one bit per recent epoch; bit 0 is the current epoch.
 	Bits uint64
-	// Epoch is the epoch Bits was last shifted to.
-	Epoch int64
+	// Epoch is the epoch Bits was last shifted to. The methods take
+	// int64 epochs; a run's epochs fit in 32 bits.
+	Epoch int32
 	// Count is the total number of accesses ever.
 	Count uint32
 }
@@ -412,22 +380,22 @@ func (h *Hot) Touch(epoch int64) (seenBefore bool) {
 }
 
 func (h *Hot) advance(epoch int64) {
-	if epoch <= h.Epoch {
+	if epoch <= int64(h.Epoch) {
 		return
 	}
-	shift := epoch - h.Epoch
+	shift := epoch - int64(h.Epoch)
 	if shift >= 64 {
 		h.Bits = 0
 	} else {
 		h.Bits <<= uint(shift)
 	}
-	h.Epoch = epoch
+	h.Epoch = int32(epoch)
 }
 
 // AccessedIn reports whether the inode was accessed during the given
 // epoch (within the 64-epoch window).
 func (h *Hot) AccessedIn(epoch int64) bool {
-	d := h.Epoch - epoch
+	d := int64(h.Epoch) - epoch
 	if d < 0 || d >= 64 {
 		return false
 	}
@@ -439,7 +407,8 @@ func (h *Hot) AccessedIn(epoch int64) bool {
 func (h *Hot) RecentEpochs(epoch int64, n int) int {
 	// Bit d of Bits is epoch h.Epoch-d; the asked epochs are bits
 	// [lo, lo+n) clipped to the 64-bit window.
-	lo, hi := h.Epoch-epoch, h.Epoch-epoch+int64(n)
+	lo := int64(h.Epoch) - epoch
+	hi := lo + int64(n)
 	if lo < 0 {
 		lo = 0
 	}

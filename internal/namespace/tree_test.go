@@ -9,6 +9,50 @@ import (
 
 func fileName(prefix string, i int) string { return fmt.Sprintf("%s%05d", prefix, i) }
 
+// childrenInFrag lists d's children that f covers, in insertion order.
+func childrenInFrag(d *Inode, f Frag) []*Inode {
+	var out []*Inode
+	for i := 0; i < d.NumChildren(); i++ {
+		if c := d.ChildAt(i); c.InFrag(f) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// checkNumberOrder checks the tree's storage invariants: Get(n) is
+// inode n for every n in [RootIno, MaxIno] and nil outside it, Walk
+// visits each of them once, and every directory's children ascend by
+// inode number.
+func checkNumberOrder(tr *Tree) error {
+	for n := RootIno; n <= tr.MaxIno(); n++ {
+		if in := tr.Get(n); in == nil || in.Ino != n {
+			return fmt.Errorf("Get(%d) = %v", n, in)
+		}
+	}
+	if tr.Get(0) != nil || tr.Get(tr.MaxIno()+1) != nil {
+		return fmt.Errorf("Get outside [RootIno, %d] is not nil", tr.MaxIno())
+	}
+	seen := map[Ino]bool{}
+	var err error
+	tr.Walk(func(in *Inode) bool {
+		if seen[in.Ino] {
+			err = fmt.Errorf("Walk visits %d twice", in.Ino)
+		}
+		seen[in.Ino] = true
+		for i := 1; i < in.NumChildren() && err == nil; i++ {
+			if in.ChildAt(i-1).Ino >= in.ChildAt(i).Ino {
+				err = fmt.Errorf("%s: child %d does not ascend by number", in.Path(), i)
+			}
+		}
+		return err == nil
+	})
+	if err == nil && (len(seen) != tr.NumInodes() || Ino(len(seen)) != tr.MaxIno()) {
+		err = fmt.Errorf("Walk visits %d inodes of %d (MaxIno %d)", len(seen), tr.NumInodes(), tr.MaxIno())
+	}
+	return err
+}
+
 func buildSmallTree(t testing.TB) *Tree {
 	t.Helper()
 	tr := NewTree()
@@ -147,10 +191,13 @@ func recountSubtree(in *Inode, visited map[*Inode]bool) recount {
 }
 
 // TestSubtreeCountsProperty: through random mkdir / create / adopt /
-// MarkVisited sequences, every inode — files and directories
-// both — reports the subtree and visited counts a recount by walking
-// gives, dir != nil ⇔ IsDir holds, and UnvisitedIn on the halves of a
-// split directory matches the recount of the children in each half.
+// duplicate-adopt / unadopted-carve / MarkVisited sequences, every
+// inode — files and directories both — reports the subtree and visited
+// counts a recount by walking gives, dir != nil ⇔ IsDir holds, a carve
+// never adopted leaves NumInodes and MaxIno as they were, the tree
+// keeps its number order (checkNumberOrder), and UnvisitedIn on the
+// halves of a split directory matches the recount of the children in
+// each half.
 func TestSubtreeCountsProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		tr := NewTree()
@@ -161,7 +208,7 @@ func TestSubtreeCountsProperty(t *testing.T) {
 		live := 1
 		for i, op := range ops {
 			parent := dirs[int(op)%len(dirs)]
-			switch op % 6 {
+			switch op % 8 {
 			case 0:
 				d, err := tr.Mkdir(parent, fileName("d", i))
 				if err != nil {
@@ -181,24 +228,39 @@ func TestSubtreeCountsProperty(t *testing.T) {
 				if err != nil || in.SubtreeInodes() != 1 || in.SubtreeFiles() != 1 {
 					return false
 				}
-				if op%2 == 0 { // visited before it is adopted
+				seen := op%2 == 0
+				if seen { // visited before it is adopted
 					in.MarkVisited()
-					visited[in] = true
 				}
-				tr.AdoptOrExisting(in)
+				in, _ = tr.AdoptOrExisting(in)
+				visited[in] = seen
 				all = append(all, in)
 				live++
 			case 4, 5:
 				if len(all) == 0 {
 					continue
 				}
-				if in := all[int(op/6)%len(all)]; !visited[in] {
+				if in := all[int(op/8)%len(all)]; !visited[in] {
 					in.MarkVisited()
 					visited[in] = true
 				}
+			case 6:
+				if _, err := arena.NewFile(parent, fileName("u", i), 1); err != nil ||
+					tr.NumInodes() != live || tr.MaxIno() != Ino(live) {
+					return false
+				}
+			case 7:
+				if len(all) == 0 {
+					continue
+				}
+				ex := all[int(op/8)%len(all)]
+				in, _ := arena.NewFile(ex.Parent, ex.Name, 1)
+				if got, adopted := tr.AdoptOrExisting(in); adopted || got != ex || tr.NumInodes() != live {
+					return false
+				}
 			}
 		}
-		if tr.NumInodes() != live {
+		if tr.NumInodes() != live || checkNumberOrder(tr) != nil {
 			return false
 		}
 		good := true
@@ -222,7 +284,7 @@ func TestSubtreeCountsProperty(t *testing.T) {
 			}
 			for _, e := range []Entry{l, r} {
 				var want recount
-				for _, c := range d.ChildrenInFrag(e.Key.Frag) {
+				for _, c := range childrenInFrag(d, e.Key.Frag) {
 					cr := recountSubtree(c, visited)
 					want.files += cr.files
 					want.vFiles += cr.vFiles
@@ -242,8 +304,8 @@ func TestSubtreeCountsProperty(t *testing.T) {
 // TestInodeSize pins the per-file footprint: everything directory-only
 // lives behind Inode.dir.
 func TestInodeSize(t *testing.T) {
-	if sz := unsafe.Sizeof(Inode{}); sz > 80 {
-		t.Fatalf("Inode is %d bytes, want <= 80", sz)
+	if sz := unsafe.Sizeof(Inode{}); sz > 72 {
+		t.Fatalf("Inode is %d bytes, want <= 72", sz)
 	}
 }
 
@@ -261,8 +323,9 @@ func TestRecentEpochsMatchesLoop(t *testing.T) {
 		return cnt
 	}
 	f := func(bits uint64, at uint8, back int8) bool {
-		h := Hot{Bits: bits, Epoch: int64(at), Count: 1}
-		for _, epoch := range []int64{h.Epoch - int64(back), h.Epoch, h.Epoch + 1, h.Epoch - 63, h.Epoch - 64, h.Epoch + 70} {
+		h := Hot{Bits: bits, Epoch: int32(at), Count: 1}
+		e := int64(h.Epoch)
+		for _, epoch := range []int64{e - int64(back), e, e + 1, e - 63, e - 64, e + 70} {
 			for n := 0; n <= 70; n++ {
 				if h.RecentEpochs(epoch, n) != loop(&h, epoch, n) {
 					return false
@@ -315,15 +378,15 @@ func TestChildrenInFrag(t *testing.T) {
 		}
 	}
 	l, r := WholeFrag.Split()
-	nl := len(d.ChildrenInFrag(l))
-	nr := len(d.ChildrenInFrag(r))
+	nl := len(childrenInFrag(d, l))
+	nr := len(childrenInFrag(d, r))
 	if nl+nr != 200 {
 		t.Fatalf("frag children %d + %d != 200", nl, nr)
 	}
 	if nl == 0 || nr == 0 {
 		t.Fatal("one half empty; hash split badly unbalanced")
 	}
-	if len(d.ChildrenInFrag(WholeFrag)) != 200 {
+	if len(childrenInFrag(d, WholeFrag)) != 200 {
 		t.Fatal("whole frag must cover all children")
 	}
 }
@@ -379,8 +442,8 @@ func TestHotFutureEpochQuery(t *testing.T) {
 }
 
 // TestAdoptDuplicate pins the one linking body: the first carved inode
-// of a (parent, name) slot links and counts, a second is discarded in
-// favour of the linked inode.
+// of a (parent, name) slot links a numbered copy and counts, a second
+// is discarded in favour of the linked inode.
 func TestAdoptDuplicate(t *testing.T) {
 	tr := buildSmallTree(t)
 	a, _ := tr.Lookup("/a")
@@ -392,11 +455,11 @@ func TestAdoptDuplicate(t *testing.T) {
 		}
 		return in
 	}
-	first := carve()
-	if got, ok := tr.AdoptOrExisting(first); !ok || got != first {
-		t.Fatalf("first carve not adopted: got=%p first=%p ok=%v", got, first, ok)
+	first, ok := tr.AdoptOrExisting(carve())
+	if !ok || first.Ino == 0 || first.Name != "new" || first.Size != 10 || first.Parent != a {
+		t.Fatalf("first carve not adopted: got=%+v ok=%v", first, ok)
 	}
-	if first.Ino == 0 || a.Child("new") != first || tr.NumInodes() != 8 || tr.Get(first.Ino) != first {
+	if a.Child("new") != first || tr.NumInodes() != 8 || tr.Get(first.Ino) != first {
 		t.Fatalf("AdoptOrExisting did not link: ino=%d inodes=%d", first.Ino, tr.NumInodes())
 	}
 	if got, ok := tr.AdoptOrExisting(carve()); ok || got != first || tr.NumInodes() != 8 {
