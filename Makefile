@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmtcheck race check benchcheck pairs identity loc budget repin gobench audit fuzz elastic replication batched readstorm noisy
+.PHONY: all build test vet fmtcheck race check benchcheck pairs identity profile loc budget repin gobench audit fuzz elastic replication batched readstorm noisy
 
 all: check
 
@@ -43,6 +43,16 @@ WORKLOAD ?= zipf_read
 N ?= 10
 pairs:
 	bash scripts/pairs.sh '$(PARENT)' '$(WORKLOAD)' $(N)
+
+# profile runs the BENCHMARK.json workloads matching WORKLOAD (the
+# regex pairs takes) with a CPU and a heap profile of each traced run
+# in .bench_build/prof, then prints the top 25 functions of each: CPU
+# by flat time, heap by in-use bytes.
+profile:
+	rm -rf .bench_build/prof && mkdir -p .bench_build/prof
+	bash benchmark/run.sh -workload '$(WORKLOAD)' -repeats 2 -trace 1 -cpuprofile .bench_build/prof -memprofile .bench_build/prof
+	@for f in .bench_build/prof/cpu-*.pprof; do echo "== $$f: cpu, flat"; $(GO) tool pprof -top -nodecount=25 $$f; done
+	@for f in .bench_build/prof/mem-*.pprof; do echo "== $$f: heap, inuse_space"; $(GO) tool pprof -top -nodecount=25 -sample_index=inuse_space $$f; done
 
 # identity checks that the working tree's outputs equal a parent
 # revision's: the benchmark run digests at seeds 42 and 7, `-exp all
