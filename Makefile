@@ -149,9 +149,9 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseSpecs -fuzztime=$(FUZZTIME) ./internal/fault
 
 # audit runs the audited failover suite and the whole evaluation at
-# benchmark scale (every experiment run carries the state auditor; any
-# invariant violation fails) plus the fuzz smoke.
+# benchmark scale and two seeds (every experiment run carries the state
+# auditor; any invariant violation fails) plus the fuzz smoke.
 audit: fuzz
 	$(GO) run ./cmd/lunule-bench -exp failover,overhead -audit
-	$(GO) run ./cmd/lunule-bench -exp all -scale 0.25 -audit
+	$(GO) run ./cmd/lunule-bench -exp all -scale 0.25 -seeds 2 -audit
 	$(GO) run ./cmd/lunule-sim -audit -audit-every-tick -mtbf 300 -mttr 60 -mds 8 -maxticks 800 >/dev/null

@@ -5,12 +5,16 @@
 //	lunule-bench -list
 //	lunule-bench -exp fig6,fig7 -scale 2
 //
+// With -seeds N every experiment runs at seeds seed, seed+1, ...,
+// seed+N-1: it prints the first seed's tables and each value's median
+// [min, max], and -json keeps every seed's values under per_seed.
+//
 // Each result is followed by a "(id in elapsed)" line and the run ends
 // with a "(total in ...)" line naming the host's cores; those lines are
 // the only output that differs between two runs of the same flags
 // (strip them with grep -v '^(.* in .*)$'). Figures that share one
 // scenario run (fig6/fig7, fig9/fig10/fig11, fig3/fig4) each report
-// that run's elapsed time.
+// that run's elapsed time, summed over seeds.
 package main
 
 import (
@@ -18,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"slices"
@@ -29,13 +34,12 @@ import (
 
 // jsonResult is the machine-readable form of one experiment.
 type jsonResult struct {
-	ID      string             `json:"id"`
-	Title   string             `json:"title"`
-	Values  map[string]float64 `json:"values"`
-	Notes   []string           `json:"notes,omitempty"`
-	Seeds   int                `json:"seeds,omitempty"`
-	Std     map[string]float64 `json:"std,omitempty"`
-	Elapsed string             `json:"elapsed"`
+	ID      string               `json:"id"`
+	Title   string               `json:"title"`
+	Values  map[string]float64   `json:"values"`
+	Notes   []string             `json:"notes,omitempty"`
+	PerSeed []map[string]float64 `json:"per_seed,omitempty"`
+	Elapsed string               `json:"elapsed"`
 }
 
 func main() {
@@ -77,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scale    = fs.Float64("scale", 1.0, "workload scale factor (1.0 = seconds per experiment)")
 		seed     = fs.Uint64("seed", 42, "random seed")
 		ticks    = fs.Int64("maxticks", 6000, "per-run simulated-tick budget (0 = the default)")
-		seeds    = fs.Int("seeds", 1, "run each experiment this many times (seed, seed+1, ...) and report mean ± std")
+		seeds    = fs.Int("seeds", 1, "run each experiment at this many seeds (seed, seed+1, ...) and report each value's median [min, max]")
 		auditOn  = fs.Bool("audit", false, "attach the state auditor to every run; any invariant violation fails the experiment")
 		jsonPath = fs.String("json", "", "also write machine-readable results to this file")
 		mdPath   = fs.String("md", "", "write a markdown report to this file instead of stdout tables (not with -seeds or -json)")
@@ -108,21 +112,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("-maxticks must be >= 0, got %d", *ticks))
 	case *seeds < 1:
 		return fail(fmt.Errorf("-seeds must be >= 1, got %d", *seeds))
+	case *seed == 0 || *seed > math.MaxUint64-uint64(*seeds-1):
+		return fail(fmt.Errorf("-seed %d with -seeds %d: every seed run must lie in [1, 2^64-1]", *seed, *seeds))
 	case *mdPath != "" && (*seeds > 1 || *jsonPath != ""):
 		return fail(fmt.Errorf("-md reports one run per experiment as markdown only; it cannot be combined with -seeds or -json"))
 	}
-	opt := experiment.Options{Seed: *seed, Scale: *scale, MaxTicks: *ticks, Audit: *auditOn}
+	opt := experiment.Options{Seed: *seed, Scale: *scale, MaxTicks: *ticks, Audit: *auditOn, Seeds: *seeds}
 
 	start := time.Now()
 	var runErr error
 	var jsonOut []jsonResult
-	emit := func(text string, jr jsonResult, elapsed time.Duration) {
-		jr.Elapsed = elapsed.Round(time.Millisecond).String()
-		jsonOut = append(jsonOut, jr)
-		fmt.Fprintf(stdout, "%s(%s in %s)\n\n", text, jr.ID, jr.Elapsed)
-	}
-	switch {
-	case *mdPath != "":
+	if *mdPath != "" {
 		f, err := os.Create(*mdPath)
 		if err != nil {
 			return fail(err)
@@ -134,21 +134,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if runErr == nil {
 			fmt.Fprintf(stdout, "markdown report written to %s\n", *mdPath)
 		}
-	case *seeds > 1:
-		for _, id := range ids {
-			began := time.Now()
-			var sw *experiment.Sweep
-			if sw, runErr = experiment.RunSeeds(id, opt, *seeds); runErr != nil {
-				break
-			}
-			emit(sw.String(), jsonResult{ID: sw.ID, Title: sw.Title, Values: sw.Mean, Std: sw.Std,
-				Seeds: sw.Seeds, Notes: sw.Last.Notes}, time.Since(began))
-		}
-	default:
+	} else {
 		var results []*experiment.Result
 		results, runErr = experiment.RunAll(ids, opt)
 		for _, res := range results {
-			emit(res.String(), jsonResult{ID: res.ID, Title: res.Title, Values: res.Values, Notes: res.Notes}, res.Elapsed)
+			elapsed := res.Elapsed.Round(time.Millisecond).String()
+			jsonOut = append(jsonOut, jsonResult{ID: res.ID, Title: res.Title, Values: res.Values,
+				Notes: res.Notes, PerSeed: res.PerSeed, Elapsed: elapsed})
+			fmt.Fprintf(stdout, "%s(%s in %s)\n\n", res.String(), res.ID, elapsed)
 		}
 	}
 	code := 0

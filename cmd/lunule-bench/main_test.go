@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,6 +33,8 @@ func TestBadFlagsFail(t *testing.T) {
 		{[]string{"-exp", "overhead", "-maxticks", "-5"}, "-maxticks"},
 		{[]string{"-exp", "overhead", "-seeds", "-3"}, "-seeds"},
 		{[]string{"-exp", "overhead", "-seeds", "0"}, "-seeds"},
+		{[]string{"-exp", "overhead", "-seed", "0"}, "-seed"},
+		{[]string{"-exp", "overhead", "-seed", "18446744073709551615", "-seeds", "2"}, "-seed"},
 		{[]string{"-exp", "overhead", "-md", md, "-seeds", "2"}, "-md"},
 		{[]string{"-exp", "overhead", "-md", md, "-json", md + ".json"}, "-md"},
 	} {
@@ -49,7 +52,8 @@ func TestBadFlagsFail(t *testing.T) {
 
 // TestSmallRun pins the happy paths through run: ids are trimmed,
 // results print in the order asked with one timing line each and a
-// closing host line, and -md and -seeds produce their forms.
+// closing host line, and -md and -seeds produce their forms: -seeds 2
+// prints the seed count and -json keeps both seeds' values.
 func TestSmallRun(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-exp", "table1, overhead", "-scale", "0.25"}, &stdout, &stderr); code != 0 {
@@ -72,8 +76,14 @@ func TestSmallRun(t *testing.T) {
 	}
 
 	stdout.Reset()
-	if code := run([]string{"-exp", "overhead", "-seeds", "2"}, &stdout, &stderr); code != 0 ||
+	js := filepath.Join(t.TempDir(), "out.json")
+	if code := run([]string{"-exp", "overhead", "-seeds", "2", "-json", js}, &stdout, &stderr); code != 0 ||
 		!strings.Contains(stdout.String(), "(2 seeds)") {
 		t.Fatalf("-seeds 2: exit %d, stdout: %s stderr: %s", code, stdout.String(), stderr.String())
+	}
+	var results []jsonResult
+	if data, err := os.ReadFile(js); err != nil || json.Unmarshal(data, &results) != nil ||
+		len(results) != 1 || len(results[0].PerSeed) != 2 {
+		t.Fatalf("-seeds 2 -json: want one result with 2 per_seed maps, got %+v (read error %v)", results, err)
 	}
 }

@@ -35,12 +35,16 @@ type Options struct {
 	// builds and fails the run on any invariant violation. The auditor
 	// is read-only, so audited results are identical to unaudited ones.
 	Audit bool
+	// Seeds runs every experiment at this many seeds, Seed, Seed+1, ...
+	// (default 1); see Result.PerSeed.
+	Seeds int
 }
 
 func (o *Options) defaults() {
 	if o.Seed == 0 {
 		o.Seed = 42
 	}
+	o.Seeds = max(o.Seeds, 1)
 	if o.Scale <= 0 {
 		o.Scale = 1
 	}
@@ -61,11 +65,17 @@ type Result struct {
 	Series []NamedSeries
 	// Notes records observations (paper-vs-measured commentary).
 	Notes []string
-	// Values exposes key numbers for tests and benchmarks.
+	// Values exposes key numbers for tests and benchmarks. At more than
+	// one seed each is its median over the seeds that recorded it.
 	Values map[string]float64
-	// Elapsed is the wall-clock of the scenario run behind this result
-	// plus its report; results that share one run each carry that run's
-	// time. It is the only field that differs between identical runs.
+	// PerSeed holds every seed's Values in seed order; it is nil at one
+	// seed. At more than one, Table, Series and Notes are the first
+	// seed's.
+	PerSeed []map[string]float64
+	// Elapsed is the wall-clock of the scenario runs behind this result
+	// plus its reports, summed over seeds; results that share one run
+	// each carry that run's time. It is the only field that differs
+	// between identical runs.
 	Elapsed time.Duration
 }
 
@@ -78,12 +88,32 @@ type NamedSeries struct {
 // String renders the full result.
 func (r *Result) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "=== %s: %s ===\n", r.ID, r.Title)
+	seeds := ""
+	if r.PerSeed != nil {
+		seeds = fmt.Sprintf(" (%d seeds)", len(r.PerSeed))
+	}
+	fmt.Fprintf(&b, "=== %s: %s%s ===\n", r.ID, r.Title, seeds)
 	if r.Table != nil {
 		b.WriteString(r.Table.String())
 	}
 	for _, s := range r.Series {
 		fmt.Fprintf(&b, "%-28s %s\n", s.Name, s.Points)
+	}
+	if r.PerSeed != nil {
+		keys := make([]string, 0, len(r.Values))
+		for k := range r.Values {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			lo, hi := math.Inf(1), math.Inf(-1)
+			for _, vals := range r.PerSeed {
+				if v, ok := vals[k]; ok {
+					lo, hi = min(lo, v), max(hi, v)
+				}
+			}
+			fmt.Fprintf(&b, "%-40s %12.3f [%.3f, %.3f]\n", k, r.Values[k], lo, hi)
+		}
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
@@ -239,9 +269,10 @@ func Run(id string, opt Options) (*Result, error) {
 }
 
 // RunAll executes the listed experiments in order and returns their
-// results in that order. Consecutive entries that share a scenario
-// share one run of it. An unknown id fails before anything runs; on a
-// later error the results finished before it are returned with it.
+// results in that order, each at opt.Seeds seeds. Consecutive entries
+// that share a scenario share one run of it per seed. An unknown id
+// fails before anything runs; on a later error the results of the
+// scenarios finished before it are returned with it.
 func RunAll(ids []string, opt Options) ([]*Result, error) {
 	opt.defaults()
 	entries := make([]*entry, len(ids))
@@ -254,42 +285,88 @@ func RunAll(ids []string, opt Options) ([]*Result, error) {
 		}
 		entries[i] = registry[at]
 	}
-	// Only the latest scenario's clusters are kept: -exp all would
-	// otherwise hold every experiment's until the end.
-	var ran *scenario
-	var runs []*run
-	var simTime time.Duration
 	results := make([]*Result, 0, len(ids))
-	for _, e := range entries {
-		start := time.Now()
-		if e.scenario != ran {
-			ran, runs, simTime = e.scenario, nil, 0
-			if ran != nil {
+	for len(entries) > 0 {
+		n := 1
+		for n < len(entries) && entries[n].scenario == entries[0].scenario {
+			n++
+		}
+		group := entries[:n]
+		entries = entries[n:]
+		// Seeds run one after another and a seed's runs are dropped once
+		// its results are built, so one seed's clusters of one scenario
+		// are alive at a time, not N seeds' or every experiment's.
+		perSeed := make([][]*Result, n)
+		for s := range opt.Seeds {
+			o := opt
+			o.Seed += uint64(s)
+			start := time.Now()
+			var runs []*run
+			if sc := group[0].scenario; sc != nil {
 				var err error
-				if runs, err = runCells(e.id, opt, ran.cells(opt)); err != nil {
+				if runs, err = runCells(group[0].id, o, sc.cells(o)); err != nil {
 					return results, err
 				}
-				simTime = time.Since(start)
+			}
+			simTime := time.Since(start)
+			for i, e := range group {
+				reportStart := time.Now()
+				res, err := e.result(o, runs)
+				if err != nil {
+					return results, err
+				}
+				res.Elapsed = simTime + time.Since(reportStart)
+				perSeed[i] = append(perSeed[i], res)
 			}
 		}
-		reportStart := time.Now()
-		res := &Result{ID: e.id, Title: e.title, Values: make(map[string]float64)}
-		if e.cols != nil {
-			tabulate(res, runs, runKey, e.cols...)
+		for _, rs := range perSeed {
+			results = append(results, merge(rs))
 		}
-		for _, q := range e.ratios {
-			res.ratio(q[0], q[1], q[2])
-		}
-		if e.report != nil {
-			if err := e.report(res, opt, runs); err != nil {
-				return results, fmt.Errorf("experiment %s: %w", e.id, err)
-			}
-		}
-		res.note(e.notes...)
-		res.Elapsed = simTime + time.Since(reportStart)
-		results = append(results, res)
 	}
 	return results, nil
+}
+
+// result builds the entry's Result from one seed's runs: its columns,
+// then its ratios, then its report, then its notes.
+func (e *entry) result(opt Options, runs []*run) (*Result, error) {
+	res := &Result{ID: e.id, Title: e.title, Values: make(map[string]float64)}
+	if e.cols != nil {
+		tabulate(res, runs, runKey, e.cols...)
+	}
+	for _, q := range e.ratios {
+		res.ratio(q[0], q[1], q[2])
+	}
+	if e.report != nil {
+		if err := e.report(res, opt, runs); err != nil {
+			return nil, fmt.Errorf("experiment %s: %w", e.id, err)
+		}
+	}
+	res.note(e.notes...)
+	return res, nil
+}
+
+// merge folds one entry's results, in seed order, into one: the first
+// seed's table, series and notes, every seed's values, each value's
+// median over the seeds that recorded it, and the summed elapsed time.
+// A single seed's result is returned as it is.
+func merge(rs []*Result) *Result {
+	if len(rs) == 1 {
+		return rs[0]
+	}
+	res := *rs[0]
+	res.Values, res.Elapsed = make(map[string]float64), 0
+	byKey := make(map[string][]float64)
+	for _, r := range rs {
+		res.PerSeed = append(res.PerSeed, r.Values)
+		res.Elapsed += r.Elapsed
+		for k, v := range r.Values {
+			byKey[k] = append(byKey[k], v)
+		}
+	}
+	for k, vs := range byKey {
+		res.Values[k] = stats.Percentile(vs, 0.5)
+	}
+	return &res
 }
 
 // --- shared builders ---------------------------------------------------

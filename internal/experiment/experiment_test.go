@@ -2,7 +2,11 @@ package experiment
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // quick runs an experiment at reduced scale for tests.
@@ -400,5 +404,72 @@ func TestResultRendering(t *testing.T) {
 	out := res.String()
 	if len(out) == 0 || res.ID != "overhead" {
 		t.Fatal("result rendering")
+	}
+}
+
+// TestRunAllSeeds: the seed axis is independent runs. At three seeds
+// each PerSeed map equals a plain Run at that seed, Values holds their
+// medians and the table is the first seed's, for entries that share a
+// scenario (fig3, fig4) and one that does not; at zero or one seed
+// RunAll is the plain run.
+func TestRunAllSeeds(t *testing.T) {
+	ids := []string{"fig3", "fig4", "overhead"}
+	opt := Options{Scale: 0.25, Seed: 42}
+	plain := make([][]*Result, 3) // plain[s][j]: ids[j] run alone at seed 42+s
+	for s := range plain {
+		o := opt
+		o.Seed += uint64(s)
+		for _, id := range ids {
+			res, err := Run(id, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.PerSeed != nil {
+				t.Fatalf("%s at one seed: PerSeed %v, want nil", id, res.PerSeed)
+			}
+			plain[s] = append(plain[s], res)
+		}
+	}
+	opt.Seeds = 3
+	swept, err := RunAll(ids, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, res := range swept {
+		if res.ID != ids[j] || len(res.PerSeed) != 3 {
+			t.Fatalf("result %d: id %s with %d seeds, want %s with 3", j, res.ID, len(res.PerSeed), ids[j])
+		}
+		byKey := map[string][]float64{}
+		for s := range plain {
+			if !reflect.DeepEqual(res.PerSeed[s], plain[s][j].Values) {
+				t.Errorf("%s: PerSeed[%d] differs from a plain run at seed %d", res.ID, s, 42+s)
+			}
+			for k, v := range plain[s][j].Values {
+				byKey[k] = append(byKey[k], v)
+			}
+		}
+		if len(res.Values) != len(byKey) {
+			t.Errorf("%s: %d values, want %d", res.ID, len(res.Values), len(byKey))
+		}
+		for k, vs := range byKey {
+			if got, want := res.Values[k], stats.Percentile(vs, 0.5); got != want {
+				t.Errorf("%s: Values[%s] = %v, want the median %v of %v", res.ID, k, got, want, vs)
+			}
+		}
+		if !reflect.DeepEqual(res.Table, plain[0][j].Table) || !strings.Contains(res.String(), "(3 seeds) ===") {
+			t.Errorf("%s: table is not seed 42's, or the header does not name 3 seeds:\n%s", res.ID, res)
+		}
+	}
+	opt.Seeds = 1
+	one, err := RunAll(ids, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, res := range one {
+		got, want := *res, *plain[0][j]
+		got.Elapsed, want.Elapsed = 0, 0
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: RunAll at one seed differs from Run", res.ID)
+		}
 	}
 }
