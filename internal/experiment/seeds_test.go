@@ -5,44 +5,49 @@ import (
 	"testing"
 )
 
+// TestRunSeedsAggregates: at two seeds RunAll keeps both seeds' values
+// and renders their medians with a [min, max] range.
 func TestRunSeedsAggregates(t *testing.T) {
-	sw, err := RunSeeds("overhead", Options{Scale: 0.25, Seed: 42}, 2)
+	results, err := RunAll([]string{"overhead"}, Options{Scale: 0.25, Seed: 42, Seeds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sw.Seeds != 2 || sw.ID != "overhead" {
-		t.Fatal("sweep metadata")
+	res := results[0]
+	if len(results) != 1 || res.ID != "overhead" || len(res.PerSeed) != 2 {
+		t.Fatal("multi-seed result metadata")
 	}
-	// Overhead is deterministic and seed-independent: std must be 0.
-	for k, std := range sw.Std {
-		if std != 0 {
-			t.Fatalf("std[%s] = %v, want 0 for a seed-independent experiment", k, std)
+	// Overhead is deterministic and seed-independent: both seeds agree.
+	for k, v := range res.Values {
+		for s, vals := range res.PerSeed {
+			if vals[k] != v {
+				t.Fatalf("seed %d: %s = %v, want %v for a seed-independent experiment", s, k, vals[k], v)
+			}
 		}
 	}
-	if sw.Mean["mds16.lunule.outKB"] <= 0 {
-		t.Fatal("mean missing")
+	if res.Values["mds16.lunule.outKB"] <= 0 {
+		t.Fatal("median missing")
 	}
-	if sw.Last == nil || sw.Last.Table == nil {
-		t.Fatal("last result must carry the rendered tables")
+	if res.Table == nil {
+		t.Fatal("result must carry the rendered tables")
 	}
-	out := sw.String()
-	if !strings.Contains(out, "2 seeds") || !strings.Contains(out, "±") {
-		t.Fatalf("sweep rendering: %q", out)
+	out := res.String()
+	if !strings.Contains(out, "(2 seeds)") || !strings.Contains(out, "mds16.lunule.outKB") || !strings.Contains(out, "[") {
+		t.Fatalf("multi-seed rendering: %q", out)
 	}
 }
 
 func TestRunSeedsClampsToOne(t *testing.T) {
-	sw, err := RunSeeds("overhead", Options{Scale: 0.25}, 0)
+	results, err := RunAll([]string{"overhead"}, Options{Scale: 0.25, Seeds: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sw.Seeds != 1 {
-		t.Fatalf("seeds = %d, want clamped to 1", sw.Seeds)
+	if res := results[0]; res.PerSeed != nil || strings.Contains(res.String(), "seeds)") {
+		t.Fatalf("Seeds 0 ran %d seeds, want clamped to 1", len(res.PerSeed))
 	}
 }
 
 func TestRunSeedsUnknownID(t *testing.T) {
-	if _, err := RunSeeds("nope", Options{}, 2); err == nil {
+	if _, err := RunAll([]string{"nope"}, Options{Seeds: 2}); err == nil {
 		t.Fatal("unknown experiment must error")
 	}
 }
