@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmtcheck race check benchcheck pairs identity profile loc budget repin gobench audit fuzz elastic replication batched readstorm noisy
+.PHONY: all build test vet fmtcheck race check benchcheck pairs identity profile peakrss loc budget repin gobench audit fuzz elastic replication batched readstorm noisy
 
 all: check
 
@@ -53,6 +53,14 @@ profile:
 	bash benchmark/run.sh -workload '$(WORKLOAD)' -repeats 2 -trace 1 -cpuprofile .bench_build/prof -memprofile .bench_build/prof
 	@for f in .bench_build/prof/cpu-*.pprof; do echo "== $$f: cpu, flat"; $(GO) tool pprof -top -nodecount=25 $$f; done
 	@for f in .bench_build/prof/mem-*.pprof; do echo "== $$f: heap, inuse_space"; $(GO) tool pprof -top -nodecount=25 -sample_index=inuse_space $$f; done
+
+# peakrss prints the peak RSS (VmHWM) and wall time of lunule-bench
+# $(ARGS): RUNS runs and their medians, alternating with the parent
+# revision's binary when PARENT is given (see scripts/peakrss.sh).
+ARGS ?= -exp fig6
+RUNS ?= 1
+peakrss:
+	bash scripts/peakrss.sh $(if $(filter file,$(origin PARENT)),,-parent '$(PARENT)') -n $(RUNS) $(ARGS)
 
 # identity checks that the working tree's outputs equal a parent
 # revision's: the benchmark run digests at seeds 42 and 7, `-exp all

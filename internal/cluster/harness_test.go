@@ -119,8 +119,8 @@ func diffEngineOutputs(t *testing.T, name string, want, got []byte) {
 // testdata/digests.txt under its name; rows named saturated/... run
 // with rank capacity far below demand under the carried-plan oracle
 // and are pinned by TestCarriedPlanMatchesFresh, the rest by
-// TestParallelEngineDifferential. identity_test.go runs every axis on
-// every row it applies to.
+// TestEngineRowDigests. identity_test.go runs every axis on every row
+// it applies to.
 var scenarios = []scenario{
 	{name: "failover", config: func(cfg *Config) func(*Cluster) {
 		var sched fault.Schedule
@@ -537,12 +537,11 @@ func TestLeasesDrainCoversEveryRevoke(t *testing.T) {
 	}
 }
 
-// TestParallelEngineDifferential pins the tick engine's output: each
-// unsaturated row's CSVs and event trace must hash to the digest its
-// name pins, so any change of RNG consumption, barrier order, budget
-// arbitration or inode-number assignment shows up as a moved digest.
-// The name predates the engine running on one goroutine.
-func TestParallelEngineDifferential(t *testing.T) {
+// TestEngineRowDigests pins the tick engine's output: each unsaturated
+// row's CSVs and event trace must hash to the digest its name pins, so
+// any change of RNG consumption, serve order, budget arbitration or
+// inode-number assignment shows up as a moved digest.
+func TestEngineRowDigests(t *testing.T) {
 	for _, sc := range scenarios {
 		if !strings.HasPrefix(sc.name, "saturated/") {
 			t.Run(sc.name, func(t *testing.T) { pinRow(t, sc) })

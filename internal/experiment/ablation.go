@@ -37,7 +37,11 @@ var expAblation = entry{
 				return workload.NewZipf(workload.ZipfConfig{OpsPerClient: scaledMin(8000, opt.Scale, 6000)})
 			},
 			shape: cluster.Config{Clients: 10, ClientRate: 40}, // ~20% of one MDS: harmless skew
-			drive: func(r *run, _ int64) { r.Run(150) },
+			// marks[0] counts the rebalance activations.
+			drive: func(r *run, _ int64) {
+				r.Run(150)
+				r.marks = []int{r.policy.(*core.Lunule).Rebalances()}
+			},
 		}
 		on := func(w string) cell { return cell{gen: func() workload.Generator { return paper(w, opt) }} }
 		return slices.Concat(
@@ -48,7 +52,7 @@ var expAblation = entry{
 	report: func(res *Result, _ Options, rs []*run) error {
 		// One headline metric per pair under "value", and a second value.
 		for i, pairCols := range [][]column[*run]{
-			{num("value", ".rebalances", fi, func(r *run) float64 { return float64(r.policy.(*core.Lunule).Rebalances()) }),
+			{num("value", ".rebalances", fi, func(r *run) float64 { return float64(r.marks[0]) }),
 				value(".migrated", migrated)},
 			{num("value", ".mean", fi, meanIOPS), value(".meanIF", meanIF)},
 			{num("value", ".migrated", fi, migrated), value(".jct50", jct(0.5))},

@@ -10,6 +10,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/balancer"
 	"repro/internal/cluster"
+	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -48,24 +49,36 @@ type scenario struct {
 	cells func(opt Options) []cell
 }
 
-// A run is a finished cell: its cluster, the cell it came from, the
-// balancer that cell attached (reports read policy counters off it),
-// and whatever its drive step recorded.
+// A run is one cell's simulation. While runCells drives it, Cluster
+// and policy are the cell's live cluster and balancer (drive steps act
+// on them); once its columns are evaluated both are dropped, and the
+// finished run keeps only its cell, its marks, the Recorder and each
+// entry's evaluated row. Reports read nothing else.
 type run struct {
 	*cluster.Cluster
 	cell
 	policy balancer.Balancer
 	marks  []int
+	rec    *metrics.Recorder
+	// rows holds, for every entry of the group with columns, the header
+	// and this run's one row and keyed values.
+	rows map[*entry]*Result
 }
 
+// Metrics returns the run's Recorder, which outlives its cluster.
+func (r *run) Metrics() *metrics.Recorder { return r.rec }
+
 // runCells simulates every cell and returns the runs in cell order. It
-// is the one place a cluster is built and run: seed and auditor wiring,
-// cluster.New, drive or RunUntilDone, the audit verdict and the finish
-// check. Cells are independent and individually deterministic, so they
-// fan out over min(GOMAXPROCS, len(cells)) workers and are collected by
-// index; the error returned is the lowest-index cell's, whatever order
-// the workers finished in.
-func runCells(id string, opt Options, cells []cell) ([]*run, error) {
+// is the one place a cluster is built, run and read: seed and auditor
+// wiring, cluster.New, drive or RunUntilDone, the audit verdict, the
+// finish check and the columns of every entry in the group; then the
+// cluster is dropped, so peak memory is the pool width's clusters plus
+// every finished cell's Recorder. Cells are independent and
+// individually deterministic, so they fan out over
+// min(GOMAXPROCS, len(cells)) workers and are collected by index; the
+// error returned is the lowest-index cell's, whatever order the workers
+// finished in.
+func runCells(id string, opt Options, cells []cell, entries []*entry) ([]*run, error) {
 	runs := make([]*run, len(cells))
 	errs := make([]error, len(cells))
 	var next atomic.Int64
@@ -75,7 +88,7 @@ func runCells(id string, opt Options, cells []cell) ([]*run, error) {
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1)) - 1; i < len(cells); i = int(next.Add(1)) - 1 {
-				runs[i], errs[i] = cells[i].simulate(opt)
+				runs[i], errs[i] = cells[i].simulate(opt, entries)
 			}
 		}()
 	}
@@ -88,7 +101,7 @@ func runCells(id string, opt Options, cells []cell) ([]*run, error) {
 	return runs, nil
 }
 
-func (cl cell) simulate(opt Options) (*run, error) {
+func (cl cell) simulate(opt Options, entries []*entry) (*run, error) {
 	cfg := cl.shape
 	cfg.Seed, cfg.Balancer, cfg.Workload = opt.Seed, MakeBalancer(cl.bal), cl.gen()
 	if cl.attach != nil {
@@ -108,7 +121,7 @@ func (cl cell) simulate(opt Options) (*run, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &run{Cluster: c, cell: cl, policy: cfg.Balancer}
+	r := &run{Cluster: c, cell: cl, policy: cfg.Balancer, rec: c.Metrics(), rows: make(map[*entry]*Result)}
 	if cl.drive != nil {
 		cl.drive(r, opt.MaxTicks)
 	} else {
@@ -120,6 +133,13 @@ func (cl cell) simulate(opt Options) (*run, error) {
 	if cl.mustFinish && !c.Done() {
 		return nil, fmt.Errorf("did not finish in %d ticks", opt.MaxTicks)
 	}
+	for _, e := range entries {
+		if e.cols != nil {
+			r.rows[e] = &Result{Values: make(map[string]float64)}
+			tabulate(r.rows[e], []*run{r}, runKey, e.cols...)
+		}
+	}
+	r.Cluster, r.policy = nil, nil
 	return r, nil
 }
 

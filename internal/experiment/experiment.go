@@ -1,14 +1,17 @@
 // Package experiment reproduces the paper's evaluation. Every table and
 // figure of §4 is one entry of the registry below: a scenario lists the
 // entry's cells (each an independent cluster on the experiment's seed),
-// runCells runs them on one bounded pool, and the entry's report turns
-// the finished runs into the rows/series the paper reports, each metric
-// declared once as a column. The cmd/lunule-bench binary and the
-// top-level benchmarks both drive this registry.
+// runCells runs them on one bounded pool and evaluates the entry's
+// columns, each metric declared once, against every live cluster before
+// dropping it, and the entry's report turns the finished runs'
+// Recorders into the series and derived values the paper reports. The
+// cmd/lunule-bench binary and the top-level benchmarks both drive this
+// registry.
 package experiment
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"strings"
@@ -219,10 +222,13 @@ type entry struct {
 	// point at the same scenario report on one shared run of it. Nil
 	// marks a closed form, which report alone computes.
 	scenario *scenario
-	// cols declares the usual table: one row per run, in cell order.
+	// cols declares the usual table: one row per run, in cell order,
+	// evaluated by runCells against the live cluster.
 	cols []column[*run]
 	// report adds what is not a row per run: series, derived values,
-	// tables over phases or generators. An entry has cols, report or both.
+	// tables over phases or generators. By then the clusters are gone:
+	// it reads a run's Recorder, cell and marks. An entry has cols,
+	// report or both.
 	report func(res *Result, opt Options, runs []*run) error
 	// ratios lists derived values {key, numerator key, denominator key},
 	// recorded after cols and before report.
@@ -270,9 +276,10 @@ func Run(id string, opt Options) (*Result, error) {
 
 // RunAll executes the listed experiments in order and returns their
 // results in that order, each at opt.Seeds seeds. Consecutive entries
-// that share a scenario share one run of it per seed. An unknown id
-// fails before anything runs; on a later error the results of the
-// scenarios finished before it are returned with it.
+// that share a scenario share one run of it per seed, and seeds run one
+// after another, so at most the pool width's clusters are alive at
+// once. An unknown id fails before anything runs; on a later error the
+// results of the scenarios finished before it are returned with it.
 func RunAll(ids []string, opt Options) ([]*Result, error) {
 	opt.defaults()
 	entries := make([]*entry, len(ids))
@@ -294,8 +301,8 @@ func RunAll(ids []string, opt Options) ([]*Result, error) {
 		group := entries[:n]
 		entries = entries[n:]
 		// Seeds run one after another and a seed's runs are dropped once
-		// its results are built, so one seed's clusters of one scenario
-		// are alive at a time, not N seeds' or every experiment's.
+		// its results are built; a run holds its cluster only inside
+		// runCells, so what stays alive is one seed's Recorders.
 		perSeed := make([][]*Result, n)
 		for s := range opt.Seeds {
 			o := opt
@@ -304,7 +311,7 @@ func RunAll(ids []string, opt Options) ([]*Result, error) {
 			var runs []*run
 			if sc := group[0].scenario; sc != nil {
 				var err error
-				if runs, err = runCells(group[0].id, o, sc.cells(o)); err != nil {
+				if runs, err = runCells(group[0].id, o, sc.cells(o), group); err != nil {
 					return results, err
 				}
 			}
@@ -326,12 +333,17 @@ func RunAll(ids []string, opt Options) ([]*Result, error) {
 	return results, nil
 }
 
-// result builds the entry's Result from one seed's runs: its columns,
-// then its ratios, then its report, then its notes.
+// result builds the entry's Result from one seed's runs: its columns'
+// rows, which runCells evaluated, in cell order, then its ratios, then
+// its report, then its notes.
 func (e *entry) result(opt Options, runs []*run) (*Result, error) {
 	res := &Result{ID: e.id, Title: e.title, Values: make(map[string]float64)}
 	if e.cols != nil {
-		tabulate(res, runs, runKey, e.cols...)
+		tabulate(res, nil, runKey, e.cols...) // the header row
+		for _, r := range runs {
+			res.Table.Rows = append(res.Table.Rows, r.rows[e].Table.Rows...)
+			maps.Copy(res.Values, r.rows[e].Values)
+		}
 	}
 	for _, q := range e.ratios {
 		res.ratio(q[0], q[1], q[2])

@@ -29,7 +29,7 @@ var expFig13a = entry{
 		return cells
 	}},
 	report: func(res *Result, _ Options, rs []*run) error {
-		linear := func(r *run) float64 { return peakIOPS(rs[0]) * float64(len(r.Servers())) }
+		linear := func(r *run) float64 { return peakIOPS(rs[0]) * float64(r.shape.MDS) } // a static fleet
 		tabulate(res, rs, runKey, label("MDSs", 0), label("clients", 1), colPeakIOPS,
 			shown("linear ref", fi, linear),
 			num("efficiency", ".efficiency", f2, func(r *run) float64 {

@@ -1,6 +1,10 @@
 package experiment
 
-import "repro/internal/workload"
+import (
+	"math"
+
+	"repro/internal/workload"
+)
 
 // The shareddir experiment stresses the hardest case for
 // subtree-granular balancing: every client creates into one shared
@@ -14,21 +18,15 @@ var expSharedDir = entry{
 		func(_ string, opt Options) workload.Generator {
 			return workload.NewMDShared(workload.MDSharedConfig{CreatesPerClient: scaledMin(15000, opt.Scale, 10000)})
 		}),
-	report: func(res *Result, _ Options, rs []*run) error {
-		// Count the fragment entries of the shared dir.
-		frags := make(map[*run]float64, len(rs))
-		for _, r := range rs {
+	cols: []column[*run]{label("balancer", 1), colMeanIOPS, colJCT50,
+		num("dirfrag entries", ".frags", fi, func(r *run) float64 { // the shared dir's fragment entries
 			shared, err := r.Tree().Lookup("/mdshared/dir")
 			if err != nil {
-				return err
+				return math.NaN()
 			}
-			frags[r] = float64(len(r.Partition().EntriesAt(shared.Ino)))
-		}
-		tabulate(res, rs, runKey, label("balancer", 1), colMeanIOPS, colJCT50,
-			num("dirfrag entries", ".frags", fi, func(r *run) float64 { return frags[r] }),
-			shown("migrated", fi, migrated))
-		res.ratio("lunule-vs-vanilla", "Lunule.mean", "Vanilla.mean")
-		return nil
-	},
-	notes: []string{"only dirfrag splitting parallelizes a single hot directory; whole-directory policies just relocate it"},
+			return float64(len(r.Partition().EntriesAt(shared.Ino)))
+		}),
+		shown("migrated", fi, migrated)},
+	ratios: [][3]string{{"lunule-vs-vanilla", "Lunule.mean", "Vanilla.mean"}},
+	notes:  []string{"only dirfrag splitting parallelizes a single hot directory; whole-directory policies just relocate it"},
 }
