@@ -54,13 +54,15 @@ profile:
 	@for f in .bench_build/prof/cpu-*.pprof; do echo "== $$f: cpu, flat"; $(GO) tool pprof -top -nodecount=25 $$f; done
 	@for f in .bench_build/prof/mem-*.pprof; do echo "== $$f: heap, inuse_space"; $(GO) tool pprof -top -nodecount=25 -sample_index=inuse_space $$f; done
 
-# peakrss prints the peak RSS (VmHWM) and wall time of lunule-bench
-# $(ARGS): RUNS runs and their medians, alternating with the parent
-# revision's binary when PARENT is given (see scripts/peakrss.sh).
+# peakrss prints the peak RSS (VmHWM) and wall time of $(CMD) $(ARGS)
+# (lunule-bench or lunule-sim): RUNS runs and their medians,
+# alternating with the parent revision's binary when PARENT is given
+# (see scripts/peakrss.sh).
+CMD ?= lunule-bench
 ARGS ?= -exp fig6
 RUNS ?= 1
 peakrss:
-	bash scripts/peakrss.sh $(if $(filter file,$(origin PARENT)),,-parent '$(PARENT)') -n $(RUNS) $(ARGS)
+	bash scripts/peakrss.sh -cmd '$(CMD)' $(if $(filter file,$(origin PARENT)),,-parent '$(PARENT)') -n $(RUNS) $(ARGS)
 
 # identity checks that the working tree's outputs equal a parent
 # revision's: the benchmark run digests at seeds 42 and 7, `-exp all

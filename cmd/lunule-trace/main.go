@@ -66,6 +66,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(fmt.Errorf("-%s must be >= 1, got %d", f.name, f.v))
 		}
 	}
+	// The collector keeps one window more than it reports, and at most
+	// 31 (trace.NewCollector).
+	if *windows > 30 {
+		return fail(fmt.Errorf("-windows must be <= 30, got %d", *windows))
+	}
 
 	gen := experiment.MakeWorkload(name, *scale)
 	tree := namespace.NewTree()

@@ -25,6 +25,7 @@ func TestBadFlagsFail(t *testing.T) {
 		{[]string{"-clients", "0"}, "clients"},
 		{[]string{"-windowops", "0"}, "windowops"},
 		{[]string{"-windows", "-2"}, "windows"},
+		{[]string{"-windows", "31"}, "windows"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != 1 ||

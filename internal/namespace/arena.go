@@ -44,8 +44,8 @@ func (t *Tree) AdoptOrExisting(in *Inode) (linked *Inode, adopted bool) {
 	*c = *in
 	c.Ino = t.nextIn
 	t.nextIn++
+	d.index.set(slot, c.nameHash, len(d.order))
 	d.order = append(d.order, uint32(c.Ino))
-	d.index.slots[slot] = uint64(c.nameHash)<<32 | uint64(c.Ino)
 	files := c.SubtreeFiles()
 	for a := c.Parent; a != nil; a = a.Parent {
 		a.dir.subInodes++

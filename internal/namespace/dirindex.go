@@ -2,15 +2,16 @@ package namespace
 
 // dirIndex finds a directory's child by name: an open-addressed hash
 // table over the directory's children, keyed by the 32-bit name hash
-// every inode caches. A slot packs the child's hash (high half) with
-// its inode number (low half), so a probe hit reads the child directly;
-// zero is an empty slot. The table is a power of two in size and at
-// most half full, so a linear probe ends at an empty slot after a step
-// or two, and only a full 32-bit hash match costs a name compare.
-// Nothing on a probe or a growth hashes a name: the caller supplies the
-// hash on lookup, and growth re-inserts from the old slots alone.
+// every inode caches. A slot holds the child's position in the
+// directory's order plus one, OR-ed with the bits of its hash above the
+// table mask; zero is an empty slot. The table is a power of two in
+// size and at most three quarters full, so the position always fits
+// below the mask, a linear probe ends at an empty slot after a few
+// steps, and only a tag match costs a name compare. Nothing on a probe
+// or a growth hashes a name: the caller supplies the hash on lookup,
+// and growth re-places every child by the hash its inode caches.
 type dirIndex struct {
-	slots []uint64
+	slots []uint32
 }
 
 // minDirSlots is the table size a directory's first child allocates.
@@ -33,8 +34,8 @@ func (d *dirState) probe(name string, hash uint32) (*Inode, uint32) {
 	mask := uint32(len(slots) - 1)
 	i := hash & mask
 	for ; slots[i] != 0; i = (i + 1) & mask {
-		if s := slots[i]; uint32(s>>32) == hash {
-			if c := d.tree.at(uint32(s)); c.Name == name {
+		if s := slots[i]; s&^mask == hash&^mask {
+			if c := d.tree.at(d.order[s&mask-1]); c.Name == name {
 				return c, i
 			}
 		}
@@ -44,34 +45,34 @@ func (d *dirState) probe(name string, hash uint32) (*Inode, uint32) {
 
 // find returns the child of that name, or nil and the empty slot that
 // indexes it once linked (AdoptOrExisting fills it), growing the table
-// first so that it stays at most half full with one more child.
+// first so that it stays at most three quarters full with one more
+// child.
 func (d *dirState) find(name string, hash uint32) (*Inode, uint32) {
 	if d.index.slots == nil {
-		d.index.slots = make([]uint64, minDirSlots)
-	} else if 2*(len(d.order)+1) > len(d.index.slots) {
-		d.index.grow()
+		d.index.slots = make([]uint32, minDirSlots)
+	} else if 4*(len(d.order)+1) > 3*len(d.index.slots) {
+		d.grow()
 	}
 	return d.probe(name, hash)
 }
 
-// grow doubles the table, re-inserting every slot by the hash it holds.
-func (ix *dirIndex) grow() {
-	slots := make([]uint64, 2*len(ix.slots))
-	for _, s := range ix.slots {
-		if s != 0 {
-			place(slots, s)
+// grow doubles the table and re-places every child, in order, at the
+// first free slot of its probe sequence.
+func (d *dirState) grow() {
+	d.index.slots = make([]uint32, 2*len(d.index.slots))
+	mask := uint32(len(d.index.slots) - 1)
+	for pos, n := range d.order {
+		h := d.tree.at(n).nameHash
+		i := h & mask
+		for d.index.slots[i] != 0 {
+			i = (i + 1) & mask
 		}
+		d.index.set(i, h, pos)
 	}
-	ix.slots = slots
 }
 
-// place stores a slot the table is known not to hold at the first free
-// position of its probe sequence.
-func place(slots []uint64, s uint64) {
-	mask := uint32(len(slots) - 1)
-	i := uint32(s>>32) & mask
-	for slots[i] != 0 {
-		i = (i + 1) & mask
-	}
-	slots[i] = s
+// set indexes the child at position pos of the order, whose name hashes
+// to hash, in slot i.
+func (ix *dirIndex) set(i, hash uint32, pos int) {
+	ix.slots[i] = hash&^uint32(len(ix.slots)-1) | uint32(pos+1)
 }

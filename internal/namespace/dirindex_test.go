@@ -18,9 +18,10 @@ type refDir struct {
 // and, after every step, checks each against its reference: every known
 // name resolves to its own inode, unknown names to nil, Children() is
 // the insertion order, NumChildren and the subtree counters add up, and
-// the tree keeps its number order (checkNumberOrder). The step count
-// takes the busiest directory across the 8, 16, .. 1024-slot growth
-// boundaries.
+// the tree keeps its number order (checkNumberOrder), and the index
+// itself is well formed (checkIndex). The step count takes the busy
+// directories across the 6, 12, .. 768-child growth boundaries of a
+// table at most three quarters full, to 2048 slots.
 func TestDirIndexProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tr := NewTree()
@@ -82,8 +83,13 @@ func TestDirIndexProperty(t *testing.T) {
 		if err := checkNumberOrder(tr); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
+		for _, d := range dirs {
+			if err := checkIndex(d); err != nil {
+				t.Fatalf("step %d: %s: %v", step, d.Path(), err)
+			}
+		}
 	}
-	const steps = 2600
+	const steps = 4000
 	for step := 0; step < steps; step++ {
 		d := dirs[1+rng.Intn(2)]
 		if rng.Intn(8) == 0 {
@@ -91,7 +97,7 @@ func TestDirIndexProperty(t *testing.T) {
 		}
 		ref := refs[d]
 		// A small name space, so duplicates are common.
-		name := fmt.Sprintf("n%d", rng.Intn(900))
+		name := fmt.Sprintf("n%d", rng.Intn(1800))
 		switch op := rng.Intn(11); {
 		case op < 4:
 			in, err := tr.Create(d, name, 1)
@@ -134,10 +140,48 @@ func TestDirIndexProperty(t *testing.T) {
 		check(step)
 	}
 	for _, d := range dirs[1:] {
-		if len(d.dir.index.slots) < 512 {
+		if len(d.dir.index.slots) < 2048 {
 			t.Fatalf("%s index reached only %d slots; the run must cross several growth boundaries", d.Path(), len(d.dir.index.slots))
 		}
 	}
+}
+
+// checkIndex reports how d's name index departs from its order: it
+// must hold each child's position exactly once, tagged with the bits of
+// the child's name hash above the table mask, and be at most three
+// quarters full.
+func checkIndex(d *Inode) error {
+	slots := d.dir.index.slots
+	if slots == nil {
+		if d.NumChildren() != 0 {
+			return fmt.Errorf("no index over %d children", d.NumChildren())
+		}
+		return nil
+	}
+	mask := uint32(len(slots) - 1)
+	seen := make([]bool, d.NumChildren())
+	for i, s := range slots {
+		if s == 0 {
+			continue
+		}
+		pos := int(s&mask) - 1
+		if pos < 0 || pos >= len(seen) || seen[pos] {
+			return fmt.Errorf("slot %d holds position %d of %d, or a repeat", i, pos, len(seen))
+		}
+		seen[pos] = true
+		if h := d.ChildAt(pos).nameHash; s&^mask != h&^mask {
+			return fmt.Errorf("slot %d tags position %d with %#x, its hash is %#x", i, pos, s&^mask, h)
+		}
+	}
+	for pos, ok := range seen {
+		if !ok {
+			return fmt.Errorf("child %d is not indexed", pos)
+		}
+	}
+	if 4*len(seen) > 3*len(slots) {
+		return fmt.Errorf("%d children in %d slots: over three quarters full", len(seen), len(slots))
+	}
+	return nil
 }
 
 // collidingNames returns the first two distinct names "k<i>" with equal

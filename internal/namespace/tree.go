@@ -27,24 +27,23 @@ var (
 // too, so it lives here rather than in a side table.
 //
 // Everything only a directory needs sits behind dir, so the inode a
-// file pays for is 72 bytes: dir != nil ⇔ IsDir. A file is its own
-// subtree — one inode, one file — and keeps a single visited bit. The
-// fields a served op reads (access history, parent, size, name hash)
-// come first: 40 contiguous bytes, which the slab's 72-byte stride
-// keeps inside one cache line for half the inodes.
+// file pays for is 64 bytes: dir != nil ⇔ IsDir. A file is its own
+// subtree — one inode, one file — and keeps a single visited bit. A
+// slab is page-aligned, so every inode fills exactly one cache line,
+// and the fields a served op reads (access history, name hash, parent,
+// size) share it with the rest.
 type Inode struct {
 	// Hot is the runtime access-history annotation.
-	Hot    Hot
-	Parent *Inode
-	Size   int64 // file size in bytes; 0 for directories
-
+	Hot Hot
 	// nameHash caches HashName(Name): fragment membership and the
 	// parent's name index both key on it.
 	nameHash uint32
 	IsDir    bool
 	visited  bool // a file's whole visited count: MarkVisited has run
 
-	dir *dirState // children and subtree counters; nil on files
+	Parent *Inode
+	Size   int64     // file size in bytes; 0 for directories
+	dir    *dirState // children and subtree counters; nil on files
 
 	Ino  Ino
 	Name string
@@ -355,48 +354,40 @@ func splitPath(path string) []string {
 }
 
 // Hot is the per-inode access history used by the paper's stats
-// recording: a boolean queue of the last n epochs (implemented as a
-// 64-bit shift register) plus a total access counter. The pattern
-// analyzer reads it to classify accesses as recurrent (temporal
-// locality) or first-visit (spatial locality).
+// recording: a boolean queue of the last 32 epochs, as a 32-bit shift
+// register. The pattern analyzer reads it to classify accesses as
+// recurrent (temporal locality) or first-visit (spatial locality).
+// Every Touch leaves bit 0 set and only Touch shifts, so Bits is zero
+// until the first access and never again after it. An inode last
+// touched before epoch e still answers RecentEpochs(e-1, n) exactly
+// for n <= 31; the trace collector's history is bounded by that.
 type Hot struct {
-	// Bits holds one bit per recent epoch; bit 0 is the current epoch.
-	Bits uint64
+	// Bits holds one bit per recent epoch; bit d is epoch Epoch-d.
+	Bits uint32
 	// Epoch is the epoch Bits was last shifted to. The methods take
 	// int64 epochs; a run's epochs fit in 32 bits.
 	Epoch int32
-	// Count is the total number of accesses ever.
-	Count uint32
 }
 
 // Touch records an access during the given epoch and reports whether
 // the inode had ever been accessed before this call.
 func (h *Hot) Touch(epoch int64) (seenBefore bool) {
-	seenBefore = h.Count > 0
-	h.advance(epoch)
+	seenBefore = h.Bits != 0
+	if shift := epoch - int64(h.Epoch); shift >= 32 {
+		h.Bits, h.Epoch = 0, int32(epoch)
+	} else if shift > 0 {
+		h.Bits <<= uint(shift)
+		h.Epoch = int32(epoch)
+	}
 	h.Bits |= 1
-	h.Count++
 	return seenBefore
 }
 
-func (h *Hot) advance(epoch int64) {
-	if epoch <= int64(h.Epoch) {
-		return
-	}
-	shift := epoch - int64(h.Epoch)
-	if shift >= 64 {
-		h.Bits = 0
-	} else {
-		h.Bits <<= uint(shift)
-	}
-	h.Epoch = int32(epoch)
-}
-
 // AccessedIn reports whether the inode was accessed during the given
-// epoch (within the 64-epoch window).
+// epoch (within the 32-epoch window).
 func (h *Hot) AccessedIn(epoch int64) bool {
 	d := int64(h.Epoch) - epoch
-	if d < 0 || d >= 64 {
+	if d < 0 || d >= 32 {
 		return false
 	}
 	return h.Bits&(1<<uint(d)) != 0
@@ -405,21 +396,20 @@ func (h *Hot) AccessedIn(epoch int64) bool {
 // RecentEpochs returns in how many of the last n epochs (ending at the
 // given epoch) the inode was accessed.
 func (h *Hot) RecentEpochs(epoch int64, n int) int {
-	// Bit d of Bits is epoch h.Epoch-d; the asked epochs are bits
-	// [lo, lo+n) clipped to the 64-bit window.
+	// The asked epochs are bits [lo, lo+n) clipped to the 32-bit window.
 	lo := int64(h.Epoch) - epoch
 	hi := lo + int64(n)
 	if lo < 0 {
 		lo = 0
 	}
-	if hi > 64 {
-		hi = 64
+	if hi > 32 {
+		hi = 32
 	}
 	if lo >= hi {
 		return 0
 	}
-	return bits.OnesCount64(h.Bits >> uint(lo) << uint(64-(hi-lo)))
+	return bits.OnesCount32(h.Bits >> uint(lo) << uint(32-(hi-lo)))
 }
 
 // EverAccessed reports whether the inode has ever been accessed.
-func (h *Hot) EverAccessed() bool { return h.Count > 0 }
+func (h *Hot) EverAccessed() bool { return h.Bits != 0 }

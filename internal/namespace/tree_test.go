@@ -304,13 +304,13 @@ func TestSubtreeCountsProperty(t *testing.T) {
 // TestInodeSize pins the per-file footprint: everything directory-only
 // lives behind Inode.dir.
 func TestInodeSize(t *testing.T) {
-	if sz := unsafe.Sizeof(Inode{}); sz > 72 {
-		t.Fatalf("Inode is %d bytes, want <= 72", sz)
+	if sz := unsafe.Sizeof(Inode{}); sz > 64 {
+		t.Fatalf("Inode is %d bytes, want <= 64: one cache line", sz)
 	}
 }
 
 // TestRecentEpochsMatchesLoop checks the shift-mask-popcount against the
-// per-epoch loop it replaced, for epochs inside and beyond the 64-bit
+// per-epoch loop it replaced, for epochs inside and beyond the 32-bit
 // window and n from 0 past the window width.
 func TestRecentEpochsMatchesLoop(t *testing.T) {
 	loop := func(h *Hot, epoch int64, n int) int {
@@ -322,11 +322,11 @@ func TestRecentEpochsMatchesLoop(t *testing.T) {
 		}
 		return cnt
 	}
-	f := func(bits uint64, at uint8, back int8) bool {
-		h := Hot{Bits: bits, Epoch: int32(at), Count: 1}
+	f := func(bits uint32, at uint8, back int8) bool {
+		h := Hot{Bits: bits, Epoch: int32(at)}
 		e := int64(h.Epoch)
-		for _, epoch := range []int64{e - int64(back), e, e + 1, e - 63, e - 64, e + 70} {
-			for n := 0; n <= 70; n++ {
+		for _, epoch := range []int64{e - int64(back), e, e + 1, e - 31, e - 32, e + 40} {
+			for n := 0; n <= 40; n++ {
 				if h.RecentEpochs(epoch, n) != loop(&h, epoch, n) {
 					return false
 				}
@@ -335,6 +335,77 @@ func TestRecentEpochsMatchesLoop(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// wideHot is the 64-epoch history Hot replaced: a 64-bit shift register
+// and an access counter.
+type wideHot struct {
+	bits  uint64
+	epoch int64
+	count int
+}
+
+func (w *wideHot) touch(epoch int64) {
+	if shift := epoch - w.epoch; shift >= 64 {
+		w.bits, w.epoch = 0, epoch
+	} else if shift > 0 {
+		w.bits, w.epoch = w.bits<<uint(shift), epoch
+	}
+	w.bits |= 1
+	w.count++
+}
+
+func (w *wideHot) accessedIn(epoch int64) bool {
+	d := w.epoch - epoch
+	return d >= 0 && d < 64 && w.bits&(1<<uint(d)) != 0
+}
+
+// TestHotMatchesWideReference: through random Touch sequences whose
+// gaps cross the window, Hot answers as the 64-bit history does for
+// every query the trace collector makes — EverAccessed, Touch's
+// seenBefore, AccessedIn back to 31 epochs, and RecentEpochs of up to
+// 31 epochs ending at or just before the next epoch touched.
+func TestHotMatchesWideReference(t *testing.T) {
+	f := func(gaps []uint8) bool {
+		var h Hot
+		var w wideHot
+		epoch := int64(0)
+		for _, g := range gaps {
+			epoch += int64(g % 40)
+			if g >= 240 {
+				epoch += 100
+			}
+			if h.EverAccessed() != (w.count > 0) {
+				return false
+			}
+			for e := epoch - 31; e <= epoch+1; e++ {
+				if h.AccessedIn(e) != w.accessedIn(e) {
+					return false
+				}
+			}
+			for n := 0; n <= 31; n++ {
+				for _, end := range []int64{epoch - 1, epoch} {
+					want := 0
+					for e := end; e > end-int64(n); e-- {
+						if w.accessedIn(e) {
+							want++
+						}
+					}
+					if h.RecentEpochs(end, n) != want {
+						return false
+					}
+				}
+			}
+			if h.Touch(epoch) != (w.count > 0) {
+				return false
+			}
+			w.touch(epoch)
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -413,23 +484,20 @@ func TestHotTouchAndWindow(t *testing.T) {
 	if h.RecentEpochs(7, 3) != 2 {
 		t.Fatalf("RecentEpochs = %d, want 2", h.RecentEpochs(7, 3))
 	}
-	if h.Count != 3 {
-		t.Fatalf("Count = %d", h.Count)
-	}
 }
 
 func TestHotWindowExpiry(t *testing.T) {
 	var h Hot
 	h.Touch(0)
-	h.Touch(100) // shift > 64 clears old bits
-	if h.AccessedIn(0) {
-		t.Fatal("epoch 0 should have fallen out of the 64-epoch window")
+	h.Touch(40) // shift >= 32 clears old bits
+	if h.AccessedIn(0) || h.RecentEpochs(40, 64) != 1 {
+		t.Fatal("epoch 0 should have fallen out of the 32-epoch window")
 	}
-	if !h.AccessedIn(100) {
-		t.Fatal("epoch 100 should be set")
+	if !h.AccessedIn(40) {
+		t.Fatal("epoch 40 should be set")
 	}
 	if !h.EverAccessed() {
-		t.Fatal("count survives window expiry")
+		t.Fatal("EverAccessed survives window expiry")
 	}
 }
 

@@ -74,10 +74,12 @@ type Collector struct {
 }
 
 // NewCollector creates a collector retaining the given number of recent
-// cutting windows (the paper's N). history must be >= 1.
+// cutting windows (the paper's N). history must be in [1, 31], the
+// depth to which an inode's 32-epoch access history (namespace.Hot)
+// tells exactly whether it was visited in the previous N windows.
 func NewCollector(history int) *Collector {
-	if history < 1 {
-		panic("trace: history must be >= 1")
+	if history < 1 || history > 31 {
+		panic("trace: history must be in [1, 31]")
 	}
 	ring := make([]window, history+1)
 	for i := range ring {
