@@ -643,15 +643,15 @@ type routed struct {
 // child's own governing entry whether or not it exists yet
 // (Partition.GoverningChildEntry), so a create is routed to the rank
 // that owns its home without reading the directory.
-func (c *Cluster) resolveOp(op *workload.Op) routed {
+func (c *Cluster) resolveOp(op *workload.Op) namespace.Entry {
 	if op.Kind != workload.OpCreate {
-		return routed{target: op.Target, ent: c.governing(op.Target)}
+		return c.governing(op.Target)
 	}
 	hash := namespace.HashName(op.Name)
 	if c.resolver != nil {
-		return routed{ent: c.resolver.ChildEntry(op.Parent, hash)}
+		return c.resolver.ChildEntry(op.Parent, hash)
 	}
-	return routed{ent: c.part.GoverningChildEntry(op.Parent, hash)}
+	return c.part.GoverningChildEntry(op.Parent, hash)
 }
 
 // ApplyFaults schedules every event of the fault schedule: a crash of

@@ -359,8 +359,8 @@ func (e *engine) plan(ci int32, tick int64) []unit {
 	}
 	w.routes = w.routes[:copy(w.routes, w.routes[w.head:])]
 	w.head = 0
-	runs := e.runs[:0]
-	for k := 0; int64(k) < e.credit[ci]; k++ {
+	runs, credit := e.runs[:0], e.credit[ci]
+	for k := 0; int64(k) < credit; k++ {
 		if k == len(w.routes) {
 			if cl.PeekOp(k, tick) == nil {
 				break // stream exhausted with an empty queue
@@ -401,7 +401,7 @@ func (e *engine) route(routes []routed, k int, cl *client.Client) {
 	if k > 0 && e.c.resolver != nil && op.Target != nil && op.Target == routes[k-1].target {
 		r.ent, r.target = routes[k-1].ent, op.Target
 	} else {
-		*r = e.c.resolveOp(op)
+		r.ent, r.target = e.c.resolveOp(op), op.Target
 	}
 	r.write, r.ends = op.Kind.IsWrite(), e.endsRun(cl, op)
 }

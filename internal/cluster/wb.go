@@ -190,29 +190,25 @@ func (e *engine) wbPlan(ci int32, tick int64) []wbRun {
 	// the batch-level approximation admission re-resolves anyway.
 	var memoIn *namespace.Inode
 	var memoEnt namespace.Entry
-	for i < buf {
-		op := cl.PeekOp(base+i, tick)
+	resolve := func(op *workload.Op) namespace.Entry {
 		rin := op.Target
 		if op.Kind == workload.OpCreate {
 			rin = op.Parent
 		}
 		if rin != memoIn {
-			memoIn, memoEnt = rin, e.c.resolveOp(op).ent
+			memoIn, memoEnt = rin, e.c.resolveOp(op)
 		}
-		ent := memoEnt
+		return memoEnt
+	}
+	for i < buf {
+		op := cl.PeekOp(base+i, tick)
+		ent := resolve(op)
 		n := 1
 		ends := e.endsRun(cl, op)
 		for !ends && i+n < buf {
 			op2 := cl.PeekOp(base+i+n, tick)
-			rin2 := op2.Target
-			if op2.Kind == workload.OpCreate {
-				rin2 = op2.Parent
-			}
-			if rin2 != memoIn {
-				memoIn, memoEnt = rin2, e.c.resolveOp(op2).ent
-				if memoEnt.Key != ent.Key || memoEnt.Auth != ent.Auth {
-					break // entry switch: the run ends here
-				}
+			if resolve(op2) != ent {
+				break // entry switch: the run ends here
 			}
 			ends = e.endsRun(cl, op2)
 			n++
@@ -291,7 +287,7 @@ func (e *engine) wbAdmitClient(ci int32, runs []wbRun, tick int64) {
 		if op == nil {
 			break // cannot happen: journaled ops are queued
 		}
-		ent := c.resolveOp(op).ent
+		ent := c.resolveOp(op)
 		if !c.servers[ent.Auth].Up() {
 			// Authority sits on a down rank (orphan window): the batch
 			// stays in its current live journal and the client backs

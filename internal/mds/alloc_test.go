@@ -20,8 +20,8 @@ func TestServeZeroAllocSteadyState(t *testing.T) {
 
 func TestAddHeatZeroAllocSteadyState(t *testing.T) {
 	s, e, in := benchServer(t)
-	s.addHeat(e.Key, in, false)
-	if n := testing.AllocsPerRun(100, func() { s.addHeat(e.Key, in, false) }); n != 0 {
-		t.Fatalf("addHeat allocates %.1f per op in the steady state, want 0", n)
+	s.heat.charge(e.Key, in.Parent, 1, 1)
+	if n := testing.AllocsPerRun(100, func() { s.heat.charge(e.Key, in.Parent, 1, 1) }); n != 0 {
+		t.Fatalf("heat charge allocates %.1f per op in the steady state, want 0", n)
 	}
 }

@@ -1,6 +1,7 @@
 package mds
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/namespace"
@@ -19,26 +20,49 @@ func benchServer(b testing.TB) (*Server, namespace.Entry, *namespace.Inode) {
 }
 
 // BenchmarkServe measures the full per-op serve path: budget, trace
-// collector, and heat accounting with its ancestor walk.
+// collector, and heat accounting along the directory chain. one-file
+// serves one inode over and over. same-parent serves a run of files
+// three directories below their entry root, so the chain memo hits;
+// alternating switches between two such parents every op, so it misses
+// and walks.
 func BenchmarkServe(b *testing.B) {
-	s, e, in := benchServer(b)
-	s.Serve(e, in, 0) // warm caches
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Serve(e, in, 0)
+	run := func(b *testing.B, e namespace.Entry, files []*namespace.Inode) {
+		s := NewServer(0, 1<<30, 4, 0.5)
+		s.BeginTick()
+		s.Serve(e, files[0], 0) // warm caches
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Serve(e, files[i%len(files)], 0)
+		}
 	}
+	b.Run("one-file", func(b *testing.B) {
+		_, e, in := benchServer(b)
+		run(b, e, []*namespace.Inode{in})
+	})
+	tr := namespace.NewTree()
+	c, _ := tr.MkdirAll("/a/b/c")
+	d, _ := tr.MkdirAll("/a/b/d")
+	var same, alt []*namespace.Inode
+	for i := 0; i < 64; i++ {
+		fc, _ := tr.Create(c, fmt.Sprintf("f%02d", i), 1)
+		fd, _ := tr.Create(d, fmt.Sprintf("f%02d", i), 1)
+		same, alt = append(same, fc), append(alt, fc, fd)
+	}
+	e := namespace.NewPartition(tr, 0).RootEntry()
+	b.Run("same-parent", func(b *testing.B) { run(b, e, same) })
+	b.Run("alternating", func(b *testing.B) { run(b, e, alt) })
 }
 
 // BenchmarkAddHeat isolates the heat accounting (subtree counter bump
-// plus the directory-chain walk).
+// plus the directory-chain charge).
 func BenchmarkAddHeat(b *testing.B) {
 	s, e, in := benchServer(b)
-	s.addHeat(e.Key, in, false) // grow the directory table
+	s.heat.charge(e.Key, in.Parent, 1, 1) // grow the directory table
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.addHeat(e.Key, in, false)
+		s.heat.charge(e.Key, in.Parent, 1, 1)
 	}
 }
 

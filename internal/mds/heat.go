@@ -50,8 +50,10 @@ type heatTable struct {
 	// byDir is indexed by Inode.DirNum and grown to the highest
 	// directory charged. A never-charged cell is the zero heatCell, which
 	// reads as zero heat exactly like an expired one, so directory cells
-	// need no purge.
+	// need no purge. chain memoizes which cells an op under a parent
+	// directory charges.
 	byDir []heatCell
+	chain namespace.DirChain
 	// tenants is the tenant dimension of byKeyT (0 = single-tenant
 	// cluster; no per-tenant split is kept and bumpTenant is never
 	// called).
@@ -79,20 +81,30 @@ func newHeatTable(decay float64) *heatTable {
 	}
 }
 
-// value returns the cell's decayed heat at the current epoch.
-func (t *heatTable) value(c *heatCell) float64 {
-	k := t.epoch - c.epoch
-	if k <= 0 {
-		return c.val
+// decayed returns the cell's total and read heat at the current
+// epoch: each component × decay^(now−stamp), read as zero below
+// heatFloor, so rval <= val survives the decay.
+func (t *heatTable) decayed(c *heatCell) (val, rval float64) {
+	if c.epoch >= t.epoch {
+		return c.val, c.rval
 	}
-	p, ok := t.powAt(k)
-	if !ok {
-		return 0
+	if p, ok := t.powAt(t.epoch - c.epoch); ok {
+		return floorHeat(c.val * p), floorHeat(c.rval * p)
 	}
-	v := c.val * p
+	return 0, 0
+}
+
+// floorHeat reads heat below heatFloor as zero.
+func floorHeat(v float64) float64 {
 	if v < heatFloor {
 		return 0
 	}
+	return v
+}
+
+// value returns the cell's decayed heat at the current epoch.
+func (t *heatTable) value(c *heatCell) float64 {
+	v, _ := t.decayed(c)
 	return v
 }
 
@@ -109,32 +121,26 @@ func (t *heatTable) powAt(k int64) (float64, bool) {
 	return t.pow[k], true
 }
 
-// readValue returns the cell's decayed read-component heat at the
-// current epoch. Mirrors value() exactly, including the floor, so the
-// invariant rval <= val is preserved under decay.
-func (t *heatTable) readValue(c *heatCell) float64 {
-	k := t.epoch - c.epoch
-	if k <= 0 {
-		return c.rval
+// bumpN folds the pending decay into the cell and adds n accesses in
+// one write, nRead of which were reads. The write-back batch path
+// charges a run this way; the sync path bumps once per op. The two are
+// not interchangeable: in float64, n unit additions and one addition of
+// n can differ in the last bit.
+func (t *heatTable) bumpN(c *heatCell, n, nRead int) {
+	if c.epoch != t.epoch {
+		t.fold(c)
 	}
-	p, ok := t.powAt(k)
-	if !ok {
-		return 0
-	}
-	v := c.rval * p
-	if v < heatFloor {
-		return 0
-	}
-	return v
+	c.val += float64(n)
+	c.rval += float64(nRead)
 }
 
-// bumpN folds the pending decay into the cell and adds n accesses in
-// one write, nRead of which were reads — the group-commit path's
-// weighted bump. Within an epoch decay is constant, so n unit bumps and
-// one n-weighted bump agree.
-func (t *heatTable) bumpN(c *heatCell, n, nRead int) {
-	c.val = t.value(c) + float64(n)
-	c.rval = t.readValue(c) + float64(nRead)
+// fold writes the cell's pending decay into it and restamps it. It is
+// bumpN's once-per-epoch slow path, kept out of line so that bumpN
+// inlines.
+//
+//go:noinline
+func (t *heatTable) fold(c *heatCell) {
+	c.val, c.rval = t.decayed(c)
 	c.epoch = t.epoch
 }
 
@@ -165,15 +171,12 @@ func (t *heatTable) dropKey(key namespace.FragKey) {
 func (t *heatTable) charge(key namespace.FragKey, parent *namespace.Inode, n, nRead int) *heatCell {
 	kc := t.keyCell(key)
 	t.bumpN(kc, n, nRead)
-	for d := parent; d != nil; d = d.Parent {
-		i := int(d.DirNum())
-		if i >= len(t.byDir) {
-			t.byDir = append(t.byDir, make([]heatCell, i+1-len(t.byDir))...)
-		}
+	dirs := t.chain.Nums(parent, key.Dir)
+	if len(dirs) > 0 && int(dirs[0]) >= len(t.byDir) {
+		t.byDir = append(t.byDir, make([]heatCell, int(dirs[0])+1-len(t.byDir))...)
+	}
+	for _, i := range dirs {
 		t.bumpN(&t.byDir[i], n, nRead)
-		if d.Ino == key.Dir {
-			break
-		}
 	}
 	return kc
 }
@@ -185,7 +188,7 @@ func (t *heatTable) dirHeat(dir *namespace.Inode) (total, read float64) {
 	if i >= len(t.byDir) {
 		return 0, 0
 	}
-	return t.value(&t.byDir[i]), t.readValue(&t.byDir[i])
+	return t.decayed(&t.byDir[i])
 }
 
 // endEpoch closes the current heat epoch in O(1); every heatPurgeEvery

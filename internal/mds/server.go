@@ -248,7 +248,11 @@ func (s *Server) ServeDeferVisit(e namespace.Entry, in *namespace.Inode, epoch i
 	s.opsEpoch++
 	s.opsTotal++
 	firstVisit = s.collector.RecordNoVisit(e.Key, in, epoch)
-	s.addHeat(e.Key, in, write)
+	nRead := 1
+	if write {
+		nRead = 0
+	}
+	s.heat.charge(e.Key, in.Parent, 1, nRead).ops++
 	return true, firstVisit
 }
 
@@ -286,16 +290,6 @@ func (s *Server) AddHeatRun(key namespace.FragKey, in *namespace.Inode, n, nRead
 		return
 	}
 	s.heat.charge(key, in.Parent, n, nRead).ops += int64(n)
-}
-
-// addHeat charges one access to the subtree entry's counter and to
-// every directory from the inode's parent up to the subtree root.
-func (s *Server) addHeat(key namespace.FragKey, in *namespace.Inode, write bool) {
-	nRead := 1
-	if write {
-		nRead = 0
-	}
-	s.heat.charge(key, in.Parent, 1, nRead).ops++
 }
 
 // EndEpoch closes the current epoch: it computes the epoch's load in
@@ -361,8 +355,8 @@ func (s *Server) SeedHeatRW(key namespace.FragKey, heat, read float64) {
 		return
 	}
 	c := s.heat.keyCell(key)
-	c.val = s.heat.value(c) + heat
-	rv := s.heat.readValue(c) + read
+	v, rv := s.heat.decayed(c)
+	c.val, rv = v+heat, rv+read
 	if rv > c.val {
 		rv = c.val
 	}
@@ -379,7 +373,7 @@ func (s *Server) KeyHeatRW(key namespace.FragKey) (total, read float64) {
 	if c == nil {
 		return 0, 0
 	}
-	return s.heat.value(c), s.heat.readValue(c)
+	return s.heat.decayed(c)
 }
 
 // DirHeatRW returns a directory's decayed popularity split into the

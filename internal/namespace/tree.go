@@ -82,6 +82,33 @@ type dirState struct {
 // the trace windows, the heat table — are slices indexed by it.
 func (in *Inode) DirNum() uint32 { return in.dir.num }
 
+// DirChain memoizes one ancestor walk: the directories a served op
+// under parent charges, from parent up to the root of its governing
+// subtree entry. The tree has no rename or unlink, so a (parent, root)
+// pair maps to the same numbers for the tree's life, and keeping the
+// last pair is enough: a rank serves runs of one client's consecutive
+// ops, which mostly share their parent. The zero DirChain is ready.
+type DirChain struct {
+	parent *Inode
+	root   Ino
+	nums   []uint32
+}
+
+// Nums returns the DirNums from parent up to and including the
+// ancestor whose inode number is root (the tree root when none is),
+// deepest first; empty for a nil parent. The first is the largest, as a
+// directory is numbered after its parent. The slice is valid until the
+// next call.
+func (c *DirChain) Nums(parent *Inode, root Ino) []uint32 {
+	if parent != c.parent || root != c.root {
+		c.parent, c.root, c.nums = parent, root, c.nums[:0]
+		for d, past := parent, false; d != nil && !past; d = d.Parent {
+			c.nums, past = append(c.nums, d.dir.num), d.Ino == root
+		}
+	}
+	return c.nums
+}
+
 // MarkVisited records this inode's first-ever access on every ancestor's
 // visited-descendant counter. Callers must invoke it exactly once per
 // inode (the trace collector does, on the first access).

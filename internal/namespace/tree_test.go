@@ -2,6 +2,8 @@ package namespace
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -532,5 +534,80 @@ func TestAdoptDuplicate(t *testing.T) {
 	}
 	if got, ok := tr.AdoptOrExisting(carve()); ok || got != first || tr.NumInodes() != 8 {
 		t.Fatalf("duplicate adopted: got=%p first=%p ok=%v inodes=%d", got, first, ok, tr.NumInodes())
+	}
+}
+
+// walkChain is DirChain.Nums without the memo: the per-op ancestor walk
+// it replaced.
+func walkChain(parent *Inode, root Ino) []uint32 {
+	var nums []uint32
+	for d := parent; d != nil; d = d.Parent {
+		nums = append(nums, d.DirNum())
+		if d.Ino == root {
+			break
+		}
+	}
+	return nums
+}
+
+// TestDirChainMatchesWalk drives one DirChain through random (parent,
+// root) sequences over a deep random tree with carved and split
+// entries: the governing entry of a random inode (the serve path's
+// pair), a directory that need not be an ancestor (the walk then runs
+// to the tree root), the tree root's own nil parent, and runs of
+// repeats so the memo both hits and misses. Every answer must equal a
+// fresh walk, deepest-first with the largest number first.
+func TestDirChainMatchesWalk(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr := NewTree()
+		dirs := []*Inode{tr.Root()}
+		for i := 0; i < 60; i++ {
+			// Mostly under one of the last few directories: deep chains.
+			parent := dirs[len(dirs)-1-rng.Intn(min(len(dirs), 3))]
+			if rng.Intn(4) == 0 {
+				parent = dirs[rng.Intn(len(dirs))]
+			}
+			d, err := tr.Mkdir(parent, fileName("d", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dirs = append(dirs, d)
+		}
+		all := append([]*Inode(nil), dirs...)
+		for i := 0; i < 300; i++ {
+			f, _ := tr.Create(dirs[rng.Intn(len(dirs))], fileName("f", i), 1)
+			all = append(all, f)
+		}
+		ops := make([]uint8, 80)
+		rng.Read(ops)
+		p := applyRandomPartition(tr, ops, 4)
+
+		var c DirChain
+		var parent *Inode
+		var root Ino
+		for step := 0; step < 3000; step++ {
+			switch r := rng.Intn(8); {
+			case r < 3:
+				// Repeat the last pair.
+			case r < 6:
+				in := all[rng.Intn(len(all))]
+				parent, root = in.Parent, p.GoverningEntry(in).Key.Dir
+			case r == 6:
+				parent, root = dirs[rng.Intn(len(dirs))], dirs[rng.Intn(len(dirs))].Ino
+			default:
+				parent, root = tr.Root().Parent, RootIno
+			}
+			got, want := c.Nums(parent, root), walkChain(parent, root)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: Nums(%v, %d) = %v, walk %v", seed, step, parent, root, got, want)
+			}
+			if len(got) > 0 && slices.Max(got) != got[0] {
+				t.Fatalf("seed %d step %d: %v does not start with its largest number", seed, step, got)
+			}
+		}
+		if got := c.Nums(nil, RootIno); len(got) != 0 {
+			t.Fatalf("seed %d: the tree root's chain is %v, want empty", seed, got)
+		}
 	}
 }

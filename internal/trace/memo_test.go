@@ -204,6 +204,124 @@ func TestCollectorMatchesMapModel(t *testing.T) {
 	}
 }
 
+// fresh is RecordFreshRun in the model: n first, distinct visits
+// charged along the per-op walk from parent.
+func (m *mapModel) fresh(key namespace.FragKey, parent *namespace.Inode, epoch, n int64) {
+	delta := Counters{Visits: int(n), Distinct: int(n), FirstVisits: int(n)}
+	if m.byKey[epoch] == nil {
+		m.byKey[epoch] = map[namespace.FragKey]Counters{}
+		m.byDir[epoch] = map[namespace.Ino]Counters{}
+	}
+	k := m.byKey[epoch][key]
+	k.Add(delta)
+	m.byKey[epoch][key] = k
+	for d := parent; d != nil; d = d.Parent {
+		c := m.byDir[epoch][d.Ino]
+		c.Add(delta)
+		m.byDir[epoch][d.Ino] = c
+		if d.Ino == key.Dir {
+			break
+		}
+	}
+}
+
+// TestWindowsMatchPerOpWalk: the collector charges directories through
+// its chain memo; the map model walks the ancestors on every op. Over a
+// deep random tree with carved and split entries, random records (runs
+// under one parent and switches), fresh runs, forgets and epoch jumps,
+// every counter of every live window — byKey and byDir — must equal the
+// model's.
+func TestWindowsMatchPerOpWalk(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr := namespace.NewTree()
+		dirs := []*namespace.Inode{tr.Root()}
+		for i := 0; i < 40; i++ {
+			d, _ := tr.Mkdir(dirs[len(dirs)-1-rng.Intn(min(len(dirs), 3))], fmt.Sprintf("d%d", i))
+			dirs = append(dirs, d)
+		}
+		all := append([]*namespace.Inode(nil), dirs...)
+		for i := 0; i < 200; i++ {
+			f, _ := tr.Create(dirs[rng.Intn(len(dirs))], fmt.Sprintf("f%d", i), 1)
+			all = append(all, f)
+		}
+		p := namespace.NewPartition(tr, 0)
+		for i := 0; i < 30; i++ {
+			d := dirs[1+rng.Intn(len(dirs)-1)]
+			if es := p.EntriesAt(d.Ino); len(es) == 0 {
+				p.Carve(d)
+			} else {
+				p.SplitEntry(es[rng.Intn(len(es))].Key)
+			}
+		}
+		const history = 3
+		col := NewCollector(history)
+		m := &mapModel{
+			history: history,
+			byKey:   map[int64]map[namespace.FragKey]Counters{},
+			byDir:   map[int64]map[namespace.Ino]Counters{},
+			seen:    map[*namespace.Inode]map[int64]bool{},
+		}
+		check := func(step int) {
+			t.Helper()
+			for i := range col.ring {
+				w := &col.ring[i]
+				if w.epoch < 0 {
+					continue
+				}
+				for k, ctr := range w.byKey {
+					if *ctr != m.byKey[w.epoch][k] {
+						t.Fatalf("seed %d step %d epoch %d key %v: %+v, model %+v", seed, step, w.epoch, k, *ctr, m.byKey[w.epoch][k])
+					}
+				}
+				if len(w.byKey) != len(m.byKey[w.epoch]) {
+					t.Fatalf("seed %d step %d epoch %d: %d key counters, model %d", seed, step, w.epoch, len(w.byKey), len(m.byKey[w.epoch]))
+				}
+				for _, d := range dirs {
+					var got Counters
+					if n := int(d.DirNum()); n < len(w.byDir) {
+						got = w.byDir[n]
+					}
+					if want := m.byDir[w.epoch][d.Ino]; got != want {
+						t.Fatalf("seed %d step %d epoch %d dir %s: %+v, model %+v", seed, step, w.epoch, d.Path(), got, want)
+					}
+				}
+			}
+		}
+		epoch := int64(0)
+		in := all[0]
+		for step := 0; step < 5000; step++ {
+			switch r := rng.Intn(40); {
+			case r == 0:
+				epoch += 1 + int64(rng.Intn(history+2))
+			case r == 1:
+				k := p.GoverningEntry(all[rng.Intn(len(all))]).Key
+				col.Forget(k)
+				m.forget(k)
+			case r == 2:
+				d := dirs[rng.Intn(len(dirs))]
+				k, n := p.GoverningChildEntry(d, rng.Uint32()).Key, 1+rng.Int63n(5)
+				col.RecordFreshRun(k, d, epoch, n)
+				m.fresh(k, d, epoch, n)
+			default:
+				if rng.Intn(3) == 0 {
+					in = all[rng.Intn(len(all))]
+				} else if in.Parent != nil {
+					// A sibling: the same parent, so the chain memo hits.
+					in = in.Parent.ChildAt(rng.Intn(in.Parent.NumChildren()))
+				}
+				k := p.GoverningEntry(in).Key
+				col.RecordNoVisit(k, in, epoch)
+				m.record(k, in, epoch)
+			}
+			if step%250 == 0 {
+				check(step)
+			}
+		}
+		check(5000)
+	}
+}
+
 // BenchmarkRecordNoVisit prices one recorded access. one-dir is the case
 // the last-key memo is built for: every op under one directory and one
 // subtree entry. random-dirs is the case it does not help: 1024
@@ -234,4 +352,24 @@ func BenchmarkRecordNoVisit(b *testing.B) {
 	}
 	b.Run("one-dir", func(b *testing.B) { run(b, perDir) })
 	b.Run("random-dirs", func(b *testing.B) { run(b, len(files)) })
+	// The directory-chain memo: same-parent records a run of files three
+	// directories below their entry root (the memo hits); alternating
+	// switches between two such parents every op (it misses and walks).
+	c, _ := tr.MkdirAll("/deep/b/c")
+	d, _ := tr.MkdirAll("/deep/b/d")
+	var same, alt []*namespace.Inode
+	for f := 0; f < 64; f++ {
+		fc, _ := tr.Create(c, fmt.Sprintf("f%d", f), 1)
+		fd, _ := tr.Create(d, fmt.Sprintf("f%d", f), 1)
+		same, alt = append(same, fc), append(alt, fc, fd)
+	}
+	deep := func(b *testing.B, files []*namespace.Inode) {
+		c := NewCollector(5)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.RecordNoVisit(rootKey(), files[i%len(files)], int64(i>>16))
+		}
+	}
+	b.Run("same-parent", func(b *testing.B) { deep(b, same) })
+	b.Run("alternating", func(b *testing.B) { deep(b, alt) })
 }

@@ -70,7 +70,8 @@ type window struct {
 type Collector struct {
 	history int // number of windows retained and used for classification
 	ring    []window
-	epoch   int64
+	cur     *window // the window BeginEpoch last opened
+	chain   namespace.DirChain
 }
 
 // NewCollector creates a collector retaining the given number of recent
@@ -85,25 +86,22 @@ func NewCollector(history int) *Collector {
 	for i := range ring {
 		ring[i] = window{epoch: -1, byKey: make(map[namespace.FragKey]*Counters)}
 	}
-	// epoch starts at -1 so the first Record (possibly at epoch 0)
-	// opens its window.
-	return &Collector{history: history, ring: ring, epoch: -1}
+	// Every window starts at epoch -1 so the first Record (possibly at
+	// epoch 0) opens its window.
+	return &Collector{history: history, ring: ring, cur: &ring[0]}
 }
 
 // History returns the configured window count N.
 func (c *Collector) History() int { return c.history }
 
-// Epoch returns the current epoch.
-func (c *Collector) Epoch() int64 { return c.epoch }
-
-func (c *Collector) slot(epoch int64) *window {
-	return &c.ring[int(epoch%int64(len(c.ring)))]
-}
+// Epoch returns the current epoch: the one BeginEpoch last opened.
+func (c *Collector) Epoch() int64 { return c.cur.epoch }
 
 // BeginEpoch opens the cutting window for the given epoch, recycling the
 // oldest window in the ring.
 func (c *Collector) BeginEpoch(epoch int64) {
-	w := c.slot(epoch)
+	w := &c.ring[int(epoch%int64(len(c.ring)))]
+	c.cur = w
 	if w.epoch == epoch {
 		return
 	}
@@ -111,13 +109,16 @@ func (c *Collector) BeginEpoch(epoch int64) {
 	clear(w.byDir)
 	clear(w.byKey)
 	w.last = nil
-	c.epoch = epoch
 }
 
-// add charges delta to the subtree entry and to every directory from
-// parent up to and including the entry's root, so any directory inside
-// the subtree has selector-usable stats.
-func (w *window) add(key namespace.FragKey, parent *namespace.Inode, delta Counters) {
+// add charges delta, in epoch's window, to the subtree entry and to
+// every directory from parent up to and including the entry's root, so
+// any directory inside the subtree has selector-usable stats.
+func (c *Collector) add(key namespace.FragKey, parent *namespace.Inode, epoch int64, delta Counters) {
+	if epoch != c.cur.epoch {
+		c.BeginEpoch(epoch)
+	}
+	w := c.cur
 	if w.last == nil || w.lastKey != key {
 		ctr := w.byKey[key]
 		if ctr == nil {
@@ -127,15 +128,12 @@ func (w *window) add(key namespace.FragKey, parent *namespace.Inode, delta Count
 		w.lastKey, w.last = key, ctr
 	}
 	w.last.Add(delta)
-	for d := parent; d != nil; d = d.Parent {
-		n := int(d.DirNum())
-		if n >= len(w.byDir) {
-			w.byDir = append(w.byDir, make([]Counters, n+1-len(w.byDir))...)
-		}
+	dirs := c.chain.Nums(parent, key.Dir)
+	if len(dirs) > 0 && int(dirs[0]) >= len(w.byDir) {
+		w.byDir = append(w.byDir, make([]Counters, int(dirs[0])+1-len(w.byDir))...)
+	}
+	for _, n := range dirs {
 		w.byDir[n].Add(delta)
-		if d.Ino == key.Dir {
-			break
-		}
 	}
 }
 
@@ -160,30 +158,20 @@ func (c *Collector) Record(key namespace.FragKey, in *namespace.Inode, epoch int
 // MarkVisited. Everything recorded here touches only the collector and
 // the inode itself.
 func (c *Collector) RecordNoVisit(key namespace.FragKey, in *namespace.Inode, epoch int64) (firstEver bool) {
-	if epoch != c.epoch {
-		c.BeginEpoch(epoch)
-	}
-	firstThisWindow := !in.Hot.AccessedIn(epoch)
+	// Classify from the history as it stood before this access.
 	everSeen := in.Hot.EverAccessed()
-	recentBefore := false
-	if firstThisWindow && everSeen {
-		recentBefore = in.Hot.RecentEpochs(epoch-1, c.history) > 0
-	}
-	in.Hot.Touch(epoch)
-
-	var delta Counters
-	delta.Visits = 1
-	if firstThisWindow {
+	delta := Counters{Visits: 1}
+	if !in.Hot.AccessedIn(epoch) {
 		delta.Distinct = 1
-		if recentBefore {
+		if everSeen && in.Hot.RecentEpochs(epoch-1, c.history) > 0 {
 			delta.Recurrent = 1
 		}
 	}
 	if !everSeen {
 		delta.FirstVisits = 1
 	}
-
-	c.slot(epoch).add(key, in.Parent, delta)
+	in.Hot.Touch(epoch)
+	c.add(key, in.Parent, epoch, delta)
 	return !everSeen
 }
 
@@ -191,18 +179,12 @@ func (c *Collector) RecordNoVisit(key namespace.FragKey, in *namespace.Inode, ep
 // inodes under one parent directory in a single pass: every fresh
 // inode is by construction a first visit, a distinct visit, and not
 // recurrent, so the whole run folds into one counter delta and one
-// ancestor-chain walk instead of n map probes each. The caller owes
-// each inode its Hot.Touch and MarkVisited.
+// charge along the directory chain instead of n map probes each. The
+// caller owes each inode its Hot.Touch and MarkVisited.
 func (c *Collector) RecordFreshRun(key namespace.FragKey, parent *namespace.Inode, epoch int64, n int64) {
-	if n <= 0 {
-		return
+	if n > 0 {
+		c.add(key, parent, epoch, Counters{Visits: int(n), Distinct: int(n), FirstVisits: int(n)})
 	}
-	if epoch != c.epoch {
-		c.BeginEpoch(epoch)
-	}
-	var delta Counters
-	delta.Visits, delta.Distinct, delta.FirstVisits = int(n), int(n), int(n)
-	c.slot(epoch).add(key, parent, delta)
 }
 
 // sumWindows folds fn over the valid windows among the last n epochs
@@ -217,7 +199,7 @@ func (c *Collector) sumWindows(epoch int64, n int, fn func(*window) Counters) Co
 		if e < 0 {
 			break
 		}
-		w := c.slot(e)
+		w := &c.ring[int(e%int64(len(c.ring)))]
 		if w.epoch != e {
 			continue
 		}
