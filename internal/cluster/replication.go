@@ -96,7 +96,7 @@ func (c *Cluster) promoteReplicas(dead namespace.MDSID, crashedAt int64) {
 			continue
 		}
 		c.part.SetAuth(e.Key, to)
-		c.servers[to].SeedHeat(e.Key, heat)
+		c.servers[to].SeedHeatRW(e.Key, heat, 0)
 		promoted++
 		if c.bus.Enabled(obs.EvReplicaPromote) {
 			f := obs.AcquireF()

@@ -355,13 +355,13 @@ func (e *engine) applyBatch(auth *mds.Server, cl *client.Client,
 	applied, served, groups := 0, 0, 0
 	groupLeft := 0
 	headDone := false
-	var runPar, runRep *namespace.Inode
+	var runPar *namespace.Inode
 	// A run counts its ops, its creates (the writes of a batch) and,
 	// among those, the files it adopted.
 	runN, runCreates, runFresh := 0, 0, int64(0)
 	wrote := false
 	status, at := execOK, namespace.MDSID(0)
-	coll := auth.Collector()
+	stats := auth.Collector()
 	for applied < adm {
 		if groupLeft == 0 {
 			if !auth.ConsumeGroupBudget() {
@@ -395,21 +395,22 @@ func (e *engine) applyBatch(auth *mds.Server, cl *client.Client,
 				target, fresh = c.tree.AdoptOrExisting(target)
 				wrote = true
 			}
+			if runN == 0 || target.Parent != runPar {
+				// Charge the finished run before this op's record, so
+				// the table's chain memo walks once per run.
+				if runN > 0 {
+					stats.ChargeRun(entry.Key, runPar, epoch, runN, runN-runCreates, runFresh)
+				}
+				runPar, runN, runCreates, runFresh = target.Parent, 0, 0, 0
+			}
 			if fresh {
 				// A fresh inode is a first-ever visit by construction:
-				// touch its epoch bit and mark it now, and fold its trace
-				// counters into the per-run RecordFreshRun below.
+				// touch its epoch bit and mark it now, and fold its window
+				// counters into the run's ChargeRun.
 				target.Hot.Touch(epoch)
 				target.MarkVisited()
-			} else if coll.RecordNoVisit(entry.Key, target, epoch) {
+			} else if stats.RecordNoVisit(entry.Key, target, epoch) {
 				target.MarkVisited()
-			}
-			if runN == 0 || target.Parent != runPar {
-				if runN > 0 {
-					auth.AddHeatRun(entry.Key, runRep, runN, runN-runCreates)
-					coll.RecordFreshRun(entry.Key, runPar, epoch, runFresh)
-				}
-				runPar, runRep, runN, runCreates, runFresh = target.Parent, target, 0, 0, 0
 			}
 			runN++
 			if create {
@@ -427,8 +428,7 @@ func (e *engine) applyBatch(auth *mds.Server, cl *client.Client,
 		}
 	}
 	if runN > 0 {
-		auth.AddHeatRun(entry.Key, runRep, runN, runN-runCreates)
-		coll.RecordFreshRun(entry.Key, runPar, epoch, runFresh)
+		stats.ChargeRun(entry.Key, runPar, epoch, runN, runN-runCreates, runFresh)
 	}
 	if served > 0 {
 		auth.AddOps(served)

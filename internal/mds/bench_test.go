@@ -19,26 +19,35 @@ func benchServer(b testing.TB) (*Server, namespace.Entry, *namespace.Inode) {
 	return s, e, files[0]
 }
 
-// BenchmarkServe measures the full per-op serve path: budget, trace
-// collector, and heat accounting along the directory chain. one-file
-// serves one inode over and over. same-parent serves a run of files
-// three directories below their entry root, so the chain memo hits;
-// alternating switches between two such parents every op, so it misses
-// and walks.
+// BenchmarkServe measures the full per-op serve path: budget, window
+// counters and heat along the directory chain. one-file serves one
+// inode over and over; tenants does the same with a 4-tenant heat split
+// charged per op, as the sync engine does. same-parent serves a run of
+// files three directories below their entry root, so the chain memo
+// hits; alternating switches between two such parents every op, so it
+// misses and walks.
 func BenchmarkServe(b *testing.B) {
-	run := func(b *testing.B, e namespace.Entry, files []*namespace.Inode) {
+	run := func(b *testing.B, e namespace.Entry, files []*namespace.Inode, tenants int) {
 		s := NewServer(0, 1<<30, 4, 0.5)
+		s.EnableTenants(tenants)
 		s.BeginTick()
 		s.Serve(e, files[0], 0) // warm caches
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s.Serve(e, files[i%len(files)], 0)
+			if tenants > 0 {
+				s.AddTenantHeat(e.Key, i&3, 1)
+			}
 		}
 	}
 	b.Run("one-file", func(b *testing.B) {
 		_, e, in := benchServer(b)
-		run(b, e, []*namespace.Inode{in})
+		run(b, e, []*namespace.Inode{in}, 0)
+	})
+	b.Run("tenants", func(b *testing.B) {
+		_, e, in := benchServer(b)
+		run(b, e, []*namespace.Inode{in}, 4)
 	})
 	tr := namespace.NewTree()
 	c, _ := tr.MkdirAll("/a/b/c")
@@ -50,19 +59,19 @@ func BenchmarkServe(b *testing.B) {
 		same, alt = append(same, fc), append(alt, fc, fd)
 	}
 	e := namespace.NewPartition(tr, 0).RootEntry()
-	b.Run("same-parent", func(b *testing.B) { run(b, e, same) })
-	b.Run("alternating", func(b *testing.B) { run(b, e, alt) })
+	b.Run("same-parent", func(b *testing.B) { run(b, e, same, 0) })
+	b.Run("alternating", func(b *testing.B) { run(b, e, alt, 0) })
 }
 
-// BenchmarkAddHeat isolates the heat accounting (subtree counter bump
-// plus the directory-chain charge).
+// BenchmarkAddHeat isolates a write-back run's charge: the n-weighted
+// key and directory-chain heat plus the fresh inodes' window counters.
 func BenchmarkAddHeat(b *testing.B) {
 	s, e, in := benchServer(b)
-	s.heat.charge(e.Key, in.Parent, 1, 1) // grow the directory table
+	s.Collector().ChargeRun(e.Key, in.Parent, 0, 8, 5, 2) // grow the directory tables
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.heat.charge(e.Key, in.Parent, 1, 1)
+		s.Collector().ChargeRun(e.Key, in.Parent, 0, 8, 5, 2)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/namespace"
+	"repro/internal/trace"
 )
 
 func TestServerCrashRejoinLifecycle(t *testing.T) {
@@ -67,7 +68,7 @@ func TestServerRejoinInvalidatesStats(t *testing.T) {
 	if s.HeatOfDir(files[0].Parent) != 0 {
 		t.Fatal("dir heat must be invalidated on rejoin")
 	}
-	if got := s.Collector().RecentKey(e.Key, 0, 1); !got.IsZero() {
+	if got := s.Collector().RecentKey(e.Key, 0, 1); got != (trace.Counters{}) {
 		t.Fatal("trace must be invalidated on rejoin")
 	}
 	if s.CurrentLoad() != 0 || len(s.LoadHistory()) != 0 {

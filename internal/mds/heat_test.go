@@ -9,6 +9,14 @@ import (
 	"repro/internal/namespace"
 )
 
+// The reference models below restate two constants of the statistics
+// table: heat under heatFloor reads as zero, and every purgeEvery heat
+// epochs a purge resets expired heat.
+const (
+	heatFloor  = 0.01
+	purgeEvery = 64
+)
+
 // eagerHeat is the reference implementation the lazy table replaced:
 // every epoch close multiplies every counter by the decay factor and
 // deletes entries that fall below the floor.
@@ -36,34 +44,27 @@ func (e *eagerHeat) endEpoch() {
 	}
 }
 
-// TestLazyHeatMatchesEagerSweep drives the lazy table and the eager
-// reference through an identical deterministic schedule of bumps and
-// epoch closes — including gaps long enough for values to expire and
-// for the periodic purge to run — and asserts every read agrees within
-// floating-point reassociation error (lazy computes val×decay^k with a
-// precomputed power; eager multiplies k times in sequence).
+// heatKey names a key of no directory, so a heat-only run charges it
+// alone.
+func heatKey(id int) namespace.FragKey { return namespace.FragKey{Dir: namespace.Ino((id + 1) << 20)} }
+
+// TestLazyHeatMatchesEagerSweep drives a server's lazy heat and the
+// eager reference through an identical deterministic schedule of bumps
+// and epoch closes — including gaps long enough for values to expire
+// and for the periodic purge to run — and asserts every read agrees
+// within floating-point reassociation error (lazy computes val×decay^k
+// with a precomputed power; eager multiplies k times in sequence).
 func TestLazyHeatMatchesEagerSweep(t *testing.T) {
 	const decay = 0.5
-	lazy := newHeatTable(decay)
+	s := NewServer(0, 1, 4, decay)
 	eager := &eagerHeat{decay: decay, vals: map[int]float64{}}
-	cells := map[int]*heatCell{}
-	cell := func(id int) *heatCell {
-		c := cells[id]
-		if c == nil {
-			c = &heatCell{epoch: lazy.epoch}
-			cells[id] = c
-		}
-		return c
-	}
-
 	check := func(step int, ids ...int) {
 		t.Helper()
 		for _, id := range ids {
-			got := lazy.value(cell(id))
+			got := s.HeatOfKey(heatKey(id))
 			want := eager.read(id)
 			if math.Abs(got-want) > 1e-9*math.Max(1, want) {
-				t.Fatalf("step %d, cell %d: lazy %v != eager %v (epoch %d)",
-					step, id, got, want, lazy.epoch)
+				t.Fatalf("step %d, cell %d: lazy %v != eager %v", step, id, got, want)
 			}
 		}
 	}
@@ -83,54 +84,29 @@ func TestLazyHeatMatchesEagerSweep(t *testing.T) {
 		bumps = append(bumps, struct{ id, n int }{3 + step%4, 1})
 		for _, b := range bumps {
 			for i := 0; i < b.n; i++ {
-				lazy.bumpN(cell(b.id), 1, 0)
+				s.Collector().ChargeRun(heatKey(b.id), nil, 0, 1, 0, 0)
 				eager.bump(b.id)
 			}
 		}
 		check(step, 0, 1, 2, 3, 4, 5, 6)
-		lazy.endEpoch()
+		s.EndEpoch(1)
 		eager.endEpoch()
 		check(step, 0, 1, 2, 3, 4, 5, 6)
 	}
 
 	// Cell 1 stopped being bumped at step 10 with heat ~6; at decay 0.5
 	// it is far below the floor by now and must read as zero.
-	if v := lazy.value(cell(1)); v != 0 {
+	if v := s.HeatOfKey(heatKey(1)); v != 0 {
 		t.Fatalf("expired cell reads %v, want 0", v)
 	}
 }
 
-// TestHeatPurgeRemovesExpiredCells asserts the periodic purge actually
-// frees table entries (the lazy design's answer to unbounded growth)
-// without touching live ones.
-func TestHeatPurgeRemovesExpiredCells(t *testing.T) {
-	lazy := newHeatTable(0.5)
-	key := func(i int) namespace.FragKey { return namespace.FragKey{Dir: namespace.Ino(i)} }
-	hot := lazy.keyCell(key(0))
-	for i := 0; i < 1000; i++ {
-		lazy.bumpN(lazy.keyCell(key(i)), 1, 0)
-	}
-	if got := len(lazy.byKey); got != 1000 {
-		t.Fatalf("table has %d cells, want 1000", got)
-	}
-	for e := 0; e < heatPurgeEvery; e++ {
-		lazy.bumpN(hot, 1, 0) // keep one cell alive across every epoch
-		lazy.endEpoch()
-	}
-	if got := len(lazy.byKey); got != 1 {
-		t.Fatalf("after purge: %d cells, want only the hot one", got)
-	}
-	if lazy.value(hot) == 0 {
-		t.Fatal("hot cell must survive the purge")
-	}
-}
-
-// TestHeatMemoInvalidation: the last-key memo holds a pointer into
-// byKey, so whatever deletes a key cell must drop it — otherwise the
-// next charge lands in a cell no reader can reach (or, on Rejoin, in a
-// table that should be gone). Each case heats one key, disturbs the
-// server, heats the key once more, and must read exactly that one
-// access; each fails when its invalidation is removed.
+// TestHeatMemoInvalidation: the last-key memo holds a pointer to a key's
+// record, so whatever deletes or resets one must leave the memo
+// pointing at nothing stale — otherwise the next charge lands where no
+// reader can reach (or, on Rejoin, in a table that should be gone).
+// Each case heats one key, disturbs the server, heats the key once
+// more, and must read exactly that one access.
 func TestHeatMemoInvalidation(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -138,12 +114,12 @@ func TestHeatMemoInvalidation(t *testing.T) {
 	}{
 		{"purge", func(s *Server, key namespace.FragKey) {
 			// At decay 0.5 one access is under heatFloor after 7 epochs;
-			// the sweep at the heatPurgeEvery boundary deletes the cell.
-			for i := 0; i < heatPurgeEvery; i++ {
+			// the purge at the purgeEvery boundary resets the key.
+			for i := 0; i < purgeEvery; i++ {
 				s.EndEpoch(10)
 			}
-			if len(s.heat.byKey) != 0 {
-				t.Fatal("fixture: the purge must delete the expired cell")
+			if ops, _ := s.KeyStats(key); ops != 0 {
+				t.Fatal("fixture: the purge must reset the expired key")
 			}
 		}},
 		{"drop", func(s *Server, key namespace.FragKey) { s.DropSubtreeStats(key) }},
@@ -169,40 +145,103 @@ func TestHeatMemoInvalidation(t *testing.T) {
 	}
 }
 
-// TestMinHeatSeesEveryCell: the auditor's negative-heat check reads
-// MinHeat, so a corrupted cell must show there whether it is a key cell
-// or a directory cell in the dense table (whose never-charged cells read
-// as a harmless zero).
-func TestMinHeatSeesEveryCell(t *testing.T) {
+// TestHeatPurgeFollowsHeatEpoch: the purge counts the server's own
+// epoch closes (its heat epoch), not the absolute epoch its ops are
+// served in. A rank that rejoins, or is built mid-run as AddMDS builds
+// one, at an absolute epoch not ≡ 0 mod purgeEvery must reset an
+// expired key's ops at exactly the heat epoch a fresh server does,
+// while the rest of its traffic keeps the absolute epoch moving.
+func TestHeatPurgeFollowsHeatEpoch(t *testing.T) {
 	_, p, files := fixture(t)
-	s := NewServer(0, 1000, 4, 0.5)
-	e := p.GoverningEntry(files[0])
-	s.BeginTick()
-	s.Serve(e, files[0], 0)
-	if got := s.MinHeat(); got < 0 || got > 1 {
-		t.Fatalf("healthy table: MinHeat = %v", got)
+	probe := p.GoverningEntry(files[0])
+	other := namespace.Entry{Key: heatKey(0)}
+	// resetAt charges the probe key once at absolute epoch start, then
+	// serves only other traffic, one epoch close per absolute epoch, and
+	// returns the heat epoch at which the probe's ops fell to zero.
+	resetAt := func(s *Server, start int64) int {
+		s.BeginTick()
+		s.Serve(probe, files[0], start)
+		for h := 1; h <= 3*purgeEvery; h++ {
+			s.BeginTick()
+			s.Serve(other, files[1+h%10], start+int64(h-1))
+			s.EndEpoch(1)
+			if ops, _ := s.KeyStats(probe.Key); ops == 0 {
+				return h
+			}
+		}
+		return -1
 	}
-	dir := &s.heat.byDir[files[0].Parent.DirNum()]
-	dir.val = -3
-	if got := s.MinHeat(); got != -3 {
-		t.Fatalf("corrupted directory cell: MinHeat = %v, want -3", got)
+	want := resetAt(NewServer(0, 1000, 4, 0.5), 0)
+	if want != purgeEvery {
+		t.Fatalf("fresh server: ops reset at heat epoch %d, want %d", want, purgeEvery)
 	}
-	dir.val = 1
-	s.heat.byKey[e.Key].val = -2
-	if got := s.MinHeat(); got != -2 {
-		t.Fatalf("corrupted key cell: MinHeat = %v, want -2", got)
+	cases := []struct {
+		name  string
+		build func(start int64) *Server
+	}{
+		{"rejoin", func(start int64) *Server {
+			s := NewServer(0, 1000, 4, 0.5)
+			for e := int64(0); e < start; e++ {
+				s.BeginTick()
+				s.Serve(probe, files[2], e)
+				s.EndEpoch(1)
+			}
+			s.Crash()
+			s.Rejoin()
+			return s
+		}},
+		{"added", func(int64) *Server { return NewServer(1, 1000, 4, 0.5) }},
+	}
+	for _, tc := range cases {
+		for _, start := range []int64{37, 100} {
+			if got := resetAt(tc.build(start), start); got != want {
+				t.Errorf("%s at absolute epoch %d: ops reset at heat epoch %d, want %d", tc.name, start, got, want)
+			}
+		}
 	}
 }
 
-// refDecay is the per-component read the fused decay replaced (value
-// and readValue before they shared one helper): x stamped at epoch
-// stamp, decayed to t's epoch through t's own power table.
-func refDecay(t *heatTable, x float64, stamp int64) float64 {
-	k := t.epoch - stamp
+// refHeat is the heat as three plain maps — by key, by directory inode
+// and the per-key tenant split — with the ancestor walk per charge, its
+// own heat epoch and power table, and the purge spelled out.
+type refHeat struct {
+	decay   float64
+	epoch   int64
+	pow     []float64
+	byKey   map[namespace.FragKey]*refCell
+	byDir   map[namespace.Ino]*refCell
+	tenants map[namespace.FragKey]*refTenant
+}
+
+type refCell struct {
+	val, rval float64
+	epoch     int64
+	ops       int64
+}
+
+type refTenant struct {
+	vals  []float64
+	epoch int64
+}
+
+func (r *refHeat) powAt(k int64) (float64, bool) {
+	for int64(len(r.pow)) <= k {
+		next := r.pow[len(r.pow)-1] * r.decay
+		if next < 1e-30 {
+			return 0, false
+		}
+		r.pow = append(r.pow, next)
+	}
+	return r.pow[k], true
+}
+
+// read is one component x stamped at stamp, decayed to now.
+func (r *refHeat) read(x float64, stamp int64) float64 {
+	k := r.epoch - stamp
 	if k <= 0 {
 		return x
 	}
-	p, ok := t.powAt(k)
+	p, ok := r.powAt(k)
 	if !ok {
 		return 0
 	}
@@ -212,99 +251,118 @@ func refDecay(t *heatTable, x float64, stamp int64) float64 {
 	return 0
 }
 
-// TestBumpNMatchesValue: bumpN folds the decay of both components at
-// once; it must land, bit for bit, on value(c)+n and readValue(c)+nRead
-// as each component computed them alone — across epoch gaps from none
-// (and a cell stamped ahead) to past powCutoff, for values on both sides
-// of heatFloor. SeedHeatRW's fold and clamp are held to the same
-// reference.
-func TestBumpNMatchesValue(t *testing.T) {
-	vals := []float64{0, 0.004, heatFloor, 0.0125, 0.3, 1, 7.77, 1234.5678, 3e9}
-	for _, decay := range []float64{0.5, 0.9, 1} {
-		tab := newHeatTable(decay)
-		tab.epoch = 300
-		for _, gap := range []int64{-1, 0, 1, 2, 3, 7, 40, 99, 100, 101, 250, 299} {
-			for _, val := range vals {
-				for _, rval := range vals {
-					if rval > val {
-						continue
-					}
-					for _, n := range [][2]int{{1, 1}, {1, 0}, {5, 3}} {
-						c := &heatCell{val: val, rval: rval, epoch: tab.epoch - gap}
-						wantV := refDecay(tab, val, c.epoch) + float64(n[0])
-						wantR := refDecay(tab, rval, c.epoch) + float64(n[1])
-						tab.bumpN(c, n[0], n[1])
-						if math.Float64bits(c.val) != math.Float64bits(wantV) || math.Float64bits(c.rval) != math.Float64bits(wantR) || c.epoch != tab.epoch {
-							t.Fatalf("decay %v gap %d cell (%v, %v) bumpN%v = (%v, %v) @%d, want (%v, %v) @%d",
-								decay, gap, val, rval, n, c.val, c.rval, c.epoch, wantV, wantR, tab.epoch)
-						}
-					}
-					s := NewServer(0, 1, 1, decay)
-					key := namespace.FragKey{Dir: 7}
-					s.heat.epoch = tab.epoch
-					c := s.heat.keyCell(key)
-					*c = heatCell{val: val, rval: rval, epoch: tab.epoch - gap}
-					for _, seed := range [][2]float64{{2.5, 0}, {2.5, 2.5}, {0.5, 4}} {
-						wantV := refDecay(s.heat, c.val, c.epoch) + seed[0]
-						wantR := math.Min(refDecay(s.heat, c.rval, c.epoch)+seed[1], wantV)
-						s.SeedHeatRW(key, seed[0], seed[1])
-						if math.Float64bits(c.val) != math.Float64bits(wantV) || math.Float64bits(c.rval) != math.Float64bits(wantR) {
-							t.Fatalf("decay %v gap %d cell (%v, %v) SeedHeatRW%v = (%v, %v), want (%v, %v)",
-								decay, gap, val, rval, seed, c.val, c.rval, wantV, wantR)
-						}
-					}
-				}
-			}
-		}
+func (r *refHeat) key(k namespace.FragKey) *refCell {
+	c := r.byKey[k]
+	if c == nil {
+		c = &refCell{epoch: r.epoch}
+		r.byKey[k] = c
 	}
+	return c
 }
 
-// refHeat is the heat table with the ancestor walk it had before the
-// chain memo: every charge walks from the parent to the entry's root,
-// and every cell is kept, by key and by directory inode, in plain maps.
-type refHeat struct {
-	t     *heatTable // the epoch and power table only
-	byKey map[namespace.FragKey]*heatCell
-	byDir map[namespace.Ino]*heatCell
+func (r *refHeat) bump(c *refCell, n, nRead int) {
+	c.val = r.read(c.val, c.epoch) + float64(n)
+	c.rval = r.read(c.rval, c.epoch) + float64(nRead)
+	c.epoch = r.epoch
 }
 
-func (r *refHeat) bump(c *heatCell, n, nRead int) {
-	c.val = refDecay(r.t, c.val, c.epoch) + float64(n)
-	c.rval = refDecay(r.t, c.rval, c.epoch) + float64(nRead)
-	c.epoch = r.t.epoch
-}
-
-func (r *refHeat) charge(key namespace.FragKey, parent *namespace.Inode, n, nRead int) {
-	kc := r.byKey[key]
-	if kc == nil {
-		kc = &heatCell{epoch: r.t.epoch}
-		r.byKey[key] = kc
-	}
+func (r *refHeat) charge(k namespace.FragKey, parent *namespace.Inode, n, nRead int) {
+	kc := r.key(k)
 	r.bump(kc, n, nRead)
 	kc.ops += int64(n)
 	for d := parent; d != nil; d = d.Parent {
 		if r.byDir[d.Ino] == nil {
-			r.byDir[d.Ino] = &heatCell{}
+			r.byDir[d.Ino] = &refCell{}
 		}
 		r.bump(r.byDir[d.Ino], n, nRead)
-		if d.Ino == key.Dir {
+		if d.Ino == k.Dir {
 			break
 		}
 	}
 }
 
-// TestHeatMatchesPerOpWalk serves random ops — runs under one parent and
-// parent switches, reads and writes, batch runs, subtree drops and
-// epoch closes that decay, expire and purge cells — over a deep random
-// tree with carved and split entries, beside a reference that walks the
-// ancestors per op and purges what the table's purge would. Every
-// directory cell and every key cell must equal the reference's bit for
-// bit.
-func TestHeatMatchesPerOpWalk(t *testing.T) {
-	same := func(a, b *heatCell) bool {
-		return math.Float64bits(a.val) == math.Float64bits(b.val) && math.Float64bits(a.rval) == math.Float64bits(b.rval) &&
-			a.epoch == b.epoch && a.ops == b.ops
+func (r *refHeat) seed(k namespace.FragKey, heat, read float64) {
+	if heat <= 0 {
+		return
 	}
+	c := r.key(k)
+	c.val = r.read(c.val, c.epoch) + heat
+	c.rval = math.Min(r.read(c.rval, c.epoch)+read, c.val)
+	c.epoch = r.epoch
+}
+
+func (r *refHeat) tenant(k namespace.FragKey, tn, n, width int) {
+	c := r.tenants[k]
+	if c == nil {
+		c = &refTenant{vals: make([]float64, width), epoch: r.epoch}
+		r.tenants[k] = c
+	}
+	if gap := r.epoch - c.epoch; gap > 0 {
+		p, _ := r.powAt(gap)
+		for i := range c.vals {
+			c.vals[i] *= p
+		}
+		c.epoch = r.epoch
+	}
+	c.vals[tn] += float64(n)
+}
+
+func (r *refHeat) dominant(k namespace.FragKey) int {
+	c := r.tenants[k]
+	if c == nil {
+		return -1
+	}
+	best, bestV, sum := -1, 0.0, 0.0
+	for i, v := range c.vals {
+		sum += v
+		if v > bestV {
+			best, bestV = i, v
+		}
+	}
+	if sum <= 0 || bestV*2 <= sum {
+		return -1
+	}
+	return best
+}
+
+// endEpoch closes one heat epoch; on the purge boundary expired key
+// cells and tenant splits go, and with them their op counts.
+func (r *refHeat) endEpoch() {
+	if r.epoch++; r.epoch%purgeEvery != 0 {
+		return
+	}
+	for k, c := range r.byKey {
+		if r.read(c.val, c.epoch) == 0 {
+			delete(r.byKey, k)
+		}
+	}
+	for k, c := range r.tenants {
+		sum := 0.0
+		for _, v := range c.vals {
+			sum += v
+		}
+		if p, ok := r.powAt(r.epoch - c.epoch); !ok || sum*p < heatFloor {
+			delete(r.tenants, k)
+		}
+	}
+}
+
+func (r *refHeat) drop(k namespace.FragKey) {
+	delete(r.byKey, k)
+	delete(r.tenants, k)
+}
+
+// TestHeatMatchesPerOpWalk serves random ops — runs under one parent and
+// parent switches, reads and writes, write-back runs, seeds, tenant
+// bumps, subtree drops and epoch closes that decay, expire and purge
+// across at least three purges, while the served epoch moves on so
+// window counters recycle too — over a deep random tree with carved and
+// split entries, beside a reference that walks the ancestors per op.
+// KeyStats, KeyHeatRW, DirHeatRW and DominantTenant must read the
+// reference's values bit for bit for every entry and directory.
+func TestHeatMatchesPerOpWalk(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	const tenants = 3
 	for seed := int64(1); seed <= 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tr := namespace.NewTree()
@@ -328,59 +386,70 @@ func TestHeatMatchesPerOpWalk(t *testing.T) {
 			}
 		}
 		s := NewServer(0, 1<<30, 3, 0.8)
+		s.EnableTenants(tenants)
 		s.BeginTick()
-		ref := &refHeat{t: s.heat, byKey: map[namespace.FragKey]*heatCell{}, byDir: map[namespace.Ino]*heatCell{}}
+		ref := &refHeat{decay: 0.8, pow: []float64{1}, byKey: map[namespace.FragKey]*refCell{},
+			byDir: map[namespace.Ino]*refCell{}, tenants: map[namespace.FragKey]*refTenant{}}
 		check := func(step int) {
 			t.Helper()
 			for _, d := range dirs {
-				var got heatCell
-				if n := int(d.DirNum()); n < len(s.heat.byDir) {
-					got = s.heat.byDir[n]
-				}
-				want := heatCell{}
+				want := refCell{}
 				if c := ref.byDir[d.Ino]; c != nil {
 					want = *c
 				}
-				if !same(&got, &want) {
-					t.Fatalf("seed %d step %d dir %s: cell %+v, reference %+v", seed, step, d.Path(), got, want)
+				wt, wr := ref.read(want.val, want.epoch), ref.read(want.rval, want.epoch)
+				if gt, gr := s.DirHeatRW(d); !same(gt, wt) || !same(gr, wr) {
+					t.Fatalf("seed %d step %d dir %s: DirHeatRW (%v, %v), reference (%v, %v)", seed, step, d.Path(), gt, gr, wt, wr)
 				}
 			}
-			for k, c := range s.heat.byKey {
-				if rc := ref.byKey[k]; rc == nil || !same(c, rc) {
-					t.Fatalf("seed %d step %d key %v: cell %+v, reference %+v", seed, step, k, *c, rc)
+			for _, e := range p.Entries() {
+				want := refCell{}
+				if c := ref.byKey[e.Key]; c != nil {
+					want = *c
 				}
-			}
-			if len(s.heat.byKey) != len(ref.byKey) {
-				t.Fatalf("seed %d step %d: %d key cells, reference %d", seed, step, len(s.heat.byKey), len(ref.byKey))
+				wt, wr := ref.read(want.val, want.epoch), ref.read(want.rval, want.epoch)
+				if ops, heat := s.KeyStats(e.Key); ops != want.ops || !same(heat, wt) {
+					t.Fatalf("seed %d step %d key %v: KeyStats (%d, %v), reference (%d, %v)", seed, step, e.Key, ops, heat, want.ops, wt)
+				}
+				if gt, gr := s.KeyHeatRW(e.Key); !same(gt, wt) || !same(gr, wr) {
+					t.Fatalf("seed %d step %d key %v: KeyHeatRW (%v, %v), reference (%v, %v)", seed, step, e.Key, gt, gr, wt, wr)
+				}
+				if got, want := s.DominantTenant(e.Key), ref.dominant(e.Key); got != want {
+					t.Fatalf("seed %d step %d key %v: DominantTenant %d, reference %d", seed, step, e.Key, got, want)
+				}
 			}
 		}
 		in := all[0]
+		epoch := int64(0) // the absolute epoch ops are served in
 		for step := 0; step < 20000; step++ {
 			switch r := rng.Intn(60); {
 			case r < 2:
 				// Close one epoch, or sit idle for several.
 				for i := 1 + rng.Intn(1+r*20); i > 0; i-- {
 					s.EndEpoch(1)
-					if s.heat.epoch%heatPurgeEvery == 0 {
-						// The purge: expired key cells go, and with them
-						// their op counts.
-						for k, rc := range ref.byKey {
-							if refDecay(s.heat, rc.val, rc.epoch) == 0 {
-								delete(ref.byKey, k)
-							}
-						}
-					}
+					ref.endEpoch()
+					epoch++
 				}
 			case r == 2:
 				k := p.GoverningEntry(all[rng.Intn(len(all))]).Key
 				s.DropSubtreeStats(k)
-				delete(ref.byKey, k)
+				ref.drop(k)
 			case r == 3:
 				n := 1 + rng.Intn(8)
 				nRead := rng.Intn(n + 1)
 				k := p.GoverningEntry(in).Key
-				s.AddHeatRun(k, in, n, nRead)
+				s.Collector().ChargeRun(k, in.Parent, epoch, n, nRead, int64(rng.Intn(n+1)))
 				ref.charge(k, in.Parent, n, nRead)
+			case r == 4:
+				k := p.GoverningEntry(all[rng.Intn(len(all))]).Key
+				heat, read := rng.Float64()*3, rng.Float64()*3
+				s.SeedHeatRW(k, heat, read)
+				ref.seed(k, heat, read)
+			case r == 5:
+				k := p.GoverningEntry(in).Key
+				tn, n := rng.Intn(tenants), 1+rng.Intn(4)
+				s.AddTenantHeat(k, tn, n)
+				ref.tenant(k, tn, n, tenants)
 			default:
 				if rng.Intn(3) == 0 {
 					in = all[rng.Intn(len(all))]
@@ -390,7 +459,7 @@ func TestHeatMatchesPerOpWalk(t *testing.T) {
 				}
 				write := rng.Intn(4) == 0
 				e := p.GoverningEntry(in)
-				if ok, first := s.ServeDeferVisit(e, in, 0, write); !ok {
+				if ok, first := s.ServeDeferVisit(e, in, epoch, write); !ok {
 					t.Fatal("serve refused")
 				} else if first {
 					in.MarkVisited()
@@ -406,8 +475,8 @@ func TestHeatMatchesPerOpWalk(t *testing.T) {
 			}
 		}
 		check(20000)
-		if s.heat.epoch < 2*heatPurgeEvery {
-			t.Fatalf("seed %d: only %d epochs closed; the purge never ran twice", seed, s.heat.epoch)
+		if ref.epoch < 3*purgeEvery {
+			t.Fatalf("seed %d: only %d epochs closed; the purge ran fewer than three times", seed, ref.epoch)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/namespace"
+	"repro/internal/trace"
 )
 
 func fixture(t testing.TB) (*namespace.Tree, *namespace.Partition, []*namespace.Inode) {
@@ -128,7 +129,7 @@ func TestServerDropSubtreeStats(t *testing.T) {
 	if s.HeatOfKey(e.Key) != 0 {
 		t.Fatal("heat not dropped")
 	}
-	if got := s.Collector().RecentKey(e.Key, 0, 1); !got.IsZero() {
+	if got := s.Collector().RecentKey(e.Key, 0, 1); got != (trace.Counters{}) {
 		t.Fatal("trace not dropped")
 	}
 }

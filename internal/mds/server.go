@@ -1,9 +1,9 @@
-// Package mds models the metadata servers of the cluster: bounded
-// per-tick service capacity, request accounting, the access statistics
-// the balancers read (cutting-window trace for Lunule, decayed
-// popularity/heat for the CephFS built-in policy), and the subtree
-// migration engine with its two-phase-commit cost model (transfer
-// latency, freeze windows, bounded concurrency, and queueing).
+// Package mds models the metadata servers of the cluster: a rank's
+// lifecycle, its bounded per-tick service budget and request counters,
+// and the subtree migration engine with its two-phase-commit cost model
+// (transfer latency, freeze windows, bounded concurrency, queueing).
+// Each rank's access statistics live in one trace table; the server
+// charges it as it serves and reads it for the balancers.
 package mds
 
 import (
@@ -63,38 +63,20 @@ type Server struct {
 	state   RankState // lifecycle state (see RankState)
 	crashes int64     // lifecycle transitions up -> down
 
-	collector      *trace.Collector
-	historyWindows int
-
-	heatDecay float64
-	heat      *heatTable
-	// tenants is the tenant dimension of the heat table's per-tenant
-	// split (0 = single-tenant). Kept on the server so Rejoin, which
-	// rebuilds the table, can re-apply it.
-	tenants int
+	stats *trace.Collector // cutting windows, heat and tenant split
 
 	loadHistory []float64 // per-epoch load (ops/sec), appended by EndEpoch
 }
 
-// NewServer creates an MDS with the given per-tick capacity. The
-// collector retains historyWindows cutting windows; heatDecay in (0,1]
-// is the per-epoch multiplicative decay of the popularity counters
-// (CephFS-style exponential aging).
+// NewServer creates an MDS with the given per-tick capacity. Its
+// statistics table retains historyWindows cutting windows; heatDecay in
+// (0,1] is the per-epoch multiplicative decay of its heat (CephFS-style
+// exponential aging).
 func NewServer(id namespace.MDSID, capacity, historyWindows int, heatDecay float64) *Server {
 	if capacity <= 0 {
 		panic("mds: capacity must be positive")
 	}
-	if heatDecay <= 0 || heatDecay > 1 {
-		panic("mds: heat decay must be in (0, 1]")
-	}
-	return &Server{
-		ID:             id,
-		Capacity:       capacity,
-		collector:      trace.NewCollector(historyWindows),
-		historyWindows: historyWindows,
-		heatDecay:      heatDecay,
-		heat:           newHeatTable(heatDecay),
-	}
+	return &Server{ID: id, Capacity: capacity, stats: trace.New(historyWindows, heatDecay)}
 }
 
 // BeginTick resets the per-tick service budget. A down or
@@ -186,9 +168,7 @@ func (s *Server) Rejoin() {
 		return
 	}
 	s.state = RankActive
-	s.collector = trace.NewCollector(s.historyWindows)
-	s.heat = newHeatTable(s.heatDecay)
-	s.heat.setTenants(s.tenants)
+	s.stats = s.stats.Fresh()
 	s.loadHistory = nil
 	s.opsEpoch = 0
 }
@@ -237,8 +217,9 @@ func (s *Server) Serve(e namespace.Entry, in *namespace.Inode, epoch int64) bool
 
 // ServeDeferVisit is Serve with the first-visit side effect handed back
 // to the caller: firstVisit=true means the inode was accessed for the
-// first time ever and the caller owes it a MarkVisited. write classifies the access for the read/write heat split; the total
-// heat charged is identical either way.
+// first time ever and the caller owes it a MarkVisited. write
+// classifies the access for the read/write heat split; the total heat
+// charged is identical either way.
 func (s *Server) ServeDeferVisit(e namespace.Entry, in *namespace.Inode, epoch int64, write bool) (ok, firstVisit bool) {
 	if s.budget <= 0 {
 		return false, false
@@ -247,13 +228,7 @@ func (s *Server) ServeDeferVisit(e namespace.Entry, in *namespace.Inode, epoch i
 	s.opsTick++
 	s.opsEpoch++
 	s.opsTotal++
-	firstVisit = s.collector.RecordNoVisit(e.Key, in, epoch)
-	nRead := 1
-	if write {
-		nRead = 0
-	}
-	s.heat.charge(e.Key, in.Parent, 1, nRead).ops++
-	return true, firstVisit
+	return true, s.stats.Charge(e.Key, in, epoch, write)
 }
 
 // ConsumeGroupBudget charges one budget unit for a commit group — the
@@ -270,8 +245,8 @@ func (s *Server) ConsumeGroupBudget() bool {
 
 // AddOps credits n already-admitted batch ops to the serve counters
 // without consuming budget (the budget was charged per commit group, not
-// per op). The per-op trace-collector and latency work still happens in
-// the engine; only the counters are batched here.
+// per op). The engine charges the statistics table per op and per run
+// itself; only the counters are batched here.
 func (s *Server) AddOps(n int) {
 	if n <= 0 {
 		return
@@ -281,24 +256,10 @@ func (s *Server) AddOps(n int) {
 	s.opsTotal += int64(n)
 }
 
-// AddHeatRun charges n accesses, nRead of which were reads, under one
-// parent directory in a single weighted walk — the batch path's
-// amortized form of the per-op charge. in is a representative inode of
-// the run (all ops in the run share in.Parent and the governing key).
-func (s *Server) AddHeatRun(key namespace.FragKey, in *namespace.Inode, n, nRead int) {
-	if n <= 0 {
-		return
-	}
-	s.heat.charge(key, in.Parent, n, nRead).ops += int64(n)
-}
-
 // EndEpoch closes the current epoch: it computes the epoch's load in
 // ops/sec (epochTicks ticks of one second each), appends it to the load
-// history, advances the lazy heat-decay epoch, and resets the epoch
-// counter. It returns the epoch load. Unlike the original O(table)
-// multiplicative sweep, closing an epoch is O(1): counters carry an
-// epoch stamp and reads decay them as heat × decay^(now−stamp); an
-// incremental purge sweeps expired cells every heatPurgeEvery epochs.
+// history, closes the table's heat epoch (O(1) but for a purge every
+// 64 epochs) and resets the epoch counter. It returns the epoch load.
 func (s *Server) EndEpoch(epochTicks int) float64 {
 	if epochTicks <= 0 {
 		epochTicks = 1
@@ -306,62 +267,37 @@ func (s *Server) EndEpoch(epochTicks int) float64 {
 	load := float64(s.opsEpoch) / float64(epochTicks)
 	s.loadHistory = append(s.loadHistory, load)
 	s.opsEpoch = 0
-	s.heat.endEpoch()
+	s.stats.EndEpoch()
 	return load
 }
 
-// Collector returns the server's cutting-window trace collector.
-func (s *Server) Collector() *trace.Collector { return s.collector }
+// Collector returns the server's statistics table.
+func (s *Server) Collector() *trace.Collector { return s.stats }
 
 // HeatOfKey returns the decayed popularity of a subtree entry.
 func (s *Server) HeatOfKey(key namespace.FragKey) float64 {
-	c := s.heat.byKey[key]
-	if c == nil {
-		return 0
-	}
-	return s.heat.value(c)
+	_, heat, _ := s.stats.KeyHeat(key)
+	return heat
 }
 
 // KeyStats returns the subtree entry's cumulative raw access count and
 // its decayed popularity — the replication journal's per-ship delta
-// source. The ops counter resets when the cell is dropped (migration)
-// or the table is wiped (rejoin); the journal detects the reset by the
+// source. The ops counter resets when the key is dropped (migration),
+// when the table is rebuilt (rejoin) and when the heat-epoch purge
+// finds the key's heat expired; the journal detects a reset by the
 // counter going backwards.
 func (s *Server) KeyStats(key namespace.FragKey) (ops int64, heat float64) {
-	c := s.heat.byKey[key]
-	if c == nil {
-		return 0, 0
-	}
-	return c.ops, s.heat.value(c)
+	ops, heat, _ = s.stats.KeyHeat(key)
+	return ops, heat
 }
 
-// SeedHeat installs warm popularity for a subtree entry — the applied
-// journal prefix a promoted standby carries — so the balancer sees the
-// promoted subtree's history instead of a cold zero. Non-positive
-// seeds are ignored. The seed lands in the write side (read component
-// 0): a promoted subtree re-earns its read-dominance from live traffic
-// before leases re-form.
-func (s *Server) SeedHeat(key namespace.FragKey, heat float64) { s.SeedHeatRW(key, heat, 0) }
-
-// SeedHeatRW installs warm popularity with an explicit read component.
-// The lease controller's carve pass uses it to transfer a directory's
-// accumulated (total, read) heat onto the freshly carved subtree key:
-// without the transfer the new key starts cold, fails the hot and
-// read-dominance checks, and is absorbed right back by housekeeping
-// before a lease can form. The read component is clamped to the total
-// to preserve the rval <= val invariant.
+// SeedHeatRW installs warm popularity with an explicit read component:
+// the journal prefix a promoted standby carries (read 0: a promoted
+// subtree re-earns its read-dominance before leases re-form), or a
+// directory's heat moved onto a freshly carved key, which would
+// otherwise start cold and be absorbed before a lease can form.
 func (s *Server) SeedHeatRW(key namespace.FragKey, heat, read float64) {
-	if heat <= 0 {
-		return
-	}
-	c := s.heat.keyCell(key)
-	v, rv := s.heat.decayed(c)
-	c.val, rv = v+heat, rv+read
-	if rv > c.val {
-		rv = c.val
-	}
-	c.rval = rv
-	c.epoch = s.heat.epoch
+	s.stats.SeedHeat(key, heat, read)
 }
 
 // KeyHeatRW returns a subtree entry's decayed popularity split into the
@@ -369,71 +305,50 @@ func (s *Server) SeedHeatRW(key namespace.FragKey, heat, read float64) {
 // the migrate-vs-replicate signal: read-dominated hot subtrees get
 // read leases, write-hot ones migrate.
 func (s *Server) KeyHeatRW(key namespace.FragKey) (total, read float64) {
-	c := s.heat.byKey[key]
-	if c == nil {
-		return 0, 0
-	}
-	return s.heat.decayed(c)
+	_, total, read = s.stats.KeyHeat(key)
+	return total, read
 }
 
 // DirHeatRW returns a directory's decayed popularity split into the
 // total and its read component — the lease controller's carve signal.
 func (s *Server) DirHeatRW(dir *namespace.Inode) (total, read float64) {
-	return s.heat.dirHeat(dir)
+	return s.stats.DirHeat(dir)
 }
 
 // HeatOfDir returns the decayed popularity accumulated at a directory.
 func (s *Server) HeatOfDir(dir *namespace.Inode) float64 {
-	total, _ := s.heat.dirHeat(dir)
+	total, _ := s.stats.DirHeat(dir)
 	return total
 }
 
 // HeatEntries returns how many subtree entries currently carry
 // non-negligible heat — the heat-table size of the per-rank trace
 // timeline.
-func (s *Server) HeatEntries() int { return s.heat.entries() }
+func (s *Server) HeatEntries() int { return s.stats.HeatEntries() }
 
 // MinHeat returns the smallest decayed popularity value across every
-// heat cell (key and directory), or 0 when the table is empty. Heat
-// only accumulates accesses and decays multiplicatively, so a negative
-// reading means counter corruption; the state auditor checks it.
-func (s *Server) MinHeat() float64 {
-	return s.heat.minValue()
-}
+// heat cell, or 0 when the table is empty. Heat only accumulates
+// accesses and decays multiplicatively, so a negative reading means
+// counter corruption; the state auditor checks it.
+func (s *Server) MinHeat() float64 { return s.stats.MinHeat() }
 
-// DropSubtreeStats clears trace and heat state for a subtree that has
-// been migrated away.
-func (s *Server) DropSubtreeStats(key namespace.FragKey) {
-	s.collector.Forget(key)
-	s.heat.dropKey(key)
-}
+// DropSubtreeStats clears the statistics of a subtree that has been
+// migrated away.
+func (s *Server) DropSubtreeStats(key namespace.FragKey) { s.stats.Forget(key) }
 
-// EnableTenants gives the server's heat table a per-tenant dimension
-// of n tenants. Survives Rejoin (the rebuilt table re-applies it).
-func (s *Server) EnableTenants(n int) {
-	s.tenants = n
-	s.heat.setTenants(n)
-}
+// EnableTenants splits the server's heat by n tenants. It survives
+// Rejoin.
+func (s *Server) EnableTenants(n int) { s.stats.EnableTenants(n) }
 
 // AddTenantHeat attributes n served accesses under the key to tenant
 // t's share of the key's heat. No-op on single-tenant servers or
 // out-of-range tenants, so call sites need no guard.
-func (s *Server) AddTenantHeat(key namespace.FragKey, t, n int) {
-	if s.tenants == 0 || t < 0 || t >= s.tenants || n <= 0 {
-		return
-	}
-	s.heat.bumpTenant(key, t, n)
-}
+func (s *Server) AddTenantHeat(key namespace.FragKey, t, n int) { s.stats.AddTenantHeat(key, t, n) }
 
 // DominantTenant returns the tenant responsible for more than half of
 // the key's tenant-attributed heat, or -1 when no tenant dominates
 // (including on single-tenant servers).
-func (s *Server) DominantTenant(key namespace.FragKey) int {
-	if s.tenants == 0 {
-		return -1
-	}
-	return s.heat.dominantTenant(key)
-}
+func (s *Server) DominantTenant(key namespace.FragKey) int { return s.stats.DominantTenant(key) }
 
 // LoadHistory returns the per-epoch load series (ops/sec). The returned
 // slice is shared; callers must not modify it.

@@ -8,10 +8,10 @@ import (
 	"repro/internal/namespace"
 )
 
-// TestMemoInvalidation: the last-key memo holds a pointer into byKey, so
-// every path that deletes or recycles a cell must drop it — otherwise
-// the next record lands in a cell no reader can reach. Each case fails
-// when its invalidation line (Forget's or BeginEpoch's) is removed.
+// TestMemoInvalidation: the last-key memo holds a pointer to a record,
+// and window slots outlive their window, so Forget must drop the memo
+// and a recycled window must read empty — otherwise the next record
+// lands where no reader can reach, or stale counters come back.
 func TestMemoInvalidation(t *testing.T) {
 	const history = 3
 	tr, d, files := fixture(t)
@@ -225,12 +225,17 @@ func (m *mapModel) fresh(key namespace.FragKey, parent *namespace.Inode, epoch, 
 	}
 }
 
-// TestWindowsMatchPerOpWalk: the collector charges directories through
-// its chain memo; the map model walks the ancestors on every op. Over a
-// deep random tree with carved and split entries, random records (runs
-// under one parent and switches), fresh runs, forgets and epoch jumps,
-// every counter of every live window — byKey and byDir — must equal the
-// model's.
+// TestWindowsMatchPerOpWalk: the table charges directories through its
+// chain memo and keeps a key's window counters in slots tagged by
+// window generation; the map model walks the ancestors on every op and
+// keeps plain per-epoch maps. Over a deep random tree with carved and
+// split entries, random records (runs under one parent and switches),
+// served ops, fresh and write-back runs, forgets, epoch jumps, and the
+// heat side of the table — seeds, tenant bumps and heat-epoch closes
+// across at least three purges, which may reset heat but must not
+// touch live windows — RecentKey and RecentDir must read the model's
+// counters at every epoch still in the ring, and zero at every epoch
+// recycled out of it.
 func TestWindowsMatchPerOpWalk(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -255,35 +260,40 @@ func TestWindowsMatchPerOpWalk(t *testing.T) {
 			}
 		}
 		const history = 3
-		col := NewCollector(history)
+		col := New(history, 0.5)
+		col.EnableTenants(3)
 		m := &mapModel{
 			history: history,
 			byKey:   map[int64]map[namespace.FragKey]Counters{},
 			byDir:   map[int64]map[namespace.Ino]Counters{},
 			seen:    map[*namespace.Inode]map[int64]bool{},
 		}
-		check := func(step int) {
+		// held[i] is the epoch whose window ring slot i holds (-1: none).
+		held := make([]int64, history+1)
+		for i := range held {
+			held[i] = -1
+		}
+		open := func(e int64) { held[e%int64(len(held))] = e }
+		check := func(step int, epoch int64) {
 			t.Helper()
-			for i := range col.ring {
-				w := &col.ring[i]
-				if w.epoch < 0 {
-					continue
-				}
-				for k, ctr := range w.byKey {
-					if *ctr != m.byKey[w.epoch][k] {
-						t.Fatalf("seed %d step %d epoch %d key %v: %+v, model %+v", seed, step, w.epoch, k, *ctr, m.byKey[w.epoch][k])
+			for e := max(0, epoch-2*int64(len(held))); e <= epoch; e++ {
+				inRing := held[e%int64(len(held))] == e
+				for _, en := range p.Entries() {
+					var want Counters
+					if inRing {
+						want = m.byKey[e][en.Key]
 					}
-				}
-				if len(w.byKey) != len(m.byKey[w.epoch]) {
-					t.Fatalf("seed %d step %d epoch %d: %d key counters, model %d", seed, step, w.epoch, len(w.byKey), len(m.byKey[w.epoch]))
+					if got := col.RecentKey(en.Key, e, 1); got != want {
+						t.Fatalf("seed %d step %d epoch %d key %v: %+v, model %+v", seed, step, e, en.Key, got, want)
+					}
 				}
 				for _, d := range dirs {
-					var got Counters
-					if n := int(d.DirNum()); n < len(w.byDir) {
-						got = w.byDir[n]
+					var want Counters
+					if inRing {
+						want = m.byDir[e][d.Ino]
 					}
-					if want := m.byDir[w.epoch][d.Ino]; got != want {
-						t.Fatalf("seed %d step %d epoch %d dir %s: %+v, model %+v", seed, step, w.epoch, d.Path(), got, want)
+					if got := col.RecentDir(d, e, 1); got != want {
+						t.Fatalf("seed %d step %d epoch %d dir %s: %+v, model %+v", seed, step, e, d.Path(), got, want)
 					}
 				}
 			}
@@ -301,8 +311,24 @@ func TestWindowsMatchPerOpWalk(t *testing.T) {
 			case r == 2:
 				d := dirs[rng.Intn(len(dirs))]
 				k, n := p.GoverningChildEntry(d, rng.Uint32()).Key, 1+rng.Int63n(5)
-				col.RecordFreshRun(k, d, epoch, n)
+				if rng.Intn(2) == 0 {
+					col.RecordFreshRun(k, d, epoch, n)
+				} else {
+					col.ChargeRun(k, d, epoch, int(n)+rng.Intn(3), rng.Intn(2), n)
+				}
 				m.fresh(k, d, epoch, n)
+				open(epoch)
+			case r == 3:
+				for i := 1 + rng.Intn(8); i > 0; i-- {
+					col.EndEpoch()
+				}
+			case r == 4:
+				k := p.GoverningEntry(all[rng.Intn(len(all))]).Key
+				if rng.Intn(2) == 0 {
+					col.SeedHeat(k, rng.Float64()*4, rng.Float64())
+				} else {
+					col.AddTenantHeat(k, rng.Intn(3), 1+rng.Intn(3))
+				}
 			default:
 				if rng.Intn(3) == 0 {
 					in = all[rng.Intn(len(all))]
@@ -311,14 +337,22 @@ func TestWindowsMatchPerOpWalk(t *testing.T) {
 					in = in.Parent.ChildAt(rng.Intn(in.Parent.NumChildren()))
 				}
 				k := p.GoverningEntry(in).Key
-				col.RecordNoVisit(k, in, epoch)
+				if rng.Intn(2) == 0 {
+					col.RecordNoVisit(k, in, epoch)
+				} else {
+					col.Charge(k, in, epoch, rng.Intn(4) == 0)
+				}
 				m.record(k, in, epoch)
+				open(epoch)
 			}
 			if step%250 == 0 {
-				check(step)
+				check(step, epoch)
 			}
 		}
-		check(5000)
+		check(5000, epoch)
+		if col.heatEpoch < 3*heatPurgeEvery {
+			t.Fatalf("seed %d: only %d heat epochs closed; the purge ran fewer than three times", seed, col.heatEpoch)
+		}
 	}
 }
 

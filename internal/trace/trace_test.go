@@ -154,7 +154,7 @@ func TestDirPropagationStopsAtSubtreeRoot(t *testing.T) {
 	if got := c.RecentDir(a, 0, 1); got.Visits != 1 {
 		t.Fatalf("subtree root: %+v", got)
 	}
-	if got := c.RecentDir(tr.Root(), 0, 1); !got.IsZero() {
+	if got := c.RecentDir(tr.Root(), 0, 1); got != (Counters{}) {
 		t.Fatalf("propagation crossed subtree root: %+v", got)
 	}
 }
@@ -168,7 +168,7 @@ func TestForget(t *testing.T) {
 	c.BeginEpoch(0)
 	c.Record(ka, fa, 0)
 	c.Forget(ka)
-	if got := c.RecentKey(ka, 0, 3); !got.IsZero() {
+	if got := c.RecentKey(ka, 0, 3); got != (Counters{}) {
 		t.Fatalf("forgotten key still has stats: %+v", got)
 	}
 }
@@ -177,8 +177,8 @@ func TestRecordAutoOpensEpoch(t *testing.T) {
 	_, _, files := fixture(t)
 	c := NewCollector(3)
 	c.Record(rootKey(), files[0], 7)
-	if c.Epoch() != 7 {
-		t.Fatalf("epoch = %d", c.Epoch())
+	if e := c.ring[c.cur].epoch; e != 7 {
+		t.Fatalf("epoch = %d", e)
 	}
 	if got := c.RecentKey(rootKey(), 7, 1); got.Visits != 1 {
 		t.Fatalf("auto-open: %+v", got)
