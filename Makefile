@@ -147,8 +147,8 @@ gobench:
 # fuzz smokes each fuzz target for a short budget with the invariant
 # checks (for the event encoder: encoding/json's output; for the trace
 # parser: error-or-replayable, never a panic; for the fault-spec parser:
-# error-or-round-trip, never a panic) as the oracle (long campaigns:
-# raise FUZZTIME).
+# error-or-round-trip, never a panic; for a directory's name index: a
+# map) as the oracle (long campaigns: raise FUZZTIME).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzPartitionOps -fuzztime=$(FUZZTIME) ./internal/audit
@@ -157,6 +157,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzAppendJSONValue -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -fuzz=FuzzParseTrace -fuzztime=$(FUZZTIME) ./internal/workload
 	$(GO) test -fuzz=FuzzParseSpecs -fuzztime=$(FUZZTIME) ./internal/fault
+	$(GO) test -fuzz=FuzzDirIndex -fuzztime=$(FUZZTIME) ./internal/namespace
 
 # audit runs the audited failover suite and the whole evaluation at
 # benchmark scale and two seeds (every experiment run carries the state

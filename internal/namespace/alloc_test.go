@@ -8,6 +8,8 @@
 package namespace
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 )
@@ -60,40 +62,52 @@ func TestRawSizeFragNoAllocs(t *testing.T) {
 }
 
 // TestCreateHeapAlloc is the per-file heap contract of the create path:
-// 200 k carve+adopt calls into 4 directories leave at most 82 bytes of
-// live heap per inode — its 64-byte numbered slot, its 4-byte child-list
-// entry (4.4 B with the slice's spare capacity) and its share of the
-// name index, 4-byte slots at most 3/4 full: 10.5 B here. The names are
-// the caller's: made beforehand and kept alive to the end, so they
-// cancel out of the difference.
+// 200 k carve+adopt calls into 4 directories. In name order each inode
+// leaves at most 72 bytes of live heap: its 64-byte numbered slot and
+// its 4-byte child-list entry (4.4 B with the slice's spare capacity),
+// and no name index. Shuffled, every create probes the index, 4-byte
+// slots at most 3/4 full (10.5 B here), for at most 82 bytes. The
+// names are the caller's: made beforehand and kept alive to the end, so
+// they cancel out of the difference.
 func TestCreateHeapAlloc(t *testing.T) {
-	const n, perInode = 200000, 82
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fileName("f", i)
-	}
-	var ms runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
-	before := ms.HeapAlloc
-	tr := NewTree()
-	var dirs [4]*Inode
-	for i := range dirs {
-		dirs[i], _ = tr.Mkdir(tr.Root(), fileName("d", i))
-	}
-	var arena InodeArena
-	for i, name := range names {
-		in, err := arena.NewFile(dirs[i%len(dirs)], name, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr.AdoptOrExisting(in)
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
-	runtime.KeepAlive(tr)
-	runtime.KeepAlive(names)
-	if b := float64(ms.HeapAlloc-before) / n; b > perInode {
-		t.Fatalf("%.1f B of live heap per created inode, want <= %d", b, perInode)
+	for _, tc := range []struct {
+		name     string
+		shuffled bool
+		perInode float64
+	}{{"in_order", false, 72}, {"shuffled", true, 82}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 200000
+			names := make([]string, n)
+			for i := range names {
+				names[i] = fmt.Sprintf("f%07d", i)
+			}
+			if tc.shuffled {
+				rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { names[i], names[j] = names[j], names[i] })
+			}
+			var ms runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			before := ms.HeapAlloc
+			tr := NewTree()
+			var dirs [4]*Inode
+			for i := range dirs {
+				dirs[i], _ = tr.Mkdir(tr.Root(), fileName("d", i))
+			}
+			var arena InodeArena
+			for i, name := range names {
+				in, err := arena.NewFile(dirs[i%len(dirs)], name, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr.AdoptOrExisting(in)
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			runtime.KeepAlive(tr)
+			runtime.KeepAlive(names)
+			if b := float64(ms.HeapAlloc-before) / n; b > tc.perInode {
+				t.Fatalf("%.1f B of live heap per created inode, want <= %.0f", b, tc.perInode)
+			}
+		})
 	}
 }

@@ -28,14 +28,20 @@ func (a *InodeArena) NewFile(parent *Inode, name string, size int64) (*Inode, er
 // the slot of the next inode number, splices that under its parent and
 // bumps ancestor subtree counters, exactly as a direct Create would
 // have, and returns the linked copy. Adoption order defines
-// inode-number order. The linking probe is the one duplicate check:
-// when the (parent, name) slot is already linked, the carved inode is
-// discarded and the existing one returned with adopted=false.
+// inode-number order. A name that sorts after every sibling's cannot be
+// taken and is linked without a probe; any other is checked by the
+// linking probe: when the (parent, name) slot is already linked, the
+// carved inode is discarded and the existing one returned with
+// adopted=false.
 func (t *Tree) AdoptOrExisting(in *Inode) (linked *Inode, adopted bool) {
 	d := in.Parent.dir
-	ex, slot := d.find(in.Name, in.nameHash)
-	if ex != nil {
-		return ex, false
+	ordered, slot := d.sortsLast(in.Name), uint32(0)
+	if !ordered {
+		d.indexTail(len(d.order) + 1)
+		var ex *Inode
+		if ex, slot = d.probe(in.Name, in.nameHash); ex != nil {
+			return ex, false
+		}
 	}
 	if t.nextIn%inodeSlabSize == 0 {
 		t.slabs = append(t.slabs, new([inodeSlabSize]Inode))
@@ -44,7 +50,11 @@ func (t *Tree) AdoptOrExisting(in *Inode) (linked *Inode, adopted bool) {
 	*c = *in
 	c.Ino = t.nextIn
 	t.nextIn++
-	d.index.set(slot, c.nameHash, len(d.order))
+	if ordered {
+		d.index.last = uint32(len(d.order))
+	} else {
+		d.index.add(slot, c.nameHash)
+	}
 	d.order = append(d.order, uint32(c.Ino))
 	files := c.SubtreeFiles()
 	for a := c.Parent; a != nil; a = a.Parent {

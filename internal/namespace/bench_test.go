@@ -1,6 +1,9 @@
 package namespace
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // benchPartition builds a deep tree with a few split points so that
 // resolution walks several levels and the partition has non-trivial
@@ -78,30 +81,40 @@ func BenchmarkResolveChainInto(b *testing.B) {
 }
 
 // BenchmarkCarveAdopt is one create's namespace work: carve a file
-// under one of 4 directories and adopt it. A fresh tree takes over
-// every 64 k creates (outside the timer), so ns/op and B/op include the
-// directories' index growth but not an ever larger tree.
+// under one of 4 directories and adopt it, the names in order (each
+// sorts last and skips the index) or shuffled (each probes it). A fresh
+// tree takes over every 64 k creates (outside the timer), so ns/op and
+// B/op include the directories' index growth but not an ever larger
+// tree.
 func BenchmarkCarveAdopt(b *testing.B) {
-	names := make([]string, 1<<16)
-	for i := range names {
-		names[i] = fileName("f", i)
-	}
-	var tr *Tree
-	var dirs [4]*Inode
-	var arena InodeArena
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := i % len(names)
-		if k == 0 {
-			b.StopTimer()
-			tr = NewTree()
-			for j := range dirs {
-				dirs[j], _ = tr.Mkdir(tr.Root(), fileName("d", j))
-			}
-			b.StartTimer()
+	for _, shuffled := range []bool{false, true} {
+		names := make([]string, 1<<16)
+		for i := range names {
+			names[i] = fileName("f", i)
 		}
-		in, _ := arena.NewFile(dirs[k%len(dirs)], names[k], 1)
-		tr.AdoptOrExisting(in)
+		bench := "in_order"
+		if shuffled {
+			bench = "shuffled"
+			rand.New(rand.NewSource(1)).Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
+		}
+		b.Run(bench, func(b *testing.B) {
+			var tr *Tree
+			var dirs [4]*Inode
+			var arena InodeArena
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k := i % len(names)
+				if k == 0 {
+					b.StopTimer()
+					tr = NewTree()
+					for j := range dirs {
+						dirs[j], _ = tr.Mkdir(tr.Root(), fileName("d", j))
+					}
+					b.StartTimer()
+				}
+				in, _ := arena.NewFile(dirs[k%len(dirs)], names[k], 1)
+				tr.AdoptOrExisting(in)
+			}
+		})
 	}
 }

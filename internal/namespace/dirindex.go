@@ -1,34 +1,57 @@
 package namespace
 
-// dirIndex finds a directory's child by name: an open-addressed hash
-// table over the directory's children, keyed by the 32-bit name hash
-// every inode caches. A slot holds the child's position in the
-// directory's order plus one, OR-ed with the bits of its hash above the
-// table mask; zero is an empty slot. The table is a power of two in
-// size and at most three quarters full, so the position always fits
-// below the mask, a linear probe ends at an empty slot after a few
-// steps, and only a tag match costs a name compare. Nothing on a probe
-// or a growth hashes a name: the caller supplies the hash on lookup,
-// and growth re-places every child by the hash its inode caches.
+// dirIndex finds a directory's child by name. An open-addressed hash
+// table covers a prefix of the directory's order, order[:n], keyed by
+// the 32-bit name hash every inode caches; the rest, the tail, holds
+// children linked in name order. A create whose name sorts after every
+// child's (last names the largest) cannot be a duplicate, so it joins
+// the tail without a probe: the tail ascends and sorts above every
+// indexed name. Any other create, and a lookup of a name that does not
+// sort last, indexes the tail first (indexTail), so the index covers
+// the out-of-order children and is built on first need.
+//
+// A slot holds the child's position in the order plus one, OR-ed with
+// the bits of its hash above the table mask; zero is an empty slot.
+// The table is a power of two in size and at most three quarters full,
+// so the position always fits below the mask, a linear probe ends at
+// an empty slot after a few steps, and only a tag match costs a name
+// compare. Nothing on a probe or a growth hashes a name: the caller
+// supplies the hash on lookup, and growth re-places every child by the
+// hash its inode caches.
 type dirIndex struct {
-	slots []uint32
+	slots   []uint32
+	n, last uint32 // children indexed; order position of the largest name
 }
 
-// minDirSlots is the table size a directory's first child allocates.
+// minDirSlots is the table size a directory's first index allocates.
 const minDirSlots = 8
 
-// ChildHashed is Child for a caller that already holds HashName(name).
-func (in *Inode) ChildHashed(name string, hash uint32) *Inode {
-	if in.dir == nil || in.dir.index.slots == nil {
+// Child returns the named child, or nil. A name that sorts after every
+// child's is answered without the index; any other lookup into a
+// directory with a tail indexes it first, so Child writes (see Tree).
+func (in *Inode) Child(name string) *Inode {
+	d := in.dir
+	if d == nil || len(d.order) == 0 {
 		return nil
 	}
-	c, _ := in.dir.probe(name, hash)
+	if int(d.index.n) < len(d.order) {
+		if d.sortsLast(name) {
+			return nil
+		}
+		d.indexTail(len(d.order))
+	}
+	c, _ := d.probe(name, HashName(name))
 	return c
 }
 
-// probe walks the name's probe sequence: it returns the child of that
-// name, or nil and the empty slot the sequence ends at — where the name
-// would be indexed.
+// sortsLast reports whether name sorts after every child's name.
+func (d *dirState) sortsLast(name string) bool {
+	return len(d.order) == 0 || name > d.tree.at(d.order[d.index.last]).Name
+}
+
+// probe walks the name's probe sequence over the indexed children: it
+// returns the child of that name, or nil and the empty slot the
+// sequence ends at — where the name would be indexed.
 func (d *dirState) probe(name string, hash uint32) (*Inode, uint32) {
 	slots := d.index.slots
 	mask := uint32(len(slots) - 1)
@@ -43,36 +66,32 @@ func (d *dirState) probe(name string, hash uint32) (*Inode, uint32) {
 	return nil, i
 }
 
-// find returns the child of that name, or nil and the empty slot that
-// indexes it once linked (AdoptOrExisting fills it), growing the table
-// first so that it stays at most three quarters full with one more
-// child.
-func (d *dirState) find(name string, hash uint32) (*Inode, uint32) {
-	if d.index.slots == nil {
-		d.index.slots = make([]uint32, minDirSlots)
-	} else if 4*(len(d.order)+1) > 3*len(d.index.slots) {
-		d.grow()
+// indexTail indexes every child, sizing the table once so that it stays
+// at most three quarters full with n children. A table that has to
+// grow is rebuilt, every child re-placed in order at the first free slot
+// of its probe sequence; otherwise only the tail is placed.
+func (d *dirState) indexTail(n int) {
+	size := max(len(d.index.slots), minDirSlots)
+	for 4*n > 3*size {
+		size *= 2
 	}
-	return d.probe(name, hash)
-}
-
-// grow doubles the table and re-places every child, in order, at the
-// first free slot of its probe sequence.
-func (d *dirState) grow() {
-	d.index.slots = make([]uint32, 2*len(d.index.slots))
-	mask := uint32(len(d.index.slots) - 1)
-	for pos, n := range d.order {
-		h := d.tree.at(n).nameHash
+	if size != len(d.index.slots) {
+		d.index.slots, d.index.n = make([]uint32, size), 0
+	}
+	mask := uint32(size - 1)
+	for int(d.index.n) < len(d.order) {
+		h := d.tree.at(d.order[d.index.n]).nameHash
 		i := h & mask
 		for d.index.slots[i] != 0 {
 			i = (i + 1) & mask
 		}
-		d.index.set(i, h, pos)
+		d.index.add(i, h)
 	}
 }
 
-// set indexes the child at position pos of the order, whose name hashes
-// to hash, in slot i.
-func (ix *dirIndex) set(i, hash uint32, pos int) {
-	ix.slots[i] = hash&^uint32(len(ix.slots)-1) | uint32(pos+1)
+// add indexes the first unindexed child, whose name hashes to hash, in
+// slot i.
+func (ix *dirIndex) add(i, hash uint32) {
+	ix.slots[i] = hash&^uint32(len(ix.slots)-1) | (ix.n + 1)
+	ix.n++
 }

@@ -1,6 +1,9 @@
 package namespace
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // MDSID identifies a metadata server by rank.
 type MDSID int
@@ -95,9 +98,6 @@ func (p *Partition) lookupEntry(dir Ino, h uint32) (Entry, bool) {
 // findFrag returns the one of a directory's entries whose fragment
 // contains h, if any.
 func findFrag(es []Entry, h uint32) (Entry, bool) {
-	if len(es) == 0 {
-		return Entry{}, false
-	}
 	// Entries are disjoint and sorted by range start: binary-search the
 	// last entry starting at or below h, then confirm containment.
 	lo, hi := 0, len(es)
@@ -187,19 +187,10 @@ func (p *Partition) ResolveChainInto(buf []MDSID, in *Inode) ([]MDSID, Entry) {
 	if !found {
 		governing = root
 	}
-	// auths is bottom-up; reverse in place, then collapse adjacent
-	// duplicates (the write index never passes the read index, so the
-	// collapse can reuse the same backing array).
-	for i, j := 0, len(auths)-1; i < j; i, j = i+1, j-1 {
-		auths[i], auths[j] = auths[j], auths[i]
-	}
-	chain := auths[:1]
-	for _, a := range auths[1:] {
-		if a != chain[len(chain)-1] {
-			chain = append(chain, a)
-		}
-	}
-	return chain, governing
+	// auths is bottom-up; reverse it, then collapse adjacent duplicates,
+	// both in place.
+	slices.Reverse(auths)
+	return slices.Compact(auths), governing
 }
 
 // SetAuth changes the authority of an existing entry. It returns false
@@ -264,10 +255,7 @@ func (p *Partition) SplitEntry(key FragKey) (Entry, Entry, bool) {
 			// left reuses the parent's range start; right begins at the
 			// midpoint, so inserting it just after left keeps es sorted.
 			es[i] = left
-			es = append(es, Entry{})
-			copy(es[i+2:], es[i+1:])
-			es[i+1] = right
-			p.entries[key.Dir] = es
+			p.entries[key.Dir] = slices.Insert(es, i+1, right)
 			p.numEntries++
 			p.version++
 			return left, right, true
@@ -344,10 +332,7 @@ func (p *Partition) MergeWithSibling(key FragKey) (Entry, bool) {
 			break
 		}
 	}
-	kept = append(kept, Entry{})
-	copy(kept[pos+1:], kept[pos:])
-	kept[pos] = merged
-	p.entries[key.Dir] = kept
+	p.entries[key.Dir] = slices.Insert(kept, pos, merged)
 	p.numEntries--
 	p.version++
 	return merged, true

@@ -51,7 +51,7 @@ type Inode struct {
 
 // dirState is the directory-only part of an inode.
 type dirState struct {
-	index dirIndex // finds a child by name; empty until the first child
+	index dirIndex // finds a child by name; empty until first needed
 	order []uint32 // the children's inode numbers in insertion order: ascending
 	tree  *Tree    // resolves order and index numbers to inodes
 
@@ -188,11 +188,6 @@ func (in *Inode) ChildAt(i int) *Inode { return in.dir.tree.at(in.dir.order[i]) 
 // it is one of its parent's children that frag covers.
 func (in *Inode) InFrag(f Frag) bool { return f.Contains(in.nameHash) }
 
-// Child returns the named child, or nil.
-func (in *Inode) Child(name string) *Inode {
-	return in.ChildHashed(name, HashName(name))
-}
-
 // Children returns a copy of the direct children in insertion order.
 func (in *Inode) Children() []*Inode {
 	out := make([]*Inode, in.NumChildren())
@@ -225,8 +220,10 @@ func (in *Inode) Path() string {
 const inodeSlabSize = 1024
 
 // Tree is the namespace: a rooted inode hierarchy stored in inode-number
-// order. Tree is not safe for concurrent mutation; the simulator is
-// single-threaded per cluster by design (determinism).
+// order. Tree is not safe for concurrent use, lookups included: Child
+// and Lookup may build a directory's name index. The simulator is
+// single-threaded per cluster by design (determinism), and every
+// experiment cell builds its own tree.
 //
 // Inode numbers are dense (assigned sequentially from RootIno and never
 // reused), so inode n is slot n%inodeSlabSize of slab n/inodeSlabSize
@@ -370,14 +367,9 @@ func (t *Tree) Walk(fn func(*Inode) bool) {
 	rec(t.Root())
 }
 
+// splitPath returns the path's non-empty '/'-separated components.
 func splitPath(path string) []string {
-	var parts []string
-	for _, p := range strings.Split(path, "/") {
-		if p != "" {
-			parts = append(parts, p)
-		}
-	}
-	return parts
+	return strings.FieldsFunc(path, func(r rune) bool { return r == '/' })
 }
 
 // Hot is the per-inode access history used by the paper's stats
