@@ -46,7 +46,8 @@ func fixture(t testing.TB, n int) (*namespace.Tree, *namespace.Partition, *mds.M
 		}
 	}
 	part := namespace.NewPartition(tree, 0)
-	mig := mds.NewMigrator(part, 100, 2, 20)
+	anyRank := func(namespace.MDSID) bool { return true }
+	mig := mds.NewMigrator(part, anyRank, anyRank)
 	var servers []*mds.Server
 	for i := 0; i < n; i++ {
 		servers = append(servers, mds.NewServer(namespace.MDSID(i), 2000, 6, 0.9))

@@ -185,10 +185,9 @@ func FuzzMigratorLifecycle(f *testing.F) {
 		tree, dirs := fuzzTree(t)
 		part := namespace.NewPartition(tree, 0)
 		valid := [ranks]bool{true, true, true}
-		m := mds.NewMigrator(part, 10, 2, 6)
-		m.ValidRank = func(r namespace.MDSID) bool {
+		m := mds.NewMigrator(part, func(r namespace.MDSID) bool {
 			return int(r) >= 0 && int(r) < ranks && valid[r]
-		}
+		}, func(namespace.MDSID) bool { return true })
 		tick := int64(0)
 		check := func(step int, op byte) {
 			t.Helper()

@@ -138,10 +138,11 @@ func (b *Mantle) Rebalance(v View) {
 			continue
 		}
 		if b.bus.Enabled(obs.EvTrigger) {
-			b.bus.Emit(obs.Event{Tick: v.Tick(), Type: obs.EvTrigger, Fields: obs.F{
-				"balancer": b.name, "from": int(ex), "amount": amount,
-				"load": env.Loads[i], "fired": true,
-			}})
+			f := obs.AcquireF()
+			f["balancer"], f["from"] = b.name, int(ex)
+			f["amount"], f["load"] = amount, env.Loads[i]
+			f["fired"] = true
+			b.bus.Emit(obs.Event{Tick: v.Tick(), Type: obs.EvTrigger, Fields: f})
 		}
 		b.export(v, live, i, env.Loads[i], targets)
 	}
@@ -214,32 +215,6 @@ func GreedySpill() Policy {
 		Where: func(e Env, amount float64) []float64 {
 			out := make([]float64, len(e.Loads))
 			out[(e.WhoAmI+1)%len(e.Loads)] = amount
-			return out
-		},
-	}
-}
-
-// FillHeaviest sheds everything above the cluster mean to the single
-// emptiest MDS (the "greedy water-filling" shape).
-func FillHeaviest(slack float64) Policy {
-	return Policy{
-		PolicyName: "FillHeaviest",
-		When: func(e Env) bool {
-			return e.MyLoad() > e.Mean()*(1+slack)
-		},
-		HowMuch: func(e Env) float64 { return e.MyLoad() - e.Mean() },
-		Where: func(e Env, amount float64) []float64 {
-			out := make([]float64, len(e.Loads))
-			min := 0
-			for j, l := range e.Loads {
-				if l < e.Loads[min] {
-					min = j
-				}
-			}
-			if min == e.WhoAmI {
-				return nil
-			}
-			out[min] = amount
 			return out
 		},
 	}

@@ -60,10 +60,10 @@ func (b *Vanilla) Rebalance(v View) {
 		}
 	}
 	if b.bus.Enabled(obs.EvTrigger) {
-		b.bus.Emit(obs.Event{Tick: v.Tick(), Type: obs.EvTrigger, Fields: obs.F{
-			"balancer": b.Name(), "avg": avg, "live": len(live),
-			"fired": exporting > 0 && avg > 0,
-		}})
+		f := obs.AcquireF()
+		f["balancer"], f["avg"] = b.Name(), avg
+		f["live"], f["fired"] = len(live), exporting > 0 && avg > 0
+		b.bus.Emit(obs.Event{Tick: v.Tick(), Type: obs.EvTrigger, Fields: f})
 	}
 	if avg <= 0 {
 		return

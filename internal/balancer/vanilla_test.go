@@ -89,8 +89,7 @@ func TestGreedySpillRingNeighbour(t *testing.T) {
 	}
 	heatUp(v, dirs, 2)
 	NewGreedySpill().Rebalance(v)
-	pend := v.Mig.PendingFor(2)
-	if len(pend) == 0 {
+	if queued, _ := v.Mig.TasksFor(2); queued == 0 {
 		t.Fatal("rank 2 should spill")
 	}
 }

@@ -30,15 +30,6 @@ import (
 // Fixed model parameters. No command, experiment or benchmark workload
 // ever varied them, so they are constants of the model, not knobs.
 const (
-	// migrationRate is how many inodes an exporter ships per tick.
-	migrationRate = 2000
-	// maxActiveExports bounds concurrent exports per exporter.
-	maxActiveExports = 2
-	// queueTTLTicks expires queued (unstarted) export tasks.
-	queueTTLTicks = 20
-	// exportLatencyTicks is the fixed two-phase-commit floor cost of one
-	// export, regardless of subtree size.
-	exportLatencyTicks = 4
 	// heatDecay is the per-epoch popularity decay (CephFS-style). Slow:
 	// the accumulated popularity counter the paper criticizes — heat
 	// keeps ranking already-scanned (dead) subtrees above the live scan
@@ -328,8 +319,13 @@ func New(cfg Config) (*Cluster, error) {
 		cl.servers = append(cl.servers,
 			mds.NewServer(namespace.MDSID(i), cfg.Capacity, historyWindows, heatDecay))
 	}
-	cl.migrator = mds.NewMigrator(part, migrationRate, maxActiveExports, queueTTLTicks)
-	cl.migrator.MinTicks = exportLatencyTicks
+	// A migration endpoint is valid only when it names a live rank; the
+	// migrator re-checks this at activation, so tasks planned before a
+	// crash never ship a subtree to (or from) a dead server. The
+	// importer side is gated harder: a draining rank is a legal
+	// exporter (it is being emptied) but must never receive a subtree,
+	// so tasks planned before its drain started drop at activation.
+	cl.migrator = mds.NewMigrator(part, cl.up, cl.importable)
 	cl.migrator.Bus = cfg.Bus
 	if bc, ok := cfg.Balancer.(obs.BusCarrier); ok {
 		bc.SetBus(cfg.Bus)
@@ -339,14 +335,6 @@ func New(cfg Config) (*Cluster, error) {
 			cl.servers[t.From].DropSubtreeStats(t.Key)
 		}
 	})
-	// A migration endpoint is valid only when it names a live rank; the
-	// migrator re-checks this at activation, so tasks planned before a
-	// crash never ship a subtree to (or from) a dead server.
-	cl.migrator.ValidRank = cl.up
-	// The importer side is gated harder: a draining rank is a legal
-	// exporter (it is being emptied) but must never receive a subtree,
-	// so tasks planned before its drain started drop at activation.
-	cl.migrator.ValidImporter = cl.importable
 	for i, sp := range specs {
 		cl.clients = append(cl.clients, client.New(i, sp, cfg.ClientRate))
 	}
@@ -521,8 +509,10 @@ func (c *Cluster) CrashMDS(rank int) bool {
 		})
 	}
 	if c.bus.Enabled(obs.EvCrash) {
-		c.bus.Emit(obs.Event{Tick: crashedAt, Type: obs.EvCrash,
-			Fields: obs.F{"rank": rank, "live": live - 1, "aborted": aborted}})
+		f := obs.AcquireF()
+		f["rank"], f["live"] = rank, live-1
+		f["aborted"] = aborted
+		c.bus.Emit(obs.Event{Tick: crashedAt, Type: obs.EvCrash, Fields: f})
 	}
 	return true
 }
@@ -574,12 +564,14 @@ func (c *Cluster) RecoverMDS(rank int) bool {
 			if c.bus.Enabled(obs.EvBackoffExit) {
 				f := obs.AcquireF()
 				f["client"], f["reason"] = cl.ID, "recovery"
-				c.bus.EmitPooled(obs.Event{Tick: c.tick, Type: obs.EvBackoffExit, Fields: f})
+				c.bus.Emit(obs.Event{Tick: c.tick, Type: obs.EvBackoffExit, Fields: f})
 			}
 		}
 	}
 	if c.bus.Enabled(obs.EvRecover) {
-		c.bus.Emit(obs.Event{Tick: c.tick, Type: obs.EvRecover, Fields: obs.F{"rank": rank}})
+		f := obs.AcquireF()
+		f["rank"] = rank
+		c.bus.Emit(obs.Event{Tick: c.tick, Type: obs.EvRecover, Fields: f})
 	}
 	return true
 }
@@ -717,7 +709,7 @@ func (c *Cluster) up(r namespace.MDSID) bool {
 
 // importable reports whether the rank is a legal import target: in
 // range, serving, and not being emptied. This is the predicate behind
-// both the balancer view's Importable and the migrator's ValidImporter
+// both the balancer view's Importable and the migrator's importer
 // activation gate.
 func (c *Cluster) importable(r namespace.MDSID) bool {
 	return r >= 0 && int(r) < len(c.servers) && isActive(c.servers[r])
@@ -822,11 +814,11 @@ func (c *Cluster) reassignOrphans(dead namespace.MDSID, crashedAt int64) {
 		Entries:      len(entries),
 	})
 	if c.bus.Enabled(obs.EvTakeover) {
-		c.bus.Emit(obs.Event{Tick: c.tick, Type: obs.EvTakeover, Fields: obs.F{
-			"rank": int(dead), "entries": len(entries),
-			"crash_tick": crashedAt, "waited": c.tick - crashedAt,
-			"survivors": len(live),
-		}})
+		f := obs.AcquireF()
+		f["rank"], f["entries"] = int(dead), len(entries)
+		f["crash_tick"], f["waited"] = crashedAt, c.tick-crashedAt
+		f["survivors"] = len(live)
+		c.bus.Emit(obs.Event{Tick: c.tick, Type: obs.EvTakeover, Fields: f})
 	}
 	delete(c.outages, dead)
 }
@@ -890,8 +882,10 @@ func (c *Cluster) StartDrain(rank int) bool {
 		c.dropRankReplicas(id, "drain")
 	}
 	if c.bus.Enabled(obs.EvDrainStart) {
-		c.bus.Emit(obs.Event{Tick: c.tick, Type: obs.EvDrainStart,
-			Fields: obs.F{"rank": rank, "entries": entries, "unpinned": unpinned}})
+		f := obs.AcquireF()
+		f["rank"], f["entries"] = rank, entries
+		f["unpinned"] = unpinned
+		c.bus.Emit(obs.Event{Tick: c.tick, Type: obs.EvDrainStart, Fields: f})
 	}
 	return true
 }
@@ -977,9 +971,10 @@ func (c *Cluster) finishDrain(id namespace.MDSID, ds *drainState, tick int64) {
 	delete(c.draining, id)
 	c.drainsDone++
 	if c.bus.Enabled(obs.EvDrainComplete) {
-		c.bus.Emit(obs.Event{Tick: tick, Type: obs.EvDrainComplete,
-			Fields: obs.F{"rank": int(id), "entries": ds.startEntries,
-				"waited": tick - ds.startTick}})
+		f := obs.AcquireF()
+		f["rank"], f["entries"] = int(id), ds.startEntries
+		f["waited"] = tick - ds.startTick
+		c.bus.Emit(obs.Event{Tick: tick, Type: obs.EvDrainComplete, Fields: f})
 	}
 }
 
@@ -1020,10 +1015,12 @@ func (c *Cluster) elasticStep(tick, epoch int64, ifv float64) {
 		return
 	}
 	if c.bus.Enabled(obs.EvScaleDecision) {
-		c.bus.Emit(obs.Event{Tick: tick, Type: obs.EvScaleDecision, Fields: obs.F{
-			"action": d.Action.String(), "delta": d.Delta, "reason": d.Reason,
-			"util": d.Util, "if": ifv, "active": active, "draining": drainingN,
-		}})
+		f := obs.AcquireF()
+		f["action"], f["delta"] = d.Action.String(), d.Delta
+		f["reason"], f["util"] = d.Reason, d.Util
+		f["if"], f["active"] = ifv, active
+		f["draining"] = drainingN
+		c.bus.Emit(obs.Event{Tick: tick, Type: obs.EvScaleDecision, Fields: f})
 	}
 }
 
@@ -1100,7 +1097,7 @@ func (c *Cluster) Step() {
 			if n := c.tn.ThrottledTick(t); n > 0 {
 				f := obs.AcquireF()
 				f["tenant"], f["n"], f["tokens"] = t, n, c.tn.Tokens(t)
-				c.bus.EmitPooled(obs.Event{Tick: tick, Type: obs.EvTenantThrottle, Fields: f})
+				c.bus.Emit(obs.Event{Tick: tick, Type: obs.EvTenantThrottle, Fields: f})
 			}
 		}
 	}
@@ -1177,7 +1174,7 @@ func (c *Cluster) endEpoch(tick, epoch int64) {
 	if c.bus.Enabled(obs.EvEpoch) {
 		f := obs.AcquireF()
 		f["epoch"], f["if"], f["cov"], f["live"] = epoch, res.IF, res.CoV, len(liveLoads)
-		c.bus.EmitPooled(obs.Event{Tick: tick, Type: obs.EvEpoch, Fields: f})
+		c.bus.Emit(obs.Event{Tick: tick, Type: obs.EvEpoch, Fields: f})
 	}
 	if c.bus.Enabled(obs.EvRank) {
 		for i, s := range c.servers {
@@ -1187,7 +1184,7 @@ func (c *Cluster) endEpoch(tick, epoch int64) {
 			f["ops"], f["stalls"] = s.OpsTotal(), s.Stalls()
 			f["heat"], f["queued"], f["active"] = s.HeatEntries(), queued, active
 			f["up"], f["state"] = s.Up(), s.State().String()
-			c.bus.EmitPooled(obs.Event{Tick: tick, Type: obs.EvRank, Fields: f})
+			c.bus.Emit(obs.Event{Tick: tick, Type: obs.EvRank, Fields: f})
 		}
 	}
 	if c.elastic != nil {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/balancer"
 	"repro/internal/core"
+	"repro/internal/mds"
 	"repro/internal/namespace"
 	"repro/internal/replica"
 	"repro/internal/workload"
@@ -88,6 +89,15 @@ func TestInterfaceBudgets(t *testing.T) {
 	}
 	if n := reflect.TypeOf((*balancer.View)(nil)).Elem().NumMethod(); n > 11 {
 		t.Errorf("balancer.View has %d methods, budget 11", n)
+	}
+	exported := 0
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(mds.Migrator{})) {
+		if f.IsExported() {
+			exported++
+		}
+	}
+	if exported > 1 {
+		t.Errorf("mds.Migrator has %d exported fields, budget 1 (Bus)", exported)
 	}
 }
 
@@ -317,13 +327,15 @@ func TestEpochMetricsRecorded(t *testing.T) {
 }
 
 func TestFrozenSubtreeStallsNotLoses(t *testing.T) {
-	// Force a migration of a hot subtree and verify ops are stalled
-	// (clients retry) rather than dropped: total served still matches.
+	// Migrate hot subtrees and verify ops are stalled (clients retry)
+	// rather than dropped: total served still matches.
 	c := newTestCluster(t, Config{Workload: smallZipf(), Clients: 8})
-	c.Migrator().RatePerTick = 50
 	c.RunUntilDone(20000)
 	if !c.Done() {
 		t.Fatal("run did not finish")
+	}
+	if c.Migrator().CompletedTasks() == 0 {
+		t.Fatal("no migration completed: nothing was frozen")
 	}
 	var clientOps int64
 	for _, cl := range c.Clients() {

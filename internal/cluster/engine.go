@@ -537,7 +537,7 @@ func (e *engine) stallDown(cl *client.Client, at namespace.MDSID, tick int64) {
 	if e.c.bus.Enabled(obs.EvBackoffEnter) {
 		f := obs.AcquireF()
 		f["client"], f["backoff"], f["retry_at"] = cl.ID, cl.Backoff(), tick+cl.Backoff()
-		e.c.bus.EmitPooled(obs.Event{Tick: tick, Type: obs.EvBackoffEnter, Fields: f})
+		e.c.bus.Emit(obs.Event{Tick: tick, Type: obs.EvBackoffEnter, Fields: f})
 	}
 	e.blocked[cl.ID] = true
 }
@@ -551,7 +551,7 @@ func (e *engine) complete(cl *client.Client, data, tick int64) bool {
 	if cl.Backoff() > 0 && c.bus.Enabled(obs.EvBackoffExit) {
 		f := obs.AcquireF()
 		f["client"], f["reason"] = cl.ID, "served"
-		c.bus.EmitPooled(obs.Event{Tick: tick, Type: obs.EvBackoffExit, Fields: f})
+		c.bus.Emit(obs.Event{Tick: tick, Type: obs.EvBackoffExit, Fields: f})
 	}
 	lat := cl.CompleteOp(tick)
 	c.rec.AddLatency(lat)

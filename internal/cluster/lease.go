@@ -62,7 +62,7 @@ func (c *Cluster) revokeLease(key namespace.FragKey) {
 		f := obs.AcquireF()
 		f["dir"], f["frag"] = key.Dir, key.Frag.String()
 		f["n"], f["reason"] = n, "write"
-		c.bus.EmitPooled(obs.Event{Tick: c.tick, Type: obs.EvLeaseRevoke, Fields: f})
+		c.bus.Emit(obs.Event{Tick: c.tick, Type: obs.EvLeaseRevoke, Fields: f})
 	}
 }
 
@@ -75,7 +75,7 @@ func (c *Cluster) noteRevoked(rank int, n int64, reason string) {
 			f["rank"] = rank
 		}
 		f["n"], f["reason"] = n, reason
-		c.bus.EmitPooled(obs.Event{Tick: c.tick, Type: obs.EvLeaseRevoke, Fields: f})
+		c.bus.Emit(obs.Event{Tick: c.tick, Type: obs.EvLeaseRevoke, Fields: f})
 	}
 }
 
@@ -173,7 +173,7 @@ func (c *Cluster) leaseGrants(tick int64) {
 			f := obs.AcquireF()
 			f["dir"], f["frag"] = e.Key.Dir, e.Key.Frag.String()
 			f["ranks"], f["until"], f["read_frac"] = ranks, until, readFrac
-			c.bus.EmitPooled(obs.Event{Tick: tick, Type: obs.EvLeaseGrant, Fields: f})
+			c.bus.Emit(obs.Event{Tick: tick, Type: obs.EvLeaseGrant, Fields: f})
 		}
 	}
 }

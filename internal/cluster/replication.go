@@ -34,7 +34,7 @@ func (c *Cluster) initReplication() {
 				f := obs.AcquireF()
 				f["dir"], f["frag"] = key.Dir, key.Frag.String()
 				f["rank"], f["inodes"] = int(rank), inodes
-				c.bus.EmitPooled(obs.Event{Tick: c.tick, Type: obs.EvRereplicate, Fields: f})
+				c.bus.Emit(obs.Event{Tick: c.tick, Type: obs.EvRereplicate, Fields: f})
 			}
 		},
 	}
@@ -73,7 +73,7 @@ func (c *Cluster) pumpReplication(tick int64) {
 		f := obs.AcquireF()
 		f["groups"], f["max_lag"] = c.rep.Groups(), c.rep.MaxLag()
 		f["syncing"], f["records"] = c.rep.SyncingStandbys(), c.rep.Records()
-		c.bus.EmitPooled(obs.Event{Tick: tick, Type: obs.EvJournalLag, Fields: f})
+		c.bus.Emit(obs.Event{Tick: tick, Type: obs.EvJournalLag, Fields: f})
 	}
 }
 
@@ -103,7 +103,7 @@ func (c *Cluster) promoteReplicas(dead namespace.MDSID, crashedAt int64) {
 			f["dir"], f["frag"] = e.Key.Dir, e.Key.Frag.String()
 			f["from"], f["to"] = int(dead), int(to)
 			f["heat"], f["lag"], f["waited"] = heat, lag, c.tick-crashedAt
-			c.bus.EmitPooled(obs.Event{Tick: c.tick, Type: obs.EvReplicaPromote, Fields: f})
+			c.bus.Emit(obs.Event{Tick: c.tick, Type: obs.EvReplicaPromote, Fields: f})
 		}
 	}
 	if promoted == 0 {

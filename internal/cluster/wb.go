@@ -261,7 +261,7 @@ func (e *engine) wbAdmitClient(ci int32, runs []wbRun, tick int64) {
 			f := obs.AcquireF()
 			f["client"], f["rank"], f["n"] = cl.ID, int(rank), int(fr.n)
 			f["age"], f["depth"] = tick-fr.since, w.depth[rank]
-			c.bus.EmitPooled(obs.Event{Tick: tick, Type: obs.EvBatchFlush, Fields: f})
+			c.bus.Emit(obs.Event{Tick: tick, Type: obs.EvBatchFlush, Fields: f})
 		}
 	}
 	w.queues[ci] = q
@@ -452,7 +452,7 @@ func (e *engine) applyBatch(auth *mds.Server, cl *client.Client,
 		if c.bus.Enabled(obs.EvBatchCommit) {
 			f := obs.AcquireF()
 			f["rank"], f["client"], f["n"], f["groups"] = int(rank), cl.ID, applied, groups
-			c.bus.EmitPooled(obs.Event{Tick: tick, Type: obs.EvBatchCommit, Fields: f})
+			c.bus.Emit(obs.Event{Tick: tick, Type: obs.EvBatchCommit, Fields: f})
 		}
 	}
 	if status == execOK && cut {
@@ -506,7 +506,7 @@ func (e *engine) wbRequeueFrom(ci int, b *wbBatch, tick int64) {
 		if c.bus.Enabled(obs.EvBatchRequeue) {
 			f := obs.AcquireF()
 			f["rank"], f["client"], f["n"] = int(s.rank), ci, s.n
-			c.bus.EmitPooled(obs.Event{Tick: tick, Type: obs.EvBatchRequeue, Fields: f})
+			c.bus.Emit(obs.Event{Tick: tick, Type: obs.EvBatchRequeue, Fields: f})
 		}
 	}
 	clear(q[idx:])

@@ -131,11 +131,12 @@ func (b *Lunule) Rebalance(v balancer.View) {
 	}
 	fired := res.IF >= threshold
 	if b.bus.Enabled(obs.EvTrigger) {
-		b.bus.Emit(obs.Event{Tick: v.Tick(), Type: obs.EvTrigger, Fields: obs.F{
-			"balancer": b.Name(), "if": res.IF, "cov": res.CoV,
-			"norm_cov": res.NormCoV, "u": res.U,
-			"threshold": threshold, "fired": fired, "live": len(live),
-		}})
+		f := obs.AcquireF()
+		f["balancer"], f["if"] = b.Name(), res.IF
+		f["cov"], f["norm_cov"] = res.CoV, res.NormCoV
+		f["u"], f["threshold"] = res.U, threshold
+		f["fired"], f["live"] = fired, len(live)
+		b.bus.Emit(obs.Event{Tick: v.Tick(), Type: obs.EvTrigger, Fields: f})
 	}
 	if !fired {
 		return // benign (or no) imbalance
@@ -155,9 +156,10 @@ func (b *Lunule) Rebalance(v balancer.View) {
 	b.rebalances++
 	if b.bus.Enabled(obs.EvPlan) {
 		for _, d := range plan {
-			b.bus.Emit(obs.Event{Tick: v.Tick(), Type: obs.EvPlan, Fields: obs.F{
-				"from": int(d.From), "to": int(d.To), "amount": d.Amount,
-			}})
+			f := obs.AcquireF()
+			f["from"], f["to"] = int(d.From), int(d.To)
+			f["amount"] = d.Amount
+			b.bus.Emit(obs.Event{Tick: v.Tick(), Type: obs.EvPlan, Fields: f})
 		}
 	}
 
@@ -193,10 +195,9 @@ func (b *Lunule) tracePick(v balancer.View, c balancer.Candidate, d Decision) {
 	if !b.bus.Enabled(obs.EvSelect) {
 		return
 	}
-	f := obs.F{
-		"from": int(d.From), "to": int(d.To),
-		"dir": uint64(c.RootDir()), "load": c.Load, "entry": c.IsEntry,
-	}
+	f := obs.AcquireF()
+	f["from"], f["to"] = int(d.From), int(d.To)
+	f["dir"], f["load"], f["entry"] = uint64(c.RootDir()), c.Load, c.IsEntry
 	if c.IsEntry {
 		f["frag"] = c.Key.Frag.String()
 	}

@@ -97,7 +97,7 @@ func TestSetCapacityReportsClamp(t *testing.T) {
 }
 
 // abortFixture builds a partition with two carved subtrees and a
-// migrator whose ValidRank hook tracks a mutable down-set.
+// migrator whose endpoint hook tracks a mutable down-set.
 func abortFixture(t *testing.T) (*namespace.Partition, *Migrator, []namespace.FragKey, map[namespace.MDSID]bool) {
 	t.Helper()
 	tr := namespace.NewTree()
@@ -116,8 +116,8 @@ func abortFixture(t *testing.T) (*namespace.Partition, *Migrator, []namespace.Fr
 		keys = append(keys, p.Carve(d).Key)
 	}
 	down := make(map[namespace.MDSID]bool)
-	m := NewMigrator(p, 10, 2, 100)
-	m.ValidRank = func(r namespace.MDSID) bool { return !down[r] }
+	m := NewMigrator(p, func(r namespace.MDSID) bool { return !down[r] },
+		func(namespace.MDSID) bool { return true })
 	return p, m, keys, down
 }
 
@@ -200,7 +200,7 @@ func TestMigratorAbortQueuedTasks(t *testing.T) {
 // draining), and then the exporter dies. The abort must still roll
 // authority to the draining importer — the data already lives there,
 // and its own drain re-exports the subtree afterwards. AbortRank must
-// not consult ValidRank for the surviving side.
+// not consult the endpoint hook for the surviving side.
 func TestMigratorAbortExporterCrashImporterDraining(t *testing.T) {
 	p, m, keys, down := abortFixture(t)
 	task := m.Submit(keys[0], 0, 1, 50, 0)
@@ -245,8 +245,9 @@ func TestMigratorDropsInvalidImporterAtActivation(t *testing.T) {
 }
 
 func TestMigratorDropsNegativeImporterRank(t *testing.T) {
+	// The fixture's hook accepts every rank not marked down, -3
+	// included: the migrator's own guard must drop it.
 	_, m, keys, _ := abortFixture(t)
-	m.ValidRank = nil // even without a hook, negative ranks are invalid
 	task := m.Submit(keys[0], 0, -3, 50, 0)
 	m.Tick(0)
 	if task.State != TaskDropped {

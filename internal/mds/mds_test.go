@@ -138,7 +138,7 @@ func TestMigratorLifecycle(t *testing.T) {
 	tr, p, _ := fixture(t)
 	d, _ := tr.Lookup("/d")
 	e := p.Carve(d)
-	m := NewMigrator(p, 8, 2, 100)
+	m := newMigrator(p)
 	task := m.Submit(e.Key, 0, 1, 50, 0)
 	if task.State != TaskQueued || m.QueuedTasks() != 1 {
 		t.Fatal("submit")
@@ -147,24 +147,31 @@ func TestMigratorLifecycle(t *testing.T) {
 	if task.State != TaskActive || m.ActiveTasks() != 1 {
 		t.Fatalf("task state after tick = %v", task.State)
 	}
-	// 20 inodes at 8/tick -> 3 ticks.
-	if task.DoneTick != 3 {
-		t.Fatalf("DoneTick = %d, want 3", task.DoneTick)
+	// 20 inodes ship in one tick; the two-phase commit's floor sets
+	// the duration.
+	if task.DoneTick != exportLatencyTicks {
+		t.Fatalf("DoneTick = %d, want %d", task.DoneTick, exportLatencyTicks)
 	}
 	// The subtree stays serviceable during the bulk transfer and
 	// freezes only in the commit window (the last FreezeTicks ticks).
 	if m.IsFrozen(e.Key) {
 		t.Fatal("subtree must not freeze during bulk transfer")
 	}
-	m.Tick(1)
-	m.Tick(2)
-	if task.State != TaskActive {
-		t.Fatal("should still be in flight")
+	for tick := int64(1); tick < task.DoneTick-FreezeTicks; tick++ {
+		if m.Tick(tick); m.IsFrozen(e.Key) {
+			t.Fatalf("subtree frozen at tick %d, during bulk transfer", tick)
+		}
 	}
-	if !m.IsFrozen(e.Key) {
-		t.Fatal("subtree must freeze during the commit window")
+	for tick := task.DoneTick - FreezeTicks; tick < task.DoneTick; tick++ {
+		m.Tick(tick)
+		if task.State != TaskActive {
+			t.Fatal("should still be in flight")
+		}
+		if !m.IsFrozen(e.Key) {
+			t.Fatal("subtree must freeze during the commit window")
+		}
 	}
-	m.Tick(3)
+	m.Tick(task.DoneTick)
 	if task.State != TaskDone {
 		t.Fatal("should have completed")
 	}
@@ -192,20 +199,20 @@ func TestMigratorCompleteVanishedEntry(t *testing.T) {
 	tr, p, _ := fixture(t)
 	d, _ := tr.Lookup("/d")
 	e := p.Carve(d)
-	m := NewMigrator(p, 8, 2, 100)
+	m := newMigrator(p)
 	task := m.Submit(e.Key, 0, 1, 50, 0)
 	m.Tick(0)
 	if task.State != TaskActive {
 		t.Fatalf("task state after tick = %v", task.State)
 	}
-	// Absorb the entry mid-flight (before its DoneTick at 3).
+	// Absorb the entry mid-flight (before its DoneTick).
 	if !p.Absorb(e.Key) {
 		t.Fatal("absorb")
 	}
 	verBefore := p.Version()
-	m.Tick(1)
-	m.Tick(2)
-	m.Tick(3)
+	for tick := int64(1); tick <= task.DoneTick; tick++ {
+		m.Tick(tick)
+	}
 	if task.State != TaskDropped {
 		t.Fatalf("task state = %v, want TaskDropped: completion committed onto a vanished entry", task.State)
 	}
@@ -243,7 +250,7 @@ func TestMigratorNoDuplicateActiveExports(t *testing.T) {
 	tr, p, _ := fixture(t)
 	d, _ := tr.Lookup("/d")
 	e := p.Carve(d)
-	m := NewMigrator(p, 8, 4, 100)
+	m := newMigrator(p)
 	first := m.Submit(e.Key, 0, 1, 50, 0)
 	dup := m.Submit(e.Key, 0, 2, 50, 0)
 	m.Tick(0)
@@ -256,10 +263,10 @@ func TestMigratorNoDuplicateActiveExports(t *testing.T) {
 	if m.ActiveTasks() != 1 || m.QueuedTasks() != 1 {
 		t.Fatalf("active=%d queued=%d, want 1 and 1", m.ActiveTasks(), m.QueuedTasks())
 	}
-	// Run the first export to completion (20 inodes at 8/tick -> done
-	// at tick 3); the authority flips to rank 1, so the duplicate is
-	// dropped as stale on the next activation attempt.
-	for tick := int64(1); tick <= 4; tick++ {
+	// Run the first export to completion; the authority flips to rank
+	// 1, so the duplicate is dropped as stale on the next activation
+	// attempt.
+	for tick := int64(1); tick <= first.DoneTick; tick++ {
 		m.Tick(tick)
 	}
 	if first.State != TaskDone {
@@ -291,16 +298,16 @@ func TestMigratorConcurrencyBound(t *testing.T) {
 		}
 		keys = append(keys, p.Carve(d).Key)
 	}
-	m := NewMigrator(p, 10, 2, 100)
+	m := newMigrator(p)
 	for _, k := range keys {
 		m.Submit(k, 0, 1, 1, 0)
 	}
 	m.Tick(0)
-	if m.ActiveTasks() != 2 {
-		t.Fatalf("active = %d, want 2 (per-exporter bound)", m.ActiveTasks())
+	if m.ActiveTasks() != maxActiveExports {
+		t.Fatalf("active = %d, want %d (per-exporter bound)", m.ActiveTasks(), maxActiveExports)
 	}
-	if m.QueuedTasks() != 3 {
-		t.Fatalf("queued = %d, want 3", m.QueuedTasks())
+	if m.QueuedTasks() != len(keys)-maxActiveExports {
+		t.Fatalf("queued = %d, want %d", m.QueuedTasks(), len(keys)-maxActiveExports)
 	}
 	// As transfers finish, queued tasks take their slots.
 	for tick := int64(1); tick < 20; tick++ {
@@ -312,23 +319,33 @@ func TestMigratorConcurrencyBound(t *testing.T) {
 }
 
 func TestMigratorQueueTTLExpiry(t *testing.T) {
-	tr, p, _ := fixture(t)
-	d, _ := tr.Lookup("/d")
-	e := p.Carve(d)
-	sub, _ := tr.Mkdir(tr.Root(), "other")
-	for j := 0; j < 10; j++ {
-		if _, err := tr.Create(sub, fmt.Sprintf("g%d", j), 1); err != nil {
-			t.Fatal(err)
-		}
+	tr := namespace.NewTree()
+	p := namespace.NewPartition(tr, 0)
+	m := newMigrator(p)
+	// Fill every export slot with a transfer that outlasts the queue
+	// TTL, so a task queued behind them never activates.
+	var big []*ExportTask
+	for i := 0; i < maxActiveExports; i++ {
+		d := bigDir(t, tr, fmt.Sprintf("big%d", i), migrationRate*queueTTLTicks+1)
+		big = append(big, m.Submit(p.Carve(d).Key, 0, 1, 1, 0))
 	}
-	e2 := p.Carve(sub)
-	m := NewMigrator(p, 1, 1, 5) // slow transfers, 1 slot, TTL 5
-	m.Submit(e.Key, 0, 1, 1, 0)
-	stale := m.Submit(e2.Key, 0, 1, 1, 0)
-	m.Tick(0) // first activates (20 inodes @ 1/tick = 20 ticks), second queues
-	for tick := int64(1); tick <= 6; tick++ {
+	d := bigDir(t, tr, "small", 10)
+	stale := m.Submit(p.Carve(d).Key, 0, 1, 1, 0)
+	for tick := int64(0); tick < queueTTLTicks; tick++ {
 		m.Tick(tick)
 	}
+	for _, task := range big {
+		// One inode past queueTTLTicks ticks' worth at migrationRate.
+		if task.DoneTick != queueTTLTicks+1 {
+			t.Fatalf("a %d-inode export is done at tick %d, want %d",
+				task.Inodes, task.DoneTick, queueTTLTicks+1)
+		}
+	}
+	if stale.State != TaskQueued || m.ActiveTasks() != maxActiveExports {
+		t.Fatalf("before the TTL: stale task %v, %d active; want queued behind %d",
+			stale.State, m.ActiveTasks(), maxActiveExports)
+	}
+	m.Tick(queueTTLTicks)
 	if stale.State != TaskDropped {
 		t.Fatalf("stale task state = %v, want dropped", stale.State)
 	}
@@ -337,11 +354,26 @@ func TestMigratorQueueTTLExpiry(t *testing.T) {
 	}
 }
 
+// bigDir makes a directory of n empty files under the root.
+func bigDir(t *testing.T, tr *namespace.Tree, name string, n int) *namespace.Inode {
+	t.Helper()
+	d, err := tr.Mkdir(tr.Root(), name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < n; j++ {
+		if _, err := tr.Create(d, fmt.Sprintf("f%07d", j), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return d
+}
+
 func TestMigratorDropsStaleAuthority(t *testing.T) {
 	tr, p, _ := fixture(t)
 	d, _ := tr.Lookup("/d")
 	e := p.Carve(d)
-	m := NewMigrator(p, 100, 1, 100)
+	m := newMigrator(p)
 	task := m.Submit(e.Key, 0, 1, 1, 0)
 	// Authority changes before activation (e.g. another plan moved it).
 	p.SetAuth(e.Key, 2)
@@ -355,7 +387,7 @@ func TestMigratorSelfMigrationDropped(t *testing.T) {
 	tr, p, _ := fixture(t)
 	d, _ := tr.Lookup("/d")
 	e := p.Carve(d)
-	m := NewMigrator(p, 100, 1, 100)
+	m := newMigrator(p)
 	task := m.Submit(e.Key, 0, 0, 1, 0)
 	m.Tick(0)
 	if task.State != TaskDropped {
@@ -367,28 +399,46 @@ func TestMigratorOnComplete(t *testing.T) {
 	tr, p, _ := fixture(t)
 	d, _ := tr.Lookup("/d")
 	e := p.Carve(d)
-	m := NewMigrator(p, 100, 1, 100)
+	m := newMigrator(p)
 	var got *ExportTask
 	m.OnComplete(func(t *ExportTask) { got = t })
-	m.Submit(e.Key, 0, 1, 1, 0)
-	m.Tick(0)
-	m.Tick(1)
-	if got == nil || got.Key != e.Key {
+	task := m.Submit(e.Key, 0, 1, 1, 0)
+	for tick := int64(0); tick <= exportLatencyTicks; tick++ {
+		m.Tick(tick)
+	}
+	if got != task {
 		t.Fatal("completion callback not invoked")
 	}
 }
 
-func TestMigratorPendingFor(t *testing.T) {
+// TestMigratorInTransit: a subtree is in transit away from its
+// exporter while its export is queued, in flight or frozen, and for no
+// other rank; it leaves transit once the export completes.
+func TestMigratorInTransit(t *testing.T) {
 	tr, p, _ := fixture(t)
 	d, _ := tr.Lookup("/d")
 	e := p.Carve(d)
-	m := NewMigrator(p, 1, 1, 100)
-	m.Submit(e.Key, 0, 1, 1, 0)
-	pend := m.PendingFor(0)
-	if !pend[e.Key] {
-		t.Fatal("pending set missing queued task")
+	m := newMigrator(p)
+	task := m.Submit(e.Key, 0, 1, 1, 0)
+	if !m.InTransit(e.Key, 0) {
+		t.Fatal("queued export not in transit")
 	}
-	if len(m.PendingFor(3)) != 0 {
-		t.Fatal("pending for unrelated exporter")
+	if m.InTransit(e.Key, 3) {
+		t.Fatal("in transit away from an unrelated exporter")
 	}
+	for tick := int64(0); tick < exportLatencyTicks; tick++ {
+		if m.Tick(tick); !m.InTransit(e.Key, 0) {
+			t.Fatalf("%v export not in transit at tick %d", task.State, tick)
+		}
+	}
+	if m.Tick(exportLatencyTicks); task.State != TaskDone || m.InTransit(e.Key, 0) {
+		t.Fatalf("%v export still in transit", task.State)
+	}
+}
+
+// newMigrator builds a migrator over p whose endpoint hooks accept
+// every rank.
+func newMigrator(p *namespace.Partition) *Migrator {
+	anyRank := func(namespace.MDSID) bool { return true }
+	return NewMigrator(p, anyRank, anyRank)
 }

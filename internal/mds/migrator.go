@@ -7,6 +7,27 @@ import (
 	"repro/internal/obs"
 )
 
+// The export model's fixed costs (paper §2.2, §4). No command,
+// experiment or benchmark workload varies them, so they are constants
+// of the model, not knobs.
+const (
+	// migrationRate is how many inodes one exporter ships per tick.
+	migrationRate = 2000
+	// maxActiveExports bounds concurrent in-flight exports per exporter.
+	maxActiveExports = 2
+	// queueTTLTicks is how many ticks a queued task stays valid.
+	queueTTLTicks = 20
+	// exportLatencyTicks is the fixed two-phase-commit floor cost of
+	// one export (discovery, freeze, cache invalidation), regardless of
+	// subtree size.
+	exportLatencyTicks = 4
+	// FreezeTicks is how long before completion the subtree freezes
+	// (the commit phase); during the rest of the transfer the exporter
+	// keeps serving it, as in CephFS's incremental export. The
+	// auditor's freeze-window oracle reads it.
+	FreezeTicks = 1
+)
+
 // TaskState is the lifecycle state of an export task.
 type TaskState int
 
@@ -58,30 +79,17 @@ type ExportTask struct {
 type Migrator struct {
 	part *namespace.Partition
 
-	// RatePerTick is how many inodes one exporter can ship per tick.
-	RatePerTick int
-	// MaxActivePerExporter bounds concurrent in-flight exports.
-	MaxActivePerExporter int
-	// QueueTTL is how many ticks a queued task stays valid.
-	QueueTTL int64
-	// MinTicks is the fixed two-phase-commit latency of any export
-	// (discovery, freeze, cache invalidation), independent of size.
-	MinTicks int64
-	// FreezeTicks is how long before completion the subtree freezes
-	// (the commit phase); during the rest of the transfer the exporter
-	// keeps serving it, as in CephFS's incremental export.
-	FreezeTicks int64
-	// ValidRank, when set, reports whether a rank is a live, valid
-	// migration endpoint. Tasks whose importer (or exporter) fails the
-	// check at activation are dropped, never activated — a migration
-	// must not ship a subtree to a dead or nonexistent rank.
-	ValidRank func(namespace.MDSID) bool
-	// ValidImporter, when set, additionally gates the importer side at
+	// validRank reports whether a rank is a live, valid migration
+	// endpoint. Tasks whose importer (or exporter) fails it at
+	// activation are dropped, never activated: a migration must not
+	// ship a subtree to a dead or nonexistent rank.
+	validRank func(namespace.MDSID) bool
+	// validImporter additionally gates the importer side at
 	// activation: a rank can be a legal exporter but an illegal import
 	// target (a draining rank being emptied must not receive new
 	// subtrees). Tasks whose importer fails it are dropped with reason
 	// "importer_excluded".
-	ValidImporter func(namespace.MDSID) bool
+	validImporter func(namespace.MDSID) bool
 	// Bus, when set, receives migration lifecycle trace events. A nil
 	// bus is the zero-cost disabled state.
 	Bus *obs.Bus
@@ -107,22 +115,15 @@ type Migrator struct {
 	onComplete func(*ExportTask)
 }
 
-// NewMigrator creates a migration engine over the partition.
-func NewMigrator(part *namespace.Partition, ratePerTick, maxActive int, queueTTL int64) *Migrator {
-	if ratePerTick <= 0 {
-		panic("mds: migration rate must be positive")
-	}
-	if maxActive <= 0 {
-		panic("mds: max active exports must be positive")
-	}
+// NewMigrator creates a migration engine over the partition. validRank
+// and validImporter gate each task's endpoints at activation (see
+// Migrator.validRank and Migrator.validImporter).
+func NewMigrator(part *namespace.Partition, validRank, validImporter func(namespace.MDSID) bool) *Migrator {
 	return &Migrator{
-		part:                 part,
-		RatePerTick:          ratePerTick,
-		MaxActivePerExporter: maxActive,
-		QueueTTL:             queueTTL,
-		MinTicks:             1,
-		FreezeTicks:          1,
-		frozen:               make(map[namespace.FragKey]bool),
+		part:          part,
+		validRank:     validRank,
+		validImporter: validImporter,
+		frozen:        make(map[namespace.FragKey]bool),
 	}
 }
 
@@ -143,15 +144,16 @@ func (m *Migrator) Submit(key namespace.FragKey, from, to namespace.MDSID, plann
 	m.queued = append(m.queued, t)
 	m.submitted++
 	if m.Bus.Enabled(obs.EvMigrationPlanned) {
-		m.Bus.Emit(obs.Event{Tick: tick, Type: obs.EvMigrationPlanned,
-			Fields: taskFields(t, obs.F{"planned_load": plannedLoad})})
+		f := taskFields(t)
+		f["planned_load"] = plannedLoad
+		m.Bus.Emit(obs.Event{Tick: tick, Type: obs.EvMigrationPlanned, Fields: f})
 	}
 	return t
 }
 
 // SubmitDrain enqueues a drain export: the same lifecycle as Submit,
 // but TTL-exempt (see ExportTask.Drain) — a draining rank may govern
-// far more subtrees than MaxActivePerExporter lets it ship inside one
+// far more subtrees than maxActiveExports lets it ship inside one
 // queue-TTL window, and none of them may be forgotten.
 func (m *Migrator) SubmitDrain(key namespace.FragKey, from, to namespace.MDSID, plannedLoad float64, tick int64) *ExportTask {
 	t := m.Submit(key, from, to, plannedLoad, tick)
@@ -159,17 +161,14 @@ func (m *Migrator) SubmitDrain(key namespace.FragKey, from, to namespace.MDSID, 
 	return t
 }
 
-// taskFields builds the shared payload of a migration event.
-func taskFields(t *ExportTask, extra obs.F) obs.F {
-	f := obs.F{
-		"dir":  uint64(t.Key.Dir),
-		"frag": t.Key.Frag.String(),
-		"from": int(t.From),
-		"to":   int(t.To),
-	}
-	for k, v := range extra {
-		f[k] = v
-	}
+// taskFields returns a pooled Fields map holding the shared payload of
+// a migration event; the caller adds its own keys and emits it.
+func taskFields(t *ExportTask) obs.F {
+	f := obs.AcquireF()
+	f["dir"] = uint64(t.Key.Dir)
+	f["frag"] = t.Key.Frag.String()
+	f["from"] = int(t.From)
+	f["to"] = int(t.To)
 	return f
 }
 
@@ -202,7 +201,7 @@ func (m *Migrator) Tick(tick int64) {
 		delete(m.frozen, k)
 	}
 	for _, t := range m.active {
-		if t.DoneTick-tick <= m.FreezeTicks {
+		if t.DoneTick-tick <= FreezeTicks {
 			m.frozen[t.Key] = true
 			m.noteFrozen(t, tick)
 		}
@@ -221,7 +220,7 @@ func (m *Migrator) Tick(tick int64) {
 	}
 	var remaining []*ExportTask
 	for _, t := range m.queued {
-		if !t.Drain && m.QueueTTL > 0 && tick-t.SubmitTick >= m.QueueTTL {
+		if !t.Drain && tick-t.SubmitTick >= queueTTLTicks {
 			m.drop(t, tick, "ttl")
 			continue
 		}
@@ -236,14 +235,14 @@ func (m *Migrator) Tick(tick int64) {
 			m.drop(t, tick, "endpoint_down")
 			continue
 		}
-		if m.ValidImporter != nil && !m.ValidImporter(t.To) {
+		if !m.validImporter(t.To) {
 			// The importer is alive but excluded (draining): a task
 			// planned before the drain started must not land new load
 			// on the rank being emptied.
 			m.drop(t, tick, "importer_excluded")
 			continue
 		}
-		if activePer[t.From] >= m.MaxActivePerExporter || m.frozen[t.Key] ||
+		if activePer[t.From] >= maxActiveExports || m.frozen[t.Key] ||
 			activeKeys[t.Key] {
 			// The activeKeys guard keeps a subtree from being exported
 			// twice concurrently: a duplicate submission stays queued
@@ -263,19 +262,18 @@ func (m *Migrator) activate(t *ExportTask, tick int64) {
 	t.State = TaskActive
 	t.StartTick = tick
 	t.Inodes = m.part.GovernedInodes(t.Key)
-	dur := int64((t.Inodes + m.RatePerTick - 1) / m.RatePerTick)
-	if dur < m.MinTicks {
-		dur = m.MinTicks // the two-phase commit has a fixed floor cost
-	}
-	if dur < 1 {
-		dur = 1
+	dur := int64((t.Inodes + migrationRate - 1) / migrationRate)
+	if dur < exportLatencyTicks {
+		dur = exportLatencyTicks // the two-phase commit has a fixed floor cost
 	}
 	t.DoneTick = tick + dur
 	if m.Bus.Enabled(obs.EvMigrationActivated) {
-		m.Bus.Emit(obs.Event{Tick: tick, Type: obs.EvMigrationActivated,
-			Fields: taskFields(t, obs.F{"inodes": t.Inodes, "done_tick": t.DoneTick})})
+		f := taskFields(t)
+		f["inodes"] = t.Inodes
+		f["done_tick"] = t.DoneTick
+		m.Bus.Emit(obs.Event{Tick: tick, Type: obs.EvMigrationActivated, Fields: f})
 	}
-	if t.DoneTick-tick <= m.FreezeTicks {
+	if t.DoneTick-tick <= FreezeTicks {
 		m.frozen[t.Key] = true
 		m.noteFrozen(t, tick)
 	}
@@ -290,8 +288,9 @@ func (m *Migrator) noteFrozen(t *ExportTask, tick int64) {
 	}
 	t.frozeLogged = true
 	if m.Bus.Enabled(obs.EvMigrationFrozen) {
-		m.Bus.Emit(obs.Event{Tick: tick, Type: obs.EvMigrationFrozen,
-			Fields: taskFields(t, obs.F{"done_tick": t.DoneTick})})
+		f := taskFields(t)
+		f["done_tick"] = t.DoneTick
+		m.Bus.Emit(obs.Event{Tick: tick, Type: obs.EvMigrationFrozen, Fields: f})
 	}
 }
 
@@ -311,8 +310,10 @@ func (m *Migrator) complete(t *ExportTask, tick int64) {
 	m.migratedInodes += int64(t.Inodes)
 	m.completedTasks++
 	if m.Bus.Enabled(obs.EvMigrationCompleted) {
-		m.Bus.Emit(obs.Event{Tick: tick, Type: obs.EvMigrationCompleted,
-			Fields: taskFields(t, obs.F{"inodes": t.Inodes, "ticks": tick - t.StartTick})})
+		f := taskFields(t)
+		f["inodes"] = t.Inodes
+		f["ticks"] = tick - t.StartTick
+		m.Bus.Emit(obs.Event{Tick: tick, Type: obs.EvMigrationCompleted, Fields: f})
 	}
 	if m.onComplete != nil {
 		m.onComplete(t)
@@ -323,21 +324,16 @@ func (m *Migrator) drop(t *ExportTask, tick int64, reason string) {
 	t.State = TaskDropped
 	m.droppedTasks++
 	if m.Bus.Enabled(obs.EvMigrationDropped) {
-		m.Bus.Emit(obs.Event{Tick: tick, Type: obs.EvMigrationDropped,
-			Fields: taskFields(t, obs.F{"reason": reason})})
+		f := taskFields(t)
+		f["reason"] = reason
+		m.Bus.Emit(obs.Event{Tick: tick, Type: obs.EvMigrationDropped, Fields: f})
 	}
 }
 
-// rankValid applies the ValidRank hook plus the always-on sanity check
+// rankValid applies the validRank hook plus the always-on sanity check
 // that a rank is non-negative.
 func (m *Migrator) rankValid(r namespace.MDSID) bool {
-	if r < 0 {
-		return false
-	}
-	if m.ValidRank == nil {
-		return true
-	}
-	return m.ValidRank(r)
+	return r >= 0 && m.validRank(r)
 }
 
 // AbortRank cancels every queued and in-flight export that involves the
@@ -350,25 +346,19 @@ func (m *Migrator) rankValid(r namespace.MDSID) bool {
 // authoritative. Either way the subtree is unfrozen and the partition
 // is left pointing at a live rank for that entry.
 func (m *Migrator) AbortRank(dead namespace.MDSID) int {
-	aborted := 0
+	before := m.abortedTasks
 	var stillActive []*ExportTask
 	for _, t := range m.active {
 		if t.From != dead && t.To != dead {
 			stillActive = append(stillActive, t)
 			continue
 		}
-		t.State = TaskAborted
 		delete(m.frozen, t.Key)
 		if t.From == dead {
 			// Exporter died mid-flight: the importer takes over.
 			m.part.SetAuth(t.Key, t.To)
 		}
-		m.abortedTasks++
-		aborted++
-		if m.Bus.Enabled(obs.EvMigrationAborted) {
-			m.Bus.Emit(obs.Event{Tick: m.now, Type: obs.EvMigrationAborted,
-				Fields: taskFields(t, obs.F{"dead": int(dead), "in_flight": true})})
-		}
+		m.abort(t, dead, true)
 	}
 	m.active = stillActive
 
@@ -378,16 +368,22 @@ func (m *Migrator) AbortRank(dead namespace.MDSID) int {
 			stillQueued = append(stillQueued, t)
 			continue
 		}
-		t.State = TaskAborted
-		m.abortedTasks++
-		aborted++
-		if m.Bus.Enabled(obs.EvMigrationAborted) {
-			m.Bus.Emit(obs.Event{Tick: m.now, Type: obs.EvMigrationAborted,
-				Fields: taskFields(t, obs.F{"dead": int(dead), "in_flight": false})})
-		}
+		m.abort(t, dead, false)
 	}
 	m.queued = stillQueued
-	return aborted
+	return int(m.abortedTasks - before)
+}
+
+// abort accounts a task cancelled by the crash of rank dead.
+func (m *Migrator) abort(t *ExportTask, dead namespace.MDSID, inFlight bool) {
+	t.State = TaskAborted
+	m.abortedTasks++
+	if m.Bus.Enabled(obs.EvMigrationAborted) {
+		f := taskFields(t)
+		f["dead"] = int(dead)
+		f["in_flight"] = inFlight
+		m.Bus.Emit(obs.Event{Tick: m.now, Type: obs.EvMigrationAborted, Fields: f})
+	}
 }
 
 // MigratedInodes returns the cumulative number of migrated inodes.
@@ -466,24 +462,6 @@ func (m *Migrator) InTransit(key namespace.FragKey, from namespace.MDSID) bool {
 		}
 	}
 	return false
-}
-
-// PendingFor returns the subtrees with a queued or in-flight export
-// away from the given exporter: the whole set at once, for inspection.
-// Per-entry decisions ask InTransit.
-func (m *Migrator) PendingFor(from namespace.MDSID) map[namespace.FragKey]bool {
-	out := make(map[namespace.FragKey]bool)
-	for _, t := range m.queued {
-		if t.From == from {
-			out[t.Key] = true
-		}
-	}
-	for _, t := range m.active {
-		if t.From == from {
-			out[t.Key] = true
-		}
-	}
-	return out
 }
 
 // FrozenKeys returns the frozen subtree entries in deterministic order.

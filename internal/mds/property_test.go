@@ -34,8 +34,7 @@ func TestMigratorConservationProperty(t *testing.T) {
 			}
 			keys = append(keys, p.Carve(d).Key)
 		}
-		m := NewMigrator(p, 7, 2, 15)
-		m.MinTicks = 2
+		m := newMigrator(p)
 		var tasks []*ExportTask
 		for i, k := range keys {
 			to := namespace.MDSID(1)

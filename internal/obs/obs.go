@@ -230,22 +230,21 @@ func appendJSONString(dst []byte, s string) []byte {
 func (e Event) String() string { return string(e.AppendJSON(nil)) }
 
 // Sink consumes events. Write must not retain the Fields map past the
-// call unless it copies it: events emitted through EmitPooled recycle
-// their Fields map after fan-out, so a sink that stores events (the
-// Ring) must copy the map first.
+// call unless it copies it: Bus.Emit recycles every event's Fields map
+// after fan-out, so a sink that stores events (the Ring) must copy the
+// map first.
 type Sink interface {
 	Write(Event)
 	Close() error
 }
 
-// fieldPool recycles Fields maps for high-frequency emit sites (the
-// per-tick and per-epoch events of the cluster loop), so tracing stays
-// allocation-free in the steady state. Maps keep their bucket capacity
-// across recycles.
+// fieldPool recycles the Fields maps of emitted events, so tracing
+// stays allocation-free in the steady state. Maps keep their bucket
+// capacity across recycles.
 var fieldPool = sync.Pool{New: func() any { return make(F, 16) }}
 
 // AcquireF returns an empty Fields map from the pool. Pass the event
-// built from it to EmitPooled, which recycles the map after fan-out;
+// built from it to Bus.Emit, which recycles the map after fan-out;
 // after that call the map must not be used again.
 func AcquireF() F {
 	m := fieldPool.Get().(F)
@@ -289,23 +288,13 @@ func (b *Bus) Enabled(t Type) bool {
 	return b.allow == nil || b.allow[t]
 }
 
-// Emit delivers the event to every sink. Callers should guard with
-// Enabled to avoid building the Fields map when tracing is off;
-// Emit itself re-checks, so an unguarded call is merely wasteful,
-// never wrong.
+// Emit delivers the event to every sink, then returns its Fields map
+// to the pool. The Fields map must come from AcquireF (or be one the
+// caller relinquishes); it must not be touched after this call.
+// Callers should guard with Enabled to avoid building the map when
+// tracing is off; Emit itself re-checks, so an unguarded call is
+// merely wasteful, never wrong.
 func (b *Bus) Emit(e Event) {
-	if !b.Enabled(e.Type) {
-		return
-	}
-	for _, s := range b.sinks {
-		s.Write(e)
-	}
-}
-
-// EmitPooled delivers the event to every sink, then returns its Fields
-// map to the pool. The Fields map must come from AcquireF (or be one
-// the caller relinquishes); it must not be touched after this call.
-func (b *Bus) EmitPooled(e Event) {
 	if b.Enabled(e.Type) {
 		for _, s := range b.sinks {
 			s.Write(e)

@@ -69,8 +69,8 @@ func NewRing(capacity int) *Ring {
 }
 
 // Write implements Sink. The ring retains events past the call, and
-// the bus may recycle a pooled Fields map after fan-out, so the ring
-// stores a copy of the map.
+// Bus.Emit recycles the Fields map after fan-out, so the ring stores a
+// copy of the map.
 func (r *Ring) Write(e Event) {
 	if len(e.Fields) > 0 {
 		cp := make(F, len(e.Fields))

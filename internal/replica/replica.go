@@ -2,16 +2,16 @@
 // partition entry (a replication group) has a primary — the rank the
 // partition names authoritative — and up to R−1 standbys on other
 // ranks that follow it through a shipped journal. The primary appends
-// one journal record per ship interval carrying the ops and heat
-// deltas of the governed subtree since the previous ship; synced
-// standbys apply the outstanding tail at the next ship, so a standby's
-// state is a faithful prefix of the primary's, at most one ship
-// interval behind (the bounded lag promotion pays as its divergence
-// cost). When the primary crashes, the cluster promotes the best
-// surviving standby in place of the cold orphan takeover, seeding the
-// new primary with the standby's applied heat; a background
-// re-replicator restores R after a loss, drain, or decommission by
-// syncing fresh standbys on the least-loaded eligible ranks.
+// one journal record per ship interval carrying the heat delta of the
+// governed subtree since the previous ship; synced standbys apply the
+// outstanding record at the next ship, so a standby's heat is a
+// faithful prefix of the primary's, at most one ship interval behind
+// (the bounded lag promotion pays as its divergence cost). When the
+// primary crashes, the cluster promotes the best surviving standby in
+// place of the cold orphan takeover, seeding the new primary with the
+// standby's applied heat; a background re-replicator restores R after
+// a loss, drain, or decommission by syncing fresh standbys on the
+// least-loaded eligible ranks.
 //
 // The manager is pure bookkeeping driven by the cluster's tick loop —
 // it never touches servers or the partition itself, only the
@@ -102,24 +102,14 @@ func (p Policy) Validate() error {
 	return nil
 }
 
-// Record is one shipped journal entry: the ops and heat deltas of the
-// governed subtree on the primary since the previous ship.
-type Record struct {
-	Seq  uint64
-	Tick int64
-	Ops  int64
-	Heat float64
-}
-
 // Standby is one replica follower. Fields are exported for the auditor
 // and tests; only the manager mutates them.
 type Standby struct {
 	Rank namespace.MDSID
 	// Applied is the journal sequence the standby has applied through.
 	Applied uint64
-	// Ops and Heat are the applied prefix sums — the warm state a
-	// promotion installs.
-	Ops  int64
+	// Heat is the applied prefix sum — the warm state a promotion
+	// installs.
 	Heat float64
 	// Syncing marks a standby still bulk-copying the subtree; it
 	// fast-forwards to the journal head when SyncLeft reaches zero and
@@ -150,50 +140,36 @@ type Group struct {
 	// Every holder is a synced standby of the group.
 	Leases []Lease
 
-	// Journal state: records holds the un-applied tail (at most the
-	// records since the oldest synced standby's Applied — one record in
-	// the steady state); totals are prefix sums over every appended
-	// record, so prefix(seq) = totals − the tail records past seq.
+	// Journal state: appended records so far and totalHeat, the sum of
+	// their heat deltas. Each ship applies the newest record to every
+	// synced standby before appending the next, so only that record can
+	// be outstanding: tail is its delta while hasTail holds (from its
+	// ship until a promotion resets the journal), and
+	// prefix(appended−1) = totalHeat − tail.
 	appended  uint64
-	records   []Record
-	totalOps  int64
+	tail      float64
+	hasTail   bool
 	totalHeat float64
-	// Delta basis: the primary's cumulative (ops, heat) reading at the
-	// last append. Reset when the primary changes — the new primary's
-	// counters start fresh.
-	lastOps  int64
+	// lastHeat is the delta basis: the primary's cumulative heat
+	// reading at the last append. Reset when the primary changes — the
+	// new primary's counters start fresh.
 	lastHeat float64
 }
 
 // Appended returns the last appended journal sequence.
 func (g *Group) Appended() uint64 { return g.appended }
 
-// Tail returns the retained (not yet universally applied) journal
-// records. Shared slice; callers must not modify it.
-func (g *Group) Tail() []Record { return g.records }
-
-// PrefixAt returns the journal prefix sums through seq. ok is false
-// when the tail has been truncated past seq, so the prefix is no
-// longer reconstructible.
-func (g *Group) PrefixAt(seq uint64) (ops int64, heat float64, ok bool) {
-	if seq > g.appended {
-		return 0, 0, false
+// PrefixAt returns the journal's heat prefix sum through seq. ok is
+// false when the journal no longer holds what lies past seq: seq is
+// past the head, or more than the one outstanding record behind it.
+func (g *Group) PrefixAt(seq uint64) (heat float64, ok bool) {
+	switch {
+	case seq == g.appended:
+		return g.totalHeat, true
+	case g.hasTail && seq+1 == g.appended:
+		return g.totalHeat - g.tail, true
 	}
-	if len(g.records) > 0 && g.records[0].Seq > seq+1 {
-		return 0, 0, false
-	}
-	if len(g.records) == 0 && seq != g.appended {
-		return 0, 0, false
-	}
-	ops, heat = g.totalOps, g.totalHeat
-	for i := len(g.records) - 1; i >= 0; i-- {
-		if g.records[i].Seq <= seq {
-			break
-		}
-		ops -= g.records[i].Ops
-		heat -= g.records[i].Heat
-	}
-	return ops, heat, true
+	return 0, false
 }
 
 // leaseFor returns the group's lease held by rank r, or nil.
@@ -234,7 +210,7 @@ func (g *Group) removeStandby(i int) {
 // the next ship charges only what the new primary has accumulated.
 func (g *Group) rebase(to namespace.MDSID) {
 	g.Primary = to
-	g.lastOps, g.lastHeat = 0, 0
+	g.lastHeat = 0
 	for i := 0; i < len(g.Standbys); {
 		if g.Standbys[i].Rank == to {
 			g.removeStandby(i)
@@ -260,7 +236,7 @@ type Env struct {
 	// signal.
 	Load func(namespace.MDSID) float64
 	// Stats returns the primary's cumulative (ops, heat) reading for a
-	// governed subtree — the journal's delta source.
+	// governed subtree; its heat is the journal's delta source.
 	Stats func(namespace.MDSID, namespace.FragKey) (int64, float64)
 	// Inodes is the governed-inode count of a subtree, the bulk-copy
 	// size a new sync starts with.
@@ -478,12 +454,11 @@ func (m *Manager) Promote(key namespace.FragKey, dead namespace.MDSID,
 	// journal resets to the promoted state and the delta basis to the
 	// heat the cluster seeds the new primary with.
 	g.Primary = to
-	g.records = g.records[:0]
-	g.totalOps, g.totalHeat = sb.Ops, sb.Heat
-	g.lastOps, g.lastHeat = 0, sb.Heat
+	g.hasTail = false
+	g.totalHeat, g.lastHeat = sb.Heat, sb.Heat
 	for _, other := range g.Standbys {
 		if !other.Syncing {
-			other.Applied, other.Ops, other.Heat = g.appended, sb.Ops, sb.Heat
+			other.Applied, other.Heat = g.appended, sb.Heat
 		}
 	}
 	// Crash invalidation: leases granted under the dead primary die with
@@ -499,46 +474,34 @@ func (m *Manager) Promote(key namespace.FragKey, dead namespace.MDSID,
 // scans, no RNG.
 func (m *Manager) Pump(tick int64, env Env) {
 	if tick%m.pol.ShipEvery == 0 {
-		m.ship(tick, env)
+		m.ship(env)
 	}
 	m.advanceSyncs(env)
 	m.rereplicate(env)
 }
 
 // ship runs one journal round per group: synced standbys apply the
-// outstanding tail (bringing them to the previous ship's state), the
-// applied records truncate, and one fresh delta record is appended
-// from the primary's current counters.
-func (m *Manager) ship(tick int64, env Env) {
+// outstanding record (bringing them to the previous ship's state), and
+// one fresh heat delta is appended from the primary's current reading.
+// The delta is signed, so a reading that reset under us (rejoin,
+// purge, migration dropping the cell) needs no special case.
+func (m *Manager) ship(env Env) {
 	for _, k := range m.order {
 		g := m.groups[k]
 		for _, sb := range g.Standbys {
 			if sb.Syncing {
 				continue
 			}
-			for _, r := range g.records {
-				if r.Seq > sb.Applied {
-					sb.Ops += r.Ops
-					sb.Heat += r.Heat
-				}
+			if g.hasTail && sb.Applied < g.appended {
+				sb.Heat += g.tail
 			}
 			sb.Applied = g.appended
 		}
-		g.records = g.records[:0]
-		ops, heat := env.Stats(g.Primary, g.Key)
-		dOps := ops - g.lastOps
-		if dOps < 0 {
-			// The primary's counters reset under us (rejoin wipes the
-			// heat table; migration drops the cell): restart the basis —
-			// the current reading is all post-reset work.
-			dOps = ops
-		}
-		dHeat := heat - g.lastHeat
-		g.lastOps, g.lastHeat = ops, heat
+		_, heat := env.Stats(g.Primary, g.Key)
+		g.tail, g.hasTail = heat-g.lastHeat, true
+		g.lastHeat = heat
 		g.appended++
-		g.records = append(g.records, Record{Seq: g.appended, Tick: tick, Ops: dOps, Heat: dHeat})
-		g.totalOps += dOps
-		g.totalHeat += dHeat
+		g.totalHeat += g.tail
 		m.records++
 	}
 }
@@ -557,7 +520,7 @@ func (m *Manager) advanceSyncs(env Env) {
 				continue
 			}
 			sb.Syncing, sb.SyncLeft = false, 0
-			sb.Applied, sb.Ops, sb.Heat = g.appended, g.totalOps, g.totalHeat
+			sb.Applied, sb.Heat = g.appended, g.totalHeat
 			m.resyncsDone++
 			if env.OnResync != nil {
 				env.OnResync(g.Key, sb.Rank, sb.SyncInodes)

@@ -15,15 +15,15 @@ func entry(dir namespace.Ino, auth namespace.MDSID) namespace.Entry {
 	return namespace.Entry{Key: key(dir), Auth: auth}
 }
 
-// testEnv builds an Env over plain maps: stats[rank][key] is the
-// primary's cumulative (ops, heat) reading, everything is alive and
-// eligible unless listed, and load defaults to zero.
+// testEnv builds an Env over plain maps: heat[key] is the primary's
+// cumulative heat reading (its ops reading is always 0: the journal
+// ships heat only), everything is alive and eligible unless listed,
+// and load defaults to zero.
 type testEnv struct {
 	ranks  int
 	down   map[namespace.MDSID]bool
 	noImp  map[namespace.MDSID]bool
 	load   map[namespace.MDSID]float64
-	ops    map[namespace.FragKey]int64
 	heat   map[namespace.FragKey]float64
 	inodes map[namespace.FragKey]int
 
@@ -38,7 +38,7 @@ func (te *testEnv) env() Env {
 		},
 		Load: func(id namespace.MDSID) float64 { return te.load[id] },
 		Stats: func(id namespace.MDSID, k namespace.FragKey) (int64, float64) {
-			return te.ops[k], te.heat[k]
+			return 0, te.heat[k]
 		},
 		Inodes: func(k namespace.FragKey) int {
 			if n := te.inodes[k]; n > 0 {
@@ -80,7 +80,7 @@ func TestJournalShipBoundedLagAndPrefix(t *testing.T) {
 	pol.ShipEvery = 1
 	pol.ResyncRate = 1000
 	m := MustManager(pol)
-	te := &testEnv{ranks: 3, ops: map[namespace.FragKey]int64{}, heat: map[namespace.FragKey]float64{}}
+	te := &testEnv{ranks: 3, heat: map[namespace.FragKey]float64{}}
 	k := key(7)
 	m.Reconcile([]namespace.Entry{entry(7, 0)}, retainAll)
 
@@ -95,25 +95,30 @@ func TestJournalShipBoundedLagAndPrefix(t *testing.T) {
 	sb := g.Standbys[0]
 
 	for tick := int64(2); tick <= 6; tick++ {
-		te.ops[k] += 10
 		te.heat[k] += 2.5
 		m.Pump(tick, te.env())
 		if lag := g.Appended() - sb.Applied; lag > 1 {
 			t.Fatalf("tick %d: standby lag %d exceeds bound 1", tick, lag)
 		}
-		ops, heat, ok := g.PrefixAt(sb.Applied)
+		heat, ok := g.PrefixAt(sb.Applied)
 		if !ok {
 			t.Fatalf("tick %d: journal truncated past applied seq %d", tick, sb.Applied)
 		}
-		if sb.Ops != ops || sb.Heat != heat {
-			t.Fatalf("tick %d: standby state (%d, %g) != journal prefix (%d, %g)",
-				tick, sb.Ops, sb.Heat, ops, heat)
+		if sb.Heat != heat {
+			t.Fatalf("tick %d: standby heat %g != journal prefix %g", tick, sb.Heat, heat)
 		}
 	}
-	// After 5 ships of +10 ops each, the standby has applied all but
-	// the newest record: 40 ops.
-	if sb.Ops != 40 {
-		t.Fatalf("standby applied ops = %d, want 40 (one ship behind 50)", sb.Ops)
+	// After 5 ships of +2.5 heat each, the standby has applied all but
+	// the newest record: 10.
+	if sb.Heat != 10 {
+		t.Fatalf("standby applied heat = %g, want 10 (one ship behind 12.5)", sb.Heat)
+	}
+	// The journal answers the head and the one record behind it, and
+	// nothing older or newer.
+	for _, seq := range []uint64{g.Appended() - 2, g.Appended() + 1} {
+		if _, ok := g.PrefixAt(seq); ok {
+			t.Fatalf("PrefixAt(%d) answered with head %d", seq, g.Appended())
+		}
 	}
 	if g.Appended() == 0 || m.Records() == 0 {
 		t.Fatal("journal must have appended records")
@@ -127,21 +132,61 @@ func TestStatResetRestartsDeltaBasis(t *testing.T) {
 	pol := DefaultPolicy()
 	pol.ShipEvery = 1
 	m := MustManager(pol)
-	te := &testEnv{ranks: 2, ops: map[namespace.FragKey]int64{}, heat: map[namespace.FragKey]float64{}}
+	te := &testEnv{ranks: 2, heat: map[namespace.FragKey]float64{}}
 	k := key(3)
 	m.Reconcile([]namespace.Entry{entry(3, 0)}, retainAll)
-	te.ops[k], te.heat[k] = 100, 50
+	te.heat[k] = 50
 	m.Pump(0, te.env())
 	// The primary rejoined: its counters reset and restart small.
-	te.ops[k], te.heat[k] = 7, 1.5
+	te.heat[k] = 1.5
 	m.Pump(1, te.env())
 	g := m.GroupOf(k)
-	ops, heat, _ := g.PrefixAt(g.Appended())
-	if ops != 107 {
-		t.Fatalf("total ops = %d, want 107 (100 then a reset reading of 7)", ops)
-	}
-	if heat != 1.5 {
+	if heat, _ := g.PrefixAt(g.Appended()); heat != 1.5 {
 		t.Fatalf("total heat = %g, want 1.5 (heat deltas track the reading)", heat)
+	}
+}
+
+// TestHeatResetWithinShipInterval: the primary's reading falls to 0
+// (the heat-epoch purge resets an idle key) and climbs past its old
+// value before the next ship. The signed heat delta carries both
+// moves, so every synced standby holds PrefixAt(Applied), which is the
+// reading one ship ago.
+func TestHeatResetWithinShipInterval(t *testing.T) {
+	pol := DefaultPolicy()
+	pol.R = 3
+	pol.ShipEvery = 1
+	pol.ResyncRate = 1000
+	m := MustManager(pol)
+	te := &testEnv{ranks: 3, heat: map[namespace.FragKey]float64{}}
+	k := key(6)
+	m.Reconcile([]namespace.Entry{entry(6, 0)}, retainAll)
+	m.Pump(0, te.env()) // both standbys start a sync
+	m.Pump(1, te.env()) // and complete it at the journal head
+	g := m.GroupOf(k)
+	prev := 0.0
+	for i, step := range []struct {
+		purge bool
+		add   float64
+	}{{false, 40}, {true, 55}, {false, 0}, {true, 10}, {false, 30}} {
+		if step.purge {
+			te.heat[k] = 0
+		}
+		te.heat[k] += step.add
+		m.Pump(int64(i+2), te.env())
+		for _, sb := range g.Standbys {
+			heat, ok := g.PrefixAt(sb.Applied)
+			if sb.Syncing || !ok || sb.Heat != heat {
+				t.Fatalf("ship %d: standby %+v, journal prefix %g (ok %v)", i, sb, heat, ok)
+			}
+			if sb.Heat != prev {
+				t.Fatalf("ship %d: standby %d heat %g, want the previous ship's reading %g",
+					i, sb.Rank, sb.Heat, prev)
+			}
+		}
+		prev = te.heat[k]
+	}
+	if len(g.Standbys) != 2 {
+		t.Fatalf("want 2 synced standbys, got %+v", g.Standbys)
 	}
 }
 
@@ -154,7 +199,6 @@ func TestRereplicatePlacementAndBounds(t *testing.T) {
 		ranks:  4,
 		load:   map[namespace.MDSID]float64{0: 5, 1: 3, 2: 9, 3: 1},
 		noImp:  map[namespace.MDSID]bool{2: true}, // draining: not eligible
-		ops:    map[namespace.FragKey]int64{},
 		heat:   map[namespace.FragKey]float64{},
 		inodes: map[namespace.FragKey]int{},
 	}
@@ -191,15 +235,14 @@ func TestResyncCompletionFastForwards(t *testing.T) {
 	m := MustManager(pol)
 	te := &testEnv{
 		ranks:  2,
-		ops:    map[namespace.FragKey]int64{},
 		heat:   map[namespace.FragKey]float64{},
 		inodes: map[namespace.FragKey]int{key(4): 100},
 	}
 	k := key(4)
 	m.Reconcile([]namespace.Entry{entry(4, 0)}, retainAll)
-	te.ops[k], te.heat[k] = 30, 12
+	te.heat[k] = 12
 	m.Pump(0, te.env()) // sync starts (100 inodes, 50/tick)
-	te.ops[k] = 60
+	te.heat[k] = 20
 	m.Pump(1, te.env()) // 50 inodes left
 	m.Pump(2, te.env()) // sync completes, fast-forwards to the head
 	g := m.GroupOf(k)
@@ -207,10 +250,10 @@ func TestResyncCompletionFastForwards(t *testing.T) {
 		t.Fatalf("standby must be synced, got %+v", g.Standbys)
 	}
 	sb := g.Standbys[0]
-	ops, heat, _ := g.PrefixAt(g.Appended())
-	if sb.Applied != g.Appended() || sb.Ops != ops || sb.Heat != heat {
-		t.Fatalf("fast-forward mismatch: standby %+v, journal head (%d, %d, %g)",
-			sb, g.Appended(), ops, heat)
+	heat, _ := g.PrefixAt(g.Appended())
+	if sb.Applied != g.Appended() || sb.Heat != heat {
+		t.Fatalf("fast-forward mismatch: standby %+v, journal head (%d, %g)",
+			sb, g.Appended(), heat)
 	}
 	if m.ResyncsDone() != 1 || len(te.resyncs) != 1 || te.resyncs[0] != 1 {
 		t.Fatalf("resync completion not reported: done=%d, callbacks=%v",
@@ -227,15 +270,14 @@ func TestPromotePicksBestSyncedStandby(t *testing.T) {
 	te := &testEnv{
 		ranks: 4,
 		load:  map[namespace.MDSID]float64{1: 4, 2: 2, 3: 2},
-		ops:   map[namespace.FragKey]int64{},
 		heat:  map[namespace.FragKey]float64{},
 	}
 	k := key(9)
 	m.Reconcile([]namespace.Entry{entry(9, 0)}, retainAll)
 	m.Pump(0, te.env()) // standbys sync and complete
-	te.ops[k], te.heat[k] = 20, 8
+	te.heat[k] = 8
 	m.Pump(1, te.env())
-	m.Pump(2, te.env()) // standbys apply the 20-op record
+	m.Pump(2, te.env()) // standbys apply the record of heat 8
 
 	eligible := func(id namespace.MDSID) bool { return id != 0 }
 	load := func(id namespace.MDSID) float64 { return te.load[id] }
@@ -261,7 +303,7 @@ func TestPromotePicksBestSyncedStandby(t *testing.T) {
 		if sb.Rank == 2 {
 			t.Fatal("promoted rank must leave the standby set")
 		}
-		if !sb.Syncing && (sb.Ops != g.Standbys[0].Ops || sb.Applied != g.Appended()) {
+		if !sb.Syncing && (sb.Heat != heat || sb.Applied != g.Appended()) {
 			t.Fatalf("remaining standby not rebased: %+v", sb)
 		}
 	}
@@ -284,7 +326,6 @@ func TestPromoteSkipsSyncingAndIneligible(t *testing.T) {
 	m := MustManager(pol)
 	te := &testEnv{
 		ranks:  2,
-		ops:    map[namespace.FragKey]int64{},
 		heat:   map[namespace.FragKey]float64{},
 		inodes: map[namespace.FragKey]int{key(5): 1000},
 	}
@@ -306,7 +347,7 @@ func TestReconcileRebasesAndDrops(t *testing.T) {
 	pol.ShipEvery = 1
 	pol.ResyncRate = 1000
 	m := MustManager(pol)
-	te := &testEnv{ranks: 3, ops: map[namespace.FragKey]int64{}, heat: map[namespace.FragKey]float64{}}
+	te := &testEnv{ranks: 3, heat: map[namespace.FragKey]float64{}}
 	m.Reconcile([]namespace.Entry{entry(1, 0), entry(2, 1)}, retainAll)
 	m.Pump(0, te.env())
 	if m.Groups() != 2 {
@@ -341,7 +382,7 @@ func TestDropRankRemovesStandbys(t *testing.T) {
 	pol.ShipEvery = 1
 	pol.ResyncRate = 1000
 	m := MustManager(pol)
-	te := &testEnv{ranks: 3, ops: map[namespace.FragKey]int64{}, heat: map[namespace.FragKey]float64{}}
+	te := &testEnv{ranks: 3, heat: map[namespace.FragKey]float64{}}
 	m.Reconcile([]namespace.Entry{entry(1, 0)}, retainAll)
 	m.Pump(0, te.env())
 	g := m.GroupOf(key(1))

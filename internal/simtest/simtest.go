@@ -32,8 +32,8 @@ func New(tree *namespace.Tree, n int) *View {
 		EpochTicksV: 10,
 		CapacityV:   2000,
 		Part:        part,
-		Mig:         mds.NewMigrator(part, 2000, 2, 20),
 	}
+	v.Mig = mds.NewMigrator(part, v.Up, v.Importable)
 	for i := 0; i < n; i++ {
 		v.Servers = append(v.Servers, mds.NewServer(namespace.MDSID(i), 2000, 6, 0.9))
 	}
