@@ -45,14 +45,18 @@ pairs:
 	bash scripts/pairs.sh '$(PARENT)' '$(WORKLOAD)' $(N)
 
 # profile runs the BENCHMARK.json workloads matching WORKLOAD (the
-# regex pairs takes) with a CPU and a heap profile of each traced run
-# in .bench_build/prof, then prints the top 25 functions of each: CPU
-# by flat time, heap by in-use bytes.
+# regex pairs takes) at seeds 42-49, each traced run with a CPU and a
+# heap profile in .bench_build/prof/<seed> (its report in run.txt
+# there), then merges each workload's eight CPU profiles (pprof -proto)
+# and prints the top 25 functions of the merge by flat time, and of
+# seed 42's heap profile by in-use bytes.
 profile:
 	rm -rf .bench_build/prof && mkdir -p .bench_build/prof
-	bash benchmark/run.sh -workload '$(WORKLOAD)' -repeats 2 -trace 1 -cpuprofile .bench_build/prof -memprofile .bench_build/prof
-	@for f in .bench_build/prof/cpu-*.pprof; do echo "== $$f: cpu, flat"; $(GO) tool pprof -top -nodecount=25 $$f; done
-	@for f in .bench_build/prof/mem-*.pprof; do echo "== $$f: heap, inuse_space"; $(GO) tool pprof -top -nodecount=25 -sample_index=inuse_space $$f; done
+	@for s in 42 43 44 45 46 47 48 49; do mkdir -p .bench_build/prof/$$s && echo "# seed $$s" && \
+		bash benchmark/run.sh -workload '$(WORKLOAD)' -seed $$s -repeats 2 -trace 1 -cpuprofile .bench_build/prof/$$s -memprofile .bench_build/prof/$$s > .bench_build/prof/$$s/run.txt || exit 1; done
+	@for f in .bench_build/prof/42/cpu-*.pprof; do $(GO) tool pprof -proto .bench_build/prof/4?/$${f##*/} > .bench_build/prof/$${f##*/} || exit 1; done
+	@for f in .bench_build/prof/cpu-*.pprof; do echo "== $$f: cpu, flat, seeds 42-49 merged"; $(GO) tool pprof -top -nodecount=25 $$f; done
+	@for f in .bench_build/prof/42/mem-*.pprof; do echo "== $$f: heap, inuse_space"; $(GO) tool pprof -top -nodecount=25 -sample_index=inuse_space $$f; done
 
 # peakrss prints the peak RSS (VmHWM) and wall time of $(CMD) $(ARGS)
 # (lunule-bench or lunule-sim): RUNS runs and their medians,

@@ -590,7 +590,7 @@ func (c *Cluster) CrashPathOwner(path string) int {
 	}
 	entry, ok := c.part.EntryAt(namespace.FragKey{Dir: in.Ino, Frag: namespace.WholeFrag})
 	if !ok {
-		entry = c.governing(in)
+		entry = c.part.GoverningEntry(in)
 	}
 	if c.CrashMDS(int(entry.Auth)) {
 		return int(entry.Auth)
@@ -606,16 +606,6 @@ func (c *Cluster) payDebt(cl *client.Client) {
 		c.dataLeft -= g
 		cl.PayDebt(g)
 	}
-}
-
-// governing returns the entry governing the inode, through the
-// cluster's version-cached resolver or — without one — by a full
-// ancestor walk.
-func (c *Cluster) governing(in *namespace.Inode) namespace.Entry {
-	if c.resolver != nil {
-		return c.resolver.Entry(in)
-	}
-	return c.part.GoverningEntry(in)
 }
 
 // routed is one op's resolution: the entry governing it and the inode
@@ -634,16 +624,19 @@ type routed struct {
 // a create, the entry that governs the name under its parent — the
 // child's own governing entry whether or not it exists yet
 // (Partition.GoverningChildEntry), so a create is routed to the rank
-// that owns its home without reading the directory.
+// that owns its home without reading the directory. The cluster's
+// version-cached resolver answers when there is one; without it, a full
+// ancestor walk does.
 func (c *Cluster) resolveOp(op *workload.Op) namespace.Entry {
-	if op.Kind != workload.OpCreate {
-		return c.governing(op.Target)
+	switch create := op.Kind == workload.OpCreate; {
+	case c.resolver == nil && create:
+		return c.part.GoverningChildEntry(op.Parent, op.Name)
+	case c.resolver == nil:
+		return c.part.GoverningEntry(op.Target)
+	case create:
+		return c.resolver.ChildEntry(op.Parent, op.Name)
 	}
-	hash := namespace.HashName(op.Name)
-	if c.resolver != nil {
-		return c.resolver.ChildEntry(op.Parent, hash)
-	}
-	return c.part.GoverningChildEntry(op.Parent, hash)
+	return c.resolver.Entry(op.Target)
 }
 
 // ApplyFaults schedules every event of the fault schedule: a crash of

@@ -32,7 +32,7 @@ func checkWindows(t *testing.T, c *Cluster) (creates int) {
 			r, op := w.routes[int(w.head)+k], cl.OpAt(k)
 			want := routed{write: op.Kind.IsWrite(), ends: e.endsRun(cl, op)}
 			if op.Kind == workload.OpCreate {
-				want.ent = c.part.GoverningChildEntry(op.Parent, namespace.HashName(op.Name))
+				want.ent = c.part.GoverningChildEntry(op.Parent, op.Name)
 			} else {
 				want.target, want.ent = op.Target, c.part.GoverningEntry(op.Target)
 			}

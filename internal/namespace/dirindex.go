@@ -15,12 +15,13 @@ package namespace
 // The table is a power of two in size and at most three quarters full,
 // so the position always fits below the mask, a linear probe ends at
 // an empty slot after a few steps, and only a tag match costs a name
-// compare. Nothing on a probe or a growth hashes a name: the caller
-// supplies the hash on lookup, and growth re-places every child by the
-// hash its inode caches.
+// compare. A child's name is hashed once, when it is first indexed or
+// probed for; growth re-places every child by the hash its inode
+// caches.
 type dirIndex struct {
-	slots   []uint32
-	n, last uint32 // children indexed; order position of the largest name
+	slots []uint32
+	n     uint32 // children indexed
+	last  string // the largest child's name; "" sorts below every name
 }
 
 // minDirSlots is the table size a directory's first index allocates.
@@ -31,13 +32,10 @@ const minDirSlots = 8
 // directory with a tail indexes it first, so Child writes (see Tree).
 func (in *Inode) Child(name string) *Inode {
 	d := in.dir
-	if d == nil || len(d.order) == 0 {
+	if d == nil || len(d.order) == 0 || d.sortsLast(name) {
 		return nil
 	}
 	if int(d.index.n) < len(d.order) {
-		if d.sortsLast(name) {
-			return nil
-		}
 		d.indexTail(len(d.order))
 	}
 	c, _ := d.probe(name, HashName(name))
@@ -45,9 +43,7 @@ func (in *Inode) Child(name string) *Inode {
 }
 
 // sortsLast reports whether name sorts after every child's name.
-func (d *dirState) sortsLast(name string) bool {
-	return len(d.order) == 0 || name > d.tree.at(d.order[d.index.last]).Name
-}
+func (d *dirState) sortsLast(name string) bool { return name > d.index.last }
 
 // probe walks the name's probe sequence over the indexed children: it
 // returns the child of that name, or nil and the empty slot the
@@ -80,7 +76,7 @@ func (d *dirState) indexTail(n int) {
 	}
 	mask := uint32(size - 1)
 	for int(d.index.n) < len(d.order) {
-		h := d.tree.at(d.order[d.index.n]).nameHash
+		h := d.tree.at(d.order[d.index.n]).hash()
 		i := h & mask
 		for d.index.slots[i] != 0 {
 			i = (i + 1) & mask

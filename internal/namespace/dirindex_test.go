@@ -143,7 +143,7 @@ func TestDirIndexProperty(t *testing.T) {
 					t.Fatalf("step %d: adopting duplicate %q: got %v adopted=%v", step, name, got, adopted)
 				}
 			} else {
-				if !adopted || got == promised || got.Name != name || tr.Get(got.Ino) != got {
+				if !adopted || got != promised || got.Name != name || tr.Get(got.Ino) != got {
 					t.Fatalf("step %d: adopting new %q: got %v adopted=%v", step, name, got, adopted)
 				}
 				ref.byName[name], ref.order = got, append(ref.order, got)
@@ -216,7 +216,7 @@ func checkIndex(d *Inode) error {
 			return fmt.Errorf("slot %d holds position %d of %d indexed, or a repeat", i, pos, n)
 		}
 		seen[pos] = true
-		if h := d.ChildAt(pos).nameHash; s&^mask != h&^mask {
+		if h := HashName(d.ChildAt(pos).Name); s&^mask != h&^mask {
 			return fmt.Errorf("slot %d tags position %d with %#x, its hash is %#x", i, pos, s&^mask, h)
 		}
 	}
@@ -238,8 +238,8 @@ func checkIndex(d *Inode) error {
 			largest = pos
 		}
 	}
-	if largest >= 0 && int(ix.last) != largest {
-		return fmt.Errorf("last = %d, the largest name is at %d", ix.last, largest)
+	if largest >= 0 && ix.last != d.ChildAt(largest).Name {
+		return fmt.Errorf("last = %q, the largest name is %q", ix.last, d.ChildAt(largest).Name)
 	}
 	return nil
 }

@@ -90,9 +90,20 @@ func (p *Partition) RootEntry() Entry {
 	return p.entries[RootIno][0]
 }
 
-// lookupEntry returns the entry rooted at (dir, frag-containing-h), if any.
-func (p *Partition) lookupEntry(dir Ino, h uint32) (Entry, bool) {
-	return findFrag(p.entries[dir], h)
+// fragEntry returns the one of es, a directory's entries, whose
+// fragment holds the directory's child of the given name, if any. The
+// name is hashed only where the directory is split; in, when not nil,
+// is that child, and its cached hash is used.
+func fragEntry(es []Entry, in *Inode, name string) (Entry, bool) {
+	switch {
+	case len(es) == 0:
+		return Entry{}, false
+	case es[0].Key.Frag.IsWhole():
+		return es[0], true
+	case in != nil:
+		return findFrag(es, in.hash())
+	}
+	return findFrag(es, HashName(name))
 }
 
 // findFrag returns the one of a directory's entries whose fragment
@@ -139,7 +150,7 @@ func (p *Partition) EntryAt(key FragKey) (Entry, bool) {
 // up the ancestor chain (exactly how the MDS resolves authority).
 func (p *Partition) GoverningEntry(in *Inode) Entry {
 	for cur := in; cur.Parent != nil; cur = cur.Parent {
-		if e, ok := p.lookupEntry(cur.Parent.Ino, cur.nameHash); ok {
+		if e, ok := fragEntry(p.entries[cur.Parent.Ino], cur, ""); ok {
 			return e
 		}
 	}
@@ -147,12 +158,13 @@ func (p *Partition) GoverningEntry(in *Inode) Entry {
 }
 
 // GoverningChildEntry returns the entry that would govern a child of
-// parent with the given name hash, without the child having to exist:
-// it is exactly GoverningEntry of such a child. The engine routes
+// parent with the given name, without the child having to exist: it is
+// exactly GoverningEntry of such a child. The engine routes
 // not-yet-created files with it, so a create is served by the rank that
-// will own the inode once adopted.
-func (p *Partition) GoverningChildEntry(parent *Inode, nameHash uint32) Entry {
-	if e, ok := p.lookupEntry(parent.Ino, nameHash); ok {
+// will own the inode once adopted. The name is hashed only where parent
+// is split.
+func (p *Partition) GoverningChildEntry(parent *Inode, name string) Entry {
+	if e, ok := fragEntry(p.entries[parent.Ino], nil, name); ok {
 		return e
 	}
 	return p.GoverningEntry(parent)
@@ -174,7 +186,7 @@ func (p *Partition) ResolveChainInto(buf []MDSID, in *Inode) ([]MDSID, Entry) {
 	var governing Entry
 	found := false
 	for cur := in; cur.Parent != nil; cur = cur.Parent {
-		if e, ok := p.lookupEntry(cur.Parent.Ino, cur.nameHash); ok {
+		if e, ok := fragEntry(p.entries[cur.Parent.Ino], cur, ""); ok {
 			auths = append(auths, e.Auth)
 			if !found {
 				governing = e

@@ -5,9 +5,9 @@ package namespace
 // lookups — but the partition mutates rarely (a version bump per
 // SetAuth/Carve/Split/Absorb/Merge) while the serve path resolves
 // authority on every op. GoverningEntry(in) is by construction
-// GoverningChildEntry(in.Parent, HashName(in.Name)): a function of the
-// parent directory, and of the name hash only where that directory is
-// split into fragments. So the memo holds one slot per directory — not
+// GoverningChildEntry(in.Parent, in.Name): a function of the parent
+// directory, and of the name hash only where that directory is split
+// into fragments. So the memo holds one slot per directory — not
 // per inode — and a file created after the slot was filled resolves
 // through it without growing anything.
 //
@@ -53,23 +53,30 @@ func (r *Resolver) Entry(in *Inode) Entry {
 	if in.Parent == nil {
 		return r.p.RootEntry()
 	}
-	return r.ChildEntry(in.Parent, in.nameHash)
+	return r.childEntry(in.Parent, in, "")
 }
 
 // ChildEntry returns the entry that governs — or, for a name not yet
-// created, would govern — the child of dir with the given name hash,
-// equal to p.GoverningChildEntry(dir, nameHash).
-func (r *Resolver) ChildEntry(dir *Inode, nameHash uint32) Entry {
+// created, would govern — the child of dir with the given name, equal
+// to p.GoverningChildEntry(dir, name). The name is hashed only where
+// dir is split.
+func (r *Resolver) ChildEntry(dir *Inode, name string) Entry {
+	return r.childEntry(dir, nil, name)
+}
+
+// childEntry is ChildEntry, taking the child itself when it exists (see
+// fragEntry).
+func (r *Resolver) childEntry(dir, in *Inode, name string) Entry {
 	if n := dir.DirNum(); r.p.version == r.ver && int(n) < len(r.slots) {
 		// The steady state: a filled slot of an unsplit directory.
 		if s := &r.slots[n]; s.gen == r.gen && len(s.frags) == 0 {
 			return s.entry
 		}
 	}
-	return r.childEntrySlow(dir, nameHash)
+	return r.childEntrySlow(dir, in, name)
 }
 
-func (r *Resolver) childEntrySlow(dir *Inode, nameHash uint32) Entry {
+func (r *Resolver) childEntrySlow(dir, in *Inode, name string) Entry {
 	if v := r.p.version; v != r.ver {
 		r.ver = v
 		r.gen++
@@ -89,7 +96,7 @@ func (r *Resolver) childEntrySlow(dir *Inode, nameHash uint32) Entry {
 		r.slots[n] = s
 	}
 	s := &r.slots[n]
-	if e, ok := findFrag(s.frags, nameHash); ok {
+	if e, ok := fragEntry(s.frags, in, name); ok {
 		return e
 	}
 	return s.entry

@@ -35,11 +35,13 @@ var (
 type Inode struct {
 	// Hot is the runtime access-history annotation.
 	Hot Hot
-	// nameHash caches HashName(Name): fragment membership and the
-	// parent's name index both key on it.
+	// nameHash caches HashName(Name) once hashed is set: fragment
+	// membership and the parent's name index key on it, and only a split
+	// directory or an indexed one reads it (see hash).
 	nameHash uint32
 	IsDir    bool
 	visited  bool // a file's whole visited count: MarkVisited has run
+	hashed   bool
 
 	Parent *Inode
 	Size   int64     // file size in bytes; 0 for directories
@@ -186,7 +188,15 @@ func (in *Inode) ChildAt(i int) *Inode { return in.dir.tree.at(in.dir.order[i]) 
 
 // InFrag reports whether the inode's name hash falls in frag: whether
 // it is one of its parent's children that frag covers.
-func (in *Inode) InFrag(f Frag) bool { return f.Contains(in.nameHash) }
+func (in *Inode) InFrag(f Frag) bool { return f.IsWhole() || f.Contains(in.hash()) }
+
+// hash returns HashName(in.Name), computing it on first need.
+func (in *Inode) hash() uint32 {
+	if !in.hashed {
+		in.nameHash, in.hashed = HashName(in.Name), true
+	}
+	return in.nameHash
+}
 
 // Children returns a copy of the direct children in insertion order.
 func (in *Inode) Children() []*Inode {
@@ -221,7 +231,8 @@ const inodeSlabSize = 1024
 
 // Tree is the namespace: a rooted inode hierarchy stored in inode-number
 // order. Tree is not safe for concurrent use, lookups included: Child
-// and Lookup may build a directory's name index. The simulator is
+// and Lookup may build a directory's name index, and InFrag and
+// resolution may write the hash cache. The simulator is
 // single-threaded per cluster by design (determinism), and every
 // experiment cell builds its own tree.
 //
@@ -241,17 +252,21 @@ type Tree struct {
 func NewTree() *Tree {
 	t := &Tree{nextIn: RootIno + 1, numDirs: 1}
 	t.slabs = append(t.slabs, new([inodeSlabSize]Inode))
-	*t.Root() = Inode{
-		Ino:      RootIno,
-		IsDir:    true,
-		dir:      &dirState{tree: t, subInodes: 1},
-		nameHash: HashName(""),
-	}
+	*t.Root() = Inode{Ino: RootIno, IsDir: true, dir: &dirState{tree: t, subInodes: 1}}
 	return t
 }
 
 // at returns inode n's slot; n must be below nextIn.
 func (t *Tree) at(n uint32) *Inode { return &t.slabs[n/inodeSlabSize][n%inodeSlabSize] }
+
+// next returns the slot of the next inode number, adding a slab when
+// the last is full.
+func (t *Tree) next() *Inode {
+	if int(t.nextIn/inodeSlabSize) == len(t.slabs) {
+		t.slabs = append(t.slabs, new([inodeSlabSize]Inode))
+	}
+	return t.at(uint32(t.nextIn))
+}
 
 // Root returns the root directory inode.
 func (t *Tree) Root() *Inode { return &t.slabs[0][RootIno] }
@@ -289,7 +304,7 @@ func (t *Tree) attach(parent *Inode, name string, isDir bool, size int64) (*Inod
 	if err := checkChild(parent, name); err != nil {
 		return nil, err
 	}
-	in := Inode{Name: name, Parent: parent, IsDir: isDir, Size: size, nameHash: HashName(name)}
+	in := Inode{Name: name, Parent: parent, IsDir: isDir, Size: size}
 	if isDir {
 		in.dir = &dirState{tree: t, subInodes: 1, num: t.numDirs}
 	}

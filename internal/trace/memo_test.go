@@ -310,7 +310,7 @@ func TestWindowsMatchPerOpWalk(t *testing.T) {
 				m.forget(k)
 			case r == 2:
 				d := dirs[rng.Intn(len(dirs))]
-				k, n := p.GoverningChildEntry(d, rng.Uint32()).Key, 1+rng.Int63n(5)
+				k, n := p.GoverningChildEntry(d, fmt.Sprint(rng.Uint32())).Key, 1+rng.Int63n(5)
 				if rng.Intn(2) == 0 {
 					col.RecordFreshRun(k, d, epoch, n)
 				} else {

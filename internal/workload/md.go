@@ -94,57 +94,47 @@ func (g *MD) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([]Client
 // nameChunk is how many create names one allocation holds.
 const nameChunk = 64
 
+// creates is one MD client's stream. Creates fill the directories
+// sequentially (per files each, remainder in the last); every statEvery
+// creates a getattr on the working directory is interleaved. Names are
+// built nameChunk at a time into one buffer, converted to a string once
+// and handed out as substrings — one allocation per 64 creates for the
+// strings the tree stores, instead of a Sprintf (or even a conversion)
+// per op. They are byte-identical to fmt.Sprintf("c%03d.f%07d", client, i).
+type creates struct {
+	dirs                 []*namespace.Inode
+	i, n, per            int
+	statEvery, sinceStat int
+	prefix               string
+	scratch              []byte
+	chunk                string             // names i-i%nameChunk onward, concatenated
+	ends                 [nameChunk + 1]int // name k of the chunk is chunk[ends[k]:ends[k+1]]
+}
+
 func newCreates(dirs []*namespace.Inode, client, n, statEvery int) Stream {
-	// One op per refill. Names are built nameChunk at a time into one
-	// buffer, converted to a string once and handed out as substrings —
-	// one allocation per 64 creates for the strings the tree stores,
-	// instead of a Sprintf (or even a conversion) per op. The names are
-	// byte-identical to fmt.Sprintf("c%03d.f%07d", client, i).
-	// Creates fill the directories sequentially (n/len(dirs) files
-	// each, remainder in the last); every statEvery creates a getattr
-	// on the working directory is interleaved.
-	i := 0
-	per := n
-	if len(dirs) > 1 {
-		per = n / len(dirs)
-		if per < 1 {
-			per = 1
-		}
+	return &creates{dirs: dirs, n: n, per: max(n/len(dirs), 1), statEvery: statEvery, prefix: fmt.Sprintf("c%03d.f", client)}
+}
+
+// Next implements Stream.
+func (s *creates) Next() (Op, bool) {
+	if s.i >= s.n {
+		return Op{}, false
 	}
-	sinceStat := 0
-	prefix := fmt.Sprintf("c%03d.f", client)
-	var (
-		scratch []byte
-		chunk   string             // names i-i%nameChunk onward, concatenated
-		ends    [nameChunk + 1]int // name k of the chunk is chunk[ends[k]:ends[k+1]]
-	)
-	return &seqStream{fill: func(buf []Op) []Op {
-		if i >= n {
-			return buf
+	d := min(s.i/s.per, len(s.dirs)-1)
+	if s.statEvery > 0 && s.sinceStat >= s.statEvery {
+		s.sinceStat = 0
+		return Op{Kind: OpGetattr, Target: s.dirs[d]}, true
+	}
+	k := s.i % nameChunk
+	if k == 0 {
+		s.scratch = s.scratch[:0]
+		for j := 0; j < nameChunk && s.i+j < s.n; j++ {
+			s.scratch = appendPadded(append(s.scratch, s.prefix...), s.i+j, 7)
+			s.ends[j+1] = len(s.scratch)
 		}
-		d := i / per
-		if d >= len(dirs) {
-			d = len(dirs) - 1
-		}
-		if statEvery > 0 && sinceStat >= statEvery {
-			sinceStat = 0
-			return append(buf, Op{Kind: OpGetattr, Target: dirs[d]})
-		}
-		k := i % nameChunk
-		if k == 0 {
-			scratch = scratch[:0]
-			for j := 0; j < nameChunk && i+j < n; j++ {
-				scratch = appendPadded(append(scratch, prefix...), i+j, 7)
-				ends[j+1] = len(scratch)
-			}
-			chunk = string(scratch)
-		}
-		i++
-		sinceStat++
-		return append(buf, Op{
-			Kind:   OpCreate,
-			Parent: dirs[d],
-			Name:   chunk[ends[k]:ends[k+1]],
-		})
-	}}
+		s.chunk = string(s.scratch)
+	}
+	s.i++
+	s.sinceStat++
+	return Op{Kind: OpCreate, Parent: s.dirs[d], Name: s.chunk[s.ends[k]:s.ends[k+1]]}, true
 }

@@ -219,7 +219,7 @@ func TestScanStreamsMatchReference(t *testing.T) {
 }
 
 // steadyGens are the six generators whose streams run in steady state:
-// the CNN, NLP and Web scans and MD's creates refill a seqStream, the
+// the CNN, NLP and Web scans refill a seqStream; MD's creates and the
 // Zipf and ReadStorm draws are streams of their own. Each is sized so
 // that one client's stream outlasts any measurement below.
 var steadyGens = map[string]Generator{
