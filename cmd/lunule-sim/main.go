@@ -63,32 +63,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		recovers  = fs.String("recover", "", "comma-separated MDS recoveries as tick:rank, e.g. 300:1")
 		mtbf      = fs.Float64("mtbf", 0, "random failures: mean ticks between failures per rank (0 = off)")
 		mttr      = fs.Float64("mttr", 0, "random failures: mean ticks to repair (default mtbf/10)")
-		recoveryT = fs.Int("recoveryticks", 0, "failover takeover latency window in ticks (default 20)")
+		recoveryT = fs.Int("recoveryticks", 20, "failover takeover latency window in ticks")
 		auditOn   = fs.Bool("audit", false, "validate cross-module invariants at every epoch; violations fail the run")
 		auditTick = fs.Bool("audit-every-tick", false, "with -audit, run the invariant checks every tick instead of every epoch")
 
 		batchSize  = fs.Int("batch-size", 0, "write-back client batching: ops per flushed batch and per server commit group (0 = synchronous per-op path)")
-		flushEvery = fs.Int64("flush-every", 0, "with -batch-size, flush a buffered run after this many ticks even if short (default 4)")
+		flushEvery = fs.Int64("flush-every", 4, "with -batch-size, flush a buffered run after this many ticks even if short")
 
-		replicationR   = fs.Int("replication", 1, "subtree replication factor R: 1 = off (cold takeover only), >=2 keeps R-1 warm standbys per subtree")
-		replShipEvery  = fs.Int64("replication-ship", 5, "with -replication >= 2, journal ship interval in ticks")
-		replPromote    = fs.Int("replication-promote", 2, "with -replication >= 2, ticks after a crash before standbys promote (keep below -recoveryticks)")
-		replResyncRate = fs.Int("replication-resync", 2000, "with -replication >= 2, inodes per tick one background re-replication sync copies")
-		leaseTicks     = fs.Int64("lease-ticks", 0, "with -replication >= 2, grant read leases on hot read-dominated subtrees' synced standbys for this many ticks (0 = off); holders serve reads, writes invalidate")
-		leaseReadFrac  = fs.Float64("replicate-read-frac", 0.75, "with -lease-ticks, minimum read fraction of a subtree's heat before it is replicated instead of migrated")
+		replicationR  = fs.Int("replication", 1, "subtree replication factor R: 1 = off (cold takeover only), >=2 keeps R-1 warm standbys per subtree")
+		leaseTicks    = fs.Int64("lease-ticks", 0, "with -replication >= 2, grant read leases on hot read-dominated subtrees' synced standbys for this many ticks (0 = off); holders serve reads, writes invalidate")
+		leaseReadFrac = fs.Float64("replicate-read-frac", 0.75, "with -lease-ticks, minimum read fraction of a subtree's heat before it is replicated instead of migrated")
 
 		tenants     = fs.Int("tenants", 0, "partition clients into this many tenants (each runs its own generator in its own subtree, overriding -workload) with per-tenant token-bucket admission (0 = off)")
 		tenantRate  = fs.Float64("tenant-rate", 4000, "with -tenants, per-tenant bucket refill in ops per tick")
 		tenantBurst = fs.Float64("tenant-burst", 8000, "with -tenants, per-tenant bucket capacity in ops")
 		tenantSkew  = fs.Float64("tenant-skew", 1.0, "with -tenants, Zipf exponent of the tenant-size distribution (0 = equal shares)")
 
-		elasticOn   = fs.Bool("elastic", false, "enable the MDS autoscaler: grow under saturation, gracefully drain ranks when idle (-mds is the starting size)")
-		elasticMin  = fs.Int("elastic-min", 0, "with -elastic, rank floor (default: the starting -mds count)")
-		elasticMax  = fs.Int("elastic-max", 0, "with -elastic, rank ceiling (default: 2x the floor)")
-		elasticUp   = fs.Float64("elastic-up", 0.75, "with -elastic, utilization that triggers a scale-up")
-		elasticDown = fs.Float64("elastic-down", 0.35, "with -elastic, utilization below which a rank drains")
-		elasticCool = fs.Int64("elastic-cooldown", 2, "with -elastic, epochs between consecutive scale decisions")
-		elasticStep = fs.Int("elastic-step", 2, "with -elastic, ranks added per scale-up (drains retire one at a time)")
+		elasticOn  = fs.Bool("elastic", false, "enable the MDS autoscaler: grow by 2 ranks at 75% utilization, drain one rank at a time below 35% (-mds is the starting size)")
+		elasticMin = fs.Int("elastic-min", 0, "with -elastic, rank floor (default: the starting -mds count)")
+		elasticMax = fs.Int("elastic-max", 0, "with -elastic, rank ceiling (default: 2x the floor)")
 
 		traceOut   = fs.String("trace-out", "", "write a structured JSONL event trace to this file")
 		traceEvs   = fs.String("trace-events", "", "comma-separated event types to trace (empty or 'all' = everything; see EXPERIMENTS.md)")
@@ -118,14 +111,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{"maxticks", ">= 0", *ticks >= 0},
 		{"mtbf", ">= 0", *mtbf >= 0},
 		{"mttr", ">= 0", *mttr >= 0},
-		{"recoveryticks", ">= 0", *recoveryT >= 0},
+		{"recoveryticks", ">= 1", *recoveryT >= 1},
 		{"batch-size", ">= 0", *batchSize >= 0},
+		{"flush-every", ">= 1", *flushEvery >= 1},
 		{"replication", ">= 1", *replicationR >= 1},
 		{"tenants", ">= 0", *tenants >= 0},
 		{"tenant-skew", ">= 0", *tenantSkew >= 0},
 		{"elastic-min", ">= 0", *elasticMin >= 0},
 		{"elastic-max", ">= 0", *elasticMax >= 0},
-		{"elastic-cooldown", ">= 0", *elasticCool >= 0},
 	} {
 		if !d.ok {
 			return fail(fmt.Errorf("-%s must be %s, got %s", d.flag, d.domain, fs.Lookup(d.flag).Value))
@@ -145,10 +138,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{[]string{"mttr"}, "needs -mtbf", *mtbf > 0},
 		{[]string{"audit-every-tick"}, "needs -audit", *auditOn},
 		{[]string{"flush-every"}, "needs -batch-size", *batchSize > 0},
-		{[]string{"replication-ship", "replication-promote", "replication-resync", "lease-ticks"}, "needs -replication >= 2", *replicationR > 1},
+		{[]string{"lease-ticks"}, "needs -replication >= 2", *replicationR > 1},
 		{[]string{"replicate-read-frac"}, "needs -lease-ticks", *leaseTicks > 0},
 		{[]string{"tenant-rate", "tenant-burst", "tenant-skew"}, "needs -tenants", *tenants > 0},
-		{[]string{"elastic-min", "elastic-max", "elastic-up", "elastic-down", "elastic-cooldown", "elastic-step"}, "needs -elastic", *elasticOn},
+		{[]string{"elastic-min", "elastic-max"}, "needs -elastic", *elasticOn},
 		{[]string{"trace-events"}, "needs -trace-out or -trace-summary", *traceOut != "" || *traceSum},
 		// A trace fixes its own clients and ops.
 		{[]string{"clients", "workload", "scale", "tenants"}, "cannot be combined with -tracefile", *traceFile == ""},
@@ -215,20 +208,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var batching *cluster.BatchingConfig
 	if *batchSize > 0 {
-		fe := *flushEvery
-		if fe == 0 {
-			fe = 4
-		}
-		batching = &cluster.BatchingConfig{BatchSize: *batchSize, FlushEvery: fe}
+		batching = &cluster.BatchingConfig{BatchSize: *batchSize, FlushEvery: *flushEvery}
 	}
 
 	var rep *replica.Manager
 	if *replicationR > 1 {
 		pol := replica.DefaultPolicy()
 		pol.R = *replicationR
-		pol.ShipEvery = *replShipEvery
-		pol.PromoteTicks = *replPromote
-		pol.ResyncRate = *replResyncRate
 		pol.LeaseTicks = *leaseTicks
 		if *leaseTicks > 0 {
 			pol.ReplicateReadFrac = *leaseReadFrac
@@ -251,10 +237,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *elasticMax > 0 {
 			policy.MaxRanks = *elasticMax
 		}
-		policy.ScaleUpUtil = *elasticUp
-		policy.ScaleDownUtil = *elasticDown
-		policy.CooldownEpochs = *elasticCool
-		policy.StepUp = *elasticStep
 		var err error
 		controller, err = elastic.NewController(policy)
 		if err != nil {

@@ -81,14 +81,6 @@ func TestBadFlagsFail(t *testing.T) {
 	if !strings.Contains(stderr.String(), "bogus") {
 		t.Fatalf("diagnostic should name the bad type, got: %s", stderr.String())
 	}
-	stderr.Reset()
-	if code := run([]string{"-replication-promote", "5"}, &stdout, &stderr); code == 0 {
-		t.Fatal("-replication-promote without -replication must fail")
-	}
-	stderr.Reset()
-	if code := run([]string{"-replication", "2", "-replication-promote", "0"}, &stdout, &stderr); code == 0 {
-		t.Fatal("invalid replication policy must fail")
-	}
 	// Values that used to panic inside a constructor, or run and print a
 	// silently wrong table: each must exit 1 with an error naming it.
 	sparse := filepath.Join(t.TempDir(), "sparse.trace")
@@ -114,6 +106,8 @@ func TestBadFlagsFail(t *testing.T) {
 		{[]string{"-replication", "0"}, "-replication"},
 		{[]string{"-replication", "-1"}, "-replication"},
 		{[]string{"-recoveryticks", "-5"}, "-recoveryticks"},
+		{[]string{"-recoveryticks", "0"}, "-recoveryticks"},
+		{[]string{"-batch-size", "32", "-flush-every", "0"}, "-flush-every"},
 		{[]string{"-maxticks", "-1"}, "-maxticks"},
 		{[]string{"-clients", "-3"}, "clients"},
 		{[]string{"-capacity", "-5"}, "capacity"},
@@ -124,8 +118,7 @@ func TestBadFlagsFail(t *testing.T) {
 		{[]string{"-scale", "1e300"}, "-scale"},
 		{[]string{"-rate", "Inf"}, "rate"},
 		{[]string{"-replicate-read-frac", "NaN", "-lease-ticks", "10", "-replication", "2"}, "ReplicateReadFrac"},
-		{[]string{"-elastic", "-elastic-up", "NaN"}, "ScaleUpUtil"},
-		{[]string{"-elastic", "-elastic-down", "NaN"}, "ScaleDownUtil"},
+		{[]string{"-replication", "2", "-lease-ticks", "-1"}, "LeaseTicks"},
 		{[]string{"-tenants", "4", "-tenant-skew", "NaN"}, "skew"},
 		{[]string{"-tenants", "4", "-tenant-skew", "Inf"}, "skew"},
 		{[]string{"-mtbf", "Inf"}, "-mtbf"},
@@ -135,17 +128,14 @@ func TestBadFlagsFail(t *testing.T) {
 		{[]string{"-replication", "2", "-recoveryticks", "1"}, "PromoteTicks"},
 		// A dependent flag set to its default still needs its parent.
 		{[]string{"-tenant-rate", "4000"}, "-tenant-rate needs -tenants"},
-		{[]string{"-elastic-up", "0.75"}, "-elastic-up needs -elastic"},
-		{[]string{"-elastic-down", "0.35"}, "-elastic-down needs -elastic"},
-		{[]string{"-elastic-cooldown", "2"}, "-elastic-cooldown needs -elastic"},
-		{[]string{"-elastic-step", "2"}, "-elastic-step needs -elastic"},
+		{[]string{"-lease-ticks", "0"}, "-lease-ticks needs -replication >= 2"},
+		{[]string{"-elastic-min", "4"}, "-elastic-min needs -elastic"},
+		{[]string{"-flush-every", "4"}, "-flush-every needs -batch-size"},
 		{[]string{"-mttr", "50"}, "-mttr needs -mtbf"},
 		// Out of range: a negative floor or ceiling fell back to its
-		// default, a negative cooldown turned the cooldown off, and a
-		// negative skew was read as 0.
+		// default, and a negative skew was read as 0.
 		{[]string{"-elastic", "-elastic-min", "-1"}, "-elastic-min"},
 		{[]string{"-elastic", "-elastic-max", "-4"}, "-elastic-max"},
-		{[]string{"-elastic", "-elastic-cooldown", "-3"}, "-elastic-cooldown"},
 		{[]string{"-tenants", "3", "-tenant-skew", "-2"}, "-tenant-skew"},
 		// A trace fixes its own clients and ops, so these were ignored.
 		{[]string{"-tracefile", sparse, "-clients", "10"}, "-clients cannot be combined with -tracefile"},

@@ -21,25 +21,18 @@ import (
 // subtree-selection step stays fixed.
 
 // Env is the metric environment a policy callback sees, patterned
-// after Mantle's Lua environment: the evaluating MDS, current per-MDS
-// loads, short load histories, and cluster constants. The MDSs a policy
-// sees are the participants — the importable ranks (ImportableRanks),
-// in rank order — so a policy can neither be evaluated on, nor direct
-// load at, a rank that is down or being drained.
+// after Mantle's Lua environment: the evaluating MDS and the current
+// per-MDS loads. The MDSs a policy sees are the participants — the
+// importable ranks (ImportableRanks), in rank order — so a policy can
+// neither be evaluated on, nor direct load at, a rank that is down or
+// being drained.
 type Env struct {
 	// WhoAmI is the evaluating MDS's index among the participants.
 	WhoAmI int
 	// Loads holds each participant's last-epoch load (ops/sec).
 	Loads []float64
-	// History holds each participant's recent per-epoch loads (oldest
-	// first).
-	History [][]float64
 	// Total is the cluster-wide load.
 	Total float64
-	// Capacity is the single-MDS capacity C.
-	Capacity float64
-	// Epoch is the balancing round number.
-	Epoch int64
 }
 
 // MyLoad returns the evaluating MDS's load.
@@ -113,15 +106,9 @@ func (b *Mantle) Rebalance(v View) {
 		return
 	}
 	live := ImportableRanks(v)
-	env := Env{
-		Loads:    make([]float64, len(live)),
-		History:  make([][]float64, len(live)),
-		Capacity: v.Capacity(),
-		Epoch:    v.Epoch(),
-	}
+	env := Env{Loads: make([]float64, len(live))}
 	for i, id := range live {
-		s := v.Server(id)
-		env.Loads[i], env.History[i] = s.CurrentLoad(), s.LoadHistory()
+		env.Loads[i] = v.Server(id).CurrentLoad()
 		env.Total += env.Loads[i]
 	}
 	for i, ex := range live {

@@ -97,7 +97,7 @@ type Config struct {
 	Elastic *elastic.Controller
 	// Replication optionally attaches a warm-standby replication
 	// manager: every subtree entry gets R−1 standbys following the
-	// primary through a shipped ops/heat journal, a crash promotes the
+	// primary through a shipped heat journal, a crash promotes the
 	// best surviving standby PromoteTicks later instead of waiting out
 	// the cold RecoveryTicks takeover, and a background re-replicator
 	// restores R after losses and drains. nil (the R=1 cluster) keeps
@@ -178,11 +178,11 @@ func (c *Config) validate() error {
 		return fmt.Errorf("cluster: data bandwidth must be >= 0, got %d", c.DataBandwidth)
 	case c.Batching != nil && (c.Batching.BatchSize < 1 || c.Batching.FlushEvery < 1):
 		return errors.New("cluster: batching requires BatchSize >= 1 and FlushEvery >= 1")
-	case c.Replication != nil && c.Replication.Policy().PromoteTicks >= c.RecoveryTicks:
+	case c.Replication != nil && replica.PromoteTicks >= c.RecoveryTicks:
 		// The cold takeover would fire first and clear the outage, so the
 		// warm promotion pass would never find anything to promote.
 		return fmt.Errorf("cluster: replication PromoteTicks %d must be below RecoveryTicks %d",
-			c.Replication.Policy().PromoteTicks, c.RecoveryTicks)
+			replica.PromoteTicks, c.RecoveryTicks)
 	}
 	return nil
 }
@@ -504,7 +504,7 @@ func (c *Cluster) CrashMDS(rank int) bool {
 		// the cold window. Whatever it still leads then moves to synced
 		// standbys; the rest waits for the cold takeover above.
 		c.dropRankReplicas(id, "crash")
-		c.events.schedule(crashedAt+int64(c.rep.Policy().PromoteTicks), func() {
+		c.events.schedule(crashedAt+replica.PromoteTicks, func() {
 			c.promoteReplicas(id, crashedAt)
 		})
 	}
@@ -986,7 +986,6 @@ func (c *Cluster) elasticStep(tick, epoch int64, ifv float64) {
 		DrainingRanks: drainingN,
 		Load:          load,
 		Capacity:      float64(c.cfg.Capacity),
-		IF:            ifv,
 	}
 	if c.tn != nil {
 		// Pool-stall debt only (bucket throttles are intended and never

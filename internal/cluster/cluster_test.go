@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/balancer"
 	"repro/internal/core"
+	"repro/internal/elastic"
 	"repro/internal/mds"
 	"repro/internal/namespace"
 	"repro/internal/replica"
@@ -98,6 +99,12 @@ func TestInterfaceBudgets(t *testing.T) {
 	}
 	if exported > 1 {
 		t.Errorf("mds.Migrator has %d exported fields, budget 1 (Bus)", exported)
+	}
+	if n := reflect.TypeOf(replica.Policy{}).NumField(); n > 3 {
+		t.Errorf("replica.Policy has %d fields, budget 3 (R, LeaseTicks, ReplicateReadFrac)", n)
+	}
+	if n := reflect.TypeOf(elastic.Policy{}).NumField(); n > 2 {
+		t.Errorf("elastic.Policy has %d fields, budget 2 (MinRanks, MaxRanks)", n)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/mds"
 	"repro/internal/namespace"
 	"repro/internal/replica"
+	"repro/internal/workload"
 )
 
 // pinDoomed pins n client dirs to the given rank and returns their
@@ -76,7 +77,7 @@ func TestWarmPromotionBeatsColdTakeover(t *testing.T) {
 	if !c.CrashMDS(doomed) {
 		t.Fatalf("crash of rank %d refused", doomed)
 	}
-	c.Run(int64(pol.PromoteTicks) + 1)
+	c.Run(replica.PromoteTicks + 1)
 
 	if got := len(c.Partition().EntriesOf(doomed)); got != 0 {
 		t.Fatalf("%d entries still on the dead rank after the promotion pass", got)
@@ -88,9 +89,9 @@ func TestWarmPromotionBeatsColdTakeover(t *testing.T) {
 	if len(evs) != 1 || !evs[0].Warm {
 		t.Fatalf("recovery events = %+v, want exactly one Warm event", evs)
 	}
-	if got := evs[0].TicksToReassign(); got != int64(pol.PromoteTicks) {
+	if got := evs[0].TicksToReassign(); got != replica.PromoteTicks {
 		t.Fatalf("warm reassign after %d ticks, want PromoteTicks=%d — the whole point of the standby",
-			got, pol.PromoteTicks)
+			got, replica.PromoteTicks)
 	}
 	if c.Metrics().WarmRecoveries() != 1 {
 		t.Fatalf("WarmRecoveries = %d, want 1", c.Metrics().WarmRecoveries())
@@ -126,27 +127,26 @@ func TestWarmPromotionBeatsColdTakeover(t *testing.T) {
 	}
 }
 
-// TestPromotionFallsBackColdWhenUnsynced starves the re-replicator
-// (ResyncRate 1: a ~200-inode sync takes ~200 ticks) so no standby is
-// synced when the crash lands: promotion must find nothing and the
-// orphans must reach survivors through the unchanged cold takeover.
+// TestPromotionFallsBackColdWhenUnsynced crashes a rank one tick in,
+// while its subtrees' first syncs are still copying (10 001 inodes
+// each, six ticks of resync), so no standby is synced when the
+// promotion pass runs: promotion must find nothing and the orphans
+// must reach survivors through the unchanged cold takeover.
 func TestPromotionFallsBackColdWhenUnsynced(t *testing.T) {
 	const (
 		pinned  = 6
 		window  = 10
-		crashAt = 30
+		crashAt = 1
 		doomed  = 2
 	)
-	pol := replica.DefaultPolicy()
-	pol.ResyncRate = 1
 	aud := audit.New(audit.Options{EveryTick: true})
 	c := newTestCluster(t, Config{
 		MDS:           3,
 		Clients:       12,
 		RecoveryTicks: window,
 		Balancer:      nullBalancer{},
-		Workload:      failoverZipf(),
-		Replication:   replica.MustManager(pol),
+		Workload:      workload.NewZipf(workload.ZipfConfig{FilesPerClient: 10000, OpsPerClient: 30000}),
+		Replication:   replica.MustManager(replica.DefaultPolicy()),
 		Audit:         aud,
 	})
 	pinDoomed(t, c, pinned, doomed)
@@ -155,7 +155,14 @@ func TestPromotionFallsBackColdWhenUnsynced(t *testing.T) {
 	if !c.CrashMDS(doomed) {
 		t.Fatal("crash refused")
 	}
-	c.Run(window + 2)
+	c.Run(replica.PromoteTicks + 1)
+	for _, e := range c.Partition().EntriesOf(doomed) {
+		g := c.Replicas().GroupOf(e.Key)
+		if g == nil || len(g.Standbys) == 0 || !g.Standbys[0].Syncing {
+			t.Fatalf("entry %v: want a standby still syncing after the promotion pass, got %+v", e.Key, g)
+		}
+	}
+	c.Run(window + 2 - replica.PromoteTicks - 1)
 
 	if got := len(c.Partition().EntriesOf(doomed)); got != 0 {
 		t.Fatalf("%d entries still on the dead rank after the cold window", got)

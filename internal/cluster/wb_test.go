@@ -298,17 +298,16 @@ func TestCrashRequeueOrder(t *testing.T) {
 }
 
 // TestWriteBackChurnWithReplication runs write-back MDtest under seeded
-// MTBF churn with warm-standby replication (PR 6): every crash both
-// drops that rank's journal (re-queues) and races the standby
-// promotion. The every-tick auditor holding through that interaction is
-// the test.
+// MTBF churn with warm-standby replication: every crash races the
+// standby promotion while clients keep flushing batches. The every-tick
+// auditor holding through that interaction is the test.
+// Only ranks 0 and 1 churn, so at most one rank is down at a time, and
+// failures come every 20 ticks or so because the run lasts about 75.
 func TestWriteBackChurnWithReplication(t *testing.T) {
+	const creates = 10000
 	sched := fault.MTBF(fault.MTBFConfig{
-		Ranks: 4, MTBF: 150, MTTR: 50, Horizon: 1500, MaxConcurrent: 1,
+		Ranks: 2, MTBF: 20, MTTR: 5, Horizon: 150,
 	}, rng.New(11).Fork(99))
-	if sched.Empty() {
-		t.Fatal("churn schedule must produce events")
-	}
 	aud := audit.New(audit.Options{EveryTick: true})
 	c := newTestCluster(t, Config{
 		MDS:           4,
@@ -316,7 +315,7 @@ func TestWriteBackChurnWithReplication(t *testing.T) {
 		Seed:          11,
 		RecoveryTicks: 25,
 		Faults:        &sched,
-		Workload:      mdCreateHeavy(400),
+		Workload:      mdCreateHeavy(creates),
 		Batching:      &BatchingConfig{BatchSize: 16, FlushEvery: 4},
 		Replication:   replica.MustManager(replica.DefaultPolicy()),
 		Audit:         aud,
@@ -326,6 +325,14 @@ func TestWriteBackChurnWithReplication(t *testing.T) {
 	if !c.Done() {
 		t.Fatal("clients must finish through the churn")
 	}
+	var crashes int64
+	for _, s := range c.Servers() {
+		crashes += s.Crashes()
+	}
+	if crashes < 3 || c.Promotions() == 0 {
+		t.Fatalf("%d crashes and %d promotions before the run ended at tick %d: the churn never met the run",
+			crashes, c.Promotions(), c.Tick())
+	}
 	for _, v := range aud.Violations() {
 		t.Errorf("audit violation: %s", v)
 	}
@@ -334,5 +341,5 @@ func TestWriteBackChurnWithReplication(t *testing.T) {
 			t.Fatalf("client %d finished with %d ops in flight", cl.ID, cl.Inflight())
 		}
 	}
-	checkOneInodePerCreate(t, c, inodes, 16*400)
+	checkOneInodePerCreate(t, c, inodes, 16*creates)
 }

@@ -16,10 +16,9 @@ type IFResult struct {
 	CoV float64
 	// NormCoV is CoV normalized by its sqrt(n) upper bound.
 	NormCoV float64
-	// U is the urgency term (Equation 2).
+	// U is the urgency term (Equation 2) of u = l_max / C, clamped
+	// at 1.
 	U float64
-	// Utilization is u = l_max / C.
-	Utilization float64
 }
 
 // Compute evaluates the model for the given per-MDS loads (ops/sec)
@@ -38,10 +37,9 @@ func (IFModel) Compute(loads []float64, capacity float64) IFResult {
 	}
 	urgency := stats.Logistic(u, smoothness)
 	return IFResult{
-		IF:          norm * urgency,
-		CoV:         cov,
-		NormCoV:     norm,
-		U:           urgency,
-		Utilization: u,
+		IF:      norm * urgency,
+		CoV:     cov,
+		NormCoV: norm,
+		U:       urgency,
 	}
 }

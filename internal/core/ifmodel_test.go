@@ -76,10 +76,11 @@ func TestIFDegenerateInputs(t *testing.T) {
 
 func TestIFUtilizationClamped(t *testing.T) {
 	// Loads can transiently exceed the theoretical capacity (bursts);
-	// utilization clamps at 1.
+	// utilization clamps at 1, so the urgency is that of a rank exactly
+	// at capacity, not Logistic(2.5).
 	r := IFModel{}.Compute([]float64{5000, 0}, 2000)
-	if r.Utilization != 1 {
-		t.Fatalf("utilization = %v, want 1", r.Utilization)
+	if want := stats.Logistic(1, smoothness); r.U != want {
+		t.Fatalf("urgency = %v, want %v (utilization clamped to 1)", r.U, want)
 	}
 }
 

@@ -16,9 +16,21 @@ package elastic
 
 import "fmt"
 
-// The controller's fixed guards. No command, experiment or benchmark
-// workload varies them.
+// The controller's fixed thresholds and guards. No command, experiment
+// or benchmark workload varies them.
 const (
+	// scaleUpUtil triggers growth when utilization reaches it.
+	scaleUpUtil float64 = 0.75
+	// scaleDownUtil triggers a drain when utilization falls below it.
+	// It sits well under scaleUpUtil: the gap is the hysteresis band
+	// that stops the rank count from oscillating around one threshold.
+	scaleDownUtil float64 = 0.35
+	// cooldownEpochs is the minimum number of epochs between two
+	// consecutive scale decisions (migrations from the last move must
+	// land before the signal is trusted again).
+	cooldownEpochs int64 = 2
+	// stepUp is how many ranks one ScaleUp adds (clamped to MaxRanks).
+	stepUp int = 2
 	// warmupEpochs suppresses decisions at the start of the run, while
 	// load histories are still filling.
 	warmupEpochs int64 = 2
@@ -60,32 +72,12 @@ type Policy struct {
 	MinRanks int
 	// MaxRanks is the ceiling the cluster never grows above.
 	MaxRanks int
-	// ScaleUpUtil triggers growth when utilization reaches it.
-	ScaleUpUtil float64
-	// ScaleDownUtil triggers a drain when utilization falls below it.
-	// Keep it well under ScaleUpUtil: the gap is the hysteresis band
-	// that stops the rank count from oscillating around one threshold.
-	ScaleDownUtil float64
-	// CooldownEpochs is the minimum number of epochs between two
-	// consecutive scale decisions (migrations from the last move must
-	// land before the signal is trusted again).
-	CooldownEpochs int64
-	// StepUp is how many ranks one ScaleUp adds (clamped to MaxRanks).
-	StepUp int
 }
 
 // DefaultPolicy returns the policy used by the elastic experiment and
-// the -elastic CLI default: 4..8 ranks, grow at 75% utilization, drain
-// below 35%, two-epoch cooldown, +2 steps.
+// the -elastic CLI default: 4..8 ranks.
 func DefaultPolicy() Policy {
-	return Policy{
-		MinRanks:       4,
-		MaxRanks:       8,
-		ScaleUpUtil:    0.75,
-		ScaleDownUtil:  0.35,
-		CooldownEpochs: 2,
-		StepUp:         2,
-	}
+	return Policy{MinRanks: 4, MaxRanks: 8}
 }
 
 // Validate rejects self-contradictory policies.
@@ -95,19 +87,6 @@ func (p Policy) Validate() error {
 	}
 	if p.MaxRanks < p.MinRanks {
 		return fmt.Errorf("elastic: MaxRanks %d < MinRanks %d", p.MaxRanks, p.MinRanks)
-	}
-	if !(0 < p.ScaleUpUtil && p.ScaleUpUtil <= 1.5) {
-		return fmt.Errorf("elastic: ScaleUpUtil %g outside (0, 1.5]", p.ScaleUpUtil)
-	}
-	if !(0 <= p.ScaleDownUtil && p.ScaleDownUtil < p.ScaleUpUtil) {
-		return fmt.Errorf("elastic: ScaleDownUtil %g outside [0, ScaleUpUtil %g)",
-			p.ScaleDownUtil, p.ScaleUpUtil)
-	}
-	if p.CooldownEpochs < 0 {
-		return fmt.Errorf("elastic: CooldownEpochs %d < 0", p.CooldownEpochs)
-	}
-	if p.StepUp < 1 {
-		return fmt.Errorf("elastic: StepUp %d < 1", p.StepUp)
 	}
 	return nil
 }
@@ -127,9 +106,6 @@ type Snapshot struct {
 	Load float64
 	// Capacity is one rank's ops/sec ceiling (the paper's C).
 	Capacity float64
-	// IF is the epoch's imbalance factor, recorded on decisions for
-	// the trace (the utilization signal alone drives the policy).
-	IF float64
 	// MaxTenantDebt is the worst per-tenant SLO debt of the closed
 	// epoch — the fraction of a tenant's within-quota demand the rank
 	// pools could not serve — already gated by the tenancy layer's debt
@@ -217,12 +193,12 @@ func (c *Controller) Observe(s Snapshot) Decision {
 		// same survivors.
 		return none("draining")
 	}
-	if c.scaled && s.Epoch-c.lastScaleEpoch <= c.policy.CooldownEpochs {
+	if c.scaled && s.Epoch-c.lastScaleEpoch <= cooldownEpochs {
 		return none("cooldown")
 	}
 	switch {
-	case util >= c.policy.ScaleUpUtil || s.MaxTenantDebt > 0:
-		delta := c.policy.StepUp
+	case util >= scaleUpUtil || s.MaxTenantDebt > 0:
+		delta := stepUp
 		if s.ActiveRanks+delta > c.policy.MaxRanks {
 			delta = c.policy.MaxRanks - s.ActiveRanks
 		}
@@ -232,7 +208,7 @@ func (c *Controller) Observe(s Snapshot) Decision {
 		c.noteScale(s.Epoch)
 		c.scaleUps++
 		reason := "saturated"
-		if util < c.policy.ScaleUpUtil {
+		if util < scaleUpUtil {
 			// Only the tenant-debt signal fired: a tenant inside its
 			// quota is starved for capacity even though aggregate
 			// utilization looks fine (its demand is concentrated where
@@ -240,7 +216,7 @@ func (c *Controller) Observe(s Snapshot) Decision {
 			reason = "tenant_debt"
 		}
 		return Decision{Action: ScaleUp, Delta: delta, Reason: reason, Util: util}
-	case util < c.policy.ScaleDownUtil:
+	case util < scaleDownUtil:
 		if s.ActiveRanks-stepDown < c.policy.MinRanks {
 			return none("at_min")
 		}

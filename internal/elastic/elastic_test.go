@@ -1,19 +1,9 @@
 package elastic
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func testPolicy() Policy {
-	return Policy{
-		MinRanks:       4,
-		MaxRanks:       8,
-		ScaleUpUtil:    0.75,
-		ScaleDownUtil:  0.35,
-		CooldownEpochs: 2,
-		StepUp:         2,
-	}
+	return Policy{MinRanks: 4, MaxRanks: 8}
 }
 
 // warmed returns a testPolicy controller past its warmup, having seen
@@ -39,14 +29,8 @@ func snap(epoch int64, active, draining int, util float64) Snapshot {
 
 func TestPolicyValidate(t *testing.T) {
 	bad := []Policy{
-		{MinRanks: 0, MaxRanks: 4, ScaleUpUtil: 0.8, ScaleDownUtil: 0.2, StepUp: 1},
-		{MinRanks: 4, MaxRanks: 2, ScaleUpUtil: 0.8, ScaleDownUtil: 0.2, StepUp: 1},
-		{MinRanks: 1, MaxRanks: 4, ScaleUpUtil: 0, ScaleDownUtil: 0, StepUp: 1},
-		{MinRanks: 1, MaxRanks: 4, ScaleUpUtil: 0.5, ScaleDownUtil: 0.5, StepUp: 1},
-		{MinRanks: 1, MaxRanks: 4, ScaleUpUtil: 0.8, ScaleDownUtil: 0.2, StepUp: 0},
-		{MinRanks: 1, MaxRanks: 4, ScaleUpUtil: math.NaN(), ScaleDownUtil: 0.2, StepUp: 1},
-		{MinRanks: 1, MaxRanks: 4, ScaleUpUtil: 0.8, ScaleDownUtil: math.NaN(), StepUp: 1},
-		{MinRanks: 1, MaxRanks: 4, ScaleUpUtil: 0.8, ScaleDownUtil: 0.2, StepUp: 1, CooldownEpochs: -1},
+		{MinRanks: 0, MaxRanks: 4},
+		{MinRanks: 4, MaxRanks: 2},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -119,6 +103,27 @@ func TestHysteresisBandHolds(t *testing.T) {
 		u := 0.35 + 0.08*float64(e-first+1)
 		if d := c.Observe(snap(e, 6, 0, u)); d.Action != ScaleNone || d.Reason != "steady" {
 			t.Fatalf("epoch %d util %.2f: want steady, got %v/%s", e, u, d.Action, d.Reason)
+		}
+	}
+}
+
+// TestThresholdEdges: growth fires at exactly 75% utilization and adds
+// two ranks; 35% is still steady and anything below it drains one.
+func TestThresholdEdges(t *testing.T) {
+	for _, tc := range []struct {
+		load   float64 // over 6 ranks of capacity 1000
+		action Action
+		delta  int
+	}{
+		{4500, ScaleUp, 2},
+		{4499, ScaleNone, 0},
+		{2100, ScaleNone, 0},
+		{2099, ScaleDown, 1},
+	} {
+		c, e := warmed(6)
+		s := Snapshot{Epoch: e, ActiveRanks: 6, Load: tc.load, Capacity: 1000}
+		if d := c.Observe(s); d.Action != tc.action || d.Delta != tc.delta {
+			t.Errorf("load %v: got %v delta %d, want %v delta %d", tc.load, d.Action, d.Delta, tc.action, tc.delta)
 		}
 	}
 }

@@ -85,6 +85,6 @@ var expReplication = entry{
 	},
 	notes: []string{
 		fmt.Sprintf("cold takeover window %d ticks vs warm promotion %d ticks after the crash",
-			replicationRecoveryTicks, replica.DefaultPolicy().PromoteTicks),
+			replicationRecoveryTicks, replica.PromoteTicks),
 		"warm cells ship the op/heat journal every 5 ticks and re-replicate lost standbys in the background"},
 }

@@ -230,19 +230,17 @@ type MTBFConfig struct {
 	// Horizon bounds event generation: no event is scheduled at or
 	// after this tick.
 	Horizon int64
-	// MaxConcurrent bounds how many ranks may be down at once; 0 means
-	// ranks-1 (always keep one survivor).
-	MaxConcurrent int
 }
 
 // MTBF draws a deterministic crash/recover schedule from the source:
 // for each rank, alternating exponential up-times (mean MTBF) and
-// down-times (mean MTTR) until the horizon. Crashes that would exceed
-// MaxConcurrent simultaneous failures are skipped, so the cluster
-// always keeps at least one survivor to take over orphaned subtrees.
+// down-times (mean MTTR) until the horizon. A crash that would take
+// the last surviving rank down is skipped, so the cluster always keeps
+// one survivor to take over orphaned subtrees.
 func MTBF(cfg MTBFConfig, src *rng.Source) Schedule {
 	var s Schedule
-	if cfg.Ranks <= 0 || cfg.MTBF <= 0 || cfg.Horizon <= 0 {
+	// A single rank has no survivor to spare.
+	if cfg.Ranks < 2 || cfg.MTBF <= 0 || cfg.Horizon <= 0 {
 		return s
 	}
 	mttr := cfg.MTTR
@@ -251,13 +249,6 @@ func MTBF(cfg MTBFConfig, src *rng.Source) Schedule {
 	}
 	if mttr < 1 {
 		mttr = 1
-	}
-	maxDown := cfg.MaxConcurrent
-	if maxDown <= 0 || maxDown >= cfg.Ranks {
-		maxDown = cfg.Ranks - 1
-	}
-	if maxDown < 1 {
-		return s
 	}
 
 	// Draw each rank's alternating up/down intervals.
@@ -293,8 +284,8 @@ func MTBF(cfg MTBFConfig, src *rng.Source) Schedule {
 		return spans[i].rank < spans[j].rank
 	})
 
-	// Admit spans in crash order, dropping those that would exceed the
-	// concurrent-failure bound.
+	// Admit spans in crash order, dropping those that would leave no
+	// rank up.
 	type outage struct{ until int64 }
 	var downs []outage
 	for _, sp := range spans {
@@ -305,7 +296,7 @@ func MTBF(cfg MTBFConfig, src *rng.Source) Schedule {
 			}
 		}
 		downs = kept
-		if len(downs) >= maxDown {
+		if len(downs) >= cfg.Ranks-1 {
 			continue
 		}
 		downs = append(downs, outage{until: sp.recover})

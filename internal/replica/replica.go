@@ -29,9 +29,27 @@ import (
 	"repro/internal/namespace"
 )
 
-// maxSyncsPerRank bounds concurrent inbound syncs per rank so the
-// re-replicator cannot dogpile one idle survivor.
-const maxSyncsPerRank = 4
+// The manager's fixed rates and bounds. No command, experiment or benchmark
+// workload varies them.
+const (
+	// maxSyncsPerRank bounds concurrent inbound syncs per rank so the
+	// re-replicator cannot dogpile one idle survivor.
+	maxSyncsPerRank = 4
+	// shipEvery is the journal ship interval in ticks: the primary
+	// appends one delta record (and synced standbys apply the
+	// outstanding tail) every shipEvery ticks. It is also the bound on
+	// standby lag, and therefore the state a promotion can lose.
+	shipEvery int64 = 5
+	// resyncRate is how many inodes one background re-replication sync
+	// copies per tick.
+	resyncRate int = 2000
+	// PromoteTicks is the promotion latency after a crash: how long the
+	// cluster waits before promoting standbys, modelling failure
+	// detection plus a standby's replay of its applied journal prefix.
+	// The cluster's RecoveryTicks must exceed it, or the cold takeover
+	// fires first and promotion finds nothing to do.
+	PromoteTicks = 2
+)
 
 // Policy parameterizes the replication manager.
 type Policy struct {
@@ -39,20 +57,6 @@ type Policy struct {
 	// subtree entry. R must be at least 2 — an R=1 cluster simply does
 	// not attach a manager.
 	R int
-	// ShipEvery is the journal ship interval in ticks: the primary
-	// appends one delta record (and synced standbys apply the
-	// outstanding tail) every ShipEvery ticks. It is also the bound on
-	// standby lag, and therefore the state a promotion can lose.
-	ShipEvery int64
-	// PromoteTicks is the promotion latency after a crash: how long the
-	// cluster waits before promoting standbys, modelling failure
-	// detection plus a standby's replay of its applied journal prefix.
-	// Keep it well under the cluster's RecoveryTicks, or the cold
-	// takeover fires first and promotion finds nothing to do.
-	PromoteTicks int
-	// ResyncRate is how many inodes one background re-replication sync
-	// copies per tick.
-	ResyncRate int
 	// LeaseTicks, when positive, enables lease-based read-replica
 	// authority: synced standbys of hot read-dominated subtrees are
 	// granted read leases that let them serve reads for the subtree.
@@ -68,30 +72,15 @@ type Policy struct {
 }
 
 // DefaultPolicy returns the policy used by the replication experiment
-// and the -replication CLI default: R=2, ship every 5 ticks, promote
-// 2 ticks after a crash, resync 2000 inodes/tick.
+// and the -replication CLI default: R=2, no leases.
 func DefaultPolicy() Policy {
-	return Policy{
-		R:            2,
-		ShipEvery:    5,
-		PromoteTicks: 2,
-		ResyncRate:   2000,
-	}
+	return Policy{R: 2}
 }
 
 // Validate rejects self-contradictory policies.
 func (p Policy) Validate() error {
 	if p.R < 2 {
 		return fmt.Errorf("replica: R %d < 2 (an R=1 cluster attaches no manager)", p.R)
-	}
-	if p.ShipEvery < 1 {
-		return fmt.Errorf("replica: ShipEvery %d < 1", p.ShipEvery)
-	}
-	if p.PromoteTicks < 1 {
-		return fmt.Errorf("replica: PromoteTicks %d < 1", p.PromoteTicks)
-	}
-	if p.ResyncRate < 1 {
-		return fmt.Errorf("replica: ResyncRate %d < 1", p.ResyncRate)
 	}
 	if p.LeaseTicks < 0 {
 		return fmt.Errorf("replica: LeaseTicks %d < 0", p.LeaseTicks)
@@ -473,7 +462,7 @@ func (m *Manager) Promote(key namespace.FragKey, dead namespace.MDSID,
 // is below R. Deterministic: sorted group order, rank-order candidate
 // scans, no RNG.
 func (m *Manager) Pump(tick int64, env Env) {
-	if tick%m.pol.ShipEvery == 0 {
+	if tick%shipEvery == 0 {
 		m.ship(env)
 	}
 	m.advanceSyncs(env)
@@ -506,7 +495,7 @@ func (m *Manager) ship(env Env) {
 	}
 }
 
-// advanceSyncs progresses every in-flight sync by ResyncRate inodes;
+// advanceSyncs progresses every in-flight sync by resyncRate inodes;
 // completed syncs fast-forward to the journal head.
 func (m *Manager) advanceSyncs(env Env) {
 	for _, k := range m.order {
@@ -515,7 +504,7 @@ func (m *Manager) advanceSyncs(env Env) {
 			if !sb.Syncing {
 				continue
 			}
-			sb.SyncLeft -= m.pol.ResyncRate
+			sb.SyncLeft -= resyncRate
 			if sb.SyncLeft > 0 {
 				continue
 			}

@@ -59,11 +59,9 @@ func TestPolicyValidate(t *testing.T) {
 		t.Fatalf("default policy invalid: %v", err)
 	}
 	bad := []Policy{
-		{R: 1, ShipEvery: 5, PromoteTicks: 2, ResyncRate: 1},
-		{R: 2, ShipEvery: 0, PromoteTicks: 2, ResyncRate: 1},
-		{R: 2, ShipEvery: 5, PromoteTicks: 0, ResyncRate: 1},
-		{R: 2, ShipEvery: 5, PromoteTicks: 2, ResyncRate: 0},
-		{R: 2, ShipEvery: 5, PromoteTicks: 2, ResyncRate: 1, LeaseTicks: 10, ReplicateReadFrac: math.NaN()},
+		{R: 1},
+		{R: 2, LeaseTicks: -1},
+		{R: 2, LeaseTicks: 10, ReplicateReadFrac: math.NaN()},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -76,37 +74,39 @@ func TestPolicyValidate(t *testing.T) {
 }
 
 func TestJournalShipBoundedLagAndPrefix(t *testing.T) {
-	pol := DefaultPolicy()
-	pol.ShipEvery = 1
-	pol.ResyncRate = 1000
-	m := MustManager(pol)
+	m := MustManager(DefaultPolicy())
 	te := &testEnv{ranks: 3, heat: map[namespace.FragKey]float64{}}
 	k := key(7)
 	m.Reconcile([]namespace.Entry{entry(7, 0)}, retainAll)
 
-	// Tick 0: the re-replicator starts a sync (1 inode); it completes
-	// in tick 1's pump, so from tick 1 the standby is synced.
+	// Ship 0: the re-replicator starts a sync (1 inode); it completes
+	// in ship 1's pump, so from ship 1 the standby is synced.
 	m.Pump(0, te.env())
-	m.Pump(1, te.env())
+	m.Pump(shipEvery, te.env())
 	g := m.GroupOf(k)
 	if g == nil || len(g.Standbys) != 1 || g.Standbys[0].Syncing {
 		t.Fatalf("want one synced standby after two pumps, got %+v", g)
 	}
 	sb := g.Standbys[0]
 
-	for tick := int64(2); tick <= 6; tick++ {
+	for ship := int64(2); ship <= 6; ship++ {
 		te.heat[k] += 2.5
-		m.Pump(tick, te.env())
+		m.Pump(ship*shipEvery, te.env())
+		// A pump off the ship cadence appends nothing.
+		m.Pump(ship*shipEvery+1, te.env())
 		if lag := g.Appended() - sb.Applied; lag > 1 {
-			t.Fatalf("tick %d: standby lag %d exceeds bound 1", tick, lag)
+			t.Fatalf("ship %d: standby lag %d exceeds bound 1", ship, lag)
 		}
 		heat, ok := g.PrefixAt(sb.Applied)
 		if !ok {
-			t.Fatalf("tick %d: journal truncated past applied seq %d", tick, sb.Applied)
+			t.Fatalf("ship %d: journal truncated past applied seq %d", ship, sb.Applied)
 		}
 		if sb.Heat != heat {
-			t.Fatalf("tick %d: standby heat %g != journal prefix %g", tick, sb.Heat, heat)
+			t.Fatalf("ship %d: standby heat %g != journal prefix %g", ship, sb.Heat, heat)
 		}
+	}
+	if g.Appended() != 7 {
+		t.Fatalf("appended %d records, want one per ship (7)", g.Appended())
 	}
 	// After 5 ships of +2.5 heat each, the standby has applied all but
 	// the newest record: 10.
@@ -129,9 +129,7 @@ func TestJournalShipBoundedLagAndPrefix(t *testing.T) {
 }
 
 func TestStatResetRestartsDeltaBasis(t *testing.T) {
-	pol := DefaultPolicy()
-	pol.ShipEvery = 1
-	m := MustManager(pol)
+	m := MustManager(DefaultPolicy())
 	te := &testEnv{ranks: 2, heat: map[namespace.FragKey]float64{}}
 	k := key(3)
 	m.Reconcile([]namespace.Entry{entry(3, 0)}, retainAll)
@@ -139,7 +137,7 @@ func TestStatResetRestartsDeltaBasis(t *testing.T) {
 	m.Pump(0, te.env())
 	// The primary rejoined: its counters reset and restart small.
 	te.heat[k] = 1.5
-	m.Pump(1, te.env())
+	m.Pump(shipEvery, te.env())
 	g := m.GroupOf(k)
 	if heat, _ := g.PrefixAt(g.Appended()); heat != 1.5 {
 		t.Fatalf("total heat = %g, want 1.5 (heat deltas track the reading)", heat)
@@ -154,14 +152,12 @@ func TestStatResetRestartsDeltaBasis(t *testing.T) {
 func TestHeatResetWithinShipInterval(t *testing.T) {
 	pol := DefaultPolicy()
 	pol.R = 3
-	pol.ShipEvery = 1
-	pol.ResyncRate = 1000
 	m := MustManager(pol)
 	te := &testEnv{ranks: 3, heat: map[namespace.FragKey]float64{}}
 	k := key(6)
 	m.Reconcile([]namespace.Entry{entry(6, 0)}, retainAll)
-	m.Pump(0, te.env()) // both standbys start a sync
-	m.Pump(1, te.env()) // and complete it at the journal head
+	m.Pump(0, te.env())         // both standbys start a sync
+	m.Pump(shipEvery, te.env()) // and complete it at the journal head
 	g := m.GroupOf(k)
 	prev := 0.0
 	for i, step := range []struct {
@@ -172,7 +168,7 @@ func TestHeatResetWithinShipInterval(t *testing.T) {
 			te.heat[k] = 0
 		}
 		te.heat[k] += step.add
-		m.Pump(int64(i+2), te.env())
+		m.Pump(int64(i+2)*shipEvery, te.env())
 		for _, sb := range g.Standbys {
 			heat, ok := g.PrefixAt(sb.Applied)
 			if sb.Syncing || !ok || sb.Heat != heat {
@@ -193,7 +189,6 @@ func TestHeatResetWithinShipInterval(t *testing.T) {
 func TestRereplicatePlacementAndBounds(t *testing.T) {
 	pol := DefaultPolicy()
 	pol.R = 3
-	pol.ResyncRate = 1 // keep syncs in flight
 	m := MustManager(pol)
 	te := &testEnv{
 		ranks:  4,
@@ -207,7 +202,7 @@ func TestRereplicatePlacementAndBounds(t *testing.T) {
 	var entries []namespace.Entry
 	for d := namespace.Ino(1); d <= maxSyncsPerRank+1; d++ {
 		entries = append(entries, entry(d, 0))
-		te.inodes[key(d)] = 100
+		te.inodes[key(d)] = 2 * resyncRate // in flight past the next pump
 	}
 	m.Reconcile(entries, retainAll)
 	m.Pump(0, te.env())
@@ -229,22 +224,22 @@ func TestRereplicatePlacementAndBounds(t *testing.T) {
 }
 
 func TestResyncCompletionFastForwards(t *testing.T) {
-	pol := DefaultPolicy()
-	pol.ShipEvery = 1
-	pol.ResyncRate = 50
-	m := MustManager(pol)
+	m := MustManager(DefaultPolicy())
 	te := &testEnv{
 		ranks:  2,
 		heat:   map[namespace.FragKey]float64{},
-		inodes: map[namespace.FragKey]int{key(4): 100},
+		inodes: map[namespace.FragKey]int{key(4): 2 * resyncRate},
 	}
 	k := key(4)
 	m.Reconcile([]namespace.Entry{entry(4, 0)}, retainAll)
 	te.heat[k] = 12
-	m.Pump(0, te.env()) // sync starts (100 inodes, 50/tick)
+	m.Pump(0, te.env()) // sync starts (two ticks of resync)
 	te.heat[k] = 20
-	m.Pump(1, te.env()) // 50 inodes left
-	m.Pump(2, te.env()) // sync completes, fast-forwards to the head
+	m.Pump(shipEvery, te.env()) // half the inodes left
+	if sb := m.GroupOf(k).Standbys[0]; !sb.Syncing || sb.SyncLeft != resyncRate {
+		t.Fatalf("after one pump: standby %+v, want %d inodes left", sb, resyncRate)
+	}
+	m.Pump(2*shipEvery, te.env()) // sync completes, fast-forwards to the head
 	g := m.GroupOf(k)
 	if len(g.Standbys) != 1 || g.Standbys[0].Syncing {
 		t.Fatalf("standby must be synced, got %+v", g.Standbys)
@@ -264,8 +259,6 @@ func TestResyncCompletionFastForwards(t *testing.T) {
 func TestPromotePicksBestSyncedStandby(t *testing.T) {
 	pol := DefaultPolicy()
 	pol.R = 3
-	pol.ShipEvery = 1
-	pol.ResyncRate = 1000
 	m := MustManager(pol)
 	te := &testEnv{
 		ranks: 4,
@@ -276,8 +269,8 @@ func TestPromotePicksBestSyncedStandby(t *testing.T) {
 	m.Reconcile([]namespace.Entry{entry(9, 0)}, retainAll)
 	m.Pump(0, te.env()) // standbys sync and complete
 	te.heat[k] = 8
-	m.Pump(1, te.env())
-	m.Pump(2, te.env()) // standbys apply the record of heat 8
+	m.Pump(shipEvery, te.env())
+	m.Pump(2*shipEvery, te.env()) // standbys apply the record of heat 8
 
 	eligible := func(id namespace.MDSID) bool { return id != 0 }
 	load := func(id namespace.MDSID) float64 { return te.load[id] }
@@ -320,14 +313,11 @@ func TestPromotePicksBestSyncedStandby(t *testing.T) {
 }
 
 func TestPromoteSkipsSyncingAndIneligible(t *testing.T) {
-	pol := DefaultPolicy()
-	pol.ShipEvery = 1
-	pol.ResyncRate = 1 // syncs never finish within the test
-	m := MustManager(pol)
+	m := MustManager(DefaultPolicy())
 	te := &testEnv{
 		ranks:  2,
 		heat:   map[namespace.FragKey]float64{},
-		inodes: map[namespace.FragKey]int{key(5): 1000},
+		inodes: map[namespace.FragKey]int{key(5): 2 * resyncRate}, // in flight past the next pump
 	}
 	k := key(5)
 	m.Reconcile([]namespace.Entry{entry(5, 0)}, retainAll)
@@ -343,10 +333,7 @@ func TestPromoteSkipsSyncingAndIneligible(t *testing.T) {
 }
 
 func TestReconcileRebasesAndDrops(t *testing.T) {
-	pol := DefaultPolicy()
-	pol.ShipEvery = 1
-	pol.ResyncRate = 1000
-	m := MustManager(pol)
+	m := MustManager(DefaultPolicy())
 	te := &testEnv{ranks: 3, heat: map[namespace.FragKey]float64{}}
 	m.Reconcile([]namespace.Entry{entry(1, 0), entry(2, 1)}, retainAll)
 	m.Pump(0, te.env())
@@ -366,7 +353,7 @@ func TestReconcileRebasesAndDrops(t *testing.T) {
 		t.Fatalf("rebase must install the new primary and drop it from standbys: %+v", g1)
 	}
 	// Standbys on ranks failing retain are dropped.
-	m.Pump(1, te.env()) // re-replicate a standby
+	m.Pump(shipEvery, te.env()) // re-replicate a standby
 	if len(m.GroupOf(key(1)).Standbys) == 0 {
 		t.Fatal("re-replicator must have placed a standby")
 	}
@@ -379,8 +366,6 @@ func TestReconcileRebasesAndDrops(t *testing.T) {
 func TestDropRankRemovesStandbys(t *testing.T) {
 	pol := DefaultPolicy()
 	pol.R = 3
-	pol.ShipEvery = 1
-	pol.ResyncRate = 1000
 	m := MustManager(pol)
 	te := &testEnv{ranks: 3, heat: map[namespace.FragKey]float64{}}
 	m.Reconcile([]namespace.Entry{entry(1, 0)}, retainAll)

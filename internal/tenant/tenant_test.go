@@ -104,6 +104,72 @@ func TestFractionalTokensStayWhole(t *testing.T) {
 	}
 }
 
+// bucketFor returns a bound one-tenant manager with the given bucket.
+func bucketFor(t *testing.T, rate, burst float64) *Manager {
+	t.Helper()
+	m := MustManager(Policy{Rate: rate, Burst: burst})
+	if err := m.Bind([]int{1}); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// tick runs one engine tick of a tenant asking for d ops: the refill,
+// then the take, as Step orders them.
+func tick(m *Manager, d int) int {
+	m.BeginTick()
+	return m.Take(0, d)
+}
+
+// TestBucketClosedForm: a tenant asking for a constant D ops per tick is
+// granted min(t·D, Burst + Rate·(t−1)) in total after t ticks. The
+// bucket starts full, so the first refill adds nothing; past that, each
+// tick adds Rate until demand has spent what the bucket held.
+func TestBucketClosedForm(t *testing.T) {
+	const rate, burst = 10, 35
+	for _, d := range []int{4, rate, 17} {
+		m := bucketFor(t, rate, burst)
+		total := 0
+		for n := 1; n <= 40; n++ {
+			total += tick(m, d)
+			if want := min(n*d, burst+rate*(n-1)); total != want {
+				t.Fatalf("D=%d: %d ops granted after %d ticks, want %d", d, total, n, want)
+			}
+		}
+	}
+
+	// A fractional rate grants whole ops only, so the total trails the
+	// closed form by up to one token: less than one in exact arithmetic,
+	// and a full one when the sum of 0.7s rounds a whole token down.
+	m := bucketFor(t, 0.7, 3)
+	total := 0
+	for n := 1; n <= 200; n++ {
+		total += tick(m, 2)
+		want := math.Min(float64(n*2), 3+0.7*float64(n-1))
+		if lag := want - float64(total); lag < -1e-9 || lag > 1+1e-9 {
+			t.Fatalf("rate 0.7: %d ops granted after %d ticks, closed form %.2f", total, n, want)
+		}
+	}
+}
+
+// TestRefundRestoresNextGrant: refunding a tick's whole grant leaves
+// the bucket as if that tick had asked for nothing, so every later
+// grant matches a twin bucket that skipped the tick.
+func TestRefundRestoresNextGrant(t *testing.T) {
+	const d, refunded = 17, 3
+	m, twin := bucketFor(t, 10, 35), bucketFor(t, 10, 35)
+	for n := 1; n <= 12; n++ {
+		if n == refunded {
+			m.Refund(0, tick(m, d))
+			tick(twin, 0)
+			continue
+		}
+		if got, want := tick(m, d), tick(twin, d); got != want {
+			t.Fatalf("tick %d: granted %d after the refund, want the twin's %d", n, got, want)
+		}
+	}
+}
+
 func TestDebtAndThrottleLatch(t *testing.T) {
 	m := MustManager(Policy{Rate: 10, Burst: 10})
 	if err := m.Bind([]int{1, 1}); err != nil {
