@@ -3,7 +3,7 @@
 // throughput, imbalance-factor series, migration counts, and job
 // completion times. With -trace-out it also emits a structured JSONL
 // event trace (epochs, migrations, faults, backoff transitions), and
-// with -pprof / -cpuprofile / -memprofile it exposes Go profiling.
+// with -cpuprofile / -memprofile it writes Go profiles.
 //
 //	lunule-sim -workload zipf -balancer lunule -mds 5 -clients 40
 //	lunule-sim -crash 100:hot -trace-out run.jsonl -trace-events migration_aborted,orphan_takeover
@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -86,7 +84,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		traceOut   = fs.String("trace-out", "", "write a structured JSONL event trace to this file")
 		traceEvs   = fs.String("trace-events", "", "comma-separated event types to trace (empty or 'all' = everything; see EXPERIMENTS.md)")
 		traceSum   = fs.Bool("trace-summary", false, "print per-type event counts after the run")
-		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the duration of the run")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file")
 	)
@@ -273,14 +270,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		bus.Allow(types...)
 	}
 
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintf(stderr, "pprof server: %v\n", err)
-			}
-		}()
-		fmt.Fprintf(stdout, "pprof server listening on http://%s/debug/pprof/\n", *pprofAddr)
-	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {

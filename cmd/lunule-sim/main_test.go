@@ -121,6 +121,8 @@ func TestBadFlagsFail(t *testing.T) {
 		{[]string{"-replication", "2", "-lease-ticks", "-1"}, "LeaseTicks"},
 		{[]string{"-tenants", "4", "-tenant-skew", "NaN"}, "skew"},
 		{[]string{"-tenants", "4", "-tenant-skew", "Inf"}, "skew"},
+		{[]string{"-tenants", "2", "-tenant-rate", "1e13", "-tenant-burst", "2e13"}, "rate must be in"},
+		{[]string{"-tenants", "2", "-tenant-burst", "1e13"}, "burst must be"},
 		{[]string{"-mtbf", "Inf"}, "-mtbf"},
 		{[]string{"-mtbf", "100", "-mttr", "NaN"}, "-mttr"},
 		{[]string{"-workload", "nope"}, "nope"},

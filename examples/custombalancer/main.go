@@ -3,8 +3,7 @@
 // their own when/how-much/where policies into the metadata service.
 // This example implements a tiny "water-filling" policy (move load from
 // the fullest to the emptiest MDS whenever the gap exceeds 25%) and
-// runs it against two Mantle-style policies (balancer.NewMantle) and
-// Lunule on the MDtest create workload.
+// runs it against Lunule on the MDtest create workload.
 //
 //	go run ./examples/custombalancer
 package main
@@ -54,8 +53,6 @@ func (waterFill) Rebalance(v balancer.View) {
 func main() {
 	for _, bal := range []balancer.Balancer{
 		waterFill{},
-		balancer.NewMantle(balancer.SpreadEven(0.1)),
-		balancer.NewMantle(balancer.GreedySpill()),
 		// The paper's Lunule; the zero Config is Lunule-Light, and the
 		// other three fields are the ablation switches.
 		core.New(core.Config{WorkloadAware: true}),
@@ -75,6 +72,5 @@ func main() {
 			bal.Name(), rec.MeanIF(), rec.MeanThroughput(),
 			rec.JCTQuantile(0.5), rec.JCTQuantile(0.99), rec.MigratedTotal())
 	}
-	fmt.Println("\nany type with Name() and Rebalance(balancer.View) can drive the cluster;")
-	fmt.Println("balancer.NewMantle wraps a Mantle-style when/howMuch/where policy into one")
+	fmt.Println("\nany type with Name() and Rebalance(balancer.View) can drive the cluster")
 }

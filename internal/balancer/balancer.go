@@ -1,10 +1,10 @@
 // Package balancer defines the load-balancer interface the simulated
 // MDS cluster drives once per epoch, the candidate enumeration every
 // policy selects subtrees from, and the baselines the paper evaluates
-// against: the CephFS built-in balancer (Vanilla), the Mantle policy
-// framework with the GreedySpill policy the paper runs through it, and
-// the static Dir-Hash pinning scheme. The paper's own balancer (Lunule)
-// lives in internal/core and implements the same interface.
+// against: the CephFS built-in balancer (Vanilla), GreedySpill (which
+// the paper runs through Mantle), and the static Dir-Hash pinning
+// scheme. The paper's own balancer (Lunule) lives in internal/core and
+// implements the same interface.
 package balancer
 
 import (

@@ -227,36 +227,6 @@ func TestVanillaBalancedClusterNoops(t *testing.T) {
 	}
 }
 
-func TestGreedySpillSpillsToIdleNeighbour(t *testing.T) {
-	v, dirs := buildView(t, 3, 6, 10)
-	heatUp(v, dirs, 2)
-	b := NewGreedySpill()
-	b.Rebalance(v)
-	if v.Mig.QueuedTasks()+v.Mig.ActiveTasks() == 0 {
-		t.Fatal("greedyspill did not spill to the idle neighbour")
-	}
-	// All tasks target rank 1 (the neighbour of rank 0).
-	for _, k := range v.Mig.FrozenKeys() {
-		_ = k // frozen set may be empty pre-tick; check pending instead
-	}
-}
-
-func TestGreedySpillBusyNeighbourNoSpill(t *testing.T) {
-	v, dirs := buildView(t, 2, 4, 10)
-	// Both MDSs have load: d0,d1 on MDS0; d2,d3 on MDS1.
-	for i, d := range dirs {
-		if i >= 2 {
-			e := v.Part.Carve(d)
-			v.Part.SetAuth(e.Key, 1)
-		}
-	}
-	heatUp(v, dirs, 2)
-	NewGreedySpill().Rebalance(v)
-	if v.Mig.QueuedTasks() != 0 {
-		t.Fatal("greedyspill must only spill to an idle neighbour")
-	}
-}
-
 func TestDirHashPinsLeavesEvenly(t *testing.T) {
 	v, dirs := buildView(t, 4, 40, 5)
 	b := NewDirHash()

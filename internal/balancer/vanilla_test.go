@@ -80,29 +80,6 @@ func TestVanillaSmoothedTrigger(t *testing.T) {
 	}
 }
 
-func TestGreedySpillRingNeighbour(t *testing.T) {
-	// Load on the LAST rank: its neighbour wraps to rank 0.
-	v, dirs := buildView(t, 3, 4, 10)
-	for _, d := range dirs {
-		e := v.Part.Carve(d)
-		v.Part.SetAuth(e.Key, 2)
-	}
-	heatUp(v, dirs, 2)
-	NewGreedySpill().Rebalance(v)
-	if queued, _ := v.Mig.TasksFor(2); queued == 0 {
-		t.Fatal("rank 2 should spill")
-	}
-}
-
-func TestGreedySpillSingleMDSNoop(t *testing.T) {
-	v, dirs := buildView(t, 1, 3, 10)
-	heatUp(v, dirs, 2)
-	NewGreedySpill().Rebalance(v)
-	if v.Mig.QueuedTasks() != 0 {
-		t.Fatal("single-MDS cluster cannot spill")
-	}
-}
-
 func TestCandidateRootDir(t *testing.T) {
 	v, dirs := buildView(t, 2, 1, 3)
 	_ = v

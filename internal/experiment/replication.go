@@ -86,5 +86,5 @@ var expReplication = entry{
 	notes: []string{
 		fmt.Sprintf("cold takeover window %d ticks vs warm promotion %d ticks after the crash",
 			replicationRecoveryTicks, replica.PromoteTicks),
-		"warm cells ship the op/heat journal every 5 ticks and re-replicate lost standbys in the background"},
+		"warm cells ship the heat journal every 5 ticks and re-replicate lost standbys in the background"},
 }

@@ -29,15 +29,25 @@ import (
 // bucket-admitted work only.
 const debtThreshold float64 = 0.5
 
+// microOps is the unit a bucket counts tokens in: millionths of an op,
+// so a fractional rate accrues without rounding error and a whole op is
+// granted the tick its millionth unit arrives.
+const microOps = 1_000_000
+
+// maxOps bounds Rate and Burst so that a full bucket plus one refill,
+// in microOps, fits an int64.
+const maxOps = 1e12
+
 // Policy configures per-tenant token-bucket admission. Every tenant
 // gets the same bucket, whatever its size.
 type Policy struct {
-	// Rate is the bucket refill in ops per tick. Must be positive.
+	// Rate is the bucket refill in ops per tick, kept to the nearest
+	// millionth of an op. Must be in [1e-6, 1e12].
 	Rate float64
 
 	// Burst is the bucket capacity in ops. Buckets start full. Must be
 	// at least Rate (a bucket smaller than one refill would leak
-	// tokens every tick).
+	// tokens every tick) and at most 1e12.
 	Burst float64
 }
 
@@ -50,20 +60,20 @@ func DefaultPolicy() Policy {
 
 // Validate checks the policy for internal consistency.
 func (p Policy) Validate() error {
-	if p.Rate <= 0 || math.IsNaN(p.Rate) || math.IsInf(p.Rate, 0) {
-		return fmt.Errorf("tenant: rate must be positive, got %v", p.Rate)
+	if !(p.Rate >= 1.0/microOps && p.Rate <= maxOps) {
+		return fmt.Errorf("tenant: rate must be in [%g, %g] ops per tick, got %v", 1.0/microOps, maxOps, p.Rate)
 	}
-	if p.Burst < p.Rate || math.IsNaN(p.Burst) || math.IsInf(p.Burst, 0) {
-		return fmt.Errorf("tenant: burst must be >= rate, got burst=%v rate=%v", p.Burst, p.Rate)
+	if !(p.Burst >= p.Rate && p.Burst <= maxOps) {
+		return fmt.Errorf("tenant: burst must be >= rate and <= %g, got burst=%v rate=%v", maxOps, p.Burst, p.Rate)
 	}
 	return nil
 }
 
 // bucket is one tenant's admission and accounting state.
 type bucket struct {
-	rate   float64 // refill per tick
-	burst  float64 // capacity; tokens start here
-	tokens float64
+	// Refill per tick, capacity and level, in microOps; tokens start
+	// at burst.
+	rate, burst, tokens int64
 
 	clients int // clients bound to this tenant
 
@@ -131,10 +141,14 @@ func (m *Manager) Bind(clientsPerTenant []int) error {
 		if n <= 0 {
 			return fmt.Errorf("tenant: tenant %d has %d clients; every tenant needs at least one", t, n)
 		}
-		m.buckets[t] = bucket{rate: m.pol.Rate, burst: m.pol.Burst, tokens: m.pol.Burst, clients: n}
+		burst := toMicro(m.pol.Burst)
+		m.buckets[t] = bucket{rate: toMicro(m.pol.Rate), burst: burst, tokens: burst, clients: n}
 	}
 	return nil
 }
+
+// toMicro converts a validated op count to microOps.
+func toMicro(ops float64) int64 { return int64(math.Round(ops * microOps)) }
 
 // N returns the number of bound tenants (0 before Bind).
 func (m *Manager) N() int { return len(m.buckets) }
@@ -147,10 +161,7 @@ func (m *Manager) Clients(t int) int { return m.buckets[t].clients }
 func (m *Manager) BeginTick() {
 	for t := range m.buckets {
 		b := &m.buckets[t]
-		b.tokens += b.rate
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
+		b.tokens = min(b.tokens+b.rate, b.burst)
 		b.admittedTick = 0
 		b.throttledTick = 0
 	}
@@ -164,27 +175,26 @@ func (m *Manager) Take(t, n int) int {
 		return 0
 	}
 	b := &m.buckets[t]
-	grant := n
-	if avail := int(b.tokens); avail < grant {
-		grant = avail
+	// A grant the bucket covers in full needs no division.
+	if int64(n) <= maxOps && int64(n)*microOps <= b.tokens {
+		b.tokens -= int64(n) * microOps
+		return n
 	}
-	b.tokens -= float64(grant)
-	return grant
+	grant := b.tokens / microOps
+	b.tokens -= grant * microOps
+	return int(grant)
 }
 
 // Refund returns n ops' worth of tokens to tenant t's bucket — the
 // admission path hands back the part of a bucket grant the rank pool
 // could not cover, so a pool stall is never double-charged as a
-// quota spend.
+// quota spend. n is at most what Take granted.
 func (m *Manager) Refund(t, n int) {
 	if n <= 0 {
 		return
 	}
 	b := &m.buckets[t]
-	b.tokens += float64(n)
-	if b.tokens > b.burst {
-		b.tokens = b.burst
-	}
+	b.tokens = min(b.tokens+int64(n)*microOps, b.burst)
 }
 
 // NoteAdmitted records n ops admitted for tenant t this tick (bucket
@@ -264,10 +274,10 @@ func (m *Manager) ThrottledLastEpoch(t int) bool { return m.buckets[t].throttled
 
 // Tokens returns tenant t's current bucket level (audited to stay
 // within [0, Burst]).
-func (m *Manager) Tokens(t int) float64 { return m.buckets[t].tokens }
+func (m *Manager) Tokens(t int) float64 { return float64(m.buckets[t].tokens) / microOps }
 
 // BurstOf returns tenant t's bucket capacity.
-func (m *Manager) BurstOf(t int) float64 { return m.buckets[t].burst }
+func (m *Manager) BurstOf(t int) float64 { return float64(m.buckets[t].burst) / microOps }
 
 // AdmittedTick returns the ops admitted for tenant t in the current
 // tick — the auditor's conservation operand.

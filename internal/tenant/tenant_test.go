@@ -18,6 +18,13 @@ func TestPolicyValidate(t *testing.T) {
 		{"negative rate", Policy{Rate: -1, Burst: 10}, false},
 		{"nan rate", Policy{Rate: math.NaN(), Burst: 10}, false},
 		{"burst below rate", Policy{Rate: 10, Burst: 5}, false},
+		{"noisy's unthrottled bucket", Policy{Rate: 1e9, Burst: 2e9}, true},
+		{"one millionth an op", Policy{Rate: 1e-6, Burst: 1e-6}, true},
+		{"below a millionth", Policy{Rate: 4e-7, Burst: 10}, false},
+		{"rate at the bound", Policy{Rate: 1e12, Burst: 1e12}, true},
+		{"rate past the bound", Policy{Rate: 2e12, Burst: 2e12}, false},
+		{"burst past the bound", Policy{Rate: 10, Burst: 1.5e12}, false},
+		{"infinite burst", Policy{Rate: 10, Burst: math.Inf(1)}, false},
 	}
 	for _, c := range cases {
 		if err := c.pol.Validate(); (err == nil) != c.ok {
@@ -104,6 +111,22 @@ func TestFractionalTokensStayWhole(t *testing.T) {
 	}
 }
 
+// TestBucketAtTheBound: the largest bucket Validate accepts refills,
+// grants and refunds without overflowing.
+func TestBucketAtTheBound(t *testing.T) {
+	m := bucketFor(t, 1e12, 1e12)
+	for range 3 {
+		if got := tick(m, math.MaxInt); got != 1e12 {
+			t.Fatalf("a full bucket of 1e12 granted %d", got)
+		}
+		m.Refund(0, 1e12)
+		if m.Tokens(0) != 1e12 {
+			t.Fatalf("tokens after a full refund = %v, want 1e12", m.Tokens(0))
+		}
+		m.Take(0, 1e12)
+	}
+}
+
 // bucketFor returns a bound one-tenant manager with the given bucket.
 func bucketFor(t *testing.T, rate, burst float64) *Manager {
 	t.Helper()
@@ -139,14 +162,14 @@ func TestBucketClosedForm(t *testing.T) {
 	}
 
 	// A fractional rate grants whole ops only, so the total trails the
-	// closed form by up to one token: less than one in exact arithmetic,
-	// and a full one when the sum of 0.7s rounds a whole token down.
+	// closed form by the fraction still in the bucket: always less than
+	// one token, as tokens accrue exactly.
 	m := bucketFor(t, 0.7, 3)
 	total := 0
 	for n := 1; n <= 200; n++ {
 		total += tick(m, 2)
 		want := math.Min(float64(n*2), 3+0.7*float64(n-1))
-		if lag := want - float64(total); lag < -1e-9 || lag > 1+1e-9 {
+		if lag := want - float64(total); lag < -1e-9 || lag > 1-1e-9 {
 			t.Fatalf("rate 0.7: %d ops granted after %d ticks, closed form %.2f", total, n, want)
 		}
 	}
