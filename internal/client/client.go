@@ -364,8 +364,10 @@ func (c *Client) CompleteOp(tick int64) int64 {
 	if lat < 1 {
 		lat = 1
 	}
-	// Zeroed so the queue does not keep the served op's inodes reachable.
-	*p = pendingOp{}
+	// The pointers are cleared so the queue does not keep the served
+	// op's inodes or name reachable. Field by field, not *p =
+	// pendingOp{}: three write barriers, not a bulk one per op.
+	p.op.Target, p.op.Parent, p.op.Name = nil, nil, ""
 	if q.head++; q.head == q.tail {
 		// Drained: rewind into the first (by now the only) block.
 		q.head, q.tail = 0, 0

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"slices"
+
 	"repro/internal/client"
 	"repro/internal/mds"
 	"repro/internal/namespace"
@@ -365,7 +367,11 @@ func (e *engine) plan(ci int32, tick int64) []unit {
 			if cl.PeekOp(k, tick) == nil {
 				break // stream exhausted with an empty queue
 			}
-			w.routes = append(w.routes, routed{})
+			// Reslice and mark the slot unresolved; route writes the
+			// rest. Appending routed{} would be a typed clear, a bulk
+			// write barrier per drawn op while GC marks.
+			w.routes = slices.Grow(w.routes, 1)[:k+1]
+			w.routes[k].ent = namespace.Entry{}
 		}
 		r := &w.routes[k]
 		if r.ent.Key.Dir == 0 {

@@ -6,7 +6,7 @@ package namespace
 // hash, heat tracking — and Tree.AdoptOrExisting links that slot once
 // the op is known to be served, so a create that stalls leaves the tree
 // as it was. A carve stays valid until the next carve or link in its
-// tree. The arena holds no state.
+// tree (Create and Mkdir carve and link). The arena holds no state.
 type InodeArena struct{}
 
 // NewFile returns a file inode under parent: named, parented, and
@@ -18,17 +18,25 @@ func (*InodeArena) NewFile(parent *Inode, name string, size int64) (*Inode, erro
 	if err := checkChild(parent, name); err != nil {
 		return nil, err
 	}
-	// Field by field, not a struct copy: every field is reset, and the
-	// three pointers pay one write barrier each, not a bulk one.
-	in := parent.dir.tree.next()
-	in.Hot, in.nameHash, in.IsDir, in.visited, in.hashed = Hot{}, 0, false, false, false
-	in.Parent, in.Size, in.dir, in.Ino, in.Name = parent, size, nil, 0, name
-	return in, nil
+	return parent.dir.tree.carve(parent, name, size, nil), nil
 }
 
-// AdoptOrExisting links a carved inode into the tree as the next inode
-// number — a caller-built one is copied into that slot — splices it
-// under its parent and bumps ancestor subtree counters, exactly as a
+// carve writes an unlinked inode under parent into the tree's next
+// inode slot: a directory when dir is non-nil, else a file of size
+// bytes. It is the one carve of both create paths, the tree's own
+// Create/Mkdir and the serve path's NewFile.
+func (t *Tree) carve(parent *Inode, name string, size int64, dir *dirState) *Inode {
+	// Field by field, not a struct copy: every field is reset, and the
+	// three pointers pay one write barrier each, not a bulk one.
+	in := t.next()
+	in.Hot, in.nameHash, in.IsDir, in.visited, in.hashed = Hot{}, 0, dir != nil, false, false
+	in.Parent, in.Size, in.dir, in.Ino, in.Name = parent, size, dir, 0, name
+	return in
+}
+
+// AdoptOrExisting links a carved inode — the tree's latest carve, in
+// its next inode slot — into the tree as the next inode number, splices
+// it under its parent and bumps ancestor subtree counters, exactly as a
 // direct Create would have, and returns the linked inode. Adoption
 // order defines inode-number order. A name that sorts after every
 // sibling's cannot be taken and is linked without a probe; any other is
@@ -45,22 +53,18 @@ func (t *Tree) AdoptOrExisting(in *Inode) (linked *Inode, adopted bool) {
 			return ex, false
 		}
 	}
-	c := t.next()
-	if c != in {
-		*c = *in
-	}
-	c.Ino = t.nextIn
+	in.Ino = t.nextIn
 	t.nextIn++
 	if ordered {
-		d.index.last = c.Name
+		d.index.last = in.Name
 	} else {
-		d.index.add(slot, c.hash())
+		d.index.add(slot, in.hash())
 	}
-	d.order = append(d.order, uint32(c.Ino))
-	files := c.SubtreeFiles()
-	for a := c.Parent; a != nil; a = a.Parent {
+	d.order = append(d.order, uint32(in.Ino))
+	files := in.SubtreeFiles()
+	for a := in.Parent; a != nil; a = a.Parent {
 		a.dir.subInodes++
 		a.dir.subFiles += files
 	}
-	return c, true
+	return in, true
 }

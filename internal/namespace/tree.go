@@ -304,11 +304,11 @@ func (t *Tree) attach(parent *Inode, name string, isDir bool, size int64) (*Inod
 	if err := checkChild(parent, name); err != nil {
 		return nil, err
 	}
-	in := Inode{Name: name, Parent: parent, IsDir: isDir, Size: size}
+	var dir *dirState
 	if isDir {
-		in.dir = &dirState{tree: t, subInodes: 1, num: t.numDirs}
+		dir = &dirState{tree: t, subInodes: 1, num: t.numDirs}
 	}
-	linked, adopted := t.AdoptOrExisting(&in)
+	linked, adopted := t.AdoptOrExisting(t.carve(parent, name, size, dir))
 	if !adopted {
 		return nil, ErrExists
 	}

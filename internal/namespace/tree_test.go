@@ -193,10 +193,12 @@ func recountSubtree(in *Inode, visited map[*Inode]bool) recount {
 }
 
 // TestSubtreeCountsProperty: through random mkdir / create / adopt /
-// duplicate-adopt / unadopted-carve / MarkVisited sequences, every
-// inode — files and directories both — reports the subtree and visited
-// counts a recount by walking gives, dir != nil ⇔ IsDir holds, a carve
-// never adopted leaves NumInodes and MaxIno as they were, the tree
+// duplicate-adopt / unadopted-carve / taken-name create / MarkVisited
+// sequences, every inode — files and directories both — reports the
+// subtree and visited counts a recount by walking gives, dir != nil ⇔
+// IsDir holds, a carve never adopted leaves NumInodes and MaxIno as
+// they were, a Create or Mkdir of a taken name fails with ErrExists and
+// leaves them and the next carve's slot as they were, the tree
 // keeps its number order (checkNumberOrder), and UnvisitedIn on the
 // halves of a split directory matches the recount of the children in
 // each half.
@@ -210,7 +212,7 @@ func TestSubtreeCountsProperty(t *testing.T) {
 		live := 1
 		for i, op := range ops {
 			parent := dirs[int(op)%len(dirs)]
-			switch op % 8 {
+			switch op % 9 {
 			case 0:
 				d, err := tr.Mkdir(parent, fileName("d", i))
 				if err != nil {
@@ -242,7 +244,7 @@ func TestSubtreeCountsProperty(t *testing.T) {
 				if len(all) == 0 {
 					continue
 				}
-				if in := all[int(op/8)%len(all)]; !visited[in] {
+				if in := all[int(op/9)%len(all)]; !visited[in] {
 					in.MarkVisited()
 					visited[in] = true
 				}
@@ -255,9 +257,26 @@ func TestSubtreeCountsProperty(t *testing.T) {
 				if len(all) == 0 {
 					continue
 				}
-				ex := all[int(op/8)%len(all)]
+				ex := all[int(op/9)%len(all)]
 				in, _ := arena.NewFile(ex.Parent, ex.Name, 1)
 				if got, adopted := tr.AdoptOrExisting(in); adopted || got != ex || tr.NumInodes() != live {
+					return false
+				}
+			case 8:
+				if len(all) == 0 {
+					continue
+				}
+				ex := all[int(op/9)%len(all)]
+				next, _ := arena.NewFile(ex.Parent, fileName("n", i), 1)
+				var err error
+				if op/9%2 == 0 {
+					_, err = tr.Create(ex.Parent, ex.Name, 1)
+				} else {
+					_, err = tr.Mkdir(ex.Parent, ex.Name)
+				}
+				again, _ := arena.NewFile(ex.Parent, fileName("n", i), 1)
+				if err != ErrExists || again != next || again.Ino != 0 ||
+					tr.NumInodes() != live || tr.MaxIno() != Ino(live) {
 					return false
 				}
 			}

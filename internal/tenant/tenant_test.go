@@ -271,3 +271,39 @@ func TestTickCounters(t *testing.T) {
 		t.Fatalf("cumulative counters = %d, %d, want 7, 3", m.Admitted(0), m.Throttled(0))
 	}
 }
+
+var sinkGrant int
+
+// BenchmarkTake prices one Take at the benchmark's full_stack bucket
+// (rate 1500, burst 3000) over four tenants, refilled once per 1024
+// takes as a tick would. full asks 1 op per take, 256 per tenant and
+// refill, so every take is a full grant. contended asks 16, 4096
+// against a 1500 refill, so once a tick's first ~94 takes per tenant
+// have drained the bucket the rest are throttled: the partial-grant
+// path, reported as throttled/op.
+func BenchmarkTake(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		ask  int
+	}{{"full", 1}, {"contended", 16}} {
+		b.Run(bc.name, func(b *testing.B) {
+			m := MustManager(Policy{Rate: 1500, Burst: 3000})
+			if err := m.Bind([]int{16, 16, 16, 16}); err != nil {
+				b.Fatal(err)
+			}
+			throttled := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%1024 == 0 {
+					m.BeginTick()
+				}
+				g := m.Take(i&3, bc.ask)
+				if g < bc.ask {
+					throttled++
+				}
+				sinkGrant += g
+			}
+			b.ReportMetric(float64(throttled)/float64(b.N), "throttled/op")
+		})
+	}
+}

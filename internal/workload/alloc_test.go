@@ -47,3 +47,19 @@ func TestStreamNextAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestNameSeqAllocs: once its buffer is sized, a nameSeq allocates one
+// string per nameChunk names and nothing per name.
+func TestNameSeqAllocs(t *testing.T) {
+	s := newNameSeq("page", 6, ".html", 0, 1<<30)
+	got := testing.AllocsPerRun(100, func() {
+		for range nameChunk {
+			sinkName = s.next()
+		}
+	})
+	if got != 1 {
+		t.Errorf("%v allocations per %d names, want 1", got, nameChunk)
+	}
+}
+
+var sinkName string

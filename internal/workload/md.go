@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"repro/internal/namespace"
 	"repro/internal/rng"
 )
@@ -69,50 +67,49 @@ func (g *MD) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([]Client
 	if err != nil {
 		return nil, err
 	}
+	off := g.cfg.ClientOffset
+	clientDirs := newNameSeq("client", 3, "", off, off+clients)
+	var subDirs []string
+	if g.cfg.DirsPerClient > 1 {
+		subDirs = nameList("d", 3, "", g.cfg.DirsPerClient)
+	}
 	streams := make([]Stream, clients)
 	for c := 0; c < clients; c++ {
-		dir, err := tree.Mkdir(root, fmt.Sprintf("client%03d", g.cfg.ClientOffset+c))
+		dir, err := tree.Mkdir(root, clientDirs.next())
 		if err != nil {
 			return nil, err
 		}
 		dirs := []*namespace.Inode{dir}
-		if g.cfg.DirsPerClient > 1 {
+		if subDirs != nil {
 			dirs = dirs[:0]
-			for d := 0; d < g.cfg.DirsPerClient; d++ {
-				sub, err := tree.Mkdir(dir, fmt.Sprintf("d%03d", d))
+			for _, name := range subDirs {
+				sub, err := tree.Mkdir(dir, name)
 				if err != nil {
 					return nil, err
 				}
 				dirs = append(dirs, sub)
 			}
 		}
-		streams[c] = newCreates(dirs, g.cfg.ClientOffset+c, g.cfg.CreatesPerClient, g.cfg.StatEvery)
+		streams[c] = newCreates(dirs, off+c, g.cfg.CreatesPerClient, g.cfg.StatEvery)
 	}
 	return jitterSpecs(streams, 0, 0, src.Fork(1)), nil
 }
 
-// nameChunk is how many create names one allocation holds.
-const nameChunk = 64
-
 // creates is one MD client's stream. Creates fill the directories
 // sequentially (per files each, remainder in the last); every statEvery
-// creates a getattr on the working directory is interleaved. Names are
-// built nameChunk at a time into one buffer, converted to a string once
-// and handed out as substrings — one allocation per 64 creates for the
-// strings the tree stores, instead of a Sprintf (or even a conversion)
-// per op. They are byte-identical to fmt.Sprintf("c%03d.f%07d", client, i).
+// creates a getattr on the working directory is interleaved. Create i
+// is named fmt.Sprintf("c%03d.f%07d", client, i), a nameChunk of names
+// per allocation.
 type creates struct {
 	dirs                 []*namespace.Inode
 	i, n, per            int
 	statEvery, sinceStat int
-	prefix               string
-	scratch              []byte
-	chunk                string             // names i-i%nameChunk onward, concatenated
-	ends                 [nameChunk + 1]int // name k of the chunk is chunk[ends[k]:ends[k+1]]
+	names                nameSeq
 }
 
 func newCreates(dirs []*namespace.Inode, client, n, statEvery int) Stream {
-	return &creates{dirs: dirs, n: n, per: max(n/len(dirs), 1), statEvery: statEvery, prefix: fmt.Sprintf("c%03d.f", client)}
+	prefix := "c" + string(appendPadded(nil, client, 3)) + ".f"
+	return &creates{dirs: dirs, n: n, per: max(n/len(dirs), 1), statEvery: statEvery, names: newNameSeq(prefix, 7, "", 0, n)}
 }
 
 // Next implements Stream.
@@ -125,16 +122,7 @@ func (s *creates) Next() (Op, bool) {
 		s.sinceStat = 0
 		return Op{Kind: OpGetattr, Target: s.dirs[d]}, true
 	}
-	k := s.i % nameChunk
-	if k == 0 {
-		s.scratch = s.scratch[:0]
-		for j := 0; j < nameChunk && s.i+j < s.n; j++ {
-			s.scratch = appendPadded(append(s.scratch, s.prefix...), s.i+j, 7)
-			s.ends[j+1] = len(s.scratch)
-		}
-		s.chunk = string(s.scratch)
-	}
 	s.i++
 	s.sinceStat++
-	return Op{Kind: OpCreate, Parent: s.dirs[d], Name: s.chunk[s.ends[k]:s.ends[k+1]]}, true
+	return Op{Kind: OpCreate, Parent: s.dirs[d], Name: s.names.next()}, true
 }

@@ -21,3 +21,63 @@ func appendPadded(dst []byte, n, width int) []byte {
 	}
 	return append(dst, tmp[p:]...)
 }
+
+// nameChunk is how many names one string allocation holds.
+const nameChunk = 64
+
+// nameSeq hands out the names prefix + i + suffix for i = from, from+1,
+// ..., to-1, with i zero-padded to at least width digits: byte-identical
+// to fmt.Sprintf(prefix+"%0<width>d"+suffix, i) for every i, past the
+// pad width too. Names are built nameChunk at a time into one buffer,
+// converted to a string once and handed out as substrings — one
+// allocation per 64 names for the strings the tree stores, instead of a
+// Sprintf (or even a conversion) per name. Every generator names its
+// files and directories through it, setup and create streams alike.
+type nameSeq struct {
+	prefix, suffix string
+	width, i, to   int
+	k, built       int   // the next name's position in the chunk; names in it
+	start          int32 // where name k starts in the chunk
+	buf            []byte
+	chunk          string           // the built names, concatenated
+	ends           [nameChunk]int32 // name k of the chunk ends at chunk[ends[k]]; the next starts there
+}
+
+func newNameSeq(prefix string, width int, suffix string, from, to int) nameSeq {
+	return nameSeq{prefix: prefix, suffix: suffix, width: width, i: from, to: to}
+}
+
+// next returns the next name; there must be one (i < to).
+func (s *nameSeq) next() string {
+	if s.k == s.built {
+		s.fill()
+	}
+	lo := s.start
+	s.start = s.ends[s.k&(nameChunk-1)]
+	s.k++
+	return s.chunk[lo:s.start]
+}
+
+// fill builds the chunk of up to nameChunk names starting at i.
+func (s *nameSeq) fill() {
+	s.buf = s.buf[:0]
+	s.k, s.built, s.start = 0, min(nameChunk, s.to-s.i), 0
+	for j := range s.built {
+		s.buf = append(appendPadded(append(s.buf, s.prefix...), s.i, s.width), s.suffix...)
+		s.ends[j] = int32(len(s.buf))
+		s.i++
+	}
+	s.chunk = string(s.buf)
+}
+
+// nameList returns the names [0, n) of prefix, width and suffix, for a
+// name that depends only on its index — file i of every directory is
+// built once and shared.
+func nameList(prefix string, width int, suffix string, n int) []string {
+	s := newNameSeq(prefix, width, suffix, 0, n)
+	out := make([]string, n)
+	for i := range out {
+		out[i] = s.next()
+	}
+	return out
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/namespace"
+	"repro/internal/rng"
 )
 
 func TestAppendPaddedMatchesSprintf(t *testing.T) {
@@ -48,6 +49,78 @@ func TestCreateNamesMatchSprintf(t *testing.T) {
 		}
 		if i != tc.n {
 			t.Fatalf("client %d: %d creates, want %d", tc.client, i, tc.n)
+		}
+	}
+}
+
+// TestNamesMatchSprintf: every name format a generator uses, built by
+// nameSeq and nameList, is byte-identical to its Sprintf — for indices
+// 0-200, around 10^width (where the name grows a digit inside a chunk)
+// and past the pad width.
+func TestNamesMatchSprintf(t *testing.T) {
+	for _, f := range []struct {
+		prefix string
+		width  int
+		suffix string
+		format string
+	}{
+		{"client", 3, "", "client%03d"},     // MD, Zipf
+		{"d", 3, "", "d%03d"},               // MD
+		{"c042.f", 7, "", "c042.f%07d"},     // MD creates
+		{"file", 6, "", "file%06d"},         // ReadStorm
+		{"new0042_", 6, "", "new0042_%06d"}, // ReadStorm writes
+		{"file", 5, "", "file%05d"},         // Zipf
+		{"sec", 3, "", "sec%03d"},           // Web
+		{"dir", 4, "", "dir%04d"},           // Web
+		{"page", 6, ".html", "page%06d.html"},
+		{"d", 4, "", "d%04d"}, // CNN
+		{"img", 5, ".jpg", "img%05d.jpg"},
+		{"cat", 2, "", "cat%02d"}, // NLP
+		{"doc", 6, ".txt", "doc%06d.txt"},
+	} {
+		list := nameList(f.prefix, f.width, f.suffix, 201)
+		for i, got := range list {
+			if want := fmt.Sprintf(f.format, i); got != want {
+				t.Fatalf("nameList(%q) name %d = %q, want %q", f.format, i, got, want)
+			}
+		}
+		pow := 1
+		for range f.width {
+			pow *= 10
+		}
+		for _, r := range [][2]int{{0, 201}, {pow - 100, pow + 100}, {10*pow - 3, 10*pow + 3}} {
+			s := newNameSeq(f.prefix, f.width, f.suffix, r[0], r[1])
+			for i := r[0]; i < r[1]; i++ {
+				if got, want := s.next(), fmt.Sprintf(f.format, i); got != want {
+					t.Fatalf("nameSeq(%q) from %d: name %d = %q, want %q", f.format, r[0], i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestReadStormWriteNames: a ReadStorm client's w-th create (from 1)
+// is named fmt.Sprintf("new%04d_%06d", client, w), client offset
+// included.
+func TestReadStormWriteNames(t *testing.T) {
+	g := NewReadStorm(ReadStormConfig{Files: 10, OpsPerClient: 400, WriteEvery: 2, ClientOffset: 7})
+	specs, err := g.Setup(namespace.NewTree(), 2, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, spec := range specs {
+		w := 0
+		for op, ok := spec.Stream.Next(); ok; op, ok = spec.Stream.Next() {
+			if op.Kind != OpCreate {
+				continue
+			}
+			w++
+			if want := fmt.Sprintf("new%04d_%06d", 7+c, w); op.Name != want {
+				t.Fatalf("client %d write %d named %q, want %q", c, w, op.Name, want)
+			}
+		}
+		if w != 200 {
+			t.Fatalf("client %d: %d writes, want 200", c, w)
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"repro/internal/namespace"
 	"repro/internal/rng"
 )
@@ -66,8 +64,9 @@ func (g *ReadStorm) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([
 		return nil, err
 	}
 	files := make([]*namespace.Inode, g.cfg.Files)
-	for f := 0; f < g.cfg.Files; f++ {
-		in, err := tree.Create(dir, fmt.Sprintf("file%06d", f), 4096)
+	names := newNameSeq("file", 6, "", 0, g.cfg.Files)
+	for f := range files {
+		in, err := tree.Create(dir, names.next(), 4096)
 		if err != nil {
 			return nil, err
 		}
@@ -75,10 +74,16 @@ func (g *ReadStorm) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([
 	}
 	streams := make([]Stream, clients)
 	for c := 0; c < clients; c++ {
-		streams[c] = &zipfStats{
+		s := &zipfStats{
 			pick: newZipfPicker(files, src.Fork(uint64(c)+10)),
-			dir:  dir, ops: g.cfg.OpsPerClient, writeEvery: g.cfg.WriteEvery, client: g.cfg.ClientOffset + c,
+			dir:  dir, ops: g.cfg.OpsPerClient, writeEvery: g.cfg.WriteEvery,
 		}
+		if s.writeEvery > 0 {
+			// Write w (from 1) is named fmt.Sprintf("new%04d_%06d", client, w).
+			prefix := "new" + string(appendPadded(nil, g.cfg.ClientOffset+c, 4)) + "_"
+			s.writes = newNameSeq(prefix, 6, "", 1, 1+s.ops/s.writeEvery)
+		}
+		streams[c] = s
 	}
 	return jitterSpecs(streams, 0, 0, src.Fork(1)), nil
 }
@@ -88,9 +93,10 @@ func (g *ReadStorm) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([
 // writeEvery-th op is instead a create into the shared directory (a
 // lease-invalidating write).
 type zipfStats struct {
-	pick                                  zipfPicker
-	dir                                   *namespace.Inode
-	ops, done, writeEvery, client, writes int
+	pick                  zipfPicker
+	dir                   *namespace.Inode
+	ops, done, writeEvery int
+	writes                nameSeq // the creates' names
 }
 
 func (s *zipfStats) Next() (Op, bool) {
@@ -99,13 +105,7 @@ func (s *zipfStats) Next() (Op, bool) {
 	}
 	s.done++
 	if s.writeEvery > 0 && s.done%s.writeEvery == 0 {
-		s.writes++
-		return Op{
-			Kind:   OpCreate,
-			Parent: s.dir,
-			Name:   fmt.Sprintf("new%04d_%06d", s.client, s.writes),
-			Size:   4096,
-		}, true
+		return Op{Kind: OpCreate, Parent: s.dir, Name: s.writes.next(), Size: 4096}, true
 	}
 	return Op{Kind: OpGetattr, Target: s.pick.next()}, true
 }

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"repro/internal/namespace"
 	"repro/internal/rng"
 )
@@ -72,14 +70,16 @@ func (g *CNN) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([]Clien
 	}
 	sizes := src.Fork(1)
 	files := make([]*namespace.Inode, 0, g.cfg.Dirs*g.cfg.FilesPerDir)
+	dirNames := newNameSeq("d", 4, "", 0, g.cfg.Dirs)
+	fileNames := nameList("img", 5, ".jpg", g.cfg.FilesPerDir)
 	for d := 0; d < g.cfg.Dirs; d++ {
-		dir, err := tree.Mkdir(root, fmt.Sprintf("d%04d", d))
+		dir, err := tree.Mkdir(root, dirNames.next())
 		if err != nil {
 			return nil, err
 		}
-		for f := 0; f < g.cfg.FilesPerDir; f++ {
+		for _, name := range fileNames {
 			size := cnnFileBytes/2 + sizes.Int63n(cnnFileBytes)
-			in, err := tree.Create(dir, fmt.Sprintf("img%05d.jpg", f), size)
+			in, err := tree.Create(dir, name, size)
 			if err != nil {
 				return nil, err
 			}
@@ -164,14 +164,16 @@ func (g *NLP) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([]Clien
 	}
 	sizes := src.Fork(1)
 	files := make([]*namespace.Inode, 0, g.cfg.Dirs*g.cfg.FilesPerDir)
+	dirNames := newNameSeq("cat", 2, "", 0, g.cfg.Dirs)
+	fileNames := nameList("doc", 6, ".txt", g.cfg.FilesPerDir)
 	for d := 0; d < g.cfg.Dirs; d++ {
-		dir, err := tree.Mkdir(root, fmt.Sprintf("cat%02d", d))
+		dir, err := tree.Mkdir(root, dirNames.next())
 		if err != nil {
 			return nil, err
 		}
-		for f := 0; f < g.cfg.FilesPerDir; f++ {
+		for _, name := range fileNames {
 			size := nlpFileBytes/2 + sizes.Int63n(nlpFileBytes)
-			in, err := tree.Create(dir, fmt.Sprintf("doc%06d.txt", f), size)
+			in, err := tree.Create(dir, name, size)
 			if err != nil {
 				return nil, err
 			}

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"repro/internal/namespace"
 	"repro/internal/rng"
 )
@@ -52,21 +50,25 @@ func (g *Web) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([]Clien
 	files := make([]*namespace.Inode, 0, g.cfg.Files)
 	var section, dir *namespace.Inode
 	const filesPerSection = webDirFanout * webDirsPerSection
-	for i := 0; i < g.cfg.Files; i++ {
+	n := g.cfg.Files
+	secNames := newNameSeq("sec", 3, "", 0, (n+filesPerSection-1)/filesPerSection)
+	dirNames := newNameSeq("dir", 4, "", 0, (n+webDirFanout-1)/webDirFanout)
+	pageNames := newNameSeq("page", 6, ".html", 0, n)
+	for i := 0; i < n; i++ {
 		if i%filesPerSection == 0 {
-			section, err = tree.Mkdir(root, fmt.Sprintf("sec%03d", i/filesPerSection))
+			section, err = tree.Mkdir(root, secNames.next())
 			if err != nil {
 				return nil, err
 			}
 		}
 		if i%webDirFanout == 0 {
-			dir, err = tree.Mkdir(section, fmt.Sprintf("dir%04d", i/webDirFanout))
+			dir, err = tree.Mkdir(section, dirNames.next())
 			if err != nil {
 				return nil, err
 			}
 		}
 		size := webFileBytes/2 + sizes.Int63n(webFileBytes)
-		in, err := tree.Create(dir, fmt.Sprintf("page%06d.html", i), size)
+		in, err := tree.Create(dir, pageNames.next(), size)
 		if err != nil {
 			return nil, err
 		}

@@ -350,3 +350,32 @@ func TestNewOpList(t *testing.T) {
 		t.Fatal("empty ratio")
 	}
 }
+
+// BenchmarkSetup prices one Setup of each Mixed constituent as the
+// benchmark's mixed_rebalance builds it (experiment.MakeWorkload at
+// scale 2; 100 clients, so 25 per group), each into a fresh tree.
+// Medians of five alternating runs on the 2-vCPU reference host
+// (go1.24.0), ms/op (allocs/op):
+//
+//	      parent 66fe960   change
+//	CNN    8.04 (21 790)   1.98 (2 266)
+//	NLP    3.95 (19 113)   1.11 (311)
+//	Web   11.99 (53 316)   6.25 (4 984)
+//	Zipf   8.71 (44 122)   2.96 (526)
+func BenchmarkSetup(b *testing.B) {
+	for _, g := range []Generator{
+		NewCNN(CNNConfig{Dirs: 300, FilesPerDir: 64}),
+		NewNLP(NLPConfig{FilesPerDir: 800}),
+		NewWeb(WebConfig{Files: 24000, RequestsPerClient: 40000}),
+		NewZipf(ZipfConfig{OpsPerClient: 80000}),
+	} {
+		b.Run(g.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := g.Setup(namespace.NewTree(), 25, rng.New(1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

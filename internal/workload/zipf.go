@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"repro/internal/namespace"
 	"repro/internal/rng"
 )
@@ -56,15 +54,17 @@ func (g *Zipf) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([]Clie
 	if err != nil {
 		return nil, err
 	}
+	dirNames := newNameSeq("client", 3, "", g.cfg.ClientOffset, g.cfg.ClientOffset+clients)
+	fileNames := nameList("file", 5, "", g.cfg.FilesPerClient)
 	streams := make([]Stream, clients)
 	for c := 0; c < clients; c++ {
-		dir, err := tree.Mkdir(root, fmt.Sprintf("client%03d", g.cfg.ClientOffset+c))
+		dir, err := tree.Mkdir(root, dirNames.next())
 		if err != nil {
 			return nil, err
 		}
-		files := make([]*namespace.Inode, g.cfg.FilesPerClient)
-		for f := 0; f < g.cfg.FilesPerClient; f++ {
-			in, err := tree.Create(dir, fmt.Sprintf("file%05d", f), zipfFileBytes)
+		files := make([]*namespace.Inode, len(fileNames))
+		for f, name := range fileNames {
+			in, err := tree.Create(dir, name, zipfFileBytes)
 			if err != nil {
 				return nil, err
 			}
