@@ -41,7 +41,7 @@ type Client struct {
 	inflight int64
 
 	streamDone bool
-	readsTree  bool // stream consults the live namespace in Next()
+	readsTree  bool // stream consults the live namespace in Draw
 	done       bool
 	issued     int64 // ops drawn from the stream (completed or pending)
 	opsDone    int64
@@ -242,12 +242,17 @@ func (c *Client) PeekOp(k int, tick int64) *workload.Op {
 		if c.streamDone {
 			return nil
 		}
-		op, ok := c.stream.Next()
-		if !ok {
+		// The stream writes the op straight into the tail slot: a
+		// 56-byte op returned by value would be stored and reloaded
+		// through memory, and copied again into the queue.
+		p := c.q.slot()
+		if !c.stream.Draw(&p.op) {
 			c.streamDone = true
+			c.q.unslot()
 			return nil
 		}
-		c.q.push(pendingOp{op: op, since: tick})
+		p.since = tick
+		c.q.tail++
 		c.issued++
 	}
 	return &c.q.at(k).op

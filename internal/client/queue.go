@@ -21,7 +21,7 @@ const (
 type opBlock [qBlock]pendingOp
 
 // opQueue is a FIFO of ops held by value (stream ops never escape to
-// the heap one by one) in fixed-size blocks: pushing past the last
+// the heap one by one) in fixed-size blocks: drawing past the last
 // block adds one, popping past the first releases it, so the queue's
 // memory follows the ops queued, not the ops ever issued, and nothing
 // is copied when a backlog grows. A released block is kept on a short
@@ -41,7 +41,10 @@ func (q *opQueue) at(k int) *pendingOp {
 	return &q.blocks[i>>qShift][i&(qBlock-1)]
 }
 
-func (q *opQueue) push(p pendingOp) {
+// slot returns the tail slot, adding a block when the last is full. A
+// stream draws into it in place (workload.Stream.Draw); the op is queued
+// only once the caller advances tail.
+func (q *opQueue) slot() *pendingOp {
 	if q.tail == len(q.blocks)<<qShift {
 		var b *opBlock
 		if n := len(q.spare); n > 0 {
@@ -51,8 +54,19 @@ func (q *opQueue) push(p pendingOp) {
 		}
 		q.blocks = append(q.blocks, b)
 	}
-	q.blocks[q.tail>>qShift][q.tail&(qBlock-1)] = p
-	q.tail++
+	return &q.blocks[q.tail>>qShift][q.tail&(qBlock-1)]
+}
+
+// unslot hands back a block that slot added for an op the stream did
+// not have, so that the last block always holds an op.
+func (q *opQueue) unslot() {
+	if n := len(q.blocks); n > 1 && q.tail == (n-1)<<qShift {
+		if len(q.spare) < 2 {
+			q.spare = append(q.spare, q.blocks[n-1])
+		}
+		q.blocks[n-1] = nil
+		q.blocks = q.blocks[:n-1]
+	}
 }
 
 // release hands the first block, which the head has just left, to the

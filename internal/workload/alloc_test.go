@@ -14,7 +14,7 @@ import (
 )
 
 // TestStreamNextAllocFree: once the first refill has sized a stream's
-// buffer, Next allocates nothing — except MD, whose create names cost
+// buffer, Draw allocates nothing — except MD, whose create names cost
 // one chunk allocation per nameChunk creates. (Counted from MemStats:
 // testing.AllocsPerRun rounds the per-call average down to an integer,
 // which hides one allocation per file of several ops.)
@@ -22,7 +22,7 @@ func TestStreamNextAllocFree(t *testing.T) {
 	for name := range steadyGens {
 		s := steadyStream(t, name, namespace.NewTree())
 		for i := 0; i < 100; i++ {
-			s.Next() // past the first directory change: the buffer is at full size
+			s.Draw(&sinkOp) // past the first directory change: the buffer is at full size
 		}
 		ceiling := 0.0
 		if name == "MD" {
@@ -33,8 +33,7 @@ func TestStreamNextAllocFree(t *testing.T) {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		for i := 0; i < n; i++ {
-			var ok bool
-			if sinkOp, ok = s.Next(); !ok {
+			if !s.Draw(&sinkOp) {
 				t.Fatalf("%s: stream ended inside the measurement", name)
 			}
 		}
@@ -43,7 +42,7 @@ func TestStreamNextAllocFree(t *testing.T) {
 		// concurrent GC cycle allocates a handful); one allocation per
 		// file would be seventy times that.
 		if got := float64(after.Mallocs - before.Mallocs); got > ceiling*n+n/1000 {
-			t.Errorf("%s: %.4f allocs per Next, want <= %.4f", name, got/n, ceiling)
+			t.Errorf("%s: %.4f allocs per Draw, want <= %.4f", name, got/n, ceiling)
 		}
 	}
 }

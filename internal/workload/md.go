@@ -99,9 +99,12 @@ func (g *MD) Setup(tree *namespace.Tree, clients int, src *rng.Source) ([]Client
 // sequentially (per files each, remainder in the last); every statEvery
 // creates a getattr on the working directory is interleaved. Create i
 // is named fmt.Sprintf("c%03d.f%07d", client, i), a nameChunk of names
-// per allocation.
+// per allocation. The working directory dirs[d], d = min(i/per,
+// len(dirs)-1), is carried rather than divided out per op: d moves on
+// when i reaches dirEnd, except from the last directory.
 type creates struct {
 	dirs                 []*namespace.Inode
+	d, dirEnd            int
 	i, n, per            int
 	statEvery, sinceStat int
 	names                nameSeq
@@ -109,20 +112,28 @@ type creates struct {
 
 func newCreates(dirs []*namespace.Inode, client, n, statEvery int) Stream {
 	prefix := "c" + string(appendPadded(nil, client, 3)) + ".f"
-	return &creates{dirs: dirs, n: n, per: max(n/len(dirs), 1), statEvery: statEvery, names: newNameSeq(prefix, 7, "", 0, n)}
+	per := max(n/len(dirs), 1)
+	return &creates{dirs: dirs, dirEnd: per, n: n, per: per, statEvery: statEvery, names: newNameSeq(prefix, 7, "", 0, n)}
 }
 
-// Next implements Stream.
-func (s *creates) Next() (Op, bool) {
+// Draw implements Stream.
+func (s *creates) Draw(op *Op) bool {
 	if s.i >= s.n {
-		return Op{}, false
+		return false
 	}
-	d := min(s.i/s.per, len(s.dirs)-1)
 	if s.statEvery > 0 && s.sinceStat >= s.statEvery {
 		s.sinceStat = 0
-		return Op{Kind: OpGetattr, Target: s.dirs[d]}, true
+		op.set(OpGetattr, s.dirs[s.d], nil, "", 0, 0)
+		return true
 	}
+	op.set(OpCreate, nil, s.dirs[s.d], s.names.next(), 0, 0)
 	s.i++
 	s.sinceStat++
-	return Op{Kind: OpCreate, Parent: s.dirs[d], Name: s.names.next()}, true
+	if s.i == s.dirEnd && s.d < len(s.dirs)-1 {
+		s.d++
+		s.dirEnd += s.per
+	}
+	return true
 }
+
+func (s *creates) Next() (op Op, ok bool) { ok = s.Draw(&op); return }

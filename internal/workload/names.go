@@ -1,5 +1,7 @@
 package workload
 
+import "slices"
+
 // appendPadded appends non-negative n to dst, zero-padded to at least
 // width digits — byte-identical to fmt.Sprintf("%0*d", width, n), but
 // without fmt's per-call allocations. The op streams generate one name
@@ -36,38 +38,43 @@ const nameChunk = 64
 type nameSeq struct {
 	prefix, suffix string
 	width, i, to   int
-	k, built       int   // the next name's position in the chunk; names in it
-	start          int32 // where name k starts in the chunk
+	k              int      // the next name's index in names
+	names          []string // the chunk's names, substrings of one string
 	buf            []byte
-	chunk          string           // the built names, concatenated
-	ends           [nameChunk]int32 // name k of the chunk ends at chunk[ends[k]]; the next starts there
 }
 
 func newNameSeq(prefix string, width int, suffix string, from, to int) nameSeq {
 	return nameSeq{prefix: prefix, suffix: suffix, width: width, i: from, to: to}
 }
 
-// next returns the next name; there must be one (i < to).
-func (s *nameSeq) next() string {
-	if s.k == s.built {
+// next returns the next name; there must be one (i < to). It inlines
+// into a create stream's Draw, which then calls fill once per nameChunk
+// names.
+func (s *nameSeq) next() (name string) {
+	if s.k >= len(s.names) {
 		s.fill()
 	}
-	lo := s.start
-	s.start = s.ends[s.k&(nameChunk-1)]
+	name = s.names[s.k]
 	s.k++
-	return s.chunk[lo:s.start]
+	return
 }
 
 // fill builds the chunk of up to nameChunk names starting at i.
 func (s *nameSeq) fill() {
+	n := min(nameChunk, s.to-s.i)
+	var ends [nameChunk]int
 	s.buf = s.buf[:0]
-	s.k, s.built, s.start = 0, min(nameChunk, s.to-s.i), 0
-	for j := range s.built {
+	for j := range n {
 		s.buf = append(appendPadded(append(s.buf, s.prefix...), s.i, s.width), s.suffix...)
-		s.ends[j] = int32(len(s.buf))
+		ends[j] = len(s.buf)
 		s.i++
 	}
-	s.chunk = string(s.buf)
+	chunk, start := string(s.buf), 0
+	s.k, s.names = 0, slices.Grow(s.names[:0], n)
+	for _, end := range ends[:n] {
+		s.names = append(s.names, chunk[start:end])
+		start = end
+	}
 }
 
 // nameList returns the names [0, n) of prefix, width and suffix, for a

@@ -30,17 +30,39 @@ func TestAppendPaddedMatchesSprintf(t *testing.T) {
 // TestCreateNamesMatchSprintf: the creates stream builds its names a
 // chunk at a time and hands out substrings; across chunk boundaries,
 // with a short last chunk and with getattrs interleaved, name i is
-// still byte-identical to the Sprintf form.
+// still byte-identical to the Sprintf form. Its directory is carried
+// across creates, not divided out: create i and the getattr before it
+// still address dirs[min(i/per, len(dirs)-1)], per = max(n/len(dirs),
+// 1), with n a multiple of len(dirs) or not, fewer creates than
+// directories, and a getattr falling on a directory boundary.
 func TestCreateNamesMatchSprintf(t *testing.T) {
-	dirs := []*namespace.Inode{namespace.NewTree().Root()}
-	for _, tc := range []struct{ client, n, statEvery int }{
-		{7, 1, 0}, {7, nameChunk, 0}, {7, nameChunk + 1, 0}, {123, 3*nameChunk - 1, 5}, {1000, 200, 64},
+	tree := namespace.NewTree()
+	var dirs []*namespace.Inode
+	for _, name := range nameList("d", 3, "", 5) {
+		d, err := tree.Mkdir(tree.Root(), name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirs = append(dirs, d)
+	}
+	for _, tc := range []struct{ client, n, statEvery, dirs int }{
+		{7, 1, 0, 1}, {7, nameChunk, 0, 1}, {7, nameChunk + 1, 0, 1}, {123, 3*nameChunk - 1, 5, 1}, {1000, 200, 64, 1},
+		{7, 100, 0, 3}, {7, 2, 0, 3}, {7, 97, 7, 4}, {7, 64, 8, 4}, {7, 65, 16, 5}, {7, 5, 1, 5},
 	} {
-		s := newCreates(dirs, tc.client, tc.n, tc.statEvery)
-		i := 0
+		s := newCreates(dirs[:tc.dirs], tc.client, tc.n, tc.statEvery)
+		per := max(tc.n/tc.dirs, 1)
+		dirOf := func(i int) *namespace.Inode { return dirs[min(i/per, tc.dirs-1)] }
+		i, stats := 0, 0
 		for op, ok := s.Next(); ok; op, ok = s.Next() {
-			if op.Kind != OpCreate {
+			if op.Kind == OpGetattr {
+				if tc.statEvery == 0 || i == 0 || i%tc.statEvery != 0 || op.Target != dirOf(i) {
+					t.Fatalf("%+v: getattr of %s before create %d", tc, op.Target.Path(), i)
+				}
+				stats++
 				continue
+			}
+			if op.Kind != OpCreate || op.Parent != dirOf(i) {
+				t.Fatalf("%+v: create %d is %v in %s, want a create in %s", tc, i, op.Kind, op.Parent.Path(), dirOf(i).Path())
 			}
 			if want := fmt.Sprintf("c%03d.f%07d", tc.client, i); op.Name != want {
 				t.Fatalf("client %d create %d of %d named %q, want %q", tc.client, i, tc.n, op.Name, want)
@@ -49,6 +71,9 @@ func TestCreateNamesMatchSprintf(t *testing.T) {
 		}
 		if i != tc.n {
 			t.Fatalf("client %d: %d creates, want %d", tc.client, i, tc.n)
+		}
+		if tc.statEvery > 0 && stats != (tc.n-1)/tc.statEvery {
+			t.Fatalf("%+v: %d getattrs, want one before every %dth create", tc, stats, tc.statEvery)
 		}
 	}
 }

@@ -99,13 +99,17 @@ type zipfStats struct {
 	writes                nameSeq // the creates' names
 }
 
-func (s *zipfStats) Next() (Op, bool) {
+func (s *zipfStats) Draw(op *Op) bool {
 	if s.done >= s.ops {
-		return Op{}, false
+		return false
 	}
 	s.done++
 	if s.writeEvery > 0 && s.done%s.writeEvery == 0 {
-		return Op{Kind: OpCreate, Parent: s.dir, Name: s.writes.next(), Size: 4096}, true
+		op.set(OpCreate, nil, s.dir, s.writes.next(), 4096, 0)
+	} else {
+		op.set(OpGetattr, s.pick.next(), nil, "", 0, 0)
 	}
-	return Op{Kind: OpGetattr, Target: s.pick.next()}, true
+	return true
 }
+
+func (s *zipfStats) Next() (op Op, ok bool) { ok = s.Draw(&op); return }

@@ -7,26 +7,29 @@ import (
 
 // seqStream is a Stream built from a refill closure that appends the
 // next batch of ops (typically one file's worth) to the stream's own
-// buffer, or nothing at end of job. Next copies ops out by value, so
-// the one buffer is reused by every refill.
+// buffer, or nothing at end of job. Draw copies ops out field by
+// field, so the one buffer is reused by every refill.
 type seqStream struct {
 	fill func(buf []Op) []Op
 	buf  []Op
 	pos  int
 }
 
-func (s *seqStream) Next() (Op, bool) {
+func (s *seqStream) Draw(op *Op) bool {
 	for s.pos >= len(s.buf) {
 		s.buf = s.fill(s.buf[:0])
 		if len(s.buf) == 0 {
-			return Op{}, false
+			return false
 		}
 		s.pos = 0
 	}
-	op := s.buf[s.pos]
+	b := &s.buf[s.pos]
+	op.set(b.Kind, b.Target, b.Parent, b.Name, b.Size, b.DataSize)
 	s.pos++
-	return op, true
+	return true
 }
+
+func (s *seqStream) Next() (op Op, ok bool) { ok = s.Draw(&op); return }
 
 // CNNConfig shapes the CNN image pre-processing workload: each client
 // scans the whole ImageNet-like dataset once, in directory order,

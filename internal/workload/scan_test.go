@@ -244,14 +244,17 @@ func steadyStream(tb testing.TB, name string, tree *namespace.Tree) Stream {
 
 var sinkOp Op
 
-// BenchmarkSeqStreamNext prices one drawn op for a many-ops-per-file
-// scan and for a Zipf client. Medians of five alternating runs on the
-// 2-vCPU reference host (go1.24.0), 0 B/op throughout:
+// BenchmarkStreamDraw prices one op drawn into a reused slot for a
+// many-ops-per-file scan, a Zipf client and an MD client (a getattr
+// every 64 creates). Medians of eight alternating runs on the 2-vCPU
+// reference host (go1.24.0), ns/op, 0 allocs/op (MD: one per 64
+// creates), the same cases through Next at the parent:
 //
-//	       parent 42249c9  parent 6c8fc30  change
-//	NLP    104.4 (143 B)   20.8            21.0
-//	Zipf    63.4           63.0            20.6 (guide table, no closure)
-func BenchmarkSeqStreamNext(b *testing.B) {
+//	       parent cd2724e (Next)   Draw
+//	NLP    28.7                    17.5
+//	Zipf   31.4                    26.3
+//	MD     54.8                    42.6
+func BenchmarkStreamDraw(b *testing.B) {
 	b.Run("NLP", func(b *testing.B) {
 		tree := namespace.NewTree()
 		s := steadyStream(b, "NLP", tree)
@@ -260,18 +263,19 @@ func BenchmarkSeqStreamNext(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			var ok bool
-			if sinkOp, ok = s.Next(); !ok {
+			if !s.Draw(&sinkOp) {
 				s = newNLPScan(files) // scan the corpus again
 			}
 		}
 	})
-	b.Run("Zipf", func(b *testing.B) {
-		s := steadyStream(b, "Zipf", namespace.NewTree())
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sinkOp, _ = s.Next()
-		}
-	})
+	for _, name := range []string{"Zipf", "MD"} {
+		b.Run(name, func(b *testing.B) {
+			s := steadyStream(b, name, namespace.NewTree())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Draw(&sinkOp)
+			}
+		})
+	}
 }

@@ -193,32 +193,36 @@ type traceStream struct {
 // create must not be drawn until that create has been applied.
 func (s *traceStream) ReadsTree() bool { return true }
 
-func (s *traceStream) Next() (Op, bool) {
+func (s *traceStream) Draw(op *Op) bool {
 	for s.pos < len(s.ops) {
-		p := s.ops[s.pos]
+		p := &s.ops[s.pos]
 		s.pos++
 		if p.kind == OpCreate {
 			parent, err := s.tree.Lookup(parentPath(p.path))
 			if err != nil {
 				continue // parent vanished; skip the op
 			}
-			return Op{Kind: OpCreate, Parent: parent, Name: basename(p.path), Size: p.data}, true
+			op.set(OpCreate, nil, parent, basename(p.path), p.data, 0)
+			return true
 		}
 		target, err := s.tree.Lookup(p.path)
 		if err != nil {
 			continue // path not materialized; skip
 		}
-		op := Op{Kind: p.kind, Target: target}
+		var data int64
 		if p.kind == OpOpen {
-			op.DataSize = p.data
-			if op.DataSize == 0 {
-				op.DataSize = target.Size
+			data = p.data
+			if data == 0 {
+				data = target.Size
 			}
 		}
-		return op, true
+		op.set(p.kind, target, nil, "", 0, data)
+		return true
 	}
-	return Op{}, false
+	return false
 }
+
+func (s *traceStream) Next() (op Op, ok bool) { ok = s.Draw(&op); return }
 
 // WriteTrace serializes client op streams into the trace format. It
 // CONSUMES the streams, so export from freshly built specs.

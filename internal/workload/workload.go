@@ -121,14 +121,27 @@ type Op struct {
 	DataSize int64
 }
 
+// set writes all six fields, one store each. A Stream draws into a
+// reused queue slot, so it must write every field; a composite literal
+// or struct copy (*op = Op{...}) would compile to a bulk write barrier
+// while the GC marks.
+func (op *Op) set(kind OpKind, target, parent *namespace.Inode, name string, size, dataSize int64) {
+	op.Kind, op.Target, op.Parent, op.Name, op.Size, op.DataSize = kind, target, parent, name, size, dataSize
+}
+
 // Stream produces a client's operation sequence.
 type Stream interface {
-	// Next returns the next op, or ok=false when the client's job is
-	// complete.
+	// Draw writes the next op into *op, every field of it, or returns
+	// false and leaves *op alone when the client's job is complete.
+	// Each implementation builds its op here alone, so that a client
+	// draws straight into its queue slot: an Op (56 bytes) returned by
+	// value is stored and reloaded through memory.
+	Draw(op *Op) bool
+	// Next is Draw for callers that want the op by value.
 	Next() (op Op, ok bool)
 }
 
-// TreeReader is implemented by streams whose Next() consults the live
+// TreeReader is implemented by streams whose Draw consults the live
 // namespace tree (trace replay resolves recorded paths against it).
 // The engine links a created inode into the tree only when its create
 // is served, so it must not draw ops ahead of an unserved create for
@@ -200,14 +213,17 @@ type opList struct {
 	pos int
 }
 
-func (l *opList) Next() (Op, bool) {
+func (l *opList) Draw(op *Op) bool {
 	if l.pos >= len(l.ops) {
-		return Op{}, false
+		return false
 	}
-	op := l.ops[l.pos]
+	o := &l.ops[l.pos]
+	op.set(o.Kind, o.Target, o.Parent, o.Name, o.Size, o.DataSize)
 	l.pos++
-	return op, true
+	return true
 }
+
+func (l *opList) Next() (op Op, ok bool) { ok = l.Draw(&op); return }
 
 // NewOpList wraps a pre-built op slice as a Stream (used by tests and
 // by small custom workloads).

@@ -102,11 +102,14 @@ type zipfReads struct {
 	left int
 }
 
-func (s *zipfReads) Next() (Op, bool) {
+func (s *zipfReads) Draw(op *Op) bool {
 	if s.left <= 0 {
-		return Op{}, false
+		return false
 	}
 	s.left--
 	f := s.pick.next()
-	return Op{Kind: OpOpen, Target: f, DataSize: f.Size}, true
+	op.set(OpOpen, f, nil, "", 0, f.Size)
+	return true
 }
+
+func (s *zipfReads) Next() (op Op, ok bool) { ok = s.Draw(&op); return }
